@@ -15,8 +15,8 @@
 import math
 from fractions import Fraction
 
-from latmod.exact import Lattice, vp
-from latmod.matrixops import F, mat, mat_inv, mat_mul, mat_vec
+from latmod.exact import Lattice, transporter, vp
+from latmod.matrixops import F, mat, mat_vec
 from latmod.models import hopf_generators, lie_invariants, lie_model, order_equal_bounded
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley
@@ -107,22 +107,7 @@ def multiplier_ring(field, lat):
     """{x in F : x·Lambda ⊆ Lambda} as a lattice in the (1, w) basis."""
     if lat.ambient != 2:
         raise CaseStudyError("fractional ideals of a quadratic field are rank 2")
-    b = lat.basis_matrix()
-    binv = mat_inv(b)
-    one = field.mul_matrix((1, 0))
-    omega = field.mul_matrix((0, 1))
-    rows = []
-    for g in (one, omega):
-        conj = mat_mul(binv, mat_mul(g, b))
-        # Condition on (u, v): u·conj(one) + v·conj(omega) integral.
-        rows.append(conj)
-    constraint_rows = []
-    for i in range(2):
-        for j in range(2):
-            row = (rows[0][i][j], rows[1][i][j])
-            if any(row):
-                constraint_rows.append(row)
-    ring = Lattice(constraint_rows, lat.prime, ambient=2).dual()
+    ring = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat, lat)
     # The result is a unital subring: verify both properties.
     if not ring.member((1, 0)):
         raise AssertionError("multiplier ring does not contain 1")
@@ -153,21 +138,7 @@ def _scaling_equivalent(field, lat1, lat2):
     """Is lat2 = x·lat1 for some x in F*?"""
     ratio = lat2.covolume() / lat1.covolume()
     # Candidate multipliers lie in {y : y·lat1 ⊆ lat2} with N(y) = ratio.
-    b1 = lat1.basis_matrix()
-    b2inv = mat_inv(lat2.basis_matrix())
-    one = field.mul_matrix((1, 0))
-    omega = field.mul_matrix((0, 1))
-    rows = []
-    for g in (one, omega):
-        conj = mat_mul(b2inv, mat_mul(g, b1))
-        rows.append(conj)
-    constraint_rows = []
-    for i in range(2):
-        for j in range(2):
-            row = (rows[0][i][j], rows[1][i][j])
-            if any(row):
-                constraint_rows.append(row)
-    quot = Lattice(constraint_rows, ambient=2).dual()
+    quot = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat1, lat2)
     # The norm form is positive definite, so Q(s,t) = ratio confines the
     # basis coefficients to |s|² <= ratio·c/det(Q), |t|² <= ratio·a/det(Q).
     b0, b1 = quot.basis

@@ -15,11 +15,9 @@ constraint duals elsewhere in the package.
 
 import json
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
 
 from latmod.kernels import hnf_columns, snf_diagonal
-from latmod.matrixops import F, mat_inv, mat_vec
+from latmod.matrixops import F, clear_denominators, mat_inv, mat_mul, mat_vec
 
 ENUM_ORDER_CAP = 2**20
 
@@ -45,18 +43,8 @@ def vp(x, p):
     return v
 
 
-def _clear_denominators(cols):
-    """Scale rational columns to integers; returns (int_cols, scale d)."""
-    d = 1
-    for col in cols:
-        for x in col:
-            d = lcm(d, F(x).denominator)
-    ints = [[int(F(x) * d) for x in col] for col in cols]
-    return ints, d
-
-
 def _canonical_global(cols, n):
-    ints, d = _clear_denominators(cols)
+    ints, d = clear_denominators(cols)
     h = hnf_columns(ints, n)
     return [tuple(Fraction(x, d) for x in col) for col in h]
 
@@ -70,7 +58,7 @@ def _canonical_local_full(cols, n, p):
     s = max(0, -minval)
     scaled = [[F(x) * p**s for x in col] for col in cols]
     # Prime-to-p denominators are units; clearing them keeps the lattice.
-    ints, d = _clear_denominators(scaled)
+    ints, d = clear_denominators(scaled)
     if d % p == 0:
         raise AssertionError("p-part of lattice not integral after scaling")
     h = hnf_columns(ints, n)
@@ -276,7 +264,7 @@ class ElementaryDivisors:
 def snf(rows):
     """Elementary divisors of a rational matrix (rows); rank many."""
     cols = list(zip(*rows)) if rows else []
-    ints, d = _clear_denominators(cols)
+    ints, d = clear_denominators(cols)
     divs = snf_diagonal([list(r) for r in zip(*ints)]) if ints else []
     return ElementaryDivisors([Fraction(x, d) for x in divs])
 
@@ -295,6 +283,24 @@ def index(sub, sup):
 
 def member(v, a):
     return a.member(v)
+
+
+def transporter(gens, src, dst):
+    """Coefficient lattice {c : (sum_k c_k·gens[k])·src ⊆ dst}.
+
+    In the bases of src and dst the condition asks every entry of
+    sum_k c_k·B_dst^-1·gens[k]·B_src to lie in the ring, so the solutions
+    are the dual of the lattice generated by the entry rows.  The rows
+    span the coefficient space exactly when the gens are linearly
+    independent.
+    """
+    dst._check_compatible(src)
+    b = src.basis_matrix()
+    dinv = mat_inv(dst.basis_matrix())
+    conj = [mat_mul(dinv, mat_mul(g, b)) for g in gens]
+    n = src.ambient
+    rows = [tuple(c[i][j] for c in conj) for i in range(n) for j in range(n)]
+    return Lattice([r for r in rows if any(r)], dst.prime, ambient=len(gens)).dual()
 
 
 def distance(a, b):
@@ -474,7 +480,7 @@ def enumerate_between(low, high):
     n = high.ambient
     t = [high._coords(col) for col in low.basis]
     # Integer matrix for the transition (clear unit denominators locally).
-    ints, d = _clear_denominators(t)
+    ints, d = clear_denominators(t)
     if high.prime is not None and d % high.prime == 0:
         raise AssertionError("transition matrix not p-integral")
     rows = [list(r) for r in zip(*ints)]

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 
 from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between, vp
-from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_vec, solve
-from latmod.reps import _root_coords, projector
+from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_vec
+from latmod.reps import _root_coords, lattice_generators
 
 
 class EdgeData:
@@ -156,38 +156,25 @@ def is_split(rep, lat):
 
 
 def split_hull(rep, lat):
-    """Direct sum of the block projections of the lattice."""
+    """Direct sum of the block projections of the lattice.
+
+    The basis is weight-adapted, so projecting onto a block keeps the
+    block's coordinates and zeroes the rest.
+    """
     gens = []
-    for (psi, chi) in rep.blocks:
-        pr = projector(rep, psi, chi)
+    for ix in rep.blocks.values():
         for col in lat.basis:
-            v = mat_vec(pr, col)
-            if any(v):
+            if any(col[i] for i in ix):
+                v = [Fraction(0)] * lat.ambient
+                for i in ix:
+                    v[i] = col[i]
                 gens.append(v)
     return Lattice(gens, lat.prime, ambient=lat.ambient)
 
 
-def _hull_generators(rep, scales=None):
-    scales = scales or {}
-    gens = []
-    for a in rep.cb.rs.all_roots:
-        g = rep.action[a]
-        s = F(scales.get(a, 1))
-        gens.append(tuple(tuple(s * x for x in row) for row in g) if s != 1 else g)
-    for col in rep.cb.cartan_lattice.basis:
-        m = [[Fraction(0)] * rep.dim for _ in range(rep.dim)]
-        for i, c in enumerate(col):
-            if c:
-                hm = rep.action[("h", i)]
-                for r in range(rep.dim):
-                    m[r][r] += c * hm[r][r]
-        gens.append(mat(m))
-    return gens
-
-
 def is_invariant(rep, lat, scales=None):
     """Is the lattice preserved by every Chevalley generator action?"""
-    for g in _hull_generators(rep, scales):
+    for _, g in lattice_generators(rep, scales):
         for col in lat.basis:
             img = mat_vec(g, col)
             if any(img) and not lat.member(img):
@@ -197,7 +184,7 @@ def is_invariant(rep, lat, scales=None):
 
 def chevalley_hull(rep, lat, scales=None):
     """Smallest lattice containing lat preserved by all generators."""
-    gens = _hull_generators(rep, scales)
+    gens = [g for _, g in lattice_generators(rep, scales)]
     cap = 4 * rep.dim + 16
     cur = lat
     for _ in range(cap):
@@ -320,11 +307,9 @@ def count_invariant_orbits(rep, edge):
 def _has_j_components(rep, edge, lat):
     for psi, j in edge.j.items():
         ix = rep.block(psi, psi)
-        pr = projector(rep, psi, psi)
         gens = []
         for col in lat.basis:
-            v = mat_vec(pr, col)
-            comp = [v[i] for i in ix]
+            comp = [col[i] for i in ix]
             if any(comp):
                 gens.append(comp)
         if Lattice(gens, lat.prime, ambient=len(ix)) != j:

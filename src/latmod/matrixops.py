@@ -6,10 +6,34 @@ never exceed a few dozen.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def F(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def clear_denominators(vectors):
+    """Scale rational vectors to integers by their common denominator;
+    returns (integer lists, the scale d)."""
+    d = 1
+    for v in vectors:
+        for x in v:
+            d = lcm(d, F(x).denominator)
+    return [[int(F(x) * d) for x in v] for v in vectors], d
+
+
+def primitive(v):
+    """The primitive integer vector on the ray of v, first nonzero entry
+    positive; the zero vector stays zero."""
+    (ints,), _ = clear_denominators([v])
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(Fraction(0) for _ in v)
+    lead = next(x for x in ints if x != 0)
+    if lead < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 def mat(rows):
@@ -22,10 +46,6 @@ def identity(n):
 
 def zeros(nr, nc):
     return tuple((Fraction(0),) * nc for _ in range(nr))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
@@ -193,14 +213,3 @@ class QSpan:
     @property
     def rank(self):
         return len(self._rows)
-
-
-def column_space_coords(basis_cols, v):
-    """Coordinates of v in the span of basis_cols, or None if outside."""
-    a = tuple(zip(*basis_cols))
-    x = solve(a, v)
-    if x is None:
-        return None
-    if mat_vec(a, x) != tuple(F(t) for t in v):
-        return None
-    return x

@@ -10,9 +10,20 @@ integral certificate for every positive answer.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from latmod.exact import Lattice, LatticeError, snf, vp
-from latmod.matrixops import F, bracket, mat, mat_inv, mat_mul, trace
+from latmod.exact import Lattice, snf, transporter, vp
+from latmod.matrixops import (
+    F,
+    bracket,
+    clear_denominators,
+    mat,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    rref,
+    trace,
+)
 
 
 class ModelError(ValueError):
@@ -70,46 +81,30 @@ def lie_model(rep, lat):
     cb = rep.cb
     if lat.ambient != rep.dim:
         raise ModelError("lattice lives in the wrong space")
-    b = lat.basis_matrix()
-    binv = mat_inv(b)
-    keys = cb.basis_order()
-    m = len(keys)
-    cols = []
-    for key in keys:
-        conj = mat_mul(binv, mat_mul(rep.action[key], b))
-        cols.append(tuple(conj[r][c] for r in range(rep.dim) for c in range(rep.dim)))
+    gens = [rep.action[key] for key in cb.basis_order()]
     # Faithfulness: the coordinate map g -> End(V) must be injective.
-    from latmod.matrixops import rref
-
-    _, pivots = rref(mat(cols))
-    if len(pivots) != m:
+    _, pivots = rref(mat([[x for row in g for x in row] for g in gens]))
+    if len(pivots) != len(gens):
         raise ModelError("representation is not faithful on the Lie algebra")
-    # {c : sum_k c_k·cols[k] integral} is the dual of the row lattice.
-    rows = [tuple(col[i] for col in cols) for i in range(rep.dim * rep.dim)]
-    rows = [r for r in rows if any(r)]
-    model = Lattice(rows, lat.prime, ambient=m).dual()
-    return LieLattice(cb, model)
+    return LieLattice(cb, transporter(gens, lat, lat))
 
 
-_KILLING_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def killing_gram(cb):
-    """Gram matrix of the Killing form on the Chevalley coordinate basis."""
-    key = id(cb)
-    if key in _KILLING_CACHE:
-        return _KILLING_CACHE[key]
+    """Gram matrix of the Killing form on the Chevalley coordinate basis.
+
+    Cached per basis object; the cache holds the basis, so no later basis
+    can take over its entry.
+    """
     mats = cb.basis_matrices()
     m = len(mats)
     ad = []
     for g in mats:
         cols = [cb.coords_of(bracket(g, h)) for h in mats]
         ad.append(tuple(zip(*cols)))
-    gram = tuple(
+    return tuple(
         tuple(trace(mat_mul(ad[i], ad[j])) for j in range(m)) for i in range(m)
     )
-    _KILLING_CACHE[key] = gram
-    return gram
 
 
 def lie_invariants(model):
@@ -128,8 +123,6 @@ def lie_invariants(model):
     )
     mats = [model.element(col) for col in basis]
     binv = mat_inv(model.lattice.basis_matrix())
-    from latmod.matrixops import mat_vec
-
     tensor_rows = []
     for i in range(m):
         for j in range(m):
@@ -346,37 +339,22 @@ def _tracked_membership(products, target, p):
     monomials = sorted({e for poly, _ in products for e in poly} | set(target))
     ix = {e: i for i, e in enumerate(monomials)}
     n = len(monomials)
-    cols = []
-    for poly, word in products:
-        v = [Fraction(0)] * n
+    vecs = []
+    for poly in [poly for poly, _ in products] + [target]:
+        v = [0] * n
         for e, c in poly.items():
             v[ix[e]] = c
-        cols.append((v, word))
-    # Column echelon over Q with combination tracking; clear denominators
-    # first so the echelon basis is an integral-combination basis.
-    from math import lcm
-
-    den = 1
-    for v, _ in cols:
-        for x in v:
-            den = lcm(den, x.denominator)
-    for poly, _ in [(target, None)]:
-        for x in poly.values():
-            den = lcm(den, x.denominator)
-    work = []
-    for k, (v, word) in enumerate(cols):
-        combo = [Fraction(0)] * len(cols)
-        combo[k] = Fraction(1)
-        work.append(([x * den for x in v], combo))
-    t = [Fraction(0)] * n
-    for e, c in target.items():
-        t[ix[e]] = c * den
-    # Integer column echelon with combination tracking (denominators were
-    # cleared, so all vector entries are integers throughout).
+        vecs.append(v)
+    # Clear denominators first so the echelon basis is an integral-
+    # combination basis.
+    ints, _ = clear_denominators(vecs)
+    t = [Fraction(x) for x in ints.pop()]
+    words = [word for _, word in products]
+    # Integer column echelon with combination tracking.
     ech = {}  # pivot row -> (vector, combination)
-    for vec, combo in work:
-        v = list(vec)
-        c = list(combo)
+    for k, v in enumerate(ints):
+        c = [Fraction(0)] * len(words)
+        c[k] = Fraction(1)
         while True:
             piv = next((i for i, x in enumerate(v) if x != 0), None)
             if piv is None:
@@ -397,7 +375,7 @@ def _tracked_membership(products, target, p):
     echelon = sorted(ech.items())
     # Forward substitution of the target on the echelon columns.
     resid = list(t)
-    combo = [Fraction(0)] * len(cols)
+    combo = [Fraction(0)] * len(words)
     bad_val = None
     for piv, (w, wc) in echelon:
         if resid[piv] != 0:
@@ -410,10 +388,7 @@ def _tracked_membership(products, target, p):
         return "outside", None
     if bad_val is not None:
         return "excluded", bad_val
-    out = [
-        (c, cols[k][1]) for k, c in enumerate(combo) if c
-    ]
-    return "member", out
+    return "member", [(c, words[k]) for k, c in enumerate(combo) if c]
 
 
 def order_equal_bounded(g1, g2, degree_bound, p):

@@ -14,7 +14,6 @@ textbook coordinates.
 """
 
 import itertools
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -28,6 +27,7 @@ from latmod.matrixops import (
     mat_inv,
     mat_mul,
     mat_vec,
+    primitive,
     solve,
     zeros,
 )
@@ -159,23 +159,34 @@ def _ext_power_raw(raw, k):
 # -----------------------------------------------------------------------
 
 
-def _primitive_vec(v):
-    from math import gcd
+def _lowering_span(span, lowering, v):
+    """Grow span by the cyclic span of v under the lowering operators;
+    returns the primitive vectors that entered it, in insertion order."""
+    queue = [primitive(v)]
+    added = []
+    while queue:
+        vec = queue.pop(0)
+        if not span.insert(vec):
+            continue
+        added.append(vec)
+        for g in lowering:
+            img = mat_vec(g, vec)
+            if any(img):
+                queue.append(primitive(img))
+    return added
 
-    den = 1
-    for x in v:
-        den = lcm(den, F(x).denominator)
-    ints = [int(F(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+
+def _lift(cb, action, dim, coords):
+    """Action matrix of the Lie algebra element with Chevalley
+    coordinates coords."""
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, key in zip(coords, cb.basis_order()):
+        if c:
+            g = action[key]
+            for r in range(dim):
+                for s in range(dim):
+                    out[r][s] += c * g[r][s]
+    return mat(out)
 
 
 class Representation:
@@ -218,7 +229,6 @@ class Representation:
         blocks = {}
         for i in range(dim):
             blocks.setdefault((psi_of[i], weights[i]), []).append(i)
-        hw = sorted((psi for psi in psi_of if True), reverse=True)
         # Multiset of highest weights: one entry per 1-dim highest block copy.
         mult = {}
         for psi in set(psi_of):
@@ -238,25 +248,13 @@ class Representation:
     def _check_homomorphism(cb, action, dim):
         keys = cb.basis_order()
         mats = cb.basis_matrices()
-
-        def lift(m):
-            coords = cb.coords_of(m)
-            if coords is None:
-                raise RepError("bracket escapes the Lie algebra")
-            out = [[Fraction(0)] * dim for _ in range(dim)]
-            for c, key in zip(coords, keys):
-                if c:
-                    g = action[key]
-                    for r in range(dim):
-                        for s in range(dim):
-                            out[r][s] += c * g[r][s]
-            return mat(out)
-
         for i, ki in enumerate(keys):
             for j in range(i + 1, len(keys)):
-                expect = lift(bracket(mats[i], mats[j]))
+                coords = cb.coords_of(bracket(mats[i], mats[j]))
+                if coords is None:
+                    raise RepError("bracket escapes the Lie algebra")
                 got = bracket(action[ki], action[keys[j]])
-                if got != expect:
+                if got != _lift(cb, action, dim, coords):
                     raise RepError("not a representation")
 
     @staticmethod
@@ -287,17 +285,7 @@ class Representation:
         psi_of = []
         span = QSpan(dim)
         for psi, v in hw_vectors:
-            queue = [_primitive_vec(v)]
-            local = []
-            while queue:
-                vec = queue.pop(0)
-                if not span.insert(vec):
-                    continue
-                local.append(vec)
-                for g in lowering:
-                    img = mat_vec(g, vec)
-                    if any(img):
-                        queue.append(_primitive_vec(img))
+            local = _lowering_span(span, lowering, v)
             basis_cols.extend(local)
             psi_of.extend([psi] * len(local))
         if span.rank != dim:
@@ -317,14 +305,7 @@ class Representation:
         coords = self.cb.coords_of(m)
         if coords is None:
             raise RepError("element outside the Lie algebra")
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for c, key in zip(coords, self.cb.basis_order()):
-            if c:
-                g = self.action[key]
-                for r in range(self.dim):
-                    for s in range(self.dim):
-                        out[r][s] += c * g[r][s]
-        return mat(out)
+        return _lift(self.cb, self.action, self.dim, coords)
 
     def to_json_obj(self):
         def m2s(m):
@@ -388,18 +369,7 @@ def build_irrep(cb, psi):
         v[c] = x
     # Cyclic span under the lowering operators.
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    span = QSpan(d)
-    basis_cols = []
-    queue = [_primitive_vec(v)]
-    while queue:
-        vec = queue.pop(0)
-        if not span.insert(vec):
-            continue
-        basis_cols.append(vec)
-        for g in lowering:
-            img = mat_vec(g, vec)
-            if any(img):
-                queue.append(_primitive_vec(img))
+    basis_cols = _lowering_span(QSpan(d), lowering, v)
     if len(basis_cols) == d:
         # Ambient is already irreducible; keep its natural (monomial) basis.
         return Representation(cb, action)
@@ -519,6 +489,32 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 # -----------------------------------------------------------------------
 
 
+def lattice_generators(rep, scales=None):
+    """(root-lattice degree, action matrix) for each generator of the
+    Chevalley lattice: every root vector, rescaled by scales[root] when
+    given, then a basis of the Cartan lattice in degree zero."""
+    cb = rep.cb
+    scales = scales or {}
+    d = rep.dim
+    gens = []
+    for a in cb.rs.all_roots:
+        g = rep.action[a]
+        s = F(scales.get(a, 1))
+        if s != 1:
+            g = tuple(tuple(s * x for x in row) for row in g)
+        gens.append((cb.rs.expansion(a), g))
+    zero = (0,) * cb.rs.rank
+    for col in cb.cartan_lattice.basis:
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for i, c in enumerate(col):
+            if c:
+                hm = rep.action[("h", i)]
+                for r in range(d):
+                    m[r][r] += c * hm[r][r]
+        gens.append((zero, mat(m)))
+    return gens
+
+
 def projector_constant(rep, scales=None):
     """Minimal positive r with r·pr_(psi),chi in the degree-0 generator span.
 
@@ -528,25 +524,9 @@ def projector_constant(rep, scales=None):
     degree-0 products of length up to the certified cap.
     """
     cb = rep.cb
-    scales = scales or {}
     d = rep.dim
     rank = cb.rs.rank
-    gens = []  # (degree root-coords, matrix)
-    for a in cb.rs.all_roots:
-        deg = cb.rs.expansion(a)
-        g = rep.action[a]
-        s = F(scales.get(a, 1))
-        if s != 1:
-            g = tuple(tuple(s * x for x in row) for row in g)
-        gens.append((deg, g))
-    for col in cb.cartan_lattice.basis:
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for i, c in enumerate(col):
-            if c:
-                hm = rep.action[("h", i)]
-                for r in range(d):
-                    m[r][r] += c * hm[r][r]
-        gens.append(((0,) * rank, mat(m)))
+    gens = lattice_generators(rep, scales)
     # Degrees that can act nonzero: differences of weights, in root coords.
     allowed = set()
     for w1 in set(rep.weights):

@@ -9,7 +9,6 @@ all Chevalley-set identities are verified eagerly at construction, so a
 wrong structure constant cannot escape this module.
 """
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,13 +16,13 @@ from latmod.exact import Lattice
 from latmod.matrixops import (
     F,
     bracket,
-    identity,
     mat,
     mat_inv,
     mat_scale,
     mat_sub,
     mat_vec,
     nullspace,
+    primitive,
     rref,
     zeros,
 )
@@ -268,25 +267,6 @@ def _unflatten(v, N):
     return tuple(tuple(v[i * N + j] for j in range(N)) for i in range(N))
 
 
-def _primitive(v):
-    """Scale a rational vector to a primitive integer vector, first
-    nonzero entry positive."""
-    from math import gcd, lcm
-
-    den = 1
-    for x in v:
-        den = lcm(den, F(x).denominator)
-    ints = [int(F(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
 class ChevalleyBasis:
     """Chevalley set {x_alpha} plus coroot matrices in the defining rep.
 
@@ -407,7 +387,7 @@ class ChevalleyBasis:
                 sum(coeffs[k] * lie[k][pos] for k in range(len(lie)))
                 for pos in range(N * N)
             ]
-            self._gens[rs.fund_coords(beta)] = _unflatten(_primitive(flat), N)
+            self._gens[rs.fund_coords(beta)] = _unflatten(primitive(flat), N)
 
     def _pair_negative(self, fund, x_mat):
         """The unique y in g_{-alpha} with [x, y] = h_alpha."""

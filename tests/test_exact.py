@@ -31,6 +31,7 @@ from latmod.exact import (
     subgroup_count_of_quotient,
     vp,
 )
+from latmod.matrixops import clear_denominators, primitive
 
 
 def rnd_lattice(rng, n, prime=None, span=4):
@@ -428,3 +429,9 @@ def test_vp():
     assert vp(5, 5) == 1
     with pytest.raises(ValueError):
         vp(0, 2)
+
+
+def test_clear_denominators_and_primitive():
+    assert clear_denominators([[Fraction(1, 2), 3], [Fraction(2, 3), 0]]) == ([[3, 18], [4, 0]], 6)
+    assert primitive([0, Fraction(-2, 3), Fraction(4, 9)]) == (0, 3, -2)
+    assert primitive([0, 0]) == (0, 0)

@@ -1,59 +1,95 @@
-"""Compiled and pure-Python normal-form kernels agree."""
+"""The normal-form kernels against independent oracles."""
 
+import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
-import pytest
-
-from latmod import _hnf_py
-
-
-def _compiled():
-    try:
-        from latmod import _hnf_c
-
-        return _hnf_c
-    except ImportError:
-        return None
+import latmod
+from latmod.kernels import IMPLEMENTATION, hnf_columns, snf_diagonal
+from latmod.matrixops import det
 
 
-needs_compiled = pytest.mark.skipif(
-    _compiled() is None, reason="compiled kernel not built"
-)
+def _determinantal_divisors(rows):
+    """Elementary divisors s_k = d_k / d_(k-1), where d_k is the gcd of
+    the k×k minors."""
+    nr, nc = len(rows), len(rows[0])
+    out = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for ri in itertools.combinations(range(nr), k):
+            for ci in itertools.combinations(range(nc), k):
+                minor = det([[Fraction(rows[i][j]) for j in ci] for i in ri])
+                d = gcd(d, int(minor))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
 
 
-@needs_compiled
-def test_hnf_agreement_random():
-    c = _compiled()
+def _random_rows(rng, nr, nc, bound):
+    return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+
+
+def test_snf_matches_determinantal_divisors_random_rectangular():
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(1, 5)
-        k = rng.randint(1, 6)
-        cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
-        assert c.hnf_columns(cols, n) == _hnf_py.hnf_columns(cols, n)
+        rows = _random_rows(rng, rng.randint(1, 5), rng.randint(1, 5), 9)
+        assert snf_diagonal(rows) == _determinantal_divisors(rows)
 
 
-@needs_compiled
-def test_snf_agreement_random():
-    c = _compiled()
+def test_snf_matches_determinantal_divisors_rank_deficient():
     rng = random.Random(12)
-    for _ in range(200):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        assert c.snf_diagonal(rows) == _hnf_py.snf_diagonal(rows)
+    for _ in range(100):
+        nr, nc = rng.randint(2, 5), rng.randint(2, 5)
+        r = rng.randint(0, min(nr, nc) - 1)
+        u = _random_rows(rng, nr, r, 5)
+        v = _random_rows(rng, r, nc, 5)
+        rows = [[sum(u[i][k] * v[k][j] for k in range(r)) for j in range(nc)] for i in range(nr)]
+        divs = snf_diagonal(rows)
+        assert divs == _determinantal_divisors(rows)
+        assert len(divs) <= r
 
 
-@needs_compiled
-def test_agreement_big_entries():
-    c = _compiled()
+def test_snf_matches_determinantal_divisors_big_entries():
     rng = random.Random(13)
-    for _ in range(20):
-        cols = [[rng.randint(-(10**30), 10**30) for _ in range(4)] for _ in range(4)]
-        assert c.hnf_columns(cols, 4) == _hnf_py.hnf_columns(cols, 4)
-        assert c.snf_diagonal(cols) == _hnf_py.snf_diagonal(cols)
+    for nr, nc in [(4, 4)] * 10 + [(3, 5), (5, 3)] * 5:
+        rows = _random_rows(rng, nr, nc, 10**30)
+        assert snf_diagonal(rows) == _determinantal_divisors(rows)
+
+
+def _is_column_hermite(h, nrows):
+    pivots = [next(i for i, x in enumerate(c) if x != 0) for c in h]
+    if pivots != sorted(set(pivots)):
+        return False
+    for k, (c, p) in enumerate(zip(h, pivots)):
+        if c[p] <= 0 or any(not 0 <= e[p] < c[p] for e in h[:k]):
+            return False
+    return all(len(c) == nrows for c in h)
+
+
+def test_hnf_invariant_under_permutation_and_appended_combinations():
+    rng = random.Random(14)
+    for trial in range(200):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        bound = 10**30 if trial % 10 == 0 else 9
+        cols = _random_rows(rng, k, n, bound)
+        before = [list(c) for c in cols]
+        h = hnf_columns(cols, n)
+        assert cols == before
+        assert _is_column_hermite(h, n)
+        shuffled = list(cols)
+        rng.shuffle(shuffled)
+        assert hnf_columns(shuffled, n) == h
+        combos = []
+        for _ in range(rng.randint(1, 3)):
+            coef = [rng.randint(-3, 3) for _ in cols]
+            combos.append([sum(c * col[i] for c, col in zip(coef, cols)) for i in range(n)])
+        assert hnf_columns(cols + combos, n) == h
+        assert hnf_columns(combos + shuffled, n) == h
 
 
 def test_kernel_selection_reports_implementation():
-    from latmod.kernels import IMPLEMENTATION
-
-    assert IMPLEMENTATION in ("python", "cython")
+    assert IMPLEMENTATION == latmod.KERNEL_IMPLEMENTATION == "python"

@@ -7,6 +7,7 @@ import pytest
 from latmod.exact import Lattice, LatticeError, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
+    _has_j_components,
     chevalley_hull,
     count_invariant_orbits,
     is_invariant,
@@ -19,7 +20,7 @@ from latmod.latconstruct import (
     unit_edge,
 )
 from latmod.matrixops import mat_vec
-from latmod.reps import build_irrep
+from latmod.reps import build_irrep, projector
 from latmod.rootdata import build_chevalley
 
 
@@ -224,6 +225,45 @@ def test_split_hull_idempotent(a1_reps):
     assert split_hull(rep, sh) == sh
     assert sh.contains(lam)
     assert split_hull(rep, sh) == split_hull(rep, lam)
+
+
+# The representation sweep of acceptance criterion 4.
+CRITERION_4_SWEEP = (
+    [("A", 1, (n,)) for n in range(5)]
+    + [("A", 2, hw) for hw in ((1, 0), (0, 1), (1, 1), (2, 0))]
+    + [("C", 2, (1, 0)), ("C", 2, (0, 1))]
+)
+
+
+def _projector_reads(rep, edge, lat, prs):
+    """split_hull and _has_j_components by 0/1 projector products."""
+    images = {key: [mat_vec(pr, col) for col in lat.basis] for key, pr in prs.items()}
+    hull = Lattice(
+        [v for vs in images.values() for v in vs if any(v)], lat.prime, ambient=lat.ambient
+    )
+    has_j = True
+    for psi, j in edge.j.items():
+        ix = rep.block(psi, psi)
+        comps = [[v[i] for i in ix] for v in images[(psi, psi)]]
+        comps = [c for c in comps if any(c)]
+        has_j = has_j and Lattice(comps, lat.prime, ambient=len(ix)) == j
+    return hull, has_j
+
+
+def test_block_reads_match_projector_products_on_criterion_4_sweep():
+    # split_hull and _has_j_components read block coordinates straight
+    # from rep.blocks; the oracle is the projector product they replaced.
+    for label, rank, hw in CRITERION_4_SWEEP:
+        rep = build_irrep(build_chevalley(label, rank), hw)
+        edge = unit_edge(rep, prime=2)
+        lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+        if lo.index_in(hi) > 2**12:
+            continue
+        prs = {key: projector(rep, *key) for key in rep.blocks}
+        for m in [lo, hi] + enumerate_between(lo, hi):
+            hull, has_j = _projector_reads(rep, edge, m, prs)
+            assert split_hull(rep, m) == hull
+            assert _has_j_components(rep, edge, m) == has_j
 
 
 # -- profiles and orbits ---------------------------------------------------

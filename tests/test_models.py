@@ -23,7 +23,7 @@ from latmod.models import (
     torus_generators,
 )
 from latmod.reps import build_irrep
-from latmod.rootdata import build_chevalley
+from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +173,19 @@ def test_invariants_unimodular_stability(a1):
             for j in range(m):
                 rows.append(mat_vec(binv, cb.coords_of(bracket(mats[i], mats[j]))))
         assert [str(d) for d in snf(rows)] == reference["bracket_divisors"]
+
+
+def test_killing_gram_cache_does_not_alias_freed_bases():
+    # Bases built and freed in turn reuse addresses; a cache keyed by
+    # address handed the Gram of a freed basis to a later one.  A period
+    # of three types keeps a reused address from landing on a basis of
+    # the same type.
+    for k in range(24):
+        label, rank = (("A", 1), ("A", 1), ("A", 2))[k % 3]
+        cb = ChevalleyBasis(build_root_system(label, rank))
+        gram = killing_gram(cb)
+        del cb
+        assert gram == killing_gram(build_chevalley(label, rank))
 
 
 # -- Hopf generators -------------------------------------------------------

@@ -11,7 +11,7 @@ import json
 import sys
 
 from latmod.casestudies import CaseStudyError, class_orbit_count, pgl2_sym2_report
-from latmod.exact import Lattice, LatticeError, distance
+from latmod.exact import Lattice, LatticeError, distance, is_prime
 from latmod.latconstruct import count_invariant_orbits, s_minus, s_plus, unit_edge
 from latmod.models import lie_invariants, lie_model
 from latmod.reps import RepError, build_irrep
@@ -33,6 +33,17 @@ def _parse_hw(text, rank):
     if len(hw) != rank or any(x < 0 for x in hw):
         raise LatticeError("highest weight needs %d nonnegative coordinates" % rank)
     return hw
+
+
+def _prime(text):
+    """argparse type of --p: fails before any representation is built."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError("prime must be prime: %r" % (text,))
+    return p
 
 
 def _load_lattice(path):
@@ -148,7 +159,7 @@ def main(argv=None):
     lattice = sub.add_parser("lattice", help="lattice pipelines")
     lat_sub = lattice.add_subparsers(dest="subcommand", required=True)
     p = lat_sub.add_parser("dist")
-    p.add_argument("--p", required=True, type=int)
+    p.add_argument("--p", required=True, type=_prime)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     _add_common(p)
@@ -156,13 +167,13 @@ def main(argv=None):
 
     p = sub.add_parser("sandwich", help="minimal/maximal split lattices")
     _add_rep_flags(p)
-    p.add_argument("--p", required=True, type=int)
+    p.add_argument("--p", required=True, type=_prime)
     _add_common(p)
     p.set_defaults(func=_cmd_sandwich)
 
     p = sub.add_parser("orbits", help="invariant-lattice orbit report")
     _add_rep_flags(p)
-    p.add_argument("--p", required=True, type=int)
+    p.add_argument("--p", required=True, type=_prime)
     _add_common(p)
     p.set_defaults(func=_cmd_orbits)
 

@@ -15,6 +15,7 @@ constraint duals elsewhere in the package.
 
 import json
 from fractions import Fraction
+from math import prod
 
 from latmod.kernels import hnf_columns, snf_diagonal
 from latmod.matrixops import F, clear_denominators, mat_inv, mat_mul, mat_vec
@@ -41,6 +42,10 @@ def vp(x, p):
         d //= p
         v -= 1
     return v
+
+
+def is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
 
 
 def _canonical_global(cols, n):
@@ -91,7 +96,7 @@ class Lattice:
         n = ambient if ambient is not None else len(gens[0])
         if any(len(c) != n for c in gens):
             raise LatticeError("ragged generators")
-        if prime is not None and (prime < 2 or any(prime % q == 0 for q in range(2, int(prime**0.5) + 1))):
+        if prime is not None and not is_prime(prime):
             raise LatticeError("prime must be prime: %r" % (prime,))
         if prime is None:
             canon = _canonical_global(gens, n)
@@ -314,243 +319,136 @@ def distance(a, b):
     return max(vals) - min(vals)
 
 
-def _snf_with_left_transform(rows):
-    """Smith form with left basis change: M = P·D·Q, returns (diag, P).
-
-    P is unimodular; columns of P are the adapted basis in which the
-    column span of M is generated by diag entries times basis vectors.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0])
-    p = [[Fraction(int(i == j)) for j in range(nr)] for i in range(nr)]
-
-    def row_op(i, k, q):
-        # row_i -= q·row_k  on M  <=>  col_k += q·col_i  on P
-        for j in range(nc):
-            m[i][j] -= q * m[k][j]
-        for r in range(nr):
-            p[r][k] += q * p[r][i]
-
-    def row_swap(i, k):
-        m[i], m[k] = m[k], m[i]
-        for r in range(nr):
-            p[r][i], p[r][k] = p[r][k], p[r][i]
-
-    def row_neg(i):
-        for j in range(nc):
-            m[i][j] = -m[i][j]
-        for r in range(nr):
-            p[r][i] = -p[r][i]
-
-    def col_op(j, k, q):
-        for i in range(nr):
-            m[i][j] -= q * m[i][k]
-
-    def col_swap(j, k):
-        for i in range(nr):
-            m[i][j], m[i][k] = m[i][k], m[i][j]
-
-    top = 0
-    diag = []
-    while top < nr and top < nc:
-        piv = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        row_swap(top, piv[0])
-        col_swap(top, piv[1])
-        while True:
-            again = False
-            for i in range(top + 1, nr):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    row_op(i, top, q)
-                    if m[i][top]:
-                        row_swap(top, i)
-                        again = True
-            if again:
-                continue
-            for j in range(top + 1, nc):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    col_op(j, top, q)
-                    if m[top][j]:
-                        col_swap(top, j)
-                        again = True
-            if not again:
-                break
-        pivval = m[top][top]
-        bad = None
-        for i in range(top + 1, nr):
-            if any(m[i][j] % pivval for j in range(top + 1, nc)):
-                bad = i
-                break
-        if bad is not None:
-            row_op(top, bad, -1)  # row_top += row_bad
+def _reduces_to_zero(v, cols, j):
+    """Does v, zero above row j, lie in the span of columns j..n-1 of the
+    lower-triangular integer matrix cols?"""
+    v = list(v)
+    n = len(v)
+    for i in range(j, n):
+        if v[i] == 0:
             continue
-        if pivval < 0:
-            row_neg(top)
-        diag.append(m[top][top])
-        top += 1
-    return diag, tuple(tuple(row) for row in p)
+        col = cols[i]
+        if v[i] % col[i]:
+            return False
+        q = v[i] // col[i]
+        for r in range(i, n):
+            v[r] -= q * col[r]
+    return True
 
 
-def _subgroup_hnfs(divisors):
-    """All HNF bases of subgroups between D·Z^n and Z^n.
+def _subgroup_hnfs(h):
+    """All HNF bases of lattices between the column span of h and Z^n.
 
-    divisors: diagonal (d_1 | d_2 | ... | d_n).  Yields lower-triangular
-    integer matrices as column lists.  Columns are produced right-to-left
-    so each column can be pruned against d_j·e_j ∈ span immediately,
-    keeping the search proportional to the number of actual subgroups.
+    h: full-rank lower-triangular integer Hermite form, as columns.
+    Yields lower-triangular integer matrices as column lists.  Columns
+    are produced right-to-left: the pivot of column j divides h[j][j],
+    and column j of h must reduce to zero against the fixed columns
+    j..n-1, so a partial basis that cannot contain h is dropped before
+    any column to its left is tried.
     """
-    n = len(divisors)
-    dmax = divisors[-1] if divisors else 1
-    dlist = [k for k in range(1, dmax + 1) if dmax % k == 0]
+    n = len(h)
+    pivots = [[a for a in range(1, h[j][j] + 1) if h[j][j] % a == 0] for j in range(n)]
     cols = [[0] * n for _ in range(n)]
-
-    def contains_dj(j):
-        # Reduce d_j·e_j by the (already fixed) columns j..n-1.
-        v = [0] * n
-        v[j] = divisors[j]
-        for i in range(j, n):
-            if v[i] == 0:
-                continue
-            if v[i] % cols[i][i]:
-                return False
-            q = v[i] // cols[i][i]
-            for r in range(i, n):
-                v[r] -= q * cols[i][r]
-        return True
 
     def gen(j):
         if j < 0:
             yield [list(c) for c in cols]
             return
-        for a in dlist:
+        for a in pivots[j]:
             cols[j] = [0] * n
             cols[j][j] = a
-            below = list(range(j + 1, n))
 
-            def fill(k):
-                if k == len(below):
-                    if contains_dj(j):
+            def fill(i):
+                if i == n:
+                    if _reduces_to_zero(h[j], cols, j):
                         yield from gen(j - 1)
                     return
-                i = below[k]
                 for val in range(cols[i][i]):
                     cols[j][i] = val
-                    yield from fill(k + 1)
+                    yield from fill(i + 1)
                 cols[j][i] = 0
 
-            yield from fill(0)
+            yield from fill(j + 1)
         cols[j] = [0] * n
 
     yield from gen(n - 1)
 
 
-def _hnf_contains_diag(cols, divisors):
-    """Does the column span of lower-triangular cols contain diag(d)·Z^n?"""
-    n = len(divisors)
-    for j in range(n):
-        v = [0] * n
-        v[j] = divisors[j]
-        for i in range(n):
-            if v[i] == 0:
-                continue
-            if v[i] % cols[i][i]:
-                return False
-            q = v[i] // cols[i][i]
-            for r in range(i, n):
-                v[r] -= q * cols[i][r]
-    return True
-
-
 def enumerate_between(low, high):
-    """All lattices M with low ⊆ M ⊆ high, each exactly once."""
+    """All lattices M with low ⊆ M ⊆ high, each exactly once.
+
+    In the basis of high, low becomes an integer matrix (over Z_(p) its
+    prime-to-p denominators are units and are cleared).  Over Z_(p) the
+    columns p^e·e_i are appended, p^e the p-part of [high : low]: this
+    kills the prime-to-p part of the quotient, so the Z-lattices between
+    the result and Z^n correspond one to one to the Z_(p)-lattices
+    between low and high.  With H the column Hermite form of that
+    matrix, every intermediate lattice has a unique Hermite basis M ⊇ H
+    (Cohen, §2.4.3), and M maps back through high's basis.
+    """
     high._check_compatible(low)
     if not high.contains(low):
         raise LatticeError("enumerate_between: low is not contained in high")
     n = high.ambient
-    t = [high._coords(col) for col in low.basis]
-    # Integer matrix for the transition (clear unit denominators locally).
-    ints, d = clear_denominators(t)
-    if high.prime is not None and d % high.prime == 0:
-        raise AssertionError("transition matrix not p-integral")
-    rows = [list(r) for r in zip(*ints)]
-    diag, p_trans = _snf_with_left_transform(rows)
-    if len(diag) < n:
-        raise LatticeError("degenerate transition")
-    if high.prime is not None:
-        diag = [high.prime ** vp(x, high.prime) for x in diag]
-    order = 1
-    for x in diag:
-        order *= x
+    p = high.prime
+    # Columns of low in high's basis: lower triangular and, as high
+    # contains low, integral up to a unit denominator.
+    ints, _ = clear_denominators([high._coords(col) for col in low.basis])
+    if p is not None:
+        pe = p ** sum(vp(ints[i][i], p) for i in range(n))
+        ints += [[pe * int(i == j) for i in range(n)] for j in range(n)]
+    h = hnf_columns(ints, n)
+    order = prod(h[i][i] for i in range(n))
     if order > ENUM_ORDER_CAP:
         raise LatticeError("quotient order %d exceeds cap %d" % (order, ENUM_ORDER_CAP))
-    # Adapted basis of `high`: columns of B_high · P.
-    bh = high.basis_matrix()
-    adapted = [mat_vec(bh, col) for col in zip(*p_trans)]  # list of columns
-
+    basis, denom = clear_denominators(high.basis)
     out = []
-    for cols in _subgroup_hnfs(diag):
-        assert _hnf_contains_diag(cols, diag)
-        gens = []
-        for col in cols:
-            vec = [sum(F(col[i]) * adapted[i][r] for i in range(n)) for r in range(n)]
-            gens.append(vec)
-        out.append(Lattice(gens, high.prime))
-    # The HNF parametrization is injective, but dedupe defensively for
-    # the local ring where unit scalings can collide.
-    seen = set()
-    uniq = []
-    for lat in out:
-        if lat not in seen:
-            seen.add(lat)
-            uniq.append(lat)
-    return uniq
+    for cols in _subgroup_hnfs(h):
+        assert all(_reduces_to_zero(h[j], cols, j) for j in range(n))
+        gens = [
+            [Fraction(sum(c[k] * basis[k][r] for k in range(k0, n)), denom) for r in range(n)]
+            for k0, c in enumerate(cols)
+        ]
+        out.append(Lattice(gens, p))
+    assert len(set(out)) == len(out), "Hermite parametrization must be injective"
+    return out
 
 
 def subgroup_count_of_quotient(divisors):
     """Number of subgroups of ⊕ Z/d_i, by brute force over small orders."""
-    order = 1
-    for d in divisors:
-        order *= int(d)
-    if order > 2**12:
+    mods = [int(d) for d in divisors]
+    if prod(mods) > 2**12:
         raise LatticeError("brute-force subgroup count capped")
     import itertools
 
-    elems = list(itertools.product(*[range(int(d)) for d in divisors]))
-    subgroups = set()
-    frontier = {frozenset([tuple(0 for _ in divisors)])}
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, mods))
+
+    elems = list(itertools.product(*[range(d) for d in mods]))
+    trivial = frozenset([tuple(0 for _ in mods)])
+    subgroups = {trivial}
+    frontier = [trivial]
     # Closure-based enumeration: grow subgroups one generator at a time.
+    # <S, g> is the union of the cosets S + k·g, and every element of
+    # the coset S + g gives the same group.
     while frontier:
-        nxt = set()
+        nxt = []
         for sg in frontier:
-            if sg not in subgroups:
-                subgroups.add(sg)
-                for g in elems:
-                    if g in sg:
-                        continue
-                    new = set(sg)
-                    stack = [g]
-                    while stack:
-                        x = stack.pop()
-                        if x in new:
-                            continue
-                        new.add(x)
-                        for y in list(new):
-                            z = tuple((a + b) % int(d) for a, b, d in zip(x, y, divisors))
-                            if z not in new:
-                                stack.append(z)
-                    nxt.add(frozenset(new))
-        frontier = nxt - subgroups
+            covered = set(sg)
+            for g in elems:
+                if g in covered:
+                    continue
+                new = set(sg)
+                x = g
+                while x not in sg:
+                    new.update(add(y, x) for y in sg)
+                    x = add(x, g)
+                covered.update(add(y, g) for y in sg)
+                new = frozenset(new)
+                if new not in subgroups:
+                    subgroups.add(new)
+                    nxt.append(new)
+        frontier = nxt
     return len(subgroups)
 
 

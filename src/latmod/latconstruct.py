@@ -12,12 +12,11 @@ split lattice with the same highest-weight components lives in it up to
 the torus action, so exhaustive enumeration decides orbit counts.
 """
 
-import itertools
 from fractions import Fraction
 
 from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between, vp
 from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_vec
-from latmod.reps import _root_coords, lattice_generators
+from latmod.reps import _root_coords, distinct_words, lattice_generators
 
 
 class EdgeData:
@@ -60,12 +59,12 @@ def unit_edge(rep, prime=None):
 
 
 def _words(rep, degree):
-    """All orderings of the simple-letter multiset with the given
+    """Each distinct ordering of the simple-letter multiset with the given
     root-lattice degree (nonnegative integer coordinates)."""
     letters = []
     for i, a in enumerate(rep.cb.rs.simple):
         letters.extend([a] * degree[i])
-    return set(itertools.permutations(letters))
+    return distinct_words(letters)
 
 
 def _degrees_of_component(rep, psi):
@@ -242,27 +241,36 @@ def _reduce_mod_columns(v, span):
     return tuple(v)
 
 
+def _check_multiplicity_free(rep):
+    if any(len(ix) != 1 for ix in rep.blocks.values()):
+        raise LatticeError(
+            "orbit grouping implemented for multiplicity-free blocks only"
+        )
+
+
+def _profile(rep, lat, span):
+    """Valuation profile of a split lattice and its class modulo span."""
+    p = lat.prime
+    profile = []
+    for (psi, chi) in _block_order(rep):
+        i = rep.block(psi, chi)[0]
+        vals = [vp(col[i], p) for col in lat.basis if col[i] != 0]
+        profile.append(min(vals))
+    return tuple(profile), _reduce_mod_columns(profile, span)
+
+
+def _shift_span(rep):
+    return ZSpan(_shift_lattice_columns(rep), len(rep.blocks))
+
+
 def normalize_profile(rep, lat):
     """Valuation profile of a split lattice and its torus-orbit invariant."""
     if lat.prime is None:
         raise LatticeError("profiles are defined over localized lattices")
-    order = _block_order(rep)
-    for (psi, chi) in order:
-        if len(rep.block(psi, chi)) != 1:
-            raise LatticeError(
-                "orbit grouping implemented for multiplicity-free blocks only"
-            )
+    _check_multiplicity_free(rep)
     if not is_split(rep, lat):
         raise LatticeError("profile requires a split lattice")
-    p = lat.prime
-    profile = []
-    for (psi, chi) in order:
-        i = rep.block(psi, chi)[0]
-        vals = [vp(col[i], p) for col in lat.basis if col[i] != 0]
-        profile.append(min(vals))
-    span = ZSpan(_shift_lattice_columns(rep), len(order))
-    invariant = _reduce_mod_columns(profile, span)
-    return tuple(profile), invariant
+    return _profile(rep, lat, _shift_span(rep))
 
 
 def count_invariant_orbits(rep, edge):
@@ -271,7 +279,8 @@ def count_invariant_orbits(rep, edge):
     Returns a dict with the sandwich index, the number of intermediate
     lattices, the number of generator-invariant split lattices with the
     prescribed highest-weight components, the number of torus-orbit
-    classes among them, and one representative per class.
+    classes among them, and one representative per class: the lattice
+    with the smallest canonical basis, whatever the enumeration order.
     """
     if edge.prime is None:
         raise LatticeError("orbit enumeration requires a localized edge")
@@ -291,9 +300,13 @@ def count_invariant_orbits(rep, edge):
             continue
         invariant.append(m)
     orbits = {}
-    for m in invariant:
-        _, inv = normalize_profile(rep, m)
-        orbits.setdefault(inv, m)
+    if invariant:
+        _check_multiplicity_free(rep)
+        span = _shift_span(rep)
+        for m in invariant:
+            _, inv = _profile(rep, m, span)
+            if inv not in orbits or m.basis < orbits[inv].basis:
+                orbits[inv] = m
     reps_sorted = [orbits[k] for k in sorted(orbits)]
     return {
         "sandwich_index": int(sandwich_index),

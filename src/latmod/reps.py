@@ -448,6 +448,19 @@ def _root_coords(cb, fund_diff):
     return tuple(int(t) for t in x)
 
 
+def distinct_words(letters):
+    """Each distinct ordering of the multiset of letters once, as tuples;
+    the count is the multinomial coefficient, not len(letters)!."""
+    if not letters:
+        yield ()
+        return
+    for first in dict.fromkeys(letters):
+        rest = list(letters)
+        rest.remove(first)
+        for word in distinct_words(rest):
+            yield (first,) + word
+
+
 def check_transition_surjectivity(rep, psi, chi, sign):
     """Do graded generator words span Hom(highest block, chi block)?
 
@@ -475,7 +488,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
         rows_ix, cols_ix = tgt, src
     target_dim = len(rows_ix) * len(cols_ix)
     span = QSpan(target_dim)
-    for word in set(itertools.permutations(letters)):
+    for word in distinct_words(letters):
         prod = identity(rep.dim)
         for key in word:
             prod = mat_mul(rep.action[key], prod)
@@ -574,9 +587,10 @@ def projector_constant(rep, scales=None):
         raise RepError("degree-0 span did not stabilize within the length cap")
     deg0 = spans[zero]
     r_total = 1
-    for (psi, chi) in rep.blocks:
-        pr = projector(rep, psi, chi)
-        flat = tuple(pr[r][c] for r in range(d) for c in range(d))
+    for ix in rep.blocks.values():
+        flat = [0] * (d * d)
+        for i in ix:
+            flat[i * d + i] = 1
         coords = deg0.coords(flat)
         if coords is None:
             raise RepError("projector outside the rational degree-0 span")

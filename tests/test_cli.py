@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from latmod import cli
 from latmod.cli import main
 from latmod.exact import Lattice
 
@@ -127,6 +128,21 @@ def test_nonfundamental_disc_exits_1(capsys):
     code, _, err = run(["case", "classgroup", "--disc", "-12"], capsys)
     assert code == 1
     assert "out of scope" in err
+
+
+def test_bad_prime_exits_1_before_building(monkeypatch, capsys):
+    def fail(args):
+        raise AssertionError("representation built before --p was checked")
+
+    monkeypatch.setattr(cli, "_build_rep", fail)
+    for argv in (
+        ["orbits", "--type", "A", "--rank", "1", "--hw", "2", "--p", "4"],
+        ["sandwich", "--type", "A", "--rank", "1", "--hw", "2", "--p", "1"],
+        ["lattice", "dist", "--p", "x", "--a", "a.json", "--b", "b.json"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "prime must be prime" in err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

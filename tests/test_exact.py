@@ -31,7 +31,7 @@ from latmod.exact import (
     subgroup_count_of_quotient,
     vp,
 )
-from latmod.matrixops import clear_denominators, primitive
+from latmod.matrixops import clear_denominators, det, mat, mat_mul, primitive
 
 
 def rnd_lattice(rng, n, prime=None, span=4):
@@ -330,22 +330,79 @@ def test_enumerate_between_unique_and_bounded():
             assert high.contains(m) and m.contains(low)
 
 
+def _check_between_exact(low_gens, high):
+    """enumerate_between(low, high) against three oracles that together pin
+    the output set: every output lies between low and high, the outputs
+    are distinct, and their number is the subgroup count of the quotient,
+    whose divisors are the (p-parts of the) Smith divisors of the
+    generators of low written in the basis of high."""
+    p = high.prime
+    low = Lattice(low_gens, p)
+    mids = enumerate_between(low, high)
+    assert len(set(mids)) == len(mids)
+    for m in mids:
+        assert high.contains(m) and m.contains(low)
+    coords = [high._coords(g) for g in low_gens]
+    divs = [int(d) if p is None else p ** vp(d, p) for d in snf(list(zip(*coords)))]
+    assert len(mids) == subgroup_count_of_quotient(divs)
+
+
+def test_subgroup_count_of_quotient_known_values():
+    known = {
+        (8,): 4,
+        (2, 2): 5,
+        (4, 4): 15,
+        (2, 2, 2): 16,
+        (3, 3, 3): 28,
+        (2, 4, 8): 81,
+        (4, 4, 4): 129,
+        (2, 8, 8): 140,
+    }
+    for divs, count in known.items():
+        assert subgroup_count_of_quotient(divs) == count
+
+
 def test_enumerate_between_count_oracle():
-    cases = [
-        ([2, 2], None),
-        ([1, 4], None),
-        ([2, 4], None),
-        ([3, 3], None),
-        ([1, 8], None),
-    ]
-    for divs, _ in cases:
+    # Diagonal quotients over Z.
+    for divs in ([2, 2], [1, 4], [2, 4], [3, 3], [1, 8]):
         n = len(divs)
-        high = standard_lattice(n, prime=None)
-        low = Lattice(
-            [[divs[j] if i == j else 0 for i in range(n)] for j in range(n)]
+        _check_between_exact(
+            [[divs[j] if i == j else 0 for i in range(n)] for j in range(n)],
+            standard_lattice(n, prime=None),
         )
-        got = len(enumerate_between(low, high))
-        assert got == subgroup_count_of_quotient(divs)
+    # Non-diagonal low, over Z and over Z_(p).
+    for gens, p in (
+        ([[2, 1], [0, 4]], None),
+        ([[4, 2, 1], [0, 2, 1], [0, 0, 3]], None),
+        ([[2, 1], [0, 4]], 2),
+        ([[3, 1, 0], [0, 9, 2], [1, 0, 3]], 3),
+    ):
+        _check_between_exact(gens, standard_lattice(len(gens), prime=p))
+    # Local lattices whose index has a prime-to-p part.
+    for gens, p in (
+        ([[6, 0], [0, 4]], 2),
+        ([[6, 0], [2, 9]], 3),
+        ([[10, 0, 0], [3, 12, 0], [1, 1, 14]], 2),
+        ([[15, 5], [0, 18]], 3),
+    ):
+        _check_between_exact(gens, standard_lattice(len(gens), prime=p))
+    # Random low ⊆ high over Z_(2) and Z_(3) in rank 2-3, quotient ≤ 2^10:
+    # low's coordinates in high are U·diag(p^a_i)·V for random U, V.
+    rng = random.Random(53)
+    checked = 0
+    while checked < 30:
+        p = rng.choice([2, 3])
+        n = rng.choice([2, 3])
+        high = rnd_lattice(rng, n, prime=p, span=3)
+        u, v = ([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in "uv")
+        dg = [[p ** rng.randint(0, 2) if i == j else 0 for j in range(n)] for i in range(n)]
+        t = mat_mul(mat_mul(mat(u), dg), v)
+        d = det(t)
+        if d == 0 or p ** vp(d, p) > 2**10:
+            continue
+        gens = [[sum(c[k] * high.basis[k][r] for k in range(n)) for r in range(n)] for c in t]
+        _check_between_exact(gens, high)
+        checked += 1
 
 
 def test_enumerate_between_errors():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from latmod import latconstruct
 from latmod.exact import Lattice, LatticeError, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
@@ -338,6 +339,31 @@ def test_orbit_count_sym2_regression(a1_reps):
     invs = {normalize_profile(a1_reps[2], m)[1] for m in reps_lat}
     assert normalize_profile(a1_reps[2], lam)[1] in invs
     assert normalize_profile(a1_reps[2], lam2)[1] in invs
+
+
+# Representatives of A1 hw 2 at p = 2, as the CLI printed them before the
+# enumeration order changed; one class holds two invariant lattices.
+SYM2_P2_REPRESENTATIVES = [
+    {"ambient": 3, "basis": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]], "ring": {"Zp": 2}},
+    {"ambient": 3, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]], "ring": {"Zp": 2}},
+    {"ambient": 3, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "ring": {"Zp": 2}},
+]
+
+
+def test_orbit_representatives_independent_of_enumeration_order(a1_reps, monkeypatch):
+    rep = a1_reps[2]
+    edge = unit_edge(rep, prime=2)
+    assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
+    monkeypatch.setattr(
+        latconstruct, "enumerate_between", lambda lo, hi: enumerate_between(lo, hi)[::-1]
+    )
+    assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
+
+
+def test_orbit_count_rejects_multiplicity(a1_reps):
+    adj = build_irrep(build_chevalley("A", 2), (1, 1))
+    with pytest.raises(LatticeError, match="multiplicity-free"):
+        count_invariant_orbits(adj, unit_edge(adj, prime=2))
 
 
 def test_orbit_count_sym3_regression(a1_reps):

@@ -1,6 +1,7 @@
 """Representation construction: dimensions against the Weyl formula,
 block structure, transition surjectivity, and projector constants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from latmod.reps import (
     check_transition_surjectivity,
     decompose,
     direct_sum,
+    distinct_words,
     projector,
     projector_constant,
     tensor_product,
@@ -200,6 +202,14 @@ def test_transition_errors(sweep_reps):
     rep = sweep_reps[("A", 1, (2,))]
     with pytest.raises(RepError):
         check_transition_surjectivity(rep, (2,), (1,), -1)
+
+
+def test_distinct_words_match_permutation_sets():
+    a, b, c = (1, 0), (0, 1), (-1, 1)
+    for letters in ([], [a], [a, a], [a, b], [a, a, b], [a, b, a, b], [a, a, a, b, c], [b, c, c, a, b, a]):
+        words = list(distinct_words(letters))
+        assert len(words) == len(set(words))
+        assert set(words) == set(itertools.permutations(letters))
 
 
 def test_projector_constant_values(sweep_reps):

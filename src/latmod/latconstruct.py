@@ -15,8 +15,8 @@ the torus action, so exhaustive enumeration decides orbit counts.
 from fractions import Fraction
 
 from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between, vp
-from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_vec
-from latmod.reps import _root_coords, distinct_words, lattice_generators
+from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_scale, mat_vec
+from latmod.reps import _root_coords, distinct_words, lattice_generators, word_products
 
 
 class EdgeData:
@@ -79,14 +79,20 @@ def _degrees_of_component(rep, psi):
     return sorted(out)
 
 
-def _word_matrix(rep, word, sign, scales):
-    prod = identity(rep.dim)
-    c = Fraction(1)
-    for a in word:
-        key = a if sign > 0 else tuple(-x for x in a)
-        prod = mat_mul(rep.action[key], prod)
-        c *= scales[a]
-    return tuple(tuple(c * x for x in row) for row in prod) if c != 1 else prod
+def _word_matrices(rep, degrees, sign, scales):
+    """The action matrix of each word of each degree, in order: x_(a_k)···
+    x_(a_1) for the word (a_1, ..., a_k) of simple roots (x_(-a) when sign
+    < 0), times the product of scales[a_i]."""
+    gens = {
+        a: rep.action[a if sign > 0 else tuple(-x for x in a)]
+        for a in rep.cb.rs.simple
+    }
+    words = (w for degree in degrees for w in _words(rep, degree))
+    for word, prod in word_products(gens, words):
+        c = Fraction(1)
+        for a in word:
+            c *= scales[a]
+        yield mat_scale(c, prod) if c != 1 else prod
 
 
 def u_span(rep, edge, sign, degree):
@@ -98,8 +104,7 @@ def u_span(rep, edge, sign, degree):
     scales = edge.l_plus if sign > 0 else edge.l_minus
     d = rep.dim
     vecs = []
-    for word in _words(rep, degree):
-        m = _word_matrix(rep, word, sign, scales)
+    for m in _word_matrices(rep, [degree], sign, scales):
         vecs.append(tuple(m[r][c] for r in range(d) for c in range(d)))
     return ZSpan(vecs, d * d, edge.prime)
 
@@ -117,13 +122,12 @@ def s_minus(rep, edge):
     gens = []
     for psi, j in edge.j.items():
         jvecs = [_block_embed(rep, psi, col) for col in j.basis]
-        for degree in _degrees_of_component(rep, psi):
-            for word in _words(rep, degree):
-                m = _word_matrix(rep, word, -1, edge.l_minus)
-                for v in jvecs:
-                    img = mat_vec(m, v)
-                    if any(img):
-                        gens.append(img)
+        degrees = _degrees_of_component(rep, psi)
+        for m in _word_matrices(rep, degrees, -1, edge.l_minus):
+            for v in jvecs:
+                img = mat_vec(m, v)
+                if any(img):
+                    gens.append(img)
     return Lattice(gens, edge.prime, ambient=rep.dim)
 
 
@@ -138,13 +142,12 @@ def s_plus(rep, edge):
     for psi, j in edge.j.items():
         ix = rep.block(psi, psi)
         binv = mat_inv(j.basis_matrix())
-        for degree in _degrees_of_component(rep, psi):
-            for word in _words(rep, degree):
-                m = _word_matrix(rep, word, +1, edge.l_plus)
-                block_rows = tuple(m[i] for i in ix)
-                for row in mat_mul(binv, block_rows):
-                    if any(row):
-                        rows.append(row)
+        degrees = _degrees_of_component(rep, psi)
+        for m in _word_matrices(rep, degrees, +1, edge.l_plus):
+            block_rows = tuple(m[i] for i in ix)
+            for row in mat_mul(binv, block_rows):
+                if any(row):
+                    rows.append(row)
     # Rows generate a full-rank lattice (the identity word pins each
     # highest block and the raising words reach every other block).
     return Lattice(rows, edge.prime, ambient=rep.dim).dual()

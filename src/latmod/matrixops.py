@@ -1,12 +1,18 @@
 """Small exact linear algebra helpers over Fraction.
 
 Matrices are tuples of rows; vectors are tuples.  Everything is immutable
-and exact.  These helpers stay deliberately dumb: dimensions at desk scale
-never exceed a few dozen.
+and exact; the products and the eliminations (det, mat_inv, rref and what
+uses it) return Fraction entries, also for integer input.  Dimensions at
+desk scale never exceed a few dozen, but action matrices are weight-graded
+and almost all zero, so the products skip zero entries and sum only
+products of nonzero ones.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+_ZERO = Fraction(0)
 
 
 def F(x):
@@ -49,7 +55,7 @@ def zeros(nr, nc):
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a):
@@ -58,14 +64,33 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a·b: each output row accumulates the nonzero entries of a's row
+    times the nonzero entries of the matching rows of b."""
+    nc = len(b[0]) if b else 0
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [_ZERO] * nc
+        for x, nonzero in zip(row, b_nonzero):
+            if x:
+                for j, y in nonzero:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """a·v, summed over the nonzero entries of v only."""
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        s = _ZERO
+        for j, y in nonzero:
+            x = row[j]
+            if x:
+                s += x * y
+        out.append(s)
+    return tuple(out)
 
 
 def transpose(a):
@@ -87,7 +112,7 @@ def is_zero(a):
 def mat_inv(a):
     """Inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [[F(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -104,7 +129,7 @@ def mat_inv(a):
 
 def det(a):
     n = len(a)
-    m = [list(row) for row in a]
+    m = [[F(x) for x in row] for row in a]
     d = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -124,7 +149,7 @@ def det(a):
 
 def rref(a):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(row) for row in a]
+    m = [[F(x) for x in row] for row in a]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []

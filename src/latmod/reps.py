@@ -182,10 +182,10 @@ def _lift(cb, action, dim, coords):
     out = [[Fraction(0)] * dim for _ in range(dim)]
     for c, key in zip(coords, cb.basis_order()):
         if c:
-            g = action[key]
-            for r in range(dim):
-                for s in range(dim):
-                    out[r][s] += c * g[r][s]
+            for r, row in enumerate(action[key]):
+                for s, y in enumerate(row):
+                    if y:
+                        out[r][s] += c * y
     return mat(out)
 
 
@@ -461,6 +461,23 @@ def distinct_words(letters):
             yield (first,) + word
 
 
+def word_products(gens, words):
+    """Yield (word, gens[w_k]···gens[w_1]) for each word (w_1, ..., w_k),
+    in order; the empty word gives the identity.  Each product extends the
+    product of the word's longest prefix computed so far, so words sharing
+    prefixes (as distinct_words lists them) share those products."""
+    done = {(): identity(len(next(iter(gens.values()))))}
+    for word in words:
+        k = len(word)
+        while word[:k] not in done:
+            k -= 1
+        prod = done[word[:k]]
+        for i in range(k, len(word)):
+            prod = mat_mul(gens[word[i]], prod)
+            done[word[:i + 1]] = prod
+        yield word, prod
+
+
 def check_transition_surjectivity(rep, psi, chi, sign):
     """Do graded generator words span Hom(highest block, chi block)?
 
@@ -488,10 +505,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
         rows_ix, cols_ix = tgt, src
     target_dim = len(rows_ix) * len(cols_ix)
     span = QSpan(target_dim)
-    for word in distinct_words(letters):
-        prod = identity(rep.dim)
-        for key in word:
-            prod = mat_mul(rep.action[key], prod)
+    for _, prod in word_products(rep.action, distinct_words(letters)):
         flat = tuple(prod[r][c] for r in rows_ix for c in cols_ix)
         span.insert(flat)
     return span.rank == target_dim, span.rank

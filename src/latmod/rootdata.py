@@ -24,6 +24,7 @@ from latmod.matrixops import (
     nullspace,
     primitive,
     rref,
+    transpose,
     zeros,
 )
 
@@ -276,7 +277,6 @@ class ChevalleyBasis:
       x: dict fund-coords -> N×N matrix
       h: tuple of coroot matrices h_{alpha_i} for the simple roots
       cartan_lattice: Lattice in coroot coordinates (basis {h_{alpha_i}})
-      nonzero structure data exposed through bracket_coords()
     """
 
     def __init__(self, rs, isogeny="sc"):
@@ -353,6 +353,7 @@ class ChevalleyBasis:
         rs = self.rs
         N = self.N
         lie = _lie_algebra_basis(rs)
+        lie_by_position = transpose(lie)
         # Position weights in Euclidean coordinates.
         if rs.type_label == "A":
             dvecs = [tuple(int(k == i) for k in range(N)) for i in range(N)]
@@ -382,11 +383,7 @@ class ChevalleyBasis:
                 raise AssertionError(
                     "root space dimension %d for %r" % (len(ker), beta)
                 )
-            coeffs = ker[0]
-            flat = [
-                sum(coeffs[k] * lie[k][pos] for k in range(len(lie)))
-                for pos in range(N * N)
-            ]
+            flat = mat_vec(lie_by_position, ker[0])
             self._gens[rs.fund_coords(beta)] = _unflatten(primitive(flat), N)
 
     def _pair_negative(self, fund, x_mat):
@@ -490,9 +487,8 @@ class ChevalleyBasis:
         piv, inv, a = self._coord_solver
         flat = tuple(m[i][j] for i in range(self.N) for j in range(self.N))
         x = mat_vec(inv, tuple(flat[i] for i in piv))
-        for i in range(self.N * self.N):
-            if sum(a[i][k] * x[k] for k in range(len(x))) != flat[i]:
-                return None
+        if mat_vec(a, x) != flat:
+            return None
         return x
 
     def from_coords(self, coords):
@@ -511,12 +507,16 @@ class ChevalleyBasis:
         target = rs.fund_of_euclid_or_none(se)
         if target is None:
             return Fraction(0)
-        br = bracket(self.x[alpha], self.x[beta])
+        return self._multiple_of(bracket(self.x[alpha], self.x[beta]), target)
+
+    def _multiple_of(self, m, target):
+        """c with m = c·x_target when m is a multiple of x_target, read at
+        the first nonzero entry of x_target."""
         xm = self.x[target]
         for i in range(self.N):
             for j in range(self.N):
                 if xm[i][j] != 0:
-                    return br[i][j] / xm[i][j]
+                    return m[i][j] / xm[i][j]
         raise AssertionError("zero root vector")
 
     # -- verification ----------------------------------------------------
@@ -552,7 +552,7 @@ class ChevalleyBasis:
                 if tuple(-u for u in ea) == tuple(eb):
                     continue
                 r = rs.root_string_r(alpha, beta)
-                c = self.structure_constant(alpha, beta)
+                c = self._multiple_of(br, target)
                 if c.denominator != 1 or abs(c) != r + 1:
                     raise AssertionError(
                         "structure constant %s != ±(r+1)=±%d for %r,%r"

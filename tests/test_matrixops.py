@@ -1,0 +1,124 @@
+"""Exact matrix helpers: the zero-skipping products against the dense
+products they replaced, and Fraction results from integer input."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latmod.matrixops import bracket, det, mat_inv, mat_mul, mat_vec, nullspace, rref, solve
+
+
+def dense_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def dense_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def dense_bracket(a, b):
+    ab = dense_mat_mul(a, b)
+    ba = dense_mat_mul(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
+nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+ENTRIES = {
+    "dense": nonzero,
+    "sparse": st.integers(0, 9).flatmap(lambda k: nonzero if k == 0 else st.just(Fraction(0))),
+    "mixed": st.just(Fraction(0)) | nonzero,
+}
+
+
+@st.composite
+def matrices(draw, nr, nc):
+    """nr×nc Fraction matrices, some of whose rows and columns are zero."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    zero_rows = draw(st.sets(st.integers(0, max(nr - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=2))
+    return tuple(
+        tuple(
+            Fraction(0) if i in zero_rows or j in zero_cols else draw(entry)
+            for j in range(nc)
+        )
+        for i in range(nr)
+    )
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a n×k and b k×m; k = 0 gives a = n empty rows, b = ()."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, m))
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    (v,) = draw(matrices(1, k))
+    return draw(matrices(n, k)), v
+
+
+def assert_all_fractions(m):
+    assert all(type(x) is Fraction for row in m for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_mat_mul_matches_dense_product(pair):
+    a, b = pair
+    got = mat_mul(a, b)
+    assert got == dense_mat_mul(a, b)
+    assert_all_fractions(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_vector_pairs())
+def test_mat_vec_matches_dense_product(pair):
+    a, v = pair
+    got = mat_vec(a, v)
+    assert got == dense_mat_vec(a, v)
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(n, n), matrices(n, n))))
+def test_bracket_matches_dense_bracket(pair):
+    a, b = pair
+    got = bracket(a, b)
+    assert got == dense_bracket(a, b)
+    assert_all_fractions(got)
+
+
+def test_products_of_all_zero_and_empty_shapes():
+    z = ((Fraction(0),) * 3,) * 2
+    assert mat_mul(z, ((Fraction(1),) * 4,) * 3) == ((Fraction(0),) * 4,) * 2
+    assert_all_fractions(mat_mul(z, ((Fraction(1),) * 4,) * 3))
+    assert mat_mul(((), ()), ()) == ((), ())  # empty inner dimension
+    assert mat_mul((), ((Fraction(1),),)) == ()
+    assert mat_vec(z, (Fraction(1), 0, 2)) == (0, 0)
+    assert mat_vec(((), ()), ()) == (Fraction(0), Fraction(0))
+    assert all(type(x) is Fraction for x in mat_vec(((), ()), ()))
+
+
+def test_integer_input_stays_exact():
+    singular = ((-6, 8, 4), (2, -2, -2), (7, -17, 3))
+    d = det(singular)
+    assert d == 0 and type(d) is Fraction
+    assert det(((2, 1), (1, 3))) == 5 and type(det(((2, 1), (1, 3)))) is Fraction
+    inv = mat_inv(((2, 1), (1, 3)))
+    assert inv == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+    assert_all_fractions(inv)
+    x = solve(((2, 1), (1, 3)), (1, 2))
+    assert x == (Fraction(1, 5), Fraction(3, 5))
+    assert all(type(t) is Fraction for t in x)
+    red, pivots = rref(((2, 4, 1), (1, 3, 0)))
+    assert pivots == [0, 1]
+    assert_all_fractions(red)
+    (k,) = nullspace(singular)
+    assert all(type(t) is Fraction for t in k)
+    assert mat_vec(singular, k) == (0, 0, 0)

@@ -18,6 +18,7 @@ from latmod.reps import (
     projector,
     projector_constant,
     tensor_product,
+    word_products,
 )
 from latmod.rootdata import build_chevalley, killing_h
 
@@ -165,6 +166,39 @@ def test_not_a_representation():
         Representation(cb, broken)
 
 
+def with_entry(m, r, c, value):
+    return tuple(
+        tuple(value if (i, j) == (r, c) else x for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
+def single_entry_changes(m):
+    """One changed nonzero off-diagonal entry, then one zero off-diagonal
+    entry made nonzero, each as (row, column, new value)."""
+    off = [(r, c) for r in range(len(m)) for c in range(len(m)) if r != c]
+    r, c = [rc for rc in off if m[rc[0]][rc[1]]][0]
+    yield r, c, m[r][c] + 1
+    r, c = [rc for rc in off if not m[rc[0]][rc[1]]][-1]
+    yield r, c, Fraction(1)
+
+
+def test_single_entry_change_is_not_a_representation():
+    # The homomorphism check must see one changed entry, not only the
+    # all-entries change of test_not_a_representation.
+    for t, r, hw in (("B", 3, (1, 0, 0)), ("C", 2, (1, 1))):
+        cb = build_chevalley(t, r)
+        rep = build_irrep(cb, hw)
+        Representation(cb, rep.action)
+        rs = cb.rs
+        for key in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
+            for i, j, value in single_entry_changes(rep.action[key]):
+                broken = dict(rep.action)
+                broken[key] = with_entry(broken[key], i, j, value)
+                with pytest.raises(RepError):
+                    Representation(cb, broken)
+
+
 def test_projector_properties(sweep_reps):
     rep = sweep_reps[("A", 2, (1, 1))]
     for (psi, chi) in rep.blocks:
@@ -210,6 +244,21 @@ def test_distinct_words_match_permutation_sets():
         words = list(distinct_words(letters))
         assert len(words) == len(set(words))
         assert set(words) == set(itertools.permutations(letters))
+
+
+def test_word_products_match_direct_products(sweep_reps):
+    rep = sweep_reps[("A", 2, (1, 1))]
+    a, b = (tuple(-x for x in r) for r in rep.cb.rs.simple)
+    words = list(distinct_words([a, a, b])) + [(), (b,), (a, b, a, a)]
+    # Reversed, words arrive before their prefixes and share fewer of them.
+    for order in (words, words[::-1]):
+        got = list(word_products(rep.action, order))
+        assert [w for w, _ in got] == order
+        for word, prod in got:
+            direct = identity(rep.dim)
+            for key in word:
+                direct = mat_mul(rep.action[key], direct)
+            assert prod == direct
 
 
 def test_projector_constant_values(sweep_reps):

@@ -5,6 +5,7 @@ these tests mostly pin down the public data (counts, Cartan matrices,
 specific structure constants) and exercise the lattice-closure invariant.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,43 @@ def test_structure_constants_integral():
             for b in cb.rs.all_roots:
                 c = cb.structure_constant(a, b)
                 assert c.denominator == 1
+
+
+def with_entry(m, r, c, value):
+    return tuple(
+        tuple(value if (i, j) == (r, c) else x for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
+def test_verify_catches_single_entry_change():
+    for t, r in (("B", 3), ("C", 2)):
+        cb = build_chevalley(t, r)
+        rs = cb.rs
+        for alpha in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
+            xm = cb.x[alpha]
+            off = [(i, j) for i in range(cb.N) for j in range(cb.N) if i != j]
+            i, j = [ij for ij in off if xm[ij[0]][ij[1]]][0]
+            k, l = [ij for ij in off if not xm[ij[0]][ij[1]]][-1]
+            for changed in (with_entry(xm, i, j, xm[i][j] + 1), with_entry(xm, k, l, Fraction(1))):
+                broken = copy.copy(cb)
+                broken.x = dict(cb.x)
+                broken.x[alpha] = changed
+                with pytest.raises(AssertionError):
+                    broken._verify()
+        cb._verify()
+
+
+def test_coords_of_rejects_one_entry_off_the_algebra():
+    # so_7 contains no multiple of a single matrix unit, so every one-entry
+    # change of an element leaves the algebra.
+    cb = build_chevalley("B", 3)
+    dense = cb.from_coords([1] * len(cb.basis_order()))
+    for m in (cb.x[cb.rs.simple[0]], dense):
+        assert cb.coords_of(m) is not None
+        for i in range(cb.N):
+            for j in range(cb.N):
+                assert cb.coords_of(with_entry(m, i, j, m[i][j] + 1)) is None
 
 
 # -- coroots and the Cartan lattice ------------------------------------------

@@ -176,7 +176,11 @@ def split_hull(rep, lat):
 
 def is_invariant(rep, lat, scales=None):
     """Is the lattice preserved by every Chevalley generator action?"""
-    for _, g in lattice_generators(rep, scales):
+    return _preserved_by([g for _, g in lattice_generators(rep, scales)], lat)
+
+
+def _preserved_by(gens, lat):
+    for g in gens:
         for col in lat.basis:
             img = mat_vec(g, col)
             if any(img) and not lat.member(img):
@@ -293,9 +297,10 @@ def count_invariant_orbits(rep, edge):
         raise LatticeError("sandwich is empty (construction bug)")
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
+    gens = [g for _, g in lattice_generators(rep)]
     invariant = []
     for m in mids:
-        if not is_invariant(rep, m):
+        if not _preserved_by(gens, m):
             continue
         if not is_split(rep, m):
             continue

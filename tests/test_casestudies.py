@@ -6,8 +6,13 @@ from fractions import Fraction
 import pytest
 
 from latmod.casestudies import (
+    DISC_LIMIT,
     CaseStudyError,
     QuadField,
+    _class_key,
+    _ideal_lattices_of_norm,
+    _reduce_form,
+    _scaling_equivalent,
     class_orbit_count,
     is_fundamental,
     multiplier_ring,
@@ -60,6 +65,16 @@ def test_quadfield_rejects_bad_disc():
             QuadField(d)
 
 
+def test_quadfield_range_cap_names_disc_and_limit():
+    # Just past the cap, and = 1 mod 4: the range error, not the residue one.
+    disc = -(DISC_LIMIT + 3)
+    assert disc % 4 == 1
+    with pytest.raises(CaseStudyError, match="%d exceeds the supported limit %d" % (-disc, DISC_LIMIT)):
+        QuadField(disc)
+    QuadField(-DISC_LIMIT)
+    QuadField(-10007)
+
+
 def test_is_fundamental():
     assert is_fundamental(-4) and is_fundamental(-8)
     assert is_fundamental(-20) and is_fundamental(-23) and is_fundamental(-47)
@@ -109,7 +124,7 @@ def test_multiplier_ring_brute_force_oracle():
 # -- class counts -----------------------------------------------------------
 
 
-EXPECTED = {-4: 1, -8: 1, -20: 2, -23: 3, -47: 5}
+EXPECTED = {-4: 1, -8: 1, -20: 2, -23: 3, -47: 5, -479: 25}
 
 
 def test_reduced_forms_oracle_frozen():
@@ -128,6 +143,50 @@ def test_class_orbit_count_matches_forms_oracle(disc):
     maximal = Lattice([[1, 0], [0, 1]])
     for lat in reps:
         assert multiplier_ring(f, lat) == maximal
+
+
+def _maximal_ideals(disc):
+    f = QuadField(disc)
+    maximal = Lattice([[1, 0], [0, 1]])
+    return f, [
+        ideal
+        for n in range(1, f.minkowski_bound() + 1)
+        for ideal in _ideal_lattices_of_norm(f, n)
+        if multiplier_ring(f, ideal) == maximal
+    ]
+
+
+@pytest.mark.parametrize("disc", [-20, -23, -47, -71])
+def test_class_key_matches_scaling_oracle(disc):
+    f, ideals = _maximal_ideals(disc)
+    keys = [_class_key(f, ideal) for ideal in ideals]
+    for i, ideal in enumerate(ideals):
+        for j in range(i + 1, len(ideals)):
+            assert (keys[i] == keys[j]) == _scaling_equivalent(f, ideal, ideals[j])
+    assert len(set(keys)) == reduced_forms_count(disc)
+
+
+@pytest.mark.parametrize("disc", [-23, -47])
+def test_class_key_separates_conjugate_classes(disc):
+    # Some class differs from its conjugate's, whose key is (a, -b, c):
+    # reducing under GL2(Z), or flipping the orientation of one basis,
+    # would merge them.
+    f, ideals = _maximal_ideals(disc)
+    keys = {_class_key(f, ideal) for ideal in ideals}
+    assert any(b != 0 and (a, -b, c) in keys for a, b, c in keys)
+
+
+def test_reduce_form_is_reduced_and_sl2_invariant():
+    # Images of reduced forms under (x, y) -> (p·x + q·y, r·x + s·y) with
+    # ps - qr = 1 reduce back to the same form.
+    for a, b, c in [(1, 1, 6), (2, 1, 3), (2, -1, 3), (3, 1, 4), (2, 2, 3), (5, 5, 6)]:
+        assert _reduce_form(a, b, c) == (a, b, c)
+        for p_, q, r, s_ in [(1, 3, 0, 1), (2, 1, 1, 1), (0, -1, 1, 0), (5, 2, 7, 3), (-3, 4, 2, -3)]:
+            assert p_ * s_ - q * r == 1
+            a2 = a * p_ * p_ + b * p_ * r + c * r * r
+            c2 = a * q * q + b * q * s_ + c * s_ * s_
+            b2 = 2 * a * p_ * q + b * (p_ * s_ + q * r) + 2 * c * r * s_
+            assert _reduce_form(a2, b2, c2) == (a, b, c)
 
 
 def test_class_count_rejects_non_fundamental():

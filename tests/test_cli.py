@@ -77,6 +77,46 @@ def test_case_classgroup(capsys):
     assert obj["disc"] == -20 and obj["orbit_count"] == 2
 
 
+# Representatives' bases at D = -95 and D = -119, in output order, as the
+# pairwise scaling search printed them.
+CLASSGROUP_REPRESENTATIVES = {
+    -95: [
+        [["1", "0"], ["0", "1"]],
+        [["2", "0"], ["0", "1"]],
+        [["1", "0"], ["1", "2"]],
+        [["3", "0"], ["0", "1"]],
+        [["1", "0"], ["2", "3"]],
+        [["4", "0"], ["0", "1"]],
+        [["1", "0"], ["3", "4"]],
+        [["5", "0"], ["0", "1"]],
+    ],
+    -119: [
+        [["1", "0"], ["0", "1"]],
+        [["2", "0"], ["0", "1"]],
+        [["1", "0"], ["1", "2"]],
+        [["3", "0"], ["0", "1"]],
+        [["1", "0"], ["2", "3"]],
+        [["1", "0"], ["1", "4"]],
+        [["2", "0"], ["1", "2"]],
+        [["5", "0"], ["0", "1"]],
+        [["1", "0"], ["4", "5"]],
+        [["2", "0"], ["1", "3"]],
+    ],
+}
+
+
+@pytest.mark.parametrize("disc", sorted(CLASSGROUP_REPRESENTATIVES))
+def test_case_classgroup_output_pinned(disc, capsys):
+    code, out, _ = run(["case", "classgroup", "--disc", str(disc)], capsys)
+    assert code == 0
+    bases = CLASSGROUP_REPRESENTATIVES[disc]
+    assert json.loads(out) == {
+        "disc": disc,
+        "orbit_count": len(bases),
+        "representatives": [{"ambient": 2, "basis": b, "ring": "Z"} for b in bases],
+    }
+
+
 def test_case_pgl2(capsys):
     code, out, _ = run(["case", "pgl2"], capsys)
     assert code == 0

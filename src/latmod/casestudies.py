@@ -16,12 +16,22 @@
    with valuation divisible by 3.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from latmod.exact import Lattice, transporter, vp
 from latmod.matrixops import F, mat, mat_vec
-from latmod.models import hopf_generators, lie_invariants, lie_model, order_equal_bounded
+from latmod.models import (
+    _sym2_symbolic,
+    hopf_generators,
+    lie_invariants,
+    lie_model,
+    order_equal_bounded,
+    poly_add,
+    poly_mul,
+    poly_str,
+)
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley
 
@@ -147,33 +157,6 @@ def _ideal_lattices_of_norm(field, n):
     return out
 
 
-def _scaling_equivalent(field, lat1, lat2):
-    """Is lat2 = x·lat1 for some x in F*?"""
-    ratio = lat2.covolume() / lat1.covolume()
-    # Candidate multipliers lie in {y : y·lat1 ⊆ lat2} with N(y) = ratio.
-    quot = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat1, lat2)
-    # The norm form is positive definite, so Q(s,t) = ratio confines the
-    # basis coefficients to |s|² <= ratio·c/det(Q), |t|² <= ratio·a/det(Q).
-    b0, b1 = quot.basis
-    qa = field.norm(b0)
-    qc = field.norm(b1)
-    qb = (field.norm(tuple(x + y for x, y in zip(b0, b1))) - qa - qc) / 2
-    det_q = qa * qc - qb * qb
-    smax = math.isqrt(int(ratio * qc / det_q)) + 1
-    tmax = math.isqrt(int(ratio * qa / det_q)) + 1
-    for s in range(-smax, smax + 1):
-        for t in range(-tmax, tmax + 1):
-            if s == 0 and t == 0:
-                continue
-            y = tuple(s * b0[i] + t * b1[i] for i in range(2))
-            if field.norm(y) != ratio:
-                continue
-            moved = lat1.apply(field.mul_matrix(y))
-            if moved == lat2:
-                return True
-    return False
-
-
 def _reduce_form(a, b, c):
     """SL₂(Z)-reduced form equivalent to the positive definite (a, b, c):
     |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2)."""
@@ -227,8 +210,9 @@ def class_orbit_count(disc):
     class in order of norm, then of enumeration within a norm.
 
     Ideals of norm up to the Minkowski bound meet every class.  Each is
-    keyed by the reduced form of its norm form (`_class_key`);
-    `_scaling_equivalent` is the slower pairwise oracle for that key.
+    keyed by the reduced form of its norm form (`_class_key`).  The tests
+    check the key against a pairwise search for a scaling x with
+    x·I = J (`scaling_equivalent` in tests/oracles.py).
     """
     if not is_fundamental(disc):
         raise CaseStudyError("class group of non-maximal orders out of scope")
@@ -303,18 +287,25 @@ def pgl2_sym2_report():
     idx = lam2.index_in(lam)
     record("quotient_order", idx == 2, {"index": int(idx)})
 
-    # Purity obstruction: the symmetric square of c·M' inside Sym²(M) has
-    # index c³·#(M/M')³, whose 2-adic valuation is divisible by 3; the
-    # observed index 2 has valuation 1.
-    ok = True
-    witness = None
-    for k in range(1, 33):
-        for j in range(-4, 5):
-            val = 3 * (j + vp(k, 2))
-            if val % 3 != 0:
-                ok = False
-                witness = {"index": k, "scale_valuation": j, "valuation": val}
-    obstruction = ok and (vp(idx, 2) % 3 != 0)
+    # Purity obstruction: every lattice of Q₂² is M' = g·M for some g in
+    # GL₂(Q₂), and c·Sym²(M') = c·Sym²(g)·Sym²(M), so the index between
+    # the two has the 2-adic valuation of det(c·Sym²(g)) = c³·det Sym²(g).
+    # det Sym²(g) = det(g)³ as a polynomial identity in the entries of g,
+    # checked below, so that valuation is 3·v(c·det g) ≡ 0 (mod 3) for
+    # every g and c; the observed index 2 has valuation 1.
+    s = _sym2_symbolic()
+    det_s = {}
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        term = {(0, 0, 0, 0): Fraction((-1) ** inversions)}
+        for i, j in enumerate(perm):
+            term = poly_mul(term, s[i][j])
+        det_s = poly_add(det_s, term)
+    det_g = {(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): Fraction(-1)}
+    cube = poly_mul(det_g, poly_mul(det_g, det_g))
+    diff = poly_add(det_s, {e: -c for e, c in cube.items()})
+    witness = poly_str(diff) if diff else None
+    obstruction = not diff and (vp(idx, 2) % 3 != 0)
     record(
         "purity_obstruction",
         obstruction,

@@ -2,15 +2,17 @@
 
 A Lattice is a full-rank R-submodule of Q^n given by a canonical basis
 matrix (columns generate).  R is either Z (prime=None) or the localization
-Z_(p).  Canonical forms make equality a tuple comparison:
+Z_(p).  One routine, _canonical, makes the canonical forms, so equality is
+a tuple comparison:
 
 * global: column Hermite normal form, lower triangular, positive pivots;
 * local: lower triangular with p-power pivots p^e, off-pivot entries in a
   pivot row reduced to integers in [0, p^e), the whole matrix scaled by
   the minimal p-power making the lattice p-integral.
 
-ZSpan is the non-full-rank sibling used for spans of matrices and
-constraint duals elsewhere in the package.
+Sums, intersections, indices and membership are Lattice methods.  ZSpan
+is the integer span of any rank, used for the torus shift lattice of the
+orbit reports.
 """
 
 import json
@@ -48,27 +50,25 @@ def is_prime(n):
     return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
 
 
-def _canonical_global(cols, n):
+def _canonical(cols, n, p=None):
+    """Canonical basis columns of the span of cols in Q^n.
+
+    Over Z (p None) this is the Hermite form of the span, of any rank.
+    Over Z_(p) the span must have full rank.  Write the common denominator
+    of cols as d = p^s·u with u prime to p.  As u is a unit, the cleared
+    integer matrix d·cols spans p^s times the lattice over Z_(p), and p^s
+    is the least p-power making the lattice p-integral.
+    """
     ints, d = clear_denominators(cols)
     h = hnf_columns(ints, n)
-    return [tuple(Fraction(x, d) for x in col) for col in h]
-
-
-def _canonical_local_full(cols, n, p):
-    """Canonical basis of the Z_(p)-lattice spanned by full-rank cols."""
-    vals = [vp(x, p) for col in cols for x in col if x != 0]
-    if not vals:
-        raise LatticeError("degenerate basis")
-    minval = min(vals)
-    s = max(0, -minval)
-    scaled = [[F(x) * p**s for x in col] for col in cols]
-    # Prime-to-p denominators are units; clearing them keeps the lattice.
-    ints, d = clear_denominators(scaled)
-    if d % p == 0:
-        raise AssertionError("p-part of lattice not integral after scaling")
-    h = hnf_columns(ints, n)
+    if p is None:
+        return [tuple(Fraction(x, d) for x in col) for col in h]
     if len(h) < n:
         raise LatticeError("degenerate basis")
+    s = 0
+    while d % p == 0:
+        d //= p
+        s += 1
     e = sum(vp(h[i][i], p) for i in range(n))
     # Adding p^e·Z^n trivializes the prime-to-p part without touching
     # the p-part; the Hermite form of the result is the unique integral
@@ -90,7 +90,7 @@ class Lattice:
     __slots__ = ("ambient", "prime", "basis")
 
     def __init__(self, generators, prime=None, ambient=None):
-        gens = [tuple(F(x) for x in col) for col in generators]
+        gens = [tuple(col) for col in generators]
         if not gens:
             raise LatticeError("empty generating set")
         n = ambient if ambient is not None else len(gens[0])
@@ -98,12 +98,9 @@ class Lattice:
             raise LatticeError("ragged generators")
         if prime is not None and not is_prime(prime):
             raise LatticeError("prime must be prime: %r" % (prime,))
-        if prime is None:
-            canon = _canonical_global(gens, n)
-            if len(canon) < n:
-                raise LatticeError("degenerate basis")
-        else:
-            canon = _canonical_local_full(gens, n, prime)
+        canon = _canonical(gens, n, prime)
+        if len(canon) < n:
+            raise LatticeError("degenerate basis")
         object.__setattr__(self, "ambient", n)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "basis", tuple(canon))
@@ -221,24 +218,9 @@ class Lattice:
         return cls.from_json_obj(json.loads(text))
 
 
-def standard_lattice(n, prime=None):
-    cols = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    return Lattice(cols, prime)
-
-
 # ---------------------------------------------------------------------
 # Spec-level operations
 # ---------------------------------------------------------------------
-
-
-def hnf(generators, ambient=None):
-    """Canonical basis matrix (rows) of the integer column span.
-
-    Accepts redundant generating sets; errors when the columns do not
-    span Q^n ("degenerate basis").
-    """
-    lat = Lattice(generators, None, ambient=ambient)
-    return lat.basis_matrix()
 
 
 class ElementaryDivisors:
@@ -272,22 +254,6 @@ def snf(rows):
     ints, d = clear_denominators(cols)
     divs = snf_diagonal([list(r) for r in zip(*ints)]) if ints else []
     return ElementaryDivisors([Fraction(x, d) for x in divs])
-
-
-def lattice_sum(a, b):
-    return a.sum(b)
-
-
-def lattice_intersect(a, b):
-    return a.intersect(b)
-
-
-def index(sub, sup):
-    return sub.index_in(sup)
-
-
-def member(v, a):
-    return a.member(v)
 
 
 def transporter(gens, src, dst):
@@ -414,81 +380,20 @@ def enumerate_between(low, high):
     return out
 
 
-def subgroup_count_of_quotient(divisors):
-    """Number of subgroups of ⊕ Z/d_i, by brute force over small orders."""
-    mods = [int(d) for d in divisors]
-    if prod(mods) > 2**12:
-        raise LatticeError("brute-force subgroup count capped")
-    import itertools
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, mods))
-
-    elems = list(itertools.product(*[range(d) for d in mods]))
-    trivial = frozenset([tuple(0 for _ in mods)])
-    subgroups = {trivial}
-    frontier = [trivial]
-    # Closure-based enumeration: grow subgroups one generator at a time.
-    # <S, g> is the union of the cosets S + k·g, and every element of
-    # the coset S + g gives the same group.
-    while frontier:
-        nxt = []
-        for sg in frontier:
-            covered = set(sg)
-            for g in elems:
-                if g in covered:
-                    continue
-                new = set(sg)
-                x = g
-                while x not in sg:
-                    new.update(add(y, x) for y in sg)
-                    x = add(x, g)
-                covered.update(add(y, g) for y in sg)
-                new = frozenset(new)
-                if new not in subgroups:
-                    subgroups.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return len(subgroups)
-
-
 # ---------------------------------------------------------------------
 # ZSpan: finitely generated R-submodule of Q^m of any rank
 # ---------------------------------------------------------------------
 
 
 class ZSpan:
-    """R-span of a finite set of vectors in Q^m; canonical HNF basis."""
+    """Z-span of a finite set of vectors in Q^m; canonical HNF basis."""
 
-    __slots__ = ("ambient", "prime", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots")
 
-    def __init__(self, vectors, ambient, prime=None):
-        gens = [tuple(F(x) for x in v) for v in vectors]
-        gens = [g for g in gens if any(g)]
+    def __init__(self, vectors, ambient):
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "prime", prime)
-        if not gens:
-            object.__setattr__(self, "basis", ())
-            object.__setattr__(self, "pivots", ())
-            return
-        canon = _canonical_global(gens, ambient)
+        canon = _canonical([tuple(v) for v in vectors], ambient)
         pivots = tuple(next(i for i, x in enumerate(col) if x != 0) for col in canon)
-        if prime is not None:
-            r = len(canon)
-            proj = [[col[i] for i in pivots] for col in canon]
-            local = _canonical_local_full(proj, r, prime)
-            # Lift through the pivot-coordinate isomorphism of the span.
-            hp = tuple(tuple(F(canon[j][i]) for j in range(r)) for i in pivots)
-            lift_coeff = mat_inv(hp)
-            lifted = []
-            for lc in local:
-                coeff = mat_vec(lift_coeff, lc)
-                vec = tuple(
-                    sum(coeff[j] * canon[j][i] for j in range(r))
-                    for i in range(ambient)
-                )
-                lifted.append(vec)
-            canon = lifted
         object.__setattr__(self, "basis", tuple(canon))
         object.__setattr__(self, "pivots", pivots)
 
@@ -517,28 +422,17 @@ class ZSpan:
 
     def member(self, v):
         x = self.coords(v)
-        if x is None:
-            return False
-        if self.prime is None:
-            return all(c.denominator == 1 for c in x)
-        return all(c.denominator % self.prime != 0 for c in x)
-
-    def add(self, other):
-        return ZSpan(list(self.basis) + list(other.basis), self.ambient, self.prime)
-
-    def add_vectors(self, vectors):
-        return ZSpan(list(self.basis) + [tuple(v) for v in vectors], self.ambient, self.prime)
+        return x is not None and all(c.denominator == 1 for c in x)
 
     def __eq__(self, other):
         return (
             isinstance(other, ZSpan)
             and self.ambient == other.ambient
-            and self.prime == other.prime
             and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.prime, self.basis))
+        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return "ZSpan(rank %d in Q^%d)" % (self.rank, self.ambient)

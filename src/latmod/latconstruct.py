@@ -1,6 +1,7 @@
 """Lattice constructions in a weight-adapted representation: graded
-enveloping spans, the minimal/maximal sandwich lattices with prescribed
-highest-weight components, invariant hulls, and orbit enumeration.
+generator words, the minimal/maximal sandwich lattices with prescribed
+highest-weight components, split hulls, the invariance filter, and orbit
+enumeration.
 
 Conventions: edge data assigns a nonzero scale to each simple raising and
 lowering generator and a full-rank lattice J_psi to every highest-weight
@@ -95,20 +96,6 @@ def _word_matrices(rep, degrees, sign, scales):
         yield mat_scale(c, prod) if c != 1 else prod
 
 
-def u_span(rep, edge, sign, degree):
-    """Z-span of the degree-graded generator products, as flattened
-    dim×dim matrices."""
-    degree = tuple(int(x) for x in degree)
-    if any(x < 0 for x in degree):
-        raise LatticeError("degree outside the grading support")
-    scales = edge.l_plus if sign > 0 else edge.l_minus
-    d = rep.dim
-    vecs = []
-    for m in _word_matrices(rep, [degree], sign, scales):
-        vecs.append(tuple(m[r][c] for r in range(d) for c in range(d)))
-    return ZSpan(vecs, d * d, edge.prime)
-
-
 def _block_embed(rep, psi, block_vec):
     ix = rep.block(psi, psi)
     v = [Fraction(0)] * rep.dim
@@ -174,9 +161,9 @@ def split_hull(rep, lat):
     return Lattice(gens, lat.prime, ambient=lat.ambient)
 
 
-def is_invariant(rep, lat, scales=None):
+def is_invariant(rep, lat):
     """Is the lattice preserved by every Chevalley generator action?"""
-    return _preserved_by([g for _, g in lattice_generators(rep, scales)], lat)
+    return _preserved_by(lattice_generators(rep), lat)
 
 
 def _preserved_by(gens, lat):
@@ -186,24 +173,6 @@ def _preserved_by(gens, lat):
             if any(img) and not lat.member(img):
                 return False
     return True
-
-
-def chevalley_hull(rep, lat, scales=None):
-    """Smallest lattice containing lat preserved by all generators."""
-    gens = [g for _, g in lattice_generators(rep, scales)]
-    cap = 4 * rep.dim + 16
-    cur = lat
-    for _ in range(cap):
-        new_vecs = []
-        for g in gens:
-            for col in cur.basis:
-                img = mat_vec(g, col)
-                if any(img) and not cur.member(img):
-                    new_vecs.append(img)
-        if not new_vecs:
-            return cur
-        cur = Lattice(list(cur.basis) + new_vecs, lat.prime, ambient=lat.ambient)
-    raise LatticeError("invariant hull did not stabilize (diagnostic cap hit)")
 
 
 # -----------------------------------------------------------------------
@@ -297,7 +266,7 @@ def count_invariant_orbits(rep, edge):
         raise LatticeError("sandwich is empty (construction bug)")
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
-    gens = [g for _, g in lattice_generators(rep)]
+    gens = lattice_generators(rep)
     invariant = []
     for m in mids:
         if not _preserved_by(gens, m):

@@ -2,7 +2,9 @@
 
 Matrices are tuples of rows; vectors are tuples.  Everything is immutable
 and exact; the products and the eliminations (det, mat_inv, rref and what
-uses it) return Fraction entries, also for integer input.  Dimensions at
+uses it) return Fraction entries, also for integer input.  Coordinates in
+a fixed basis come from coordinate_solver: one elimination, then a product
+and a residual check per vector.  Dimensions at
 desk scale never exceed a few dozen, but action matrices are weight-graded
 and almost all zero, so the products skip zero entries and sum only
 products of nonzero ones.
@@ -201,6 +203,28 @@ def solve(a, b):
         if pc < nc:
             x[pc] = red[r][nc]
     return tuple(x)
+
+
+def coordinate_solver(cols):
+    """Coordinates in the basis cols (linearly independent vectors).
+
+    Returns coords(v): the x with Σ x_k·cols[k] = v, or None when v lies
+    outside the span.  One elimination picks rows on which the basis is
+    independent; each call multiplies v's entries there by the inverse of
+    that square block, then checks the residual on every row.
+    """
+    a = transpose(cols)
+    _, rows = rref(cols)
+    if len(rows) != len(cols):
+        raise ValueError("coordinate basis is linearly dependent")
+    inv = mat_inv(tuple(a[i] for i in rows))
+
+    def coords(v):
+        v = tuple(v)
+        x = mat_vec(inv, tuple(v[i] for i in rows))
+        return x if mat_vec(a, x) == v else None
+
+    return coords
 
 
 class QSpan:

@@ -12,7 +12,7 @@ integral certificate for every positive answer.
 from fractions import Fraction
 from functools import lru_cache
 
-from latmod.exact import Lattice, snf, transporter, vp
+from latmod.exact import snf, transporter, vp
 from latmod.matrixops import (
     F,
     bracket,
@@ -40,10 +40,10 @@ class LieLattice:
 
     __slots__ = ("cb", "lattice")
 
-    def __init__(self, cb, lattice, check=True):
+    def __init__(self, cb, lattice):
         object.__setattr__(self, "cb", cb)
         object.__setattr__(self, "lattice", lattice)
-        if check and not self.bracket_closed():
+        if not self.bracket_closed():
             raise ModelError("lattice is not closed under the bracket")
 
     def __setattr__(self, *a):
@@ -269,35 +269,6 @@ def hopf_generators(rep, lat):
                         entry = poly_add(entry, poly_scale(coef, s[k][l]))
             gens.append(entry)
     return HopfOrderGenerators(gens)
-
-
-def torus_generators(weights, lat=None):
-    """Matrix coefficients of a diagonal torus action in a lattice basis,
-    as Laurent polynomials {exponent: coefficient} in one parameter."""
-    n = len(weights)
-    if lat is None:
-        lat = Lattice([[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
-    if lat.ambient != n:
-        raise ModelError("lattice has the wrong ambient dimension")
-    b = lat.basis_matrix()
-    binv = mat_inv(b)
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            entry = {}
-            for k in range(n):
-                coef = binv[i][k] * b[k][j]
-                if coef:
-                    entry[weights[k]] = entry.get(weights[k], Fraction(0)) + coef
-            entry = {e: c for e, c in entry.items() if c}
-            if entry:
-                gens.append(entry)
-    # Deduplicate deterministically.
-    seen = []
-    for g in gens:
-        if g not in seen:
-            seen.append(g)
-    return seen
 
 
 # -----------------------------------------------------------------------

@@ -15,18 +15,18 @@ textbook coordinates.
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
-from latmod.exact import ZSpan
 from latmod.matrixops import (
     F,
     QSpan,
     bracket,
+    coordinate_solver,
     identity,
     mat,
     mat_inv,
     mat_mul,
     mat_vec,
+    nullspace,
     primitive,
     solve,
     zeros,
@@ -176,6 +176,21 @@ def _lowering_span(span, lowering, v):
     return added
 
 
+def _highest_weight_vectors(raising, weights, w):
+    """Basis of the joint kernel of the raising operators inside the
+    weight-w space, as full vectors."""
+    dim = len(weights)
+    cols = [i for i in range(dim) if weights[i] == w]
+    rows = [tuple(g[r][c] for c in cols) for g in raising for r in range(dim)]
+    out = []
+    for kv in nullspace(mat(rows)):
+        full = [Fraction(0)] * dim
+        for c, x in zip(cols, kv):
+            full[c] = x
+        out.append(tuple(full))
+    return out
+
+
 def _lift(cb, action, dim, coords):
     """Action matrix of the Lie algebra element with Chevalley
     coordinates coords."""
@@ -200,7 +215,7 @@ class Representation:
 
     __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
 
-    def __init__(self, cb, action, check=True):
+    def __init__(self, cb, action):
         rank = cb.rs.rank
         dim = len(next(iter(action.values())))
         for i in range(rank):
@@ -211,8 +226,7 @@ class Representation:
                         raise RepError("Cartan generators must act diagonally")
                     if r == c and hm[r][c].denominator != 1:
                         raise RepError("non-integral weight")
-        if check:
-            self._check_homomorphism(cb, action, dim)
+        self._check_homomorphism(cb, action, dim)
         raw_weights = tuple(
             tuple(int(action[("h", i)][k][k]) for i in range(rank)) for k in range(dim)
         )
@@ -260,25 +274,14 @@ class Representation:
     @staticmethod
     def _adapt(cb, action, weights, dim):
         """Adapted basis columns and per-column isotypic labels."""
-        rank = cb.rs.rank
         raising = [action[a] for a in cb.rs.simple]
         lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
         # Highest-weight vectors, per ambient weight, echelon order.
-        from latmod.matrixops import nullspace
-
-        hw_vectors = []
-        for w in sorted(set(weights), reverse=True):
-            cols = [i for i in range(dim) if weights[i] == w]
-            rows = []
-            for g in raising:
-                for r in range(dim):
-                    rows.append(tuple(g[r][c] for c in cols))
-            ker = nullspace(mat(rows)) if rows else ()
-            for kv in ker:
-                full = [Fraction(0)] * dim
-                for c, x in zip(cols, kv):
-                    full[c] = x
-                hw_vectors.append((w, tuple(full)))
+        hw_vectors = [
+            (w, v)
+            for w in sorted(set(weights), reverse=True)
+            for v in _highest_weight_vectors(raising, weights, w)
+        ]
         if any(c < 0 for w, _ in hw_vectors for c in w):
             raise RepError("non-dominant highest weight: not completely adapted")
         basis_cols = []
@@ -299,13 +302,6 @@ class Representation:
 
     def distinct_highest_weights(self):
         return tuple(sorted(set(self.highest_weights), reverse=True))
-
-    def rho_lift(self, m):
-        """Action matrix of an arbitrary element of the Lie algebra."""
-        coords = self.cb.coords_of(m)
-        if coords is None:
-            raise RepError("element outside the Lie algebra")
-        return _lift(self.cb, self.action, self.dim, coords)
 
     def to_json_obj(self):
         def m2s(m):
@@ -349,40 +345,25 @@ def build_irrep(cb, psi):
         for _ in range(psi[i]):
             ambient = _tensor_raw(ambient, ext)
     d, action, weights = ambient
-    # Highest-weight vector of weight psi: joint kernel of the raising
-    # operators inside the psi weight space.
-    cols = [i for i in range(d) if weights[i] == psi]
-    if not cols:
+    raising = [action[a] for a in cb.rs.simple]
+    hw = _highest_weight_vectors(raising, weights, psi)
+    if not hw:
         raise RepError("highest weight %r not reachable in this realization" % (psi,))
-    from latmod.matrixops import nullspace
-
-    rows = []
-    for a in cb.rs.simple:
-        g = action[a]
-        for r in range(d):
-            rows.append(tuple(g[r][c] for c in cols))
-    ker = nullspace(mat(rows))
-    if not ker:
-        raise RepError("highest weight %r not reachable in this realization" % (psi,))
-    v = [Fraction(0)] * d
-    for c, x in zip(cols, ker[0]):
-        v[c] = x
     # Cyclic span under the lowering operators.
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    basis_cols = _lowering_span(QSpan(d), lowering, v)
+    basis_cols = _lowering_span(QSpan(d), lowering, hw[0])
     if len(basis_cols) == d:
         # Ambient is already irreducible; keep its natural (monomial) basis.
         return Representation(cb, action)
-    bmat = tuple(zip(*basis_cols))  # d × r
+    coords = coordinate_solver(basis_cols)
     sub_action = {}
     for key, g in action.items():
         cols_out = []
         for b in basis_cols:
-            img = mat_vec(g, b)
-            coords = solve(bmat, img)
-            if coords is None:
+            x = coords(mat_vec(g, b))
+            if x is None:
                 raise RepError("cyclic span not invariant (construction bug)")
-            cols_out.append(coords)
+            cols_out.append(x)
         sub_action[key] = tuple(zip(*cols_out))
     return Representation(cb, sub_action)
 
@@ -405,7 +386,7 @@ def direct_sum(reps):
                     m[off + i][off + j] = g[i][j]
             off += r.dim
         action[key] = mat(m)
-    return Representation(cb, action, check=False)
+    return Representation(cb, action)
 
 
 def tensor_product(r1, r2):
@@ -414,15 +395,7 @@ def tensor_product(r1, r2):
     d, action, _ = _tensor_raw(
         (r1.dim, r1.action, r1.weights), (r2.dim, r2.action, r2.weights)
     )
-    return Representation(r1.cb, action, check=False)
-
-
-def decompose(rep):
-    """Multiset of highest weights as sorted (psi, multiplicity) pairs."""
-    out = {}
-    for psi in rep.highest_weights:
-        out[psi] = out.get(psi, 0) + 1
-    return sorted(out.items(), reverse=True)
+    return Representation(r1.cb, action)
 
 
 def projector(rep, psi, chi):
@@ -512,25 +485,16 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 
 
 # -----------------------------------------------------------------------
-# Projector constant
+# Chevalley-lattice generators
 # -----------------------------------------------------------------------
 
 
-def lattice_generators(rep, scales=None):
-    """(root-lattice degree, action matrix) for each generator of the
-    Chevalley lattice: every root vector, rescaled by scales[root] when
-    given, then a basis of the Cartan lattice in degree zero."""
+def lattice_generators(rep):
+    """Action matrices of the generators of the Chevalley lattice: every
+    root vector, then a basis of the Cartan lattice."""
     cb = rep.cb
-    scales = scales or {}
     d = rep.dim
-    gens = []
-    for a in cb.rs.all_roots:
-        g = rep.action[a]
-        s = F(scales.get(a, 1))
-        if s != 1:
-            g = tuple(tuple(s * x for x in row) for row in g)
-        gens.append((cb.rs.expansion(a), g))
-    zero = (0,) * cb.rs.rank
+    gens = [rep.action[a] for a in cb.rs.all_roots]
     for col in cb.cartan_lattice.basis:
         m = [[Fraction(0)] * d for _ in range(d)]
         for i, c in enumerate(col):
@@ -538,75 +502,5 @@ def lattice_generators(rep, scales=None):
                 hm = rep.action[("h", i)]
                 for r in range(d):
                     m[r][r] += c * hm[r][r]
-        gens.append((zero, mat(m)))
+        gens.append(mat(m))
     return gens
-
-
-def projector_constant(rep, scales=None):
-    """Minimal positive r with r·pr_(psi),chi in the degree-0 generator span.
-
-    The span is the Z-lattice of endomorphisms generated by products of the
-    Chevalley-lattice generators (root vectors optionally rescaled by
-    `scales`, plus the Cartan lattice), graded by root-lattice degree;
-    degree-0 products of length up to the certified cap.
-    """
-    cb = rep.cb
-    d = rep.dim
-    rank = cb.rs.rank
-    gens = lattice_generators(rep, scales)
-    # Degrees that can act nonzero: differences of weights, in root coords.
-    allowed = set()
-    for w1 in set(rep.weights):
-        for w2 in set(rep.weights):
-            rc = _root_coords(cb, tuple(a - b for a, b in zip(w1, w2)))
-            if rc is not None:
-                allowed.add(rc)
-    zero = (0,) * rank
-    flat_id = tuple(identity(d)[r][c] for r in range(d) for c in range(d))
-    spans = {zero: ZSpan([flat_id], d * d)}
-    heights = [
-        sum(_root_coords(cb, tuple(a - b for a, b in zip(psi, chi))))
-        for (psi, chi) in rep.blocks
-    ]
-    cap = max(heights) + 2
-    stabilized_at = None
-    for step in range(1, cap + 1):
-        grew = False
-        items = list(spans.items())
-        for deg, sp in items:
-            for gdeg, g in gens:
-                nd = tuple(a + b for a, b in zip(deg, gdeg))
-                if nd not in allowed:
-                    continue
-                new_vecs = []
-                for v in sp.basis:
-                    vm = tuple(tuple(v[r * d + c] for c in range(d)) for r in range(d))
-                    prod = mat_mul(g, vm)
-                    new_vecs.append(
-                        tuple(prod[r][c] for r in range(d) for c in range(d))
-                    )
-                old = spans.get(nd)
-                merged = (
-                    old.add_vectors(new_vecs)
-                    if old is not None
-                    else ZSpan(new_vecs, d * d)
-                )
-                if merged != old:
-                    spans[nd] = merged
-                    grew = True
-        if not grew:
-            stabilized_at = step
-            break
-    if stabilized_at is None:
-        raise RepError("degree-0 span did not stabilize within the length cap")
-    deg0 = spans[zero]
-    r_total = 1
-    for ix in rep.blocks.values():
-        flat = [0] * (d * d)
-        for i in ix:
-            flat[i * d + i] = 1
-        coords = deg0.coords(flat)
-        if coords is None:
-            raise RepError("projector outside the rational degree-0 span")
-        r_total = lcm(r_total, *[c.denominator for c in coords]) if coords else r_total
-    return r_total

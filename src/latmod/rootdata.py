@@ -16,6 +16,7 @@ from latmod.exact import Lattice
 from latmod.matrixops import (
     F,
     bracket,
+    coordinate_solver,
     mat,
     mat_inv,
     mat_scale,
@@ -23,7 +24,7 @@ from latmod.matrixops import (
     mat_vec,
     nullspace,
     primitive,
-    rref,
+    solve,
     transpose,
     zeros,
 )
@@ -119,8 +120,6 @@ class RootSystem:
 
     def _expand_simple(self, euclid):
         """Integer coefficients of a root on the simple roots."""
-        from latmod.matrixops import solve
-
         a = tuple(zip(*self.simple_euclid))  # euclid_dim x rank
 
         x = solve(mat(a), [F(t) for t in euclid])
@@ -289,13 +288,11 @@ class ChevalleyBasis:
         self._diag_param = diag_param
 
         # Killing form restricted to the Cartan: kappa(t,t') = sum over
-        # roots of beta(t)·beta(t').
+        # roots of beta(t)·beta(t'); the Euclidean root coordinates are
+        # already the roots as functionals on the diagonal parameters.
         n_par = dim_params
         gram = [
-            [
-                sum(F(b[i]) * F(b[j]) for b in self._euclid_functionals())
-                for j in range(n_par)
-            ]
+            [sum(F(b[i]) * F(b[j]) for b in rs.all_euclid) for j in range(n_par)]
             for i in range(n_par)
         ]
         self._killing_gram = mat(gram)
@@ -306,22 +303,14 @@ class ChevalleyBasis:
         self._verify()
         self._basis_order = list(rs.all_roots)
         self._basis_mats = [self.x[a] for a in self._basis_order] + list(self.h)
-        self._coord_solver = self._make_coord_solver()
+        self._coords = coordinate_solver(
+            [tuple(x for row in m for x in row) for m in self._basis_mats]
+        )
 
     # -- scaffolding ---------------------------------------------------
 
-    def _euclid_functionals(self):
-        """Roots as linear functionals on the diagonal parameters."""
-        rs = self.rs
-        if rs.type_label == "A":
-            # e_i - e_j on (t_1..t_{n+1}); euclid coords are already that.
-            return rs.all_euclid
-        return rs.all_euclid
-
     def _t_alpha(self, euclid):
         """t_alpha in diagonal parameters: kappa(t_alpha, ·) = alpha."""
-        from latmod.matrixops import solve
-
         rhs = [F(x) for x in euclid]
         x = solve(self._killing_gram, rhs)
         assert x is not None
@@ -450,8 +439,6 @@ class ChevalleyBasis:
 
     def h_alpha_coords(self, fund):
         """h_alpha in the basis {h_{alpha_i}}; integral for every root."""
-        from latmod.matrixops import solve
-
         params = self.coroot_params(fund)
         cols = tuple(zip(*[self.coroot_params(a) for a in self.rs.simple]))
         x = solve(mat(cols), [F(t) for t in params])
@@ -469,27 +456,9 @@ class ChevalleyBasis:
     def basis_matrices(self):
         return list(self._basis_mats)
 
-    def _make_coord_solver(self):
-        cols = [
-            tuple(m[i][j] for i in range(self.N) for j in range(self.N))
-            for m in self._basis_mats
-        ]
-        a = mat(tuple(zip(*cols)))  # N² x dim
-        # Pivot rows: pivot positions of a^T give an invertible square block.
-        _, pivots_t = rref(tuple(zip(*a)))
-        piv = pivots_t
-        sub = mat(tuple(a[i] for i in piv))
-        inv = mat_inv(sub)
-        return (piv, inv, a)
-
     def coords_of(self, m):
         """Coordinates of a matrix in the Chevalley basis, or None."""
-        piv, inv, a = self._coord_solver
-        flat = tuple(m[i][j] for i in range(self.N) for j in range(self.N))
-        x = mat_vec(inv, tuple(flat[i] for i in piv))
-        if mat_vec(a, x) != flat:
-            return None
-        return x
+        return self._coords(tuple(x for row in m for x in row))
 
     def from_coords(self, coords):
         out = [[Fraction(0)] * self.N for _ in range(self.N)]

@@ -1,0 +1,155 @@
+"""Reference implementations the tests compare the library against.
+
+Each is a slower or older path to a result the library computes another
+way: the two canonicalisers that `exact._canonical` merged, the
+per-vector `solve` that `reps.build_irrep` used before
+`matrixops.coordinate_solver`, a brute-force subgroup count for
+`exact.enumerate_between`, and a pairwise scaling search for the
+class-group keys of `casestudies.class_orbit_count`.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from math import prod
+
+from latmod import reps
+from latmod.exact import LatticeError, transporter, vp
+from latmod.kernels import hnf_columns
+from latmod.matrixops import F, QSpan, clear_denominators, mat, mat_vec, nullspace, solve
+
+
+def canonical_global(cols, n):
+    """Hermite basis of the Z-span of cols, of any rank."""
+    ints, d = clear_denominators(cols)
+    h = hnf_columns(ints, n)
+    return [tuple(Fraction(x, d) for x in col) for col in h]
+
+
+def canonical_local_full(cols, n, p):
+    """Canonical basis of the Z_(p)-lattice spanned by full-rank cols:
+    scale by the least p-power making every entry p-integral, clear the
+    prime-to-p denominators, and reduce modulo p^e with p^e the p-part of
+    the Hermite form's determinant."""
+    vals = [vp(x, p) for col in cols for x in col if x != 0]
+    if not vals:
+        raise LatticeError("degenerate basis")
+    s = max(0, -min(vals))
+    scaled = [[F(x) * p**s for x in col] for col in cols]
+    ints, d = clear_denominators(scaled)
+    if d % p == 0:
+        raise AssertionError("p-part of lattice not integral after scaling")
+    h = hnf_columns(ints, n)
+    if len(h) < n:
+        raise LatticeError("degenerate basis")
+    pe = p ** sum(vp(h[i][i], p) for i in range(n))
+    gens = [list(c) for c in h] + [[pe * int(i == j) for i in range(n)] for j in range(n)]
+    ps = p**s
+    return [tuple(Fraction(x, ps) for x in col) for col in hnf_columns(gens, n)]
+
+
+def sub_action_by_solve(action, basis_cols):
+    """Action on the span of basis_cols, one `solve` per generator and
+    basis vector; None when some image leaves the span."""
+    bmat = tuple(zip(*basis_cols))
+    out = {}
+    for key, g in action.items():
+        cols_out = []
+        for b in basis_cols:
+            x = solve(bmat, mat_vec(g, b))
+            if x is None:
+                return None
+            cols_out.append(x)
+        out[key] = tuple(zip(*cols_out))
+    return out
+
+
+def build_irrep_by_solve(cb, psi):
+    """build_irrep as it was before coordinate_solver: the first joint
+    kernel vector of the raising operators in the psi weight space, its
+    cyclic span under the lowering operators, and the action on that span
+    by one `solve` per generator and basis vector."""
+    rank = cb.rs.rank
+    defining = reps._defining_raw(cb)
+    ambient = reps._trivial_raw(cb)
+    if psi[0]:
+        ambient = reps._tensor_raw(ambient, reps._sym_power_raw(defining, psi[0]))
+    for i in range(1, rank):
+        ext = reps._ext_power_raw(defining, i + 1)
+        for _ in range(psi[i]):
+            ambient = reps._tensor_raw(ambient, ext)
+    d, action, weights = ambient
+    cols = [i for i in range(d) if weights[i] == tuple(psi)]
+    rows = [tuple(action[a][r][c] for c in cols) for a in cb.rs.simple for r in range(d)]
+    v = [Fraction(0)] * d
+    for c, x in zip(cols, nullspace(mat(rows))[0]):
+        v[c] = x
+    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
+    basis_cols = reps._lowering_span(QSpan(d), lowering, v)
+    if len(basis_cols) == d:
+        return reps.Representation(cb, action)
+    return reps.Representation(cb, sub_action_by_solve(action, basis_cols))
+
+
+def subgroup_count_of_quotient(divisors):
+    """Number of subgroups of ⊕ Z/d_i, by brute force over small orders."""
+    mods = [int(d) for d in divisors]
+    if prod(mods) > 2**12:
+        raise LatticeError("brute-force subgroup count capped")
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, mods))
+
+    elems = list(itertools.product(*[range(d) for d in mods]))
+    trivial = frozenset([tuple(0 for _ in mods)])
+    subgroups = {trivial}
+    frontier = [trivial]
+    # Closure-based enumeration: grow subgroups one generator at a time.
+    # <S, g> is the union of the cosets S + k·g, and every element of
+    # the coset S + g gives the same group.
+    while frontier:
+        nxt = []
+        for sg in frontier:
+            covered = set(sg)
+            for g in elems:
+                if g in covered:
+                    continue
+                new = set(sg)
+                x = g
+                while x not in sg:
+                    new.update(add(y, x) for y in sg)
+                    x = add(x, g)
+                covered.update(add(y, g) for y in sg)
+                new = frozenset(new)
+                if new not in subgroups:
+                    subgroups.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return len(subgroups)
+
+
+def scaling_equivalent(field, lat1, lat2):
+    """Is lat2 = x·lat1 for some x in F*?"""
+    ratio = lat2.covolume() / lat1.covolume()
+    # Candidate multipliers lie in {y : y·lat1 ⊆ lat2} with N(y) = ratio.
+    quot = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat1, lat2)
+    # The norm form is positive definite, so Q(s,t) = ratio confines the
+    # basis coefficients to |s|² <= ratio·c/det(Q), |t|² <= ratio·a/det(Q).
+    b0, b1 = quot.basis
+    qa = field.norm(b0)
+    qc = field.norm(b1)
+    qb = (field.norm(tuple(x + y for x, y in zip(b0, b1))) - qa - qc) / 2
+    det_q = qa * qc - qb * qb
+    smax = math.isqrt(int(ratio * qc / det_q)) + 1
+    tmax = math.isqrt(int(ratio * qa / det_q)) + 1
+    for s in range(-smax, smax + 1):
+        for t in range(-tmax, tmax + 1):
+            if s == 0 and t == 0:
+                continue
+            y = tuple(s * b0[i] + t * b1[i] for i in range(2))
+            if field.norm(y) != ratio:
+                continue
+            moved = lat1.apply(field.mul_matrix(y))
+            if moved == lat2:
+                return True
+    return False

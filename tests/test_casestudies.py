@@ -12,14 +12,16 @@ from latmod.casestudies import (
     _class_key,
     _ideal_lattices_of_norm,
     _reduce_form,
-    _scaling_equivalent,
     class_orbit_count,
     is_fundamental,
     multiplier_ring,
     pgl2_sym2_report,
     reduced_forms_count,
 )
+from latmod import casestudies
 from latmod.exact import Lattice
+from latmod.models import _sym2_symbolic
+from oracles import scaling_equivalent
 
 
 # -- field arithmetic ------------------------------------------------------
@@ -162,7 +164,7 @@ def test_class_key_matches_scaling_oracle(disc):
     keys = [_class_key(f, ideal) for ideal in ideals]
     for i, ideal in enumerate(ideals):
         for j in range(i + 1, len(ideals)):
-            assert (keys[i] == keys[j]) == _scaling_equivalent(f, ideal, ideals[j])
+            assert (keys[i] == keys[j]) == scaling_equivalent(f, ideal, ideals[j])
     assert len(set(keys)) == reduced_forms_count(disc)
 
 
@@ -225,3 +227,18 @@ def test_report_details(report):
         "killing_divisors": ["2", "4", "4"],
         "bracket_divisors": ["1", "1", "2"],
     }
+
+
+def test_purity_obstruction_is_the_determinant_identity(report, monkeypatch):
+    # The check proves det Sym²(g) = det(g)³ from the symbolic Sym² matrix;
+    # with one corrupted entry the identity fails and the report says so.
+    assert report["assertions"]["purity_obstruction"]["witness"] is None
+    good = _sym2_symbolic()
+    for i, j in ((1, 1), (0, 2), (2, 0)):
+        bad = [list(row) for row in good]
+        bad[i][j] = {e: 2 * c for e, c in good[i][j].items()}
+        monkeypatch.setattr(casestudies, "_sym2_symbolic", lambda: tuple(map(tuple, bad)))
+        out = casestudies.pgl2_sym2_report()
+        purity = out["assertions"]["purity_obstruction"]
+        assert out["status"] == "fail" and not purity["pass"]
+        assert purity["witness"]

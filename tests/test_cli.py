@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +192,22 @@ def test_missing_file_exits_1(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+# stdout and exit codes of a fixed command set, recorded from the CLI
+# before the canonicaliser and coordinate-solver merges; every later
+# change must reproduce them byte for byte.  "<name>" in an argv is the
+# path of the input file of that name, written to tmp_path.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=[" ".join(c["argv"]) for c in GOLDEN["cases"]]
+)
+def test_golden_cli_output(case, tmp_path, capsys):
+    for name, obj in GOLDEN["inputs"].items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("<") else a for a in case["argv"]]
+    code, out, _ = run(argv, capsys)
+    assert code == case["exit_code"]
+    assert out.encode() == case["stdout"].encode()

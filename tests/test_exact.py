@@ -2,8 +2,8 @@
 
 Oracles used here are independent of the implementation paths they check:
 brute-force membership boxes for HNF/intersection, a direct two-containment
-search for the distance formula, and a closure-based subgroup counter for
-enumerate_between.
+search for the distance formula, a closure-based subgroup counter for
+enumerate_between, and the two canonicalisers that _canonical replaced.
 """
 
 import itertools
@@ -19,19 +19,18 @@ from latmod.exact import (
     Lattice,
     LatticeError,
     ZSpan,
+    _canonical,
     distance,
     enumerate_between,
-    hnf,
-    index,
-    lattice_intersect,
-    lattice_sum,
-    member,
     snf,
-    standard_lattice,
-    subgroup_count_of_quotient,
     vp,
 )
-from latmod.matrixops import clear_denominators, det, mat, mat_mul, primitive
+from latmod.matrixops import clear_denominators, det, identity, mat, mat_mul, primitive
+from oracles import canonical_global, canonical_local_full, subgroup_count_of_quotient
+
+
+def standard_lattice(n, prime=None):
+    return Lattice(identity(n), prime)
 
 
 def rnd_lattice(rng, n, prime=None, span=4):
@@ -57,7 +56,7 @@ def box_members(lat, radius):
 
 
 def test_hnf_identity():
-    assert hnf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (
+    assert Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).basis_matrix() == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -166,7 +165,7 @@ def test_elementary_divisors_validation():
 def test_intersect_example():
     a = Lattice([[2, 0], [0, 1]])
     b = Lattice([[1, 0], [0, 2]])
-    assert lattice_intersect(a, b) == Lattice([[2, 0], [0, 2]])
+    assert a.intersect(b) == Lattice([[2, 0], [0, 2]])
 
 
 def test_intersect_box_oracle():
@@ -174,10 +173,10 @@ def test_intersect_box_oracle():
     for _ in range(10):
         a = rnd_lattice(rng, 2, span=3)
         b = rnd_lattice(rng, 2, span=3)
-        c = lattice_intersect(a, b)
+        c = a.intersect(b)
         for v in itertools.product(range(-4, 5), repeat=2):
             assert c.member(v) == (a.member(v) and b.member(v))
-        s = lattice_sum(a, b)
+        s = a.sum(b)
         # Sum contains both and is contained in anything containing both.
         assert s.contains(a) and s.contains(b)
         assert s.contains(c)
@@ -185,11 +184,11 @@ def test_intersect_box_oracle():
 
 def test_sum_idempotent():
     lat = Lattice([[2, 1], [0, 3]])
-    assert lattice_sum(lat, lat) == lat
+    assert lat.sum(lat) == lat
 
 
 def test_index_scalar():
-    assert index(standard_lattice(2).scale(2), standard_lattice(2)) == 4
+    assert standard_lattice(2).scale(2).index_in(standard_lattice(2)) == 4
 
 
 def test_index_multiplicative():
@@ -198,7 +197,7 @@ def test_index_multiplicative():
         c = rnd_lattice(rng, 3, span=2)
         b = c.scale(rng.choice([1, 2, 3]))
         a = b.scale(rng.choice([1, 2]))
-        assert index(a, c) == index(a, b) * index(b, c)
+        assert a.index_in(c) == a.index_in(b) * b.index_in(c)
 
 
 def test_modular_identity():
@@ -206,17 +205,17 @@ def test_modular_identity():
     for _ in range(20):
         lam = rnd_lattice(rng, 3, span=2)
         m = rnd_lattice(rng, 3, span=2)
-        assert lattice_intersect(lam, lattice_sum(lam, m)) == lam
-        assert lattice_sum(lam, lattice_intersect(lam, m)) == lam
+        assert lam.intersect(lam.sum(m)) == lam
+        assert lam.sum(lam.intersect(m)) == lam
 
 
 def test_mismatch_errors():
     with pytest.raises(LatticeError):
-        lattice_sum(standard_lattice(2), standard_lattice(3))
+        standard_lattice(2).sum(standard_lattice(3))
     with pytest.raises(LatticeError):
-        lattice_sum(standard_lattice(2), standard_lattice(2, prime=2))
+        standard_lattice(2).sum(standard_lattice(2, prime=2))
     with pytest.raises(LatticeError):
-        index(standard_lattice(2), standard_lattice(2).scale(2))
+        standard_lattice(2).index_in(standard_lattice(2).scale(2))
 
 
 # -- local canonical form -------------------------------------------------
@@ -433,16 +432,7 @@ def test_zspan_membership():
     assert sp.member([2, 3, 5])
     assert not sp.member([1, 0, 1])
     assert not sp.member([0, 0, 1])
-    loc = ZSpan([[2, 0, 2], [0, 3, 3]], 3, prime=3)
-    assert loc.member([1, 0, 1])  # 2 is a unit at p=3
-    assert not loc.member([0, 1, 1])
-
-
-def test_zspan_add():
-    a = ZSpan([[1, 0]], 2)
-    b = ZSpan([[0, 1]], 2)
-    assert a.add(b).rank == 2
-    assert a.add_vectors([[0, 2]]).member([1, 2])
+    assert ZSpan([], 3).rank == 0 and ZSpan([[0, 0, 0]], 3).member([0, 0, 0])
 
 
 # -- hypothesis property tests ------------------------------------------------
@@ -473,11 +463,51 @@ def test_sum_absorbs_intersection(c1, c2):
         b = Lattice(c2)
     except LatticeError:
         return
-    i = lattice_intersect(a, b)
-    s = lattice_sum(a, b)
-    assert lattice_sum(a, i) == a
-    assert lattice_intersect(a, s) == a
-    assert index(i, a) * index(a, s) == index(i, b) * index(b, s)
+    i = a.intersect(b)
+    s = a.sum(b)
+    assert a.sum(i) == a
+    assert a.intersect(s) == a
+    assert i.index_in(a) * a.index_in(s) == i.index_in(b) * b.index_in(s)
+
+
+# Entries with p-power and prime-to-p denominators for p = 2, 3, 5.
+rational = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 25])
+)
+
+
+@st.composite
+def generator_sets(draw):
+    """(cols, n): up to n + 2 columns in Q^n, so some sets are degenerate
+    (too few columns, zero or dependent columns)."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n + 2))
+    cols = draw(st.lists(st.lists(rational, min_size=n, max_size=n), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        cols.append([2 * x for x in cols[0]])
+    return cols, n
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatticeError as e:
+        return ("LatticeError", str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets(), st.sampled_from([None, 2, 3, 5]))
+def test_canonical_matches_the_two_old_canonicalisers(gens, p):
+    cols, n = gens
+    if p is None:
+        expect = canonical_global(cols, n)
+        assert _canonical(cols, n) == expect
+        if len(expect) < n:
+            expect = ("LatticeError", "degenerate basis")
+    else:
+        expect = _outcome(canonical_local_full, cols, n, p)
+        assert _outcome(_canonical, cols, n, p) == expect
+    assert _outcome(lambda: list(Lattice(cols, p).basis)) == expect
 
 
 def test_vp():

@@ -1,15 +1,16 @@
-"""Sandwich lattices, invariant hulls, and orbit enumeration."""
+"""Graded generator words, sandwich lattices, invariance, split hulls,
+and orbit enumeration."""
 
 from fractions import Fraction
 
 import pytest
 
 from latmod import latconstruct
-from latmod.exact import Lattice, LatticeError, enumerate_between
+from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
     _has_j_components,
-    chevalley_hull,
+    _word_matrices,
     count_invariant_orbits,
     is_invariant,
     is_split,
@@ -17,11 +18,10 @@ from latmod.latconstruct import (
     s_minus,
     s_plus,
     split_hull,
-    u_span,
     unit_edge,
 )
 from latmod.matrixops import mat_vec
-from latmod.reps import build_irrep, projector
+from latmod.reps import build_irrep, lattice_generators, projector
 from latmod.rootdata import build_chevalley
 
 
@@ -40,6 +40,15 @@ def diag_lattice(vals, prime):
 
 
 # -- u_span -------------------------------------------------------------
+
+
+def u_span(rep, edge, sign, degree):
+    """Z-span of the words of one degree that s_minus and s_plus apply,
+    as flattened dim×dim matrices."""
+    scales = edge.l_plus if sign > 0 else edge.l_minus
+    d = rep.dim
+    words = _word_matrices(rep, [degree], sign, scales)
+    return ZSpan([tuple(m[r][c] for r in range(d) for c in range(d)) for m in words], d * d)
 
 
 def test_u_span_degree_zero_is_identity(a1_reps):
@@ -201,10 +210,16 @@ def test_torus_equivariance(a1_reps):
 # -- hulls ---------------------------------------------------------------
 
 
+def one_step_hull(rep, lat):
+    """lat plus its images under every Chevalley-lattice generator."""
+    images = [mat_vec(g, col) for g in lattice_generators(rep) for col in lat.basis]
+    return Lattice(list(lat.basis) + [v for v in images if any(v)], lat.prime)
+
+
 def test_hull_fixed_point(a1_reps):
     rep = a1_reps[2]
     lam = diag_lattice([1, 1, 1], 2)
-    assert chevalley_hull(rep, lam) == lam
+    assert one_step_hull(rep, lam) == lam
     assert is_invariant(rep, lam)
 
 
@@ -212,9 +227,10 @@ def test_hull_forces_component_up(a1_reps):
     # f·e1e2 = e2² escapes 2Z·e2², so the hull lifts the last component.
     rep = a1_reps[2]
     lam = diag_lattice([1, 1, 2], 2)
-    hull = chevalley_hull(rep, lam)
+    assert not is_invariant(rep, lam)
+    hull = one_step_hull(rep, lam)
     assert hull == diag_lattice([1, 1, 1], 2)
-    assert is_invariant(rep, hull)
+    assert is_invariant(rep, hull) and one_step_hull(rep, hull) == hull
     assert hull.contains(lam)
 
 

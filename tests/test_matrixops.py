@@ -1,12 +1,25 @@
 """Exact matrix helpers: the zero-skipping products against the dense
-products they replaced, and Fraction results from integer input."""
+products they replaced, the coordinate solver against per-vector solve,
+and Fraction results from integer input."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod.matrixops import bracket, det, mat_inv, mat_mul, mat_vec, nullspace, rref, solve
+from latmod.matrixops import (
+    bracket,
+    coordinate_solver,
+    det,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rref,
+    solve,
+    transpose,
+)
 
 
 def dense_mat_mul(a, b):
@@ -122,3 +135,53 @@ def test_integer_input_stays_exact():
     (k,) = nullspace(singular)
     assert all(type(t) is Fraction for t in k)
     assert mat_vec(singular, k) == (0, 0, 0)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    """(cols, vs): r linearly independent vectors of Q^d, and vectors that
+    are combinations of them or arbitrary (mostly outside the span).  The
+    basis is an echelon set (vector i is nonzero at its own pivot and zero
+    at the pivots before it) with later vectors added to earlier ones."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(1, d))
+    pivots = sorted(draw(st.sets(st.integers(0, d - 1), min_size=r, max_size=r)))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    echelon = []
+    for i, pc in enumerate(pivots):
+        v = [Fraction(0) if c in pivots[:i] else draw(entry) for c in range(d)]
+        v[pc] = draw(nonzero)
+        echelon.append(v)
+    cols = []
+    for i, v in enumerate(echelon):
+        for u in echelon[i + 1 :]:
+            c = draw(entry)
+            v = [x + c * y for x, y in zip(v, u)]
+        cols.append(tuple(v))
+    cols = tuple(draw(st.permutations(cols)))
+    coeffs = draw(st.lists(matrices(1, r), min_size=1, max_size=3))
+    vs = [mat_vec(transpose(cols), c[0]) for c in coeffs]
+    vs += [m[0] for m in draw(st.lists(matrices(1, d), max_size=3))]
+    return cols, vs
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_and_vectors())
+def test_coordinate_solver_matches_solve(case):
+    cols, vs = case
+    coords = coordinate_solver(cols)
+    a = transpose(cols)
+    for v in vs:
+        x = coords(v)
+        assert x == solve(a, v)
+        if x is not None:
+            assert mat_vec(a, x) == v
+
+
+def test_coordinate_solver_out_of_span_and_dependent_basis():
+    coords = coordinate_solver([(1, 0, 0), (0, 1, 1)])
+    assert coords((2, 3, 3)) == (2, 3)
+    assert coords((0, 1, 0)) is None
+    assert solve(transpose([(1, 0, 0), (0, 1, 1)]), (0, 1, 0)) is None
+    with pytest.raises(ValueError):
+        coordinate_solver([(1, 2), (2, 4)])

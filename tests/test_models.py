@@ -20,7 +20,6 @@ from latmod.models import (
     poly_mul,
     poly_reduce_det,
     poly_str,
-    torus_generators,
 )
 from latmod.reps import build_irrep
 from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
@@ -229,13 +228,6 @@ def test_hopf_generators_unsupported(a1):
     cb, std, _ = a1
     with pytest.raises(ModelError, match="unsupported"):
         hopf_generators(std, Lattice([[1, 0], [0, 1]]))
-
-
-def test_torus_generators():
-    gens = torus_generators((1, -1))
-    assert gens == [{1: Fraction(1)}, {-1: Fraction(1)}]
-    mixed = torus_generators((1, -1), Lattice([[1, 1], [0, 1]]))
-    assert {1: Fraction(1)} in mixed
 
 
 # -- order comparison -------------------------------------------------------

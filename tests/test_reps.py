@@ -1,5 +1,6 @@
 """Representation construction: dimensions against the Weyl formula,
-block structure, transition surjectivity, and projector constants."""
+the per-vector solve construction, block structure, and transition
+surjectivity."""
 
 import itertools
 from fractions import Fraction
@@ -10,17 +11,17 @@ from latmod.matrixops import bracket, identity, mat_mul
 from latmod.reps import (
     RepError,
     Representation,
+    _lift,
     build_irrep,
     check_transition_surjectivity,
-    decompose,
     direct_sum,
     distinct_words,
     projector,
-    projector_constant,
     tensor_product,
     word_products,
 )
 from latmod.rootdata import build_chevalley, killing_h
+from oracles import build_irrep_by_solve
 
 
 def weyl_dim(cb, psi):
@@ -101,11 +102,24 @@ def test_homomorphism_property(sweep_reps):
     rep = sweep_reps[("C", 2, (0, 1))]
     cb = rep.cb
     mats = cb.basis_matrices()
+
+    def rho(m):
+        return _lift(cb, rep.action, rep.dim, cb.coords_of(m))
+
     for a in mats[:4]:
         for b in mats[4:8]:
-            assert rep.rho_lift(bracket(a, b)) == bracket(
-                rep.rho_lift(a), rep.rho_lift(b)
-            )
+            assert rho(bracket(a, b)) == bracket(rho(a), rho(b))
+
+
+def test_build_irrep_matches_per_vector_solve(sweep_reps):
+    # One elimination of the span basis gives the same action matrices as
+    # one solve per generator and basis vector.
+    cases = dict(sweep_reps)
+    for t, r, hw in (("B", 3, (1, 0, 0)), ("C", 2, (1, 1)), ("A", 3, (0, 1, 0))):
+        cases[(t, r, hw)] = build_irrep(build_chevalley(t, r), hw)
+    for (t, r, hw), rep in cases.items():
+        old = build_irrep_by_solve(rep.cb, hw)
+        assert old.action == rep.action and old.blocks == rep.blocks, (t, r, hw)
 
 
 def test_a1_standard_and_sym2_matrices():
@@ -141,18 +155,18 @@ def test_direct_sum_decompose():
     cb = build_chevalley("A", 1)
     std = build_irrep(cb, (1,))
     ds = direct_sum([std, std])
-    assert decompose(ds) == [((1,), 2)]
+    assert ds.highest_weights == ((1,), (1,))
     assert ds.dim == 4
 
 
 def test_tensor_decompose():
     cb = build_chevalley("A", 1)
     std = build_irrep(cb, (1,))
-    assert decompose(tensor_product(std, std)) == [((2,), 1), ((0,), 1)]
+    assert tensor_product(std, std).highest_weights == ((2,), (0,))
     cb2 = build_chevalley("A", 2)
     v = build_irrep(cb2, (1, 0))
     vbar = build_irrep(cb2, (0, 1))
-    assert decompose(tensor_product(v, vbar)) == [((1, 1), 1), ((0, 0), 1)]
+    assert tensor_product(v, vbar).highest_weights == ((1, 1), (0, 0))
 
 
 def test_not_a_representation():
@@ -259,28 +273,6 @@ def test_word_products_match_direct_products(sweep_reps):
             for key in word:
                 direct = mat_mul(rep.action[key], direct)
             assert prod == direct
-
-
-def test_projector_constant_values(sweep_reps):
-    # Regression constants from the integer-linear-system computation.
-    assert projector_constant(sweep_reps[("A", 1, (1,))]) == 1
-    assert projector_constant(sweep_reps[("A", 1, (2,))]) == 2
-    assert projector_constant(sweep_reps[("A", 1, (3,))]) == 12
-
-
-def test_projector_constant_one_dim():
-    cb = build_chevalley("A", 1)
-    triv = build_irrep(cb, (0,))
-    assert triv.dim == 1
-    assert projector_constant(triv) == 1
-
-
-def test_projector_constant_scale_independent(sweep_reps):
-    # Independence of the choice of Chevalley lattice: rescaling the root
-    # vectors by units of Z (here ±1) must not change r.
-    rep = sweep_reps[("A", 1, (2,))]
-    scales = {a: -1 for a in rep.cb.rs.all_roots}
-    assert projector_constant(rep, scales) == projector_constant(rep)
 
 
 def test_json_roundtrip(sweep_reps):

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from latmod.exact import Lattice, transporter, vp
-from latmod.matrixops import F, mat, mat_vec
+from latmod.matrixops import F, mat
 from latmod.models import (
     _sym2_symbolic,
     hopf_generators,
@@ -152,7 +152,7 @@ def _ideal_lattices_of_norm(field, n):
         for b in range(a):
             cols = [[a, 0], [b, d]]
             lat = Lattice(cols)
-            if all(lat.member(mat_vec(omega, col)) for col in lat.basis):
+            if lat.stable_under(omega):
                 out.append(lat)
     return out
 

@@ -1,25 +1,28 @@
 """Exact lattice arithmetic over Z and Z_(p).
 
-A Lattice is a full-rank R-submodule of Q^n given by a canonical basis
-matrix (columns generate).  R is either Z (prime=None) or the localization
-Z_(p).  One routine, _canonical, makes the canonical forms, so equality is
-a tuple comparison:
+A Lattice is a full-rank R-submodule of Q^n, R either Z (prime=None) or
+the localization Z_(p).  It is stored as integer Hermite columns over one
+denominator, its scale: the least d with d·L integral, over Z_(p) a power
+of p.  The basis is the view columns / scale, built on request.  One
+routine, _canonical, makes the canonical pair, so equality is a tuple
+comparison of (denominator, columns):
 
 * global: column Hermite normal form, lower triangular, positive pivots;
 * local: lower triangular with p-power pivots p^e, off-pivot entries in a
-  pivot row reduced to integers in [0, p^e), the whole matrix scaled by
-  the minimal p-power making the lattice p-integral.
+  pivot row reduced to integers in [0, p^e), so the columns also span
+  p^e·Z^n.
 
-Sums, intersections, indices and membership are Lattice methods.  ZSpan
-is the integer span of any rank, used for the torus shift lattice of the
-orbit reports.
+Membership and coordinates are kernels.hermite_coords on the columns.
+ZSpan is the integer span of any rank in the same representation, used
+for the torus shift lattice of the orbit reports.
 """
 
 import json
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import gcd, prod
 
-from latmod.kernels import hnf_columns, snf_diagonal
+from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import F, clear_denominators, mat_inv, mat_mul, mat_vec
 
 ENUM_ORDER_CAP = 2**20
@@ -30,8 +33,7 @@ class LatticeError(ValueError):
 
 
 def vp(x, p):
-    """p-adic valuation of a nonzero rational."""
-    x = F(x)
+    """p-adic valuation of a nonzero rational (int or Fraction)."""
     if x == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -50,44 +52,50 @@ def is_prime(n):
     return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
 
 
-def _canonical(cols, n, p=None):
-    """Canonical basis columns of the span of cols in Q^n.
+def _canonical(ints, d, n, p=None):
+    """Canonical (denominator, columns) of the span L of the integer
+    columns ints over d > 0, in Q^n.
 
-    Over Z (p None) this is the Hermite form of the span, of any rank.
-    Over Z_(p) the span must have full rank.  Write the common denominator
-    of cols as d = p^s·u with u prime to p.  As u is a unit, the cleared
-    integer matrix d·cols spans p^s times the lattice over Z_(p), and p^s
-    is the least p-power making the lattice p-integral.
+    Dividing out g = gcd(d, content) leaves the least d with d·L integral.
+    Over Z (p None) the columns are the Hermite form, of any rank.  Over
+    Z_(p) the span must have full rank.  Write d = p^s·u with u prime to
+    p: as u is a unit, the columns span p^s·L over Z_(p), and p^s is the
+    least p-power making L p-integral.
     """
-    ints, d = clear_denominators(cols)
     h = hnf_columns(ints, n)
+    g = gcd(d, *chain.from_iterable(h))
+    if g > 1:
+        d //= g
+        h = [[x // g for x in col] for col in h]
     if p is None:
-        return [tuple(Fraction(x, d) for x in col) for col in h]
+        return d, h
     if len(h) < n:
         raise LatticeError("degenerate basis")
-    s = 0
-    while d % p == 0:
-        d //= p
-        s += 1
-    e = sum(vp(h[i][i], p) for i in range(n))
     # Adding p^e·Z^n trivializes the prime-to-p part without touching
     # the p-part; the Hermite form of the result is the unique integral
     # representative.
-    pe = p**e
-    gens = [list(c) for c in h]
-    for i in range(n):
-        v = [0] * n
-        v[i] = pe
-        gens.append(v)
-    canon = hnf_columns(gens, n)
-    ps = p**s
-    return [tuple(Fraction(x, ps) for x in col) for col in canon]
+    pe = p ** sum(vp(h[i][i], p) for i in range(n))
+    gens = h + [[pe * int(i == j) for i in range(n)] for j in range(n)]
+    return p ** vp(d, p), hnf_columns(gens, n)
+
+
+def _in_span(w, e, d, cols, pivots, p=None):
+    """Is w/e (w integral, e > 0) in the R-span of the Hermite columns cols
+    over d, that is d·w/e in the span of cols?  Over Z_(p) the columns
+    span p^e·Z^n, so an integral vector in their Z_(p)-span is in their
+    Z-span, and a prime-to-p denominator is a unit."""
+    w = [d * x for x in w]
+    g = gcd(e, *w)
+    if g != e and (p is None or (e // g) % p == 0):
+        return False
+    return hermite_coords([x // g for x in w], cols, pivots) is not None
 
 
 class Lattice:
-    """Full-rank lattice in Q^n over Z or Z_(p); immutable, canonical."""
+    """Full-rank lattice in Q^n over Z or Z_(p); immutable, canonical:
+    integer Hermite columns over one denominator, the scale."""
 
-    __slots__ = ("ambient", "prime", "basis")
+    __slots__ = ("ambient", "prime", "denominator", "columns")
 
     def __init__(self, generators, prime=None, ambient=None):
         gens = [tuple(col) for col in generators]
@@ -98,12 +106,23 @@ class Lattice:
             raise LatticeError("ragged generators")
         if prime is not None and not is_prime(prime):
             raise LatticeError("prime must be prime: %r" % (prime,))
-        canon = _canonical(gens, n, prime)
-        if len(canon) < n:
+        self._set(n, prime, *clear_denominators(gens))
+
+    @classmethod
+    def from_integers(cls, ints, d, prime, ambient):
+        """The lattice spanned by the integer columns ints over d > 0."""
+        lat = object.__new__(cls)
+        lat._set(ambient, prime, ints, d)
+        return lat
+
+    def _set(self, n, prime, ints, d):
+        d, cols = _canonical(ints, d, n, prime)
+        if len(cols) < n:
             raise LatticeError("degenerate basis")
         object.__setattr__(self, "ambient", n)
         object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "basis", tuple(canon))
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "columns", tuple(map(tuple, cols)))
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -113,11 +132,12 @@ class Lattice:
             isinstance(other, Lattice)
             and self.ambient == other.ambient
             and self.prime == other.prime
-            and self.basis == other.basis
+            and self.denominator == other.denominator
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.prime, self.basis))
+        return hash((self.ambient, self.prime, self.denominator, self.columns))
 
     def __repr__(self):
         ring = "Z" if self.prime is None else "Z_(%d)" % self.prime
@@ -125,37 +145,40 @@ class Lattice:
 
     # -- core data ---------------------------------------------------
 
+    @property
+    def basis(self):
+        """Canonical basis columns, columns / denominator as Fractions."""
+        return tuple(tuple(Fraction(x, self.denominator) for x in c) for c in self.columns)
+
     def basis_matrix(self):
         """Basis as a matrix (rows), columns generate."""
         return tuple(zip(*self.basis))
 
     def covolume(self):
         """|det| of the canonical basis (product of pivots)."""
-        d = Fraction(1)
-        for i, col in enumerate(self.basis):
-            d *= col[i]
-        return d
+        pivots = prod(col[i] for i, col in enumerate(self.columns))
+        return Fraction(pivots, self.denominator**self.ambient)
 
     # -- predicates --------------------------------------------------
 
-    def _coords(self, v):
-        """Coordinates of v in the canonical (lower triangular) basis."""
-        v = [F(x) for x in v]
-        x = []
-        for i in range(self.ambient):
-            xi = (v[i] - sum(self.basis[j][i] * x[j] for j in range(i))) / self.basis[i][i]
-            x.append(xi)
-        return x
-
     def member(self, v):
-        x = self._coords(v)
-        if self.prime is None:
-            return all(c.denominator == 1 for c in x)
-        return all(c.denominator % self.prime != 0 for c in x)
+        (w,), e = clear_denominators([v])
+        return _in_span(w, e, self.denominator, self.columns, range(self.ambient), self.prime)
 
     def contains(self, other):
         self._check_compatible(other)
-        return all(self.member(c) for c in other.basis)
+        d, cols, rows = self.denominator, self.columns, range(self.ambient)
+        return all(_in_span(c, other.denominator, d, cols, rows, self.prime) for c in other.columns)
+
+    def stable_under(self, g):
+        """Is g·L ⊆ L for the rational matrix g (rows)?  It is when g maps
+        each integer column into the span of the columns."""
+        rows = range(self.ambient)
+        for col in self.columns:
+            (w,), e = clear_denominators([mat_vec(g, col)])
+            if not _in_span(w, e, 1, self.columns, rows, self.prime):
+                return False
+        return True
 
     def _check_compatible(self, other):
         if self.ambient != other.ambient or self.prime != other.prime:
@@ -207,8 +230,9 @@ class Lattice:
         ring = obj["ring"]
         prime = None if ring == "Z" else int(ring["Zp"])
         rows = [[Fraction(x) for x in row] for row in obj["basis"]]
-        cols = list(zip(*rows))
-        return cls(cols, prime, ambient=obj["ambient"])
+        if len({len(row) for row in rows}) > 1:
+            raise LatticeError("ragged basis rows")
+        return cls(list(zip(*rows)), prime, ambient=obj["ambient"])
 
     def to_json(self):
         return json.dumps(self.to_json_obj())
@@ -279,27 +303,9 @@ def distance(a, b):
     if a.prime is None or b.prime is None:
         raise LatticeError("distance requires localized lattices")
     a._check_compatible(b)
-    t = [a._coords(col) for col in b.basis]  # columns of a^{-1}·b
-    divs = snf(list(zip(*t)))
+    divs = snf(mat_mul(mat_inv(a.basis_matrix()), b.basis_matrix()))
     vals = [vp(d, a.prime) for d in divs]
     return max(vals) - min(vals)
-
-
-def _reduces_to_zero(v, cols, j):
-    """Does v, zero above row j, lie in the span of columns j..n-1 of the
-    lower-triangular integer matrix cols?"""
-    v = list(v)
-    n = len(v)
-    for i in range(j, n):
-        if v[i] == 0:
-            continue
-        col = cols[i]
-        if v[i] % col[i]:
-            return False
-        q = v[i] // col[i]
-        for r in range(i, n):
-            v[r] -= q * col[r]
-    return True
 
 
 def _subgroup_hnfs(h):
@@ -323,10 +329,11 @@ def _subgroup_hnfs(h):
         for a in pivots[j]:
             cols[j] = [0] * n
             cols[j][j] = a
+            fixed, rows = cols[j:], range(j, n)
 
             def fill(i):
                 if i == n:
-                    if _reduces_to_zero(h[j], cols, j):
+                    if hermite_coords(h[j], fixed, rows) is not None:
                         yield from gen(j - 1)
                     return
                 for val in range(cols[i][i]):
@@ -343,23 +350,25 @@ def _subgroup_hnfs(h):
 def enumerate_between(low, high):
     """All lattices M with low ⊆ M ⊆ high, each exactly once.
 
-    In the basis of high, low becomes an integer matrix (over Z_(p) its
-    prime-to-p denominators are units and are cleared).  Over Z_(p) the
-    columns p^e·e_i are appended, p^e the p-part of [high : low]: this
-    kills the prime-to-p part of the quotient, so the Z-lattices between
-    the result and Z^n correspond one to one to the Z_(p)-lattices
-    between low and high.  With H the column Hermite form of that
-    matrix, every intermediate lattice has a unique Hermite basis M ⊇ H
-    (Cohen, §2.4.3), and M maps back through high's basis.
+    In the basis of high, low becomes an integer matrix: low ⊆ high
+    forces low's denominator to divide high's, and hermite_coords of
+    low's columns over high's denominator are integers exactly when low
+    ⊆ high.  Over Z_(p) the columns p^e·e_i are appended, p^e the p-part
+    of [high : low]: this kills the prime-to-p part of the quotient, so
+    the Z-lattices between the result and Z^n correspond one to one to the
+    Z_(p)-lattices between low and high.  With H the column Hermite form
+    of that matrix, every intermediate lattice has a unique Hermite basis
+    M ⊇ H (Cohen, §2.4.3), and M maps back through high's integer columns,
+    over high's denominator.
     """
     high._check_compatible(low)
-    if not high.contains(low):
-        raise LatticeError("enumerate_between: low is not contained in high")
     n = high.ambient
     p = high.prime
-    # Columns of low in high's basis: lower triangular and, as high
-    # contains low, integral up to a unit denominator.
-    ints, _ = clear_denominators([high._coords(col) for col in low.basis])
+    basis, denom = high.columns, high.denominator
+    q, rem = divmod(denom, low.denominator)
+    ints = [hermite_coords([q * x for x in col], basis, range(n)) for col in low.columns]
+    if rem or None in ints:
+        raise LatticeError("enumerate_between: low is not contained in high")
     if p is not None:
         pe = p ** sum(vp(ints[i][i], p) for i in range(n))
         ints += [[pe * int(i == j) for i in range(n)] for j in range(n)]
@@ -367,15 +376,14 @@ def enumerate_between(low, high):
     order = prod(h[i][i] for i in range(n))
     if order > ENUM_ORDER_CAP:
         raise LatticeError("quotient order %d exceeds cap %d" % (order, ENUM_ORDER_CAP))
-    basis, denom = clear_denominators(high.basis)
     out = []
     for cols in _subgroup_hnfs(h):
-        assert all(_reduces_to_zero(h[j], cols, j) for j in range(n))
+        assert all(hermite_coords(h[j], cols, range(n)) is not None for j in range(n))
         gens = [
-            [Fraction(sum(c[k] * basis[k][r] for k in range(k0, n)), denom) for r in range(n)]
+            [sum(c[k] * basis[k][r] for k in range(k0, n)) for r in range(n)]
             for k0, c in enumerate(cols)
         ]
-        out.append(Lattice(gens, p))
+        out.append(Lattice.from_integers(gens, denom, p, n))
     assert len(set(out)) == len(out), "Hermite parametrization must be injective"
     return out
 
@@ -386,15 +394,17 @@ def enumerate_between(low, high):
 
 
 class ZSpan:
-    """Z-span of a finite set of vectors in Q^m; canonical HNF basis."""
+    """Z-span of a finite set of vectors in Q^m, of any rank: integer
+    Hermite columns over one denominator, like Lattice."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "denominator", "columns", "pivots")
 
     def __init__(self, vectors, ambient):
+        d, cols = _canonical(*clear_denominators([tuple(v) for v in vectors]), ambient)
+        pivots = tuple(next(i for i, x in enumerate(col) if x != 0) for col in cols)
         object.__setattr__(self, "ambient", ambient)
-        canon = _canonical([tuple(v) for v in vectors], ambient)
-        pivots = tuple(next(i for i, x in enumerate(col) if x != 0) for col in canon)
-        object.__setattr__(self, "basis", tuple(canon))
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "columns", tuple(map(tuple, cols)))
         object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, *a):
@@ -402,37 +412,26 @@ class ZSpan:
 
     @property
     def rank(self):
-        return len(self.basis)
+        return len(self.columns)
 
-    def coords(self, v):
-        """Coordinates of v in the basis, or None if v is outside."""
-        v = tuple(F(x) for x in v)
-        if not self.basis:
-            return () if not any(v) else None
-        x = []
-        for k, col in enumerate(self.basis):
-            piv = self.pivots[k]
-            xi = (v[piv] - sum(self.basis[j][piv] * x[j] for j in range(k))) / col[piv]
-            x.append(xi)
-        # Verify against all coordinates, not just pivots.
-        for i in range(self.ambient):
-            if sum(self.basis[j][i] * x[j] for j in range(len(x))) != v[i]:
-                return None
-        return tuple(x)
+    @property
+    def basis(self):
+        return tuple(tuple(Fraction(x, self.denominator) for x in c) for c in self.columns)
 
     def member(self, v):
-        x = self.coords(v)
-        return x is not None and all(c.denominator == 1 for c in x)
+        (w,), e = clear_denominators([v])
+        return _in_span(w, e, self.denominator, self.columns, self.pivots)
 
     def __eq__(self, other):
         return (
             isinstance(other, ZSpan)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.denominator == other.denominator
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.denominator, self.columns))
 
     def __repr__(self):
         return "ZSpan(rank %d in Q^%d)" % (self.rank, self.ambient)

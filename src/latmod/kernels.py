@@ -1,4 +1,5 @@
-"""Integer normal-form kernels: column Hermite form and Smith form.
+"""Integer normal-form kernels: column Hermite form, hermite_coords (the
+one integer coordinate routine, in a Hermite basis), and Smith form.
 
 Every lattice operation funnels through column Hermite reduction, and
 the orbit enumerations call it thousands of times (Cohen, *A Course in
@@ -51,6 +52,25 @@ def hnf_columns(cols, nrows):
         if not work:
             break
     return fixed
+
+
+def hermite_coords(v, cols, pivots):
+    """The integers x with sum_k x[k]·cols[k] = v, where cols[k] is zero
+    above row pivots[k] and the pivots increase; None when v is outside
+    the span: at the first pivot that does not divide, or when a residual
+    is left off the pivots."""
+    r = list(v)
+    x = []
+    for col, piv in zip(cols, pivots):
+        q = r[piv]
+        if q:
+            if q % col[piv]:
+                return None
+            q //= col[piv]
+            for i in range(piv, len(r)):
+                r[i] -= q * col[i]
+        x.append(q)
+    return None if any(r) else x
 
 
 def snf_diagonal(rows):

@@ -148,31 +148,23 @@ def split_hull(rep, lat):
     """Direct sum of the block projections of the lattice.
 
     The basis is weight-adapted, so projecting onto a block keeps the
-    block's coordinates and zeroes the rest.
+    block's coordinates and zeroes the rest; the projections of the
+    integer columns stay over the lattice's denominator.
     """
     gens = []
     for ix in rep.blocks.values():
-        for col in lat.basis:
+        for col in lat.columns:
             if any(col[i] for i in ix):
-                v = [Fraction(0)] * lat.ambient
+                v = [0] * lat.ambient
                 for i in ix:
                     v[i] = col[i]
                 gens.append(v)
-    return Lattice(gens, lat.prime, ambient=lat.ambient)
+    return Lattice.from_integers(gens, lat.denominator, lat.prime, lat.ambient)
 
 
 def is_invariant(rep, lat):
     """Is the lattice preserved by every Chevalley generator action?"""
-    return _preserved_by(lattice_generators(rep), lat)
-
-
-def _preserved_by(gens, lat):
-    for g in gens:
-        for col in lat.basis:
-            img = mat_vec(g, col)
-            if any(img) and not lat.member(img):
-                return False
-    return True
+    return all(lat.stable_under(g) for g in lattice_generators(rep))
 
 
 # -----------------------------------------------------------------------
@@ -207,13 +199,13 @@ def _shift_lattice_columns(rep):
 
 
 def _reduce_mod_columns(v, span):
-    """Canonical representative of v modulo the integer column span."""
-    v = list(int(x) for x in v)
-    for col, piv in zip(span.basis, span.pivots):
-        q = v[piv] // int(col[piv])
+    """Canonical representative of v modulo the span of integer vectors."""
+    v = list(v)
+    for col, piv in zip(span.columns, span.pivots):
+        q = v[piv] // col[piv]
         if q:
             for i in range(len(v)):
-                v[i] -= q * int(col[i])
+                v[i] -= q * col[i]
     return tuple(v)
 
 
@@ -227,11 +219,11 @@ def _check_multiplicity_free(rep):
 def _profile(rep, lat, span):
     """Valuation profile of a split lattice and its class modulo span."""
     p = lat.prime
+    s = vp(lat.denominator, p)
     profile = []
     for (psi, chi) in _block_order(rep):
         i = rep.block(psi, chi)[0]
-        vals = [vp(col[i], p) for col in lat.basis if col[i] != 0]
-        profile.append(min(vals))
+        profile.append(min(vp(col[i], p) for col in lat.columns if col[i]) - s)
     return tuple(profile), _reduce_mod_columns(profile, span)
 
 
@@ -269,7 +261,7 @@ def count_invariant_orbits(rep, edge):
     gens = lattice_generators(rep)
     invariant = []
     for m in mids:
-        if not _preserved_by(gens, m):
+        if not all(m.stable_under(g) for g in gens):
             continue
         if not is_split(rep, m):
             continue
@@ -297,11 +289,7 @@ def count_invariant_orbits(rep, edge):
 def _has_j_components(rep, edge, lat):
     for psi, j in edge.j.items():
         ix = rep.block(psi, psi)
-        gens = []
-        for col in lat.basis:
-            comp = [col[i] for i in ix]
-            if any(comp):
-                gens.append(comp)
-        if Lattice(gens, lat.prime, ambient=len(ix)) != j:
+        gens = [[col[i] for i in ix] for col in lat.columns]
+        if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != j:
             return False
     return True

@@ -22,13 +22,12 @@ def F(x):
 
 
 def clear_denominators(vectors):
-    """Scale rational vectors to integers by their common denominator;
-    returns (integer lists, the scale d)."""
+    """Scale vectors of ints and Fractions to integers by their common
+    denominator; returns (integer lists, the least such scale d)."""
     d = 1
     for v in vectors:
-        for x in v:
-            d = lcm(d, F(x).denominator)
-    return [[int(F(x) * d) for x in v] for v in vectors], d
+        d = lcm(d, *(x.denominator for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def primitive(v):

@@ -299,29 +299,20 @@ def _monomial_products(gens, degree_bound):
     return out
 
 
-def _tracked_membership(products, target, p):
-    """Decide membership of target in the Z_(p)-span of the product
-    polynomials; returns (status, combination or witness).
-
-    status: "member" with an integral combination [(coeff, word)],
-    "excluded" with the offending p-denominator, or "outside" when the
-    target is not even in the Q-span.
-    """
-    monomials = sorted({e for poly, _ in products for e in poly} | set(target))
+def _product_echelon(products):
+    """Integer echelon of the products scaled by their common denominator
+    d, so an integral-combination basis: (monomial index, d, sorted
+    [(pivot, (vector, combination))], words)."""
+    monomials = sorted({e for poly, _ in products for e in poly})
     ix = {e: i for i, e in enumerate(monomials)}
-    n = len(monomials)
     vecs = []
-    for poly in [poly for poly, _ in products] + [target]:
-        v = [0] * n
+    for poly, _ in products:
+        v = [0] * len(monomials)
         for e, c in poly.items():
             v[ix[e]] = c
         vecs.append(v)
-    # Clear denominators first so the echelon basis is an integral-
-    # combination basis.
-    ints, _ = clear_denominators(vecs)
-    t = [Fraction(x) for x in ints.pop()]
+    ints, d = clear_denominators(vecs)
     words = [word for _, word in products]
-    # Integer column echelon with combination tracking.
     ech = {}  # pivot row -> (vector, combination)
     for k, v in enumerate(ints):
         c = [Fraction(0)] * len(words)
@@ -343,12 +334,27 @@ def _tracked_membership(products, target, p):
             if v[piv] != 0:
                 # Remainder became the smaller pivot: swap and continue.
                 ech[piv], v, c = (v, c), w, wc
-    echelon = sorted(ech.items())
-    # Forward substitution of the target on the echelon columns.
-    resid = list(t)
+    return ix, d, sorted(ech.items()), words
+
+
+def _tracked_membership(echelon, target, p):
+    """Decide membership of target in the Z_(p)-span of the products with
+    this _product_echelon; returns (status, combination or witness).
+
+    status: "member" with an integral combination [(coeff, word)],
+    "excluded" with the offending p-denominator, or "outside" when the
+    target is not even in the Q-span.
+    """
+    ix, d, rows, words = echelon
+    if any(c and e not in ix for e, c in target.items()):
+        return "outside", None
+    # Forward substitution of the target, scaled like the products.
+    resid = [Fraction(0)] * len(ix)
+    for e, c in target.items():
+        resid[ix[e]] = F(c) * d
     combo = [Fraction(0)] * len(words)
     bad_val = None
-    for piv, (w, wc) in echelon:
+    for piv, (w, wc) in rows:
         if resid[piv] != 0:
             q = resid[piv] / w[piv]
             if p is not None and vp(q, p) < 0:
@@ -371,9 +377,9 @@ def order_equal_bounded(g1, g2, degree_bound, p):
     """
     report = {"status": "equal", "certificates": [], "witness": None}
     for left, right, direction in ((g1, g2, "1in2"), (g2, g1, "2in1")):
-        products = _monomial_products(right.generators, degree_bound)
+        echelon = _product_echelon(_monomial_products(right.generators, degree_bound))
         for gi, gen in enumerate(left.generators):
-            status, data = _tracked_membership(products, gen, p)
+            status, data = _tracked_membership(echelon, gen, p)
             if status == "member":
                 report["certificates"].append(
                     {

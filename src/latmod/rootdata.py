@@ -16,9 +16,9 @@ from latmod.exact import Lattice
 from latmod.matrixops import (
     F,
     bracket,
+    identity,
     coordinate_solver,
     mat,
-    mat_inv,
     mat_scale,
     mat_sub,
     mat_vec,
@@ -275,14 +275,12 @@ class ChevalleyBasis:
       N: matrix size of the defining realization
       x: dict fund-coords -> N×N matrix
       h: tuple of coroot matrices h_{alpha_i} for the simple roots
-      cartan_lattice: Lattice in coroot coordinates (basis {h_{alpha_i}})
+      cartan_lattice: the coroot lattice, the identity in coroot
+        coordinates (basis {h_{alpha_i}}): the simply connected form
     """
 
-    def __init__(self, rs, isogeny="sc"):
-        if isogeny not in ("sc", "adjoint"):
-            raise RootDataError("isogeny must be 'sc' or 'adjoint'")
+    def __init__(self, rs):
         self.rs = rs
-        self.isogeny = isogeny
         N, dim_params, diag_param = _realization_data(rs)
         self.N = N
         self._diag_param = diag_param
@@ -299,7 +297,7 @@ class ChevalleyBasis:
 
         self._build_root_spaces()
         self._build_chevalley_set()
-        self._build_cartan_lattice()
+        self.cartan_lattice = Lattice(identity(rs.rank))
         self._verify()
         self._basis_order = list(rs.all_roots)
         self._basis_mats = [self.x[a] for a in self._basis_order] + list(self.h)
@@ -425,16 +423,6 @@ class ChevalleyBasis:
             neg = tuple(-c for c in gamma)
             self.x[neg] = self._pair_negative(gamma, self.x[gamma])
 
-    def _build_cartan_lattice(self):
-        rank = self.rs.rank
-        if self.isogeny == "sc":
-            cols = [[Fraction(int(i == j)) for i in range(rank)] for j in range(rank)]
-        else:
-            ct = tuple(zip(*self.rs.cartan_matrix))
-            inv = mat_inv(mat(ct))
-            cols = [list(col) for col in zip(*inv)]
-        self.cartan_lattice = Lattice(cols)
-
     # -- public API ----------------------------------------------------
 
     def h_alpha_coords(self, fund):
@@ -542,15 +530,14 @@ class ChevalleyBasis:
         return {
             "rootsystem": self.rs.to_json_obj(),
             "defining_dim": self.N,
-            "isogeny": self.isogeny,
             "x": {",".join(map(str, k)): m2s(v) for k, v in self.x.items()},
             "h": [m2s(v) for v in self.h],
         }
 
 
 @lru_cache(maxsize=None)
-def build_chevalley(type_label, rank, isogeny="sc"):
-    return ChevalleyBasis(build_root_system(type_label, rank), isogeny)
+def build_chevalley(type_label, rank):
+    return ChevalleyBasis(build_root_system(type_label, rank))
 
 
 def killing_h(rs, alpha):

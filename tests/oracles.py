@@ -2,10 +2,13 @@
 
 Each is a slower or older path to a result the library computes another
 way: the two canonicalisers that `exact._canonical` merged, the
+`Fraction` forward substitutions that `kernels.hermite_coords` replaced
+under `Lattice.member`, `ZSpan.member` and the Hermite search, the
 per-vector `solve` that `reps.build_irrep` used before
 `matrixops.coordinate_solver`, a brute-force subgroup count for
-`exact.enumerate_between`, and a pairwise scaling search for the
-class-group keys of `casestudies.class_orbit_count`.
+`exact.enumerate_between`, a pairwise scaling search for the class-group
+keys of `casestudies.class_orbit_count`, and the Hopf-order membership
+test that rebuilt the product echelon for every target.
 """
 
 import itertools
@@ -153,3 +156,126 @@ def scaling_equivalent(field, lat1, lat2):
             if moved == lat2:
                 return True
     return False
+
+
+def lattice_coords(lat, v):
+    """Coordinates of v in the canonical (lower triangular) basis of lat,
+    by Fraction forward substitution."""
+    basis = lat.basis
+    v = [F(x) for x in v]
+    x = []
+    for i in range(lat.ambient):
+        xi = (v[i] - sum(basis[j][i] * x[j] for j in range(i))) / basis[i][i]
+        x.append(xi)
+    return x
+
+
+def lattice_member(lat, v):
+    x = lattice_coords(lat, v)
+    if lat.prime is None:
+        return all(c.denominator == 1 for c in x)
+    return all(c.denominator % lat.prime != 0 for c in x)
+
+
+def zspan_coords(span, v):
+    """Coordinates of v in the Hermite basis of span, or None if v is
+    outside its Q-span: forward substitution on the pivots, then a
+    residual check on every row."""
+    basis = span.basis
+    v = tuple(F(x) for x in v)
+    if not basis:
+        return () if not any(v) else None
+    x = []
+    for k, col in enumerate(basis):
+        piv = span.pivots[k]
+        xi = (v[piv] - sum(basis[j][piv] * x[j] for j in range(k))) / col[piv]
+        x.append(xi)
+    for i in range(span.ambient):
+        if sum(basis[j][i] * x[j] for j in range(len(x))) != v[i]:
+            return None
+    return tuple(x)
+
+
+def zspan_member(span, v):
+    x = zspan_coords(span, v)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+def reduces_to_zero(v, cols, j):
+    """Does v, zero above row j, lie in the span of columns j..n-1 of the
+    lower-triangular integer matrix cols?"""
+    v = list(v)
+    n = len(v)
+    for i in range(j, n):
+        if v[i] == 0:
+            continue
+        col = cols[i]
+        if v[i] % col[i]:
+            return False
+        q = v[i] // col[i]
+        for r in range(i, n):
+            v[r] -= q * col[r]
+    return True
+
+
+def tracked_membership(products, target, p):
+    """Decide membership of target in the Z_(p)-span of the product
+    polynomials; returns (status, combination or witness).
+
+    status: "member" with an integral combination [(coeff, word)],
+    "excluded" with the offending p-denominator, or "outside" when the
+    target is not even in the Q-span.
+    """
+    monomials = sorted({e for poly, _ in products for e in poly} | set(target))
+    ix = {e: i for i, e in enumerate(monomials)}
+    n = len(monomials)
+    vecs = []
+    for poly in [poly for poly, _ in products] + [target]:
+        v = [0] * n
+        for e, c in poly.items():
+            v[ix[e]] = c
+        vecs.append(v)
+    # Clear denominators first so the echelon basis is an integral-
+    # combination basis.
+    ints, _ = clear_denominators(vecs)
+    t = [Fraction(x) for x in ints.pop()]
+    words = [word for _, word in products]
+    # Integer column echelon with combination tracking.
+    ech = {}  # pivot row -> (vector, combination)
+    for k, v in enumerate(ints):
+        c = [Fraction(0)] * len(words)
+        c[k] = Fraction(1)
+        while True:
+            piv = next((i for i, x in enumerate(v) if x != 0), None)
+            if piv is None:
+                break
+            if v[piv] < 0:
+                v = [-x for x in v]
+                c = [-x for x in c]
+            if piv not in ech:
+                ech[piv] = (v, c)
+                break
+            w, wc = ech[piv]
+            q = v[piv] // w[piv]
+            v = [a - q * b for a, b in zip(v, w)]
+            c = [a - q * b for a, b in zip(c, wc)]
+            if v[piv] != 0:
+                # Remainder became the smaller pivot: swap and continue.
+                ech[piv], v, c = (v, c), w, wc
+    echelon = sorted(ech.items())
+    # Forward substitution of the target on the echelon columns.
+    resid = list(t)
+    combo = [Fraction(0)] * len(words)
+    bad_val = None
+    for piv, (w, wc) in echelon:
+        if resid[piv] != 0:
+            q = resid[piv] / w[piv]
+            if p is not None and vp(q, p) < 0:
+                bad_val = q
+            resid = [a - q * b for a, b in zip(resid, w)]
+            combo = [a + q * b for a, b in zip(combo, wc)]
+    if any(resid):
+        return "outside", None
+    if bad_val is not None:
+        return "excluded", bad_val
+    return "member", [(c, words[k]) for k, c in enumerate(combo) if c]

@@ -186,6 +186,24 @@ def test_bad_prime_exits_1_before_building(monkeypatch, capsys):
         assert "prime must be prime" in err
 
 
+def test_ragged_lattice_file_exits_1(tmp_path, capsys):
+    # zip(*rows) would silently drop the third entry of the first row.
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"ambient": 2, "ring": "Z", "basis": [["1", "0", "5"], ["0", "1"]]}))
+    good = tmp_path / "good.json"
+    good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    for argv in (
+        ["lattice", "dist", "--p", "2", "--a", str(ragged), "--b", str(good)],
+        ["lattice", "dist", "--p", "2", "--a", str(good), "--b", str(ragged)],
+        ["model", "lie", "--rep", str(rep), "--lattice", str(ragged)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: ragged basis rows\n"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code, _, _ = run(
         ["lattice", "dist", "--p", "2", "--a", str(tmp_path / "no.json"), "--b", str(tmp_path / "no.json")],
@@ -195,8 +213,10 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 # stdout and exit codes of a fixed command set, recorded from the CLI
-# before the canonicaliser and coordinate-solver merges; every later
-# change must reproduce them byte for byte.  "<name>" in an argv is the
+# before the canonicaliser and coordinate-solver merges (the last two
+# cases, `orbits` A2 (2,0) and a local `lattice dist`, before lattices
+# were stored as integer columns); every later change must reproduce
+# them byte for byte.  "<name>" in an argv is the
 # path of the input file of that name, written to tmp_path.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 

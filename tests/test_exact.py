@@ -3,7 +3,8 @@
 Oracles used here are independent of the implementation paths they check:
 brute-force membership boxes for HNF/intersection, a direct two-containment
 search for the distance formula, a closure-based subgroup counter for
-enumerate_between, and the two canonicalisers that _canonical replaced.
+enumerate_between, the two canonicalisers that _canonical replaced, and
+the Fraction forward substitutions that hermite_coords replaced.
 """
 
 import itertools
@@ -26,7 +27,14 @@ from latmod.exact import (
     vp,
 )
 from latmod.matrixops import clear_denominators, det, identity, mat, mat_mul, primitive
-from oracles import canonical_global, canonical_local_full, subgroup_count_of_quotient
+from oracles import (
+    canonical_global,
+    canonical_local_full,
+    lattice_coords,
+    lattice_member,
+    subgroup_count_of_quotient,
+    zspan_member,
+)
 
 
 def standard_lattice(n, prime=None):
@@ -341,7 +349,7 @@ def _check_between_exact(low_gens, high):
     assert len(set(mids)) == len(mids)
     for m in mids:
         assert high.contains(m) and m.contains(low)
-    coords = [high._coords(g) for g in low_gens]
+    coords = [lattice_coords(high, g) for g in low_gens]
     divs = [int(d) if p is None else p ** vp(d, p) for d in snf(list(zip(*coords)))]
     assert len(mids) == subgroup_count_of_quotient(divs)
 
@@ -499,14 +507,19 @@ def _outcome(fn, *args):
 @given(generator_sets(), st.sampled_from([None, 2, 3, 5]))
 def test_canonical_matches_the_two_old_canonicalisers(gens, p):
     cols, n = gens
+
+    def canonical(cols, n, p=None):
+        d, ints = _canonical(*clear_denominators(cols), n, p)
+        return [tuple(Fraction(x, d) for x in col) for col in ints]
+
     if p is None:
         expect = canonical_global(cols, n)
-        assert _canonical(cols, n) == expect
+        assert canonical(cols, n) == expect
         if len(expect) < n:
             expect = ("LatticeError", "degenerate basis")
     else:
         expect = _outcome(canonical_local_full, cols, n, p)
-        assert _outcome(_canonical, cols, n, p) == expect
+        assert _outcome(canonical, cols, n, p) == expect
     assert _outcome(lambda: list(Lattice(cols, p).basis)) == expect
 
 
@@ -520,5 +533,80 @@ def test_vp():
 
 def test_clear_denominators_and_primitive():
     assert clear_denominators([[Fraction(1, 2), 3], [Fraction(2, 3), 0]]) == ([[3, 18], [4, 0]], 6)
+    assert clear_denominators([[1, -2], [0, 5]]) == ([[1, -2], [0, 5]], 1)
+    assert clear_denominators([[Fraction(-3, 4), 7, Fraction(6, 2)]]) == ([[-3, 28, 12]], 4)
+    assert clear_denominators([]) == ([], 1)
+    assert clear_denominators([[]]) == ([[]], 1)
+    ints, d = clear_denominators([[Fraction(1, 6), 2], [Fraction(5, 4), 0]])
+    assert d == 12 and all(isinstance(x, int) for v in ints for x in v)
     assert primitive([0, Fraction(-2, 3), Fraction(4, 9)]) == (0, 3, -2)
     assert primitive([0, 0]) == (0, 0)
+
+
+# -- the integer representation ------------------------------------------
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """(cols, n, vectors): columns in Q^n with p-power and prime-to-p
+    denominators, and vectors that are integer combinations of them
+    (inside) or such combinations with one entry moved (often outside)."""
+    cols, n = draw(generator_sets())
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(rational, min_size=len(cols), max_size=len(cols)))
+        v = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
+        if draw(st.booleans()):
+            v[draw(st.integers(0, n - 1))] += draw(rational)
+        vectors.append(v)
+    return cols, n, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_and_vectors(), st.sampled_from([None, 2, 3, 5]))
+def test_member_matches_the_fraction_forward_substitutions(data, p):
+    cols, n, vectors = data
+    span = ZSpan(cols, n)
+    try:
+        lat = Lattice(cols, p, ambient=n)
+    except LatticeError:
+        lat = None
+    for v in vectors + [list(c) for c in cols]:
+        assert span.member(v) == zspan_member(span, v)
+        if lat is not None:
+            assert lat.member(v) == lattice_member(lat, v)
+
+
+def test_generating_sets_with_different_denominators_agree():
+    # Over Z_(p) a prime-to-p denominator is a unit: the first two sets
+    # have common denominators 15 and 1 and span one lattice.
+    pairs = [
+        (Lattice([[Fraction(1, 3), 0], [Fraction(2, 5), 1]], 2), Lattice([[1, 0], [0, 1]], 2)),
+        (
+            Lattice([[Fraction(1, 12), Fraction(1, 3)], [0, Fraction(7, 9)]], 3),
+            Lattice([[Fraction(1, 3), 0], [0, Fraction(1, 9)]], 3),
+        ),
+        (Lattice([[Fraction(1, 2), 1], [0, 1]]), Lattice([[Fraction(1, 2), 0], [0, 3], [0, 1]])),
+    ]
+    # Unreduced integer pairs: the common factor of columns and
+    # denominator is divided out.
+    for p in (None, 2, 3):
+        z = standard_lattice(2, p)
+        pairs.append((Lattice.from_integers([[6, 0], [0, 6]], 6, p, 2), z))
+        pairs.append((Lattice.from_integers([[4, 2], [0, 12]], 4, p, 2), Lattice([[1, Fraction(1, 2)], [0, 3]], p)))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert (a.denominator, a.columns) == (b.denominator, b.columns)
+        assert a.basis == b.basis
+    spans = [ZSpan([[2, 4], [Fraction(1, 2), 1]], 2), ZSpan([[Fraction(1, 2), 1]], 2)]
+    assert spans[0] == spans[1] and hash(spans[0]) == hash(spans[1])
+    assert spans[0].denominator == 2 and spans[0].columns == ((1, 2),)
+
+
+def test_lattice_stores_integer_columns_over_one_denominator():
+    lat = Lattice([[Fraction(1, 4), Fraction(1, 6)], [0, 3]])
+    assert lat.denominator == 12
+    assert all(type(x) is int for col in lat.columns for x in col)
+    assert lat.basis == tuple(tuple(Fraction(x, 12) for x in col) for col in lat.columns)
+    local = Lattice([[Fraction(1, 4), Fraction(1, 6)], [0, 3]], 2)
+    assert local.denominator == 4

@@ -6,8 +6,10 @@ from fractions import Fraction
 from math import gcd
 
 import latmod
-from latmod.kernels import IMPLEMENTATION, hnf_columns, snf_diagonal
+from latmod.exact import ZSpan
+from latmod.kernels import IMPLEMENTATION, hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import det
+from oracles import reduces_to_zero, zspan_member
 
 
 def _determinantal_divisors(rows):
@@ -93,3 +95,33 @@ def test_hnf_invariant_under_permutation_and_appended_combinations():
 
 def test_kernel_selection_reports_implementation():
     assert IMPLEMENTATION == latmod.KERNEL_IMPLEMENTATION == "python"
+
+
+def test_hermite_coords_against_the_forward_substitutions():
+    # Random Hermite bases of any rank: coordinates combine back to v, and
+    # None agrees with the Fraction forward substitution plus residual
+    # check, and on full-rank bases with the old per-pivot reduction.
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cols = hnf_columns(_random_rows(rng, rng.randint(1, 4), n, 6), n)
+        if not cols:
+            continue
+        pivots = [next(i for i, x in enumerate(c) if x) for c in cols]
+        span = ZSpan(cols, n)
+        assert [list(c) for c in span.columns] == cols
+        for _ in range(5):
+            coeffs = [rng.randint(-3, 3) for _ in cols]
+            v = [sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(n)]
+            if rng.random() < 0.5:
+                v[rng.randrange(n)] += rng.randint(1, 3)
+            x = hermite_coords(v, cols, pivots)
+            if x is not None:
+                assert [sum(a * c[i] for a, c in zip(x, cols)) for i in range(n)] == v
+            assert (x is not None) == zspan_member(span, v)
+            if pivots == list(range(n)):
+                assert (x is not None) == reduces_to_zero(v, cols, 0)
+    assert hermite_coords([0, 0], [], []) == []
+    assert hermite_coords([0, 1], [], []) is None
+    assert hermite_coords([2, 1], [[2, 0]], [0]) is None
+    assert hermite_coords([4, 6], [[2, 3]], [0]) == [2]

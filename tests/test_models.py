@@ -21,8 +21,10 @@ from latmod.models import (
     poly_reduce_det,
     poly_str,
 )
+from latmod import models
 from latmod.reps import build_irrep
 from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
+from oracles import tracked_membership
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +291,24 @@ def test_order_equal_symmetric_and_monotone(a1):
     assert order_equal_bounded(g2, g1, 4, 2)["status"] == "equal"
     assert order_equal_bounded(g1, g2, 5, 2)["status"] == "equal"
     assert order_equal_bounded(g1, g2, 6, 2)["status"] == "equal"
+
+
+def test_order_reports_match_the_per_target_echelon(a1, monkeypatch):
+    # The product echelon is built once per direction; rebuilding it for
+    # every target with the target's own denominators (the old path) must
+    # give the same reports, certificates and witnesses included.
+    g1, g2 = _orders(a1)
+    got = {
+        (bound, i): order_equal_bounded(*pair, bound, 2)
+        for bound in (2, 3, 4)
+        for i, pair in enumerate(((g1, g2), (g2, g1)))
+    }
+    monkeypatch.setattr(models, "_product_echelon", lambda products: products)
+    monkeypatch.setattr(models, "_tracked_membership", tracked_membership)
+    for (bound, i), report in got.items():
+        pair = (g1, g2) if i == 0 else (g2, g1)
+        assert report == order_equal_bounded(*pair, bound, 2)
+        assert report["status"] == {2: "not_equal", 3: "not_equal", 4: "equal"}[bound]
 
 
 def test_order_not_equal_with_witness(a1):

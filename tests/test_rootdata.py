@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from latmod.exact import Lattice
 from latmod.matrixops import bracket, mat_scale, mat_sub, zeros
 from latmod.rootdata import (
     ChevalleyBasis,
@@ -244,13 +245,11 @@ def test_coords_roundtrip():
     assert cb.coords_of(outside) is None
 
 
-def test_isogeny_flag():
-    sc = build_chevalley("A", 1, "sc")
-    adj = build_chevalley("A", 1, "adjoint")
-    assert sc.cartan_lattice.basis == ((Fraction(1),),)
-    assert adj.cartan_lattice.basis == ((Fraction(1, 2),),)
-    with pytest.raises(RootDataError):
-        ChevalleyBasis(build_root_system("A", 1), "foo")
+def test_cartan_lattice_is_the_coroot_lattice():
+    assert build_chevalley("A", 1).cartan_lattice.basis == ((Fraction(1),),)
+    assert build_chevalley("C", 2).cartan_lattice == Lattice([[1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        ChevalleyBasis(build_root_system("A", 1), "adjoint")
 
 
 def test_cartan_acts_integrally_on_cartan_lattice():

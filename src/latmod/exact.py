@@ -273,7 +273,12 @@ class ElementaryDivisors:
 
 
 def snf(rows):
-    """Elementary divisors of a rational matrix (rows); rank many."""
+    """Elementary divisors of a rational matrix (rows); rank many.
+
+    The denominators are cleared to one common d and the divisors of the
+    integer matrix come from `kernels.snf_diagonal`, a Smith form modulo
+    a determinant; each is then divided by d.
+    """
     cols = list(zip(*rows)) if rows else []
     ints, d = clear_denominators(cols)
     divs = snf_diagonal([list(r) for r in zip(*ints)]) if ints else []

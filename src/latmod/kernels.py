@@ -5,9 +5,17 @@ Every lattice operation funnels through column Hermite reduction, and
 the orbit enumerations call it thousands of times (Cohen, *A Course in
 Computational Algebraic Number Theory*, §2.4).
 
-Matrices are lists of columns, each column a list of Python ints
-(arbitrary precision).  All functions leave their inputs untouched.
+The Smith form is taken modulo D = |a nonzero r×r minor|, r the rank
+(Cohen §2.4.3; Hafner–McCurley 1991), so no entry grows past D: the
+product d_1⋯d_r divides every r×r minor, hence each divisor divides D
+and survives the reduction.
+
+The Hermite kernels take lists of columns, snf_diagonal a list of rows;
+entries are Python ints (arbitrary precision).  All functions leave
+their inputs untouched.
 """
+
+from math import gcd
 
 IMPLEMENTATION = "python"
 
@@ -74,75 +82,135 @@ def hermite_coords(v, cols, pivots):
 
 
 def snf_diagonal(rows):
-    """Elementary divisors of an integer matrix (Smith normal form).
+    """Elementary divisors of an integer matrix (Smith normal form),
+    computed modulo a determinant (Cohen §2.4.3).
 
     Input is a list of rows.  Returns the list of nonzero divisors, each
-    positive and dividing the next; its length is the rank.
+    positive and dividing the next; its length is the rank r.
+
+    Bareiss elimination gives r and D = |a nonzero r×r minor|; the
+    reduction then keeps every entry in [0, D).  This is exact because
+    d_1⋯d_r divides every r×r minor, so each d_i divides D: the rows
+    together with D·Z^n have the divisors d_1, …, d_r, D, …, D.
     """
-    m = [list(r) for r in rows]
+    r, d = _rank_and_minor(rows)
+    if r == 0:
+        return []
+    nc = len(rows[0])
+    m = [row for row in ([x % d for x in row] for row in rows) if any(row)]
+    diag = []
+    k = 0
+    while k < nc and _pivot_to(m, k, nc):
+        piv = m[k]
+        while True:
+            # Clear column k with row operations, then row k with column
+            # operations.  A step either divides (the pivot stays) or
+            # replaces the pivot by a proper divisor, so this ends.
+            changed = False
+            for i in range(k + 1, len(m)):
+                row = m[i]
+                b = row[k]
+                if not b:
+                    continue
+                a = piv[k]
+                g, s, t = _xgcd(a, b)
+                if g == a:
+                    q = b // a
+                    row[k] = 0
+                    for j in range(k + 1, nc):
+                        row[j] = (row[j] - q * piv[j]) % d
+                else:
+                    ag, bg = a // g, b // g
+                    new = [(s * x + t * y) % d for x, y in zip(piv, row)]
+                    m[i] = [(ag * y - bg * x) % d for x, y in zip(piv, row)]
+                    piv = m[k] = new
+                    changed = True
+            clear = True  # column k is zero below the pivot
+            for j in range(k + 1, nc):
+                b = piv[j]
+                if not b:
+                    continue
+                a = piv[k]
+                g, s, t = _xgcd(a, b)
+                if g == a and clear:
+                    piv[j] = 0
+                    continue
+                ag, bg = a // g, b // g
+                for row in m[k:]:
+                    x, y = row[k], row[j]
+                    row[k] = (s * x + t * y) % d
+                    row[j] = (ag * y - bg * x) % d
+                if g != a:
+                    clear = False
+                    changed = True
+            if not changed:
+                break
+        diag.append(piv[k])
+        k += 1
+        m[k:] = [row for row in m[k:] if any(row)]
+    # Entries left at zero stand for D; a gcd/lcm sweep restores the
+    # divisibility chain, whose first r terms are the divisors.
+    divs = [gcd(e, d) for e in diag] + [d] * (r - len(diag))
+    for i in range(len(divs)):
+        for j in range(i + 1, len(divs)):
+            g = gcd(divs[i], divs[j])
+            divs[i], divs[j] = g, divs[i] // g * divs[j]
+    return divs[:r]
+
+
+def _rank_and_minor(rows):
+    """Rank r of an integer matrix and |a nonzero r×r minor| (1 when r
+    is 0), by fraction-free Bareiss elimination with full pivoting: each
+    intermediate entry is a minor of the input, so none grows past the
+    Hadamard bound."""
+    m = [list(row) for row in rows if any(row)]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    divisors = []
-    top = 0
-    while True:
-        # Find a nonzero entry at or below/right of (top, top).
-        pivot = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for r in m:
-            r[top], r[j] = r[j], r[top]
-        while True:
-            # Clear column `top` with row operations.
-            again = False
-            for i in range(top + 1, nr):
-                if m[i][top] == 0:
-                    continue
-                q = m[i][top] // m[top][top]
-                for j in range(top, nc):
-                    m[i][j] -= q * m[top][j]
-                if m[i][top] != 0:
-                    m[top], m[i] = m[i], m[top]
-                    again = True
-            if again:
-                continue
-            # Clear row `top` with column operations.
-            for j in range(top + 1, nc):
-                if m[top][j] == 0:
-                    continue
-                q = m[top][j] // m[top][top]
-                for i in range(top, nr):
-                    m[i][j] -= q * m[i][top]
-                if m[top][j] != 0:
-                    for r in m:
-                        r[top], r[j] = r[j], r[top]
-                    again = True
-            if not again:
-                break
-        # Enforce divisibility: pivot must divide the remaining block.
-        p = m[top][top]
-        bad = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if m[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(top, nc):
-                m[top][j] += m[bad][j]
-            continue
-        divisors.append(abs(p))
-        top += 1
-        if top >= nr or top >= nc:
-            break
-    return divisors
+    prev = 1
+    for k in range(min(nr, nc)):
+        if not _pivot_to(m, k, nc):
+            return k, abs(prev)
+        top = m[k]
+        p = top[k]
+        for i in range(k + 1, nr):
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, nc):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return min(nr, nc), abs(prev)
+
+
+def _pivot_to(m, k, nc):
+    """Swap the entry of least absolute value among the nonzero ones of
+    the block below and right of (k, k) into (k, k); False if the block
+    is zero."""
+    best = None
+    for i in range(k, len(m)):
+        row = m[i]
+        for j in range(k, nc):
+            x = abs(row[j])
+            if x and (best is None or x < best[0]):
+                best = (x, i, j)
+    if best is None:
+        return False
+    _, i, j = best
+    m[k], m[i] = m[i], m[k]
+    if j != k:
+        for row in m[k:]:
+            row[k], row[j] = row[j], row[k]
+    return True
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s·a + t·b = g = gcd(a, b), for a > 0 and b >= 0;
+    (a, 1, 0) when a divides b."""
+    if b % a == 0:
+        return a, 1, 0
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0

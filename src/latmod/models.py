@@ -114,15 +114,10 @@ def lie_invariants(model):
     gram = killing_gram(cb)
     basis = model.lattice.basis  # columns, coords in cb basis
     m = len(basis)
-    g_lat = tuple(
-        tuple(
-            sum(basis[i][a] * gram[a][b] * basis[j][b] for a in range(m) for b in range(m))
-            for j in range(m)
-        )
-        for i in range(m)
-    )
+    b = model.lattice.basis_matrix()
+    g_lat = mat_mul(basis, mat_mul(gram, b))  # Bᵀ·G·B
     mats = [model.element(col) for col in basis]
-    binv = mat_inv(model.lattice.basis_matrix())
+    binv = mat_inv(b)
     tensor_rows = []
     for i in range(m):
         for j in range(m):

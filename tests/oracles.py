@@ -8,7 +8,9 @@ per-vector `solve` that `reps.build_irrep` used before
 `matrixops.coordinate_solver`, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
 keys of `casestudies.class_orbit_count`, and the Hopf-order membership
-test that rebuilt the product echelon for every target.
+test that rebuilt the product echelon for every target, and the Smith
+elimination with unbounded entries that `kernels.snf_diagonal` replaced
+by one modulo a determinant.
 """
 
 import itertools
@@ -279,3 +281,79 @@ def tracked_membership(products, target, p):
     if bad_val is not None:
         return "excluded", bad_val
     return "member", [(c, words[k]) for k, c in enumerate(combo) if c]
+
+
+def snf_diagonal_unbounded(rows):
+    """Elementary divisors of an integer matrix (Smith normal form), by
+    elimination over Z with no bound on the entries.
+
+    Input is a list of rows.  Returns the list of nonzero divisors, each
+    positive and dividing the next; its length is the rank.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    divisors = []
+    top = 0
+    while True:
+        # Find a nonzero entry at or below/right of (top, top).
+        pivot = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                if m[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        m[top], m[i] = m[i], m[top]
+        for r in m:
+            r[top], r[j] = r[j], r[top]
+        while True:
+            # Clear column `top` with row operations.
+            again = False
+            for i in range(top + 1, nr):
+                if m[i][top] == 0:
+                    continue
+                q = m[i][top] // m[top][top]
+                for j in range(top, nc):
+                    m[i][j] -= q * m[top][j]
+                if m[i][top] != 0:
+                    m[top], m[i] = m[i], m[top]
+                    again = True
+            if again:
+                continue
+            # Clear row `top` with column operations.
+            for j in range(top + 1, nc):
+                if m[top][j] == 0:
+                    continue
+                q = m[top][j] // m[top][top]
+                for i in range(top, nr):
+                    m[i][j] -= q * m[i][top]
+                if m[top][j] != 0:
+                    for r in m:
+                        r[top], r[j] = r[j], r[top]
+                    again = True
+            if not again:
+                break
+        # Enforce divisibility: pivot must divide the remaining block.
+        p = m[top][top]
+        bad = None
+        for i in range(top + 1, nr):
+            for j in range(top + 1, nc):
+                if m[i][j] % p != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            for j in range(top, nc):
+                m[top][j] += m[bad][j]
+            continue
+        divisors.append(abs(p))
+        top += 1
+        if top >= nr or top >= nc:
+            break
+    return divisors

@@ -1,6 +1,9 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,32 @@ def test_model_lie(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert "invariants" in obj and "model" in obj
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name, index", [("A2_11", 0), ("C2_10", 0)])
+def test_model_lie_former_stalls(name, index, tmp_path):
+    # Two benchmark pool lattices on which `model lie` never finished
+    # while the Smith form was taken with unbounded entries, run as the
+    # benchmark runs them: a fresh `python -m latmod.cli` process.
+    pool = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())
+    entry = pool["reps"][name]
+    record = entry["lattices"][index]
+    assert not record["finished"]
+    repf = tmp_path / "rep.json"
+    latf = tmp_path / "lat.json"
+    repf.write_text(json.dumps(entry["descriptor"]))
+    latf.write_text(json.dumps(record["lattice"]))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    argv = ["model", "lie", "--rep", str(repf), "--lattice", str(latf)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latmod.cli"] + argv, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["invariants"] == record["divisors"]
 
 
 def test_case_classgroup(capsys):

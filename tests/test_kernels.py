@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import latmod
 from latmod.exact import ZSpan
 from latmod.kernels import IMPLEMENTATION, hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import det
-from oracles import reduces_to_zero, zspan_member
+from oracles import reduces_to_zero, snf_diagonal_unbounded, zspan_member
 
 
 def _determinantal_divisors(rows):
@@ -60,6 +63,84 @@ def test_snf_matches_determinantal_divisors_big_entries():
     for nr, nc in [(4, 4)] * 10 + [(3, 5), (5, 3)] * 5:
         rows = _random_rows(rng, nr, nc, 10**30)
         assert snf_diagonal(rows) == _determinantal_divisors(rows)
+
+
+def _unimodular(draw, n, bound):
+    """A random n×n integer matrix of determinant ±1: the identity under
+    a few row swaps and row additions with multipliers up to bound."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return u
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = draw(st.integers(-bound, bound))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def smith_inputs(draw):
+    """Integer rows of shape 0–7 × 0–7 from four families: entries up to
+    2⁶⁴ with zero rows and columns; rank-deficient rows (sums and
+    multiples of other rows); diag(1, …, 1, pᵏ), where the last divisor
+    is the modulus; and a small matrix under big unimodular transforms,
+    whose minors are much larger than the product of its divisors."""
+    nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    family = draw(st.sampled_from(["entries", "dependent", "last_is_modulus", "large_minor"]))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
+    if family == "entries":
+        rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+        zero_rows = draw(st.sets(st.integers(0, max(nr - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(nc - 1, 0))))
+        return [
+            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    if family == "dependent":
+        rows = [[draw(entry) for _ in range(nc)] for _ in range(draw(st.integers(0, nr)))]
+        while len(rows) < nr:
+            if rows and draw(st.booleans()):
+                c = draw(st.integers(-(2**64), 2**64))
+                rows.append([c * x for x in rows[draw(st.integers(0, len(rows) - 1))]])
+            else:
+                coef = [draw(st.integers(-3, 3)) for _ in rows]
+                rows.append([sum(c * row[j] for c, row in zip(coef, rows)) for j in range(nc)])
+        perm = draw(st.permutations(range(nr)))
+        return [rows[i] for i in perm]
+    if family == "last_is_modulus":
+        n = min(nr, nc)
+        top = draw(st.sampled_from([2, 3, 5, 7])) ** draw(st.integers(1, 40))
+        diag = [1] * (n - 1) + [top]
+        rows = [[diag[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+        rows = [rows[i] for i in draw(st.permutations(range(nr)))]
+        cols = draw(st.permutations(range(nc)))
+        return [[row[j] for j in cols] for row in rows]
+    small = [[draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
+    if not nr or not nc:
+        return small
+    bound = 2 ** draw(st.integers(4, 32))
+    return _product(_product(_unimodular(draw, nr, bound), small), _unimodular(draw, nc, bound))
+
+
+@settings(max_examples=400, deadline=None)
+@given(smith_inputs())
+@example([])
+@example([[], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 0], [0, 3**40]])
+@example([[2**64, 2**64 + 1]])
+def test_snf_matches_the_unbounded_elimination(rows):
+    before = [list(row) for row in rows]
+    divs = snf_diagonal(rows)
+    assert rows == before
+    assert divs == snf_diagonal_unbounded(rows)
 
 
 def _is_column_hermite(h, nrows):

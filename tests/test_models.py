@@ -1,7 +1,10 @@
 """Lie lattices, their invariants, and bounded-degree Hopf-order equality."""
 
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +177,31 @@ def test_invariants_unimodular_stability(a1):
             for j in range(m):
                 rows.append(mat_vec(binv, cb.coords_of(bracket(mats[i], mats[j]))))
         assert [str(d) for d in snf(rows)] == reference["bracket_divisors"]
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "model_lie_pool.json"
+POOL_BUDGET_S = 20.0
+
+
+def test_invariants_of_the_benchmark_pool():
+    # The 60 recorded random lattices of the benchmark pool, among them
+    # the 22 (all of A2 (1,1), ten of C2 (1,0)) on which Smith elimination
+    # with unbounded entries never finished, against the divisors the
+    # pool recorded; the whole pool within its budget.
+    pool = json.loads(POOL.read_text())
+    start = time.perf_counter()
+    checked = 0
+    for name, entry in pool["reps"].items():
+        spec = entry["descriptor"]
+        cb = build_chevalley(spec["type"], int(spec["rank"]))
+        rep = build_irrep(cb, tuple(int(x) for x in spec["hw"]))
+        for k, record in enumerate(entry["lattices"]):
+            model = lie_model(rep, Lattice.from_json_obj(record["lattice"]))
+            assert lie_invariants(model) == record["divisors"], (name, k)
+            checked += 1
+    elapsed = time.perf_counter() - start
+    assert checked == 60
+    assert elapsed < POOL_BUDGET_S, "pool took %.1f s, budget %.0f s" % (elapsed, POOL_BUDGET_S)
 
 
 def test_killing_gram_cache_does_not_alias_freed_bases():

@@ -4,7 +4,8 @@ Matrices are tuples of rows; vectors are tuples.  Everything is immutable
 and exact; the products and the eliminations (det, mat_inv, rref and what
 uses it) return Fraction entries, also for integer input.  Coordinates in
 a fixed basis come from coordinate_solver: one elimination, then a product
-and a residual check per vector.  Dimensions at
+and a residual check per vector.  Brackets also come sparse
+({(i, j): nonzero entry}), for the Chevalley identities.  Dimensions at
 desk scale never exceed a few dozen, but action matrices are weight-graded
 and almost all zero, so the products skip zero entries and sum only
 products of nonzero ones.
@@ -100,6 +101,24 @@ def transpose(a):
 
 def bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def sparse(a):
+    """The nonzero entries of a as {(row, column): entry}."""
+    return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+
+
+def sparse_bracket(a, b):
+    """ab − ba of sparse matrices {(i, j): entry}, zero entries dropped."""
+    out = {}
+    for left, right, negate in ((a, b, False), (b, a, True)):
+        by_row = {}
+        for (k, j), y in right.items():
+            by_row.setdefault(k, []).append((j, -y if negate else y))
+        for (i, k), x in left.items():
+            for j, y in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), _ZERO) + x * y
+    return {ij: x for ij, x in out.items() if x}
 
 
 def trace(a):

@@ -15,14 +15,13 @@ from functools import lru_cache
 from latmod.exact import snf, transporter, vp
 from latmod.matrixops import (
     F,
-    bracket,
     clear_denominators,
     mat,
     mat_inv,
     mat_mul,
-    mat_vec,
     rref,
     trace,
+    transpose,
 )
 
 
@@ -61,12 +60,13 @@ class LieLattice:
         return self.cb.from_coords(coords)
 
     def bracket_closed(self):
-        mats = [self.element(col) for col in self.lattice.basis]
-        for i, a in enumerate(mats):
-            for b in mats[i + 1 :]:
-                coords = self.cb.coords_of(bracket(a, b))
-                if coords is None or not self.lattice.member(coords):
-                    return False
+        """Every [u_i, u_j] lies in the lattice: column j of ad(u_i)·B,
+        with ad(u_i) from the bracket table and B the lattice basis."""
+        b = self.lattice.basis_matrix()
+        for i, u in enumerate(self.lattice.basis):
+            images = transpose(mat_mul(self.cb.ad(u), b))
+            if not all(self.lattice.member(v) for v in images[i + 1 :]):
+                return False
         return True
 
     def to_json_obj(self):
@@ -96,12 +96,8 @@ def killing_gram(cb):
     Cached per basis object; the cache holds the basis, so no later basis
     can take over its entry.
     """
-    mats = cb.basis_matrices()
-    m = len(mats)
-    ad = []
-    for g in mats:
-        cols = [cb.coords_of(bracket(g, h)) for h in mats]
-        ad.append(tuple(zip(*cols)))
+    m = len(cb.basis_order())
+    ad = [cb.ad([int(k == i) for k in range(m)]) for i in range(m)]
     return tuple(
         tuple(trace(mat_mul(ad[i], ad[j])) for j in range(m)) for i in range(m)
     )
@@ -113,16 +109,13 @@ def lie_invariants(model):
     cb = model.cb
     gram = killing_gram(cb)
     basis = model.lattice.basis  # columns, coords in cb basis
-    m = len(basis)
     b = model.lattice.basis_matrix()
     g_lat = mat_mul(basis, mat_mul(gram, b))  # Bᵀ·G·B
-    mats = [model.element(col) for col in basis]
     binv = mat_inv(b)
+    # Row (i, j) is B⁻¹·[u_i, u_j]: column j of B⁻¹·ad(u_i)·B.
     tensor_rows = []
-    for i in range(m):
-        for j in range(m):
-            coords = cb.coords_of(bracket(mats[i], mats[j]))
-            tensor_rows.append(mat_vec(binv, coords))
+    for u in basis:
+        tensor_rows.extend(transpose(mat_mul(binv, mat_mul(cb.ad(u), b))))
     return {
         "killing_divisors": [str(d) for d in snf(g_lat)],
         "bracket_divisors": [str(d) for d in snf(tensor_rows)],

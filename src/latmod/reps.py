@@ -19,7 +19,6 @@ from fractions import Fraction
 from latmod.matrixops import (
     F,
     QSpan,
-    bracket,
     coordinate_solver,
     identity,
     mat,
@@ -29,6 +28,8 @@ from latmod.matrixops import (
     nullspace,
     primitive,
     solve,
+    sparse,
+    sparse_bracket,
     zeros,
 )
 
@@ -191,19 +192,6 @@ def _highest_weight_vectors(raising, weights, w):
     return out
 
 
-def _lift(cb, action, dim, coords):
-    """Action matrix of the Lie algebra element with Chevalley
-    coordinates coords."""
-    out = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, key in zip(coords, cb.basis_order()):
-        if c:
-            for r, row in enumerate(action[key]):
-                for s, y in enumerate(row):
-                    if y:
-                        out[r][s] += c * y
-    return mat(out)
-
-
 class Representation:
     """Weight-adapted representation of a Chevalley basis.
 
@@ -226,7 +214,7 @@ class Representation:
                         raise RepError("Cartan generators must act diagonally")
                     if r == c and hm[r][c].denominator != 1:
                         raise RepError("non-integral weight")
-        self._check_homomorphism(cb, action, dim)
+        self._check_homomorphism(cb, action)
         raw_weights = tuple(
             tuple(int(action[("h", i)][k][k]) for i in range(rank)) for k in range(dim)
         )
@@ -259,16 +247,18 @@ class Representation:
         self.highest_weights = tuple(hws)
 
     @staticmethod
-    def _check_homomorphism(cb, action, dim):
-        keys = cb.basis_order()
-        mats = cb.basis_matrices()
-        for i, ki in enumerate(keys):
-            for j in range(i + 1, len(keys)):
-                coords = cb.coords_of(bracket(mats[i], mats[j]))
-                if coords is None:
-                    raise RepError("bracket escapes the Lie algebra")
-                got = bracket(action[ki], action[keys[j]])
-                if got != _lift(cb, action, dim, coords):
+    def _check_homomorphism(cb, action):
+        """[ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k) for every pair i < j of basis
+        elements, the c_k read from the basis's bracket table; the
+        matrices are compared sparse."""
+        rho = [sparse(action[key]) for key in cb.basis_order()]
+        for i, row in enumerate(cb.bracket_table):
+            for j in range(i + 1, len(rho)):
+                expect = {}
+                for k, c in row[j].items():
+                    for p, y in rho[k].items():
+                        expect[p] = expect.get(p, 0) + c * y
+                if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
                     raise RepError("not a representation")
 
     @staticmethod

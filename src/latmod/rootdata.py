@@ -3,30 +3,29 @@ in explicit matrix realizations.
 
 The realization is the defining one: sl_{n+1} for type A, so_{2n+1},
 sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
-the diagonal matrices form a split Cartan subalgebra.  Root vectors are
-built recursively from canonical generators of the simple root spaces;
-all Chevalley-set identities are verified eagerly at construction, so a
-wrong structure constant cannot escape this module.
+the diagonal matrices form a split Cartan subalgebra.  Each root space is
+solved for on the one or two matrix positions of its weight; the coroot
+of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
+Root vectors are built recursively from the simple root spaces.  Every
+Chevalley-set identity is verified eagerly at construction, on sparse
+matrices, and the verification records the coordinates of the bracket of
+every pair of basis elements as the bracket table, so a wrong structure
+constant cannot escape this module.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from latmod.exact import Lattice
 from latmod.matrixops import (
     F,
-    bracket,
-    identity,
     coordinate_solver,
+    identity,
     mat,
-    mat_scale,
-    mat_sub,
-    mat_vec,
     nullspace,
     primitive,
-    solve,
-    transpose,
-    zeros,
+    sparse,
+    sparse_bracket,
 )
 
 SUPPORTED = {
@@ -42,7 +41,15 @@ class RootDataError(ValueError):
 
 
 def _dot(u, v):
-    return sum(F(a) * F(b) for a, b in zip(u, v))
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _pairing(beta, alpha):
+    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an integer."""
+    q, r = divmod(2 * _dot(beta, alpha), _dot(alpha, alpha))
+    if r:
+        raise AssertionError("non-integral pairing")
+    return q
 
 
 class RootSystem:
@@ -86,15 +93,18 @@ class RootSystem:
                 simple.append(comb(n - 2, n - 1, 1, 1))
         self.euclid_dim = dim
         self.simple_euclid = tuple(simple)
-        self.positive_euclid = tuple(sorted(positive, key=self._height_key))
+        # Simple-root expansions: one elimination, one product per root.
+        on_simple = coordinate_solver(self.simple_euclid)
+        exp = {}
+        for b in positive:
+            x = on_simple(b)
+            assert x is not None and all(c.denominator == 1 for c in x)
+            exp[b] = tuple(int(c) for c in x)
+        self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
         self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
         self.all_euclid = self.positive_euclid + self.negative_euclid
         self.cartan_matrix = tuple(
-            tuple(
-                int(2 * _dot(b, a) / _dot(a, a))
-                for b in self.simple_euclid
-            )
-            for a in self.simple_euclid
+            tuple(_pairing(b, a) for b in self.simple_euclid) for a in self.simple_euclid
         )
         self._fund = {b: self.fund_coords(b) for b in self.all_euclid}
         if len(set(self._fund.values())) != len(self.all_euclid):
@@ -104,31 +114,16 @@ class RootSystem:
         self.all_roots = self.positive + self.negative
         self.simple = tuple(self._fund[b] for b in self.simple_euclid)
         self._by_fund = {self._fund[b]: b for b in self.all_euclid}
-        self._expansion = {self._fund[b]: self._expand_simple(b) for b in self.all_euclid}
+        self._expansion = {}
+        for pos, neg, b in zip(self.positive, self.negative, self.positive_euclid):
+            self._expansion[pos] = exp[b]
+            self._expansion[neg] = tuple(-c for c in exp[b])
 
     # -- coordinates ---------------------------------------------------
 
     def fund_coords(self, euclid):
         """<beta, h_alpha_i> for the simple coroots, as an integer tuple."""
-        out = []
-        for a in self.simple_euclid:
-            v = 2 * _dot(euclid, a) / _dot(a, a)
-            if v.denominator != 1:
-                raise AssertionError("non-integral pairing")
-            out.append(int(v))
-        return tuple(out)
-
-    def _expand_simple(self, euclid):
-        """Integer coefficients of a root on the simple roots."""
-        a = tuple(zip(*self.simple_euclid))  # euclid_dim x rank
-
-        x = solve(mat(a), [F(t) for t in euclid])
-        assert x is not None and all(c.denominator == 1 for c in x)
-        return tuple(int(c) for c in x)
-
-    def _height_key(self, euclid):
-        exp = self._expand_simple(euclid)
-        return (sum(exp), exp)
+        return tuple(_pairing(euclid, a) for a in self.simple_euclid)
 
     def expansion(self, fund):
         """Simple-root coefficients of the root with these fund coords."""
@@ -144,19 +139,15 @@ class RootSystem:
         return self._by_fund[fund]
 
     def root_string_r(self, alpha, beta):
-        """Largest r >= 0 with beta - r·alpha a root (alpha, beta fund)."""
-        a = self.euclid(alpha)
-        b = self.euclid(beta)
-        r = 0
-        while True:
-            cand = tuple(x - (r + 1) * y for x, y in zip(b, a))
-            if self.fund_of_euclid_or_none(cand) is None:
-                return r
-            r += 1
+        """Largest r >= 0 with beta - r·alpha a root (alpha, beta fund).
 
-    def fund_of_euclid_or_none(self, euclid):
-        f = self._fund.get(tuple(euclid))
-        return f
+        Fundamental coordinates are linear and separate the points of the
+        root lattice, so the string is walked in them directly.
+        """
+        r = 0
+        while tuple(b - (r + 1) * a for a, b in zip(alpha, beta)) in self._by_fund:
+            r += 1
+        return r
 
     def to_json_obj(self):
         return {
@@ -180,91 +171,65 @@ def build_root_system(type_label, rank):
 def _realization_data(rs):
     """Defining matrix size N and the diagonal Cartan parametrization.
 
-    Returns (N, cartan_diag) where cartan_diag(i) is the N-diagonal of
-    the i-th Euclidean coordinate functional's dual basis vector, i.e.
-    the diagonal matrix whose root-space weights reproduce the Euclidean
-    root coordinates.
+    Returns (N, diag_param) where diag_param maps Euclidean coordinates
+    (diagonal parameters) to the N-diagonal of the matrix whose
+    root-space weights reproduce them.
     """
     n = rs.rank
     t = rs.type_label
     if t == "A":
-        N = n + 1
-
-        def diag_param(params):
-            return list(params)
-
-        dim_params = n + 1
-    elif t == "B":
-        N = 2 * n + 1
-
-        def diag_param(params):
-            return list(params) + [-x for x in params] + [0]
-
-        dim_params = n
-    else:  # C or D
-        N = 2 * n
-
-        def diag_param(params):
-            return list(params) + [-x for x in params]
-
-        dim_params = n
-    return N, dim_params, diag_param
+        return n + 1, list
+    if t == "B":
+        return 2 * n + 1, lambda params: list(params) + [-x for x in params] + [0]
+    return 2 * n, lambda params: list(params) + [-x for x in params]
 
 
-def _form_matrix(rs, N):
+def _position_weights(rs):
+    """Euclidean weight of each diagonal position of the realization;
+    position (i, j) of a matrix has weight w[i] - w[j]."""
+    n = rs.rank
+    if rs.type_label == "A":
+        return [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
+    w = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    w += [tuple(-int(k == i) for k in range(n)) for i in range(n)]
+    if rs.type_label == "B":
+        w.append((0,) * n)
+    return w
+
+
+def _form(rs):
+    """The form S preserved by the realization, sparse; empty for type A,
+    where sl_N puts no condition on an off-diagonal position."""
     n = rs.rank
     t = rs.type_label
     if t == "A":
-        return None
-    s = [[Fraction(0)] * N for _ in range(N)]
-    if t == "C":
-        for i in range(n):
-            s[i][n + i] = Fraction(1)
-            s[n + i][i] = Fraction(-1)
-    else:
-        for i in range(n):
-            s[i][n + i] = Fraction(1)
-            s[n + i][i] = Fraction(1)
-        if t == "B":
-            s[2 * n][2 * n] = Fraction(1)
-    return mat(s)
+        return {}
+    sign = -1 if t == "C" else 1
+    s = {}
+    for i in range(n):
+        s[i, n + i] = 1
+        s[n + i, i] = sign
+    if t == "B":
+        s[2 * n, 2 * n] = 1
+    return s
 
 
-def _lie_algebra_basis(rs):
-    """Basis of the realization Lie algebra as flattened N² vectors."""
-    N = _realization_data(rs)[0]
-    t = rs.type_label
-    if t == "A":
-        basis = []
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    v = [Fraction(0)] * (N * N)
-                    v[i * N + j] = Fraction(1)
-                    basis.append(tuple(v))
-        for i in range(N - 1):
-            v = [Fraction(0)] * (N * N)
-            v[i * N + i] = Fraction(1)
-            v[(i + 1) * N + (i + 1)] = Fraction(-1)
-            basis.append(tuple(v))
-        return tuple(basis)
-    s = _form_matrix(rs, N)
-    # X^T S + S X = 0, one linear condition per matrix position.
-    rows = []
-    for i in range(N):
-        for j in range(N):
-            row = [Fraction(0)] * (N * N)
-            for a in range(N):
-                # coefficient of X[a][i] from (X^T S)[i][j] = sum_a X[a][i] S[a][j]
-                row[a * N + i] += s[a][j]
-                # coefficient of X[j? ] from (S X)[i][j] = sum_a S[i][a] X[a][j]
-                row[a * N + j] += s[i][a]
-            rows.append(tuple(row))
-    return nullspace(mat(rows))
+def _first_ratio(m, x):
+    """m's entry over x's at the first nonzero entry of the sparse matrix
+    x, in row-major order."""
+    if not x:
+        raise AssertionError("zero root vector")
+    k = min(x)
+    return m.get(k, 0) / x[k]
 
 
-def _unflatten(v, N):
-    return tuple(tuple(v[i * N + j] for j in range(N)) for i in range(N))
+def _scaled(c, m):
+    return {p: c * v for p, v in m.items()} if c else {}
+
+
+def _dense(m, n):
+    zero = Fraction(0)
+    return tuple(tuple(m.get((i, j), zero) for j in range(n)) for i in range(n))
 
 
 class ChevalleyBasis:
@@ -277,161 +242,104 @@ class ChevalleyBasis:
       h: tuple of coroot matrices h_{alpha_i} for the simple roots
       cartan_lattice: the coroot lattice, the identity in coroot
         coordinates (basis {h_{alpha_i}}): the simply connected form
+      bracket_table: bracket_table[i][j] = {k: c} with
+        [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
 
     def __init__(self, rs):
         self.rs = rs
-        N, dim_params, diag_param = _realization_data(rs)
-        self.N = N
-        self._diag_param = diag_param
-
-        # Killing form restricted to the Cartan: kappa(t,t') = sum over
-        # roots of beta(t)·beta(t'); the Euclidean root coordinates are
-        # already the roots as functionals on the diagonal parameters.
-        n_par = dim_params
-        gram = [
-            [sum(F(b[i]) * F(b[j]) for b in rs.all_euclid) for j in range(n_par)]
-            for i in range(n_par)
-        ]
-        self._killing_gram = mat(gram)
-
-        self._build_root_spaces()
-        self._build_chevalley_set()
+        self.N, self._diag_param = _realization_data(rs)
+        # The Killing form restricted to the Cartan is a multiple of the
+        # Euclidean form on the diagonal parameters (both are Weyl
+        # invariant and the algebra is simple), so h_alpha, the element
+        # with kappa(h_alpha, ·) proportional to alpha and alpha(h_alpha)
+        # = 2, is 2·alpha/(alpha, alpha).
+        self._coroots = {
+            fund: tuple(Fraction(2 * c, _dot(b, b)) for c in b)
+            for fund, b in zip(rs.all_roots, rs.all_euclid)
+        }
+        self._h_coords = coordinate_solver([self._coroots[a] for a in rs.simple])
+        self._build_chevalley_set(self._root_spaces())
         self.cartan_lattice = Lattice(identity(rs.rank))
-        self._verify()
         self._basis_order = list(rs.all_roots)
+        self._index = {key: k for k, key in enumerate(self.basis_order())}
+        self._verify()
         self._basis_mats = [self.x[a] for a in self._basis_order] + list(self.h)
-        self._coords = coordinate_solver(
-            [tuple(x for row in m for x in row) for m in self._basis_mats]
-        )
 
     # -- scaffolding ---------------------------------------------------
 
-    def _t_alpha(self, euclid):
-        """t_alpha in diagonal parameters: kappa(t_alpha, ·) = alpha."""
-        rhs = [F(x) for x in euclid]
-        x = solve(self._killing_gram, rhs)
-        assert x is not None
-        if self.rs.type_label == "A":
-            # The Gram matrix is degenerate on scalar matrices; pick the
-            # traceless representative.
-            avg = sum(x) / len(x)
-            x = [c - avg for c in x]
-        return x
-
     def coroot_params(self, fund):
         """h_alpha as diagonal parameters."""
-        euclid = self.rs.euclid(fund)
-        t = self._t_alpha(euclid)
-        kappa = sum(
-            a * b
-            for a, b in zip(mat_vec(self._killing_gram, t), t)
-        )
-        return tuple(2 * x / kappa for x in t)
+        return self._coroots[fund]
 
-    def _h_matrix(self, fund):
-        d = self._diag_param(self.coroot_params(fund))
-        m = [[Fraction(0)] * self.N for _ in range(self.N)]
-        for i, v in enumerate(d):
-            m[i][i] = F(v)
-        return mat(m)
+    def _h_sparse(self, fund):
+        d = self._diag_param(self._coroots[fund])
+        return {(i, i): F(v) for i, v in enumerate(d) if v}
 
-    def _build_root_spaces(self):
+    def _root_spaces(self):
+        """Primitive integer generator of each root space, sparse, keyed
+        by fund coords: the solutions of Xᵀ·S + S·X = 0 (S the form)
+        supported on the positions of the root's weight."""
         rs = self.rs
-        N = self.N
-        lie = _lie_algebra_basis(rs)
-        lie_by_position = transpose(lie)
-        # Position weights in Euclidean coordinates.
-        if rs.type_label == "A":
-            dvecs = [tuple(int(k == i) for k in range(N)) for i in range(N)]
-        else:
-            n = rs.rank
-            dvecs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-            dvecs += [tuple(-int(k == i) for k in range(n)) for i in range(n)]
-            if rs.type_label == "B":
-                dvecs += [tuple(0 for _ in range(n))]
-        self._gens = {}
-        for beta in rs.all_euclid:
-            allowed = set()
-            for i in range(N):
-                for j in range(N):
-                    w = tuple(a - b for a, b in zip(dvecs[i], dvecs[j]))
-                    if w == beta:
-                        allowed.add(i * N + j)
-            # Solve: member of lie algebra supported on allowed positions.
-            rows = []
-            for pos in range(N * N):
-                if pos not in allowed:
-                    rows.append(tuple(b[pos] for b in lie))
-            ker = nullspace(mat(rows)) if rows else tuple(
-                tuple(F(int(i == j)) for j in range(len(lie))) for i in range(len(lie))
-            )
-            if len(ker) != 1:
-                raise AssertionError(
-                    "root space dimension %d for %r" % (len(ker), beta)
-                )
-            flat = mat_vec(lie_by_position, ker[0])
-            self._gens[rs.fund_coords(beta)] = _unflatten(primitive(flat), N)
-
-    def _pair_negative(self, fund, x_mat):
-        """The unique y in g_{-alpha} with [x, y] = h_alpha."""
-        neg = tuple(-c for c in fund)
-        gen = self._gens[neg]
-        br = bracket(x_mat, gen)
-        h = self._h_matrix(fund)
-        # br = lambda·h for a scalar lambda.
-        lam = None
+        w = _position_weights(rs)
+        positions = {}
         for i in range(self.N):
             for j in range(self.N):
-                if h[i][j] != 0:
-                    lam = br[i][j] / h[i][j]
-                    break
-            if lam is not None:
-                break
-        if lam is None or lam == 0 or mat_sub(br, mat_scale(lam, h)) != zeros(self.N, self.N):
-            raise AssertionError("[g_a, g_-a] not proportional to coroot")
-        return mat_scale(Fraction(1) / lam, gen)
+                positions.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), []).append((i, j))
+        s = _form(rs)
+        gens = {}
+        for fund, beta in zip(rs.all_roots, rs.all_euclid):
+            pos = positions[beta]
+            rows = {}
+            for k, (a, b) in enumerate(pos):
+                # X[a][b] enters (XᵀS)[b][j] with S[a][j], (SX)[i][b] with S[i][a].
+                for (i, j), v in s.items():
+                    if i == a:
+                        rows.setdefault((b, j), [0] * len(pos))[k] += v
+                    if j == a:
+                        rows.setdefault((i, b), [0] * len(pos))[k] += v
+            ker = nullspace(mat(rows.values())) if rows else identity(len(pos))
+            if len(ker) != 1:
+                raise AssertionError("root space dimension %d for %r" % (len(ker), beta))
+            gens[fund] = {p: v for p, v in zip(pos, primitive(ker[0])) if v}
+        return gens
 
-    def _build_chevalley_set(self):
+    def _pair_negative(self, fund, x, gen):
+        """The unique y in g_{-alpha} with [x, y] = h_alpha."""
+        br = sparse_bracket(x, gen)
+        h = self._h_sparse(fund)
+        lam = _first_ratio(br, h)
+        if lam == 0 or br != _scaled(lam, h):
+            raise AssertionError("[g_a, g_-a] not proportional to coroot")
+        return _scaled(1 / lam, gen)
+
+    def _build_chevalley_set(self, gens):
         rs = self.rs
-        self.x = {}
-        self.h = tuple(self._h_matrix(a) for a in rs.simple)
-        for a in rs.simple:
-            xa = self._gens[a]
-            self.x[a] = xa
+        x = {a: gens[a] for a in rs.simple}
         # Positive roots in height order; each non-simple root comes from
         # the first simple root that can be peeled off.
         for gamma in rs.positive:
-            if gamma in self.x:
+            if gamma in x:
                 continue
-            placed = False
             for a in rs.simple:
-                beta_e = tuple(
-                    x - y for x, y in zip(rs.euclid(gamma), rs.euclid(a))
-                )
-                beta = rs.fund_of_euclid_or_none(beta_e)
-                if beta is None or beta not in self.x:
-                    continue
-                r = rs.root_string_r(a, beta)
-                br = bracket(self.x[a], self.x[beta])
-                self.x[gamma] = mat_scale(Fraction(1, r + 1), br)
-                placed = True
-                break
-            if not placed:
+                beta = tuple(g - c for g, c in zip(gamma, a))
+                if beta in x:
+                    r = rs.root_string_r(a, beta)
+                    x[gamma] = _scaled(Fraction(1, r + 1), sparse_bracket(x[a], x[beta]))
+                    break
+            else:
                 raise AssertionError("no decomposition for %r" % (gamma,))
         for gamma in rs.positive:
             neg = tuple(-c for c in gamma)
-            self.x[neg] = self._pair_negative(gamma, self.x[gamma])
+            x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
+        self.x = {a: _dense(m, self.N) for a, m in x.items()}
+        self.h = tuple(_dense(self._h_sparse(a), self.N) for a in rs.simple)
 
     # -- public API ----------------------------------------------------
 
     def h_alpha_coords(self, fund):
         """h_alpha in the basis {h_{alpha_i}}; integral for every root."""
-        params = self.coroot_params(fund)
-        cols = tuple(zip(*[self.coroot_params(a) for a in self.rs.simple]))
-        x = solve(mat(cols), [F(t) for t in params])
-        assert x is not None
-        return x
+        return self._h_coords(self._coroots[fund])
 
     def pairing(self, weight_fund, h_coords):
         """<weight, h> where h = sum c_i h_{alpha_i}."""
@@ -443,6 +351,12 @@ class ChevalleyBasis:
 
     def basis_matrices(self):
         return list(self._basis_mats)
+
+    @cached_property
+    def _coords(self):
+        return coordinate_solver(
+            [tuple(x for row in m for x in row) for m in self._basis_mats]
+        )
 
     def coords_of(self, m):
         """Coordinates of a matrix in the Chevalley basis, or None."""
@@ -457,71 +371,81 @@ class ChevalleyBasis:
                         out[i][j] += F(c) * m[i][j]
         return mat(out)
 
-    def structure_constant(self, alpha, beta):
-        """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}; roots by fund coords."""
-        rs = self.rs
-        se = tuple(x + y for x, y in zip(rs.euclid(alpha), rs.euclid(beta)))
-        target = rs.fund_of_euclid_or_none(se)
-        if target is None:
-            return Fraction(0)
-        return self._multiple_of(bracket(self.x[alpha], self.x[beta]), target)
+    def ad(self, coords):
+        """Matrix of ad(X) on the Chevalley basis, X = Σ coords_i·b_i:
+        column j holds the coordinates of [X, b_j], read off the bracket
+        table."""
+        m = len(self.bracket_table)
+        out = [[Fraction(0)] * m for _ in range(m)]
+        for c, row in zip(coords, self.bracket_table):
+            if c:
+                for j, entry in enumerate(row):
+                    for k, v in entry.items():
+                        out[k][j] += c * v
+        return tuple(tuple(r) for r in out)
 
-    def _multiple_of(self, m, target):
-        """c with m = c·x_target when m is a multiple of x_target, read at
-        the first nonzero entry of x_target."""
-        xm = self.x[target]
-        for i in range(self.N):
-            for j in range(self.N):
-                if xm[i][j] != 0:
-                    return m[i][j] / xm[i][j]
-        raise AssertionError("zero root vector")
+    def structure_constant(self, alpha, beta):
+        """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}; roots by fund coords.
+        Zero when a + b is not a root (ix.get gives no basis index)."""
+        ix = self._index
+        target = tuple(a + b for a, b in zip(alpha, beta))
+        return self.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), Fraction(0))
 
     # -- verification ----------------------------------------------------
 
     def _verify(self):
+        """Check the Chevalley-set identities on sparse copies of self.x and
+        self.h, and record the bracket table they establish."""
         rs = self.rs
-        nil = zeros(self.N, self.N)
+        ix = self._index
+        x = {a: sparse(m) for a, m in self.x.items()}
+        h = [sparse(m) for m in self.h]
+        hix = [ix[("h", i)] for i in range(rs.rank)]
+        table = [[{} for _ in ix] for _ in ix]
+        h_coords = {}
         for alpha in rs.all_roots:
-            h = self._h_matrix(alpha)
+            a = ix[alpha]
             neg = tuple(-c for c in alpha)
-            if bracket(self.x[alpha], self.x[neg]) != h:
+            if sparse_bracket(x[alpha], x[neg]) != self._h_sparse(alpha):
                 raise AssertionError("[x_a, x_-a] != h_a for %r" % (alpha,))
+            h_coords[alpha] = self.h_alpha_coords(alpha)
+            table[a][ix[neg]] = {k: c for k, c in zip(hix, h_coords[alpha]) if c}
             # Cartan action.
-            for i, hm in enumerate(self.h):
-                expect = mat_scale(F(alpha[i]), self.x[alpha])
-                if bracket(hm, self.x[alpha]) != expect:
+            for i, hm in enumerate(h):
+                if sparse_bracket(hm, x[alpha]) != _scaled(alpha[i], x[alpha]):
                     raise AssertionError("[h, x_a] != a(h)x_a for %r" % (alpha,))
+                if alpha[i]:
+                    table[hix[i]][a] = {a: F(alpha[i])}
+                    table[a][hix[i]] = {a: F(-alpha[i])}
+        for i, hm in enumerate(h):
+            for hn in h[i + 1:]:
+                if sparse_bracket(hm, hn):
+                    raise AssertionError("Cartan generators do not commute")
         for alpha in rs.all_roots:
             for beta in rs.all_roots:
-                se = tuple(
-                    x + y for x, y in zip(rs.euclid(alpha), rs.euclid(beta))
-                )
-                if all(c == 0 for c in se):
+                target = tuple(a + b for a, b in zip(alpha, beta))
+                if not any(target):
                     continue
-                target = rs.fund_of_euclid_or_none(se)
-                br = bracket(self.x[alpha], self.x[beta])
-                if target is None:
-                    if br != nil:
+                br = sparse_bracket(x[alpha], x[beta])
+                if not rs.is_root(target):
+                    if br:
                         raise AssertionError("bracket outside root system nonzero")
                     continue
-                ea = rs.euclid(alpha)
-                eb = rs.euclid(beta)
-                if tuple(-u for u in ea) == tuple(eb):
-                    continue
                 r = rs.root_string_r(alpha, beta)
-                c = self._multiple_of(br, target)
+                c = _first_ratio(br, x[target])
                 if c.denominator != 1 or abs(c) != r + 1:
                     raise AssertionError(
                         "structure constant %s != ±(r+1)=±%d for %r,%r"
                         % (c, r + 1, alpha, beta)
                     )
-                if mat_sub(br, mat_scale(c, self.x[target])) != nil:
+                if br != _scaled(c, x[target]):
                     raise AssertionError("bracket not proportional to x_{a+b}")
+                table[ix[alpha]][ix[beta]] = {ix[target]: c}
         # h_alpha integral on the coroot basis for every root.
-        for alpha in rs.all_roots:
-            for c in self.h_alpha_coords(alpha):
-                if c.denominator != 1:
-                    raise AssertionError("h_alpha not in the coroot lattice")
+        for coords in h_coords.values():
+            if any(c.denominator != 1 for c in coords):
+                raise AssertionError("h_alpha not in the coroot lattice")
+        self.bracket_table = tuple(tuple(row) for row in table)
 
     def to_json_obj(self):
         def m2s(m):

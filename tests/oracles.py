@@ -8,9 +8,12 @@ per-vector `solve` that `reps.build_irrep` used before
 `matrixops.coordinate_solver`, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
 keys of `casestudies.class_orbit_count`, and the Hopf-order membership
-test that rebuilt the product echelon for every target, and the Smith
+test that rebuilt the product echelon for every target, the Smith
 elimination with unbounded entries that `kernels.snf_diagonal` replaced
-by one modulo a determinant.
+by one modulo a determinant, and the dense Chevalley construction
+(root spaces as nullspaces over all N² matrix positions, coroots from a
+Killing-Gram solve, `Fraction` root-system pairings) with the dense lift
+the per-pair homomorphism check used before the bracket table.
 """
 
 import itertools
@@ -21,7 +24,20 @@ from math import prod
 from latmod import reps
 from latmod.exact import LatticeError, transporter, vp
 from latmod.kernels import hnf_columns
-from latmod.matrixops import F, QSpan, clear_denominators, mat, mat_vec, nullspace, solve
+from latmod.matrixops import (
+    F,
+    QSpan,
+    bracket,
+    clear_denominators,
+    mat,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    nullspace,
+    primitive,
+    solve,
+    zeros,
+)
 
 
 def canonical_global(cols, n):
@@ -357,3 +373,195 @@ def snf_diagonal_unbounded(rows):
         if top >= nr or top >= nc:
             break
     return divisors
+
+
+# -----------------------------------------------------------------------
+# The Chevalley construction before root-space supports and the bracket
+# table: root spaces as nullspaces over the whole N²-dimensional matrix
+# space, coroots from a Killing-Gram solve per call, dense brackets.
+# -----------------------------------------------------------------------
+
+
+def root_data_by_fraction_dot(rs):
+    """(Cartan matrix, {fund: simple-root expansion}, positive roots in
+    height order) from Fraction inner products and one `solve` per root."""
+
+    def dot(u, v):
+        return sum(F(a) * F(b) for a, b in zip(u, v))
+
+    simple = rs.simple_euclid
+    cartan = tuple(tuple(int(2 * dot(b, a) / dot(a, a)) for b in simple) for a in simple)
+    a = mat(tuple(zip(*simple)))
+    expansion = {}
+    for fund, e in zip(rs.all_roots, rs.all_euclid):
+        x = solve(a, [F(t) for t in e])
+        assert x is not None and all(c.denominator == 1 for c in x)
+        expansion[fund] = tuple(int(c) for c in x)
+    positive = sorted(
+        (e for e in rs.all_euclid if sum(expansion[rs.fund_coords(e)]) > 0),
+        key=lambda e: (sum(expansion[rs.fund_coords(e)]), expansion[rs.fund_coords(e)]),
+    )
+    return cartan, expansion, tuple(positive)
+
+
+def _realization_size(rs):
+    n = rs.rank
+    return {"A": n + 1, "B": 2 * n + 1}.get(rs.type_label, 2 * n)
+
+
+def _diag_param(rs, params):
+    if rs.type_label == "A":
+        return list(params)
+    tail = [0] if rs.type_label == "B" else []
+    return list(params) + [-x for x in params] + tail
+
+
+def _lie_algebra_basis(rs):
+    """Basis of the realization Lie algebra as flattened N² vectors."""
+    N = _realization_size(rs)
+    n = rs.rank
+    t = rs.type_label
+    if t == "A":
+        basis = []
+        for i in range(N):
+            for j in range(N):
+                if i != j:
+                    v = [Fraction(0)] * (N * N)
+                    v[i * N + j] = Fraction(1)
+                    basis.append(tuple(v))
+        for i in range(N - 1):
+            v = [Fraction(0)] * (N * N)
+            v[i * N + i] = Fraction(1)
+            v[(i + 1) * N + (i + 1)] = Fraction(-1)
+            basis.append(tuple(v))
+        return tuple(basis)
+    s = [[Fraction(0)] * N for _ in range(N)]
+    for i in range(n):
+        s[i][n + i] = Fraction(1)
+        s[n + i][i] = Fraction(-1 if t == "C" else 1)
+    if t == "B":
+        s[2 * n][2 * n] = Fraction(1)
+    # X^T S + S X = 0, one linear condition per matrix position.
+    rows = []
+    for i in range(N):
+        for j in range(N):
+            row = [Fraction(0)] * (N * N)
+            for a in range(N):
+                row[a * N + i] += s[a][j]
+                row[a * N + j] += s[i][a]
+            rows.append(tuple(row))
+    return nullspace(mat(rows))
+
+
+class ChevalleyBasisByNullspace:
+    """The Chevalley set as `rootdata.ChevalleyBasis` built it with dense
+    matrices: x, h, to_json_obj, coroot_params, h_alpha_coords and
+    structure_constant, without the eager verification."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.N = N = _realization_size(rs)
+        self._euclid_to_fund = dict(zip(rs.all_euclid, rs.all_roots))
+        n_par = len(rs.all_euclid[0])
+        self._killing_gram = mat(
+            [[sum(F(b[i]) * F(b[j]) for b in rs.all_euclid) for j in range(n_par)] for i in range(n_par)]
+        )
+        lie = _lie_algebra_basis(rs)
+        lie_by_position = tuple(zip(*lie))
+        if rs.type_label == "A":
+            dvecs = [tuple(int(k == i) for k in range(N)) for i in range(N)]
+        else:
+            n = rs.rank
+            dvecs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+            dvecs += [tuple(-int(k == i) for k in range(n)) for i in range(n)]
+            if rs.type_label == "B":
+                dvecs += [tuple(0 for _ in range(n))]
+        gens = {}
+        for beta in rs.all_euclid:
+            allowed = {
+                i * N + j
+                for i in range(N)
+                for j in range(N)
+                if tuple(a - b for a, b in zip(dvecs[i], dvecs[j])) == beta
+            }
+            rows = [tuple(b[pos] for b in lie) for pos in range(N * N) if pos not in allowed]
+            ker = nullspace(mat(rows))
+            assert len(ker) == 1
+            flat = primitive(mat_vec(lie_by_position, ker[0]))
+            gens[rs.fund_coords(beta)] = tuple(tuple(flat[i * N + j] for j in range(N)) for i in range(N))
+        self.h = tuple(self._h_matrix(a) for a in rs.simple)
+        self.x = {a: gens[a] for a in rs.simple}
+        for gamma in rs.positive:
+            if gamma in self.x:
+                continue
+            for a in rs.simple:
+                beta = self._fund_of(tuple(x - y for x, y in zip(rs.euclid(gamma), rs.euclid(a))))
+                if beta is None or beta not in self.x:
+                    continue
+                r = rs.root_string_r(a, beta)
+                self.x[gamma] = mat_scale(Fraction(1, r + 1), bracket(self.x[a], self.x[beta]))
+                break
+        for gamma in rs.positive:
+            neg = tuple(-c for c in gamma)
+            br = bracket(self.x[gamma], gens[neg])
+            h = self._h_matrix(gamma)
+            lam = next(br[i][i] / h[i][i] for i in range(N) if h[i][i] != 0)
+            assert mat_sub(br, mat_scale(lam, h)) == zeros(N, N)
+            self.x[neg] = mat_scale(Fraction(1) / lam, gens[neg])
+
+    def _fund_of(self, euclid):
+        return self._euclid_to_fund.get(tuple(euclid))
+
+    def coroot_params(self, fund):
+        """h_alpha as diagonal parameters, from t_alpha with
+        kappa(t_alpha, ·) = alpha."""
+        t = solve(self._killing_gram, [F(x) for x in self.rs.euclid(fund)])
+        if self.rs.type_label == "A":
+            # The Gram matrix is degenerate on scalar matrices; pick the
+            # traceless representative.
+            avg = sum(t) / len(t)
+            t = [c - avg for c in t]
+        kappa = sum(a * b for a, b in zip(mat_vec(self._killing_gram, t), t))
+        return tuple(2 * x / kappa for x in t)
+
+    def _h_matrix(self, fund):
+        d = _diag_param(self.rs, self.coroot_params(fund))
+        return tuple(tuple(F(d[i]) if i == j else Fraction(0) for j in range(self.N)) for i in range(self.N))
+
+    def h_alpha_coords(self, fund):
+        cols = tuple(zip(*[self.coroot_params(a) for a in self.rs.simple]))
+        return solve(mat(cols), [F(t) for t in self.coroot_params(fund)])
+
+    def structure_constant(self, alpha, beta):
+        rs = self.rs
+        target = self._fund_of(tuple(x + y for x, y in zip(rs.euclid(alpha), rs.euclid(beta))))
+        if target is None:
+            return Fraction(0)
+        m = bracket(self.x[alpha], self.x[beta])
+        xm = self.x[target]
+        return next(m[i][j] / xm[i][j] for i in range(self.N) for j in range(self.N) if xm[i][j] != 0)
+
+    def to_json_obj(self):
+        def m2s(m):
+            return [[str(x) for x in row] for row in m]
+
+        return {
+            "rootsystem": self.rs.to_json_obj(),
+            "defining_dim": self.N,
+            "x": {",".join(map(str, k)): m2s(v) for k, v in self.x.items()},
+            "h": [m2s(v) for v in self.h],
+        }
+
+
+def lift(cb, action, dim, coords):
+    """Action matrix of the Lie algebra element with Chevalley coordinates
+    coords, as a dense sum over the basis (the per-pair homomorphism check
+    compared each bracket with this before the bracket table)."""
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, key in zip(coords, cb.basis_order()):
+        if c:
+            for r, row in enumerate(action[key]):
+                for s, y in enumerate(row):
+                    if y:
+                        out[r][s] += c * y
+    return mat(out)

@@ -1,6 +1,6 @@
-"""Exact matrix helpers: the zero-skipping products against the dense
-products they replaced, the coordinate solver against per-vector solve,
-and Fraction results from integer input."""
+"""Exact matrix helpers: the zero-skipping products and the sparse
+bracket against the dense products they replaced, the coordinate solver
+against per-vector solve, and Fraction results from integer input."""
 
 from fractions import Fraction
 
@@ -18,6 +18,8 @@ from latmod.matrixops import (
     nullspace,
     rref,
     solve,
+    sparse,
+    sparse_bracket,
     transpose,
 )
 
@@ -105,6 +107,9 @@ def test_bracket_matches_dense_bracket(pair):
     got = bracket(a, b)
     assert got == dense_bracket(a, b)
     assert_all_fractions(got)
+    sparse_got = sparse_bracket(sparse(a), sparse(b))
+    assert sparse_got == sparse(got)
+    assert all(type(x) is Fraction and x for x in sparse_got.values())
 
 
 def test_products_of_all_zero_and_empty_shapes():

@@ -11,7 +11,6 @@ from latmod.matrixops import bracket, identity, mat_mul
 from latmod.reps import (
     RepError,
     Representation,
-    _lift,
     build_irrep,
     check_transition_surjectivity,
     direct_sum,
@@ -21,7 +20,7 @@ from latmod.reps import (
     word_products,
 )
 from latmod.rootdata import build_chevalley, killing_h
-from oracles import build_irrep_by_solve
+from oracles import build_irrep_by_solve, lift
 
 
 def weyl_dim(cb, psi):
@@ -104,7 +103,7 @@ def test_homomorphism_property(sweep_reps):
     mats = cb.basis_matrices()
 
     def rho(m):
-        return _lift(cb, rep.action, rep.dim, cb.coords_of(m))
+        return lift(cb, rep.action, rep.dim, cb.coords_of(m))
 
     for a in mats[:4]:
         for b in mats[4:8]:
@@ -200,7 +199,12 @@ def single_entry_changes(m):
 def test_single_entry_change_is_not_a_representation():
     # The homomorphism check must see one changed entry, not only the
     # all-entries change of test_not_a_representation.
-    for t, r, hw in (("B", 3, (1, 0, 0)), ("C", 2, (1, 1))):
+    for t, r, hw in (
+        ("B", 3, (1, 0, 0)),
+        ("C", 2, (1, 1)),
+        ("A", 3, (0, 1, 0)),
+        ("D", 4, (1, 0, 0, 0)),
+    ):
         cb = build_chevalley(t, r)
         rep = build_irrep(cb, hw)
         Representation(cb, rep.action)

@@ -3,6 +3,9 @@
 The ChevalleyBasis constructor verifies every bracket identity eagerly, so
 these tests mostly pin down the public data (counts, Cartan matrices,
 specific structure constants) and exercise the lattice-closure invariant.
+On every supported type the construction is compared with the dense
+nullspace construction it replaced, and the bracket table with the
+coordinates of dense brackets.
 """
 
 import copy
@@ -19,6 +22,7 @@ from latmod.rootdata import (
     build_root_system,
     killing_h,
 )
+from oracles import ChevalleyBasisByNullspace, root_data_by_fraction_dot
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -130,10 +134,40 @@ def test_c2_has_constant_two():
 
 def test_construction_verifies_all_types():
     # The constructor raises on any failed bracket identity; success here
-    # is the full quadratic sweep for every supported small type.
-    for t, r in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)):
+    # is the full quadratic sweep for every supported type.
+    for t, r in ROOT_COUNTS:
         cb = build_chevalley(t, r)
         assert cb.N >= r + 1
+
+
+@pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS), ids=lambda v: str(v))
+def test_construction_matches_nullspace_oracle(label, rank):
+    rs = build_root_system(label, rank)
+    cartan, expansion, positive = root_data_by_fraction_dot(rs)
+    assert rs.cartan_matrix == cartan
+    assert rs.positive_euclid == positive
+    assert all(rs.expansion(a) == expansion[a] for a in rs.all_roots)
+    cb = build_chevalley(label, rank)
+    old = ChevalleyBasisByNullspace(rs)
+    assert cb.to_json_obj() == old.to_json_obj()
+    for a in rs.all_roots:
+        assert cb.coroot_params(a) == old.coroot_params(a)
+        assert cb.h_alpha_coords(a) == old.h_alpha_coords(a)
+        for b in rs.all_roots:
+            assert cb.structure_constant(a, b) == old.structure_constant(a, b)
+
+
+@pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS), ids=lambda v: str(v))
+def test_bracket_table_matches_dense_brackets(label, rank):
+    cb = build_chevalley(label, rank)
+    mats = cb.basis_matrices()
+    m = len(mats)
+    assert len(cb.bracket_table) == m
+    for i, row in enumerate(cb.bracket_table):
+        for j, entry in enumerate(row):
+            assert all(c for c in entry.values())
+            coords = tuple(entry.get(k, 0) for k in range(m))
+            assert coords == cb.coords_of(bracket(mats[i], mats[j])), (i, j)
 
 
 def test_structure_constants_integral():
@@ -153,7 +187,7 @@ def with_entry(m, r, c, value):
 
 
 def test_verify_catches_single_entry_change():
-    for t, r in (("B", 3), ("C", 2)):
+    for t, r in (("B", 3), ("C", 2), ("A", 3), ("D", 4)):
         cb = build_chevalley(t, r)
         rs = cb.rs
         for alpha in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):

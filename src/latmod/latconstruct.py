@@ -1,7 +1,7 @@
-"""Lattice constructions in a weight-adapted representation: graded
-generator words, the minimal/maximal sandwich lattices with prescribed
-highest-weight components, split hulls, the invariance filter, and orbit
-enumeration.
+"""Lattice constructions in a weight-adapted representation: the
+minimal/maximal sandwich lattices with prescribed highest-weight
+components, built block by block down the weights, split hulls, the
+invariance filter, and orbit enumeration.
 
 Conventions: edge data assigns a nonzero scale to each simple raising and
 lowering generator and a full-rank lattice J_psi to every highest-weight
@@ -13,11 +13,9 @@ split lattice with the same highest-weight components lives in it up to
 the torus action, so exhaustive enumeration decides orbit counts.
 """
 
-from fractions import Fraction
-
 from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between, vp
-from latmod.matrixops import F, identity, mat, mat_inv, mat_mul, mat_scale, mat_vec
-from latmod.reps import _root_coords, distinct_words, lattice_generators, word_products
+from latmod.matrixops import F, identity, mat, mat_inv, mat_scale, mat_vec
+from latmod.reps import down_step, lattice_generators, weights_down
 
 
 class EdgeData:
@@ -59,85 +57,59 @@ def unit_edge(rep, prime=None):
     return EdgeData(rep, prime=prime)
 
 
-def _words(rep, degree):
-    """Each distinct ordering of the simple-letter multiset with the given
-    root-lattice degree (nonnegative integer coordinates)."""
-    letters = []
-    for i, a in enumerate(rep.cb.rs.simple):
-        letters.extend([a] * degree[i])
-    return distinct_words(letters)
+def _block_lattices(rep, psi, top, sign, scales):
+    """Block lattices of the psi-component, walked down the weights: top
+    at psi, and at each lower chi the span of the images under
+    scales[a]·down_step a of the lattices at chi + a."""
+    blocks = {psi: top}
+    for chi, _ in weights_down(rep, psi)[1:]:
+        gens = []
+        for a in rep.cb.rs.simple:
+            above = blocks.get(tuple(x + y for x, y in zip(chi, a)))
+            if above is not None:
+                step = mat_scale(scales[a], down_step(rep, psi, a, chi, sign))
+                gens.extend(mat_vec(step, col) for col in above.basis)
+        blocks[chi] = Lattice(gens, top.prime, ambient=len(rep.block(psi, chi)))
+    return blocks
 
 
-def _degrees_of_component(rep, psi):
-    """Root-coordinate degrees psi - chi over the weights of V_(psi)."""
-    out = set()
-    for (p, chi) in rep.blocks:
-        if p != psi:
-            continue
-        m = _root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
-        if m is not None and all(x >= 0 for x in m):
-            out.add(m)
-    return sorted(out)
-
-
-def _word_matrices(rep, degrees, sign, scales):
-    """The action matrix of each word of each degree, in order: x_(a_k)···
-    x_(a_1) for the word (a_1, ..., a_k) of simple roots (x_(-a) when sign
-    < 0), times the product of scales[a_i]."""
-    gens = {
-        a: rep.action[a if sign > 0 else tuple(-x for x in a)]
-        for a in rep.cb.rs.simple
-    }
-    words = (w for degree in degrees for w in _words(rep, degree))
-    for word, prod in word_products(gens, words):
-        c = Fraction(1)
-        for a in word:
-            c *= scales[a]
-        yield mat_scale(c, prod) if c != 1 else prod
-
-
-def _block_embed(rep, psi, block_vec):
-    ix = rep.block(psi, psi)
-    v = [Fraction(0)] * rep.dim
-    for i, x in zip(ix, block_vec):
-        v[i] = F(x)
-    return tuple(v)
+def _from_blocks(rep, prime, blocks):
+    """The lattice of Q^dim that is blocks[(psi, chi)] on each block."""
+    gens = []
+    for (psi, chi), lat in blocks.items():
+        for col in lat.basis:
+            v = [0] * rep.dim
+            for i, x in zip(rep.block(psi, chi), col):
+                v[i] = x
+            gens.append(v)
+    return Lattice(gens, prime, ambient=rep.dim)
 
 
 def s_minus(rep, edge):
-    """Sum over psi of the lowering-word images of J_psi."""
-    gens = []
+    """U⁻·J block by block: J_psi at each highest weight psi, and at each
+    lower chi the sum of the images under l_minus[a]·x_(-a) of the blocks
+    at chi + a."""
+    blocks = {}
     for psi, j in edge.j.items():
-        jvecs = [_block_embed(rep, psi, col) for col in j.basis]
-        degrees = _degrees_of_component(rep, psi)
-        for m in _word_matrices(rep, degrees, -1, edge.l_minus):
-            for v in jvecs:
-                img = mat_vec(m, v)
-                if any(img):
-                    gens.append(img)
-    return Lattice(gens, edge.prime, ambient=rep.dim)
+        for chi, lat in _block_lattices(rep, psi, j, -1, edge.l_minus).items():
+            blocks[psi, chi] = lat
+    return _from_blocks(rep, edge.prime, blocks)
 
 
 def s_plus(rep, edge):
     """Largest lattice whose raising-word images project into each J_psi.
 
-    The constraints "pr_(psi),psi(u·x) in J_psi" stack into an integer-
-    valuedness condition U·x integral; the solution set is the dual of
-    the lattice generated by the rows of U.
+    On the (psi, chi) block the constraints "pr_(psi),psi(u·x) in J_psi"
+    over the raising words u of degree psi - chi ask x to pair integrally
+    with u^T·J_psi^∨, so the block is the dual of the lattice those
+    transposed words span: the same walk as s_minus, from J_psi^∨ with the
+    transposed l_plus[a]·x_a, each block dualised.
     """
-    rows = []
+    blocks = {}
     for psi, j in edge.j.items():
-        ix = rep.block(psi, psi)
-        binv = mat_inv(j.basis_matrix())
-        degrees = _degrees_of_component(rep, psi)
-        for m in _word_matrices(rep, degrees, +1, edge.l_plus):
-            block_rows = tuple(m[i] for i in ix)
-            for row in mat_mul(binv, block_rows):
-                if any(row):
-                    rows.append(row)
-    # Rows generate a full-rank lattice (the identity word pins each
-    # highest block and the raising words reach every other block).
-    return Lattice(rows, edge.prime, ambient=rep.dim).dual()
+        for chi, lat in _block_lattices(rep, psi, j.dual(), +1, edge.l_plus).items():
+            blocks[psi, chi] = lat.dual()
+    return _from_blocks(rep, edge.prime, blocks)
 
 
 def is_split(rep, lat):

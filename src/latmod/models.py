@@ -359,9 +359,11 @@ def _tracked_membership(echelon, target, p):
 def order_equal_bounded(g1, g2, degree_bound, p):
     """Tri-state bounded-degree equality of two orders.
 
-    Returns a dict: status "equal" (with mutual certificates), "not_equal"
+    Returns a dict: status "equal" (with mutual certificates), "not_shown"
     (with a p-adic valuation witness), or "undecided" (a generator escapes
-    the rational span at this bound).
+    the rational span at this bound).  Only "equal" is a proof.  The
+    negatives are bounded: a generator outside the Z_(p)-span of the
+    products up to degree_bound may be inside it at a higher bound.
     """
     report = {"status": "equal", "certificates": [], "witness": None}
     for left, right, direction in ((g1, g2, "1in2"), (g2, g1, "2in1")):
@@ -381,7 +383,7 @@ def order_equal_bounded(g1, g2, degree_bound, p):
                 )
             elif status == "excluded":
                 return {
-                    "status": "not_equal",
+                    "status": "not_shown",
                     "certificates": [],
                     "witness": {
                         "direction": direction,

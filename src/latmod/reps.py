@@ -331,9 +331,10 @@ def build_irrep(cb, psi):
     if psi[0]:
         ambient = _tensor_raw(ambient, _sym_power_raw(defining, psi[0]))
     for i in range(1, rank):
-        ext = _ext_power_raw(defining, i + 1)
-        for _ in range(psi[i]):
-            ambient = _tensor_raw(ambient, ext)
+        if psi[i]:
+            ext = _ext_power_raw(defining, i + 1)
+            for _ in range(psi[i]):
+                ambient = _tensor_raw(ambient, ext)
     d, action, weights = ambient
     raising = [action[a] for a in cb.rs.simple]
     hw = _highest_weight_vectors(raising, weights, psi)
@@ -411,42 +412,40 @@ def _root_coords(cb, fund_diff):
     return tuple(int(t) for t in x)
 
 
-def distinct_words(letters):
-    """Each distinct ordering of the multiset of letters once, as tuples;
-    the count is the multinomial coefficient, not len(letters)!."""
-    if not letters:
-        yield ()
-        return
-    for first in dict.fromkeys(letters):
-        rest = list(letters)
-        rest.remove(first)
-        for word in distinct_words(rest):
-            yield (first,) + word
+def weights_down(rep, psi):
+    """The weights chi of the psi-component from the top down, in order of
+    the height of psi - chi, each with the simple-root coordinates of
+    psi - chi."""
+    graded = []
+    for (p, chi) in rep.blocks:
+        if p == psi:
+            m = _root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+            graded.append((sum(m), m, chi))
+    return [(chi, m) for _, m, chi in sorted(graded)]
 
 
-def word_products(gens, words):
-    """Yield (word, gens[w_k]···gens[w_1]) for each word (w_1, ..., w_k),
-    in order; the empty word gives the identity.  Each product extends the
-    product of the word's longest prefix computed so far, so words sharing
-    prefixes (as distinct_words lists them) share those products."""
-    done = {(): identity(len(next(iter(gens.values()))))}
-    for word in words:
-        k = len(word)
-        while word[:k] not in done:
-            k -= 1
-        prod = done[word[:k]]
-        for i in range(k, len(word)):
-            prod = mat_mul(gens[word[i]], prod)
-            done[word[:i + 1]] = prod
-        yield word, prod
+def down_step(rep, psi, a, chi, sign):
+    """The map from the (psi, chi + a) block to the (psi, chi) block that
+    takes a word one letter a further down: the block of x_(-a) when sign
+    < 0, the transpose of the block of x_a from chi up when sign > 0."""
+    lower = rep.block(psi, chi)
+    upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
+    if sign < 0:
+        g = rep.action[tuple(-x for x in a)]
+        return tuple(tuple(g[r][c] for c in upper) for r in lower)
+    g = rep.action[a]
+    return tuple(tuple(g[c][r] for c in upper) for r in lower)
 
 
 def check_transition_surjectivity(rep, psi, chi, sign):
     """Do graded generator words span Hom(highest block, chi block)?
 
     sign -1 uses lowering words mapping the psi block to the chi block;
-    sign +1 uses raising words mapping the chi block back up.  Returns
-    (surjective, rank).
+    sign +1 uses raising words mapping the chi block back up, walked
+    transposed, which keeps the rank.  Returns (surjective, rank).  The
+    words of degree psi - w span the maps at each w + a composed with
+    down_step a, so the walk down to chi keeps a QSpan basis of block
+    maps per weight, each map as its columns.
     """
     psi = tuple(psi)
     chi = tuple(chi)
@@ -458,20 +457,24 @@ def check_transition_surjectivity(rep, psi, chi, sign):
     m = _root_coords(cb, tuple(a - b for a, b in zip(psi, chi)))
     if m is None or any(x < 0 for x in m):
         raise RepError("chi not under psi in the root order")
-    letters = []
-    for i, a in enumerate(cb.rs.simple):
-        key = a if sign > 0 else tuple(-c for c in a)
-        letters.extend([key] * m[i])
-    if sign > 0:
-        rows_ix, cols_ix = src, tgt
-    else:
-        rows_ix, cols_ix = tgt, src
-    target_dim = len(rows_ix) * len(cols_ix)
-    span = QSpan(target_dim)
-    for _, prod in word_products(rep.action, distinct_words(letters)):
-        flat = tuple(prod[r][c] for r in rows_ix for c in cols_ix)
-        span.insert(flat)
-    return span.rank == target_dim, span.rank
+    k = len(src)
+    maps = {psi: [identity(k)]}
+    for w, mw in weights_down(rep, psi)[1:]:
+        if any(x > y for x, y in zip(mw, m)):
+            continue
+        span = QSpan(len(rep.block(psi, w)) * k)
+        maps[w] = []
+        for a in cb.rs.simple:
+            above = maps.get(tuple(x + y for x, y in zip(w, a)))
+            if above is None:
+                continue
+            step = down_step(rep, psi, a, w, sign)
+            for cols in above:
+                img = tuple(mat_vec(step, c) for c in cols)
+                if span.insert(itertools.chain.from_iterable(img)):
+                    maps[w].append(img)
+    rank = len(maps[chi])
+    return rank == len(tgt) * k, rank
 
 
 # -----------------------------------------------------------------------

@@ -13,7 +13,9 @@ elimination with unbounded entries that `kernels.snf_diagonal` replaced
 by one modulo a determinant, and the dense Chevalley construction
 (root spaces as nullspaces over all N² matrix positions, coroots from a
 Killing-Gram solve, `Fraction` root-system pairings) with the dense lift
-the per-pair homomorphism check used before the bracket table.
+the per-pair homomorphism check used before the bracket table, and the
+sandwich lattices and transition spans by every distinct ordering of
+each simple-root multiset, as before the walk down the weights.
 """
 
 import itertools
@@ -22,14 +24,17 @@ from fractions import Fraction
 from math import prod
 
 from latmod import reps
-from latmod.exact import LatticeError, transporter, vp
+from latmod.exact import Lattice, LatticeError, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.matrixops import (
     F,
     QSpan,
     bracket,
     clear_denominators,
+    identity,
     mat,
+    mat_inv,
+    mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
@@ -565,3 +570,138 @@ def lift(cb, action, dim, coords):
                     if y:
                         out[r][s] += c * y
     return mat(out)
+
+
+# -----------------------------------------------------------------------
+# Sandwich lattices and transition spans by enumerating every distinct
+# ordering of each simple-root multiset, as before the walk down the
+# weights (`latconstruct._block_lattices` and the transition check in
+# `reps`).  The word count grows multinomially with the degree.
+# -----------------------------------------------------------------------
+
+
+def distinct_words(letters):
+    """Each distinct ordering of the multiset of letters once, as tuples;
+    the count is the multinomial coefficient, not len(letters)!."""
+    if not letters:
+        yield ()
+        return
+    for first in dict.fromkeys(letters):
+        rest = list(letters)
+        rest.remove(first)
+        for word in distinct_words(rest):
+            yield (first,) + word
+
+
+def word_products(gens, words):
+    """Yield (word, gens[w_k]···gens[w_1]) for each word (w_1, ..., w_k),
+    in order; the empty word gives the identity.  Each product extends the
+    product of the word's longest prefix computed so far, so words sharing
+    prefixes (as distinct_words lists them) share those products."""
+    done = {(): identity(len(next(iter(gens.values()))))}
+    for word in words:
+        k = len(word)
+        while word[:k] not in done:
+            k -= 1
+        prod = done[word[:k]]
+        for i in range(k, len(word)):
+            prod = mat_mul(gens[word[i]], prod)
+            done[word[:i + 1]] = prod
+        yield word, prod
+
+
+def words_of_degree(rep, degree):
+    """Each distinct ordering of the simple-letter multiset with the given
+    root-lattice degree (nonnegative integer coordinates)."""
+    letters = []
+    for i, a in enumerate(rep.cb.rs.simple):
+        letters.extend([a] * degree[i])
+    return distinct_words(letters)
+
+
+def degrees_of_component(rep, psi):
+    """Root-coordinate degrees psi - chi over the weights of V_(psi)."""
+    out = set()
+    for (p, chi) in rep.blocks:
+        if p != psi:
+            continue
+        m = reps._root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+        if m is not None and all(x >= 0 for x in m):
+            out.add(m)
+    return sorted(out)
+
+
+def word_matrices(rep, degrees, sign, scales):
+    """The action matrix of each word of each degree, in order: x_(a_k)···
+    x_(a_1) for the word (a_1, ..., a_k) of simple roots (x_(-a) when sign
+    < 0), times the product of scales[a_i]."""
+    gens = {
+        a: rep.action[a if sign > 0 else tuple(-x for x in a)]
+        for a in rep.cb.rs.simple
+    }
+    words = (w for degree in degrees for w in words_of_degree(rep, degree))
+    for word, prod in word_products(gens, words):
+        c = Fraction(1)
+        for a in word:
+            c *= scales[a]
+        yield mat_scale(c, prod) if c != 1 else prod
+
+
+def block_embed(rep, psi, block_vec):
+    ix = rep.block(psi, psi)
+    v = [Fraction(0)] * rep.dim
+    for i, x in zip(ix, block_vec):
+        v[i] = F(x)
+    return tuple(v)
+
+
+def s_minus_by_words(rep, edge):
+    """Sum over psi of the lowering-word images of J_psi."""
+    gens = []
+    for psi, j in edge.j.items():
+        jvecs = [block_embed(rep, psi, col) for col in j.basis]
+        degrees = degrees_of_component(rep, psi)
+        for m in word_matrices(rep, degrees, -1, edge.l_minus):
+            for v in jvecs:
+                img = mat_vec(m, v)
+                if any(img):
+                    gens.append(img)
+    return Lattice(gens, edge.prime, ambient=rep.dim)
+
+
+def s_plus_by_words(rep, edge):
+    """Largest lattice whose raising-word images project into each J_psi:
+    the dual of the lattice spanned by the rows of B_J^-1 times the
+    (psi, psi) rows of every raising word."""
+    rows = []
+    for psi, j in edge.j.items():
+        ix = rep.block(psi, psi)
+        binv = mat_inv(j.basis_matrix())
+        degrees = degrees_of_component(rep, psi)
+        for m in word_matrices(rep, degrees, +1, edge.l_plus):
+            block_rows = tuple(m[i] for i in ix)
+            for row in mat_mul(binv, block_rows):
+                if any(row):
+                    rows.append(row)
+    return Lattice(rows, edge.prime, ambient=rep.dim).dual()
+
+
+def transition_by_words(rep, psi, chi, sign):
+    """(surjective, rank) of the span of the (chi, psi) blocks of the
+    lowering words (sign -1) or the (psi, chi) blocks of the raising words
+    (sign +1) of degree psi - chi."""
+    psi = tuple(psi)
+    chi = tuple(chi)
+    src = rep.block(psi, psi)
+    tgt = rep.block(psi, chi)
+    m = reps._root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+    letters = []
+    for i, a in enumerate(rep.cb.rs.simple):
+        key = a if sign > 0 else tuple(-c for c in a)
+        letters.extend([key] * m[i])
+    rows_ix, cols_ix = (src, tgt) if sign > 0 else (tgt, src)
+    target_dim = len(rows_ix) * len(cols_ix)
+    span = QSpan(target_dim)
+    for _, prod in word_products(rep.action, distinct_words(letters)):
+        span.insert(tuple(prod[r][c] for r in rows_ix for c in cols_ix))
+    return span.rank == target_dim, span.rank

@@ -242,9 +242,10 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 # stdout and exit codes of a fixed command set, recorded from the CLI
-# before the canonicaliser and coordinate-solver merges (the last two
-# cases, `orbits` A2 (2,0) and a local `lattice dist`, before lattices
-# were stored as integer columns); every later change must reproduce
+# before the canonicaliser and coordinate-solver merges (`orbits` A2
+# (2,0) and a local `lattice dist` before lattices were stored as
+# integer columns, `sandwich` B3 (0,1,0) before the sandwich lattices
+# were walked down the weights); every later change must reproduce
 # them byte for byte.  "<name>" in an argv is the
 # path of the input file of that name, written to tmp_path.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())

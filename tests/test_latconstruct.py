@@ -1,6 +1,7 @@
 """Graded generator words, sandwich lattices, invariance, split hulls,
 and orbit enumeration."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
     _has_j_components,
-    _word_matrices,
     count_invariant_orbits,
     is_invariant,
     is_split,
@@ -20,9 +20,10 @@ from latmod.latconstruct import (
     split_hull,
     unit_edge,
 )
-from latmod.matrixops import mat_vec
-from latmod.reps import build_irrep, lattice_generators, projector
+from latmod.matrixops import mat_scale, mat_vec
+from latmod.reps import build_irrep, direct_sum, lattice_generators, projector, tensor_product
 from latmod.rootdata import build_chevalley
+from oracles import s_minus_by_words, s_plus_by_words, word_matrices
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def u_span(rep, edge, sign, degree):
     as flattened dim×dim matrices."""
     scales = edge.l_plus if sign > 0 else edge.l_minus
     d = rep.dim
-    words = _word_matrices(rep, [degree], sign, scales)
+    words = word_matrices(rep, [degree], sign, scales)
     return ZSpan([tuple(m[r][c] for r in range(d) for c in range(d)) for m in words], d * d)
 
 
@@ -205,6 +206,84 @@ def test_torus_equivariance(a1_reps):
     )
     assert s_minus(rep, moved) == s_minus(rep, edge).apply(g)
     assert s_plus(rep, moved) == s_plus(rep, edge).apply(g)
+
+
+def oracle_edges(rep):
+    """Seven edges: Z, Z_(2), Z_(3), scaled raising and lowering lattices
+    over Z_(2), Z_(3) and Z, and J = 2·Z_(2)^k on every highest block."""
+    first, last = rep.cb.rs.simple[0], rep.cb.rs.simple[-1]
+    k = {psi: len(rep.block(psi, psi)) for psi in rep.distinct_highest_weights()}
+    twice = {psi: diag_lattice([2] * n, 2) for psi, n in k.items()}
+    return [
+        EdgeData(rep),
+        EdgeData(rep, prime=2),
+        EdgeData(rep, prime=3),
+        EdgeData(rep, l_plus={first: 2}, l_minus={last: Fraction(1, 2)}, prime=2),
+        EdgeData(rep, l_plus={last: Fraction(1, 3)}, l_minus={first: 9}, prime=3),
+        EdgeData(rep, l_plus={first: 3}, l_minus={last: 6}),
+        EdgeData(rep, j=twice, prime=2),
+    ]
+
+
+ORACLE_IRREDUCIBLES = (
+    [("A", 1, (n,)) for n in range(1, 6)]
+    + [("A", 2, hw) for hw in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0))]
+    + [("A", 3, hw) for hw in ((1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 0, 1))]
+    + [("A", 4, (1, 0, 0, 0)), ("A", 4, (0, 1, 0, 0))]
+    + [("B", 2, (1, 0)), ("B", 2, (2, 0)), ("B", 3, (1, 0, 0))]
+    + [("C", 2, (1, 0)), ("C", 2, (0, 1)), ("C", 2, (1, 1))]
+    + [("C", 3, (1, 0, 0)), ("C", 3, (0, 1, 0)), ("D", 4, (1, 0, 0, 0))]
+)
+
+
+@pytest.mark.parametrize(
+    "label, rank, hw",
+    ORACLE_IRREDUCIBLES,
+    ids=["%s%d-%s" % (t, r, ",".join(map(str, hw))) for t, r, hw in ORACLE_IRREDUCIBLES],
+)
+def test_sandwich_matches_word_oracle(label, rank, hw):
+    rep = build_irrep(build_chevalley(label, rank), hw)
+    for edge in oracle_edges(rep):
+        assert s_minus(rep, edge) == s_minus_by_words(rep, edge)
+        assert s_plus(rep, edge) == s_plus_by_words(rep, edge)
+
+
+def test_sandwich_matches_word_oracle_on_reducibles():
+    # Several highest weights, and highest blocks of dimension 2 (3 ⊕ 3).
+    cb1, cb2 = build_chevalley("A", 1), build_chevalley("A", 2)
+    v, w = build_irrep(cb2, (1, 0)), build_irrep(cb2, (0, 1))
+    s1, s2 = build_irrep(cb1, (1,)), build_irrep(cb1, (2,))
+    for rep in (
+        direct_sum([v, v]),
+        direct_sum([v, w]),
+        tensor_product(v, w),
+        tensor_product(v, v),
+        direct_sum([s1, s2]),
+        tensor_product(s1, s2),
+    ):
+        for edge in oracle_edges(rep):
+            assert s_minus(rep, edge) == s_minus_by_words(rep, edge)
+            assert s_plus(rep, edge) == s_plus_by_words(rep, edge)
+
+
+def test_sandwich_properties_beyond_the_oracle():
+    # Sandwiches whose word lists the oracle cannot afford (the D4 one
+    # took about a minute that way): S- ⊆ S+, S- stable under each scaled
+    # lowering generator and S+ under each scaled raising one, both split,
+    # both with the J components.
+    start = time.monotonic()
+    for label, rank, hw in (("B", 3, (0, 1, 0)), ("C", 3, (0, 1, 0)), ("D", 4, (0, 1, 0, 0))):
+        rep = build_irrep(build_chevalley(label, rank), hw)
+        edge = unit_edge(rep, prime=2)
+        lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+        assert hi.contains(lo)
+        for a in rep.cb.rs.simple:
+            lowering = rep.action[tuple(-x for x in a)]
+            assert lo.stable_under(mat_scale(edge.l_minus[a], lowering))
+            assert hi.stable_under(mat_scale(edge.l_plus[a], rep.action[a]))
+        assert is_split(rep, lo) and is_split(rep, hi)
+        assert _has_j_components(rep, edge, lo) and _has_j_components(rep, edge, hi)
+    assert time.monotonic() - start < 10
 
 
 # -- hulls ---------------------------------------------------------------

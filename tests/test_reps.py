@@ -14,13 +14,11 @@ from latmod.reps import (
     build_irrep,
     check_transition_surjectivity,
     direct_sum,
-    distinct_words,
     projector,
     tensor_product,
-    word_products,
 )
 from latmod.rootdata import build_chevalley, killing_h
-from oracles import build_irrep_by_solve, lift
+from oracles import build_irrep_by_solve, distinct_words, lift, transition_by_words, word_products
 
 
 def weyl_dim(cb, psi):
@@ -254,6 +252,22 @@ def test_transition_errors(sweep_reps):
     rep = sweep_reps[("A", 1, (2,))]
     with pytest.raises(RepError):
         check_transition_surjectivity(rep, (2,), (1,), -1)
+
+
+def test_transition_surjectivity_matches_word_oracle(sweep_reps):
+    # The walk down the weights against the span of every distinct word,
+    # on the sweep and on two reducible representations: 3 ⊗ 3̄ of A2, and
+    # 3 ⊕ 3, whose two-dimensional highest block the identity word alone
+    # cannot span.
+    cb = build_chevalley("A", 2)
+    v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
+    reducible = [tensor_product(v, w), direct_sum([v, v])]
+    for rep in list(sweep_reps.values()) + reducible:
+        for (psi, chi) in rep.blocks:
+            for sign in (-1, 1):
+                got = check_transition_surjectivity(rep, psi, chi, sign)
+                assert got == transition_by_words(rep, psi, chi, sign), (psi, chi, sign)
+    assert check_transition_surjectivity(reducible[1], (1, 0), (1, 0), -1) == (False, 1)
 
 
 def test_distinct_words_match_permutation_sets():

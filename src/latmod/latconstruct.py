@@ -1,7 +1,7 @@
 """Lattice constructions in a weight-adapted representation: the
 minimal/maximal sandwich lattices with prescribed highest-weight
 components, built block by block down the weights, split hulls, the
-invariance filter, and orbit enumeration.
+invariance filter, and orbit reports.
 
 Conventions: edge data assigns a nonzero scale to each simple raising and
 lowering generator and a full-rank lattice J_psi to every highest-weight
@@ -10,10 +10,14 @@ components invariant under the scaled lowering generators, s_plus the
 largest one invariant under the scaled raising generators.  Over Z_(p)
 the sandwich [s_minus, s_plus] is finite and every generator-invariant
 split lattice with the same highest-weight components lives in it up to
-the torus action, so exhaustive enumeration decides orbit counts.
+the torus action.  For a multiplicity-free representation such a lattice
+is one p-adic valuation per block, in the box between the valuations of
+s_plus and s_minus, and invariance is a system of difference constraints
+on them; so the orbit report searches that box and counts the lattices
+of the sandwich by Birkhoff's formula, without listing them.
 """
 
-from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between, vp
+from latmod.exact import Lattice, LatticeError, ZSpan, vp
 from latmod.matrixops import F, identity, mat, mat_inv, mat_scale, mat_vec
 from latmod.reps import down_step, lattice_generators, weights_down
 
@@ -190,13 +194,9 @@ def _check_multiplicity_free(rep):
 
 def _profile(rep, lat, span):
     """Valuation profile of a split lattice and its class modulo span."""
-    p = lat.prime
-    s = vp(lat.denominator, p)
-    profile = []
-    for (psi, chi) in _block_order(rep):
-        i = rep.block(psi, chi)[0]
-        profile.append(min(vp(col[i], p) for col in lat.columns if col[i]) - s)
-    return tuple(profile), _reduce_mod_columns(profile, span)
+    v = _valuations(lat)
+    profile = tuple(v[rep.block(psi, chi)[0]] for psi, chi in _block_order(rep))
+    return profile, _reduce_mod_columns(profile, span)
 
 
 def _shift_span(rep):
@@ -214,48 +214,168 @@ def normalize_profile(rep, lat):
 
 
 def count_invariant_orbits(rep, edge):
-    """Exhaustive orbit report between the sandwich lattices.
+    """Orbit report between the sandwich lattices, read off the valuation
+    box.
+
+    The representation must be multiplicity-free, so every (psi, chi)
+    block is one basis vector e_i and a split lattice is ⊕ p^(v_i)·Z_(p)·e_i,
+    one valuation per block.  Between S₋ and S₊ (both split) v lies in the
+    box v(S₊) ≤ v ≤ v(S₋), fixed by J at each highest weight; the lattice
+    is invariant under a generator g exactly when v_r ≤ v_c + v_p(g[r][c])
+    for every nonzero off-diagonal entry and no diagonal entry has a
+    negative valuation.  So the invariant split lattices with the J
+    components are the integer points of a system of difference
+    constraints, found by a search down the weights, and no intermediate
+    lattice is built.  The number of lattices between S₋ and S₊ is the
+    number of subgroups of S₊/S₋, which has type {v(S₋)_i - v(S₊)_i}; it
+    comes from Birkhoff's formula (subgroup_count).
 
     Returns a dict with the sandwich index, the number of intermediate
     lattices, the number of generator-invariant split lattices with the
     prescribed highest-weight components, the number of torus-orbit
-    classes among them, and one representative per class: the lattice
-    with the smallest canonical basis, whatever the enumeration order.
+    classes among them (modulo _shift_span), and one representative per
+    class: the lattice with the smallest canonical basis.
     """
+    _check_multiplicity_free(rep)
     if edge.prime is None:
         raise LatticeError("orbit enumeration requires a localized edge")
+    p = edge.prime
     lo = s_minus(rep, edge)
     hi = s_plus(rep, edge)
     if not hi.contains(lo):
         raise LatticeError("sandwich is empty (construction bug)")
     sandwich_index = lo.index_in(hi)
-    mids = enumerate_between(lo, hi)
-    gens = lattice_generators(rep)
-    invariant = []
-    for m in mids:
-        if not all(m.stable_under(g) for g in gens):
-            continue
-        if not is_split(rep, m):
-            continue
-        if not _has_j_components(rep, edge, m):
-            continue
-        invariant.append(m)
+    vlo, vhi = _valuations(lo), _valuations(hi)
+    box = list(zip(vhi, vlo))
+    for psi, j in edge.j.items():
+        (x,) = _valuations(j)
+        i = rep.block(psi, psi)[0]
+        box[i] = (max(box[i][0], x), min(box[i][1], x))
+    span = _shift_span(rep)
+    ix = [rep.block(psi, chi)[0] for psi, chi in _block_order(rep)]
+    invariant = 0
     orbits = {}
-    if invariant:
-        _check_multiplicity_free(rep)
-        span = _shift_span(rep)
-        for m in invariant:
-            _, inv = _profile(rep, m, span)
-            if inv not in orbits or m.basis < orbits[inv].basis:
-                orbits[inv] = m
-    reps_sorted = [orbits[k] for k in sorted(orbits)]
+    for v in _invariant_valuations(rep, p, box):
+        invariant += 1
+        inv = _reduce_mod_columns([v[i] for i in ix], span)
+        # The canonical basis of a split lattice is diag(p^v_i), so bases
+        # compare as the valuation vectors do.
+        if inv not in orbits or v < orbits[inv]:
+            orbits[inv] = v
     return {
         "sandwich_index": int(sandwich_index),
-        "total_between": len(mids),
-        "invariant": len(invariant),
+        "total_between": subgroup_count([b - a for a, b in zip(vhi, vlo)], p),
+        "invariant": invariant,
         "orbits": len(orbits),
-        "representatives": [m.to_json_obj() for m in reps_sorted],
+        "representatives": [_diagonal(orbits[k], p).to_json_obj() for k in sorted(orbits)],
     }
+
+
+def _valuations(lat):
+    """Valuation v_i of each coordinate of a diagonal lattice over Z_(p):
+    its canonical column i is p^(v_i + s)·e_i over the scale p^s."""
+    p = lat.prime
+    s = vp(lat.denominator, p)
+    out = []
+    for i, col in enumerate(lat.columns):
+        assert not any(x for k, x in enumerate(col) if k != i), "lattice is not diagonal"
+        out.append(vp(col[i], p) - s)
+    return out
+
+
+def _diagonal(v, p):
+    """The lattice ⊕ p^(v_i)·Z_(p)·e_i."""
+    s = max(0, -min(v))
+    n = len(v)
+    cols = [[p ** (x + s) if r == i else 0 for r in range(n)] for i, x in enumerate(v)]
+    return Lattice.from_integers(cols, p**s, p, n)
+
+
+def _invariant_valuations(rep, p, box):
+    """Every valuation vector v (indexed like the basis) inside box[i] =
+    (low, high) that satisfies the invariance constraints of
+    lattice_generators(rep), as tuples.
+
+    The blocks are fixed down the weights, by the height of psi - chi, and
+    each constraint v_r ≤ v_c + w bounds whichever of its two ends is fixed
+    second, so a branch stops as soon as its range is empty.
+    """
+    bound = {}
+    for g in lattice_generators(rep):
+        for r, row in enumerate(g):
+            for c, x in enumerate(row):
+                if not x:
+                    continue
+                w = vp(x, p)
+                if r == c:
+                    if w < 0:
+                        return
+                elif bound.get((r, c), w) >= w:
+                    bound[r, c] = w
+    graded = []
+    for psi in rep.distinct_highest_weights():
+        for chi, m in weights_down(rep, psi):
+            graded.append((sum(m), rep.block(psi, chi)[0]))
+    order = [i for _, i in sorted(graded)]
+    pos = {i: k for k, i in enumerate(order)}
+    ups = [[] for _ in order]  # v_i ≤ v_j + w
+    lows = [[] for _ in order]  # v_i ≥ v_j - w
+    for (r, c), w in bound.items():
+        if pos[r] > pos[c]:
+            ups[pos[r]].append((c, w))
+        else:
+            lows[pos[c]].append((r, w))
+    v = [0] * rep.dim
+
+    def walk(k):
+        if k == len(order):
+            yield tuple(v)
+            return
+        i = order[k]
+        low = max([box[i][0]] + [v[j] - w for j, w in lows[k]])
+        high = min([box[i][1]] + [v[j] + w for j, w in ups[k]])
+        for x in range(low, high + 1):
+            v[i] = x
+            yield from walk(k + 1)
+
+    yield from walk(0)
+
+
+def _gaussian_binomial(n, k, p):
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def subgroup_count(lam, p):
+    """Number of subgroups of ⊕ Z/p^(lam_i), by Birkhoff's formula.
+
+    The subgroups of type mu of a group of type lam number
+    ∏_i p^(mu'_(i+1)·(lam'_i - mu'_i)) · [lam'_i - mu'_(i+1) choose
+    mu'_i - mu'_(i+1)]_p over the columns i, mu' and lam' the conjugate
+    partitions (G. Birkhoff 1935; L. Butler, Subgroup lattices and
+    symmetric functions, Mem. AMS 1994).  Each factor depends only on two
+    neighbouring columns (mu'_i, mu'_(i+1)), so the sum over mu ⊆ lam is
+    taken column by column from the last: after column i, f[a] is the sum,
+    over the columns mu'_(i+1), mu'_(i+2), ... below a, of the product of
+    the factors of columns i and beyond with mu'_i = a.
+    """
+    lam = [x for x in lam if x]
+    conj = [sum(1 for x in lam if x > i) for i in range(max(lam, default=0))]
+    f = {0: 1}
+    for li in reversed(conj):
+        f = {
+            a: sum(
+                p ** (b * (li - a)) * _gaussian_binomial(li - b, a - b, p) * fb
+                for b, fb in f.items()
+                if b <= a
+            )
+            for a in range(li + 1)
+        }
+    return sum(f.values())
 
 
 def _has_j_components(rep, edge, lat):

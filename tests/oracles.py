@@ -15,7 +15,9 @@ by one modulo a determinant, and the dense Chevalley construction
 Killing-Gram solve, `Fraction` root-system pairings) with the dense lift
 the per-pair homomorphism check used before the bracket table, and the
 sandwich lattices and transition spans by every distinct ordering of
-each simple-root multiset, as before the walk down the weights.
+each simple-root multiset, as before the walk down the weights, and the
+orbit reports by enumerating every lattice between S₋ and S₊ and
+filtering it, as before the valuation box.
 """
 
 import itertools
@@ -24,8 +26,17 @@ from fractions import Fraction
 from math import prod
 
 from latmod import reps
-from latmod.exact import Lattice, LatticeError, transporter, vp
+from latmod.exact import Lattice, LatticeError, enumerate_between, transporter, vp
 from latmod.kernels import hnf_columns
+from latmod.latconstruct import (
+    _check_multiplicity_free,
+    _has_j_components,
+    _profile,
+    _shift_span,
+    is_split,
+    s_minus,
+    s_plus,
+)
 from latmod.matrixops import (
     F,
     QSpan,
@@ -705,3 +716,50 @@ def transition_by_words(rep, psi, chi, sign):
     for _, prod in word_products(rep.action, distinct_words(letters)):
         span.insert(tuple(prod[r][c] for r in rows_ix for c in cols_ix))
     return span.rank == target_dim, span.rank
+
+
+# -----------------------------------------------------------------------
+# Orbit reports by listing every lattice between S₋ and S₊ and filtering
+# it, as before the valuation box (`latconstruct.count_invariant_orbits`).
+# -----------------------------------------------------------------------
+
+
+def count_invariant_orbits_by_enumeration(rep, edge):
+    """The orbit report of count_invariant_orbits from enumerate_between:
+    every intermediate lattice, kept when it is stable under every lattice
+    generator, split and has the J components; one class per profile
+    modulo the torus shifts, represented by the smallest canonical basis."""
+    if edge.prime is None:
+        raise LatticeError("orbit enumeration requires a localized edge")
+    lo = s_minus(rep, edge)
+    hi = s_plus(rep, edge)
+    if not hi.contains(lo):
+        raise LatticeError("sandwich is empty (construction bug)")
+    sandwich_index = lo.index_in(hi)
+    mids = enumerate_between(lo, hi)
+    gens = reps.lattice_generators(rep)
+    invariant = []
+    for m in mids:
+        if not all(m.stable_under(g) for g in gens):
+            continue
+        if not is_split(rep, m):
+            continue
+        if not _has_j_components(rep, edge, m):
+            continue
+        invariant.append(m)
+    orbits = {}
+    if invariant:
+        _check_multiplicity_free(rep)
+        span = _shift_span(rep)
+        for m in invariant:
+            _, inv = _profile(rep, m, span)
+            if inv not in orbits or m.basis < orbits[inv].basis:
+                orbits[inv] = m
+    reps_sorted = [orbits[k] for k in sorted(orbits)]
+    return {
+        "sandwich_index": int(sandwich_index),
+        "total_between": len(mids),
+        "invariant": len(invariant),
+        "orbits": len(orbits),
+        "representatives": [m.to_json_obj() for m in reps_sorted],
+    }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from latmod import cli
 from latmod.cli import main
 from latmod.exact import Lattice
+from latmod.latconstruct import _has_j_components, is_invariant, is_split, s_minus, s_plus, unit_edge
+from latmod.reps import build_irrep
+from latmod.rootdata import build_chevalley
 
 
 def run(argv, capsys):
@@ -61,6 +65,24 @@ def test_orbits(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["orbits"] == 3 and obj["invariant"] == 4
+
+
+def test_orbits_past_the_former_enumeration_cap(capsys):
+    # [S+ : S-] = 3^14 exceeded ENUM_ORDER_CAP while every lattice of the
+    # sandwich was listed; the request exited 1 then.
+    start = time.monotonic()
+    code, out, err = run(["orbits", "--type", "A", "--rank", "1", "--hw", "6", "--p", "3"], capsys)
+    assert time.monotonic() - start < 10
+    assert code == 0, err
+    obj = json.loads(out)
+    counts = (obj["sandwich_index"], obj["total_between"], obj["invariant"], obj["orbits"])
+    assert counts == (4782969, 309701016, 16, 16)
+    rep = build_irrep(build_chevalley("A", 1), (6,))
+    edge = unit_edge(rep, prime=3)
+    lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    for m in map(Lattice.from_json_obj, obj["representatives"]):
+        assert is_invariant(rep, m) and is_split(rep, m) and _has_j_components(rep, edge, m)
+        assert m.contains(lo) and hi.contains(m)
 
 
 def test_model_lie(tmp_path, capsys):
@@ -245,8 +267,9 @@ def test_missing_file_exits_1(tmp_path, capsys):
 # before the canonicaliser and coordinate-solver merges (`orbits` A2
 # (2,0) and a local `lattice dist` before lattices were stored as
 # integer columns, `sandwich` B3 (0,1,0) before the sandwich lattices
-# were walked down the weights); every later change must reproduce
-# them byte for byte.  "<name>" in an argv is the
+# were walked down the weights, `orbits` A1 hw 4 at p = 2 while every
+# lattice of the sandwich was enumerated, over a minute); every later
+# change must reproduce them byte for byte.  "<name>" in an argv is the
 # path of the input file of that name, written to tmp_path.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 

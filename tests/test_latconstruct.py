@@ -1,10 +1,16 @@
 """Graded generator words, sandwich lattices, invariance, split hulls,
-and orbit enumeration."""
+orbit reports and the subgroup count."""
 
+import importlib.util
+import random
 import time
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latmod import latconstruct
 from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between
@@ -18,12 +24,19 @@ from latmod.latconstruct import (
     s_minus,
     s_plus,
     split_hull,
+    subgroup_count,
     unit_edge,
 )
 from latmod.matrixops import mat_scale, mat_vec
 from latmod.reps import build_irrep, direct_sum, lattice_generators, projector, tensor_product
 from latmod.rootdata import build_chevalley
-from oracles import s_minus_by_words, s_plus_by_words, word_matrices
+from oracles import (
+    count_invariant_orbits_by_enumeration,
+    s_minus_by_words,
+    s_plus_by_words,
+    subgroup_count_of_quotient,
+    word_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -446,13 +459,28 @@ SYM2_P2_REPRESENTATIVES = [
 
 
 def test_orbit_representatives_independent_of_enumeration_order(a1_reps, monkeypatch):
+    # The invariant lattices come from the search over the valuation box;
+    # the representatives must not depend on the order it yields them in.
     rep = a1_reps[2]
     edge = unit_edge(rep, prime=2)
     assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
-    monkeypatch.setattr(
-        latconstruct, "enumerate_between", lambda lo, hi: enumerate_between(lo, hi)[::-1]
-    )
+    search = latconstruct._invariant_valuations
+    found = []
+
+    def reversed_search(*args):
+        found[:] = search(*args)
+        return found[::-1]
+
+    monkeypatch.setattr(latconstruct, "_invariant_valuations", reversed_search)
     assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
+    assert len(found) == 4 and found != found[::-1]
+    for seed in range(5):
+        monkeypatch.setattr(
+            latconstruct,
+            "_invariant_valuations",
+            lambda *a: random.Random(seed).sample(list(search(*a)), len(found)),
+        )
+        assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
 
 
 def test_orbit_count_rejects_multiplicity(a1_reps):
@@ -481,3 +509,129 @@ def test_orbit_report_schema(a1_reps):
     for obj in report["representatives"]:
         lat = Lattice.from_json_obj(obj)
         assert lat.prime == 2
+
+
+# -- the valuation box against full enumeration ------------------------------
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK_ORBITS = _load_workloads().ORBITS
+
+
+@pytest.mark.parametrize(
+    "key", sorted(BENCHMARK_ORBITS), ids=["%s%d-%s-p%d" % k for k in sorted(BENCHMARK_ORBITS)]
+)
+def test_orbit_report_matches_enumeration_on_benchmark_keys(key):
+    label, rank, hw, p = key
+    rep = build_irrep(build_chevalley(label, rank), tuple(int(x) for x in hw.split(",")))
+    edge = unit_edge(rep, prime=p)
+    report = count_invariant_orbits(rep, edge)
+    assert report == count_invariant_orbits_by_enumeration(rep, edge)
+    counts = (report["sandwich_index"], report["total_between"], report["invariant"], report["orbits"])
+    assert counts == BENCHMARK_ORBITS[key]
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_orbit_report_matches_enumeration_on_criterion_5_cases(a1_reps, n, p):
+    rep = a1_reps[n]
+    edge = unit_edge(rep, prime=p)
+    assert count_invariant_orbits(rep, edge) == count_invariant_orbits_by_enumeration(rep, edge)
+
+
+@lru_cache(maxsize=None)
+def _multiplicity_free_rep(name):
+    cb1 = build_chevalley("A", 1)
+    if name == "A1 1+2":
+        return direct_sum([build_irrep(cb1, (1,)), build_irrep(cb1, (2,))])
+    if name == "A1 1x2":
+        return tensor_product(build_irrep(cb1, (1,)), build_irrep(cb1, (2,)))
+    label, rank, hw = name.split()
+    return build_irrep(build_chevalley(label, int(rank)), tuple(int(x) for x in hw.split(",")))
+
+
+# A2 (2,0) is left to the benchmark keys: with l_minus scaled at p = 2 its
+# sandwich holds 32424 lattices, 15-25 s of enumeration each time.
+MULTIPLICITY_FREE = (
+    ["A 1 %d" % n for n in range(5)]
+    + ["A 2 1,0", "A 2 0,1", "A 3 1,0,0", "B 2 1,0", "C 2 1,0", "C 2 0,1"]
+    + ["A1 1+2", "A1 1x2"]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MULTIPLICITY_FREE),
+    st.sampled_from([2, 3, 5]),
+    st.data(),
+)
+def test_orbit_report_matches_enumeration_on_random_edges(name, p, data):
+    # Scaled raising and lowering lattices on random simple roots, and J =
+    # p^e on every highest block; the sandwich is kept small enough to
+    # enumerate.
+    rep = _multiplicity_free_rep(name)
+    simple = rep.cb.rs.simple
+    power = st.integers(-1, 2).map(lambda e: Fraction(p) ** e)
+    l_plus = data.draw(st.dictionaries(st.sampled_from(simple), power))
+    l_minus = data.draw(st.dictionaries(st.sampled_from(simple), power))
+    j = {
+        psi: diag_lattice([data.draw(power)], p) for psi in rep.distinct_highest_weights()
+    }
+    edge = EdgeData(rep, l_plus=l_plus, l_minus=l_minus, j=j, prime=p)
+    lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    if not hi.contains(lo):
+        for count in (count_invariant_orbits, count_invariant_orbits_by_enumeration):
+            with pytest.raises(LatticeError, match="sandwich is empty"):
+                count(rep, edge)
+        return
+    assume(lo.index_in(hi) <= 2**12)
+    assert count_invariant_orbits(rep, edge) == count_invariant_orbits_by_enumeration(rep, edge)
+
+
+# -- Birkhoff's subgroup count -------------------------------------------------
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+SMALL_TYPES = [
+    (p, lam) for p, top in ((2, 6), (3, 4), (5, 3), (7, 2)) for n in range(top + 1) for lam in _partitions(n)
+]
+
+
+@pytest.mark.parametrize(
+    "p, lam", SMALL_TYPES, ids=["p%d-%s" % (p, ",".join(map(str, lam))) for p, lam in SMALL_TYPES]
+)
+def test_subgroup_count_matches_brute_force(p, lam):
+    assert subgroup_count(lam, p) == subgroup_count_of_quotient([p**x for x in lam])
+
+
+def test_subgroup_count_of_elementary_abelian_groups_is_galois_number():
+    # The subspaces of F_p^n, sum_k [n choose k]_p, by the Goldman–Rota
+    # recurrence G_(n+1) = 2·G_n + (p^n - 1)·G_(n-1).
+    for p in (2, 3, 5):
+        galois = [1, 2]
+        for n in range(1, 12):
+            galois.append(2 * galois[n] + (p**n - 1) * galois[n - 1])
+        assert [subgroup_count([1] * n, p) for n in range(13)] == galois
+
+
+@pytest.mark.parametrize("p, lam", [(2, (10,)), (2, (5, 5)), (2, (4, 3, 2, 1)), (2, (3, 3, 2)), (3, (3, 2))])
+def test_subgroup_count_matches_enumeration(p, lam):
+    # Lattices between diag(p^lam_i) and Z_(p)^n, one per subgroup.
+    n = len(lam)
+    lo = diag_lattice([p**x for x in lam], p)
+    assert len(enumerate_between(lo, diag_lattice([1] * n, p))) == subgroup_count(lam, p)

@@ -41,7 +41,7 @@ class CaseStudyError(ValueError):
 
 
 # Largest |D| accepted by QuadField: the class count for D = -99995
-# (h = 116) takes about 4 s on a 2-vCPU x86-64 host.
+# (h = 116) takes about 2 s in-process on a 2-vCPU x86-64 host.
 DISC_LIMIT = 10**5
 
 
@@ -121,9 +121,11 @@ class QuadField:
         )
 
     def minkowski_bound(self):
-        """Every ideal class contains an integral ideal of norm at most
-        (2/pi)·sqrt(|disc|)."""
-        return int(2 * math.sqrt(-self.disc) / math.pi) + 1
+        """An integer above (2/pi)·sqrt(|disc|), the norm within which
+        every ideal class contains an integral ideal.  As 333/106 < pi,
+        212/333 > 2/pi, and floor(212/333·sqrt(|disc|)) + 1 is computed
+        in integers."""
+        return math.isqrt(4 * 106**2 * -self.disc) // 333 + 1
 
 
 def multiplier_ring(field, lat):

@@ -20,7 +20,7 @@ for the torus shift lattice of the orbit reports.
 import json
 from fractions import Fraction
 from itertools import chain
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import F, clear_denominators, mat_inv, mat_mul, mat_vec
@@ -49,7 +49,7 @@ def vp(x, p):
 
 
 def is_prime(n):
-    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def _canonical(ints, d, n, p=None):
@@ -221,8 +221,18 @@ class Lattice:
     # -- serialization -----------------------------------------------
 
     def to_json_obj(self):
+        """The basis rows as strings of the entries, each written as
+        str(Fraction) would write column / denominator."""
         ring = "Z" if self.prime is None else {"Zp": self.prime}
-        rows = [[str(x) for x in row] for row in self.basis_matrix()]
+        d = self.denominator
+
+        def entry(x):
+            if not x:
+                return "0"
+            g = gcd(x, d)
+            return str(x // g) if g == d else "%d/%d" % (x // g, d // g)
+
+        rows = [[entry(x) for x in row] for row in zip(*self.columns)]
         return {"ambient": self.ambient, "ring": ring, "basis": rows}
 
     @classmethod

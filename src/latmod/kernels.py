@@ -1,9 +1,12 @@
 """Integer normal-form kernels: column Hermite form, hermite_coords (the
 one integer coordinate routine, in a Hermite basis), and Smith form.
 
-Every lattice operation funnels through column Hermite reduction, and
-the orbit enumerations call it thousands of times (Cohen, *A Course in
-Computational Algebraic Number Theory*, §2.4).
+Every lattice operation funnels through column Hermite reduction (Cohen,
+*A Course in Computational Algebraic Number Theory*, §2.4).  The rows
+of a column from nrows on are carried through its column operations
+without being reduced: with an identity tail appended to each input
+column, each output column's tail holds the integer combination of the
+inputs that makes it, the transformation matrix of Cohen §2.4.2.
 
 The Smith form is taken modulo D = |a nonzero r×r minor|, r the rank
 (Cohen §2.4.3; Hafner–McCurley 1991), so no entry grows past D: the
@@ -28,6 +31,11 @@ def hnf_columns(cols, nrows):
     entry (the pivot) positive, entries of earlier columns at a pivot row
     are reduced into [0, pivot).  For a full-rank square input this is the
     lower-triangular HNF with positive diagonal.
+
+    Only rows 0..nrows-1 are reduced; any further rows of a column (a
+    tail) undergo the same column operations, so a returned column's tail
+    is the same integer combination of the input tails as its head is of
+    the input heads.  Columns whose head reduces to zero are dropped.
     """
     work = [list(c) for c in cols if any(c)]
     fixed = []
@@ -43,7 +51,7 @@ def hnf_columns(cols, nrows):
             for c in live[1:]:
                 q = c[row] // pv
                 if q:
-                    for i in range(row, nrows):
+                    for i in range(row, len(piv)):
                         c[i] -= q * piv[i]
             live = [c for c in live if c[row] != 0]
         piv = live[0]
@@ -54,7 +62,7 @@ def hnf_columns(cols, nrows):
         for c in fixed:
             q = c[row] // pv
             if q:
-                for i in range(row, nrows):
+                for i in range(row, len(piv)):
                     c[i] -= q * piv[i]
         fixed.append(piv)
         if not work:
@@ -66,7 +74,8 @@ def hermite_coords(v, cols, pivots):
     """The integers x with sum_k x[k]·cols[k] = v, where cols[k] is zero
     above row pivots[k] and the pivots increase; None when v is outside
     the span: at the first pivot that does not divide, or when a residual
-    is left off the pivots."""
+    is left off the pivots.  Rows of cols past len(v), such as the tails
+    hnf_columns carries, are not read."""
     r = list(v)
     x = []
     for col, piv in zip(cols, pivots):

@@ -1,14 +1,15 @@
 """Small exact linear algebra helpers over Fraction.
 
 Matrices are tuples of rows; vectors are tuples.  Everything is immutable
-and exact; the products and the eliminations (det, mat_inv, rref and what
-uses it) return Fraction entries, also for integer input.  Coordinates in
-a fixed basis come from coordinate_solver: one elimination, then a product
-and a residual check per vector.  Brackets also come sparse
-({(i, j): nonzero entry}), for the Chevalley identities.  Dimensions at
-desk scale never exceed a few dozen, but action matrices are weight-graded
-and almost all zero, so the products skip zero entries and sum only
-products of nonzero ones.
+and exact; the products and the eliminations return Fraction entries,
+also for integer input.  rref is the one elimination: mat_inv, nullspace
+and coordinate_solver are built on it, and QSpan reduces incrementally.
+Coordinates in a fixed basis come from coordinate_solver: one
+elimination, then a product and a residual check per vector.  Brackets
+also come sparse ({(i, j): nonzero entry}), for the Chevalley identities.
+Dimensions at desk scale never exceed a few dozen, but action matrices
+are weight-graded and almost all zero, so the products skip zero entries
+and sum only products of nonzero ones.
 """
 
 from fractions import Fraction
@@ -129,44 +130,6 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def mat_inv(a):
-    """Inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    n = len(a)
-    aug = [[F(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def det(a):
-    n = len(a)
-    m = [[F(x) for x in row] for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        pv = m[col][col]
-        d *= pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return d
-
-
 def rref(a):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = [[F(x) for x in row] for row in a]
@@ -192,6 +155,16 @@ def rref(a):
     return tuple(tuple(row) for row in m), pivots
 
 
+def mat_inv(a):
+    """Inverse as the right half of rref([a | I]); raises
+    ZeroDivisionError if singular."""
+    n = len(a)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in red)
+
+
 def nullspace(a):
     """Basis of the right kernel, as a tuple of vectors."""
     nc = len(a[0]) if a else 0
@@ -205,22 +178,6 @@ def nullspace(a):
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def solve(a, b):
-    """One solution x of a·x = b, or None if inconsistent."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    aug = [list(row) + [F(bb)] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:nc]) and row[nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        if pc < nc:
-            x[pc] = red[r][nc]
-    return tuple(x)
 
 
 def coordinate_solver(cols):

@@ -4,15 +4,18 @@ bounded-degree Hopf-order generators for the rank-1 adjoint case.
 
 Hopf orders are handled through explicit matrix-coefficient polynomials in
 the group coordinates, reduced modulo the determinant relation
-x11·x22 = 1 + x12·x21; equality of two orders is decided by exact linear
-algebra on reduced monomials up to a degree bound, with an explicit
-integral certificate for every positive answer.
+x11·x22 = 1 + x12·x21; equality of two orders is decided up to a degree
+bound on one integer Hermite basis of the generator products in the
+reduced monomials, whose transform gives an explicit integral
+certificate for every positive answer.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from latmod.exact import snf, transporter, vp
+from latmod.exact import snf, transporter
+from latmod.kernels import hermite_coords, hnf_columns
 from latmod.matrixops import (
     F,
     clear_denominators,
@@ -288,9 +291,11 @@ def _monomial_products(gens, degree_bound):
 
 
 def _product_echelon(products):
-    """Integer echelon of the products scaled by their common denominator
-    d, so an integral-combination basis: (monomial index, d, sorted
-    [(pivot, (vector, combination))], words)."""
+    """One Hermite basis of the products scaled by their common
+    denominator d.  Each product column carries an identity tail below
+    its monomial rows, so each basis column's tail is the integer
+    combination of products that makes it: (monomial index, d, basis
+    columns, their pivot rows, words)."""
     monomials = sorted({e for poly, _ in products for e in poly})
     ix = {e: i for i, e in enumerate(monomials)}
     vecs = []
@@ -300,29 +305,12 @@ def _product_echelon(products):
             v[ix[e]] = c
         vecs.append(v)
     ints, d = clear_denominators(vecs)
-    words = [word for _, word in products]
-    ech = {}  # pivot row -> (vector, combination)
-    for k, v in enumerate(ints):
-        c = [Fraction(0)] * len(words)
-        c[k] = Fraction(1)
-        while True:
-            piv = next((i for i, x in enumerate(v) if x != 0), None)
-            if piv is None:
-                break
-            if v[piv] < 0:
-                v = [-x for x in v]
-                c = [-x for x in c]
-            if piv not in ech:
-                ech[piv] = (v, c)
-                break
-            w, wc = ech[piv]
-            q = v[piv] // w[piv]
-            v = [a - q * b for a, b in zip(v, w)]
-            c = [a - q * b for a, b in zip(c, wc)]
-            if v[piv] != 0:
-                # Remainder became the smaller pivot: swap and continue.
-                ech[piv], v, c = (v, c), w, wc
-    return ix, d, sorted(ech.items()), words
+    m = len(products)
+    cols = hnf_columns(
+        [v + [int(j == k) for j in range(m)] for k, v in enumerate(ints)], len(ix)
+    )
+    pivots = [next(i for i, x in enumerate(col) if x) for col in cols]
+    return ix, d, cols, pivots, [word for _, word in products]
 
 
 def _tracked_membership(echelon, target, p):
@@ -330,30 +318,33 @@ def _tracked_membership(echelon, target, p):
     this _product_echelon; returns (status, combination or witness).
 
     status: "member" with an integral combination [(coeff, word)],
-    "excluded" with the offending p-denominator, or "outside" when the
-    target is not even in the Q-span.
+    "excluded" with a coordinate in the Hermite basis that has a
+    p-denominator, or "outside" when the target is not even in the
+    Q-span.  The basis is triangular with pivot product P, so the target,
+    scaled like the products and then to integers by some den, has
+    coordinates in Z/P; hermite_coords finds den·P times the target's
+    coordinates.
     """
-    ix, d, rows, words = echelon
+    ix, d, cols, pivots, words = echelon
     if any(c and e not in ix for e, c in target.items()):
         return "outside", None
-    # Forward substitution of the target, scaled like the products.
-    resid = [Fraction(0)] * len(ix)
+    v = [0] * len(ix)
     for e, c in target.items():
-        resid[ix[e]] = F(c) * d
-    combo = [Fraction(0)] * len(words)
-    bad_val = None
-    for piv, (w, wc) in rows:
-        if resid[piv] != 0:
-            q = resid[piv] / w[piv]
-            if p is not None and vp(q, p) < 0:
-                bad_val = q
-            resid = [a - q * b for a, b in zip(resid, w)]
-            combo = [a + q * b for a, b in zip(combo, wc)]
-    if any(resid):
+        v[ix[e]] = c * d
+    (v,), den = clear_denominators([v])
+    pivot_prod = prod(col[piv] for col, piv in zip(cols, pivots))
+    x = hermite_coords([a * pivot_prod for a in v], cols, pivots)
+    if x is None:
         return "outside", None
-    if bad_val is not None:
-        return "excluded", bad_val
-    return "member", [(c, words[k]) for k, c in enumerate(combo) if c]
+    scale = den * pivot_prod
+    coords = [Fraction(xk, scale) for xk in x]
+    if p is not None:
+        bad = next((q for q in coords if q.denominator % p == 0), None)
+        if bad is not None:
+            return "excluded", bad
+    n = len(ix)
+    combo = [sum(xk * col[n + k] for xk, col in zip(x, cols)) for k in range(len(words))]
+    return "member", [(Fraction(c, scale), words[k]) for k, c in enumerate(combo) if c]
 
 
 def order_equal_bounded(g1, g2, degree_bound, p):

@@ -17,7 +17,6 @@ import itertools
 from fractions import Fraction
 
 from latmod.matrixops import (
-    F,
     QSpan,
     coordinate_solver,
     identity,
@@ -27,9 +26,9 @@ from latmod.matrixops import (
     mat_vec,
     nullspace,
     primitive,
-    solve,
     sparse,
     sparse_bracket,
+    transpose,
     zeros,
 )
 
@@ -406,8 +405,8 @@ def projector(rep, psi, chi):
 def _root_coords(cb, fund_diff):
     """Simple-root coordinates of a fund-coords vector, or None."""
     # fund(sum m_j alpha_j)_i = sum_j cartan[i][j] m_j
-    x = solve(mat(cb.rs.cartan_matrix), [F(t) for t in fund_diff])
-    if x is None or any(t.denominator != 1 for t in x):
+    x = coordinate_solver(transpose(cb.rs.cartan_matrix))(fund_diff)
+    if any(t.denominator != 1 for t in x):
         return None
     return tuple(int(t) for t in x)
 

@@ -7,8 +7,11 @@ under `Lattice.member`, `ZSpan.member` and the Hermite search, the
 per-vector `solve` that `reps.build_irrep` used before
 `matrixops.coordinate_solver`, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
-keys of `casestudies.class_orbit_count`, and the Hopf-order membership
-test that rebuilt the product echelon for every target, the Smith
+keys of `casestudies.class_orbit_count`, the Euclid echelon of the
+Hopf-order products with `Fraction` combination lists and its forward
+substitution, as before the Hermite basis with a transform, the
+Gauss–Jordan `mat_inv` that `rref([a | I])` replaced, `det` and `solve`,
+which `src/` no longer uses, the Smith
 elimination with unbounded entries that `kernels.snf_diagonal` replaced
 by one modulo a determinant, and the dense Chevalley construction
 (root spaces as nullspaces over all N² matrix positions, coroots from a
@@ -51,9 +54,65 @@ from latmod.matrixops import (
     mat_vec,
     nullspace,
     primitive,
-    solve,
+    rref,
     zeros,
 )
+
+
+def mat_inv_by_gauss_jordan(a):
+    """Inverse by Gauss-Jordan on [a | I]; raises ZeroDivisionError if
+    singular."""
+    n = len(a)
+    aug = [[F(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def det(a):
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(a)
+    m = [[F(x) for x in row] for row in a]
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            d = -d
+        pv = m[col][col]
+        d *= pv
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return d
+
+
+def solve(a, b):
+    """One solution x of a·x = b, or None if inconsistent."""
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    aug = [list(row) + [F(bb)] for row, bb in zip(a, b)]
+    red, pivots = rref(aug)
+    for row in red:
+        if all(x == 0 for x in row[:nc]) and row[nc] != 0:
+            return None
+    x = [Fraction(0)] * nc
+    for r, pc in enumerate(pivots):
+        if pc < nc:
+            x[pc] = red[r][nc]
+    return tuple(x)
 
 
 def canonical_global(cols, n):
@@ -252,29 +311,21 @@ def reduces_to_zero(v, cols, j):
     return True
 
 
-def tracked_membership(products, target, p):
-    """Decide membership of target in the Z_(p)-span of the product
-    polynomials; returns (status, combination or witness).
-
-    status: "member" with an integral combination [(coeff, word)],
-    "excluded" with the offending p-denominator, or "outside" when the
-    target is not even in the Q-span.
-    """
-    monomials = sorted({e for poly, _ in products for e in poly} | set(target))
+def product_echelon_by_fractions(products):
+    """Integer echelon of the products scaled by their common denominator
+    d, so an integral-combination basis, each vector carrying its
+    combination as a list of Fractions: (monomial index, d, sorted
+    [(pivot, (vector, combination))], words)."""
+    monomials = sorted({e for poly, _ in products for e in poly})
     ix = {e: i for i, e in enumerate(monomials)}
-    n = len(monomials)
     vecs = []
-    for poly in [poly for poly, _ in products] + [target]:
-        v = [0] * n
+    for poly, _ in products:
+        v = [0] * len(monomials)
         for e, c in poly.items():
             v[ix[e]] = c
         vecs.append(v)
-    # Clear denominators first so the echelon basis is an integral-
-    # combination basis.
-    ints, _ = clear_denominators(vecs)
-    t = [Fraction(x) for x in ints.pop()]
+    ints, d = clear_denominators(vecs)
     words = [word for _, word in products]
-    # Integer column echelon with combination tracking.
     ech = {}  # pivot row -> (vector, combination)
     for k, v in enumerate(ints):
         c = [Fraction(0)] * len(words)
@@ -296,12 +347,27 @@ def tracked_membership(products, target, p):
             if v[piv] != 0:
                 # Remainder became the smaller pivot: swap and continue.
                 ech[piv], v, c = (v, c), w, wc
-    echelon = sorted(ech.items())
-    # Forward substitution of the target on the echelon columns.
-    resid = list(t)
+    return ix, d, sorted(ech.items()), words
+
+
+def tracked_membership_by_fractions(echelon, target, p):
+    """Decide membership of target in the Z_(p)-span of the products with
+    a product_echelon_by_fractions, by Fraction forward substitution;
+    returns (status, combination or witness).
+
+    status: "member" with an integral combination [(coeff, word)],
+    "excluded" with the last offending p-denominator, or "outside" when
+    the target is not even in the Q-span.
+    """
+    ix, d, rows, words = echelon
+    if any(c and e not in ix for e, c in target.items()):
+        return "outside", None
+    resid = [Fraction(0)] * len(ix)
+    for e, c in target.items():
+        resid[ix[e]] = F(c) * d
     combo = [Fraction(0)] * len(words)
     bad_val = None
-    for piv, (w, wc) in echelon:
+    for piv, (w, wc) in rows:
         if resid[piv] != 0:
             q = resid[piv] / w[piv]
             if p is not None and vp(q, p) < 0:

@@ -1,6 +1,7 @@
 """Class-number counts for imaginary quadratic fields and the rank-1
 symmetric-square report."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,16 @@ def test_quadfield_range_cap_names_disc_and_limit():
         QuadField(disc)
     QuadField(-DISC_LIMIT)
     QuadField(-10007)
+
+
+def test_minkowski_bound_in_integers_covers_the_float_bound():
+    # 333/106 < pi, so the integer bound is never below int(2/pi·sqrt|D|)
+    # + 1, and it is at most 1 above it (first above at |D| = 2075).
+    for disc in list(range(-3, -101, -1)) + [-2075, -99995, -DISC_LIMIT]:
+        if disc % 4 in (0, 1):
+            bound = QuadField(disc).minkowski_bound()
+            floats = int(2 * math.sqrt(-disc) / math.pi) + 1
+            assert floats <= bound <= floats + 1
 
 
 def test_is_fundamental():

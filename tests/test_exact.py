@@ -26,10 +26,11 @@ from latmod.exact import (
     snf,
     vp,
 )
-from latmod.matrixops import clear_denominators, det, identity, mat, mat_mul, primitive
+from latmod.matrixops import clear_denominators, identity, mat, mat_mul, primitive
 from oracles import (
     canonical_global,
     canonical_local_full,
+    det,
     lattice_coords,
     lattice_member,
     subgroup_count_of_quotient,
@@ -151,8 +152,6 @@ def test_snf_chain_and_det():
         divs = list(snf(rows))
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
-        from latmod.matrixops import det, mat
-
         d = det(mat(rows))
         if d != 0:
             prod = 1
@@ -425,7 +424,11 @@ def test_json_roundtrip():
     rng = random.Random(41)
     for prime in (None, 2, 5):
         lat = rnd_lattice(rng, 3, prime=prime)
-        assert Lattice.from_json(lat.to_json()) == lat
+        for scaled in (lat, lat.scale(Fraction(-5, 12))):
+            assert Lattice.from_json(scaled.to_json()) == scaled
+            # The strings are the Fraction entries of the basis, "0" too.
+            rows = [[str(x) for x in row] for row in scaled.basis_matrix()]
+            assert scaled.to_json_obj()["basis"] == rows
     obj = standard_lattice(2, prime=3).to_json_obj()
     assert obj["ring"] == {"Zp": 3}
     assert standard_lattice(2).to_json_obj()["ring"] == "Z"

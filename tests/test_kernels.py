@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import latmod
 from latmod.exact import ZSpan
 from latmod.kernels import IMPLEMENTATION, hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import det
-from oracles import reduces_to_zero, snf_diagonal_unbounded, zspan_member
+from oracles import det, reduces_to_zero, snf_diagonal_unbounded, zspan_member
 
 
 def _determinantal_divisors(rows):
@@ -172,6 +171,28 @@ def test_hnf_invariant_under_permutation_and_appended_combinations():
             combos.append([sum(c * col[i] for c, col in zip(coef, cols)) for i in range(n)])
         assert hnf_columns(cols + combos, n) == h
         assert hnf_columns(combos + shuffled, n) == h
+
+
+@st.composite
+def integer_columns(draw):
+    """(n, cols): up to 6 integer columns of length n, small or huge."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9) | st.integers(-(10**30), 10**30)
+    col = st.lists(entry, min_size=n, max_size=n)
+    return n, draw(st.lists(col, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_columns())
+def test_hnf_carries_rows_past_nrows(case):
+    # Identity tails below the heads: the heads are the Hermite form of
+    # the bare columns, and each tail combines the inputs into its head.
+    n, cols = case
+    k = len(cols)
+    carried = hnf_columns([c + [int(i == j) for j in range(k)] for i, c in enumerate(cols)], n)
+    assert [c[:n] for c in carried] == hnf_columns(cols, n)
+    for c in carried:
+        assert c[:n] == [sum(t * col[r] for t, col in zip(c[n:], cols)) for r in range(n)]
 
 
 def test_kernel_selection_reports_implementation():

@@ -1,6 +1,7 @@
 """Exact matrix helpers: the zero-skipping products and the sparse
 bracket against the dense products they replaced, the coordinate solver
-against per-vector solve, and Fraction results from integer input."""
+against per-vector solve, mat_inv on rref against Gauss–Jordan, and
+Fraction results from integer input."""
 
 from fractions import Fraction
 
@@ -11,17 +12,16 @@ from hypothesis import strategies as st
 from latmod.matrixops import (
     bracket,
     coordinate_solver,
-    det,
     mat_inv,
     mat_mul,
     mat_vec,
     nullspace,
     rref,
-    solve,
     sparse,
     sparse_bracket,
     transpose,
 )
+from oracles import det, mat_inv_by_gauss_jordan, solve
 
 
 def dense_mat_mul(a, b):
@@ -181,6 +181,34 @@ def test_coordinate_solver_matches_solve(case):
         assert x == solve(a, v)
         if x is not None:
             assert mat_vec(a, x) == v
+
+
+@st.composite
+def square_matrices(draw):
+    """n×n matrices, some made singular by a row that is a multiple of
+    another."""
+    n = draw(st.integers(0, 5))
+    rows = list(draw(matrices(n, n)))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(nonzero)
+        rows[j] = tuple(c * x for x in rows[i])
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_mat_inv_matches_gauss_jordan(a):
+    try:
+        expected = mat_inv_by_gauss_jordan(a)
+    except ZeroDivisionError:
+        assert det(a) == 0
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            mat_inv(a)
+        return
+    got = mat_inv(a)
+    assert got == expected
+    assert_all_fractions(got)
 
 
 def test_coordinate_solver_out_of_span_and_dependent_basis():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latmod.exact import Lattice, snf
+from latmod.exact import Lattice, snf, vp
 from latmod.matrixops import bracket, mat, mat_inv, mat_mul, mat_vec
 from latmod.models import (
     HopfOrderGenerators,
@@ -22,12 +22,13 @@ from latmod.models import (
     poly_add,
     poly_mul,
     poly_reduce_det,
+    poly_scale,
     poly_str,
 )
 from latmod import models
 from latmod.reps import build_irrep
 from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
-from oracles import tracked_membership
+from oracles import product_echelon_by_fractions, tracked_membership_by_fractions
 
 
 @pytest.fixture(scope="module")
@@ -293,25 +294,37 @@ def test_order_equal_reflexive(a1):
     assert order_equal_bounded(g1, g1, 4, 2)["status"] == "equal"
 
 
+def _assert_certificates(report, g1, g2, p):
+    """Re-multiplying the cited generator words of the other order with
+    the cited coefficients reproduces each target, and every coefficient
+    is p-adically integral."""
+    for cert in report["certificates"]:
+        src, tgt = (g2, g1) if cert["direction"] == "1in2" else (g1, g2)
+        target = tgt.generators[cert["generator"]]
+        assert cert["target"] == poly_str(target)
+        total = {}
+        for term in cert["combination"]:
+            coeff = Fraction(term["coeff"])
+            assert coeff.denominator % p != 0
+            prod = {(0, 0, 0, 0): Fraction(1)}
+            for k in term["word"]:
+                prod = poly_reduce_det(poly_mul(prod, src.generators[k]))
+            total = poly_add(total, poly_scale(coeff, prod))
+        assert total == target
+
+
+def _half_integral(g1):
+    """g1's generators and x11·x12/2, which is not 2-adically integral."""
+    half = {k: v / 2 for k, v in poly_mul(_var(0), _var(1)).items()}
+    return HopfOrderGenerators(list(g1.generators) + [half])
+
+
 def test_order_equal_paper_case(a1):
     g1, g2 = _orders(a1)
     report = order_equal_bounded(g1, g2, 4, 2)
     assert report["status"] == "equal"
-    # Certificates are verifiable: re-multiplying the cited generator
-    # words with the cited coefficients reproduces each target.
-    for cert in report["certificates"]:
-        src = g2 if cert["direction"] == "1in2" else g1
-        total = {}
-        for term in cert["combination"]:
-            prod = {(0, 0, 0, 0): Fraction(1)}
-            for k in term["word"]:
-                prod = poly_reduce_det(poly_mul(prod, src.generators[k]))
-            total = poly_add(total, {e: Fraction(term["coeff"]) * c for e, c in prod.items()})
-        tgt_gens = g1 if cert["direction"] == "1in2" else g2
-        assert total == tgt_gens.generators[cert["generator"]]
-        # All coefficients are 2-adically integral.
-        for term in cert["combination"]:
-            assert Fraction(term["coeff"]).denominator % 2 != 0
+    assert len(report["certificates"]) == 18
+    _assert_certificates(report, g1, g2, 2)
 
 
 def test_order_equal_symmetric_and_monotone(a1):
@@ -321,31 +334,52 @@ def test_order_equal_symmetric_and_monotone(a1):
     assert order_equal_bounded(g1, g2, 6, 2)["status"] == "equal"
 
 
-def test_order_reports_match_the_per_target_echelon(a1, monkeypatch):
-    # The product echelon is built once per direction; rebuilding it for
-    # every target with the target's own denominators (the old path) must
-    # give the same reports, certificates and witnesses included.
+def test_order_reports_match_the_fraction_echelon(a1, monkeypatch):
+    # Certificates are not unique, so against the Euclid echelon with
+    # Fraction combinations the Hermite path must give the same statuses
+    # and witness positions; its own certificates must be p-integral and
+    # reproduce their targets, and its witnesses must have a p-denominator.
     g1, g2 = _orders(a1)
-    got = {
-        (bound, i): order_equal_bounded(*pair, bound, 2)
-        for bound in (2, 3, 4)
-        for i, pair in enumerate(((g1, g2), (g2, g1)))
-    }
-    monkeypatch.setattr(models, "_product_echelon", lambda products: products)
-    monkeypatch.setattr(models, "_tracked_membership", tracked_membership)
-    for (bound, i), report in got.items():
-        pair = (g1, g2) if i == 0 else (g2, g1)
-        assert report == order_equal_bounded(*pair, bound, 2)
-        assert report["status"] == {2: "not_shown", 3: "not_shown", 4: "equal"}[bound]
+    sets = ((g1, g2), (g1, _half_integral(g1)), (g1, HopfOrderGenerators([_var(0)])))
+    cases = [
+        (left, right, bound, p)
+        for a, b in sets
+        for left, right in ((a, b), (b, a))
+        for bound in range(2, 7)
+        for p in (2, 3)
+    ]
+    got = [order_equal_bounded(*case) for case in cases]
+    echelons = {}  # the oracle echelon is slow; build each one once
+
+    def echelon_once(products):
+        key = repr(products)
+        if key not in echelons:
+            echelons[key] = product_echelon_by_fractions(products)
+        return echelons[key]
+
+    monkeypatch.setattr(models, "_product_echelon", echelon_once)
+    monkeypatch.setattr(models, "_tracked_membership", tracked_membership_by_fractions)
+    for (left, right, bound, p), report in zip(cases, got):
+        expected = order_equal_bounded(left, right, bound, p)
+        assert report["status"] == expected["status"]
+        witness = report["witness"]
+        if witness is None:
+            assert expected["witness"] is None
+        else:
+            keys = ("direction", "generator")
+            assert [witness[k] for k in keys] == [expected["witness"][k] for k in keys]
+            if report["status"] == "not_shown":
+                assert vp(Fraction(witness["coefficient"]), p) < 0
+        assert len(report["certificates"]) == len(expected["certificates"])
+        _assert_certificates(report, left, right, p)
+    statuses = {case[2:]: r["status"] for case, r in zip(cases, got) if case[:2] == (g1, g2)}
+    assert [statuses[bound, 2] for bound in range(2, 7)] == ["not_shown"] * 2 + ["equal"] * 3
+    assert {r["status"] for r in got} == {"equal", "not_shown", "undecided"}
 
 
 def test_order_not_equal_with_witness(a1):
     g1, _ = _orders(a1)
-    a, b = _var(0), _var(1)
-    bad = HopfOrderGenerators(
-        list(g1.generators) + [{k: v / 2 for k, v in poly_mul(a, b).items()}]
-    )
-    report = order_equal_bounded(bad, g1, 4, 2)
+    report = order_equal_bounded(_half_integral(g1), g1, 4, 2)
     assert report["status"] == "not_shown"
     assert Fraction(report["witness"]["coefficient"]).denominator % 2 == 0
 
@@ -353,11 +387,7 @@ def test_order_not_equal_with_witness(a1):
 def test_order_not_equal_is_equal_at_other_prime(a1):
     # The same half-integral generator is 3-adically harmless.
     g1, _ = _orders(a1)
-    a, b = _var(0), _var(1)
-    half = HopfOrderGenerators(
-        list(g1.generators) + [{k: v / 2 for k, v in poly_mul(a, b).items()}]
-    )
-    assert order_equal_bounded(half, g1, 4, 3)["status"] == "equal"
+    assert order_equal_bounded(_half_integral(g1), g1, 4, 3)["status"] == "equal"
 
 
 def test_order_undecided(a1):

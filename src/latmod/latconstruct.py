@@ -18,7 +18,7 @@ of the sandwich by Birkhoff's formula, without listing them.
 """
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import F, identity, mat, mat_inv, mat_scale, mat_vec
+from latmod.matrixops import F, identity, mat_scale, mat_vec
 from latmod.reps import down_step, lattice_generators, weights_down
 
 
@@ -153,25 +153,17 @@ def _block_order(rep):
 
 
 def _shift_lattice_columns(rep):
-    """Integer shift vectors realizable by the torus actions: per-psi
-    uniform shifts plus coweight evaluations against chi - psi."""
+    """Integer shift vectors realizable by the torus actions, one entry per
+    block (psi, chi) in _block_order: per-psi uniform shifts, and for each
+    fundamental coweight ω_k^∨ the pairing ⟨chi - psi, ω_k^∨⟩ = -m_k, m
+    the simple-root coordinates of psi - chi (an integer vector, as the
+    weights of the psi-component lie in psi minus the root lattice).
+    Zero columns are left to ZSpan, which drops them."""
     order = _block_order(rep)
-    cols = []
-    for psi in rep.distinct_highest_weights():
-        cols.append([1 if p == psi else 0 for (p, _) in order])
-    # Coweights pairing integrally with the root lattice: columns of the
-    # inverse-transpose Cartan matrix.
-    cinv = mat_inv(mat(tuple(zip(*rep.cb.rs.cartan_matrix))))
-    rank = rep.cb.rs.rank
-    for k in range(rank):
-        mu = tuple(row[k] for row in cinv)
-        col = []
-        for (psi, chi) in order:
-            val = sum(F(c - p) * m for c, p, m in zip(chi, psi, mu))
-            assert val.denominator == 1
-            col.append(int(val))
-        cols.append(col)
-    return [c for c in cols if any(c)]
+    rs = rep.cb.rs
+    cols = [[int(p == psi) for p, _ in order] for psi in rep.distinct_highest_weights()]
+    ms = [rs.expansion(tuple(a - b for a, b in zip(psi, chi))) for psi, chi in order]
+    return cols + [[-m[k] for m in ms] for k in range(rs.rank)]
 
 
 def _reduce_mod_columns(v, span):

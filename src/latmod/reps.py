@@ -28,7 +28,6 @@ from latmod.matrixops import (
     primitive,
     sparse,
     sparse_bracket,
-    transpose,
     zeros,
 )
 
@@ -402,15 +401,6 @@ def projector(rep, psi, chi):
 # -----------------------------------------------------------------------
 
 
-def _root_coords(cb, fund_diff):
-    """Simple-root coordinates of a fund-coords vector, or None."""
-    # fund(sum m_j alpha_j)_i = sum_j cartan[i][j] m_j
-    x = coordinate_solver(transpose(cb.rs.cartan_matrix))(fund_diff)
-    if any(t.denominator != 1 for t in x):
-        return None
-    return tuple(int(t) for t in x)
-
-
 def weights_down(rep, psi):
     """The weights chi of the psi-component from the top down, in order of
     the height of psi - chi, each with the simple-root coordinates of
@@ -418,7 +408,7 @@ def weights_down(rep, psi):
     graded = []
     for (p, chi) in rep.blocks:
         if p == psi:
-            m = _root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+            m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
             graded.append((sum(m), m, chi))
     return [(chi, m) for _, m, chi in sorted(graded)]
 
@@ -453,7 +443,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
     tgt = rep.block(psi, chi)
     if not src or not tgt:
         raise RepError("chi is not a weight of the psi component")
-    m = _root_coords(cb, tuple(a - b for a, b in zip(psi, chi)))
+    m = cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
     if m is None or any(x < 0 for x in m):
         raise RepError("chi not under psi in the root order")
     k = len(src)
@@ -483,16 +473,6 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 
 def lattice_generators(rep):
     """Action matrices of the generators of the Chevalley lattice: every
-    root vector, then a basis of the Cartan lattice."""
-    cb = rep.cb
-    d = rep.dim
-    gens = [rep.action[a] for a in cb.rs.all_roots]
-    for col in cb.cartan_lattice.basis:
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for i, c in enumerate(col):
-            if c:
-                hm = rep.action[("h", i)]
-                for r in range(d):
-                    m[r][r] += c * hm[r][r]
-        gens.append(mat(m))
-    return gens
+    root vector, then the simple coroots h_i, the basis of the coroot
+    lattice (the simply connected form)."""
+    return [rep.action[key] for key in rep.cb.basis_order()]

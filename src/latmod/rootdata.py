@@ -6,11 +6,14 @@ sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
 the diagonal matrices form a split Cartan subalgebra.  Each root space is
 solved for on the one or two matrix positions of its weight; the coroot
 of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
-Root vectors are built recursively from the simple root spaces.  Every
-Chevalley-set identity is verified eagerly at construction, on sparse
-matrices, and the verification records the coordinates of the bracket of
-every pair of basis elements as the bracket table, so a wrong structure
-constant cannot escape this module.
+Root vectors are built recursively from the simple root spaces.  One
+solver on the Cartan matrix gives the simple-root coordinates of roots
+and weights alike (fund = C·m), for the height order here and for every
+walk down the weights of a representation.  Every Chevalley-set identity
+is verified eagerly at construction, on sparse matrices, and the
+verification records the coordinates of the bracket of every pair of
+basis elements as the bracket table, so a wrong structure constant
+cannot escape this module.
 """
 
 from fractions import Fraction
@@ -93,19 +96,16 @@ class RootSystem:
                 simple.append(comb(n - 2, n - 1, 1, 1))
         self.euclid_dim = dim
         self.simple_euclid = tuple(simple)
-        # Simple-root expansions: one elimination, one product per root.
-        on_simple = coordinate_solver(self.simple_euclid)
-        exp = {}
-        for b in positive:
-            x = on_simple(b)
-            assert x is not None and all(c.denominator == 1 for c in x)
-            exp[b] = tuple(int(c) for c in x)
-        self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
-        self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
-        self.all_euclid = self.positive_euclid + self.negative_euclid
         self.cartan_matrix = tuple(
             tuple(_pairing(b, a) for b in self.simple_euclid) for a in self.simple_euclid
         )
+        # fund = C·m for the simple-root coordinates m: one elimination on
+        # the columns of C, one product per weight.
+        self._on_cartan = coordinate_solver(tuple(zip(*self.cartan_matrix)))
+        exp = {b: self.expansion(self.fund_coords(b)) for b in positive}
+        self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
+        self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
+        self.all_euclid = self.positive_euclid + self.negative_euclid
         self._fund = {b: self.fund_coords(b) for b in self.all_euclid}
         if len(set(self._fund.values())) != len(self.all_euclid):
             raise AssertionError("fundamental coordinates not separating")
@@ -114,10 +114,6 @@ class RootSystem:
         self.all_roots = self.positive + self.negative
         self.simple = tuple(self._fund[b] for b in self.simple_euclid)
         self._by_fund = {self._fund[b]: b for b in self.all_euclid}
-        self._expansion = {}
-        for pos, neg, b in zip(self.positive, self.negative, self.positive_euclid):
-            self._expansion[pos] = exp[b]
-            self._expansion[neg] = tuple(-c for c in exp[b])
 
     # -- coordinates ---------------------------------------------------
 
@@ -126,11 +122,15 @@ class RootSystem:
         return tuple(_pairing(euclid, a) for a in self.simple_euclid)
 
     def expansion(self, fund):
-        """Simple-root coefficients of the root with these fund coords."""
-        return self._expansion[fund]
+        """Simple-root coordinates m of the weight with these fund coords
+        (fund = C·m), or None when the weight is off the root lattice."""
+        m = self._on_cartan(fund)
+        if any(x.denominator != 1 for x in m):
+            return None
+        return tuple(int(x) for x in m)
 
     def height(self, fund):
-        return sum(self._expansion[fund])
+        return sum(self.expansion(fund))
 
     def is_root(self, fund):
         return fund in self._by_fund

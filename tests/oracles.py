@@ -20,7 +20,9 @@ the per-pair homomorphism check used before the bracket table, and the
 sandwich lattices and transition spans by every distinct ordering of
 each simple-root multiset, as before the walk down the weights, and the
 orbit reports by enumerating every lattice between S₋ and S₊ and
-filtering it, as before the valuation box.
+filtering it, as before the valuation box, and the torus shifts from the
+inverse transposed Cartan matrix, as before the root system's Cartan
+solver gave the simple-root coordinates of each weight.
 """
 
 import itertools
@@ -702,7 +704,7 @@ def degrees_of_component(rep, psi):
     for (p, chi) in rep.blocks:
         if p != psi:
             continue
-        m = reps._root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+        m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
         if m is not None and all(x >= 0 for x in m):
             out.add(m)
     return sorted(out)
@@ -771,7 +773,7 @@ def transition_by_words(rep, psi, chi, sign):
     chi = tuple(chi)
     src = rep.block(psi, psi)
     tgt = rep.block(psi, chi)
-    m = reps._root_coords(rep.cb, tuple(a - b for a, b in zip(psi, chi)))
+    m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
     letters = []
     for i, a in enumerate(rep.cb.rs.simple):
         key = a if sign > 0 else tuple(-c for c in a)
@@ -829,3 +831,28 @@ def count_invariant_orbits_by_enumeration(rep, edge):
         "orbits": len(orbits),
         "representatives": [m.to_json_obj() for m in reps_sorted],
     }
+
+
+# -----------------------------------------------------------------------
+# Torus shifts from the inverse transposed Cartan matrix, as before they
+# were read off the simple-root coordinates
+# (`latconstruct._shift_lattice_columns`).
+# -----------------------------------------------------------------------
+
+
+def shift_lattice_columns_by_inverse_cartan(rep):
+    """Per-psi uniform shifts, then for each column mu of the inverse of
+    the transposed Cartan matrix (a fundamental coweight) the pairings
+    <chi - psi, mu> over the sorted blocks; zero columns dropped."""
+    order = sorted(rep.blocks)
+    cols = [[1 if p == psi else 0 for p, _ in order] for psi in rep.distinct_highest_weights()]
+    cinv = mat_inv(mat(tuple(zip(*rep.cb.rs.cartan_matrix))))
+    for k in range(rep.cb.rs.rank):
+        mu = tuple(row[k] for row in cinv)
+        col = []
+        for psi, chi in order:
+            val = sum(F(c - p) * m for c, p, m in zip(chi, psi, mu))
+            assert val.denominator == 1
+            col.append(int(val))
+        cols.append(col)
+    return [c for c in cols if any(c)]

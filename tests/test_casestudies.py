@@ -1,7 +1,9 @@
 """Class-number counts for imaginary quadratic fields and the rank-1
 symmetric-square report."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,26 @@ def test_quadfield_norm_positive_definite():
         for v in range(-4, 5):
             if (u, v) != (0, 0):
                 assert f.norm((u, v)) > 0
+
+
+def test_quadfield_mul_is_associative():
+    # mul is multiplication in Q[w]/(w² - D·w - c), associative for every
+    # D: all triples of four sample elements, and seeded random triples
+    # with rational coordinates, on every fundamental D with |D| <= 500
+    # and on D = -99995.
+    rng = random.Random(7)
+    samples = [(1, 0), (0, 1), (2, -1), (1, 3)]
+
+    def element():
+        return tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(2))
+
+    discs = [d for d in range(-3, -501, -1) if is_fundamental(d)] + [-99995]
+    for disc in discs:
+        f = QuadField(disc)
+        triples = list(itertools.product(samples, repeat=3))
+        triples += [(element(), element(), element()) for _ in range(8)]
+        for a, b, c in triples:
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c)), (disc, a, b, c)
 
 
 def test_quadfield_mul_matrix_matches_mul():

@@ -3,6 +3,7 @@ orbit reports and the subgroup count."""
 
 import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,8 @@ from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
     _has_j_components,
+    _shift_lattice_columns,
+    _shift_span,
     count_invariant_orbits,
     is_invariant,
     is_split,
@@ -28,12 +31,21 @@ from latmod.latconstruct import (
     unit_edge,
 )
 from latmod.matrixops import mat_scale, mat_vec
-from latmod.reps import build_irrep, direct_sum, lattice_generators, projector, tensor_product
+from latmod.reps import (
+    build_irrep,
+    check_transition_surjectivity,
+    direct_sum,
+    lattice_generators,
+    projector,
+    tensor_product,
+    weights_down,
+)
 from latmod.rootdata import build_chevalley
 from oracles import (
     count_invariant_orbits_by_enumeration,
     s_minus_by_words,
     s_plus_by_words,
+    shift_lattice_columns_by_inverse_cartan,
     subgroup_count_of_quotient,
     word_matrices,
 )
@@ -415,6 +427,56 @@ def test_profile_errors(a1_reps):
         normalize_profile(adj, Lattice(tuple(
             tuple(Fraction(int(i == j)) for i in range(8)) for j in range(8)
         ), prime=2))
+
+
+def test_shift_span_matches_inverse_cartan():
+    cb1, cb2, cbc = build_chevalley("A", 1), build_chevalley("A", 2), build_chevalley("C", 2)
+    v, w = build_irrep(cb2, (1, 0)), build_irrep(cb2, (0, 1))
+    s1, s2 = build_irrep(cb1, (1,)), build_irrep(cb1, (2,))
+    reps = [build_irrep(cb1, (n,)) for n in (0, 1, 2, 3, 4)]
+    reps += [v, w, build_irrep(cb2, (2, 0)), build_irrep(cb2, (1, 1))]
+    reps += [build_irrep(cbc, (1, 0)), build_irrep(cbc, (0, 1))]
+    reps += [
+        build_irrep(build_chevalley(t, r), hw)
+        for t, r, hw in (("A", 3, (0, 1, 0)), ("B", 2, (1, 0)), ("C", 3, (1, 0, 0)), ("D", 3, (1, 0, 0)))
+    ]
+    reps += [direct_sum([v, w]), direct_sum([v, v]), direct_sum([s1, s2])]
+    for rep in reps:
+        expected = shift_lattice_columns_by_inverse_cartan(rep)
+        assert [c for c in _shift_lattice_columns(rep) if any(c)] == expected
+        assert _shift_span(rep) == ZSpan(expected, len(rep.blocks))
+
+
+def test_lattice_constructions_build_no_coordinate_solver(monkeypatch):
+    # The simple-root coordinates of a weight come from the root system's
+    # one Cartan solver: once the representation is built, the sandwich,
+    # the orbit report and the transition check build no solver.
+    reps = [
+        build_irrep(build_chevalley(t, r), hw)
+        for t, r, hw in (("A", 2, (2, 0)), ("C", 3, (1, 0, 0)), ("A", 3, (0, 1, 0)))
+    ]
+    built = []
+
+    def counting(solver):
+        def wrapped(cols):
+            built.append(cols)
+            return solver(cols)
+
+        return wrapped
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "latmod" and hasattr(module, "coordinate_solver"):
+            monkeypatch.setattr(module, "coordinate_solver", counting(module.coordinate_solver))
+    for rep in reps:
+        (psi,) = rep.distinct_highest_weights()
+        edge = unit_edge(rep, prime=2)
+        s_minus(rep, edge)
+        s_plus(rep, edge)
+        count_invariant_orbits(rep, edge)
+        lowest = weights_down(rep, psi)[-1][0]
+        for sign in (-1, 1):
+            check_transition_surjectivity(rep, psi, lowest, sign)
+    assert built == []
 
 
 def test_orbit_count_trivial():

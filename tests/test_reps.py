@@ -72,11 +72,9 @@ def test_irreducible_single_highest_weight(sweep_reps):
 
 
 def test_weights_below_highest(sweep_reps):
-    from latmod.reps import _root_coords
-
     for (t, r, hw), rep in sweep_reps.items():
         for chi in rep.weights:
-            m = _root_coords(rep.cb, tuple(a - b for a, b in zip(hw, chi)))
+            m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(hw, chi)))
             assert m is not None and all(x >= 0 for x in m)
 
 

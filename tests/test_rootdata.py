@@ -9,6 +9,7 @@ coordinates of dense brackets.
 """
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,43 @@ def test_positive_roots_height_ordered():
         heights = [rs.height(b) for b in rs.positive]
         assert heights == sorted(heights)
         assert heights[: rs.rank].count(1) == rs.rank
+
+
+def test_expansion_inverts_the_cartan_matrix():
+    # fund = C·m for the simple-root coordinates m; the fund coords of
+    # Σ m_j·α_j, read off the Euclidean roots, pin the convention.
+    rng = random.Random(13)
+    for t, r in ROOT_COUNTS:
+        rs = build_root_system(t, r)
+        c = rs.cartan_matrix
+        for _ in range(25):
+            m = tuple(rng.randint(-6, 6) for _ in range(r))
+            fund = tuple(sum(c[i][j] * m[j] for j in range(r)) for i in range(r))
+            euclid = [sum(x * a[k] for x, a in zip(m, rs.simple_euclid)) for k in range(rs.euclid_dim)]
+            assert rs.fund_coords(euclid) == fund
+            assert rs.expansion(fund) == m
+
+
+def _fundamental_weights_off_the_root_lattice(t, n):
+    """1-based k with ω_k outside the root lattice (Bourbaki, plates I-IV):
+    every k in A_n; the spin weight ω_n in B_n; odd k in C_n; in D_n odd
+    k ≤ n - 2 and both half-spin weights."""
+    if t == "A":
+        return set(range(1, n + 1))
+    if t == "B":
+        return {n}
+    if t == "C":
+        return {k for k in range(1, n + 1) if k % 2}
+    return {k for k in range(1, n - 1) if k % 2} | {n - 1, n}
+
+
+def test_expansion_is_none_off_the_root_lattice():
+    for t, r in ROOT_COUNTS:
+        rs = build_root_system(t, r)
+        off = _fundamental_weights_off_the_root_lattice(t, r)
+        for k in range(1, r + 1):
+            omega = tuple(int(i == k - 1) for i in range(r))
+            assert (rs.expansion(omega) is None) == (k in off), (t, r, k)
 
 
 # -- Chevalley bases ---------------------------------------------------------

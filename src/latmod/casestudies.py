@@ -206,6 +206,10 @@ def class_orbit_count(disc):
     keyed by the reduced form of its norm form (`_class_key`).  The tests
     check the key against a pairwise search for a scaling x with
     x·I = J (`scaling_equivalent` in tests/oracles.py).
+
+    The multiplier ring of a nonzero ideal I is an order (x·I ⊆ I makes x
+    integral: the determinant trick on a basis of I) containing O_F, so it
+    is O_F; it is still computed, and any other ring fails loudly.
     """
     if not is_fundamental(disc):
         raise CaseStudyError("class group of non-maximal orders out of scope")
@@ -216,7 +220,7 @@ def class_orbit_count(disc):
     for n in range(1, bound + 1):
         for ideal in _ideal_lattices_of_norm(field, n):
             if multiplier_ring(field, ideal) != maximal:
-                continue
+                raise AssertionError("an ideal of O_F has multiplier ring other than O_F")
             classes.setdefault(_class_key(field, ideal), ideal)
     reps = list(classes.values())
     return len(reps), reps

@@ -89,8 +89,8 @@ def _cmd_rep_build(args):
 def _cmd_lattice_dist(args):
     a = _load_lattice(args.a)
     b = _load_lattice(args.b)
-    a = Lattice(a.basis, args.p, ambient=a.ambient)
-    b = Lattice(b.basis, args.p, ambient=b.ambient)
+    a = Lattice.from_integers(a.columns, a.denominator, args.p, a.ambient)
+    b = Lattice.from_integers(b.columns, b.denominator, args.p, b.ambient)
     return {"p": args.p, "distance": distance(a, b)}
 
 

@@ -12,7 +12,10 @@ comparison of (denominator, columns):
   pivot row reduced to integers in [0, p^e), so the columns also span
   p^e·Z^n.
 
-Membership and coordinates are kernels.hermite_coords on the columns.
+Membership is kernels.hermite_coords on the columns, and so are the
+coordinates of Lattice.coordinates, over one denominator: dual,
+transporter and distance read them, sum, scale and apply span integer
+columns, and no Fraction basis is inverted.
 ZSpan is the integer span of any rank in the same representation, used
 for the torus shift lattice of the orbit reports.
 """
@@ -20,10 +23,10 @@ for the torus shift lattice of the orbit reports.
 import json
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, mat_inv, mat_mul, mat_vec
+from latmod.matrixops import F, clear_denominators, mat_vec
 
 ENUM_ORDER_CAP = 2**20
 
@@ -186,21 +189,35 @@ class Lattice:
 
     # -- module operations -------------------------------------------
 
+    def coordinates(self, ints, e):
+        """Coordinates in the canonical basis C / denominator of the columns
+        ints / e, as integer columns over P·e, P = det C the pivot product:
+        P·C⁻¹ = adj C is integral, so hermite_coords always finds them."""
+        cols, rows = self.columns, range(self.ambient)
+        pv = prod(col[i] for i, col in enumerate(cols))
+        out = [hermite_coords([pv * self.denominator * x for x in w], cols, rows) for w in ints]
+        assert None not in out, "adj C of an integral C is integral"
+        return out, pv * e
+
     def scale(self, c):
         c = F(c)
-        return Lattice([[c * x for x in col] for col in self.basis], self.prime)
+        cols = [[c.numerator * x for x in col] for col in self.columns]
+        d = c.denominator * self.denominator
+        return Lattice.from_integers(cols, d, self.prime, self.ambient)
 
     def sum(self, other):
         self._check_compatible(other)
-        return Lattice(list(self.basis) + list(other.basis), self.prime)
+        d = lcm(self.denominator, other.denominator)
+        cols = [[d // lat.denominator * x for x in c] for lat in (self, other) for c in lat.columns]
+        return Lattice.from_integers(cols, d, self.prime, self.ambient)
 
     def dual(self):
-        binv = mat_inv(self.basis_matrix())
-        # Rows of B^{-1} = columns of B^{-T}.
-        return Lattice(list(binv), self.prime)
+        """Spanned by the rows of B⁻¹; column j is the coordinates of e_j."""
+        n = self.ambient
+        x, den = self.coordinates([[int(i == j) for i in range(n)] for j in range(n)], 1)
+        return Lattice.from_integers(list(zip(*x)), den, self.prime, n)
 
     def intersect(self, other):
-        self._check_compatible(other)
         return self.dual().sum(other.dual()).dual()
 
     def index_in(self, sup):
@@ -216,7 +233,8 @@ class Lattice:
 
     def apply(self, matrix):
         """Image lattice under a nonsingular rational matrix (rows)."""
-        return Lattice([mat_vec(matrix, c) for c in self.basis], self.prime)
+        ints, e = clear_denominators([mat_vec(matrix, c) for c in self.columns])
+        return Lattice.from_integers(ints, e * self.denominator, self.prime, self.ambient)
 
     # -- serialization -----------------------------------------------
 
@@ -298,28 +316,28 @@ def snf(rows):
 def transporter(gens, src, dst):
     """Coefficient lattice {c : (sum_k c_k·gens[k])·src ⊆ dst}.
 
-    In the bases of src and dst the condition asks every entry of
-    sum_k c_k·B_dst^-1·gens[k]·B_src to lie in the ring, so the solutions
-    are the dual of the lattice generated by the entry rows.  The rows
-    span the coefficient space exactly when the gens are linearly
-    independent.
+    Every entry of sum_k c_k·B_dst⁻¹·gens[k]·B_src must lie in the ring, so
+    the solutions are the dual of the lattice spanned by the entry rows;
+    entry (i, j) of B_dst⁻¹·gens[k]·B_src is coordinate i in dst of gens[k]
+    applied to column j of src.  The rows span the coefficient space
+    exactly when the gens are linearly independent.
     """
     dst._check_compatible(src)
-    b = src.basis_matrix()
-    dinv = mat_inv(dst.basis_matrix())
-    conj = [mat_mul(dinv, mat_mul(g, b)) for g in gens]
-    n = src.ambient
-    rows = [tuple(c[i][j] for c in conj) for i in range(n) for j in range(n)]
-    return Lattice([r for r in rows if any(r)], dst.prime, ambient=len(gens)).dual()
+    n, m = src.ambient, len(gens)
+    ints, e = clear_denominators([mat_vec(g, col) for g in gens for col in src.columns])
+    x, den = dst.coordinates(ints, e * src.denominator)
+    rows = [[x[k * n + j][i] for k in range(m)] for i in range(n) for j in range(n)]
+    return Lattice.from_integers(rows, den, dst.prime, m).dual()
 
 
 def distance(a, b):
-    """Lattice distance n - m over Z_(p) (see the metric lemma)."""
+    """Lattice distance n - m over Z_(p) (see the metric lemma): max - min of
+    the valuations of b's divisors in a's basis, whose denominator cancels."""
     if a.prime is None or b.prime is None:
         raise LatticeError("distance requires localized lattices")
     a._check_compatible(b)
-    divs = snf(mat_mul(mat_inv(a.basis_matrix()), b.basis_matrix()))
-    vals = [vp(d, a.prime) for d in divs]
+    x, _ = a.coordinates(b.columns, b.denominator)
+    vals = [vp(s, a.prime) for s in snf_diagonal(x)]
     return max(vals) - min(vals)
 
 

@@ -234,10 +234,10 @@ def count_invariant_orbits(rep, edge):
     p = edge.prime
     lo = s_minus(rep, edge)
     hi = s_plus(rep, edge)
-    if not hi.contains(lo):
-        raise LatticeError("sandwich is empty (construction bug)")
-    sandwich_index = lo.index_in(hi)
     vlo, vhi = _valuations(lo), _valuations(hi)
+    lam = [b - a for a, b in zip(vhi, vlo)]  # S₋ ⊆ S₊ iff lam ≥ 0; S₊/S₋ has type lam
+    if min(lam) < 0:
+        raise LatticeError("sandwich is empty (construction bug)")
     box = list(zip(vhi, vlo))
     for psi, j in edge.j.items():
         (x,) = _valuations(j)
@@ -255,8 +255,8 @@ def count_invariant_orbits(rep, edge):
         if inv not in orbits or v < orbits[inv]:
             orbits[inv] = v
     return {
-        "sandwich_index": int(sandwich_index),
-        "total_between": subgroup_count([b - a for a, b in zip(vhi, vlo)], p),
+        "sandwich_index": p ** sum(lam),
+        "total_between": subgroup_count(lam, p),
         "invariant": invariant,
         "orbits": len(orbits),
         "representatives": [_diagonal(orbits[k], p).to_json_obj() for k in sorted(orbits)],

@@ -16,16 +16,7 @@ from math import prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import (
-    F,
-    clear_denominators,
-    mat,
-    mat_inv,
-    mat_mul,
-    rref,
-    trace,
-    transpose,
-)
+from latmod.matrixops import F, clear_denominators, mat, mat_mul, mat_vec, rref, trace
 
 
 class ModelError(ValueError):
@@ -63,14 +54,8 @@ class LieLattice:
         return self.cb.from_coords(coords)
 
     def bracket_closed(self):
-        """Every [u_i, u_j] lies in the lattice: column j of ad(u_i)·B,
-        with ad(u_i) from the bracket table and B the lattice basis."""
-        b = self.lattice.basis_matrix()
-        for i, u in enumerate(self.lattice.basis):
-            images = transpose(mat_mul(self.cb.ad(u), b))
-            if not all(self.lattice.member(v) for v in images[i + 1 :]):
-                return False
-        return True
+        """ad(u)·L ⊆ L for each basis element u (ad from the bracket table)."""
+        return all(self.lattice.stable_under(self.cb.ad(u)) for u in self.lattice.basis)
 
     def to_json_obj(self):
         return {
@@ -109,19 +94,16 @@ def killing_gram(cb):
 def lie_invariants(model):
     """Basis-change invariants: elementary divisors of the Killing Gram
     and of the flattened bracket structure tensor in a model basis."""
-    cb = model.cb
-    gram = killing_gram(cb)
-    basis = model.lattice.basis  # columns, coords in cb basis
-    b = model.lattice.basis_matrix()
-    g_lat = mat_mul(basis, mat_mul(gram, b))  # Bᵀ·G·B
-    binv = mat_inv(b)
-    # Row (i, j) is B⁻¹·[u_i, u_j]: column j of B⁻¹·ad(u_i)·B.
-    tensor_rows = []
-    for u in basis:
-        tensor_rows.extend(transpose(mat_mul(binv, mat_mul(cb.ad(u), b))))
+    cb, lat = model.cb, model.lattice
+    g_lat = mat_mul(lat.basis, mat_mul(killing_gram(cb), lat.basis_matrix()))  # Bᵀ·G·B
+    # Row (i, j) holds the coordinates of [u_i, u_j] = ad(u_i)·u_j, taken on
+    # the columns d·u (so over d²); snf divides out their content first.
+    cols = lat.columns
+    ints, e = clear_denominators([mat_vec(a, c) for a in map(cb.ad, cols) for c in cols])
+    rows, den = lat.coordinates(ints, e * lat.denominator**2)
     return {
         "killing_divisors": [str(d) for d in snf(g_lat)],
-        "bracket_divisors": [str(d) for d in snf(tensor_rows)],
+        "bracket_divisors": [str(d) for d in snf([[Fraction(x, den) for x in r] for r in rows])],
     }
 
 
@@ -247,15 +229,15 @@ def hopf_generators(rep, lat):
     if lat.ambient != 3 or lat.prime is not None:
         raise ModelError("expected a global lattice in the 3-dimensional space")
     s = _sym2_symbolic()
-    b = lat.basis_matrix()
-    binv = mat_inv(b)
+    # B⁻¹[i][k] = inv[k][i] / den: column k of B⁻¹ is the coordinates of e_k.
+    inv, den = lat.coordinates([[int(i == k) for i in range(3)] for k in range(3)], 1)
     gens = []
     for i in range(3):
         for j in range(3):
             entry = {}
             for k in range(3):
                 for l in range(3):
-                    coef = binv[i][k] * b[l][j]
+                    coef = Fraction(inv[k][i] * lat.columns[j][l], den * lat.denominator)
                     if coef:
                         entry = poly_add(entry, poly_scale(coef, s[k][l]))
             gens.append(entry)

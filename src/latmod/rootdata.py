@@ -19,7 +19,6 @@ cannot escape this module.
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from latmod.exact import Lattice
 from latmod.matrixops import (
     F,
     coordinate_solver,
@@ -240,8 +239,6 @@ class ChevalleyBasis:
       N: matrix size of the defining realization
       x: dict fund-coords -> N×N matrix
       h: tuple of coroot matrices h_{alpha_i} for the simple roots
-      cartan_lattice: the coroot lattice, the identity in coroot
-        coordinates (basis {h_{alpha_i}}): the simply connected form
       bracket_table: bracket_table[i][j] = {k: c} with
         [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
@@ -260,7 +257,6 @@ class ChevalleyBasis:
         }
         self._h_coords = coordinate_solver([self._coroots[a] for a in rs.simple])
         self._build_chevalley_set(self._root_spaces())
-        self.cartan_lattice = Lattice(identity(rs.rank))
         self._basis_order = list(rs.all_roots)
         self._index = {key: k for k, key in enumerate(self.basis_order())}
         self._verify()

@@ -22,7 +22,11 @@ each simple-root multiset, as before the walk down the weights, and the
 orbit reports by enumerating every lattice between S₋ and S₊ and
 filtering it, as before the valuation box, and the torus shifts from the
 inverse transposed Cartan matrix, as before the root system's Cartan
-solver gave the simple-root coordinates of each weight.
+solver gave the simple-root coordinates of each weight, and the lattice
+operations on the `Fraction` basis (`dual`, `transporter` and `distance`
+through a Gauss–Jordan B⁻¹, `sum`, `scale`, `apply` and `intersect` on
+the basis vectors, the pairwise bracket closure of a Lie lattice), as
+before `Lattice.coordinates` read them off the integer columns.
 """
 
 import itertools
@@ -31,7 +35,7 @@ from fractions import Fraction
 from math import prod
 
 from latmod import reps
-from latmod.exact import Lattice, LatticeError, enumerate_between, transporter, vp
+from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
     _check_multiplicity_free,
@@ -856,3 +860,59 @@ def shift_lattice_columns_by_inverse_cartan(rep):
             col.append(int(val))
         cols.append(col)
     return [c for c in cols if any(c)]
+
+
+# -----------------------------------------------------------------------
+# Lattice operations on the Fraction basis, as before Lattice.coordinates
+# -----------------------------------------------------------------------
+
+
+def dual_by_inverse(lat):
+    """The dual lattice spanned by the rows of B⁻¹, B the Fraction basis
+    inverted by Gauss–Jordan."""
+    return Lattice(list(mat_inv(lat.basis_matrix())), lat.prime)
+
+
+def sum_by_fractions(a, b):
+    return Lattice(list(a.basis) + list(b.basis), a.prime)
+
+
+def scale_by_fractions(lat, c):
+    return Lattice([[F(c) * x for x in col] for col in lat.basis], lat.prime)
+
+
+def apply_by_fractions(lat, matrix):
+    return Lattice([mat_vec(matrix, c) for c in lat.basis], lat.prime)
+
+
+def intersect_by_fractions(a, b):
+    return dual_by_inverse(sum_by_fractions(dual_by_inverse(a), dual_by_inverse(b)))
+
+
+def transporter_by_inverse(gens, src, dst):
+    """{c : (Σ c_k·gens[k])·src ⊆ dst}: the dual of the lattice spanned by
+    the entry rows of the products B_dst⁻¹·gens[k]·B_src."""
+    b = src.basis_matrix()
+    dinv = mat_inv(dst.basis_matrix())
+    conj = [mat_mul(dinv, mat_mul(g, b)) for g in gens]
+    n = src.ambient
+    rows = [tuple(c[i][j] for c in conj) for i in range(n) for j in range(n)]
+    return dual_by_inverse(Lattice([r for r in rows if any(r)], dst.prime, ambient=len(gens)))
+
+
+def distance_by_inverse(a, b):
+    """max − min of the valuations of the elementary divisors of B_a⁻¹·B_b."""
+    divs = snf(mat_mul(mat_inv(a.basis_matrix()), b.basis_matrix()))
+    vals = [vp(d, a.prime) for d in divs]
+    return max(vals) - min(vals)
+
+
+def bracket_closed_pairwise(cb, lat):
+    """Does [u_i, u_j] lie in lat for every pair i < j of basis elements?
+    Column j of ad(u_i)·B is [u_i, u_j]."""
+    b = lat.basis_matrix()
+    for i, u in enumerate(lat.basis):
+        images = tuple(zip(*mat_mul(cb.ad(u), b)))
+        if not all(lat.member(v) for v in images[i + 1 :]):
+            return False
+    return True

@@ -224,6 +224,17 @@ def test_reduce_form_is_reduced_and_sl2_invariant():
             assert _reduce_form(a2, b2, c2) == (a, b, c)
 
 
+def test_every_ideal_has_the_maximal_order_as_multiplier_ring(monkeypatch):
+    # class_orbit_count asserts it on every ideal below the Minkowski
+    # bound; sweep the fundamental D down to -300 against the forms oracle.
+    for disc in range(-3, -301, -1):
+        if is_fundamental(disc):
+            assert class_orbit_count(disc)[0] == reduced_forms_count(disc)
+    monkeypatch.setattr(casestudies, "multiplier_ring", lambda field, lat: lat)
+    with pytest.raises(AssertionError, match="multiplier ring"):
+        class_orbit_count(-23)
+
+
 def test_class_count_rejects_non_fundamental():
     with pytest.raises(CaseStudyError, match="out of scope"):
         class_orbit_count(-12)

@@ -3,13 +3,16 @@
 Oracles used here are independent of the implementation paths they check:
 brute-force membership boxes for HNF/intersection, a direct two-containment
 search for the distance formula, a closure-based subgroup counter for
-enumerate_between, the two canonicalisers that _canonical replaced, and
-the Fraction forward substitutions that hermite_coords replaced.
+enumerate_between, the two canonicalisers that _canonical replaced, the
+Fraction forward substitutions that hermite_coords replaced, and the
+Fraction-basis dual, sum, scale, apply, intersect, transporter and
+distance that Lattice.coordinates and the integer columns replaced.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,16 +27,24 @@ from latmod.exact import (
     distance,
     enumerate_between,
     snf,
+    transporter,
     vp,
 )
 from latmod.matrixops import clear_denominators, identity, mat, mat_mul, primitive
 from oracles import (
+    apply_by_fractions,
     canonical_global,
     canonical_local_full,
     det,
+    distance_by_inverse,
+    dual_by_inverse,
+    intersect_by_fractions,
     lattice_coords,
     lattice_member,
+    scale_by_fractions,
     subgroup_count_of_quotient,
+    sum_by_fractions,
+    transporter_by_inverse,
     zspan_member,
 )
 
@@ -613,3 +624,67 @@ def test_lattice_stores_integer_columns_over_one_denominator():
     assert lat.basis == tuple(tuple(Fraction(x, 12) for x in col) for col in lat.columns)
     local = Lattice([[Fraction(1, 4), Fraction(1, 6)], [0, 3]], 2)
     assert local.denominator == 4
+
+
+# -- coordinates and the operations built on them ---------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_and_vectors(), st.sampled_from([None, 2, 3, 5]))
+def test_coordinates_recombine_to_the_vectors(data, p):
+    cols, n, vectors = data
+    try:
+        lat = Lattice(cols, p, ambient=n)
+    except LatticeError:
+        return
+    ints, e = clear_denominators(vectors)
+    x, den = lat.coordinates(ints, e)
+    assert den == e * prod(col[i] for i, col in enumerate(lat.columns))
+    for v, coords in zip(vectors, x):
+        assert all(type(c) is int for c in coords)
+        recombined = [sum(Fraction(c, den) * b[i] for c, b in zip(coords, lat.basis)) for i in range(n)]
+        assert recombined == [Fraction(t) for t in v]
+
+
+@st.composite
+def operation_inputs(draw):
+    """(a, b, gens): two lattices in Q^n, n ≤ 3, over Z or Z_(p), from
+    generators with p-power and prime-to-p denominators, and one to three
+    rational n×n matrices."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    vectors = st.lists(rational, min_size=n, max_size=n)
+    lats = []
+    for _ in range(2):
+        try:
+            lats.append(Lattice(draw(st.lists(vectors, min_size=n, max_size=n + 1)), p, ambient=n))
+        except LatticeError:
+            lats.append(Lattice(identity(n), p))
+    gens = draw(st.lists(st.lists(vectors, min_size=n, max_size=n), min_size=1, max_size=3))
+    return lats[0], lats[1], [mat(g) for g in gens]
+
+
+def _or_error(fn, *args):
+    """fn(*args), or LatticeError without its message: on all-zero
+    generators the transporter oracle says "empty generating set"."""
+    try:
+        return fn(*args)
+    except LatticeError:
+        return LatticeError
+
+
+@settings(max_examples=200, deadline=None)
+@given(operation_inputs(), rational.filter(bool))
+def test_lattice_operations_match_the_fraction_basis_paths(data, c):
+    a, b, gens = data
+    assert a.dual() == dual_by_inverse(a)
+    assert a.dual().dual() == a
+    assert a.sum(b) == sum_by_fractions(a, b)
+    assert a.intersect(b) == intersect_by_fractions(a, b)
+    assert a.scale(c) == scale_by_fractions(a, c)
+    for g in gens:
+        if det(g):
+            assert a.apply(g) == apply_by_fractions(a, g)
+    assert _or_error(transporter, gens, a, b) == _or_error(transporter_by_inverse, gens, a, b)
+    if a.prime is not None:
+        assert distance(a, b) == distance_by_inverse(a, b)

@@ -2,13 +2,16 @@
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latmod.exact import Lattice, snf, vp
+from latmod.exact import Lattice, distance, snf, transporter, vp
 from latmod.matrixops import bracket, mat, mat_inv, mat_mul, mat_vec
 from latmod.models import (
     HopfOrderGenerators,
@@ -28,7 +31,11 @@ from latmod.models import (
 from latmod import models
 from latmod.reps import build_irrep
 from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
-from oracles import product_echelon_by_fractions, tracked_membership_by_fractions
+from oracles import (
+    bracket_closed_pairwise,
+    product_echelon_by_fractions,
+    tracked_membership_by_fractions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +124,71 @@ def test_lie_lattice_closure_check(a1):
     # Z·e + Z·f + 2Z·h is not bracket-closed ([e,f] = h).
     with pytest.raises(ModelError, match="closed"):
         LieLattice(cb, Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("A", 1), ("A", 2)]),
+    st.sampled_from([None, 2, 3]),
+    st.data(),
+)
+def test_bracket_closure_matches_the_pairwise_check(kind, p, data):
+    # Random lattices in the Lie algebra, most of them not bracket-closed,
+    # and the Lie lattices of random lattices of the defining rep.
+    cb = build_chevalley(*kind)
+    m = len(cb.basis_order())
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    cols = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    try:
+        lat = Lattice(cols, p)
+    except ValueError:
+        return
+    try:
+        LieLattice(cb, lat)
+        closed = True
+    except ModelError:
+        closed = False
+    assert closed == bracket_closed_pairwise(cb, lat)
+    rep = build_irrep(cb, (1,) + (0,) * (kind[1] - 1))
+    vector = st.lists(st.integers(-3, 3), min_size=rep.dim, max_size=rep.dim)
+    vcols = data.draw(st.lists(vector, min_size=rep.dim, max_size=rep.dim))
+    try:
+        vlat = Lattice(vcols, p)
+    except ValueError:
+        return
+    assert bracket_closed_pairwise(cb, lie_model(rep, vlat).lattice)
+
+
+def test_lattice_coordinates_invert_no_fraction_basis(monkeypatch, a1):
+    # dual, transporter, distance, the Lie lattice, its invariants and the
+    # Hopf generators read lattice coordinates off the integer Hermite
+    # columns: once the representations are built, no Gauss–Jordan
+    # inverse runs.
+    cb, std, sym2 = a1
+    c2 = build_irrep(build_chevalley("C", 2), (1, 0))
+    calls = []
+
+    def counting(inverse):
+        def wrapped(a):
+            calls.append(a)
+            return inverse(a)
+
+        return wrapped
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "latmod" and hasattr(module, "mat_inv"):
+            monkeypatch.setattr(module, "mat_inv", counting(module.mat_inv))
+    lat = Lattice([[1, 1, 0], [0, 2, 0], [0, 1, 3]])
+    local = Lattice([[Fraction(1, 2), 0, 0], [1, 2, 0], [0, 3, 4]], 2)
+    lat.dual()
+    local.dual()
+    transporter([sym2.action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(1, 2)))
+    distance(local, Lattice([[1, 0, 0], [0, 4, 0], [0, 0, 1]], 2))
+    c2_lat = Lattice([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 1, 0, 4]])
+    for rep, v in ((sym2, lat), (c2, c2_lat)):
+        lie_invariants(lie_model(rep, v))
+    hopf_generators(sym2, lat)
+    assert calls == []
 
 
 # -- invariants -----------------------------------------------------------

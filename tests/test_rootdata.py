@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmod.exact import Lattice
-from latmod.matrixops import bracket, mat_scale, mat_sub, zeros
+from latmod.matrixops import bracket, identity, mat_scale, mat_sub, zeros
 from latmod.rootdata import (
     ChevalleyBasis,
     RootDataError,
@@ -318,17 +317,15 @@ def test_coords_roundtrip():
 
 
 def test_cartan_lattice_is_the_coroot_lattice():
-    assert build_chevalley("A", 1).cartan_lattice.basis == ((Fraction(1),),)
-    assert build_chevalley("C", 2).cartan_lattice == Lattice([[1, 0], [0, 1]])
     with pytest.raises(TypeError):
         ChevalleyBasis(build_root_system("A", 1), "adjoint")
 
 
 def test_cartan_acts_integrally_on_cartan_lattice():
-    # [t, x_α] ∈ Z·x_α for t in the Cartan lattice basis requires integer
-    # α(t); with the simply connected default this is the Cartan pairing.
+    # [t, x_α] ∈ Z·x_α for t in the coroot lattice basis (the identity in
+    # coroot coordinates) requires integer α(t): the Cartan pairing.
     cb = build_chevalley("C", 2)
-    for col in cb.cartan_lattice.basis:
+    for col in identity(cb.rs.rank):
         for alpha in cb.rs.all_roots:
             val = cb.pairing(alpha, col)
             assert val.denominator == 1

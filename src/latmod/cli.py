@@ -2,84 +2,75 @@
 subcommand emitting JSON (deterministic, sorted keys) to stdout or --out;
 --pretty renders a flat key/value table instead.
 
-Exit codes: 0 success, 1 validation error (bad flags or inputs),
-2 internal assertion failure.
+COMMANDS maps each command to its handler and its required flags with
+their converters; every flag is converted before the handler runs, and
+the handler imports its pipeline when it runs.  Flags read as argparse
+read them: ``--flag value``, ``--flag=value``, a unique prefix of the
+name, the last of a repeated flag wins, a value may be negative.
+
+Exit codes: 0 success (also after -h/--help), 1 validation error (bad
+flags or inputs), 2 internal assertion failure.
 """
 
-import argparse
 import json
 import sys
 
-from latmod.casestudies import CaseStudyError, class_orbit_count, pgl2_sym2_report
-from latmod.exact import Lattice, LatticeError, distance, is_prime
-from latmod.latconstruct import count_invariant_orbits, s_minus, s_plus, unit_edge
-from latmod.models import lie_invariants, lie_model
-from latmod.reps import RepError, build_irrep
-from latmod.rootdata import RootDataError, build_chevalley
+
+class _Usage(Exception):
+    """Raised before any handler runs: after help (no message) or on a usage error."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
-        raise SystemExit(1)
-
-
-def _parse_hw(text, rank):
-    try:
-        hw = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise LatticeError("highest weight must be comma-separated integers")
-    if len(hw) != rank or any(x < 0 for x in hw):
-        raise LatticeError("highest weight needs %d nonnegative coordinates" % rank)
-    return hw
+def _type(text):
+    if text not in ("A", "B", "C", "D"):
+        raise ValueError("invalid choice: %r (choose from A, B, C, D)" % (text,))
+    return text
 
 
 def _prime(text):
-    """argparse type of --p: fails before any representation is built."""
+    """Converter of --p: fails before any representation is built."""
+    from latmod.exact import is_prime
     try:
         p = int(text)
     except ValueError:
         p = 0
     if not is_prime(p):
-        raise argparse.ArgumentTypeError("prime must be prime: %r" % (text,))
+        raise ValueError("prime must be prime: %r" % (text,))
     return p
 
 
 def _load_lattice(path):
+    from latmod.exact import Lattice
     with open(path) as f:
         return Lattice.from_json(f.read())
 
 
 def _build_rep(args):
-    cb = build_chevalley(args.type, args.rank)
-    return build_irrep(cb, _parse_hw(args.hw, args.rank))
+    from latmod.reps import build_irrep
+    from latmod.rootdata import build_chevalley
+    cb = build_chevalley(args["type"], args["rank"])
+    try:
+        hw = tuple(int(x) for x in args["hw"].split(","))
+    except ValueError:
+        raise ValueError("highest weight must be comma-separated integers")
+    if len(hw) != args["rank"] or any(x < 0 for x in hw):
+        raise ValueError("highest weight needs %d nonnegative coordinates" % args["rank"])
+    return build_irrep(cb, hw)
 
 
 def _emit(obj, args):
-    if args.pretty:
-        text = _pretty(obj)
+    text = _pretty(obj) if args["pretty"] else json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    if args["out"]:
+        with open(args["out"], "w") as f:
+            f.write(text + "\n")
     else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
-    text += "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _pretty(obj, prefix=""):
-    lines = []
-    if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
-            lines.append(_pretty(obj[k], prefix + str(k) + "."))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            lines.append(_pretty(v, prefix + "%d." % i))
-    else:
-        return "%-40s %s" % (prefix.rstrip("."), obj)
-    return "\n".join(lines)
+    if isinstance(obj, (dict, list)):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0])) if isinstance(obj, dict) else enumerate(obj)
+        return "\n".join(_pretty(v, "%s%s." % (prefix, k)) for k, v in items)
+    return "%-40s %s" % (prefix.rstrip("."), obj)
 
 
 def _cmd_rep_build(args):
@@ -87,130 +78,139 @@ def _cmd_rep_build(args):
 
 
 def _cmd_lattice_dist(args):
-    a = _load_lattice(args.a)
-    b = _load_lattice(args.b)
-    a = Lattice.from_integers(a.columns, a.denominator, args.p, a.ambient)
-    b = Lattice.from_integers(b.columns, b.denominator, args.p, b.ambient)
-    return {"p": args.p, "distance": distance(a, b)}
+    from latmod.exact import Lattice, distance
+    a, b = map(_load_lattice, (args["a"], args["b"]))
+    a, b = (Lattice.from_integers(x.columns, x.denominator, args["p"], x.ambient) for x in (a, b))
+    return {"p": args["p"], "distance": distance(a, b)}
 
 
 def _cmd_sandwich(args):
+    from latmod.latconstruct import s_minus, s_plus, unit_edge
     rep = _build_rep(args)
-    edge = unit_edge(rep, prime=args.p)
-    lo = s_minus(rep, edge)
-    hi = s_plus(rep, edge)
-    return {
-        "s_minus": lo.to_json_obj(),
-        "s_plus": hi.to_json_obj(),
-        "index": str(lo.index_in(hi)),
-    }
+    edge = unit_edge(rep, prime=args["p"])
+    lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": str(lo.index_in(hi))}
 
 
 def _cmd_orbits(args):
+    from latmod.latconstruct import count_invariant_orbits, unit_edge
     rep = _build_rep(args)
-    return count_invariant_orbits(rep, unit_edge(rep, prime=args.p))
+    return count_invariant_orbits(rep, unit_edge(rep, prime=args["p"]))
 
 
 def _cmd_model_lie(args):
-    with open(args.rep) as f:
+    from latmod.models import lie_invariants, lie_model
+    from latmod.reps import build_irrep
+    from latmod.rootdata import build_chevalley
+    with open(args["rep"]) as f:
         spec = json.load(f)
-    cb = build_chevalley(spec["type"], int(spec["rank"]))
-    rep = build_irrep(cb, tuple(int(x) for x in spec["hw"]))
-    lat = _load_lattice(args.lattice)
-    model = lie_model(rep, lat)
+    rep = build_irrep(build_chevalley(spec["type"], int(spec["rank"])), tuple(int(x) for x in spec["hw"]))
+    model = lie_model(rep, _load_lattice(args["lattice"]))
     return {"model": model.to_json_obj(), "invariants": lie_invariants(model)}
 
 
 def _cmd_case_pgl2(args):
+    from latmod.casestudies import pgl2_sym2_report
     return pgl2_sym2_report()
 
 
 def _cmd_case_classgroup(args):
-    count, reps = class_orbit_count(args.disc)
-    return {
-        "disc": args.disc,
-        "orbit_count": count,
-        "representatives": [lat.to_json_obj() for lat in reps],
-    }
+    from latmod.casestudies import class_orbit_count
+    count, reps = class_orbit_count(args["disc"])
+    return {"disc": args["disc"], "orbit_count": count, "representatives": [lat.to_json_obj() for lat in reps]}
 
 
-def _add_common(p):
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--pretty", action="store_true", help="flat key/value table")
+_REP = {"type": _type, "rank": int, "hw": str}
+# command -> (handler, {required flag: converter of its value}, summary)
+COMMANDS = {
+    "rep build": (_cmd_rep_build, _REP, "highest-weight representation"),
+    "lattice dist": (_cmd_lattice_dist, {"p": _prime, "a": str, "b": str}, "p-adic distance of two lattices"),
+    "sandwich": (_cmd_sandwich, dict(_REP, p=_prime), "minimal/maximal split lattices"),
+    "orbits": (_cmd_orbits, dict(_REP, p=_prime), "invariant-lattice orbit report"),
+    "model lie": (_cmd_model_lie, {"rep": str, "lattice": str}, "Lie lattice of a lattice, its invariants"),
+    "case pgl2": (_cmd_case_pgl2, {}, "rank-1 symmetric-square case study"),
+    "case classgroup": (_cmd_case_classgroup, {"disc": int}, "class orbits of a fundamental discriminant"),
+}
+# Optional flags of every command; None converts a flag that takes no value.
+_OPTIONAL = {"out": str, "pretty": None, "help": None}
+# Shown for a flag's value; others show NAME, or NAME.json for a file name (a str flag).
+_METAVARS = {"type": "{A,B,C,D}", "hw": "H1,H2,...", "p": "PRIME"}
 
 
-def _add_rep_flags(p):
-    p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--hw", required=True, help="comma-separated coordinates")
+def _usage(path):
+    """A usage line and summary of each command under path."""
+    lines = ["usage: latmod COMMAND [--FLAG VALUE ...] [--out FILE] [--pretty] [-h]"]
+    for cmd, (_, flags, summary) in COMMANDS.items():
+        if cmd.split()[: len(path)] == path:
+            words = ["--%s %s" % (f, _METAVARS.get(f, f.upper() + ".json" * (c is str))) for f, c in flags.items()]
+            lines.append("  latmod %s\n      %s" % (" ".join([cmd] + words), summary))
+    return "\n".join(lines)
+
+
+def _match(word, flags):
+    """The flag that word names in full or by a unique prefix."""
+    name = word[2:].partition("=")[0] if word[:2] == "--" else "help" if word == "-h" else ""
+    hits = [name] if name in flags else [f for f in flags if name and f.startswith(name)]
+    if len(hits) != 1:
+        raise _Usage("%s: %s" % ("ambiguous flag" if hits else "unrecognized argument", word))
+    return hits[0]
+
+
+def _flags(words, required):
+    """Values of the flags in words, converted in order."""
+    flags = dict(required, **_OPTIONAL)
+    args = {"out": None, "pretty": False}
+    words = iter(words)
+    for word in words:
+        name, explicit = _match(word, flags), "=" in word
+        if flags[name] is None:
+            if explicit:
+                raise _Usage("--%s takes no value" % name)
+            if name == "help":
+                raise _Usage()
+            args[name] = True
+            continue
+        value = word.partition("=")[2] if explicit else next(words, "--")
+        # As in argparse, a word starting with "-" is a flag unless it is "-" or a negative number.
+        if not explicit and value[:1] == "-" and value != "-" and not value[1:].isdigit():
+            raise _Usage("--%s needs a value" % name)
+        try:
+            args[name] = flags[name](value)
+        except ValueError as e:
+            raise _Usage("argument --%s: %s" % (name, e))
+    missing = ["--" + f for f in required if f not in args]
+    if missing:
+        raise _Usage("required flags missing: %s" % ", ".join(missing))
+    return args
+
+
+def _parse(argv, path):
+    """Handler and flag values of the command argv names; path receives
+    the words of the command as they are read."""
+    while " ".join(path) not in COMMANDS:
+        word = argv[len(path)] if len(path) < len(argv) else ""
+        if word.startswith("-"):
+            _flags(argv[len(path) :], {})  # raises at help or at a word other than --out/--pretty
+        names = sorted({c.split()[len(path)] for c in COMMANDS if c.split()[: len(path)] == path})
+        if word not in names:
+            raise _Usage("choose a command from %s%s" % (", ".join(names), word and ", not %r" % word))
+        path.append(word)
+    handler, required, _ = COMMANDS[" ".join(path)]
+    return handler, _flags(argv[len(path) :], required)
 
 
 def main(argv=None):
-    parser = _Parser(prog="latmod")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rep = sub.add_parser("rep", parents=[], help="representation pipelines")
-    rep_sub = rep.add_subparsers(dest="subcommand", required=True)
-    p = rep_sub.add_parser("build")
-    _add_rep_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rep_build)
-
-    lattice = sub.add_parser("lattice", help="lattice pipelines")
-    lat_sub = lattice.add_subparsers(dest="subcommand", required=True)
-    p = lat_sub.add_parser("dist")
-    p.add_argument("--p", required=True, type=_prime)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lattice_dist)
-
-    p = sub.add_parser("sandwich", help="minimal/maximal split lattices")
-    _add_rep_flags(p)
-    p.add_argument("--p", required=True, type=_prime)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sandwich)
-
-    p = sub.add_parser("orbits", help="invariant-lattice orbit report")
-    _add_rep_flags(p)
-    p.add_argument("--p", required=True, type=_prime)
-    _add_common(p)
-    p.set_defaults(func=_cmd_orbits)
-
-    model = sub.add_parser("model", help="integral model pipelines")
-    model_sub = model.add_subparsers(dest="subcommand", required=True)
-    p = model_sub.add_parser("lie")
-    p.add_argument("--rep", required=True, help='JSON {"type","rank","hw"}')
-    p.add_argument("--lattice", required=True, help="lattice JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_model_lie)
-
-    case = sub.add_parser("case", help="end-to-end case studies")
-    case_sub = case.add_subparsers(dest="subcommand", required=True)
-    p = case_sub.add_parser("pgl2")
-    _add_common(p)
-    p.set_defaults(func=_cmd_case_pgl2)
-    p = case_sub.add_parser("classgroup")
-    p.add_argument("--disc", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_case_classgroup)
-
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = []
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        handler, args = _parse(argv, path)
+    except _Usage as e:
+        stream, tail = (sys.stderr, "error: %s\n" % e) if e.args else (sys.stdout, "")
+        stream.write(_usage(path) + "\n" + tail)
+        return 1 if e.args else 0
     try:
-        result = args.func(args)
-    except (
-        LatticeError,
-        RootDataError,
-        RepError,
-        CaseStudyError,
-        ValueError,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-    ) as e:
+        result = handler(args)
+    except (ValueError, OSError, KeyError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
     except AssertionError as e:

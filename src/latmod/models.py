@@ -12,7 +12,8 @@ certificate for every positive answer.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import chain
+from math import gcd, prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
@@ -29,13 +30,23 @@ class ModelError(ValueError):
 
 
 class LieLattice:
-    """Lattice in the Lie algebra, coordinates in the Chevalley basis."""
+    """Lattice in the Lie algebra, coordinates in the Chevalley basis.
 
-    __slots__ = ("cb", "lattice")
+    ``bracket`` holds the coordinates in the lattice basis u of the
+    brackets [u_i, u_j] = ad(u_i)·u_j, row i·m + j, as integer rows over
+    one denominator; the lattice is closed under the bracket exactly when
+    they are integral (p-integral over Z_(p)).
+    """
+
+    __slots__ = ("cb", "lattice", "bracket")
 
     def __init__(self, cb, lattice):
         object.__setattr__(self, "cb", cb)
         object.__setattr__(self, "lattice", lattice)
+        # Taken on the integer columns c = d·u (one ad per column), so over d².
+        cols = lattice.columns
+        ints, e = clear_denominators([mat_vec(a, c) for a in map(cb.ad, cols) for c in cols])
+        object.__setattr__(self, "bracket", lattice.coordinates(ints, e * lattice.denominator**2))
         if not self.bracket_closed():
             raise ModelError("lattice is not closed under the bracket")
 
@@ -54,8 +65,10 @@ class LieLattice:
         return self.cb.from_coords(coords)
 
     def bracket_closed(self):
-        """ad(u)·L ⊆ L for each basis element u (ad from the bracket table)."""
-        return all(self.lattice.stable_under(self.cb.ad(u)) for u in self.lattice.basis)
+        """Are the bracket coordinates integral over the ring of the lattice?"""
+        rows, den = self.bracket
+        q, p = den // gcd(den, *chain.from_iterable(rows)), self.lattice.prime
+        return q == 1 or (p is not None and q % p != 0)
 
     def to_json_obj(self):
         return {
@@ -96,11 +109,8 @@ def lie_invariants(model):
     and of the flattened bracket structure tensor in a model basis."""
     cb, lat = model.cb, model.lattice
     g_lat = mat_mul(lat.basis, mat_mul(killing_gram(cb), lat.basis_matrix()))  # Bᵀ·G·B
-    # Row (i, j) holds the coordinates of [u_i, u_j] = ad(u_i)·u_j, taken on
-    # the columns d·u (so over d²); snf divides out their content first.
-    cols = lat.columns
-    ints, e = clear_denominators([mat_vec(a, c) for a in map(cb.ad, cols) for c in cols])
-    rows, den = lat.coordinates(ints, e * lat.denominator**2)
+    # snf divides out the content of the bracket rows first.
+    rows, den = model.bracket
     return {
         "killing_divisors": [str(d) for d in snf(g_lat)],
         "bracket_divisors": [str(d) for d in snf([[Fraction(x, den) for x in r] for r in rows])],

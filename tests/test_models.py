@@ -108,7 +108,7 @@ def test_lie_model_bracket_closed_random(a1):
             except ValueError:
                 continue
             model = lie_model(rep, lat)  # constructor verifies closure
-            assert model.bracket_closed()
+            assert model.bracket_closed() and bracket_closed_pairwise(cb, model.lattice)
             done += 1
 
 

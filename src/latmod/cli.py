@@ -104,6 +104,9 @@ def _cmd_model_lie(args):
     from latmod.rootdata import build_chevalley
     with open(args["rep"]) as f:
         spec = json.load(f)
+    shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
+    if not shaped or not all(isinstance(x, (int, str)) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
+        raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
     rep = build_irrep(build_chevalley(spec["type"], int(spec["rank"])), tuple(int(x) for x in spec["hw"]))
     model = lie_model(rep, _load_lattice(args["lattice"]))
     return {"model": model.to_json_obj(), "invariants": lie_invariants(model)}
@@ -209,14 +212,13 @@ def main(argv=None):
         stream.write(_usage(path) + "\n" + tail)
         return 1 if e.args else 0
     try:
-        result = handler(args)
+        _emit(handler(args), args)
     except (ValueError, OSError, KeyError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
     except AssertionError as e:
         sys.stderr.write("internal assertion failure: %s\n" % e)
         return 2
-    _emit(result, args)
     return 0
 
 

@@ -255,9 +255,16 @@ class Lattice:
 
     @classmethod
     def from_json_obj(cls, obj):
-        ring = obj["ring"]
+        if not isinstance(obj, dict):
+            raise LatticeError("a lattice file holds one object")
+        ring, basis, entry = obj["ring"], obj["basis"], (int, str)
+        if ring != "Z" and not (isinstance(ring, dict) and isinstance(ring.get("Zp"), entry)):
+            raise LatticeError('ring must be "Z" or {"Zp": p}')
+        rows_are_lists = isinstance(basis, list) and all(isinstance(row, list) for row in basis)
+        if not rows_are_lists or not all(isinstance(x, entry) for row in basis for x in row):
+            raise LatticeError("basis must be a list of rows of entries")
         prime = None if ring == "Z" else int(ring["Zp"])
-        rows = [[Fraction(x) for x in row] for row in obj["basis"]]
+        rows = [[Fraction(x) for x in row] for row in basis]
         if len({len(row) for row in rows}) > 1:
             raise LatticeError("ragged basis rows")
         return cls(list(zip(*rows)), prime, ambient=obj["ambient"])

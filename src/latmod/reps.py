@@ -7,9 +7,10 @@ projections onto them are 0/1 diagonal matrices.
 
 Irreducibles are built inside tensor products of symmetric and exterior
 powers of the defining realization: locate a highest-weight vector as a
-joint kernel of the raising operators, then take the cyclic span under the
-lowering operators.  The symmetric-power path keeps the classical monomial
-basis (e1^k, e1^{k-1}e2, ...) so rank-1 symmetric powers come out in the
+joint kernel of the raising operators, then walk its cyclic span under the
+lowering operators once; one coordinate solve on that adapted basis reads
+the action.  The symmetric-power path keeps the classical monomial basis
+(e1^k, e1^{k-1}e2, ...) so rank-1 symmetric powers come out in the
 textbook coordinates.
 """
 
@@ -21,8 +22,6 @@ from latmod.matrixops import (
     coordinate_solver,
     identity,
     mat,
-    mat_inv,
-    mat_mul,
     mat_vec,
     nullspace,
     primitive,
@@ -190,6 +189,31 @@ def _highest_weight_vectors(raising, weights, w):
     return out
 
 
+def _diagonal_weights(cb, action):
+    """The diagonals of the Cartan generators, one weight per basis vector."""
+    h = [action[("h", i)] for i in range(cb.rs.rank)]
+    return tuple(tuple(int(m[k][k]) for m in h) for k in range(len(h[0])))
+
+
+def _adapted_action(cb, action, hw_vectors):
+    """The action on the lowering spans of the highest-weight vectors
+    [(psi, v), ...], walked in order into one QSpan, and the psi of each
+    basis vector walked.  One coordinate_solver on the walked basis reads
+    the image of every basis vector under every generator."""
+    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
+    span = QSpan(len(action[("h", 0)]))
+    basis, psi_of = [], []
+    for psi, v in hw_vectors:
+        walked = _lowering_span(span, lowering, v)
+        basis.extend(walked)
+        psi_of.extend([psi] * len(walked))
+    coords = coordinate_solver(basis)
+    images = {key: [coords(mat_vec(g, b)) for b in basis] for key, g in action.items()}
+    if any(x is None for cols in images.values() for x in cols):
+        raise RepError("cyclic span not invariant (construction bug)")
+    return {key: tuple(zip(*cols)) for key, cols in images.items()}, psi_of
+
+
 class Representation:
     """Weight-adapted representation of a Chevalley basis.
 
@@ -197,58 +221,64 @@ class Representation:
     to a dim×dim rational matrix; weights[i] is the weight of basis vector
     i; psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
     basis indices of the chi-weight space of the psi-component.
+    Representation(cb, action) checks any action, then keeps the one
+    _adapted_action reads on the walks of all highest-weight vectors.
     """
 
     __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
 
     def __init__(self, cb, action):
-        rank = cb.rs.rank
-        dim = len(next(iter(action.values())))
-        for i in range(rank):
-            hm = action[("h", i)]
-            for r in range(dim):
-                for c in range(dim):
-                    if r != c and hm[r][c] != 0:
-                        raise RepError("Cartan generators must act diagonally")
-                    if r == c and hm[r][c].denominator != 1:
-                        raise RepError("non-integral weight")
-        self._check_homomorphism(cb, action)
-        raw_weights = tuple(
-            tuple(int(action[("h", i)][k][k]) for i in range(rank)) for k in range(dim)
-        )
-        basis_cols, psi_of = self._adapt(cb, action, raw_weights, dim)
-        b = tuple(zip(*basis_cols))  # dim×dim, columns are the new basis
-        binv = mat_inv(b)
-        new_action = {
-            key: mat_mul(binv, mat_mul(g, b)) for key, g in action.items()
-        }
-        weights = tuple(
-            tuple(int(new_action[("h", i)][k][k]) for i in range(rank))
-            for k in range(dim)
-        )
+        weights = self._checked_weights(cb, action)
+        raising = [action[a] for a in cb.rs.simple]
+        # Highest-weight vectors, per weight, echelon order.
+        hw_vectors = [
+            (w, v)
+            for w in sorted(set(weights), reverse=True)
+            for v in _highest_weight_vectors(raising, weights, w)
+        ]
+        if any(c < 0 for w, _ in hw_vectors for c in w):
+            raise RepError("non-dominant highest weight: not completely adapted")
+        adapted, psi_of = _adapted_action(cb, action, hw_vectors)
+        if len(psi_of) != len(weights):
+            raise RepError("cyclic spans do not exhaust the space")
+        self._set(cb, adapted, psi_of)
+
+    @classmethod
+    def _from_adapted(cls, cb, action, psi_of):
+        """The representation on the basis _adapted_action walked: the
+        checks of __init__ run on the action, the walk does not."""
+        rep = object.__new__(cls)
+        cls._checked_weights(cb, action)
+        rep._set(cb, action, psi_of)
+        return rep
+
+    def _set(self, cb, action, psi_of):
+        weights = _diagonal_weights(cb, action)
         blocks = {}
-        for i in range(dim):
-            blocks.setdefault((psi_of[i], weights[i]), []).append(i)
+        for i, w in enumerate(weights):
+            blocks.setdefault((psi_of[i], w), []).append(i)
         # Multiset of highest weights: one entry per 1-dim highest block copy.
-        mult = {}
-        for psi in set(psi_of):
-            mult[psi] = len(blocks[(psi, psi)])
-        hws = []
-        for psi in sorted(mult, reverse=True):
-            hws.extend([psi] * mult[psi])
+        hws = [psi for psi in sorted(set(psi_of), reverse=True) for _ in blocks[(psi, psi)]]
         self.cb = cb
-        self.dim = dim
-        self.action = new_action
+        self.dim = len(weights)
+        self.action = action
         self.weights = weights
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
         self.highest_weights = tuple(hws)
 
     @staticmethod
-    def _check_homomorphism(cb, action):
-        """[ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k) for every pair i < j of basis
-        elements, the c_k read from the basis's bracket table; the
-        matrices are compared sparse."""
+    def _checked_weights(cb, action):
+        """The weight of each basis vector, once the Cartan generators act
+        diagonally with integers and [ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k) for
+        every pair i < j of basis elements, the c_k read from the basis's
+        bracket table; the matrices are compared sparse."""
+        for i in range(cb.rs.rank):
+            for r, row in enumerate(action[("h", i)]):
+                if any(x for c, x in enumerate(row) if c != r):
+                    raise RepError("Cartan generators must act diagonally")
+                if row[r].denominator != 1:
+                    raise RepError("non-integral weight")
         rho = [sparse(action[key]) for key in cb.basis_order()]
         for i, row in enumerate(cb.bracket_table):
             for j in range(i + 1, len(rho)):
@@ -258,30 +288,7 @@ class Representation:
                         expect[p] = expect.get(p, 0) + c * y
                 if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
                     raise RepError("not a representation")
-
-    @staticmethod
-    def _adapt(cb, action, weights, dim):
-        """Adapted basis columns and per-column isotypic labels."""
-        raising = [action[a] for a in cb.rs.simple]
-        lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-        # Highest-weight vectors, per ambient weight, echelon order.
-        hw_vectors = [
-            (w, v)
-            for w in sorted(set(weights), reverse=True)
-            for v in _highest_weight_vectors(raising, weights, w)
-        ]
-        if any(c < 0 for w, _ in hw_vectors for c in w):
-            raise RepError("non-dominant highest weight: not completely adapted")
-        basis_cols = []
-        psi_of = []
-        span = QSpan(dim)
-        for psi, v in hw_vectors:
-            local = _lowering_span(span, lowering, v)
-            basis_cols.extend(local)
-            psi_of.extend([psi] * len(local))
-        if span.rank != dim:
-            raise RepError("cyclic spans do not exhaust the space")
-        return basis_cols, psi_of
+        return _diagonal_weights(cb, action)
 
     # -- queries -------------------------------------------------------
 
@@ -338,23 +345,7 @@ def build_irrep(cb, psi):
     hw = _highest_weight_vectors(raising, weights, psi)
     if not hw:
         raise RepError("highest weight %r not reachable in this realization" % (psi,))
-    # Cyclic span under the lowering operators.
-    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    basis_cols = _lowering_span(QSpan(d), lowering, hw[0])
-    if len(basis_cols) == d:
-        # Ambient is already irreducible; keep its natural (monomial) basis.
-        return Representation(cb, action)
-    coords = coordinate_solver(basis_cols)
-    sub_action = {}
-    for key, g in action.items():
-        cols_out = []
-        for b in basis_cols:
-            x = coords(mat_vec(g, b))
-            if x is None:
-                raise RepError("cyclic span not invariant (construction bug)")
-            cols_out.append(x)
-        sub_action[key] = tuple(zip(*cols_out))
-    return Representation(cb, sub_action)
+    return Representation._from_adapted(cb, *_adapted_action(cb, action, [(psi, hw[0])]))
 
 
 def direct_sum(reps):
@@ -366,15 +357,11 @@ def direct_sum(reps):
     dim = sum(r.dim for r in reps)
     action = {}
     for key in reps[0].action:
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        off = 0
+        rows, off = [], 0
         for r in reps:
-            g = r.action[key]
-            for i in range(r.dim):
-                for j in range(r.dim):
-                    m[off + i][off + j] = g[i][j]
+            rows.extend((0,) * off + row + (0,) * (dim - off - r.dim) for row in r.action[key])
             off += r.dim
-        action[key] = mat(m)
+        action[key] = mat(rows)
     return Representation(cb, action)
 
 

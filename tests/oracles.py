@@ -5,7 +5,9 @@ way: the two canonicalisers that `exact._canonical` merged, the
 `Fraction` forward substitutions that `kernels.hermite_coords` replaced
 under `Lattice.member`, `ZSpan.member` and the Hermite search, the
 per-vector `solve` that `reps.build_irrep` used before
-`matrixops.coordinate_solver`, a brute-force subgroup count for
+`matrixops.coordinate_solver`, the second walk of the adapted basis with
+the `mat_inv` conjugation that `reps.Representation` ran on every action
+before one walk read the adapted action, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
 keys of `casestudies.class_orbit_count`, the Euclid echelon of the
 Hopf-order products with `Fraction` combination lists and its forward
@@ -51,6 +53,7 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     clear_denominators,
+    coordinate_solver,
     identity,
     mat,
     mat_inv,
@@ -166,21 +169,28 @@ def sub_action_by_solve(action, basis_cols):
     return out
 
 
+def ambient_of(cb, psi):
+    """The tensor product of Sym^psi[0] and of Λ^(i+1), psi[i] times, of
+    the defining realization, as build_irrep builds it (d, action,
+    weights)."""
+    defining = reps._defining_raw(cb)
+    ambient = reps._trivial_raw(cb)
+    if psi[0]:
+        ambient = reps._tensor_raw(ambient, reps._sym_power_raw(defining, psi[0]))
+    for i in range(1, cb.rs.rank):
+        if psi[i]:
+            ext = reps._ext_power_raw(defining, i + 1)
+            for _ in range(psi[i]):
+                ambient = reps._tensor_raw(ambient, ext)
+    return ambient
+
+
 def build_irrep_by_solve(cb, psi):
     """build_irrep as it was before coordinate_solver: the first joint
     kernel vector of the raising operators in the psi weight space, its
     cyclic span under the lowering operators, and the action on that span
     by one `solve` per generator and basis vector."""
-    rank = cb.rs.rank
-    defining = reps._defining_raw(cb)
-    ambient = reps._trivial_raw(cb)
-    if psi[0]:
-        ambient = reps._tensor_raw(ambient, reps._sym_power_raw(defining, psi[0]))
-    for i in range(1, rank):
-        ext = reps._ext_power_raw(defining, i + 1)
-        for _ in range(psi[i]):
-            ambient = reps._tensor_raw(ambient, ext)
-    d, action, weights = ambient
+    d, action, weights = ambient_of(cb, psi)
     cols = [i for i in range(d) if weights[i] == tuple(psi)]
     rows = [tuple(action[a][r][c] for c in cols) for a in cb.rs.simple for r in range(d)]
     v = [Fraction(0)] * d
@@ -191,6 +201,64 @@ def build_irrep_by_solve(cb, psi):
     if len(basis_cols) == d:
         return reps.Representation(cb, action)
     return reps.Representation(cb, sub_action_by_solve(action, basis_cols))
+
+
+def adapt_by_conjugation(cb, action):
+    """The action, weights, blocks and highest weights that
+    Representation(cb, action) kept before one walk read the adapted
+    action: the highest-weight vectors of every weight walked into one
+    QSpan, their cyclic spans as the columns of b, and every generator
+    conjugated to mat_inv(b)·g·b with two dense products."""
+    rank = cb.rs.rank
+    dim = len(action[("h", 0)])
+    weights = tuple(tuple(int(action[("h", i)][k][k]) for i in range(rank)) for k in range(dim))
+    raising = [action[a] for a in cb.rs.simple]
+    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
+    span = QSpan(dim)
+    basis_cols, psi_of = [], []
+    for w in sorted(set(weights), reverse=True):
+        for v in reps._highest_weight_vectors(raising, weights, w):
+            local = reps._lowering_span(span, lowering, v)
+            basis_cols.extend(local)
+            psi_of.extend([w] * len(local))
+    assert span.rank == dim, "cyclic spans do not exhaust the space"
+    b = tuple(zip(*basis_cols))
+    binv = mat_inv(b)
+    new_action = {key: mat_mul(binv, mat_mul(g, b)) for key, g in action.items()}
+    new_weights = tuple(
+        tuple(int(new_action[("h", i)][k][k]) for i in range(rank)) for k in range(dim)
+    )
+    blocks = {}
+    for i in range(dim):
+        blocks.setdefault((psi_of[i], new_weights[i]), []).append(i)
+    hws = []
+    for psi in sorted(set(psi_of), reverse=True):
+        hws.extend([psi] * len(blocks[(psi, psi)]))
+    return {
+        "action": new_action,
+        "weights": new_weights,
+        "blocks": {k: tuple(v) for k, v in blocks.items()},
+        "highest_weights": tuple(hws),
+    }
+
+
+def build_irrep_by_conjugation(cb, psi):
+    """build_irrep as it was before one walk: the cyclic span of the
+    highest-weight vector, the action on it by coordinate_solver unless
+    it is the whole ambient, then adapt_by_conjugation on that action,
+    which walks the span a second time."""
+    d, action, weights = ambient_of(cb, psi)
+    raising = [action[a] for a in cb.rs.simple]
+    v = reps._highest_weight_vectors(raising, weights, tuple(psi))[0]
+    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
+    basis_cols = reps._lowering_span(QSpan(d), lowering, v)
+    if len(basis_cols) == d:
+        return adapt_by_conjugation(cb, action)
+    coords = coordinate_solver(basis_cols)
+    sub_action = {
+        key: tuple(zip(*(coords(mat_vec(g, b)) for b in basis_cols))) for key, g in action.items()
+    }
+    return adapt_by_conjugation(cb, sub_action)
 
 
 def subgroup_count_of_quotient(divisors):

@@ -258,6 +258,53 @@ def test_ragged_lattice_file_exits_1(tmp_path, capsys):
         assert err == "error: ragged basis rows\n"
 
 
+def test_misshapen_input_files_exit_1(tmp_path, capsys):
+    # A scalar where the file format has a list (or a list where it has an
+    # entry) is refused where the file is read, not met later as a
+    # TypeError.
+    good = tmp_path / "good.json"
+    good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    spec_error = 'error: representation spec must be {"type": ..., "rank": ..., "hw": [...]}\n'
+    basis_error = "error: basis must be a list of rows of entries\n"
+    cases = [
+        ({"type": "A", "rank": 1, "hw": 2}, None, spec_error),
+        ({"type": ["A"], "rank": 1, "hw": [1]}, None, spec_error),
+        ({"type": "A", "rank": [1], "hw": [1]}, None, spec_error),
+        ({"type": "A", "rank": 1, "hw": [[1]]}, None, spec_error),
+        ([1], None, spec_error),
+        (None, {"ambient": 2, "ring": "Z", "basis": 5}, basis_error),
+        (None, {"ambient": 2, "ring": "Z", "basis": [5, 6]}, basis_error),
+        (None, {"ambient": 2, "ring": "Z", "basis": [["1", "0"], ["0", None]]}, basis_error),
+        (None, {"ambient": 2, "ring": 2, "basis": [["1", "0"], ["0", "1"]]}, 'error: ring must be "Z" or {"Zp": p}\n'),
+        (None, [["1", "0"], ["0", "1"]], "error: a lattice file holds one object\n"),
+    ]
+    for spec, lattice, message in cases:
+        repf, latf = rep, good
+        if spec is not None:
+            repf = tmp_path / "bad_rep.json"
+            repf.write_text(json.dumps(spec))
+        if lattice is not None:
+            latf = tmp_path / "bad_lattice.json"
+            latf.write_text(json.dumps(lattice))
+            code, out, err = run(["lattice", "dist", "--p", "2", "--a", str(latf), "--b", str(good)], capsys)
+            assert (code, out, err) == (1, "", message), lattice
+        code, out, err = run(["model", "lie", "--rep", str(repf), "--lattice", str(latf)], capsys)
+        assert (code, out, err) == (1, "", message), (spec, lattice)
+
+
+def test_unwritable_out_exits_1(tmp_path):
+    # --out is written inside the error handler: a missing directory or a
+    # directory as the file prints one error line, no traceback.
+    for out, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"), (tmp_path, "Is a directory")):
+        proc = run_child(["-m", "latmod.cli", "case", "classgroup", "--disc", "-4", "--out", str(out)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and reason in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code, _, _ = run(
         ["lattice", "dist", "--p", "2", "--a", str(tmp_path / "no.json"), "--b", str(tmp_path / "no.json")],

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from latmod import matrixops, reps
 from latmod.matrixops import bracket, identity, mat_mul
 from latmod.reps import (
     RepError,
@@ -18,7 +19,15 @@ from latmod.reps import (
     tensor_product,
 )
 from latmod.rootdata import build_chevalley, killing_h
-from oracles import build_irrep_by_solve, distinct_words, lift, transition_by_words, word_products
+from oracles import (
+    adapt_by_conjugation,
+    build_irrep_by_conjugation,
+    build_irrep_by_solve,
+    distinct_words,
+    lift,
+    transition_by_words,
+    word_products,
+)
 
 
 def weyl_dim(cb, psi):
@@ -115,6 +124,80 @@ def test_build_irrep_matches_per_vector_solve(sweep_reps):
     for (t, r, hw), rep in cases.items():
         old = build_irrep_by_solve(rep.cb, hw)
         assert old.action == rep.action and old.blocks == rep.blocks, (t, r, hw)
+
+
+# The five `rep build` requests of the benchmark (A3 (0,1,0) and B3
+# (1,0,0) are their whole ambient), then A2 (2,2) (27 of 54 dimensions),
+# B2 (0,2) (10 of 100), C3 (0,1,0) (14 of 15) and D4 (0,1,0,0) (all 28).
+CONJUGATION_CASES = [
+    ("A", 2, (1, 1)),
+    ("A", 2, (2, 1)),
+    ("A", 3, (0, 1, 0)),
+    ("B", 3, (1, 0, 0)),
+    ("C", 2, (1, 1)),
+    ("A", 2, (2, 2)),
+    ("B", 2, (0, 2)),
+    ("C", 3, (0, 1, 0)),
+    ("D", 4, (0, 1, 0, 0)),
+]
+
+
+def same_as_oracle(rep, old):
+    return (rep.action, rep.weights, rep.blocks, rep.highest_weights) == (
+        old["action"],
+        old["weights"],
+        old["blocks"],
+        old["highest_weights"],
+    )
+
+
+def test_build_irrep_matches_conjugation_oracle(sweep_reps):
+    # One walk read by one coordinate solve gives what the second walk and
+    # the mat_inv conjugation gave, in the sub-representation and in the
+    # whole-ambient cases alike.
+    cases = dict(sweep_reps)
+    for t, r, hw in CONJUGATION_CASES:
+        cases[(t, r, hw)] = build_irrep(build_chevalley(t, r), hw)
+    for (t, r, hw), rep in cases.items():
+        assert same_as_oracle(rep, build_irrep_by_conjugation(rep.cb, hw)), (t, r, hw)
+
+
+def test_reducible_representation_matches_conjugation_oracle():
+    # The actions direct_sum([v, v]) and tensor_product(v, w) of A2 hand to
+    # Representation, adapted there and by the oracle.
+    cb = build_chevalley("A", 2)
+    v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
+    z = (Fraction(0),) * v.dim
+    plus = {key: tuple(row + z for row in g) + tuple(z + row for row in g) for key, g in v.action.items()}
+    _, times, _ = reps._tensor_raw((v.dim, v.action, v.weights), (w.dim, w.action, w.weights))
+    for rep, action in ((direct_sum([v, v]), plus), (tensor_product(v, w), times)):
+        assert same_as_oracle(rep, adapt_by_conjugation(cb, action)), rep.highest_weights
+
+
+def test_build_irrep_walks_once(monkeypatch):
+    # One lowering walk and no dense product: the adapted action is read on
+    # the walked basis, not walked again and conjugated.  A2 (1,1) is a
+    # proper subspace of its ambient, A3 (0,1,0) the whole of it.
+    walk = reps._lowering_span
+    calls = {"walks": 0, "mat_mul": 0}
+
+    def counting_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    def counting_mat_mul(*args):
+        calls["mat_mul"] += 1
+        return mat_mul(*args)
+
+    for t, r, hw in (("A", 2, (1, 1)), ("A", 3, (0, 1, 0))):
+        cb = build_chevalley(t, r)
+        calls.update(walks=0, mat_mul=0)
+        with monkeypatch.context() as m:
+            m.setattr(reps, "_lowering_span", counting_walk)
+            m.setattr(matrixops, "mat_mul", counting_mat_mul)
+            m.setattr(reps, "mat_mul", counting_mat_mul, raising=False)
+            build_irrep(cb, hw)
+        assert calls == {"walks": 1, "mat_mul": 0}, (t, r, hw)
 
 
 def test_a1_standard_and_sym2_matrices():

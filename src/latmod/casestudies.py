@@ -50,6 +50,11 @@ DISC_LIMIT = 10**5
 # -----------------------------------------------------------------------
 
 
+def _check_disc_limit(disc):
+    if -disc > DISC_LIMIT:
+        raise CaseStudyError("|D| = %d exceeds the supported limit %d" % (-disc, DISC_LIMIT))
+
+
 def is_fundamental(disc):
     if disc >= 0:
         return False
@@ -79,10 +84,7 @@ class QuadField:
     def __init__(self, disc):
         if disc >= 0 or disc % 4 not in (0, 1):
             raise CaseStudyError("expected a negative discriminant = 0,1 mod 4")
-        if -disc > DISC_LIMIT:
-            raise CaseStudyError(
-                "|D| = %d exceeds the supported limit %d" % (-disc, DISC_LIMIT)
-            )
+        _check_disc_limit(disc)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "_c", Fraction(disc - disc * disc, 4))
 
@@ -209,8 +211,11 @@ def class_orbit_count(disc):
 
     The multiplier ring of a nonzero ideal I is an order (x·I ⊆ I makes x
     integral: the determinant trick on a basis of I) containing O_F, so it
-    is O_F; it is still computed, and any other ring fails loudly.
+    is O_F; it is still computed, and any other ring fails loudly.  The
+    limit on |D| is checked first, as is_fundamental trial-divides up to
+    sqrt|D|.
     """
+    _check_disc_limit(disc)
     if not is_fundamental(disc):
         raise CaseStudyError("class group of non-maximal orders out of scope")
     field = QuadField(disc)

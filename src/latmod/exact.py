@@ -264,7 +264,10 @@ class Lattice:
         if not rows_are_lists or not all(isinstance(x, entry) for row in basis for x in row):
             raise LatticeError("basis must be a list of rows of entries")
         prime = None if ring == "Z" else int(ring["Zp"])
-        rows = [[Fraction(x) for x in row] for row in basis]
+        try:
+            rows = [[Fraction(x) for x in row] for row in basis]
+        except ZeroDivisionError:
+            raise LatticeError("basis entry with a zero denominator")
         if len({len(row) for row in rows}) > 1:
             raise LatticeError("ragged basis rows")
         return cls(list(zip(*rows)), prime, ambient=obj["ambient"])

@@ -2,14 +2,14 @@
 
 Matrices are tuples of rows; vectors are tuples.  Everything is immutable
 and exact; the products and the eliminations return Fraction entries,
-also for integer input.  rref is the one elimination: mat_inv, nullspace
-and coordinate_solver are built on it, and QSpan reduces incrementally.
-Coordinates in a fixed basis come from coordinate_solver: one
-elimination, then a product and a residual check per vector.  Brackets
-also come sparse ({(i, j): nonzero entry}), for the Chevalley identities.
-Dimensions at desk scale never exceed a few dozen, but action matrices
-are weight-graded and almost all zero, so the products skip zero entries
-and sum only products of nonzero ones.
+also for integer input.  rref gives mat_inv and nullspace; QSpan reduces
+incrementally and keeps, for each echelon row, its combination of the
+vectors inserted, so coordinates in a basis (coordinate_solver) are one
+reduction per vector.  Matrices also come sparse ({(i, j): nonzero
+entry}), with their bracket and their product with a vector, for the
+Chevalley identities and the representation builders.  Action matrices
+are weight-graded and almost all zero, so the dense products skip zero
+entries and sum only products of nonzero ones.
 """
 
 from fractions import Fraction
@@ -53,10 +53,6 @@ def identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def zeros(nr, nc):
-    return tuple((Fraction(0),) * nc for _ in range(nr))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -96,10 +92,6 @@ def mat_vec(a, v):
     return tuple(out)
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
@@ -107,6 +99,21 @@ def bracket(a, b):
 def sparse(a):
     """The nonzero entries of a as {(row, column): entry}."""
     return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+
+
+def dense(m, n):
+    """The n×n matrix of the sparse matrix m."""
+    return tuple(tuple(m.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+
+
+def sparse_mat_vec(a, v):
+    """a·v for a sparse square matrix a, summed over its nonzero entries."""
+    out = [_ZERO] * len(v)
+    for (i, j), x in a.items():
+        y = v[j]
+        if y:
+            out[i] += x * y
+    return tuple(out)
 
 
 def sparse_bracket(a, b):
@@ -184,55 +191,63 @@ def coordinate_solver(cols):
     """Coordinates in the basis cols (linearly independent vectors).
 
     Returns coords(v): the x with Σ x_k·cols[k] = v, or None when v lies
-    outside the span.  One elimination picks rows on which the basis is
-    independent; each call multiplies v's entries there by the inverse of
-    that square block, then checks the residual on every row.
+    outside the span; the coords of a QSpan that cols were inserted into.
     """
-    a = transpose(cols)
-    _, rows = rref(cols)
-    if len(rows) != len(cols):
+    span = QSpan()
+    if not all(span.insert(c) for c in cols):
         raise ValueError("coordinate basis is linearly dependent")
-    inv = mat_inv(tuple(a[i] for i in rows))
-
-    def coords(v):
-        v = tuple(v)
-        x = mat_vec(inv, tuple(v[i] for i in rows))
-        return x if mat_vec(a, x) == v else None
-
-    return coords
+    return span.coords
 
 
 class QSpan:
-    """Growable Q-subspace of Q^dim with echelon membership tests."""
+    """Growable Q-subspace of Q^n with echelon membership tests.
 
-    __slots__ = ("dim", "_rows")
+    Each echelon row is kept sparse ({index: entry}, zero before its pivot
+    and 1 at it) with its combination of the vectors that grew the span
+    ({k: coefficient} in their insertion order), so the coordinates of a
+    vector in that basis come from one reduction.
+    """
 
-    def __init__(self, dim):
-        self.dim = dim
-        self._rows = {}  # pivot index -> reduced vector
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows = {}  # pivot index -> (echelon row, its combination)
 
     def _reduce(self, v):
-        v = list(F(x) for x in v)
+        """v less the echelon rows it meets, in pivot order, sparse, and
+        the combination of the inserted vectors taken off."""
+        v = {i: F(x) for i, x in enumerate(v) if x}
+        taken = {}
         for piv in sorted(self._rows):
-            if v[piv] != 0:
-                f = v[piv]
-                w = self._rows[piv]
-                for i in range(self.dim):
-                    v[i] -= f * w[i]
-        return v
+            f = v.get(piv)
+            if f:
+                row, comb = self._rows[piv]
+                for i, x in row.items():
+                    v[i] = v.get(i, _ZERO) - f * x
+                for k, c in comb.items():
+                    taken[k] = taken.get(k, _ZERO) + f * c
+        return {i: x for i, x in v.items() if x}, taken
 
     def insert(self, v):
         """Add v to the span; returns True if the span grew."""
-        r = self._reduce(v)
-        piv = next((i for i, x in enumerate(r) if x != 0), None)
-        if piv is None:
+        r, taken = self._reduce(v)
+        if not r:
             return False
+        piv = min(r)
         pv = r[piv]
-        self._rows[piv] = tuple(x / pv for x in r)
+        comb = {k: -c / pv for k, c in taken.items()}
+        comb[self.rank] = 1 / pv
+        self._rows[piv] = ({i: x / pv for i, x in r.items()}, comb)
         return True
 
     def contains(self, v):
-        return all(x == 0 for x in self._reduce(v))
+        return not self._reduce(v)[0]
+
+    def coords(self, v):
+        """The x with Σ x_k·u_k = v, u_k the vectors that grew the span in
+        insertion order, or None when v lies outside the span."""
+        r, taken = self._reduce(v)
+        return None if r else tuple(taken.get(k, _ZERO) for k in range(self.rank))
 
     @property
     def rank(self):

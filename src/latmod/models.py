@@ -17,7 +17,7 @@ from math import gcd, prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import F, clear_denominators, mat, mat_mul, mat_vec, rref, trace
+from latmod.matrixops import F, clear_denominators, mat_mul, mat_vec, trace
 
 
 class ModelError(ValueError):
@@ -78,14 +78,19 @@ class LieLattice:
 
 
 def lie_model(rep, lat):
-    """The Lie lattice {X in g : rho(X)·Lambda ⊆ Lambda}."""
+    """The Lie lattice {X in g : rho(X)·Lambda ⊆ Lambda}.
+
+    rho must be faithful on g, and it is exactly when some generator acts
+    nonzero: ker rho is an ideal of g, since rho is a homomorphism (the
+    Representation checked every bracket of the basis), and every
+    supported type (A1–A4, B2–B4, C2–C4, D3–D4) is a simple Lie algebra
+    over Q, so ker rho is 0 or g.
+    """
     cb = rep.cb
     if lat.ambient != rep.dim:
         raise ModelError("lattice lives in the wrong space")
     gens = [rep.action[key] for key in cb.basis_order()]
-    # Faithfulness: the coordinate map g -> End(V) must be injective.
-    _, pivots = rref(mat([[x for row in g for x in row] for g in gens]))
-    if len(pivots) != len(gens):
+    if not any(x for g in gens for row in g for x in row):
         raise ModelError("representation is not faithful on the Lie algebra")
     return LieLattice(cb, transporter(gens, lat, lat))
 

@@ -8,18 +8,21 @@ projections onto them are 0/1 diagonal matrices.
 Irreducibles are built inside tensor products of symmetric and exterior
 powers of the defining realization: locate a highest-weight vector as a
 joint kernel of the raising operators, then walk its cyclic span under the
-lowering operators once; one coordinate solve on that adapted basis reads
-the action.  The symmetric-power path keeps the classical monomial basis
-(e1^k, e1^{k-1}e2, ...) so rank-1 symmetric powers come out in the
+lowering operators once into one QSpan, whose coordinates read the
+action.  Every action stays sparse ({(i, j): entry}) until the adapted
+one is published as dense matrices.  The powers are built on sorted index
+tuples, so the symmetric power keeps the classical monomial basis
+(e1^k, e1^{k-1}e2, ...) and rank-1 symmetric powers come out in the
 textbook coordinates.
 """
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 from latmod.matrixops import (
     QSpan,
-    coordinate_solver,
+    dense,
     identity,
     mat,
     mat_vec,
@@ -27,7 +30,7 @@ from latmod.matrixops import (
     primitive,
     sparse,
     sparse_bracket,
-    zeros,
+    sparse_mat_vec,
 )
 
 
@@ -36,120 +39,66 @@ class RepError(ValueError):
 
 
 # -----------------------------------------------------------------------
-# Raw action triples (dim, action dict, weights) used during construction
+# Raw action triples (dim, sparse action dict, weights) used during
+# construction
 # -----------------------------------------------------------------------
 
 
 def _defining_raw(cb):
-    action = dict(cb.x)
+    action = {a: sparse(m) for a, m in cb.x.items()}
     for i, hm in enumerate(cb.h):
-        action[("h", i)] = hm
+        action[("h", i)] = sparse(hm)
     weights = tuple(
         tuple(int(cb.h[i][k][k]) for i in range(cb.rs.rank)) for k in range(cb.N)
     )
     return (cb.N, action, weights)
 
 
-def _trivial_raw(cb):
-    rank = cb.rs.rank
-    action = {a: zeros(1, 1) for a in cb.rs.all_roots}
-    for i in range(rank):
-        action[("h", i)] = zeros(1, 1)
-    return (1, action, ((0,) * rank,))
-
-
 def _tensor_raw(r1, r2):
     d1, a1, w1 = r1
     d2, a2, w2 = r2
-    d = d1 * d2
     action = {}
-    for key in a1:
-        g1 = a1[key]
-        g2 = a2[key]
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for i1 in range(d1):
-            for j1 in range(d1):
-                if g1[i1][j1]:
-                    for k in range(d2):
-                        m[i1 * d2 + k][j1 * d2 + k] += g1[i1][j1]
-        for i2 in range(d2):
-            for j2 in range(d2):
-                if g2[i2][j2]:
-                    for k in range(d1):
-                        m[k * d2 + i2][k * d2 + j2] += g2[i2][j2]
-        action[key] = mat(m)
-    weights = tuple(
-        tuple(x + y for x, y in zip(w1[i], w2[j]))
-        for i in range(d1)
-        for j in range(d2)
-    )
-    return (d, action, weights)
+    for key, g1 in a1.items():
+        m = {}
+        for (i, j), x in g1.items():
+            for k in range(d2):
+                m[i * d2 + k, j * d2 + k] = x
+        for (i, j), x in a2[key].items():
+            for k in range(0, d1 * d2, d2):
+                m[k + i, k + j] = m.get((k + i, k + j), 0) + x
+        action[key] = {p: x for p, x in m.items() if x}
+    weights = tuple(tuple(x + y for x, y in zip(u, v)) for u in w1 for v in w2)
+    return (d1 * d2, action, weights)
 
 
-def _sym_power_raw(raw, k):
-    """Symmetric power on the monomial basis, generators as derivations."""
+def _power_raw(raw, k, exterior=False):
+    """Sym^k (or Λ^k) of raw on the sorted index tuples t of length k (a
+    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing), generators
+    acting as derivations: position pos of t becomes i with g's (i, t_pos)
+    entry, and the tuple is sorted again, with the sign of the sort in
+    the exterior power.  Sym^0 is the trivial representation."""
     d0, a0, w0 = raw
-    basis = sorted(
-        (m for m in itertools.product(range(k + 1), repeat=d0) if sum(m) == k),
-        reverse=True,
-    )
-    idx = {m: i for i, m in enumerate(basis)}
-    d = len(basis)
+    tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
+    basis = list(tuples(range(d0), k))
+    index = {t: n for n, t in enumerate(basis)}
     action = {}
     for key, g in a0.items():
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for src, mono in enumerate(basis):
-            for j in range(d0):
-                if mono[j] == 0:
-                    continue
-                for i in range(d0):
-                    if g[i][j] == 0:
+        column = {}
+        for (i, j), x in g.items():
+            column.setdefault(j, []).append((i, x))
+        m = {}
+        for src, t in enumerate(basis):
+            for pos, j in enumerate(t):
+                rest = t[:pos] + t[pos + 1 :]
+                for i, x in column.get(j, ()):
+                    if exterior and i in rest:
                         continue
-                    tgt = list(mono)
-                    tgt[j] -= 1
-                    tgt[i] += 1
-                    m[idx[tuple(tgt)]][src] += mono[j] * g[i][j]
-        action[key] = mat(m)
-    weights = tuple(
-        tuple(sum(e * w0[j][i] for j, e in enumerate(mono)) for i in range(len(w0[0])))
-        for mono in basis
-    )
-    return (d, action, weights)
-
-
-def _ext_power_raw(raw, k):
-    d0, a0, w0 = raw
-    basis = list(itertools.combinations(range(d0), k))
-    idx = {s: i for i, s in enumerate(basis)}
-    d = len(basis)
-    action = {}
-    for key, g in a0.items():
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for src, sub in enumerate(basis):
-            for t, j in enumerate(sub):
-                for i in range(d0):
-                    if g[i][j] == 0 or (i in sub and i != j):
-                        continue
-                    new = list(sub)
-                    new[t] = i
-                    # Re-sort and track the permutation sign.
-                    sign = 1
-                    pos = t
-                    while pos > 0 and new[pos - 1] > new[pos]:
-                        new[pos - 1], new[pos] = new[pos], new[pos - 1]
-                        pos -= 1
-                        sign = -sign
-                    while pos < k - 1 and new[pos + 1] < new[pos]:
-                        new[pos + 1], new[pos] = new[pos], new[pos + 1]
-                        pos += 1
-                        sign = -sign
-                    m[idx[tuple(new)]][src] += sign * g[i][j]
-        action[key] = mat(m)
-    weights = tuple(
-        tuple(sum(w0[j][i] for j in sub) for i in range(len(w0[0])))
-        for sub in basis
-    )
-    return (d, action, weights)
+                    at = bisect_left(rest, i)
+                    p = (index[rest[:at] + (i,) + rest[at:]], src)
+                    m[p] = m.get(p, 0) + (-x if exterior and (at - pos) % 2 else x)
+        action[key] = {p: x for p, x in m.items() if x}
+    weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
+    return (len(basis), action, weights)
 
 
 # -----------------------------------------------------------------------
@@ -168,7 +117,7 @@ def _lowering_span(span, lowering, v):
             continue
         added.append(vec)
         for g in lowering:
-            img = mat_vec(g, vec)
+            img = sparse_mat_vec(g, vec)
             if any(img):
                 queue.append(primitive(img))
     return added
@@ -177,41 +126,48 @@ def _lowering_span(span, lowering, v):
 def _highest_weight_vectors(raising, weights, w):
     """Basis of the joint kernel of the raising operators inside the
     weight-w space, as full vectors."""
-    dim = len(weights)
-    cols = [i for i in range(dim) if weights[i] == w]
-    rows = [tuple(g[r][c] for c in cols) for g in raising for r in range(dim)]
+    cols = {c: n for n, c in enumerate(i for i, u in enumerate(weights) if u == w)}
+    rows = {}
+    for k, g in enumerate(raising):
+        for (r, c), x in g.items():
+            if c in cols:
+                rows.setdefault((k, r), [0] * len(cols))[cols[c]] = x
     out = []
-    for kv in nullspace(mat(rows)):
-        full = [Fraction(0)] * dim
+    for kv in nullspace(mat(rows.values())) if rows else identity(len(cols)):
+        full = [Fraction(0)] * len(weights)
         for c, x in zip(cols, kv):
             full[c] = x
         out.append(tuple(full))
     return out
 
 
-def _diagonal_weights(cb, action):
+def _diagonal_weights(cb, action, dim):
     """The diagonals of the Cartan generators, one weight per basis vector."""
     h = [action[("h", i)] for i in range(cb.rs.rank)]
-    return tuple(tuple(int(m[k][k]) for m in h) for k in range(len(h[0])))
+    return tuple(tuple(int(m.get((k, k), 0)) for m in h) for k in range(dim))
 
 
 def _adapted_action(cb, action, hw_vectors):
     """The action on the lowering spans of the highest-weight vectors
     [(psi, v), ...], walked in order into one QSpan, and the psi of each
-    basis vector walked.  One coordinate_solver on the walked basis reads
-    the image of every basis vector under every generator."""
+    basis vector walked.  The span's coordinates read the image of every
+    basis vector under every generator on the walked basis."""
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    span = QSpan(len(action[("h", 0)]))
+    span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
         walked = _lowering_span(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
-    coords = coordinate_solver(basis)
-    images = {key: [coords(mat_vec(g, b)) for b in basis] for key, g in action.items()}
-    if any(x is None for cols in images.values() for x in cols):
-        raise RepError("cyclic span not invariant (construction bug)")
-    return {key: tuple(zip(*cols)) for key, cols in images.items()}, psi_of
+    adapted = {}
+    for key, g in action.items():
+        m = adapted[key] = {}
+        for c, b in enumerate(basis):
+            x = span.coords(sparse_mat_vec(g, b))
+            if x is None:
+                raise RepError("cyclic span not invariant (construction bug)")
+            m.update(((r, c), y) for r, y in enumerate(x) if y)
+    return adapted, psi_of
 
 
 class Representation:
@@ -221,15 +177,17 @@ class Representation:
     to a dim×dim rational matrix; weights[i] is the weight of basis vector
     i; psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
     basis indices of the chi-weight space of the psi-component.
-    Representation(cb, action) checks any action, then keeps the one
-    _adapted_action reads on the walks of all highest-weight vectors.
+    Representation(cb, action) makes the action sparse, checks it, then
+    keeps the one _adapted_action reads on the walks of all highest-weight
+    vectors.
     """
 
     __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
 
     def __init__(self, cb, action):
-        weights = self._checked_weights(cb, action)
-        raising = [action[a] for a in cb.rs.simple]
+        rho = {key: sparse(g) for key, g in action.items()}
+        weights = self._checked_weights(cb, rho, len(action[("h", 0)]))
+        raising = [rho[a] for a in cb.rs.simple]
         # Highest-weight vectors, per weight, echelon order.
         hw_vectors = [
             (w, v)
@@ -238,7 +196,7 @@ class Representation:
         ]
         if any(c < 0 for w, _ in hw_vectors for c in w):
             raise RepError("non-dominant highest weight: not completely adapted")
-        adapted, psi_of = _adapted_action(cb, action, hw_vectors)
+        adapted, psi_of = _adapted_action(cb, rho, hw_vectors)
         if len(psi_of) != len(weights):
             raise RepError("cyclic spans do not exhaust the space")
         self._set(cb, adapted, psi_of)
@@ -248,38 +206,40 @@ class Representation:
         """The representation on the basis _adapted_action walked: the
         checks of __init__ run on the action, the walk does not."""
         rep = object.__new__(cls)
-        cls._checked_weights(cb, action)
+        cls._checked_weights(cb, action, len(psi_of))
         rep._set(cb, action, psi_of)
         return rep
 
     def _set(self, cb, action, psi_of):
-        weights = _diagonal_weights(cb, action)
+        """Store the sparse adapted action as dense matrices."""
+        dim = len(psi_of)
+        weights = _diagonal_weights(cb, action, dim)
         blocks = {}
         for i, w in enumerate(weights):
             blocks.setdefault((psi_of[i], w), []).append(i)
         # Multiset of highest weights: one entry per 1-dim highest block copy.
         hws = [psi for psi in sorted(set(psi_of), reverse=True) for _ in blocks[(psi, psi)]]
         self.cb = cb
-        self.dim = len(weights)
-        self.action = action
+        self.dim = dim
+        self.action = {key: dense(m, dim) for key, m in action.items()}
         self.weights = weights
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
         self.highest_weights = tuple(hws)
 
     @staticmethod
-    def _checked_weights(cb, action):
-        """The weight of each basis vector, once the Cartan generators act
-        diagonally with integers and [ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k) for
-        every pair i < j of basis elements, the c_k read from the basis's
-        bracket table; the matrices are compared sparse."""
+    def _checked_weights(cb, action, dim):
+        """The weight of each basis vector of the sparse action, once the
+        Cartan generators act diagonally with integers and [ρ(b_i), ρ(b_j)]
+        = Σ c_k·ρ(b_k) for every pair i < j of basis elements, the c_k read
+        from the basis's bracket table."""
         for i in range(cb.rs.rank):
-            for r, row in enumerate(action[("h", i)]):
-                if any(x for c, x in enumerate(row) if c != r):
+            for (r, c), x in action[("h", i)].items():
+                if r != c:
                     raise RepError("Cartan generators must act diagonally")
-                if row[r].denominator != 1:
+                if x.denominator != 1:
                     raise RepError("non-integral weight")
-        rho = [sparse(action[key]) for key in cb.basis_order()]
+        rho = [action[key] for key in cb.basis_order()]
         for i, row in enumerate(cb.bracket_table):
             for j in range(i + 1, len(rho)):
                 expect = {}
@@ -288,7 +248,7 @@ class Representation:
                         expect[p] = expect.get(p, 0) + c * y
                 if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
                     raise RepError("not a representation")
-        return _diagonal_weights(cb, action)
+        return _diagonal_weights(cb, action, dim)
 
     # -- queries -------------------------------------------------------
 
@@ -332,15 +292,13 @@ def build_irrep(cb, psi):
     if len(psi) != rank or any(x < 0 for x in psi):
         raise RepError("highest weight must be a dominant integer vector")
     defining = _defining_raw(cb)
-    ambient = _trivial_raw(cb)
-    if psi[0]:
-        ambient = _tensor_raw(ambient, _sym_power_raw(defining, psi[0]))
+    ambient = _power_raw(defining, psi[0])
     for i in range(1, rank):
         if psi[i]:
-            ext = _ext_power_raw(defining, i + 1)
+            ext = _power_raw(defining, i + 1, exterior=True)
             for _ in range(psi[i]):
                 ambient = _tensor_raw(ambient, ext)
-    d, action, weights = ambient
+    _, action, weights = ambient
     raising = [action[a] for a in cb.rs.simple]
     hw = _highest_weight_vectors(raising, weights, psi)
     if not hw:
@@ -369,9 +327,9 @@ def tensor_product(r1, r2):
     if r1.cb is not r2.cb:
         raise RepError("tensor product requires a common Chevalley basis")
     d, action, _ = _tensor_raw(
-        (r1.dim, r1.action, r1.weights), (r2.dim, r2.action, r2.weights)
+        *((r.dim, {key: sparse(g) for key, g in r.action.items()}, r.weights) for r in (r1, r2))
     )
-    return Representation(r1.cb, action)
+    return Representation(r1.cb, {key: dense(m, d) for key, m in action.items()})
 
 
 def projector(rep, psi, chi):
@@ -438,7 +396,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
     for w, mw in weights_down(rep, psi)[1:]:
         if any(x > y for x, y in zip(mw, m)):
             continue
-        span = QSpan(len(rep.block(psi, w)) * k)
+        span = QSpan()
         maps[w] = []
         for a in cb.rs.simple:
             above = maps.get(tuple(x + y for x, y in zip(w, a)))

@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from latmod.matrixops import (
     F,
     coordinate_solver,
+    dense,
     identity,
     mat,
     nullspace,
@@ -226,11 +227,6 @@ def _scaled(c, m):
     return {p: c * v for p, v in m.items()} if c else {}
 
 
-def _dense(m, n):
-    zero = Fraction(0)
-    return tuple(tuple(m.get((i, j), zero) for j in range(n)) for i in range(n))
-
-
 class ChevalleyBasis:
     """Chevalley set {x_alpha} plus coroot matrices in the defining rep.
 
@@ -328,8 +324,8 @@ class ChevalleyBasis:
         for gamma in rs.positive:
             neg = tuple(-c for c in gamma)
             x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
-        self.x = {a: _dense(m, self.N) for a, m in x.items()}
-        self.h = tuple(_dense(self._h_sparse(a), self.N) for a in rs.simple)
+        self.x = {a: dense(m, self.N) for a, m in x.items()}
+        self.h = tuple(dense(self._h_sparse(a), self.N) for a in rs.simple)
 
     # -- public API ----------------------------------------------------
 

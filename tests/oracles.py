@@ -7,7 +7,13 @@ under `Lattice.member`, `ZSpan.member` and the Hermite search, the
 per-vector `solve` that `reps.build_irrep` used before
 `matrixops.coordinate_solver`, the second walk of the adapted basis with
 the `mat_inv` conjugation that `reps.Representation` ran on every action
-before one walk read the adapted action, a brute-force subgroup count for
+before one walk read the adapted action, the dense builders of
+`build_irrep`'s ambient (the defining realization, the trivial
+representation, tensor, symmetric and exterior powers as `Fraction`
+grids) with the dense lowering walk and highest-weight vectors, as before
+every action stayed sparse, the coordinate solver by one `rref` and the
+`mat_inv` of a square block, as before a QSpan kept the combinations of
+its echelon rows, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
 keys of `casestudies.class_orbit_count`, the Euclid echelon of the
 Hopf-order products with `Fraction` combination lists and its forward
@@ -53,7 +59,6 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     clear_denominators,
-    coordinate_solver,
     identity,
     mat,
     mat_inv,
@@ -64,8 +69,11 @@ from latmod.matrixops import (
     nullspace,
     primitive,
     rref,
-    zeros,
 )
+
+
+def zeros(nr, nc):
+    return tuple((Fraction(0),) * nc for _ in range(nr))
 
 
 def mat_inv_by_gauss_jordan(a):
@@ -169,19 +177,184 @@ def sub_action_by_solve(action, basis_cols):
     return out
 
 
+# -----------------------------------------------------------------------
+# Dense representation builders, as build_irrep used them before its
+# actions stayed sparse: every action a dim×dim Fraction matrix.
+# -----------------------------------------------------------------------
+
+
+def defining_raw(cb):
+    action = dict(cb.x)
+    for i, hm in enumerate(cb.h):
+        action[("h", i)] = hm
+    weights = tuple(tuple(int(cb.h[i][k][k]) for i in range(cb.rs.rank)) for k in range(cb.N))
+    return (cb.N, action, weights)
+
+
+def trivial_raw(cb):
+    rank = cb.rs.rank
+    action = {a: zeros(1, 1) for a in cb.rs.all_roots}
+    for i in range(rank):
+        action[("h", i)] = zeros(1, 1)
+    return (1, action, ((0,) * rank,))
+
+
+def tensor_raw(r1, r2):
+    d1, a1, w1 = r1
+    d2, a2, w2 = r2
+    d = d1 * d2
+    action = {}
+    for key in a1:
+        g1 = a1[key]
+        g2 = a2[key]
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for i1 in range(d1):
+            for j1 in range(d1):
+                if g1[i1][j1]:
+                    for k in range(d2):
+                        m[i1 * d2 + k][j1 * d2 + k] += g1[i1][j1]
+        for i2 in range(d2):
+            for j2 in range(d2):
+                if g2[i2][j2]:
+                    for k in range(d1):
+                        m[k * d2 + i2][k * d2 + j2] += g2[i2][j2]
+        action[key] = mat(m)
+    weights = tuple(
+        tuple(x + y for x, y in zip(w1[i], w2[j])) for i in range(d1) for j in range(d2)
+    )
+    return (d, action, weights)
+
+
+def sym_power_raw(raw, k):
+    """Symmetric power on the monomial basis (exponent vectors in
+    decreasing order), generators as derivations."""
+    d0, a0, w0 = raw
+    basis = sorted(
+        (m for m in itertools.product(range(k + 1), repeat=d0) if sum(m) == k),
+        reverse=True,
+    )
+    idx = {m: i for i, m in enumerate(basis)}
+    d = len(basis)
+    action = {}
+    for key, g in a0.items():
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for src, mono in enumerate(basis):
+            for j in range(d0):
+                if mono[j] == 0:
+                    continue
+                for i in range(d0):
+                    if g[i][j] == 0:
+                        continue
+                    tgt = list(mono)
+                    tgt[j] -= 1
+                    tgt[i] += 1
+                    m[idx[tuple(tgt)]][src] += mono[j] * g[i][j]
+        action[key] = mat(m)
+    weights = tuple(
+        tuple(sum(e * w0[j][i] for j, e in enumerate(mono)) for i in range(len(w0[0])))
+        for mono in basis
+    )
+    return (d, action, weights)
+
+
+def ext_power_raw(raw, k):
+    """Exterior power on the increasing index tuples, the sign of each
+    image tracked by bubbling the replaced index into place."""
+    d0, a0, w0 = raw
+    basis = list(itertools.combinations(range(d0), k))
+    idx = {s: i for i, s in enumerate(basis)}
+    d = len(basis)
+    action = {}
+    for key, g in a0.items():
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for src, sub in enumerate(basis):
+            for t, j in enumerate(sub):
+                for i in range(d0):
+                    if g[i][j] == 0 or (i in sub and i != j):
+                        continue
+                    new = list(sub)
+                    new[t] = i
+                    sign = 1
+                    pos = t
+                    while pos > 0 and new[pos - 1] > new[pos]:
+                        new[pos - 1], new[pos] = new[pos], new[pos - 1]
+                        pos -= 1
+                        sign = -sign
+                    while pos < k - 1 and new[pos + 1] < new[pos]:
+                        new[pos + 1], new[pos] = new[pos], new[pos + 1]
+                        pos += 1
+                        sign = -sign
+                    m[idx[tuple(new)]][src] += sign * g[i][j]
+        action[key] = mat(m)
+    weights = tuple(
+        tuple(sum(w0[j][i] for j in sub) for i in range(len(w0[0]))) for sub in basis
+    )
+    return (d, action, weights)
+
+
+def lowering_span(span, lowering, v):
+    """The cyclic span of v under the dense lowering operators, grown into
+    span; returns the primitive vectors that entered it, in order."""
+    queue = [primitive(v)]
+    added = []
+    while queue:
+        vec = queue.pop(0)
+        if not span.insert(vec):
+            continue
+        added.append(vec)
+        for g in lowering:
+            img = mat_vec(g, vec)
+            if any(img):
+                queue.append(primitive(img))
+    return added
+
+
+def highest_weight_vectors(raising, weights, w):
+    """Basis of the joint kernel of the dense raising operators inside the
+    weight-w space, as full vectors."""
+    dim = len(weights)
+    cols = [i for i in range(dim) if weights[i] == w]
+    rows = [tuple(g[r][c] for c in cols) for g in raising for r in range(dim)]
+    out = []
+    for kv in nullspace(mat(rows)):
+        full = [Fraction(0)] * dim
+        for c, x in zip(cols, kv):
+            full[c] = x
+        out.append(tuple(full))
+    return out
+
+
+def coordinate_solver_by_inverse(cols):
+    """coordinate_solver as it was before QSpan kept its combinations: one
+    rref picks rows on which the basis is independent, mat_inv inverts
+    that square block, and each call checks the residual on every row."""
+    a = tuple(zip(*cols))
+    _, rows = rref(cols)
+    if len(rows) != len(cols):
+        raise ValueError("coordinate basis is linearly dependent")
+    inv = mat_inv(tuple(a[i] for i in rows))
+
+    def coords(v):
+        v = tuple(v)
+        x = mat_vec(inv, tuple(v[i] for i in rows))
+        return x if mat_vec(a, x) == v else None
+
+    return coords
+
+
 def ambient_of(cb, psi):
     """The tensor product of Sym^psi[0] and of Λ^(i+1), psi[i] times, of
     the defining realization, as build_irrep builds it (d, action,
-    weights)."""
-    defining = reps._defining_raw(cb)
-    ambient = reps._trivial_raw(cb)
+    weights), with dense actions."""
+    defining = defining_raw(cb)
+    ambient = trivial_raw(cb)
     if psi[0]:
-        ambient = reps._tensor_raw(ambient, reps._sym_power_raw(defining, psi[0]))
+        ambient = tensor_raw(ambient, sym_power_raw(defining, psi[0]))
     for i in range(1, cb.rs.rank):
         if psi[i]:
-            ext = reps._ext_power_raw(defining, i + 1)
+            ext = ext_power_raw(defining, i + 1)
             for _ in range(psi[i]):
-                ambient = reps._tensor_raw(ambient, ext)
+                ambient = tensor_raw(ambient, ext)
     return ambient
 
 
@@ -197,7 +370,7 @@ def build_irrep_by_solve(cb, psi):
     for c, x in zip(cols, nullspace(mat(rows))[0]):
         v[c] = x
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    basis_cols = reps._lowering_span(QSpan(d), lowering, v)
+    basis_cols = lowering_span(QSpan(), lowering, v)
     if len(basis_cols) == d:
         return reps.Representation(cb, action)
     return reps.Representation(cb, sub_action_by_solve(action, basis_cols))
@@ -214,11 +387,11 @@ def adapt_by_conjugation(cb, action):
     weights = tuple(tuple(int(action[("h", i)][k][k]) for i in range(rank)) for k in range(dim))
     raising = [action[a] for a in cb.rs.simple]
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    span = QSpan(dim)
+    span = QSpan()
     basis_cols, psi_of = [], []
     for w in sorted(set(weights), reverse=True):
-        for v in reps._highest_weight_vectors(raising, weights, w):
-            local = reps._lowering_span(span, lowering, v)
+        for v in highest_weight_vectors(raising, weights, w):
+            local = lowering_span(span, lowering, v)
             basis_cols.extend(local)
             psi_of.extend([w] * len(local))
     assert span.rank == dim, "cyclic spans do not exhaust the space"
@@ -244,17 +417,18 @@ def adapt_by_conjugation(cb, action):
 
 def build_irrep_by_conjugation(cb, psi):
     """build_irrep as it was before one walk: the cyclic span of the
-    highest-weight vector, the action on it by coordinate_solver unless
-    it is the whole ambient, then adapt_by_conjugation on that action,
-    which walks the span a second time."""
+    highest-weight vector, the action on it by the rref and mat_inv
+    coordinate solver unless it is the whole ambient, then
+    adapt_by_conjugation on that action, which walks the span a second
+    time."""
     d, action, weights = ambient_of(cb, psi)
     raising = [action[a] for a in cb.rs.simple]
-    v = reps._highest_weight_vectors(raising, weights, tuple(psi))[0]
+    v = highest_weight_vectors(raising, weights, tuple(psi))[0]
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
-    basis_cols = reps._lowering_span(QSpan(d), lowering, v)
+    basis_cols = lowering_span(QSpan(), lowering, v)
     if len(basis_cols) == d:
         return adapt_by_conjugation(cb, action)
-    coords = coordinate_solver(basis_cols)
+    coords = coordinate_solver_by_inverse(basis_cols)
     sub_action = {
         key: tuple(zip(*(coords(mat_vec(g, b)) for b in basis_cols))) for key, g in action.items()
     }
@@ -852,7 +1026,7 @@ def transition_by_words(rep, psi, chi, sign):
         letters.extend([key] * m[i])
     rows_ix, cols_ix = (src, tgt) if sign > 0 else (tgt, src)
     target_dim = len(rows_ix) * len(cols_ix)
-    span = QSpan(target_dim)
+    span = QSpan()
     for _, prod in word_products(rep.action, distinct_words(letters)):
         span.insert(tuple(prod[r][c] for r in rows_ix for c in cols_ix))
     return span.rank == target_dim, span.rank

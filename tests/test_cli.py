@@ -99,11 +99,11 @@ def test_model_lie(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_child(args):
+def run_child(args, timeout=60):
     """A fresh interpreter on this checkout's src/, as the benchmark runs the CLI."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("name, index", [("A2_11", 0), ("C2_10", 0)])
@@ -303,6 +303,34 @@ def test_unwritable_out_exits_1(tmp_path):
         assert proc.stderr.startswith("error: ") and reason in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+def test_huge_disc_is_refused_before_trial_division():
+    # The limit on |D| comes before is_fundamental, whose trial division up
+    # to sqrt|D| would not end for this D (= 1 mod 4).
+    disc = -(10**30) - 3
+    proc = run_child(["-m", "latmod.cli", "case", "classgroup", "--disc", str(disc)], timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: |D| = %d exceeds the supported limit 100000\n" % -disc
+
+
+def test_zero_denominator_in_lattice_file_exits_1(tmp_path):
+    # Fraction("1/0") raises ZeroDivisionError; the file reader refuses the
+    # entry as a lattice error, so both commands that read lattice files
+    # print one error line and no traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"ambient": 2, "ring": "Z", "basis": [["1/0", "0"], ["0", "1"]]}))
+    good = tmp_path / "good.json"
+    good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    for args in (
+        ["lattice", "dist", "--p", "2", "--a", str(good), "--b", str(bad)],
+        ["model", "lie", "--rep", str(rep), "--lattice", str(bad)],
+    ):
+        proc = run_child(["-m", "latmod.cli"] + args)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert proc.stderr == "error: basis entry with a zero denominator\n", proc.stderr
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

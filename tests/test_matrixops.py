@@ -1,7 +1,8 @@
 """Exact matrix helpers: the zero-skipping products and the sparse
-bracket against the dense products they replaced, the coordinate solver
-against per-vector solve, mat_inv on rref against Gauss–Jordan, and
-Fraction results from integer input."""
+bracket and product with a vector against the dense products they
+replaced, the span coordinates against per-vector solve and the rref and
+mat_inv solver, mat_inv on rref against Gauss–Jordan, and Fraction
+results from integer input."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmod.matrixops import (
+    QSpan,
     bracket,
     coordinate_solver,
     mat_inv,
@@ -19,9 +21,9 @@ from latmod.matrixops import (
     rref,
     sparse,
     sparse_bracket,
-    transpose,
+    sparse_mat_vec,
 )
-from oracles import det, mat_inv_by_gauss_jordan, solve
+from oracles import coordinate_solver_by_inverse, det, mat_inv_by_gauss_jordan, solve
 
 
 def dense_mat_mul(a, b):
@@ -112,6 +114,15 @@ def test_bracket_matches_dense_bracket(pair):
     assert all(type(x) is Fraction and x for x in sparse_got.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(n, n), matrices(1, n))))
+def test_sparse_mat_vec_matches_dense_product(pair):
+    a, (v,) = pair
+    got = sparse_mat_vec(sparse(a), v)
+    assert got == dense_mat_vec(a, v)
+    assert all(type(x) is Fraction for x in got)
+
+
 def test_products_of_all_zero_and_empty_shapes():
     z = ((Fraction(0),) * 3,) * 2
     assert mat_mul(z, ((Fraction(1),) * 4,) * 3) == ((Fraction(0),) * 4,) * 2
@@ -165,7 +176,7 @@ def bases_and_vectors(draw):
         cols.append(tuple(v))
     cols = tuple(draw(st.permutations(cols)))
     coeffs = draw(st.lists(matrices(1, r), min_size=1, max_size=3))
-    vs = [mat_vec(transpose(cols), c[0]) for c in coeffs]
+    vs = [mat_vec(tuple(zip(*cols)), c[0]) for c in coeffs]
     vs += [m[0] for m in draw(st.lists(matrices(1, d), max_size=3))]
     return cols, vs
 
@@ -175,12 +186,41 @@ def bases_and_vectors(draw):
 def test_coordinate_solver_matches_solve(case):
     cols, vs = case
     coords = coordinate_solver(cols)
-    a = transpose(cols)
+    a = tuple(zip(*cols))
     for v in vs:
         x = coords(v)
         assert x == solve(a, v)
         if x is not None:
             assert mat_vec(a, x) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_and_vectors())
+def test_span_coords_match_the_inverse_solver(case):
+    # The coordinates a QSpan reads off its echelon rows, in the order the
+    # basis was inserted, and coordinate_solver built on them, against the
+    # rref and mat_inv solver they replaced; None outside the span.
+    cols, vs = case
+    span = QSpan()
+    assert all(span.insert(c) for c in cols)
+    old, new = coordinate_solver_by_inverse(cols), coordinate_solver(cols)
+    for v in list(cols) + vs:
+        x = old(v)
+        assert span.coords(v) == x == new(v)
+        assert (x is not None) == span.contains(v)
+        assert x is None or all(type(t) is Fraction for t in x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases_and_vectors(), st.data())
+def test_dependent_basis_is_refused(case, data):
+    cols, _ = case
+    (c,) = data.draw(matrices(1, len(cols)))
+    at = data.draw(st.integers(0, len(cols)))
+    dependent = cols[:at] + (mat_vec(tuple(zip(*cols)), c),) + cols[at:]
+    for solver in (coordinate_solver, coordinate_solver_by_inverse):
+        with pytest.raises(ValueError, match="dependent"):
+            solver(dependent)
 
 
 @st.composite
@@ -215,6 +255,9 @@ def test_coordinate_solver_out_of_span_and_dependent_basis():
     coords = coordinate_solver([(1, 0, 0), (0, 1, 1)])
     assert coords((2, 3, 3)) == (2, 3)
     assert coords((0, 1, 0)) is None
-    assert solve(transpose([(1, 0, 0), (0, 1, 1)]), (0, 1, 0)) is None
+    assert solve(((1, 0), (0, 1), (0, 1)), (0, 1, 0)) is None
     with pytest.raises(ValueError):
         coordinate_solver([(1, 2), (2, 4)])
+    coords = coordinate_solver([(0, 2, 0), (1, 0, 0)])
+    assert coords((3, 4, 0)) == (2, 3) and coords((0, 0, 1)) is None
+    assert all(type(t) is Fraction for t in coords((3, 4, 0)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latmod import matrixops, reps
-from latmod.matrixops import bracket, identity, mat_mul
+from latmod.matrixops import bracket, identity, mat_mul, sparse
 from latmod.reps import (
     RepError,
     Representation,
@@ -18,14 +18,19 @@ from latmod.reps import (
     projector,
     tensor_product,
 )
-from latmod.rootdata import build_chevalley, killing_h
+from latmod.rootdata import SUPPORTED, build_chevalley, killing_h
 from oracles import (
     adapt_by_conjugation,
     build_irrep_by_conjugation,
     build_irrep_by_solve,
+    defining_raw,
     distinct_words,
+    ext_power_raw,
     lift,
+    sym_power_raw,
+    tensor_raw,
     transition_by_words,
+    trivial_raw,
     word_products,
 )
 
@@ -169,35 +174,86 @@ def test_reducible_representation_matches_conjugation_oracle():
     v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
     z = (Fraction(0),) * v.dim
     plus = {key: tuple(row + z for row in g) + tuple(z + row for row in g) for key, g in v.action.items()}
-    _, times, _ = reps._tensor_raw((v.dim, v.action, v.weights), (w.dim, w.action, w.weights))
+    _, times, _ = tensor_raw((v.dim, v.action, v.weights), (w.dim, w.action, w.weights))
     for rep, action in ((direct_sum([v, v]), plus), (tensor_product(v, w), times)):
         assert same_as_oracle(rep, adapt_by_conjugation(cb, action)), rep.highest_weights
 
 
 def test_build_irrep_walks_once(monkeypatch):
-    # One lowering walk and no dense product: the adapted action is read on
-    # the walked basis, not walked again and conjugated.  A2 (1,1) is a
-    # proper subspace of its ambient, A3 (0,1,0) the whole of it.
+    # One lowering walk, no dense product and no inverse: the adapted
+    # action is read off the walk's own span, not walked again and
+    # conjugated, nor solved on an inverted block of the walked basis.
+    # A2 (1,1) is a proper subspace of its ambient, A3 (0,1,0) the whole
+    # of it.
     walk = reps._lowering_span
-    calls = {"walks": 0, "mat_mul": 0}
+    calls = {"walks": 0, "mat_mul": 0, "mat_inv": 0}
 
     def counting_walk(*args):
         calls["walks"] += 1
         return walk(*args)
 
-    def counting_mat_mul(*args):
-        calls["mat_mul"] += 1
-        return mat_mul(*args)
+    def counting(name):
+        original = getattr(matrixops, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
 
     for t, r, hw in (("A", 2, (1, 1)), ("A", 3, (0, 1, 0))):
         cb = build_chevalley(t, r)
-        calls.update(walks=0, mat_mul=0)
+        calls.update(walks=0, mat_mul=0, mat_inv=0)
         with monkeypatch.context() as m:
             m.setattr(reps, "_lowering_span", counting_walk)
-            m.setattr(matrixops, "mat_mul", counting_mat_mul)
-            m.setattr(reps, "mat_mul", counting_mat_mul, raising=False)
+            for name in ("mat_mul", "mat_inv"):
+                counted = counting(name)
+                m.setattr(matrixops, name, counted)
+                m.setattr(reps, name, counted, raising=False)
             build_irrep(cb, hw)
-        assert calls == {"walks": 1, "mat_mul": 0}, (t, r, hw)
+        assert calls == {"walks": 1, "mat_mul": 0, "mat_inv": 0}, (t, r, hw)
+
+
+def sparse_raw(raw):
+    d, action, weights = raw
+    return d, {key: sparse(g) for key, g in action.items()}, weights
+
+
+# Every supported defining realization; type B has entries ±1/2.
+REALIZATIONS = [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks]
+
+
+@pytest.mark.parametrize("t, r", REALIZATIONS)
+def test_sparse_powers_match_dense_builders(t, r):
+    # Sym^k and Λ^k, k ≤ 3, of the defining realization and the tensor
+    # products of pairs of them, against the dense builders; Sym^0 is the
+    # trivial representation.
+    cb = build_chevalley(t, r)
+    defining = reps._defining_raw(cb)
+    assert defining == sparse_raw(defining_raw(cb))
+    assert reps._power_raw(defining, 0) == sparse_raw(trivial_raw(cb))
+    sparse_powers = [reps._power_raw(defining, k) for k in (1, 2, 3)]
+    sparse_powers += [reps._power_raw(defining, k, exterior=True) for k in (2, 3)]
+    dense_powers = [sym_power_raw(defining_raw(cb), k) for k in (1, 2, 3)]
+    dense_powers += [ext_power_raw(defining_raw(cb), k) for k in (2, 3)]
+    for got, want in zip(sparse_powers, dense_powers):
+        assert got == sparse_raw(want)
+    assert all(type(x) is Fraction for _, a, _ in sparse_powers for g in a.values() for x in g.values())
+    for i, j in itertools.combinations_with_replacement(range(len(sparse_powers)), 2):
+        if sparse_powers[i][0] * sparse_powers[j][0] <= 100:
+            got = reps._tensor_raw(sparse_powers[i], sparse_powers[j])
+            assert got == sparse_raw(tensor_raw(dense_powers[i], dense_powers[j])), (i, j)
+
+
+def test_sorted_tuples_give_the_monomial_order():
+    # combinations_with_replacement lists the monomials e1^k, e1^(k-1)·e2,
+    # ... in the order of their exponent vectors, decreasing.
+    for d in range(1, 6):
+        for k in range(5):
+            exponents = [tuple(t.count(i) for i in range(d)) for t in itertools.combinations_with_replacement(range(d), k)]
+            assert exponents == sorted(
+                (m for m in itertools.product(range(k + 1), repeat=d) if sum(m) == k), reverse=True
+            ), (d, k)
 
 
 def test_a1_standard_and_sym2_matrices():

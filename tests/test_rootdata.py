@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmod.matrixops import bracket, identity, mat_scale, mat_sub, zeros
+from latmod.matrixops import bracket, identity, mat_scale, mat_sub
 from latmod.rootdata import (
     ChevalleyBasis,
     RootDataError,

@@ -105,7 +105,7 @@ def _cmd_model_lie(args):
     with open(args["rep"]) as f:
         spec = json.load(f)
     shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
-    if not shaped or not all(isinstance(x, (int, str)) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
+    if not shaped or not all(type(x) in (int, str) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
     rep = build_irrep(build_chevalley(spec["type"], int(spec["rank"])), tuple(int(x) for x in spec["hw"]))
     model = lie_model(rep, _load_lattice(args["lattice"]))

@@ -257,11 +257,16 @@ class Lattice:
     def from_json_obj(cls, obj):
         if not isinstance(obj, dict):
             raise LatticeError("a lattice file holds one object")
-        ring, basis, entry = obj["ring"], obj["basis"], (int, str)
-        if ring != "Z" and not (isinstance(ring, dict) and isinstance(ring.get("Zp"), entry)):
+        if missing := [k for k in ("ambient", "ring", "basis") if k not in obj]:
+            raise LatticeError("lattice file lacks the field %s" % ", ".join(map(repr, missing)))
+        # type(x) is int: a JSON true or false is a bool, not an integer.
+        n, ring, basis, entry = obj["ambient"], obj["ring"], obj["basis"], (int, str)
+        if type(n) is not int or n < 1:
+            raise LatticeError("ambient must be a positive integer, not %s" % json.dumps(n))
+        if ring != "Z" and not (isinstance(ring, dict) and type(ring.get("Zp")) in entry):
             raise LatticeError('ring must be "Z" or {"Zp": p}')
         rows_are_lists = isinstance(basis, list) and all(isinstance(row, list) for row in basis)
-        if not rows_are_lists or not all(isinstance(x, entry) for row in basis for x in row):
+        if not rows_are_lists or not all(type(x) in entry for row in basis for x in row):
             raise LatticeError("basis must be a list of rows of entries")
         prime = None if ring == "Z" else int(ring["Zp"])
         try:
@@ -270,7 +275,9 @@ class Lattice:
             raise LatticeError("basis entry with a zero denominator")
         if len({len(row) for row in rows}) > 1:
             raise LatticeError("ragged basis rows")
-        return cls(list(zip(*rows)), prime, ambient=obj["ambient"])
+        if len(rows) != n:
+            raise LatticeError("basis has %d rows, ambient is %d" % (len(rows), n))
+        return cls(list(zip(*rows)), prime, ambient=n)
 
     def to_json(self):
         return json.dumps(self.to_json_obj())

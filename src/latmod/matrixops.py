@@ -1,15 +1,14 @@
 """Small exact linear algebra helpers over Fraction.
 
-Matrices are tuples of rows; vectors are tuples.  Everything is immutable
-and exact; the products and the eliminations return Fraction entries,
-also for integer input.  rref gives mat_inv and nullspace; QSpan reduces
-incrementally and keeps, for each echelon row, its combination of the
-vectors inserted, so coordinates in a basis (coordinate_solver) are one
-reduction per vector.  Matrices also come sparse ({(i, j): nonzero
-entry}), with their bracket and their product with a vector, for the
-Chevalley identities and the representation builders.  Action matrices
-are weight-graded and almost all zero, so the dense products skip zero
-entries and sum only products of nonzero ones.
+Dense matrices are tuples of rows, dense vectors tuples; the products
+and the eliminations return Fraction entries, also for integer input,
+and the products skip zero entries.  rref gives mat_inv and nullspace.
+Sparse matrices are {(i, j): entry} and sparse vectors {i: entry}, zeros
+left out; a matrix has its bracket, and its column index {j: [(i,
+entry)]} a product with a vector that costs the vector's support.  QSpan
+holds sparse vectors and keeps, for each echelon row, its combination of
+the vectors inserted, so coordinates in a basis are one reduction per
+vector; coordinate_solver reads dense columns through it.
 """
 
 from fractions import Fraction
@@ -33,16 +32,16 @@ def clear_denominators(vectors):
 
 
 def primitive(v):
-    """The primitive integer vector on the ray of v, first nonzero entry
-    positive; the zero vector stays zero."""
-    (ints,), _ = clear_denominators([v])
+    """The primitive integer vector on the ray of the sparse vector v, its
+    entry of least index positive, zeros dropped; {} stays {}."""
+    v = {i: x for i, x in v.items() if x}
+    if not v:
+        return {}
+    (ints,), _ = clear_denominators([v.values()])
     g = gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
+    if v[min(v)] < 0:
         g = -g
-    return tuple(Fraction(x // g) for x in ints)
+    return {i: Fraction(x // g) for i, x in zip(v, ints)}
 
 
 def mat(rows):
@@ -106,14 +105,22 @@ def dense(m, n):
     return tuple(tuple(m.get((i, j), _ZERO) for j in range(n)) for i in range(n))
 
 
-def sparse_mat_vec(a, v):
-    """a·v for a sparse square matrix a, summed over its nonzero entries."""
-    out = [_ZERO] * len(v)
+def column_index(a):
+    """The sparse matrix a by column: {j: [(i, entry), ...]}."""
+    cols = {}
     for (i, j), x in a.items():
-        y = v[j]
-        if y:
-            out[i] += x * y
-    return tuple(out)
+        cols.setdefault(j, []).append((i, x))
+    return cols
+
+
+def column_mat_vec(cols, v):
+    """a·v for the column index cols of a and a sparse vector v; sums only
+    the columns in the support of v."""
+    out = {}
+    for j, y in v.items():
+        for i, x in cols.get(j, ()):
+            out[i] = out.get(i, _ZERO) + x * y
+    return {i: x for i, x in out.items() if x}
 
 
 def sparse_bracket(a, b):
@@ -188,23 +195,29 @@ def nullspace(a):
 
 
 def coordinate_solver(cols):
-    """Coordinates in the basis cols (linearly independent vectors).
+    """Coordinates in the basis cols (linearly independent dense vectors).
 
-    Returns coords(v): the x with Σ x_k·cols[k] = v, or None when v lies
-    outside the span; the coords of a QSpan that cols were inserted into.
+    Returns coords(v): the tuple x with Σ x_k·cols[k] = v, or None when v
+    lies outside the span; read off a QSpan that cols were inserted into.
     """
     span = QSpan()
-    if not all(span.insert(c) for c in cols):
+    if not all(span.insert(dict(enumerate(c))) for c in cols):
         raise ValueError("coordinate basis is linearly dependent")
-    return span.coords
+
+    def coords(v):
+        x = span.coords(dict(enumerate(v)))
+        return None if x is None else tuple(x.get(k, _ZERO) for k in range(len(cols)))
+
+    return coords
 
 
 class QSpan:
-    """Growable Q-subspace of Q^n with echelon membership tests.
+    """Growable Q-subspace of Q^n, spanned by sparse vectors {index:
+    entry}, with echelon membership tests.
 
-    Each echelon row is kept sparse ({index: entry}, zero before its pivot
-    and 1 at it) with its combination of the vectors that grew the span
-    ({k: coefficient} in their insertion order), so the coordinates of a
+    Each echelon row is kept sparse (zero before its pivot and 1 at it)
+    with its combination of the vectors that grew the span ({k:
+    coefficient} in their insertion order), so the coordinates of a
     vector in that basis come from one reduction.
     """
 
@@ -214,9 +227,9 @@ class QSpan:
         self._rows = {}  # pivot index -> (echelon row, its combination)
 
     def _reduce(self, v):
-        """v less the echelon rows it meets, in pivot order, sparse, and
-        the combination of the inserted vectors taken off."""
-        v = {i: F(x) for i, x in enumerate(v) if x}
+        """v less the echelon rows it meets, in pivot order, and the
+        combination of the inserted vectors taken off."""
+        v = {i: F(x) for i, x in v.items() if x}
         taken = {}
         for piv in sorted(self._rows):
             f = v.get(piv)
@@ -244,10 +257,10 @@ class QSpan:
         return not self._reduce(v)[0]
 
     def coords(self, v):
-        """The x with Σ x_k·u_k = v, u_k the vectors that grew the span in
-        insertion order, or None when v lies outside the span."""
+        """The sparse x with Σ x_k·u_k = v, u_k the vectors that grew the
+        span in insertion order, or None when v lies outside the span."""
         r, taken = self._reduce(v)
-        return None if r else tuple(taken.get(k, _ZERO) for k in range(self.rank))
+        return None if r else {k: c for k, c in taken.items() if c}
 
     @property
     def rank(self):

@@ -9,11 +9,14 @@ Irreducibles are built inside tensor products of symmetric and exterior
 powers of the defining realization: locate a highest-weight vector as a
 joint kernel of the raising operators, then walk its cyclic span under the
 lowering operators once into one QSpan, whose coordinates read the
-action.  Every action stays sparse ({(i, j): entry}) until the adapted
-one is published as dense matrices.  The powers are built on sorted index
-tuples, so the symmetric power keeps the classical monomial basis
-(e1^k, e1^{k-1}e2, ...) and rank-1 symmetric powers come out in the
-textbook coordinates.
+action.  Inside, matrices are sparse {(i, j): entry}, applied through
+their column index, and vectors sparse {i: entry}, so a product costs
+the vector's support, not the ambient's size.  Representation(cb,
+action, psi_of) checks a sparse adapted action and publishes it dense;
+adapt brings any sparse action to an adapted basis.  The powers are
+built on sorted index tuples, so the symmetric power keeps the classical
+monomial basis (e1^k, e1^{k-1}e2, ...) and rank-1 symmetric powers come
+out in the textbook coordinates.
 """
 
 import itertools
@@ -22,6 +25,8 @@ from fractions import Fraction
 
 from latmod.matrixops import (
     QSpan,
+    column_index,
+    column_mat_vec,
     dense,
     identity,
     mat,
@@ -30,7 +35,6 @@ from latmod.matrixops import (
     primitive,
     sparse,
     sparse_bracket,
-    sparse_mat_vec,
 )
 
 
@@ -46,12 +50,8 @@ class RepError(ValueError):
 
 def _defining_raw(cb):
     action = {a: sparse(m) for a, m in cb.x.items()}
-    for i, hm in enumerate(cb.h):
-        action[("h", i)] = sparse(hm)
-    weights = tuple(
-        tuple(int(cb.h[i][k][k]) for i in range(cb.rs.rank)) for k in range(cb.N)
-    )
-    return (cb.N, action, weights)
+    action.update((("h", i), sparse(hm)) for i, hm in enumerate(cb.h))
+    return (cb.N, action, _diagonal_weights(cb, action, cb.N))
 
 
 def _tensor_raw(r1, r2):
@@ -83,9 +83,7 @@ def _power_raw(raw, k, exterior=False):
     index = {t: n for n, t in enumerate(basis)}
     action = {}
     for key, g in a0.items():
-        column = {}
-        for (i, j), x in g.items():
-            column.setdefault(j, []).append((i, x))
+        column = column_index(g)
         m = {}
         for src, t in enumerate(basis):
             for pos, j in enumerate(t):
@@ -107,37 +105,32 @@ def _power_raw(raw, k, exterior=False):
 
 
 def _lowering_span(span, lowering, v):
-    """Grow span by the cyclic span of v under the lowering operators;
-    returns the primitive vectors that entered it, in insertion order."""
+    """Grow span by the cyclic span of the sparse vector v under the
+    lowering operators (column indices); returns the primitive vectors
+    that entered it, in insertion order."""
     queue = [primitive(v)]
     added = []
-    while queue:
-        vec = queue.pop(0)
-        if not span.insert(vec):
-            continue
-        added.append(vec)
-        for g in lowering:
-            img = sparse_mat_vec(g, vec)
-            if any(img):
-                queue.append(primitive(img))
+    for vec in queue:
+        if span.insert(vec):
+            added.append(vec)
+            queue.extend(primitive(img) for g in lowering if (img := column_mat_vec(g, vec)))
     return added
 
 
-def _highest_weight_vectors(raising, weights, w):
-    """Basis of the joint kernel of the raising operators inside the
-    weight-w space, as full vectors."""
-    cols = {c: n for n, c in enumerate(i for i, u in enumerate(weights) if u == w)}
-    rows = {}
-    for k, g in enumerate(raising):
-        for (r, c), x in g.items():
-            if c in cols:
-                rows.setdefault((k, r), [0] * len(cols))[cols[c]] = x
+def _highest_weight_vectors(cb, action, weights, tops):
+    """[(w, v), ...]: for each weight w of tops, in order, a basis of the
+    joint kernel of the raising operators inside the weight-w space, as
+    sparse vectors v."""
     out = []
-    for kv in nullspace(mat(rows.values())) if rows else identity(len(cols)):
-        full = [Fraction(0)] * len(weights)
-        for c, x in zip(cols, kv):
-            full[c] = x
-        out.append(tuple(full))
+    for w in tops:
+        cols = {c: n for n, c in enumerate(i for i, u in enumerate(weights) if u == w)}
+        rows = {}
+        for k, a in enumerate(cb.rs.simple):
+            for (r, c), x in action[a].items():
+                if c in cols:
+                    rows.setdefault((k, r), [0] * len(cols))[cols[c]] = x
+        kernel = nullspace(mat(rows.values())) if rows else identity(len(cols))
+        out.extend((w, {c: x for c, x in zip(cols, kv) if x}) for kv in kernel)
     return out
 
 
@@ -147,27 +140,55 @@ def _diagonal_weights(cb, action, dim):
     return tuple(tuple(int(m.get((k, k), 0)) for m in h) for k in range(dim))
 
 
-def _adapted_action(cb, action, hw_vectors):
-    """The action on the lowering spans of the highest-weight vectors
-    [(psi, v), ...], walked in order into one QSpan, and the psi of each
-    basis vector walked.  The span's coordinates read the image of every
-    basis vector under every generator on the walked basis."""
-    lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
+def _adapted(cb, action, hw_vectors):
+    """The Representation on the lowering spans of the highest-weight
+    vectors [(psi, v), ...], walked in order into one QSpan.  The span's
+    coordinates read the image of every basis vector under every
+    generator on the walked basis."""
+    columns = {key: column_index(g) for key, g in action.items()}
+    lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
     span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
+        if any(c < 0 for c in psi):
+            raise RepError("non-dominant highest weight: not completely adapted")
         walked = _lowering_span(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
+    if not basis:
+        raise RepError("no highest-weight vector to walk")
     adapted = {}
-    for key, g in action.items():
+    for key, g in columns.items():
         m = adapted[key] = {}
         for c, b in enumerate(basis):
-            x = span.coords(sparse_mat_vec(g, b))
+            x = span.coords(column_mat_vec(g, b))
             if x is None:
                 raise RepError("cyclic span not invariant (construction bug)")
-            m.update(((r, c), y) for r, y in enumerate(x) if y)
-    return adapted, psi_of
+            m.update(((r, c), y) for r, y in x.items())
+    return Representation(cb, adapted, psi_of)
+
+
+def _checked_weights(cb, action, dim):
+    """The weight of each basis vector of the sparse action, once the
+    Cartan generators act diagonally with integers and [ρ(b_i), ρ(b_j)]
+    = Σ c_k·ρ(b_k) for every pair i < j of basis elements, the c_k read
+    from the basis's bracket table."""
+    for i in range(cb.rs.rank):
+        for (r, c), x in action[("h", i)].items():
+            if r != c:
+                raise RepError("Cartan generators must act diagonally")
+            if x.denominator != 1:
+                raise RepError("non-integral weight")
+    rho = [action[key] for key in cb.basis_order()]
+    for i, row in enumerate(cb.bracket_table):
+        for j in range(i + 1, len(rho)):
+            expect = {}
+            for k, c in row[j].items():
+                for p, y in rho[k].items():
+                    expect[p] = expect.get(p, 0) + c * y
+            if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
+                raise RepError("not a representation")
+    return _diagonal_weights(cb, action, dim)
 
 
 class Representation:
@@ -177,43 +198,16 @@ class Representation:
     to a dim×dim rational matrix; weights[i] is the weight of basis vector
     i; psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
     basis indices of the chi-weight space of the psi-component.
-    Representation(cb, action) makes the action sparse, checks it, then
-    keeps the one _adapted_action reads on the walks of all highest-weight
-    vectors.
+    Representation(cb, action, psi_of) takes the sparse action on an
+    adapted basis (as _adapted reads it), checks that it is a
+    representation, and keeps it as dense matrices.
     """
 
     __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
 
-    def __init__(self, cb, action):
-        rho = {key: sparse(g) for key, g in action.items()}
-        weights = self._checked_weights(cb, rho, len(action[("h", 0)]))
-        raising = [rho[a] for a in cb.rs.simple]
-        # Highest-weight vectors, per weight, echelon order.
-        hw_vectors = [
-            (w, v)
-            for w in sorted(set(weights), reverse=True)
-            for v in _highest_weight_vectors(raising, weights, w)
-        ]
-        if any(c < 0 for w, _ in hw_vectors for c in w):
-            raise RepError("non-dominant highest weight: not completely adapted")
-        adapted, psi_of = _adapted_action(cb, rho, hw_vectors)
-        if len(psi_of) != len(weights):
-            raise RepError("cyclic spans do not exhaust the space")
-        self._set(cb, adapted, psi_of)
-
-    @classmethod
-    def _from_adapted(cls, cb, action, psi_of):
-        """The representation on the basis _adapted_action walked: the
-        checks of __init__ run on the action, the walk does not."""
-        rep = object.__new__(cls)
-        cls._checked_weights(cb, action, len(psi_of))
-        rep._set(cb, action, psi_of)
-        return rep
-
-    def _set(self, cb, action, psi_of):
-        """Store the sparse adapted action as dense matrices."""
+    def __init__(self, cb, action, psi_of):
         dim = len(psi_of)
-        weights = _diagonal_weights(cb, action, dim)
+        weights = _checked_weights(cb, action, dim)
         blocks = {}
         for i, w in enumerate(weights):
             blocks.setdefault((psi_of[i], w), []).append(i)
@@ -226,29 +220,6 @@ class Representation:
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
         self.highest_weights = tuple(hws)
-
-    @staticmethod
-    def _checked_weights(cb, action, dim):
-        """The weight of each basis vector of the sparse action, once the
-        Cartan generators act diagonally with integers and [ρ(b_i), ρ(b_j)]
-        = Σ c_k·ρ(b_k) for every pair i < j of basis elements, the c_k read
-        from the basis's bracket table."""
-        for i in range(cb.rs.rank):
-            for (r, c), x in action[("h", i)].items():
-                if r != c:
-                    raise RepError("Cartan generators must act diagonally")
-                if x.denominator != 1:
-                    raise RepError("non-integral weight")
-        rho = [action[key] for key in cb.basis_order()]
-        for i, row in enumerate(cb.bracket_table):
-            for j in range(i + 1, len(rho)):
-                expect = {}
-                for k, c in row[j].items():
-                    for p, y in rho[k].items():
-                        expect[p] = expect.get(p, 0) + c * y
-                if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
-                    raise RepError("not a representation")
-        return _diagonal_weights(cb, action, dim)
 
     # -- queries -------------------------------------------------------
 
@@ -299,11 +270,21 @@ def build_irrep(cb, psi):
             for _ in range(psi[i]):
                 ambient = _tensor_raw(ambient, ext)
     _, action, weights = ambient
-    raising = [action[a] for a in cb.rs.simple]
-    hw = _highest_weight_vectors(raising, weights, psi)
-    if not hw:
-        raise RepError("highest weight %r not reachable in this realization" % (psi,))
-    return Representation._from_adapted(cb, *_adapted_action(cb, action, [(psi, hw[0])]))
+    # The psi weight space may hold more kernel vectors; the first spans the irreducible.
+    return _adapted(cb, action, _highest_weight_vectors(cb, action, weights, [psi])[:1])
+
+
+def adapt(cb, action, dim):
+    """The Representation of a sparse action of dim×dim matrices on the
+    basis walked from the highest-weight vectors of every weight, top
+    down.  The adapted action it checks is a representation exactly when
+    action is one: a change of basis, once the spans exhaust the space."""
+    weights = _diagonal_weights(cb, action, dim)
+    tops = sorted(set(weights), reverse=True)
+    rep = _adapted(cb, action, _highest_weight_vectors(cb, action, weights, tops))
+    if rep.dim != dim:
+        raise RepError("cyclic spans do not exhaust the space")
+    return rep
 
 
 def direct_sum(reps):
@@ -312,15 +293,13 @@ def direct_sum(reps):
     cb = reps[0].cb
     if any(r.cb is not cb for r in reps):
         raise RepError("direct sum requires a common Chevalley basis")
-    dim = sum(r.dim for r in reps)
-    action = {}
-    for key in reps[0].action:
-        rows, off = [], 0
-        for r in reps:
-            rows.extend((0,) * off + row + (0,) * (dim - off - r.dim) for row in r.action[key])
-            off += r.dim
-        action[key] = mat(rows)
-    return Representation(cb, action)
+    action = {key: {} for key in reps[0].action}
+    off = 0
+    for r in reps:
+        for key, g in r.action.items():
+            action[key].update(((i + off, j + off), x) for (i, j), x in sparse(g).items())
+        off += r.dim
+    return adapt(cb, action, off)
 
 
 def tensor_product(r1, r2):
@@ -329,7 +308,7 @@ def tensor_product(r1, r2):
     d, action, _ = _tensor_raw(
         *((r.dim, {key: sparse(g) for key, g in r.action.items()}, r.weights) for r in (r1, r2))
     )
-    return Representation(r1.cb, {key: dense(m, d) for key, m in action.items()})
+    return adapt(r1.cb, action, d)
 
 
 def projector(rep, psi, chi):
@@ -405,7 +384,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
             step = down_step(rep, psi, a, w, sign)
             for cols in above:
                 img = tuple(mat_vec(step, c) for c in cols)
-                if span.insert(itertools.chain.from_iterable(img)):
+                if span.insert(dict(enumerate(itertools.chain.from_iterable(img)))):
                     maps[w].append(img)
     rank = len(maps[chi])
     return rank == len(tgt) * k, rank

@@ -293,7 +293,7 @@ class ChevalleyBasis:
             ker = nullspace(mat(rows.values())) if rows else identity(len(pos))
             if len(ker) != 1:
                 raise AssertionError("root space dimension %d for %r" % (len(ker), beta))
-            gens[fund] = {p: v for p, v in zip(pos, primitive(ker[0])) if v}
+            gens[fund] = primitive(dict(zip(pos, ker[0])))
         return gens
 
     def _pair_negative(self, fund, x, gen):

@@ -69,6 +69,7 @@ from latmod.matrixops import (
     nullspace,
     primitive,
     rref,
+    sparse,
 )
 
 
@@ -292,20 +293,27 @@ def ext_power_raw(raw, k):
     return (d, action, weights)
 
 
+def dense_primitive(v):
+    """primitive of the dense vector v, as a dense vector."""
+    p = primitive(dict(enumerate(v)))
+    return tuple(p.get(i, Fraction(0)) for i in range(len(v)))
+
+
 def lowering_span(span, lowering, v):
-    """The cyclic span of v under the dense lowering operators, grown into
-    span; returns the primitive vectors that entered it, in order."""
-    queue = [primitive(v)]
+    """The cyclic span of the dense vector v under the dense lowering
+    operators, grown into span; returns the primitive vectors that
+    entered it, in order, dense."""
+    queue = [dense_primitive(v)]
     added = []
     while queue:
         vec = queue.pop(0)
-        if not span.insert(vec):
+        if not span.insert(dict(enumerate(vec))):
             continue
         added.append(vec)
         for g in lowering:
             img = mat_vec(g, vec)
             if any(img):
-                queue.append(primitive(img))
+                queue.append(dense_primitive(img))
     return added
 
 
@@ -371,14 +379,14 @@ def build_irrep_by_solve(cb, psi):
         v[c] = x
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
     basis_cols = lowering_span(QSpan(), lowering, v)
-    if len(basis_cols) == d:
-        return reps.Representation(cb, action)
-    return reps.Representation(cb, sub_action_by_solve(action, basis_cols))
+    if len(basis_cols) < d:
+        action = sub_action_by_solve(action, basis_cols)
+    return reps.adapt(cb, {key: sparse(g) for key, g in action.items()}, len(basis_cols))
 
 
 def adapt_by_conjugation(cb, action):
-    """The action, weights, blocks and highest weights that
-    Representation(cb, action) kept before one walk read the adapted
+    """The action, weights, blocks and highest weights that the general
+    constructor (now reps.adapt) kept before one walk read the adapted
     action: the highest-weight vectors of every weight walked into one
     QSpan, their cyclic spans as the columns of b, and every generator
     conjugated to mat_inv(b)·g·b with two dense products."""
@@ -817,7 +825,7 @@ class ChevalleyBasisByNullspace:
             rows = [tuple(b[pos] for b in lie) for pos in range(N * N) if pos not in allowed]
             ker = nullspace(mat(rows))
             assert len(ker) == 1
-            flat = primitive(mat_vec(lie_by_position, ker[0]))
+            flat = dense_primitive(mat_vec(lie_by_position, ker[0]))
             gens[rs.fund_coords(beta)] = tuple(tuple(flat[i * N + j] for j in range(N)) for i in range(N))
         self.h = tuple(self._h_matrix(a) for a in rs.simple)
         self.x = {a: gens[a] for a in rs.simple}
@@ -1028,7 +1036,7 @@ def transition_by_words(rep, psi, chi, sign):
     target_dim = len(rows_ix) * len(cols_ix)
     span = QSpan()
     for _, prod in word_products(rep.action, distinct_words(letters)):
-        span.insert(tuple(prod[r][c] for r in rows_ix for c in cols_ix))
+        span.insert(dict(enumerate(prod[r][c] for r in rows_ix for c in cols_ix)))
     return span.rank == target_dim, span.rank
 
 

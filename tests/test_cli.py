@@ -294,6 +294,77 @@ def test_misshapen_input_files_exit_1(tmp_path, capsys):
         assert (code, out, err) == (1, "", message), (spec, lattice)
 
 
+SPEC_ERROR = 'error: representation spec must be {"type": ..., "rank": ..., "hw": [...]}\n'
+I2 = [["1", "0"], ["0", "1"]]
+
+
+def lattice_file_errors(tmp_path, capsys, lattice):
+    """The (code, stdout, stderr) of lattice dist and model lie on a
+    lattice file holding lattice."""
+    good = tmp_path / "good.json"
+    good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(lattice))
+    return [
+        run(["lattice", "dist", "--p", "2", "--a", str(bad), "--b", str(good)], capsys),
+        run(["model", "lie", "--rep", str(rep), "--lattice", str(bad)], capsys),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lattice, message",
+    [
+        ({"ring": "Z", "basis": I2}, "lattice file lacks the field 'ambient'"),
+        ({"ambient": 2, "basis": I2}, "lattice file lacks the field 'ring'"),
+        ({"ambient": 2, "ring": "Z"}, "lattice file lacks the field 'basis'"),
+        ({}, "lattice file lacks the field 'ambient', 'ring', 'basis'"),
+        ({"ambient": "2", "ring": "Z", "basis": I2}, 'ambient must be a positive integer, not "2"'),
+        ({"ambient": 2.0, "ring": "Z", "basis": I2}, "ambient must be a positive integer, not 2.0"),
+        ({"ambient": 0, "ring": "Z", "basis": []}, "ambient must be a positive integer, not 0"),
+        ({"ambient": [2], "ring": "Z", "basis": I2}, "ambient must be a positive integer, not [2]"),
+        ({"ambient": 3, "ring": "Z", "basis": I2}, "basis has 2 rows, ambient is 3"),
+    ],
+)
+def test_lattice_file_names_the_bad_field(lattice, message, tmp_path, capsys):
+    # A missing field or a mistyped ambient is named where the file is
+    # read, not met later as a KeyError or as ragged generators.
+    for result in lattice_file_errors(tmp_path, capsys, lattice):
+        assert result == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "lattice, message",
+    [
+        ({"ambient": True, "ring": "Z", "basis": [["1"]]}, "ambient must be a positive integer, not true"),
+        ({"ambient": 2, "ring": "Z", "basis": [[1, True], [0, 1]]}, "basis must be a list of rows of entries"),
+        ({"ambient": 2, "ring": {"Zp": True}, "basis": I2}, 'ring must be "Z" or {"Zp": p}'),
+    ],
+)
+def test_booleans_are_not_integers_in_lattice_files(lattice, message, tmp_path, capsys):
+    # JSON true is not the integer 1 (Python's bool is an int).
+    for result in lattice_file_errors(tmp_path, capsys, lattice):
+        assert result == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "A", "rank": True, "hw": [True]},
+        {"type": "A", "rank": True, "hw": [1]},
+        {"type": "A", "rank": 1, "hw": [True]},
+        {"type": "A", "rank": 2, "hw": [1, False]},
+    ],
+)
+def test_booleans_are_not_integers_in_rep_specs(spec, tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    lat.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    repf = tmp_path / "rep.json"
+    repf.write_text(json.dumps(spec))
+    assert run(["model", "lie", "--rep", str(repf), "--lattice", str(lat)], capsys) == (1, "", SPEC_ERROR)
+
+
 def test_unwritable_out_exits_1(tmp_path):
     # --out is written inside the error handler: a missing directory or a
     # directory as the file prints one error line, no traceback.

@@ -553,8 +553,9 @@ def test_clear_denominators_and_primitive():
     assert clear_denominators([[]]) == ([[]], 1)
     ints, d = clear_denominators([[Fraction(1, 6), 2], [Fraction(5, 4), 0]])
     assert d == 12 and all(isinstance(x, int) for v in ints for x in v)
-    assert primitive([0, Fraction(-2, 3), Fraction(4, 9)]) == (0, 3, -2)
-    assert primitive([0, 0]) == (0, 0)
+    assert primitive({0: 0, 1: Fraction(-2, 3), 2: Fraction(4, 9)}) == {1: 3, 2: -2}
+    assert primitive({2: Fraction(4, 9), 1: Fraction(-2, 3)}) == {1: 3, 2: -2}
+    assert primitive({0: 0, 1: 0}) == {} == primitive({})
 
 
 # -- the integer representation ------------------------------------------

@@ -1,5 +1,5 @@
 """Exact matrix helpers: the zero-skipping products and the sparse
-bracket and product with a vector against the dense products they
+bracket and column-index product with a sparse vector against the dense products they
 replaced, the span coordinates against per-vector solve and the rref and
 mat_inv solver, mat_inv on rref against Gauss–Jordan, and Fraction
 results from integer input."""
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from latmod.matrixops import (
     QSpan,
     bracket,
+    column_index,
+    column_mat_vec,
     coordinate_solver,
     mat_inv,
     mat_mul,
@@ -21,7 +23,6 @@ from latmod.matrixops import (
     rref,
     sparse,
     sparse_bracket,
-    sparse_mat_vec,
 )
 from oracles import coordinate_solver_by_inverse, det, mat_inv_by_gauss_jordan, solve
 
@@ -116,11 +117,11 @@ def test_bracket_matches_dense_bracket(pair):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(n, n), matrices(1, n))))
-def test_sparse_mat_vec_matches_dense_product(pair):
+def test_column_mat_vec_matches_dense_product(pair):
     a, (v,) = pair
-    got = sparse_mat_vec(sparse(a), v)
-    assert got == dense_mat_vec(a, v)
-    assert all(type(x) is Fraction for x in got)
+    got = column_mat_vec(column_index(sparse(a)), {i: x for i, x in enumerate(v) if x})
+    assert got == {i: x for i, x in enumerate(dense_mat_vec(a, v)) if x}
+    assert all(type(x) is Fraction and x for x in got.values())
 
 
 def test_products_of_all_zero_and_empty_shapes():
@@ -202,12 +203,14 @@ def test_span_coords_match_the_inverse_solver(case):
     # rref and mat_inv solver they replaced; None outside the span.
     cols, vs = case
     span = QSpan()
-    assert all(span.insert(c) for c in cols)
+    assert all(span.insert(dict(enumerate(c))) for c in cols)
     old, new = coordinate_solver_by_inverse(cols), coordinate_solver(cols)
     for v in list(cols) + vs:
         x = old(v)
-        assert span.coords(v) == x == new(v)
-        assert (x is not None) == span.contains(v)
+        assert x == new(v)
+        sparse_x = span.coords(dict(enumerate(v)))
+        assert sparse_x == (None if x is None else {k: t for k, t in enumerate(x) if t})
+        assert (x is not None) == span.contains(dict(enumerate(v)))
         assert x is None or all(type(t) is Fraction for t in x)
 
 

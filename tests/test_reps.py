@@ -2,7 +2,9 @@
 the per-vector solve construction, block structure, and transition
 surjectivity."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from latmod.matrixops import bracket, identity, mat_mul, sparse
 from latmod.reps import (
     RepError,
     Representation,
+    adapt,
     build_irrep,
     check_transition_surjectivity,
     direct_sum,
@@ -214,9 +217,68 @@ def test_build_irrep_walks_once(monkeypatch):
         assert calls == {"walks": 1, "mat_mul": 0, "mat_inv": 0}, (t, r, hw)
 
 
+def test_build_irrep_constructs_one_representation(monkeypatch):
+    # The adapted action goes through the one constructor, once, so the
+    # checks of Representation run on it and a wrapper of __init__ sees
+    # the construction.
+    init = Representation.__init__
+    calls = []
+
+    def counting(self, *args):
+        calls.append(len(args[-1]))
+        init(self, *args)
+
+    monkeypatch.setattr(Representation, "__init__", counting)
+    for t, r, hw in (("A", 2, (1, 1)), ("A", 3, (0, 1, 0))):
+        calls.clear()
+        rep = build_irrep(build_chevalley(t, r), hw)
+        assert calls == [rep.dim], (t, r, hw)
+
+
+def test_sums_and_products_densify_only_to_publish(monkeypatch):
+    # direct_sum and tensor_product build their actions sparse; the only
+    # dense matrices made are the published ones, one per generator.
+    cb = build_chevalley("A", 2)
+    v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
+    dense = reps.dense
+    calls = []
+
+    def counting(m, n):
+        calls.append(n)
+        return dense(m, n)
+
+    monkeypatch.setattr(reps, "dense", counting)
+    for make in (lambda: direct_sum([v, w]), lambda: tensor_product(v, w)):
+        calls.clear()
+        rep = make()
+        assert calls == [rep.dim] * len(rep.action)
+
+
+# Ambients the dense oracles cannot build (B3 (0,0,2): (Λ³)⊗², 1,225
+# dimensions; D4 (0,0,2,0): (Λ³)⊗², 3,136; D4 (0,0,1,1): Λ³ ⊗ Λ⁴, 3,920),
+# each output pinned by the sha256 of its sorted JSON as the dense-vector
+# walk built it.
+PINNED = [
+    ("B", 3, (0, 0, 2), "6316089240c79864d750fabdb160aa1ec72fb86f531a93f0c9fa933e85ebe305"),
+    ("D", 4, (0, 0, 2, 0), "b5322a647aaa401c4406af99f9b39b617044dfe6fc867a90a0c2e08f1314afc6"),
+    ("D", 4, (0, 0, 1, 1), "8055447ed27bbd51651748d64bcdf7882e3367ab2f32fadbd7822b58e90c61b6"),
+]
+
+
+@pytest.mark.parametrize("t, r, hw, digest", PINNED)
+def test_large_ambient_output_pinned(t, r, hw, digest):
+    rep = build_irrep(build_chevalley(t, r), hw)
+    text = json.dumps(rep.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def sparse_action(action):
+    return {key: sparse(g) for key, g in action.items()}
+
+
 def sparse_raw(raw):
     d, action, weights = raw
-    return d, {key: sparse(g) for key, g in action.items()}, weights
+    return d, sparse_action(action), weights
 
 
 # Every supported defining realization; type B has entries ±1/2.
@@ -311,7 +373,7 @@ def test_not_a_representation():
         tuple(x + 1 for x in row) for row in broken[(2,)]
     )
     with pytest.raises(RepError):
-        Representation(cb, broken)
+        adapt(cb, sparse_action(broken), std.dim)
 
 
 def with_entry(m, r, c, value):
@@ -342,14 +404,14 @@ def test_single_entry_change_is_not_a_representation():
     ):
         cb = build_chevalley(t, r)
         rep = build_irrep(cb, hw)
-        Representation(cb, rep.action)
+        assert adapt(cb, sparse_action(rep.action), rep.dim).action == rep.action
         rs = cb.rs
         for key in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
             for i, j, value in single_entry_changes(rep.action[key]):
                 broken = dict(rep.action)
                 broken[key] = with_entry(broken[key], i, j, value)
                 with pytest.raises(RepError):
-                    Representation(cb, broken)
+                    adapt(cb, sparse_action(broken), rep.dim)
 
 
 def test_projector_properties(sweep_reps):
@@ -431,8 +493,6 @@ def test_word_products_match_direct_products(sweep_reps):
 
 
 def test_json_roundtrip(sweep_reps):
-    import json
-
     rep = sweep_reps[("A", 2, (2, 0))]
     obj = rep.to_json_obj()
     text = json.dumps(obj, sort_keys=True)

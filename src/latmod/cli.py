@@ -98,6 +98,13 @@ def _cmd_orbits(args):
     return count_invariant_orbits(rep, unit_edge(rep, prime=args["p"]))
 
 
+def _spec_int(name, x):
+    try:
+        return int(x)
+    except ValueError:
+        raise ValueError("%s must be an integer, not %s" % (name, json.dumps(x)))
+
+
 def _cmd_model_lie(args):
     from latmod.models import lie_invariants, lie_model
     from latmod.reps import build_irrep
@@ -107,7 +114,9 @@ def _cmd_model_lie(args):
     shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
     if not shaped or not all(type(x) in (int, str) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
-    rep = build_irrep(build_chevalley(spec["type"], int(spec["rank"])), tuple(int(x) for x in spec["hw"]))
+    rank = _spec_int("rank", spec["rank"])
+    hw = tuple(_spec_int("hw entry", x) for x in spec["hw"])
+    rep = build_irrep(build_chevalley(spec["type"], rank), hw)
     model = lie_model(rep, _load_lattice(args["lattice"]))
     return {"model": model.to_json_obj(), "invariants": lie_invariants(model)}
 

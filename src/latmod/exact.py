@@ -23,7 +23,7 @@ for the torus shift lattice of the orbit reports.
 import json
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import F, clear_denominators, mat_vec
@@ -51,8 +51,19 @@ def vp(x, p):
     return v
 
 
+# Miller–Rabin on these 13 bases decides primality below PRIME_BOUND (Sorenson–Webster 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    if n >= PRIME_BOUND:
+        raise LatticeError("primality is decided only below %d" % PRIME_BOUND)
+    if n < 2 or any(n % q == 0 for q in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s·d with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in {pow(a, d << r, n) for r in range(s)} for a in PRIME_BASES)
 
 
 def _canonical(ints, d, n, p=None):
@@ -268,7 +279,10 @@ class Lattice:
         rows_are_lists = isinstance(basis, list) and all(isinstance(row, list) for row in basis)
         if not rows_are_lists or not all(type(x) in entry for row in basis for x in row):
             raise LatticeError("basis must be a list of rows of entries")
-        prime = None if ring == "Z" else int(ring["Zp"])
+        try:
+            prime = None if ring == "Z" else int(ring["Zp"])
+        except ValueError:
+            raise LatticeError("Zp must be an integer, not %s" % json.dumps(ring["Zp"]))
         try:
             rows = [[Fraction(x) for x in row] for row in basis]
         except ZeroDivisionError:

@@ -3,12 +3,12 @@
 Dense matrices are tuples of rows, dense vectors tuples; the products
 and the eliminations return Fraction entries, also for integer input,
 and the products skip zero entries.  rref gives mat_inv and nullspace.
-Sparse matrices are {(i, j): entry} and sparse vectors {i: entry}, zeros
-left out; a matrix has its bracket, and its column index {j: [(i,
-entry)]} a product with a vector that costs the vector's support.  QSpan
-holds sparse vectors and keeps, for each echelon row, its combination of
-the vectors inserted, so coordinates in a basis are one reduction per
-vector; coordinate_solver reads dense columns through it.
+Sparse matrices are {(i, j): entry}, sparse vectors {i: entry} over ints
+or index tuples, zeros left out; tensor_mat_vec applies a matrix through
+its column index on each factor of a tensor product, at the cost of the
+vector's support.  QSpan holds sparse vectors, each echelon row with its
+combination of the vectors inserted, so coordinates in a basis are one
+reduction per vector; coordinate_solver reads dense columns through it.
 """
 
 from fractions import Fraction
@@ -113,14 +113,17 @@ def column_index(a):
     return cols
 
 
-def column_mat_vec(cols, v):
-    """a·v for the column index cols of a and a sparse vector v; sums only
-    the columns in the support of v."""
+def tensor_mat_vec(cols, v):
+    """g·v for g acting on a tensor product of factors by the Leibniz rule,
+    g(u_1 ⊗ … ⊗ u_k) = Σ u_1 ⊗ … ⊗ g·u_pos ⊗ … ⊗ u_k: cols lists g's
+    column index on each factor, v is sparse over index tuples."""
     out = {}
-    for j, y in v.items():
-        for i, x in cols.get(j, ()):
-            out[i] = out.get(i, _ZERO) + x * y
-    return {i: x for i, x in out.items() if x}
+    for t, y in v.items():
+        for pos, (col, j) in enumerate(zip(cols, t)):
+            for i, x in col.get(j, ()):
+                s = t[:pos] + (i,) + t[pos + 1 :]
+                out[s] = out.get(s, _ZERO) + x * y
+    return {s: x for s, x in out.items() if x}
 
 
 def sparse_bracket(a, b):

@@ -6,27 +6,25 @@ isotypic component, so the (psi, chi) blocks are plain index lists and the
 projections onto them are 0/1 diagonal matrices.
 
 Irreducibles are built inside tensor products of symmetric and exterior
-powers of the defining realization: locate a highest-weight vector as a
-joint kernel of the raising operators, then walk its cyclic span under the
-lowering operators once into one QSpan, whose coordinates read the
-action.  Inside, matrices are sparse {(i, j): entry}, applied through
-their column index, and vectors sparse {i: entry}, so a product costs
-the vector's support, not the ambient's size.  Representation(cb,
-action, psi_of) checks a sparse adapted action and publishes it dense;
-adapt brings any sparse action to an adapted basis.  The powers are
-built on sorted index tuples, so the symmetric power keeps the classical
-monomial basis (e1^k, e1^{k-1}e2, ...) and rank-1 symmetric powers come
-out in the textbook coordinates.
+powers of the defining realization, kept as the list of factors: locate
+a highest-weight vector as a joint kernel of the raising operators in a
+weight space (the index tuples whose factor weights sum to it), then
+walk its cyclic span under the lowering operators once into one QSpan,
+whose coordinates read the action.  Matrices are sparse {(i, j): entry}
+on each factor, vectors sparse over index tuples, and every generator,
+in the powers too, acts through tensor_mat_vec: no matrix of the tensor
+ambient is built.  Representation(cb, action, psi_of) checks a sparse
+adapted action and publishes it dense; adapt brings any sparse action to
+an adapted basis.  The powers are built on sorted index tuples, so the
+symmetric power keeps the monomial basis (e1^k, e1^{k-1}e2, ...).
 """
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 
 from latmod.matrixops import (
     QSpan,
     column_index,
-    column_mat_vec,
     dense,
     identity,
     mat,
@@ -35,6 +33,7 @@ from latmod.matrixops import (
     primitive,
     sparse,
     sparse_bracket,
+    tensor_mat_vec,
 )
 
 
@@ -48,52 +47,27 @@ class RepError(ValueError):
 # -----------------------------------------------------------------------
 
 
-def _defining_raw(cb):
-    action = {a: sparse(m) for a, m in cb.x.items()}
-    action.update((("h", i), sparse(hm)) for i, hm in enumerate(cb.h))
-    return (cb.N, action, _diagonal_weights(cb, action, cb.N))
-
-
-def _tensor_raw(r1, r2):
-    d1, a1, w1 = r1
-    d2, a2, w2 = r2
-    action = {}
-    for key, g1 in a1.items():
-        m = {}
-        for (i, j), x in g1.items():
-            for k in range(d2):
-                m[i * d2 + k, j * d2 + k] = x
-        for (i, j), x in a2[key].items():
-            for k in range(0, d1 * d2, d2):
-                m[k + i, k + j] = m.get((k + i, k + j), 0) + x
-        action[key] = {p: x for p, x in m.items() if x}
-    weights = tuple(tuple(x + y for x, y in zip(u, v)) for u in w1 for v in w2)
-    return (d1 * d2, action, weights)
-
-
 def _power_raw(raw, k, exterior=False):
     """Sym^k (or Λ^k) of raw on the sorted index tuples t of length k (a
-    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing), generators
-    acting as derivations: position pos of t becomes i with g's (i, t_pos)
-    entry, and the tuple is sorted again, with the sign of the sort in
-    the exterior power.  Sym^0 is the trivial representation."""
+    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing): a generator
+    acts on e_t1 ⊗ … ⊗ e_tk, and each image tuple is sorted again, with
+    the sign of the sort in the exterior power, where a tuple with a
+    repeated index is 0.  Sym^0 is the trivial representation."""
     d0, a0, w0 = raw
     tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
     basis = list(tuples(range(d0), k))
     index = {t: n for n, t in enumerate(basis)}
     action = {}
     for key, g in a0.items():
-        column = column_index(g)
-        m = {}
+        cols, m = [column_index(g)] * k, {}
         for src, t in enumerate(basis):
-            for pos, j in enumerate(t):
-                rest = t[:pos] + t[pos + 1 :]
-                for i, x in column.get(j, ()):
-                    if exterior and i in rest:
+            for s, x in tensor_mat_vec(cols, {t: 1}).items():
+                if exterior:
+                    if len(set(s)) < k:
                         continue
-                    at = bisect_left(rest, i)
-                    p = (index[rest[:at] + (i,) + rest[at:]], src)
-                    m[p] = m.get(p, 0) + (-x if exterior and (at - pos) % 2 else x)
+                    x = -x if sum(i > j for i, j in itertools.combinations(s, 2)) % 2 else x
+                p = (index[tuple(sorted(s))], src)
+                m[p] = m.get(p, 0) + x
         action[key] = {p: x for p, x in m.items() if x}
     weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
     return (len(basis), action, weights)
@@ -106,31 +80,43 @@ def _power_raw(raw, k, exterior=False):
 
 def _lowering_span(span, lowering, v):
     """Grow span by the cyclic span of the sparse vector v under the
-    lowering operators (column indices); returns the primitive vectors
-    that entered it, in insertion order."""
+    lowering operators (column indices on each factor); returns the
+    primitive vectors that entered it, in insertion order."""
     queue = [primitive(v)]
     added = []
     for vec in queue:
         if span.insert(vec):
             added.append(vec)
-            queue.extend(primitive(img) for g in lowering if (img := column_mat_vec(g, vec)))
+            queue.extend(primitive(img) for g in lowering if (img := tensor_mat_vec(g, vec)))
     return added
 
 
-def _highest_weight_vectors(cb, action, weights, tops):
+def _ambient(factors):
+    """The tensor product of the factors (dim, action, weights): each
+    generator's column index on each factor, in factor order, and {w: the
+    index tuples of weight w, in lexicographic order}, the weight of a
+    tuple the sum of its factors' weights."""
+    spaces = {}
+    for t in itertools.product(*(range(d) for d, _, _ in factors)):
+        w = tuple(map(sum, zip(*(f[2][i] for f, i in zip(factors, t)))))
+        spaces.setdefault(w, []).append(t)
+    return {key: [column_index(a[key]) for _, a, _ in factors] for key in factors[0][1]}, spaces
+
+
+def _highest_weight_vectors(cb, columns, spaces, tops):
     """[(w, v), ...]: for each weight w of tops, in order, a basis of the
     joint kernel of the raising operators inside the weight-w space, as
-    sparse vectors v."""
+    sparse vectors v over index tuples."""
     out = []
     for w in tops:
-        cols = {c: n for n, c in enumerate(i for i, u in enumerate(weights) if u == w)}
+        space = spaces.get(w, [])
         rows = {}
-        for k, a in enumerate(cb.rs.simple):
-            for (r, c), x in action[a].items():
-                if c in cols:
-                    rows.setdefault((k, r), [0] * len(cols))[cols[c]] = x
-        kernel = nullspace(mat(rows.values())) if rows else identity(len(cols))
-        out.extend((w, {c: x for c, x in zip(cols, kv) if x}) for kv in kernel)
+        for n, t in enumerate(space):
+            for k, a in enumerate(cb.rs.simple):
+                for r, x in tensor_mat_vec(columns[a], {t: 1}).items():
+                    rows.setdefault((k, r), [0] * len(space))[n] = x
+        kernel = nullspace(mat(rows.values())) if rows else identity(len(space))
+        out.extend((w, {t: x for t, x in zip(space, kv) if x}) for kv in kernel)
     return out
 
 
@@ -140,12 +126,11 @@ def _diagonal_weights(cb, action, dim):
     return tuple(tuple(int(m.get((k, k), 0)) for m in h) for k in range(dim))
 
 
-def _adapted(cb, action, hw_vectors):
+def _adapted(cb, columns, hw_vectors):
     """The Representation on the lowering spans of the highest-weight
     vectors [(psi, v), ...], walked in order into one QSpan.  The span's
     coordinates read the image of every basis vector under every
-    generator on the walked basis."""
-    columns = {key: column_index(g) for key, g in action.items()}
+    generator (column indices on each factor) on the walked basis."""
     lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
     span = QSpan()
     basis, psi_of = [], []
@@ -155,13 +140,11 @@ def _adapted(cb, action, hw_vectors):
         walked = _lowering_span(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
-    if not basis:
-        raise RepError("no highest-weight vector to walk")
     adapted = {}
     for key, g in columns.items():
         m = adapted[key] = {}
         for c, b in enumerate(basis):
-            x = span.coords(column_mat_vec(g, b))
+            x = span.coords(tensor_mat_vec(g, b))
             if x is None:
                 raise RepError("cyclic span not invariant (construction bug)")
             m.update(((r, c), y) for r, y in x.items())
@@ -230,18 +213,13 @@ class Representation:
         return tuple(sorted(set(self.highest_weights), reverse=True))
 
     def to_json_obj(self):
-        def m2s(m):
-            return [[str(x) for x in row] for row in m]
-
         def key2s(k):
-            if isinstance(k, tuple) and k and k[0] == "h":
-                return "h%d" % k[1]
-            return ",".join(map(str, k))
+            return "h%d" % k[1] if k[0] == "h" else ",".join(map(str, k))
 
         return {
             "dim": self.dim,
             "rootsystem": self.cb.rs.to_json_obj(),
-            "action": {key2s(k): m2s(v) for k, v in self.action.items()},
+            "action": {key2s(k): [[str(x) for x in row] for row in v] for k, v in self.action.items()},
             "weights": [list(w) for w in self.weights],
             "highest_weights": [list(w) for w in self.highest_weights],
             "blocks": {
@@ -262,29 +240,35 @@ def build_irrep(cb, psi):
     rank = cb.rs.rank
     if len(psi) != rank or any(x < 0 for x in psi):
         raise RepError("highest weight must be a dominant integer vector")
-    defining = _defining_raw(cb)
-    ambient = _power_raw(defining, psi[0])
+    defining = (cb.N, cb.sparse_action, _diagonal_weights(cb, cb.sparse_action, cb.N))
+    factors = [_power_raw(defining, psi[0])]
     for i in range(1, rank):
         if psi[i]:
-            ext = _power_raw(defining, i + 1, exterior=True)
-            for _ in range(psi[i]):
-                ambient = _tensor_raw(ambient, ext)
-    _, action, weights = ambient
+            factors += [_power_raw(defining, i + 1, exterior=True)] * psi[i]
+    columns, spaces = _ambient(factors)
+    tops = _highest_weight_vectors(cb, columns, spaces, [psi])
+    if not tops:
+        raise RepError("highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi)))
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
-    return _adapted(cb, action, _highest_weight_vectors(cb, action, weights, [psi])[:1])
+    return _adapted(cb, columns, tops[:1])
+
+
+def _adapt(cb, factors):
+    """The Representation of the tensor product of the factors on the
+    basis walked from the highest-weight vectors of every weight, top
+    down: a change of basis, once the spans exhaust the space."""
+    columns, spaces = _ambient(factors)
+    rep = _adapted(cb, columns, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
+    if rep.dim != sum(map(len, spaces.values())):
+        raise RepError("cyclic spans do not exhaust the space")
+    return rep
 
 
 def adapt(cb, action, dim):
-    """The Representation of a sparse action of dim×dim matrices on the
-    basis walked from the highest-weight vectors of every weight, top
-    down.  The adapted action it checks is a representation exactly when
-    action is one: a change of basis, once the spans exhaust the space."""
-    weights = _diagonal_weights(cb, action, dim)
-    tops = sorted(set(weights), reverse=True)
-    rep = _adapted(cb, action, _highest_weight_vectors(cb, action, weights, tops))
-    if rep.dim != dim:
-        raise RepError("cyclic spans do not exhaust the space")
-    return rep
+    """The Representation of a sparse action of dim×dim matrices on an
+    adapted basis; it is checked, and it is a representation exactly when
+    action is one."""
+    return _adapt(cb, [(dim, action, _diagonal_weights(cb, action, dim))])
 
 
 def direct_sum(reps):
@@ -305,19 +289,12 @@ def direct_sum(reps):
 def tensor_product(r1, r2):
     if r1.cb is not r2.cb:
         raise RepError("tensor product requires a common Chevalley basis")
-    d, action, _ = _tensor_raw(
-        *((r.dim, {key: sparse(g) for key, g in r.action.items()}, r.weights) for r in (r1, r2))
-    )
-    return adapt(r1.cb, action, d)
+    return _adapt(r1.cb, [(r.dim, {key: sparse(g) for key, g in r.action.items()}, r.weights) for r in (r1, r2)])
 
 
 def projector(rep, psi, chi):
     """0/1 diagonal projection onto the (psi, chi) block; zero if absent."""
-    ix = set(rep.block(psi, chi))
-    return tuple(
-        tuple(Fraction(int(i == j and i in ix)) for j in range(rep.dim))
-        for i in range(rep.dim)
-    )
+    return dense({(i, i): Fraction(1) for i in rep.block(psi, chi)}, rep.dim)
 
 
 # -----------------------------------------------------------------------

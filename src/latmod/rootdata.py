@@ -27,7 +27,6 @@ from latmod.matrixops import (
     mat,
     nullspace,
     primitive,
-    sparse,
     sparse_bracket,
 )
 
@@ -235,6 +234,7 @@ class ChevalleyBasis:
       N: matrix size of the defining realization
       x: dict fund-coords -> N×N matrix
       h: tuple of coroot matrices h_{alpha_i} for the simple roots
+      sparse_action: x and h as sparse matrices, keyed like Representation.action
       bracket_table: bracket_table[i][j] = {k: c} with
         [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
@@ -256,7 +256,6 @@ class ChevalleyBasis:
         self._basis_order = list(rs.all_roots)
         self._index = {key: k for k, key in enumerate(self.basis_order())}
         self._verify()
-        self._basis_mats = [self.x[a] for a in self._basis_order] + list(self.h)
 
     # -- scaffolding ---------------------------------------------------
 
@@ -324,8 +323,9 @@ class ChevalleyBasis:
         for gamma in rs.positive:
             neg = tuple(-c for c in gamma)
             x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
+        self.sparse_action = {**x, **{("h", i): self._h_sparse(a) for i, a in enumerate(rs.simple)}}
         self.x = {a: dense(m, self.N) for a, m in x.items()}
-        self.h = tuple(dense(self._h_sparse(a), self.N) for a in rs.simple)
+        self.h = tuple(dense(self.sparse_action["h", i], self.N) for i in range(rs.rank))
 
     # -- public API ----------------------------------------------------
 
@@ -342,26 +342,22 @@ class ChevalleyBasis:
         return list(self._basis_order) + [("h", i) for i in range(self.rs.rank)]
 
     def basis_matrices(self):
-        return list(self._basis_mats)
+        return [self.x[a] for a in self._basis_order] + list(self.h)
 
     @cached_property
     def _coords(self):
-        return coordinate_solver(
-            [tuple(x for row in m for x in row) for m in self._basis_mats]
-        )
+        return coordinate_solver([tuple(x for row in m for x in row) for m in self.basis_matrices()])
 
     def coords_of(self, m):
         """Coordinates of a matrix in the Chevalley basis, or None."""
         return self._coords(tuple(x for row in m for x in row))
 
     def from_coords(self, coords):
-        out = [[Fraction(0)] * self.N for _ in range(self.N)]
-        for c, m in zip(coords, self._basis_mats):
-            if c:
-                for i in range(self.N):
-                    for j in range(self.N):
-                        out[i][j] += F(c) * m[i][j]
-        return mat(out)
+        out = {}
+        for c, key in zip(coords, self.basis_order()):
+            for p, x in self.sparse_action[key].items():
+                out[p] = out.get(p, 0) + F(c) * x
+        return dense(out, self.N)
 
     def ad(self, coords):
         """Matrix of ad(X) on the Chevalley basis, X = Σ coords_i·b_i:
@@ -386,12 +382,12 @@ class ChevalleyBasis:
     # -- verification ----------------------------------------------------
 
     def _verify(self):
-        """Check the Chevalley-set identities on sparse copies of self.x and
-        self.h, and record the bracket table they establish."""
+        """Check the Chevalley-set identities on the sparse generators, and
+        record the bracket table they establish."""
         rs = self.rs
         ix = self._index
-        x = {a: sparse(m) for a, m in self.x.items()}
-        h = [sparse(m) for m in self.h]
+        x = self.sparse_action
+        h = [x[("h", i)] for i in range(rs.rank)]
         hix = [ix[("h", i)] for i in range(rs.rank)]
         table = [[{} for _ in ix] for _ in ix]
         h_coords = {}

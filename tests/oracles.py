@@ -73,6 +73,12 @@ from latmod.matrixops import (
 )
 
 
+def is_prime_by_trial_division(n):
+    """Primality by trial division up to √n, as exact.is_prime decided it
+    before Miller–Rabin."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def zeros(nr, nc):
     return tuple((Fraction(0),) * nc for _ in range(nr))
 

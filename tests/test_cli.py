@@ -325,6 +325,7 @@ def lattice_file_errors(tmp_path, capsys, lattice):
         ({"ambient": 0, "ring": "Z", "basis": []}, "ambient must be a positive integer, not 0"),
         ({"ambient": [2], "ring": "Z", "basis": I2}, "ambient must be a positive integer, not [2]"),
         ({"ambient": 3, "ring": "Z", "basis": I2}, "basis has 2 rows, ambient is 3"),
+        ({"ambient": 2, "ring": {"Zp": "abc"}, "basis": I2}, 'Zp must be an integer, not "abc"'),
     ],
 )
 def test_lattice_file_names_the_bad_field(lattice, message, tmp_path, capsys):
@@ -363,6 +364,36 @@ def test_booleans_are_not_integers_in_rep_specs(spec, tmp_path, capsys):
     repf = tmp_path / "rep.json"
     repf.write_text(json.dumps(spec))
     assert run(["model", "lie", "--rep", str(repf), "--lattice", str(lat)], capsys) == (1, "", SPEC_ERROR)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "A", "rank": "x", "hw": [1]}, 'rank must be an integer, not "x"'),
+        ({"type": "A", "rank": 1, "hw": ["y"]}, 'hw entry must be an integer, not "y"'),
+    ],
+)
+def test_rep_spec_names_the_bad_field(spec, message, tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    lat.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    repf = tmp_path / "rep.json"
+    repf.write_text(json.dumps(spec))
+    assert run(["model", "lie", "--rep", str(repf), "--lattice", str(lat)], capsys) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("t, r, hw", [("B", "3", "0,0,1"), ("B", "4", "0,0,0,1"), ("D", "4", "0,0,1,0"), ("D", "4", "0,0,0,1")])
+def test_unreachable_weight_exits_1(t, r, hw, capsys):
+    # Spin weights lie in no tensor power of the defining realization.
+    code, out, err = run(["rep", "build", "--type", t, "--rank", r, "--hw", hw], capsys)
+    assert (code, out, err) == (1, "", "error: highest weight (%s) is not reachable in this realization\n" % hw)
+
+
+def test_prime_past_the_primality_bound_exits_1(capsys):
+    from latmod.exact import PRIME_BOUND
+
+    code, _, err = run(["orbits", "--type", "A", "--rank", "1", "--hw", "2", "--p", str(PRIME_BOUND)], capsys)
+    assert code == 1
+    assert err.endswith("error: argument --p: primality is decided only below %d\n" % PRIME_BOUND)
 
 
 def test_unwritable_out_exits_1(tmp_path):

@@ -22,10 +22,12 @@ from latmod.exact import (
     ElementaryDivisors,
     Lattice,
     LatticeError,
+    PRIME_BOUND,
     ZSpan,
     _canonical,
     distance,
     enumerate_between,
+    is_prime,
     snf,
     transporter,
     vp,
@@ -39,6 +41,7 @@ from oracles import (
     distance_by_inverse,
     dual_by_inverse,
     intersect_by_fractions,
+    is_prime_by_trial_division,
     lattice_coords,
     lattice_member,
     scale_by_fractions,
@@ -73,6 +76,25 @@ def box_members(lat, radius):
 
 
 # -- hnf ----------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    # Miller–Rabin on the first 13 primes against trial division, and on
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; and 2 to 23.
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(-2, 10**5))
+    assert not any(map(is_prime, (2047, 3215031751, 3825123056546413051)))
+    assert all(map(is_prime, (2**31 - 1, 100000000000031, 2**61 - 1)))
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+
+
+def test_primes_past_the_bound_are_refused():
+    # Past the Sorenson–Webster bound 13 bases no longer decide primality.
+    assert is_prime(PRIME_BOUND - 2) == is_prime_by_trial_division(PRIME_BOUND - 2)
+    for n in (PRIME_BOUND, 2**127 - 1):
+        with pytest.raises(LatticeError, match="primality is decided only below %d" % PRIME_BOUND):
+            is_prime(n)
+    with pytest.raises(LatticeError, match="below %d" % PRIME_BOUND):
+        Lattice([[1]], prime=2**127 - 1)
 
 
 def test_hnf_identity():

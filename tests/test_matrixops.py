@@ -1,10 +1,12 @@
-"""Exact matrix helpers: the zero-skipping products and the sparse
-bracket and column-index product with a sparse vector against the dense products they
-replaced, the span coordinates against per-vector solve and the rref and
-mat_inv solver, mat_inv on rref against Gauss–Jordan, and Fraction
-results from integer input."""
+"""Exact matrix helpers: the zero-skipping products, the sparse bracket
+and the Leibniz product on a tensor of factors against the dense
+products they replaced, the span coordinates against per-vector solve
+and the rref and mat_inv solver, mat_inv on rref against Gauss–Jordan,
+and Fraction results from integer input."""
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     column_index,
-    column_mat_vec,
     coordinate_solver,
     mat_inv,
     mat_mul,
@@ -23,6 +24,7 @@ from latmod.matrixops import (
     rref,
     sparse,
     sparse_bracket,
+    tensor_mat_vec,
 )
 from oracles import coordinate_solver_by_inverse, det, mat_inv_by_gauss_jordan, solve
 
@@ -116,11 +118,27 @@ def test_bracket_matches_dense_bracket(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(n, n), matrices(1, n))))
-def test_column_mat_vec_matches_dense_product(pair):
-    a, (v,) = pair
-    got = column_mat_vec(column_index(sparse(a)), {i: x for i, x in enumerate(v) if x})
-    assert got == {i: x for i, x in enumerate(dense_mat_vec(a, v)) if x}
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(
+        lambda dims: st.tuples(st.tuples(*(matrices(n, n) for n in dims)), matrices(1, prod(dims)))
+    )
+)
+def test_tensor_mat_vec_matches_dense_product(case):
+    # One to three factors; the dense product is with the Leibniz action
+    # a_1 ⊗ 1 ⊗ … + … + 1 ⊗ … ⊗ a_k on the index tuples in lexicographic
+    # order.
+    factors, (v,) = case
+    tuples = list(itertools.product(*(range(len(a)) for a in factors)))
+
+    def leibniz(s, t):
+        return sum(
+            (a[s[p]][t[p]] for p, a in enumerate(factors) if s[:p] + s[p + 1 :] == t[:p] + t[p + 1 :]),
+            Fraction(0),
+        )
+
+    dense = tuple(tuple(leibniz(s, t) for t in tuples) for s in tuples)
+    got = tensor_mat_vec([column_index(sparse(a)) for a in factors], {t: x for t, x in zip(tuples, v) if x})
+    assert got == {t: x for t, x in zip(tuples, dense_mat_vec(dense, v)) if x}
     assert all(type(x) is Fraction and x for x in got.values())
 
 

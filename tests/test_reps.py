@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from latmod import matrixops, reps
-from latmod.matrixops import bracket, identity, mat_mul, sparse
+from latmod.matrixops import bracket, identity, mat_mul, sparse, tensor_mat_vec
 from latmod.reps import (
     RepError,
     Representation,
@@ -255,13 +255,16 @@ def test_sums_and_products_densify_only_to_publish(monkeypatch):
 
 
 # Ambients the dense oracles cannot build (B3 (0,0,2): (Λ³)⊗², 1,225
-# dimensions; D4 (0,0,2,0): (Λ³)⊗², 3,136; D4 (0,0,1,1): Λ³ ⊗ Λ⁴, 3,920),
-# each output pinned by the sha256 of its sorted JSON as the dense-vector
-# walk built it.
+# dimensions; D4 (0,0,2,0): (Λ³)⊗², 3,136; D4 (0,0,1,1): Λ³ ⊗ Λ⁴, 3,920;
+# B4 (0,0,0,2): (Λ⁴)⊗², 15,876), and A3 (1,1,1), walked in three factors
+# (V ⊗ Λ² ⊗ Λ³), each output pinned by the sha256 of its sorted JSON as
+# the walk on the whole ambient built it.
 PINNED = [
     ("B", 3, (0, 0, 2), "6316089240c79864d750fabdb160aa1ec72fb86f531a93f0c9fa933e85ebe305"),
     ("D", 4, (0, 0, 2, 0), "b5322a647aaa401c4406af99f9b39b617044dfe6fc867a90a0c2e08f1314afc6"),
     ("D", 4, (0, 0, 1, 1), "8055447ed27bbd51651748d64bcdf7882e3367ab2f32fadbd7822b58e90c61b6"),
+    ("B", 4, (0, 0, 0, 2), "ea03864aace426f40ebf1812705b6ab718116465be5c29df96c75c4af02df44c"),
+    ("A", 3, (1, 1, 1), "ad48acb0ad7504f4fb739383c991abc2a4b9c37307fff10bb44efc7dd91b68b9"),
 ]
 
 
@@ -270,6 +273,32 @@ def test_large_ambient_output_pinned(t, r, hw, digest):
     rep = build_irrep(build_chevalley(t, r), hw)
     text = json.dumps(rep.to_json_obj(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_build_irrep_indexes_only_its_factors(monkeypatch):
+    # The walk applies each generator factor by factor: no column index
+    # covers more columns than the largest factor has, 70 (Λ⁴) for
+    # D4 (0,0,1,1), whose ambient Λ³ ⊗ Λ⁴ has 3,920.
+    index = reps.column_index
+    widths = []
+
+    def recording(a):
+        cols = index(a)
+        widths.append(len(cols))
+        return cols
+
+    monkeypatch.setattr(reps, "column_index", recording)
+    build_irrep(build_chevalley("D", 4), (0, 0, 1, 1))
+    assert 0 < max(widths) <= 70
+
+
+@pytest.mark.parametrize("t, r, hw", [("B", 3, (0, 0, 1)), ("B", 4, (0, 0, 0, 1)), ("D", 4, (0, 0, 1, 0)), ("D", 4, (0, 0, 0, 1))])
+def test_spin_weights_are_not_reachable(t, r, hw):
+    # A spin weight is no weight of any tensor power of the defining
+    # realization, so build_irrep names it instead of walking nothing.
+    label = ",".join(map(str, hw))
+    with pytest.raises(RepError, match=r"^highest weight \(%s\) is not reachable in this realization$" % label):
+        build_irrep(build_chevalley(t, r), hw)
 
 
 def sparse_action(action):
@@ -287,11 +316,13 @@ REALIZATIONS = [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks]
 
 @pytest.mark.parametrize("t, r", REALIZATIONS)
 def test_sparse_powers_match_dense_builders(t, r):
-    # Sym^k and Λ^k, k ≤ 3, of the defining realization and the tensor
-    # products of pairs of them, against the dense builders; Sym^0 is the
-    # trivial representation.
+    # Sym^k and Λ^k, k ≤ 3, of the defining realization against the dense
+    # builders, and each generator on pairs of them through tensor_mat_vec
+    # and their weight spaces against the dense tensor products, index
+    # tuple (s, t) at flattened index s·d₂ + t; Sym^0 is the trivial
+    # representation.
     cb = build_chevalley(t, r)
-    defining = reps._defining_raw(cb)
+    defining = (cb.N, cb.sparse_action, reps._diagonal_weights(cb, cb.sparse_action, cb.N))
     assert defining == sparse_raw(defining_raw(cb))
     assert reps._power_raw(defining, 0) == sparse_raw(trivial_raw(cb))
     sparse_powers = [reps._power_raw(defining, k) for k in (1, 2, 3)]
@@ -302,9 +333,19 @@ def test_sparse_powers_match_dense_builders(t, r):
         assert got == sparse_raw(want)
     assert all(type(x) is Fraction for _, a, _ in sparse_powers for g in a.values() for x in g.values())
     for i, j in itertools.combinations_with_replacement(range(len(sparse_powers)), 2):
-        if sparse_powers[i][0] * sparse_powers[j][0] <= 100:
-            got = reps._tensor_raw(sparse_powers[i], sparse_powers[j])
-            assert got == sparse_raw(tensor_raw(dense_powers[i], dense_powers[j])), (i, j)
+        factors = [sparse_powers[i], sparse_powers[j]]
+        (d1, a1, _), (d2, a2, _) = factors
+        if d1 * d2 > 100:
+            continue
+        _, want, weights = tensor_raw(dense_powers[i], dense_powers[j])
+        columns, spaces = reps._ambient(factors)
+        for key, cols in columns.items():
+            got = {}
+            for s, u in itertools.product(range(d1), range(d2)):
+                got.update(((v * d2 + w, s * d2 + u), x) for (v, w), x in tensor_mat_vec(cols, {(s, u): 1}).items())
+            assert got == sparse(want[key]), (i, j, key)
+        assert {s * d2 + u: w for w, ts in spaces.items() for s, u in ts} == dict(enumerate(weights)), (i, j)
+        assert all(ts == sorted(ts) for ts in spaces.values())
 
 
 def test_sorted_tuples_give_the_monomial_order():

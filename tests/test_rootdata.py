@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmod.matrixops import bracket, identity, mat_scale, mat_sub
+from latmod.matrixops import bracket, identity, mat_scale, mat_sub, sparse
 from latmod.rootdata import (
     ChevalleyBasis,
     RootDataError,
@@ -234,8 +234,8 @@ def test_verify_catches_single_entry_change():
             k, l = [ij for ij in off if not xm[ij[0]][ij[1]]][-1]
             for changed in (with_entry(xm, i, j, xm[i][j] + 1), with_entry(xm, k, l, Fraction(1))):
                 broken = copy.copy(cb)
-                broken.x = dict(cb.x)
-                broken.x[alpha] = changed
+                broken.sparse_action = dict(cb.sparse_action)
+                broken.sparse_action[alpha] = sparse(changed)
                 with pytest.raises(AssertionError):
                     broken._verify()
         cb._verify()

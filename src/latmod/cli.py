@@ -1,6 +1,10 @@
 """Batch command-line front end.  Every pipeline is exposed as a
 subcommand emitting JSON (deterministic, sorted keys) to stdout or --out;
---pretty renders a flat key/value table instead.
+--pretty renders a flat key/value table instead.  The JSON is written by
+_dump, byte for byte what json.dumps(obj, sort_keys=True, separators=(",",
+": "), indent=1) writes, without importing json for what reports hold;
+json is imported only where JSON is read, or for a string that needs an
+escape.
 
 COMMANDS maps each command to its handler and its required flags with
 their converters; every flag is converted before the handler runs, and
@@ -12,7 +16,6 @@ Exit codes: 0 success (also after -h/--help), 1 validation error (bad
 flags or inputs), 2 internal assertion failure.
 """
 
-import json
 import sys
 
 
@@ -57,8 +60,56 @@ def _build_rep(args):
     return build_irrep(cb, hw)
 
 
+def _dump(obj):
+    """json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _plain(text):
+    """Does json.dumps write text as it stands, between quotes?  It
+    escapes a quote, a backslash and every character outside printable
+    ASCII."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _write(obj, newline, out):
+    """Append the JSON of obj to out; newline is the line break and indent
+    of obj's own line.  Str-keyed dicts, lists, ints, bools, None and
+    plain strings are written here, a list of plain strings (a row of an
+    action matrix) in one join; any other value goes to json.dumps, its
+    lines indented to match (a JSON string holds no raw line break)."""
+    kind = type(obj)
+    if obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is int:
+        out.append(repr(obj))
+    elif kind is str and _plain(obj):
+        out.append('"' + obj + '"')
+    elif kind is list and obj and all(type(x) is str for x in obj) and _plain("".join(obj)):
+        inner = newline + " "
+        out.append("[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + newline + "]")
+    elif kind is list or kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            out.append("[]" if kind is list else "{}")
+            return
+        inner = newline + " "
+        out.append("[" if kind is list else "{")
+        for n, item in enumerate(obj if kind is list else sorted(obj)):
+            out.append("," + inner if n else inner)
+            _write(item, inner, out)
+            if kind is dict:
+                out.append(": ")
+                _write(obj[item], inner, out)
+        out.append(newline + ("]" if kind is list else "}"))
+    else:
+        import json
+        out.append(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1).replace("\n", newline))
+
+
 def _emit(obj, args):
-    text = _pretty(obj) if args["pretty"] else json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    text = _pretty(obj) if args["pretty"] else _dump(obj)
     if args["out"]:
         with open(args["out"], "w") as f:
             f.write(text + "\n")
@@ -102,10 +153,13 @@ def _spec_int(name, x):
     try:
         return int(x)
     except ValueError:
+        import json
         raise ValueError("%s must be an integer, not %s" % (name, json.dumps(x)))
 
 
 def _cmd_model_lie(args):
+    import json
+
     from latmod.models import lie_invariants, lie_model
     from latmod.reps import build_irrep
     from latmod.rootdata import build_chevalley

@@ -17,10 +17,10 @@ coordinates of Lattice.coordinates, over one denominator: dual,
 transporter and distance read them, sum, scale and apply span integer
 columns, and no Fraction basis is inverted.
 ZSpan is the integer span of any rank in the same representation, used
-for the torus shift lattice of the orbit reports.
+for the torus shift lattice of the orbit reports.  json is imported only
+by the methods that read or write lattice files.
 """
 
-import json
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
@@ -266,6 +266,8 @@ class Lattice:
 
     @classmethod
     def from_json_obj(cls, obj):
+        import json
+
         if not isinstance(obj, dict):
             raise LatticeError("a lattice file holds one object")
         if missing := [k for k in ("ambient", "ring", "basis") if k not in obj]:
@@ -294,10 +296,14 @@ class Lattice:
         return cls(list(zip(*rows)), prime, ambient=n)
 
     def to_json(self):
+        import json
+
         return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json(cls, text):
+        import json
+
         return cls.from_json_obj(json.loads(text))
 
 

@@ -1,14 +1,19 @@
-"""Small exact linear algebra helpers over Fraction.
+"""Small exact linear algebra helpers over the rationals.
 
-Dense matrices are tuples of rows, dense vectors tuples; the products
-and the eliminations return Fraction entries, also for integer input,
-and the products skip zero entries.  rref gives mat_inv and nullspace.
-Sparse matrices are {(i, j): entry}, sparse vectors {i: entry} over ints
-or index tuples, zeros left out; tensor_mat_vec applies a matrix through
-its column index on each factor of a tensor product, at the cost of the
-vector's support.  QSpan holds sparse vectors, each echelon row with its
-combination of the vectors inserted, so coordinates in a basis are one
-reduction per vector; coordinate_solver reads dense columns through it.
+Dense matrices are tuples of rows, dense vectors tuples; the dense
+products and the eliminations return Fraction entries, also for integer
+input, and the products skip zero entries.  rref gives mat_inv and
+nullspace.  Sparse matrices are {(i, j): entry}, sparse vectors {i:
+entry} over ints or index tuples, zeros left out; their entries are
+canonical: an integral entry is an int and a Fraction is left only where
+the entry is not integral (canonical makes a sparse matrix so, and ratio
+is the one division).  The sparse products (sparse_bracket,
+tensor_mat_vec) sum from 0, so on integer input they stay in ints.
+tensor_mat_vec applies a matrix through its column index on each factor
+of a tensor product, at the cost of the vector's support.  QSpan holds
+sparse vectors, each echelon row with its combination of the vectors
+inserted, all canonical, so coordinates in a basis are one reduction per
+vector; coordinate_solver reads dense columns through it.
 """
 
 from fractions import Fraction
@@ -31,9 +36,25 @@ def clear_denominators(vectors):
     return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
+def canonical(m):
+    """The sparse matrix or vector m with its zero entries dropped and
+    every integral entry an int."""
+    return {k: x.numerator if x.denominator == 1 else x for k, x in m.items() if x}
+
+
+def ratio(a, b):
+    """a/b exactly, canonical: an int when it is integral.  Between ints
+    `/` would give a float, so every quotient of the sparse helpers is
+    taken here."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def primitive(v):
     """The primitive integer vector on the ray of the sparse vector v, its
-    entry of least index positive, zeros dropped; {} stays {}."""
+    entry of least index positive, zeros dropped, as ints; {} stays {}."""
     v = {i: x for i, x in v.items() if x}
     if not v:
         return {}
@@ -41,7 +62,7 @@ def primitive(v):
     g = gcd(*ints)
     if v[min(v)] < 0:
         g = -g
-    return {i: Fraction(x // g) for i, x in zip(v, ints)}
+    return {i: x // g for i, x in zip(v, ints)}
 
 
 def mat(rows):
@@ -101,8 +122,8 @@ def sparse(a):
 
 
 def dense(m, n):
-    """The n×n matrix of the sparse matrix m."""
-    return tuple(tuple(m.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+    """The n×n matrix of the sparse matrix m, its zeros the int 0."""
+    return tuple(tuple(m.get((i, j), 0) for j in range(n)) for i in range(n))
 
 
 def column_index(a):
@@ -122,7 +143,7 @@ def tensor_mat_vec(cols, v):
         for pos, (col, j) in enumerate(zip(cols, t)):
             for i, x in col.get(j, ()):
                 s = t[:pos] + (i,) + t[pos + 1 :]
-                out[s] = out.get(s, _ZERO) + x * y
+                out[s] = out.get(s, 0) + x * y
     return {s: x for s, x in out.items() if x}
 
 
@@ -135,7 +156,7 @@ def sparse_bracket(a, b):
             by_row.setdefault(k, []).append((j, -y if negate else y))
         for (i, k), x in left.items():
             for j, y in by_row.get(k, ()):
-                out[i, j] = out.get((i, j), _ZERO) + x * y
+                out[i, j] = out.get((i, j), 0) + x * y
     return {ij: x for ij, x in out.items() if x}
 
 
@@ -209,7 +230,7 @@ def coordinate_solver(cols):
 
     def coords(v):
         x = span.coords(dict(enumerate(v)))
-        return None if x is None else tuple(x.get(k, _ZERO) for k in range(len(cols)))
+        return None if x is None else tuple(x.get(k, 0) for k in range(len(cols)))
 
     return coords
 
@@ -221,7 +242,8 @@ class QSpan:
     Each echelon row is kept sparse (zero before its pivot and 1 at it)
     with its combination of the vectors that grew the span ({k:
     coefficient} in their insertion order), so the coordinates of a
-    vector in that basis come from one reduction.
+    vector in that basis come from one reduction.  Rows, combinations and
+    coordinates are canonical (integral entries are ints).
     """
 
     __slots__ = ("_rows",)
@@ -232,17 +254,17 @@ class QSpan:
     def _reduce(self, v):
         """v less the echelon rows it meets, in pivot order, and the
         combination of the inserted vectors taken off."""
-        v = {i: F(x) for i, x in v.items() if x}
+        v = {i: x for i, x in v.items() if x}
         taken = {}
         for piv in sorted(self._rows):
             f = v.get(piv)
             if f:
                 row, comb = self._rows[piv]
                 for i, x in row.items():
-                    v[i] = v.get(i, _ZERO) - f * x
+                    v[i] = v.get(i, 0) - f * x
                 for k, c in comb.items():
-                    taken[k] = taken.get(k, _ZERO) + f * c
-        return {i: x for i, x in v.items() if x}, taken
+                    taken[k] = taken.get(k, 0) + f * c
+        return canonical(v), canonical(taken)
 
     def insert(self, v):
         """Add v to the span; returns True if the span grew."""
@@ -251,9 +273,9 @@ class QSpan:
             return False
         piv = min(r)
         pv = r[piv]
-        comb = {k: -c / pv for k, c in taken.items()}
-        comb[self.rank] = 1 / pv
-        self._rows[piv] = ({i: x / pv for i, x in r.items()}, comb)
+        comb = {k: ratio(-c, pv) for k, c in taken.items()}
+        comb[self.rank] = ratio(1, pv)
+        self._rows[piv] = ({i: ratio(x, pv) for i, x in r.items()}, comb)
         return True
 
     def contains(self, v):
@@ -263,7 +285,7 @@ class QSpan:
         """The sparse x with Σ x_k·u_k = v, u_k the vectors that grew the
         span in insertion order, or None when v lies outside the span."""
         r, taken = self._reduce(v)
-        return None if r else {k: c for k, c in taken.items() if c}
+        return None if r else taken
 
     @property
     def rank(self):

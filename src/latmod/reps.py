@@ -1,4 +1,5 @@
-"""Highest-weight representations with exact rational action matrices.
+"""Highest-weight representations with exact rational action matrices,
+kept in ints wherever an entry is integral.
 
 A Representation carries the action of every Chevalley generator in a
 weight-adapted basis: each basis vector is a weight vector, assigned to an
@@ -13,17 +14,24 @@ walk its cyclic span under the lowering operators once into one QSpan,
 whose coordinates read the action.  Matrices are sparse {(i, j): entry}
 on each factor, vectors sparse over index tuples, and every generator,
 in the powers too, acts through tensor_mat_vec: no matrix of the tensor
-ambient is built.  Representation(cb, action, psi_of) checks a sparse
-adapted action and publishes it dense; adapt brings any sparse action to
-an adapted basis.  The powers are built on sorted index tuples, so the
-symmetric power keeps the monomial basis (e1^k, e1^{k-1}e2, ...).
+ambient is built.  The generators, their powers, the walked vectors and
+the adapted action are canonical (matrixops.canonical): an integral entry
+is an int, and a Fraction is left only for a non-integral one, such as
+the 1/2 entries of type B, so almost all of the arithmetic is on ints.
+Representation(cb, action, psi_of) checks a sparse adapted action, keeps
+it (sparse_action) and publishes it dense; adapt brings any sparse action
+to an adapted basis, and direct_sum and tensor_product read the sparse
+actions of their summands and factors.  The powers are built on sorted
+index tuples, so the symmetric power keeps the monomial basis (e1^k,
+e1^{k-1}e2, ...).
 """
 
 import itertools
-from fractions import Fraction
+from math import lcm
 
 from latmod.matrixops import (
     QSpan,
+    canonical,
     column_index,
     dense,
     identity,
@@ -31,7 +39,7 @@ from latmod.matrixops import (
     mat_vec,
     nullspace,
     primitive,
-    sparse,
+    ratio,
     sparse_bracket,
     tensor_mat_vec,
 )
@@ -68,7 +76,7 @@ def _power_raw(raw, k, exterior=False):
                     x = -x if sum(i > j for i, j in itertools.combinations(s, 2)) % 2 else x
                 p = (index[tuple(sorted(s))], src)
                 m[p] = m.get(p, 0) + x
-        action[key] = {p: x for p, x in m.items() if x}
+        action[key] = canonical(m)
     weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
     return (len(basis), action, weights)
 
@@ -126,12 +134,25 @@ def _diagonal_weights(cb, action, dim):
     return tuple(tuple(int(m.get((k, k), 0)) for m in h) for k in range(dim))
 
 
+def _integral(cols):
+    """(d, the column indices of d·g on each factor) for g's column indices
+    cols on each factor, d the least integer that makes them integral."""
+    d = lcm(*(x.denominator for col in cols for entries in col.values() for _, x in entries))
+    if d == 1:
+        return d, cols
+    return d, [{j: [(i, x.numerator * (d // x.denominator)) for i, x in e] for j, e in col.items()} for col in cols]
+
+
 def _adapted(cb, columns, hw_vectors):
     """The Representation on the lowering spans of the highest-weight
     vectors [(psi, v), ...], walked in order into one QSpan.  The span's
     coordinates read the image of every basis vector under every
-    generator (column indices on each factor) on the walked basis."""
-    lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
+    generator (column indices on each factor) on the walked basis.  Each
+    generator g acts as the integral d·g (the 1/2 entries of type B make
+    d = 2), so the walk is on ints: d·g·v has the primitive vector of g·v,
+    and the coordinates of g·v are those of d·g·v over d."""
+    columns = {key: _integral(cols) for key, cols in columns.items()}
+    lowering = [columns[tuple(-c for c in a)][1] for a in cb.rs.simple]
     span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
@@ -141,13 +162,13 @@ def _adapted(cb, columns, hw_vectors):
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
     adapted = {}
-    for key, g in columns.items():
+    for key, (d, g) in columns.items():
         m = adapted[key] = {}
         for c, b in enumerate(basis):
             x = span.coords(tensor_mat_vec(g, b))
             if x is None:
                 raise RepError("cyclic span not invariant (construction bug)")
-            m.update(((r, c), y) for r, y in x.items())
+            m.update(((r, c), ratio(y, d)) for r, y in x.items())
     return Representation(cb, adapted, psi_of)
 
 
@@ -178,15 +199,16 @@ class Representation:
     """Weight-adapted representation of a Chevalley basis.
 
     action maps each generator key (root fund-coords tuple, or ("h", i))
-    to a dim×dim rational matrix; weights[i] is the weight of basis vector
+    to a dim×dim rational matrix, and sparse_action to the same matrix as
+    a canonical sparse matrix; weights[i] is the weight of basis vector
     i; psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
     basis indices of the chi-weight space of the psi-component.
-    Representation(cb, action, psi_of) takes the sparse action on an
-    adapted basis (as _adapted reads it), checks that it is a
-    representation, and keeps it as dense matrices.
+    Representation(cb, action, psi_of) takes the canonical sparse action
+    on an adapted basis (as _adapted reads it), checks that it is a
+    representation, and keeps it both sparse and as dense matrices.
     """
 
-    __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
+    __slots__ = ("cb", "dim", "action", "sparse_action", "weights", "psi_of", "blocks", "highest_weights")
 
     def __init__(self, cb, action, psi_of):
         dim = len(psi_of)
@@ -199,6 +221,7 @@ class Representation:
         self.cb = cb
         self.dim = dim
         self.action = {key: dense(m, dim) for key, m in action.items()}
+        self.sparse_action = action
         self.weights = weights
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
@@ -280,8 +303,8 @@ def direct_sum(reps):
     action = {key: {} for key in reps[0].action}
     off = 0
     for r in reps:
-        for key, g in r.action.items():
-            action[key].update(((i + off, j + off), x) for (i, j), x in sparse(g).items())
+        for key, g in r.sparse_action.items():
+            action[key].update(((i + off, j + off), x) for (i, j), x in g.items())
         off += r.dim
     return adapt(cb, action, off)
 
@@ -289,12 +312,12 @@ def direct_sum(reps):
 def tensor_product(r1, r2):
     if r1.cb is not r2.cb:
         raise RepError("tensor product requires a common Chevalley basis")
-    return _adapt(r1.cb, [(r.dim, {key: sparse(g) for key, g in r.action.items()}, r.weights) for r in (r1, r2)])
+    return _adapt(r1.cb, [(r.dim, r.sparse_action, r.weights) for r in (r1, r2)])
 
 
 def projector(rep, psi, chi):
     """0/1 diagonal projection onto the (psi, chi) block; zero if absent."""
-    return dense({(i, i): Fraction(1) for i in rep.block(psi, chi)}, rep.dim)
+    return dense({(i, i): 1 for i in rep.block(psi, chi)}, rep.dim)
 
 
 # -----------------------------------------------------------------------

@@ -8,8 +8,12 @@ solved for on the one or two matrix positions of its weight; the coroot
 of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
 Root vectors are built recursively from the simple root spaces.  One
 solver on the Cartan matrix gives the simple-root coordinates of roots
-and weights alike (fund = C·m), for the height order here and for every
-walk down the weights of a representation.  Every Chevalley-set identity
+and weights alike (fund = C·m, read as one integer product with d·C⁻¹),
+for the height order here and for every walk down the weights of a
+representation.  The sparse generators, the bracket table and every
+structure constant are canonical (matrixops.canonical): ints where
+integral, a Fraction only for the 1/2 entries of type B, and every ratio
+is exact (matrixops.ratio).  Every Chevalley-set identity
 is verified eagerly at construction, on sparse matrices, and the
 verification records the coordinates of the bracket of every pair of
 basis elements as the bracket table, so a wrong structure constant
@@ -21,12 +25,15 @@ from functools import cached_property, lru_cache
 
 from latmod.matrixops import (
     F,
+    canonical,
+    clear_denominators,
     coordinate_solver,
     dense,
     identity,
     mat,
     nullspace,
     primitive,
+    ratio,
     sparse_bracket,
 )
 
@@ -98,9 +105,14 @@ class RootSystem:
         self.cartan_matrix = tuple(
             tuple(_pairing(b, a) for b in self.simple_euclid) for a in self.simple_euclid
         )
-        # fund = C·m for the simple-root coordinates m: one elimination on
-        # the columns of C, one product per weight.
-        self._on_cartan = coordinate_solver(tuple(zip(*self.cartan_matrix)))
+        # fund = C·m for the simple-root coordinates m, so d·m = (d·C⁻¹)·fund
+        # with d·C⁻¹ integral: one elimination on the columns of C gives the
+        # columns of C⁻¹, and each weight costs one integer product.
+        on_cartan = coordinate_solver(tuple(zip(*self.cartan_matrix)))
+        inverse, self._cartan_den = clear_denominators(
+            [on_cartan(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        )
+        self._cartan_inverse = tuple(zip(*inverse))  # the rows of d·C⁻¹
         exp = {b: self.expansion(self.fund_coords(b)) for b in positive}
         self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
         self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
@@ -123,10 +135,11 @@ class RootSystem:
     def expansion(self, fund):
         """Simple-root coordinates m of the weight with these fund coords
         (fund = C·m), or None when the weight is off the root lattice."""
-        m = self._on_cartan(fund)
-        if any(x.denominator != 1 for x in m):
+        d = self._cartan_den
+        dm = [sum(a * f for a, f in zip(row, fund)) for row in self._cartan_inverse]
+        if any(x % d for x in dm):
             return None
-        return tuple(int(x) for x in m)
+        return tuple(x // d for x in dm)
 
     def height(self, fund):
         return sum(self.expansion(fund))
@@ -215,11 +228,11 @@ def _form(rs):
 
 def _first_ratio(m, x):
     """m's entry over x's at the first nonzero entry of the sparse matrix
-    x, in row-major order."""
+    x, in row-major order, exactly (an int when it is integral)."""
     if not x:
         raise AssertionError("zero root vector")
     k = min(x)
-    return m.get(k, 0) / x[k]
+    return ratio(m.get(k, 0), x[k])
 
 
 def _scaled(c, m):
@@ -265,7 +278,7 @@ class ChevalleyBasis:
 
     def _h_sparse(self, fund):
         d = self._diag_param(self._coroots[fund])
-        return {(i, i): F(v) for i, v in enumerate(d) if v}
+        return canonical({(i, i): v for i, v in enumerate(d)})
 
     def _root_spaces(self):
         """Primitive integer generator of each root space, sparse, keyed
@@ -302,7 +315,7 @@ class ChevalleyBasis:
         lam = _first_ratio(br, h)
         if lam == 0 or br != _scaled(lam, h):
             raise AssertionError("[g_a, g_-a] not proportional to coroot")
-        return _scaled(1 / lam, gen)
+        return canonical(_scaled(ratio(1, lam), gen))
 
     def _build_chevalley_set(self, gens):
         rs = self.rs
@@ -316,7 +329,7 @@ class ChevalleyBasis:
                 beta = tuple(g - c for g, c in zip(gamma, a))
                 if beta in x:
                     r = rs.root_string_r(a, beta)
-                    x[gamma] = _scaled(Fraction(1, r + 1), sparse_bracket(x[a], x[beta]))
+                    x[gamma] = canonical(_scaled(Fraction(1, r + 1), sparse_bracket(x[a], x[beta])))
                     break
             else:
                 raise AssertionError("no decomposition for %r" % (gamma,))
@@ -377,7 +390,7 @@ class ChevalleyBasis:
         Zero when a + b is not a root (ix.get gives no basis index)."""
         ix = self._index
         target = tuple(a + b for a, b in zip(alpha, beta))
-        return self.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), Fraction(0))
+        return self.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), 0)
 
     # -- verification ----------------------------------------------------
 
@@ -403,8 +416,8 @@ class ChevalleyBasis:
                 if sparse_bracket(hm, x[alpha]) != _scaled(alpha[i], x[alpha]):
                     raise AssertionError("[h, x_a] != a(h)x_a for %r" % (alpha,))
                 if alpha[i]:
-                    table[hix[i]][a] = {a: F(alpha[i])}
-                    table[a][hix[i]] = {a: F(-alpha[i])}
+                    table[hix[i]][a] = {a: alpha[i]}
+                    table[a][hix[i]] = {a: -alpha[i]}
         for i, hm in enumerate(h):
             for hn in h[i + 1:]:
                 if sparse_bracket(hm, hn):

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmod import cli
 from latmod.cli import main
@@ -586,8 +588,8 @@ print(json.dumps([on_import, sorted(m for m in sys.modules if m.startswith("latm
 
 
 def test_import_scope():
-    # The command table and its converters need only json and sys; each
-    # pipeline is imported by the handler that runs it.
+    # The command table and its converters need only sys; each pipeline is
+    # imported by the handler that runs it.
     proc = run_child(["-c", IMPORT_SCOPE])
     assert proc.returncode == 0, proc.stderr
     on_import, after_orbits = json.loads(proc.stdout)
@@ -595,6 +597,57 @@ def test_import_scope():
     assert [m for m in on_import if m.startswith("latmod")] == ["latmod", "latmod.cli", "latmod.kernels"]
     assert "latmod.latconstruct" in after_orbits
     assert "latmod.models" not in after_orbits and "latmod.casestudies" not in after_orbits
+
+
+NO_JSON = """
+import os, sys
+import latmod.cli
+seen = ["json" in sys.modules]
+code = latmod.cli.main(["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1"])
+seen.append("json" in sys.modules)
+for argv in (["sandwich", "--p", "2"], ["orbits", "--p", "3"]):
+    code += latmod.cli.main(argv + ["--type", "A", "--rank", "1", "--hw", "4", "--out", os.devnull])
+    seen.append("json" in sys.modules)
+sys.stderr.write("%d %s" % (code, seen))
+"""
+
+
+def test_output_path_does_not_import_json():
+    # json is imported where JSON is read, not to write a report: not by
+    # the command table, nor by rep build, nor by the lattice pipelines.
+    proc = run_child(["-c", NO_JSON])
+    assert proc.stderr == "0 [False, False, False, False]"
+    assert json.loads(proc.stdout)["dim"] == 8
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def test_writer_matches_json_dumps_on_golden_output():
+    for case in GOLDEN["cases"]:
+        obj = json.loads(case["stdout"])
+        assert cli._dump(obj) == dumps(obj), case["argv"]
+
+
+# Strings the writer hands to json.dumps (a quote, a backslash, control
+# characters, DEL, non-ASCII and non-BMP characters) mixed with the
+# printable ASCII it writes itself.
+SPECIAL = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "\u00e9", "\u2028", "\U0001f600"])
+TEXT = st.text(alphabet=st.one_of(SPECIAL, st.characters(min_codepoint=32, max_codepoint=126), st.characters()), max_size=6)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), TEXT)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_writer_matches_json_dumps(obj):
+    assert cli._dump(obj) == dumps(obj)
+
+
+def test_writer_on_empty_and_nested_containers():
+    for obj in ({}, [], [{}], {"a": []}, [[[]]], {"b": {"a": [None, True, False, -1, 10**30]}}, ['q"uote', "\u00e9"]):
+        assert cli._dump(obj) == dumps(obj), obj
 
 
 def test_module_entry_point_matches_main(tmp_path, capsys):

@@ -281,4 +281,7 @@ def test_coordinate_solver_out_of_span_and_dependent_basis():
         coordinate_solver([(1, 2), (2, 4)])
     coords = coordinate_solver([(0, 2, 0), (1, 0, 0)])
     assert coords((3, 4, 0)) == (2, 3) and coords((0, 0, 1)) is None
-    assert all(type(t) is Fraction for t in coords((3, 4, 0)))
+    # Coordinates are canonical: ints where integral, else Fractions.
+    assert all(type(t) is int for t in coords((3, 4, 0)))
+    half = coords((0, 1, 0))
+    assert half == (Fraction(1, 2), 0) and list(map(type, half)) == [Fraction, int]

@@ -38,6 +38,12 @@ from oracles import (
 )
 
 
+def is_canonical(x):
+    """An int, or a Fraction that is not integral: never a float, never an
+    integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def weyl_dim(cb, psi):
     """Independent dimension oracle: product formula over positive roots."""
     rs = cb.rs
@@ -275,6 +281,40 @@ def test_large_ambient_output_pinned(t, r, hw, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "t, r, hw", [("A", 2, (1, 1)), ("B", 2, (0, 2)), ("B", 3, (1, 0, 0)), ("C", 2, (1, 1)), ("D", 4, (0, 1, 0, 0))]
+)
+def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
+    # The sparse generators, the walked vectors, the sparse adapted action
+    # Representation receives and the one it keeps hold ints, and
+    # Fractions only for entries that are not integral (the 1/2 entries of
+    # type B); no float anywhere.
+    walk, init = reps._lowering_span, Representation.__init__
+    walked, received = [], []
+
+    def recording_walk(*args):
+        added = walk(*args)
+        walked.extend(added)
+        return added
+
+    def recording_init(self, cb, action, psi_of):
+        received.append(action)
+        init(self, cb, action, psi_of)
+
+    monkeypatch.setattr(reps, "_lowering_span", recording_walk)
+    monkeypatch.setattr(Representation, "__init__", recording_init)
+    cb = build_chevalley(t, r)
+    rep = build_irrep(cb, hw)
+    assert walked and len(received) == 1
+    generators = [x for m in cb.sparse_action.values() for x in m.values()]
+    assert all(map(is_canonical, generators))
+    assert any(type(x) is Fraction for x in generators) == (t == "B")
+    assert all(is_canonical(x) for v in walked for x in v.values())
+    for action in received + [rep.sparse_action]:
+        assert all(is_canonical(x) and x for m in action.values() for x in m.values())
+    assert rep.sparse_action == {key: sparse(g) for key, g in rep.action.items()}
+
+
 def test_build_irrep_indexes_only_its_factors(monkeypatch):
     # The walk applies each generator factor by factor: no column index
     # covers more columns than the largest factor has, 70 (Λ⁴) for
@@ -331,7 +371,7 @@ def test_sparse_powers_match_dense_builders(t, r):
     dense_powers += [ext_power_raw(defining_raw(cb), k) for k in (2, 3)]
     for got, want in zip(sparse_powers, dense_powers):
         assert got == sparse_raw(want)
-    assert all(type(x) is Fraction for _, a, _ in sparse_powers for g in a.values() for x in g.values())
+    assert all(is_canonical(x) for _, a, _ in sparse_powers for g in a.values() for x in g.values())
     for i, j in itertools.combinations_with_replacement(range(len(sparse_powers)), 2):
         factors = [sparse_powers[i], sparse_powers[j]]
         (d1, a1, _), (d2, a2, _) = factors

@@ -18,6 +18,7 @@ from latmod.matrixops import bracket, identity, mat_scale, mat_sub, sparse
 from latmod.rootdata import (
     ChevalleyBasis,
     RootDataError,
+    _first_ratio,
     build_chevalley,
     build_root_system,
     killing_h,
@@ -214,6 +215,21 @@ def test_structure_constants_integral():
             for b in cb.rs.all_roots:
                 c = cb.structure_constant(a, b)
                 assert c.denominator == 1
+
+
+def test_first_ratio_is_exact_on_int_matrices():
+    # Between ints `/` would give a float: the ratio is a Fraction, and an
+    # int when it is integral, read at x's first nonzero entry in
+    # row-major order.
+    half = _first_ratio({(0, 1): 1, (2, 0): 8}, {(2, 0): 4, (0, 1): 2})
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    minus_two = _first_ratio({(1, 1): -6}, {(1, 1): 3})
+    assert minus_two == -2 and type(minus_two) is int
+    assert _first_ratio({}, {(0, 0): 5}) == 0
+    third = _first_ratio({(0, 0): Fraction(1, 2)}, {(0, 0): Fraction(3, 2)})
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    with pytest.raises(AssertionError, match="zero root vector"):
+        _first_ratio({(0, 0): 1}, {})
 
 
 def with_entry(m, r, c, value):

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from latmod.exact import Lattice, transporter, vp
-from latmod.matrixops import F, mat
+from latmod.matrixops import F, mat, ratio
 from latmod.models import (
     _sym2_symbolic,
     hopf_generators,
@@ -190,7 +190,7 @@ def _class_key(field, ideal):
     q1 = field.norm(w1)
     q2 = field.norm(w2)
     tr = field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2
-    form = (q1 / n, tr / n, q2 / n)
+    form = tuple(ratio(x, n) for x in (q1, tr, q2))
     if any(x.denominator != 1 for x in form):
         raise AssertionError("norm form of an ideal is not integral")
     a, b, c = (int(x) for x in form)

@@ -130,9 +130,14 @@ def _cmd_rep_build(args):
 
 def _cmd_lattice_dist(args):
     from latmod.exact import Lattice, distance
+    p = args["p"]
     a, b = map(_load_lattice, (args["a"], args["b"]))
-    a, b = (Lattice.from_integers(x.columns, x.denominator, args["p"], x.ambient) for x in (a, b))
-    return {"p": args["p"], "distance": distance(a, b)}
+    for flag, x in (("a", a), ("b", b)):
+        if x.prime not in (None, p):
+            raise ValueError("--%s is a lattice over Z_(%d), not over Z_(%d) as --p says" % (flag, x.prime, p))
+    # A lattice over Z is localised at p.
+    a, b = (Lattice.from_integers(x.columns, x.denominator, p, x.ambient) for x in (a, b))
+    return {"p": p, "distance": distance(a, b)}
 
 
 def _cmd_sandwich(args):

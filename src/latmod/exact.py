@@ -15,18 +15,22 @@ comparison of (denominator, columns):
 Membership is kernels.hermite_coords on the columns, and so are the
 coordinates of Lattice.coordinates, over one denominator: dual,
 transporter and distance read them, sum, scale and apply span integer
-columns, and no Fraction basis is inverted.
+columns, and no Fraction basis is inverted.  covolume and index_in are
+quotients of integer pivot products.
 ZSpan is the integer span of any rank in the same representation, used
-for the torus shift lattice of the orbit reports.  json is imported only
-by the methods that read or write lattice files.
+for the torus shift lattice of the orbit reports.  Every rational this
+module returns is canonical (matrixops.F): an int when it is integral,
+and every quotient is matrixops.ratio, so fractions is imported only for
+a value that is not integral, such as a basis entry column / scale or
+an "a/b" entry of a lattice file.  json is imported only by the methods
+that read or write lattice files.
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, mat_vec
+from latmod.matrixops import F, clear_denominators, mat_vec, ratio
 
 ENUM_ORDER_CAP = 2**20
 
@@ -105,6 +109,18 @@ def _in_span(w, e, d, cols, pivots, p=None):
     return hermite_coords([x // g for x in w], cols, pivots) is not None
 
 
+def _entry(x):
+    """A lattice-file entry, an int or a string, as a canonical rational:
+    a Fraction is read only from a string that is not an integer, such as
+    "1/2"."""
+    try:
+        return int(x)
+    except ValueError:
+        from fractions import Fraction
+
+        return F(Fraction(x))
+
+
 class Lattice:
     """Full-rank lattice in Q^n over Z or Z_(p); immutable, canonical:
     integer Hermite columns over one denominator, the scale."""
@@ -129,10 +145,21 @@ class Lattice:
         lat._set(ambient, prime, ints, d)
         return lat
 
+    @classmethod
+    def from_canonical(cls, d, cols, prime, ambient):
+        """The lattice whose canonical pair is (d, cols), taken as it
+        stands: the caller knows that _canonical would return it."""
+        lat = object.__new__(cls)
+        lat._store(ambient, prime, d, cols)
+        return lat
+
     def _set(self, n, prime, ints, d):
         d, cols = _canonical(ints, d, n, prime)
         if len(cols) < n:
             raise LatticeError("degenerate basis")
+        self._store(n, prime, d, cols)
+
+    def _store(self, n, prime, d, cols):
         object.__setattr__(self, "ambient", n)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "denominator", d)
@@ -161,17 +188,20 @@ class Lattice:
 
     @property
     def basis(self):
-        """Canonical basis columns, columns / denominator as Fractions."""
-        return tuple(tuple(Fraction(x, self.denominator) for x in c) for c in self.columns)
+        """Canonical basis columns, columns / denominator, canonical."""
+        return tuple(tuple(ratio(x, self.denominator) for x in c) for c in self.columns)
 
     def basis_matrix(self):
         """Basis as a matrix (rows), columns generate."""
         return tuple(zip(*self.basis))
 
+    def _pivot_product(self):
+        """det C of the integer Hermite columns C, the product of pivots."""
+        return prod(col[i] for i, col in enumerate(self.columns))
+
     def covolume(self):
         """|det| of the canonical basis (product of pivots)."""
-        pivots = prod(col[i] for i, col in enumerate(self.columns))
-        return Fraction(pivots, self.denominator**self.ambient)
+        return ratio(self._pivot_product(), self.denominator**self.ambient)
 
     # -- predicates --------------------------------------------------
 
@@ -205,7 +235,7 @@ class Lattice:
         ints / e, as integer columns over P·e, P = det C the pivot product:
         P·C⁻¹ = adj C is integral, so hermite_coords always finds them."""
         cols, rows = self.columns, range(self.ambient)
-        pv = prod(col[i] for i, col in enumerate(cols))
+        pv = self._pivot_product()
         out = [hermite_coords([pv * self.denominator * x for x in w], cols, rows) for w in ints]
         assert None not in out, "adj C of an integral C is integral"
         return out, pv * e
@@ -236,10 +266,11 @@ class Lattice:
         sup._check_compatible(self)
         if not sup.contains(self):
             raise LatticeError("index: sub is not contained in sup")
-        q = abs(self.covolume() / sup.covolume())
+        n = self.ambient
+        q = ratio(self._pivot_product() * sup.denominator**n, sup._pivot_product() * self.denominator**n)
         if self.prime is None:
             assert q.denominator == 1
-            return int(q)
+            return q
         return self.prime ** vp(q, self.prime)
 
     def apply(self, matrix):
@@ -286,7 +317,7 @@ class Lattice:
         except ValueError:
             raise LatticeError("Zp must be an integer, not %s" % json.dumps(ring["Zp"]))
         try:
-            rows = [[Fraction(x) for x in row] for row in basis]
+            rows = [[_entry(x) for x in row] for row in basis]
         except ZeroDivisionError:
             raise LatticeError("basis entry with a zero denominator")
         if len({len(row) for row in rows}) > 1:
@@ -320,7 +351,7 @@ class ElementaryDivisors:
     def __init__(self, divisors):
         divs = tuple(F(d) for d in divisors)
         for a, b in zip(divs, divs[1:]):
-            if (b / a).denominator != 1:
+            if ratio(b, a).denominator != 1:
                 raise LatticeError("divisibility chain violated")
         object.__setattr__(self, "divisors", divs)
 
@@ -347,7 +378,7 @@ def snf(rows):
     cols = list(zip(*rows)) if rows else []
     ints, d = clear_denominators(cols)
     divs = snf_diagonal([list(r) for r in zip(*ints)]) if ints else []
-    return ElementaryDivisors([Fraction(x, d) for x in divs])
+    return ElementaryDivisors([ratio(x, d) for x in divs])
 
 
 def transporter(gens, src, dst):
@@ -486,7 +517,7 @@ class ZSpan:
 
     @property
     def basis(self):
-        return tuple(tuple(Fraction(x, self.denominator) for x in c) for c in self.columns)
+        return tuple(tuple(ratio(x, self.denominator) for x in c) for c in self.columns)
 
     def member(self, v):
         (w,), e = clear_denominators([v])

@@ -17,8 +17,10 @@ on them; so the orbit report searches that box and counts the lattices
 of the sandwich by Birkhoff's formula, without listing them.
 """
 
+from math import lcm
+
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import F, identity, mat_scale, mat_vec
+from latmod.matrixops import F, clear_denominators, identity, mat_scale, mat_vec
 from latmod.reps import down_step, lattice_generators, weights_down
 
 
@@ -64,29 +66,40 @@ def unit_edge(rep, prime=None):
 def _block_lattices(rep, psi, top, sign, scales):
     """Block lattices of the psi-component, walked down the weights: top
     at psi, and at each lower chi the span of the images under
-    scales[a]·down_step a of the lattices at chi + a."""
+    scales[a]·down_step a of the lattices at chi + a, taken on their
+    integer columns over the least common multiple d of their
+    denominators."""
     blocks = {psi: top}
     for chi, _ in weights_down(rep, psi)[1:]:
-        gens = []
+        above = []
         for a in rep.cb.rs.simple:
-            above = blocks.get(tuple(x + y for x, y in zip(chi, a)))
-            if above is not None:
-                step = mat_scale(scales[a], down_step(rep, psi, a, chi, sign))
-                gens.extend(mat_vec(step, col) for col in above.basis)
-        blocks[chi] = Lattice(gens, top.prime, ambient=len(rep.block(psi, chi)))
+            lat = blocks.get(tuple(x + y for x, y in zip(chi, a)))
+            if lat is not None:
+                above.append((a, lat))
+        d = lcm(*(lat.denominator for _, lat in above))
+        gens = []
+        for a, lat in above:
+            step = mat_scale(scales[a] * (d // lat.denominator), down_step(rep, psi, a, chi, sign))
+            gens.extend(mat_vec(step, col) for col in lat.columns)
+        ints, e = clear_denominators(gens)
+        blocks[chi] = Lattice.from_integers(ints, e * d, top.prime, len(rep.block(psi, chi)))
     return blocks
 
 
 def _from_blocks(rep, prime, blocks):
-    """The lattice of Q^dim that is blocks[(psi, chi)] on each block."""
+    """The lattice of Q^dim that is blocks[(psi, chi)] on each block, on
+    their integer columns over the least common multiple d of their
+    denominators."""
+    d = lcm(*(lat.denominator for lat in blocks.values()))
     gens = []
     for (psi, chi), lat in blocks.items():
-        for col in lat.basis:
+        q = d // lat.denominator
+        for col in lat.columns:
             v = [0] * rep.dim
             for i, x in zip(rep.block(psi, chi), col):
-                v[i] = x
+                v[i] = q * x
             gens.append(v)
-    return Lattice(gens, prime, ambient=rep.dim)
+    return Lattice.from_integers(gens, d, prime, rep.dim)
 
 
 def s_minus(rep, edge):
@@ -276,11 +289,15 @@ def _valuations(lat):
 
 
 def _diagonal(v, p):
-    """The lattice ⊕ p^(v_i)·Z_(p)·e_i."""
+    """The lattice ⊕ p^(v_i)·Z_(p)·e_i.  Its columns p^(v_i + s)·e_i over
+    p^s, s = max(0, −min v), are its canonical pair as they stand, so no
+    Hermite form is run: the local Hermite form of a diagonal of p-powers
+    is itself, and p^s is the least scale, as s > 0 only when some
+    v_i + s is 0."""
     s = max(0, -min(v))
     n = len(v)
     cols = [[p ** (x + s) if r == i else 0 for r in range(n)] for i, x in enumerate(v)]
-    return Lattice.from_integers(cols, p**s, p, n)
+    return Lattice.from_canonical(p**s, cols, p, n)
 
 
 def _invariant_valuations(rep, p, box):

@@ -1,30 +1,42 @@
 """Small exact linear algebra helpers over the rationals.
 
+Every value the helpers return is canonical: an integral value is an
+int, and a Fraction is left only for a value that is not integral.  F
+makes a scalar so and canonical a sparse matrix; ratio is the one exact
+quotient, and fractions is imported inside it (and inside F, for input
+that is neither an int nor a Fraction) the first time a quotient is not
+integral, so work on integral values never imports it.
+
 Dense matrices are tuples of rows, dense vectors tuples; the dense
-products and the eliminations return Fraction entries, also for integer
-input, and the products skip zero entries.  rref gives mat_inv and
-nullspace.  Sparse matrices are {(i, j): entry}, sparse vectors {i:
-entry} over ints or index tuples, zeros left out; their entries are
-canonical: an integral entry is an int and a Fraction is left only where
-the entry is not integral (canonical makes a sparse matrix so, and ratio
-is the one division).  The sparse products (sparse_bracket,
-tensor_mat_vec) sum from 0, so on integer input they stay in ints.
-tensor_mat_vec applies a matrix through its column index on each factor
-of a tensor product, at the cost of the vector's support.  QSpan holds
-sparse vectors, each echelon row with its combination of the vectors
-inserted, all canonical, so coordinates in a basis are one reduction per
-vector; coordinate_solver reads dense columns through it.
+products skip zero entries.  The eliminations are fraction-free:
+_echelon keeps integer rows, each a multiple of the matching row of the
+reduced row echelon form, and rref, nullspace and mat_inv divide only
+at the end, through ratio; kernel_rays gives integer vectors on the
+rays of nullspace.  Sparse matrices are {(i, j): entry}, sparse vectors
+{i: entry} over ints or index tuples, zeros left out.  The sparse
+products (sparse_bracket, tensor_mat_vec) sum from 0, so on integer
+input they stay in ints.  tensor_mat_vec applies a matrix through its
+column index on each factor of a tensor product, at the cost of the
+vector's support.  QSpan holds sparse vectors as integer echelon rows,
+each with its integer combination of the vectors inserted, so
+coordinates in a basis are one reduction per vector; coordinate_solver
+reads dense columns through it.
 """
 
-from fractions import Fraction
+from bisect import insort
 from math import gcd, lcm
 
 
-_ZERO = Fraction(0)
-
-
 def F(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a canonical exact value: x itself when it is an int or a
+    non-integral Fraction, its numerator when it is integral; any other
+    x is read by Fraction first."""
+    try:
+        return x.numerator if x.denominator == 1 else x
+    except AttributeError:
+        from fractions import Fraction
+
+        return F(Fraction(x))
 
 
 def clear_denominators(vectors):
@@ -44,10 +56,11 @@ def canonical(m):
 
 def ratio(a, b):
     """a/b exactly, canonical: an int when it is integral.  Between ints
-    `/` would give a float, so every quotient of the sparse helpers is
-    taken here."""
+    `/` would give a float, so every quotient in latmod is taken here."""
     if type(a) is int and type(b) is int and not a % b:
         return a // b
+    from fractions import Fraction
+
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
 
@@ -70,16 +83,15 @@ def mat(rows):
 
 
 def identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(F(x - y) if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a):
-    c = F(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(F(c * x) for x in row) for row in a)
 
 
 def mat_mul(a, b):
@@ -89,12 +101,12 @@ def mat_mul(a, b):
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [_ZERO] * nc
+        acc = [0] * nc
         for x, nonzero in zip(row, b_nonzero):
             if x:
                 for j, y in nonzero:
                     acc[j] += x * y
-        out.append(tuple(acc))
+        out.append(tuple(map(F, acc)))
     return tuple(out)
 
 
@@ -103,12 +115,12 @@ def mat_vec(a, v):
     nonzero = [(j, y) for j, y in enumerate(v) if y]
     out = []
     for row in a:
-        s = _ZERO
+        s = 0
         for j, y in nonzero:
             x = row[j]
             if x:
                 s += x * y
-        out.append(s)
+        out.append(F(s))
     return tuple(out)
 
 
@@ -161,61 +173,109 @@ def sparse_bracket(a, b):
 
 
 def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
+    return F(sum(a[i][i] for i in range(len(a))))
 
 
 def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def rref(a):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [[F(x) for x in row] for row in a]
+def _echelon(a):
+    """Fraction-free Gauss–Jordan elimination of the rows of a: (rows,
+    pivot columns), the rows integer lists, zero at every pivot but their
+    own, the nonzero rows first.  Each row is a nonzero multiple of the
+    matching row of the reduced row echelon form (which is row / row[its
+    pivot]): an eliminated row is cross-multiplied with the pivot row and
+    divided by its content, so the zero pattern, and with it every choice
+    of pivot, is the one of the reduction over Q."""
+    m, _ = clear_denominators(a)
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        top = m[r]
+        pv = top[c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                row = [s * x - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return tuple(tuple(row) for row in m), pivots
+    return m, pivots
+
+
+def rref(a):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    m, pivots = _echelon(a)
+    red = [tuple(ratio(x, row[c]) for x in row) for row, c in zip(m, pivots)]
+    return tuple(red + [tuple(row) for row in m[len(pivots) :]]), pivots
+
+
+def scaled_inverse(a):
+    """(d, the rows of d·a⁻¹) for the square a, d the least integer making
+    them integral, from the echelon form of [a | I] without a quotient:
+    its row i over its pivot is row i of [I | a⁻¹].  Raises
+    ZeroDivisionError if a is singular."""
+    n = len(a)
+    m, pivots = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    lowest = []
+    for i, row in enumerate(m):
+        # Row i of a⁻¹ is row[n:] / row[i], in lowest terms over their content g.
+        g = gcd(row[i], *row[n:])
+        lowest.append((row[i] // g, [x // g for x in row[n:]]))
+    d = lcm(*(p for p, _ in lowest))
+    return d, tuple(tuple(x * (d // p) for x in row) for p, row in lowest)
 
 
 def mat_inv(a):
-    """Inverse as the right half of rref([a | I]); raises
+    """Inverse, the rows of scaled_inverse over its d; raises
     ZeroDivisionError if singular."""
-    n = len(a)
-    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return tuple(row[n:] for row in red)
+    d, rows = scaled_inverse(a)
+    return tuple(tuple(ratio(x, d) for x in row) for row in rows)
+
+
+def _kernel(a):
+    """[(free column c, integer kernel vector v with v[c] > 0), ...], one
+    per free column of the echelon form: the rays of nullspace(a)."""
+    nc = len(a[0]) if a else 0
+    m, pivots = _echelon(a)
+    out = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        hits = [(pc, row[fc], row[pc]) for row, pc in zip(m, pivots) if row[fc]]
+        scale = lcm(*(p for _, _, p in hits))
+        v = [0] * nc
+        v[fc] = scale
+        for pc, x, p in hits:
+            v[pc] = -x * (scale // p)
+        out.append((fc, v))
+    return out
 
 
 def nullspace(a):
-    """Basis of the right kernel, as a tuple of vectors."""
-    nc = len(a[0]) if a else 0
-    red, pivots = rref(a)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
+    """Basis of the right kernel, as a tuple of vectors: the one with 1 at
+    each free column of rref(a) and 0 at the others."""
+    return tuple(tuple(ratio(x, v[fc]) for x in v) for fc, v in _kernel(a))
+
+
+def kernel_rays(a):
+    """Integer vectors on the rays of nullspace(a), in its order, made
+    without a quotient."""
+    return [tuple(v) for _, v in _kernel(a)]
 
 
 def coordinate_solver(cols):
@@ -237,45 +297,70 @@ def coordinate_solver(cols):
 
 class QSpan:
     """Growable Q-subspace of Q^n, spanned by sparse vectors {index:
-    entry}, with echelon membership tests.
+    entry}, with echelon membership tests, fraction-free.
 
-    Each echelon row is kept sparse (zero before its pivot and 1 at it)
-    with its combination of the vectors that grew the span ({k:
-    coefficient} in their insertion order), so the coordinates of a
-    vector in that basis come from one reduction.  Rows, combinations and
-    coordinates are canonical (integral entries are ints).
+    The k-th vector u_k that grew the span is kept as its scale e_k, the
+    least integer making U_k = e_k·u_k integral.  Each echelon row is an
+    integer sparse vector R, zero before its pivot, with its integer
+    combination K ({k: coefficient}), R = Σ K_k·U_k.  A vector is reduced
+    against the rows in pivot order; a row whose pivot does not divide
+    the vector's entry there is met by cross-multiplying, and the content
+    of the vector, its multiplier and its combination is then divided
+    out.  So the coordinates of a vector in the basis u come from one
+    reduction and one ratio per coordinate; they are canonical.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_pivots", "_scales")
 
     def __init__(self):
         self._rows = {}  # pivot index -> (echelon row, its combination)
+        self._pivots = []  # the pivot indices, sorted
+        self._scales = []  # e_k of each vector that grew the span
 
     def _reduce(self, v):
-        """v less the echelon rows it meets, in pivot order, and the
-        combination of the inserted vectors taken off."""
-        v = {i: x for i, x in v.items() if x}
-        taken = {}
-        for piv in sorted(self._rows):
-            f = v.get(piv)
-            if f:
-                row, comb = self._rows[piv]
-                for i, x in row.items():
-                    v[i] = v.get(i, 0) - f * x
-                for k, c in comb.items():
-                    taken[k] = taken.get(k, 0) + f * c
-        return canonical(v), canonical(taken)
+        """(a, m, t, e): a = m·e·v − Σ t_k·U_k, an integer vector zero at
+        every pivot of the span, zeros dropped; e is v's scale, m a
+        nonzero integer and t integral."""
+        e = lcm(*(x.denominator for x in v.values()))
+        a = {i: x.numerator * (e // x.denominator) for i, x in v.items() if x}
+        m, t = 1, {}
+        for piv in self._pivots:
+            f = a.get(piv)
+            if not f:
+                continue
+            row, comb = self._rows[piv]
+            p = row[piv]
+            if f % p:
+                g = gcd(f, p)
+                s, q = p // g, f // g
+                m *= s
+                a = {i: s * x for i, x in a.items()}
+                t = {k: s * c for k, c in t.items()}
+            else:
+                s, q = 1, f // p
+            for i, x in row.items():
+                a[i] = a.get(i, 0) - q * x
+            for k, c in comb.items():
+                t[k] = t.get(k, 0) + q * c
+            if s != 1:
+                g = gcd(m, *a.values(), *t.values())
+                if g > 1:
+                    m //= g
+                    a = {i: x // g for i, x in a.items()}
+                    t = {k: c // g for k, c in t.items()}
+        return {i: x for i, x in a.items() if x}, m, t, e
 
     def insert(self, v):
         """Add v to the span; returns True if the span grew."""
-        r, taken = self._reduce(v)
-        if not r:
+        a, m, t, e = self._reduce(v)
+        if not a:
             return False
-        piv = min(r)
-        pv = r[piv]
-        comb = {k: ratio(-c, pv) for k, c in taken.items()}
-        comb[self.rank] = ratio(1, pv)
-        self._rows[piv] = ({i: ratio(x, pv) for i, x in r.items()}, comb)
+        comb = {k: -c for k, c in t.items() if c}
+        comb[self.rank] = m
+        piv = min(a)
+        self._rows[piv] = (a, comb)
+        insort(self._pivots, piv)
+        self._scales.append(e)
         return True
 
     def contains(self, v):
@@ -284,8 +369,11 @@ class QSpan:
     def coords(self, v):
         """The sparse x with Σ x_k·u_k = v, u_k the vectors that grew the
         span in insertion order, or None when v lies outside the span."""
-        r, taken = self._reduce(v)
-        return None if r else taken
+        a, m, t, e = self._reduce(v)
+        if a:
+            return None
+        scales = self._scales
+        return {k: ratio(c * scales[k], m * e) for k, c in t.items() if c}
 
     @property
     def rank(self):

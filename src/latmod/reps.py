@@ -8,16 +8,19 @@ projections onto them are 0/1 diagonal matrices.
 
 Irreducibles are built inside tensor products of symmetric and exterior
 powers of the defining realization, kept as the list of factors: locate
-a highest-weight vector as a joint kernel of the raising operators in a
-weight space (the index tuples whose factor weights sum to it), then
-walk its cyclic span under the lowering operators once into one QSpan,
-whose coordinates read the action.  Matrices are sparse {(i, j): entry}
+a highest-weight vector as an integer ray of the joint kernel of the
+raising operators in a weight space (the index tuples whose factor
+weights sum to it; matrixops.kernel_rays), then walk its cyclic span
+under the lowering operators once into one fraction-free QSpan, whose
+coordinates read the action.  Matrices are sparse {(i, j): entry}
 on each factor, vectors sparse over index tuples, and every generator,
 in the powers too, acts through tensor_mat_vec: no matrix of the tensor
 ambient is built.  The generators, their powers, the walked vectors and
 the adapted action are canonical (matrixops.canonical): an integral entry
 is an int, and a Fraction is left only for a non-integral one, such as
-the 1/2 entries of type B, so almost all of the arithmetic is on ints.
+the 1/2 entries of type B or an entry 1/3 of the adapted action of
+C2 (2,1), so almost all of the arithmetic is on ints, and a
+representation whose entries are all integral makes no Fraction.
 Representation(cb, action, psi_of) checks a sparse adapted action, keeps
 it (sparse_action) and publishes it dense; adapt brings any sparse action
 to an adapted basis, and direct_sum and tensor_product read the sparse
@@ -35,9 +38,8 @@ from latmod.matrixops import (
     column_index,
     dense,
     identity,
-    mat,
+    kernel_rays,
     mat_vec,
-    nullspace,
     primitive,
     ratio,
     sparse_bracket,
@@ -114,7 +116,8 @@ def _ambient(factors):
 def _highest_weight_vectors(cb, columns, spaces, tops):
     """[(w, v), ...]: for each weight w of tops, in order, a basis of the
     joint kernel of the raising operators inside the weight-w space, as
-    sparse vectors v over index tuples."""
+    sparse integer vectors v over index tuples, each on the ray of a
+    vector of the reduced basis (matrixops.kernel_rays)."""
     out = []
     for w in tops:
         space = spaces.get(w, [])
@@ -123,7 +126,7 @@ def _highest_weight_vectors(cb, columns, spaces, tops):
             for k, a in enumerate(cb.rs.simple):
                 for r, x in tensor_mat_vec(columns[a], {t: 1}).items():
                     rows.setdefault((k, r), [0] * len(space))[n] = x
-        kernel = nullspace(mat(rows.values())) if rows else identity(len(space))
+        kernel = kernel_rays(list(rows.values())) if rows else identity(len(space))
         out.extend((w, {t: x for t, x in zip(space, kv) if x}) for kv in kernel)
     return out
 

@@ -6,34 +6,35 @@ sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
 the diagonal matrices form a split Cartan subalgebra.  Each root space is
 solved for on the one or two matrix positions of its weight; the coroot
 of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
-Root vectors are built recursively from the simple root spaces.  One
-solver on the Cartan matrix gives the simple-root coordinates of roots
-and weights alike (fund = C·m, read as one integer product with d·C⁻¹),
-for the height order here and for every walk down the weights of a
-representation.  The sparse generators, the bracket table and every
-structure constant are canonical (matrixops.canonical): ints where
-integral, a Fraction only for the 1/2 entries of type B, and every ratio
-is exact (matrixops.ratio).  Every Chevalley-set identity
+Root vectors are built recursively from the simple root spaces, each
+root space an integer kernel ray (matrixops.kernel_rays).  The Cartan
+inverse, taken once as d·C⁻¹ without a quotient
+(matrixops.scaled_inverse), gives the simple-root coordinates of roots
+and weights alike (fund = C·m, read as one integer product), for the
+height order here and for every walk down the weights of a
+representation.  The coroots, the sparse generators, the bracket table
+and every structure constant are canonical (matrixops.canonical): ints
+where integral, a Fraction only for the 1/2 entries of type B, and every
+ratio is exact (matrixops.ratio), so types A, C and D never import
+fractions.  Every Chevalley-set identity
 is verified eagerly at construction, on sparse matrices, and the
 verification records the coordinates of the bracket of every pair of
 basis elements as the bracket table, so a wrong structure constant
 cannot escape this module.
 """
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from latmod.matrixops import (
     F,
     canonical,
-    clear_denominators,
     coordinate_solver,
     dense,
     identity,
-    mat,
-    nullspace,
+    kernel_rays,
     primitive,
     ratio,
+    scaled_inverse,
     sparse_bracket,
 )
 
@@ -106,13 +107,9 @@ class RootSystem:
             tuple(_pairing(b, a) for b in self.simple_euclid) for a in self.simple_euclid
         )
         # fund = C·m for the simple-root coordinates m, so d·m = (d·C⁻¹)·fund
-        # with d·C⁻¹ integral: one elimination on the columns of C gives the
-        # columns of C⁻¹, and each weight costs one integer product.
-        on_cartan = coordinate_solver(tuple(zip(*self.cartan_matrix)))
-        inverse, self._cartan_den = clear_denominators(
-            [on_cartan(tuple(int(i == j) for i in range(n))) for j in range(n)]
-        )
-        self._cartan_inverse = tuple(zip(*inverse))  # the rows of d·C⁻¹
+        # with d·C⁻¹ integral: one fraction-free elimination gives d·C⁻¹,
+        # and each weight costs one integer product.
+        self._cartan_den, self._cartan_inverse = scaled_inverse(self.cartan_matrix)
         exp = {b: self.expansion(self.fund_coords(b)) for b in positive}
         self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
         self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
@@ -261,7 +258,7 @@ class ChevalleyBasis:
         # with kappa(h_alpha, ·) proportional to alpha and alpha(h_alpha)
         # = 2, is 2·alpha/(alpha, alpha).
         self._coroots = {
-            fund: tuple(Fraction(2 * c, _dot(b, b)) for c in b)
+            fund: tuple(ratio(2 * c, _dot(b, b)) for c in b)
             for fund, b in zip(rs.all_roots, rs.all_euclid)
         }
         self._h_coords = coordinate_solver([self._coroots[a] for a in rs.simple])
@@ -302,7 +299,7 @@ class ChevalleyBasis:
                         rows.setdefault((b, j), [0] * len(pos))[k] += v
                     if j == a:
                         rows.setdefault((i, b), [0] * len(pos))[k] += v
-            ker = nullspace(mat(rows.values())) if rows else identity(len(pos))
+            ker = kernel_rays(list(rows.values())) if rows else identity(len(pos))
             if len(ker) != 1:
                 raise AssertionError("root space dimension %d for %r" % (len(ker), beta))
             gens[fund] = primitive(dict(zip(pos, ker[0])))
@@ -329,7 +326,7 @@ class ChevalleyBasis:
                 beta = tuple(g - c for g, c in zip(gamma, a))
                 if beta in x:
                     r = rs.root_string_r(a, beta)
-                    x[gamma] = canonical(_scaled(Fraction(1, r + 1), sparse_bracket(x[a], x[beta])))
+                    x[gamma] = {p: ratio(v, r + 1) for p, v in sparse_bracket(x[a], x[beta]).items()}
                     break
             else:
                 raise AssertionError("no decomposition for %r" % (gamma,))
@@ -348,7 +345,7 @@ class ChevalleyBasis:
 
     def pairing(self, weight_fund, h_coords):
         """<weight, h> where h = sum c_i h_{alpha_i}."""
-        return sum(F(c) * w for c, w in zip(h_coords, weight_fund))
+        return F(sum(c * w for c, w in zip(h_coords, weight_fund)))
 
     def basis_order(self):
         """Keys of the Chevalley basis: all roots, then rank coroots."""
@@ -369,21 +366,21 @@ class ChevalleyBasis:
         out = {}
         for c, key in zip(coords, self.basis_order()):
             for p, x in self.sparse_action[key].items():
-                out[p] = out.get(p, 0) + F(c) * x
-        return dense(out, self.N)
+                out[p] = out.get(p, 0) + c * x
+        return dense(canonical(out), self.N)
 
     def ad(self, coords):
         """Matrix of ad(X) on the Chevalley basis, X = Σ coords_i·b_i:
         column j holds the coordinates of [X, b_j], read off the bracket
         table."""
         m = len(self.bracket_table)
-        out = [[Fraction(0)] * m for _ in range(m)]
+        out = [[0] * m for _ in range(m)]
         for c, row in zip(coords, self.bracket_table):
             if c:
                 for j, entry in enumerate(row):
                     for k, v in entry.items():
                         out[k][j] += c * v
-        return tuple(tuple(r) for r in out)
+        return tuple(tuple(map(F, r)) for r in out)
 
     def structure_constant(self, alpha, beta):
         """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}; roots by fund coords.

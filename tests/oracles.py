@@ -55,7 +55,6 @@ from latmod.latconstruct import (
     s_plus,
 )
 from latmod.matrixops import (
-    F,
     QSpan,
     bracket,
     clear_denominators,
@@ -71,6 +70,18 @@ from latmod.matrixops import (
     rref,
     sparse,
 )
+
+
+# The oracles compute in Fractions throughout, as the code they check did:
+# latmod's own helpers give an int for an integral value, and `/` between
+# ints is a float.
+F = Fraction
+
+
+def is_canonical(x):
+    """An int, or a Fraction that is not integral: never a float, never an
+    integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def is_prime_by_trial_division(n):
@@ -488,7 +499,7 @@ def subgroup_count_of_quotient(divisors):
 
 def scaling_equivalent(field, lat1, lat2):
     """Is lat2 = x·lat1 for some x in F*?"""
-    ratio = lat2.covolume() / lat1.covolume()
+    ratio = F(lat2.covolume()) / lat1.covolume()
     # Candidate multipliers lie in {y : y·lat1 ⊆ lat2} with N(y) = ratio.
     quot = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat1, lat2)
     # The norm form is positive definite, so Q(s,t) = ratio confines the
@@ -883,7 +894,7 @@ class ChevalleyBasisByNullspace:
             return Fraction(0)
         m = bracket(self.x[alpha], self.x[beta])
         xm = self.x[target]
-        return next(m[i][j] / xm[i][j] for i in range(self.N) for j in range(self.N) if xm[i][j] != 0)
+        return next(F(m[i][j]) / xm[i][j] for i in range(self.N) for j in range(self.N) if xm[i][j] != 0)
 
     def to_json_obj(self):
         def m2s(m):

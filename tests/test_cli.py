@@ -50,6 +50,21 @@ def test_lattice_dist_nontrivial(tmp_path, capsys):
     assert json.loads(out)["distance"] == 2
 
 
+def test_lattice_dist_refuses_a_lattice_over_another_prime(tmp_path, capsys):
+    # A Z_(3) lattice is not read as a Z_(2) one; a Z lattice is localised.
+    z3, z2, z = (tmp_path / name for name in ("z3.json", "z2.json", "z.json"))
+    z3.write_text(Lattice([[3, 0], [0, 1]], 3).to_json())
+    z2.write_text(Lattice([[1, 0], [0, 1]], 2).to_json())
+    z.write_text(Lattice([[4, 0], [0, 1]]).to_json())
+    for a, b in ((z3, z2), (z2, z3)):
+        code, out, err = run(["lattice", "dist", "--p", "2", "--a", str(a), "--b", str(b)], capsys)
+        flag = "--a" if a == z3 else "--b"
+        assert (code, out) == (1, "")
+        assert err == "error: %s is a lattice over Z_(3), not over Z_(2) as --p says\n" % flag
+    code, out, _ = run(["lattice", "dist", "--p", "2", "--a", str(z), "--b", str(z2)], capsys)
+    assert code == 0 and json.loads(out) == {"p": 2, "distance": 2}
+
+
 def test_sandwich(capsys):
     code, out, _ = run(
         ["sandwich", "--type", "A", "--rank", "1", "--hw", "2", "--p", "2"], capsys
@@ -618,6 +633,35 @@ def test_output_path_does_not_import_json():
     proc = run_child(["-c", NO_JSON])
     assert proc.stderr == "0 [False, False, False, False]"
     assert json.loads(proc.stdout)["dim"] == 8
+
+
+NO_FRACTIONS = """
+import os, sys
+import latmod.cli
+seen = []
+for argv in (
+    ["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1"],
+    ["rep", "build", "--type", "C", "--rank", "2", "--hw", "1,1"],
+    ["sandwich", "--type", "C", "--rank", "3", "--hw", "1,0,0", "--p", "2"],
+    ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "3"],
+    ["orbits", "--type", "C", "--rank", "2", "--hw", "0,1", "--p", "2"],
+    ["orbits", "--type", "A", "--rank", "2", "--hw", "2,0", "--p", "2"],
+):
+    seen.append([latmod.cli.main(argv + ["--out", os.devnull]), "fractions" in sys.modules])
+code = latmod.cli.main(["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"])
+seen.append([code, "fractions" in sys.modules])
+sys.stderr.write(repr(seen))
+"""
+
+
+def test_integral_requests_do_not_import_fractions():
+    # Types A, C and D compute on integral values only, so their requests
+    # never make a Fraction and never import fractions; the 1/2 entries of
+    # type B do, and B3 (1,0,0) still writes its golden output.
+    proc = run_child(["-c", NO_FRACTIONS])
+    assert proc.stderr == repr([[0, False]] * 6 + [[0, True]])
+    (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
+    assert proc.stdout == golden["stdout"]
 
 
 def dumps(obj):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmod import latconstruct
-from latmod.exact import Lattice, LatticeError, ZSpan, enumerate_between
+from latmod.exact import Lattice, LatticeError, ZSpan, _canonical, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
     _has_j_components,
@@ -557,6 +557,18 @@ def test_orbit_count_sym3_regression(a1_reps):
     assert (r2["sandwich_index"], r2["invariant"], r2["orbits"]) == (16, 3, 3)
     r3 = count_invariant_orbits(rep, unit_edge(rep, prime=3))
     assert (r3["sandwich_index"], r3["invariant"], r3["orbits"]) == (81, 4, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+def test_diagonal_representative_is_already_canonical(p, v):
+    # _diagonal takes its columns as they stand; the Hermite form gives
+    # the same canonical pair, so the lattice is the one from_integers
+    # builds and its valuations are v.
+    lat = latconstruct._diagonal(v, p)
+    assert (lat.denominator, [list(c) for c in lat.columns]) == _canonical(lat.columns, lat.denominator, len(v), p)
+    assert lat == Lattice.from_integers(lat.columns, lat.denominator, p, len(v))
+    assert latconstruct._valuations(lat) == v
 
 
 def test_orbit_report_schema(a1_reps):

@@ -1,10 +1,13 @@
 """Exact matrix helpers: the zero-skipping products, the sparse bracket
 and the Leibniz product on a tensor of factors against the dense
 products they replaced, the span coordinates against per-vector solve
-and the rref and mat_inv solver, mat_inv on rref against Gauss–Jordan,
-and Fraction results from integer input."""
+and the rref and mat_inv solver, mat_inv against Gauss–Jordan, the
+fraction-free kernel and inverse against nullspace and mat_inv, and
+canonical results: an int where a value is integral, a Fraction only
+where it is not."""
 
 import itertools
+import math
 from fractions import Fraction
 from math import prod
 
@@ -17,16 +20,18 @@ from latmod.matrixops import (
     bracket,
     column_index,
     coordinate_solver,
+    kernel_rays,
     mat_inv,
     mat_mul,
     mat_vec,
     nullspace,
     rref,
+    scaled_inverse,
     sparse,
     sparse_bracket,
     tensor_mat_vec,
 )
-from oracles import coordinate_solver_by_inverse, det, mat_inv_by_gauss_jordan, solve
+from oracles import coordinate_solver_by_inverse, det, is_canonical, mat_inv_by_gauss_jordan, solve
 
 
 def dense_mat_mul(a, b):
@@ -83,8 +88,14 @@ def matrix_vector_pairs(draw):
     return draw(matrices(n, k)), v
 
 
-def assert_all_fractions(m):
-    assert all(type(x) is Fraction for row in m for x in row)
+def assert_canonical(m):
+    assert all(is_canonical(x) for row in m for x in row)
+
+
+def exact_nonzero(x):
+    """The sparse products sum exactly from 0 and drop zeros; they do not
+    canonicalise, so a product of Fractions may be an integral one."""
+    return type(x) in (int, Fraction) and x
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,7 +104,7 @@ def test_mat_mul_matches_dense_product(pair):
     a, b = pair
     got = mat_mul(a, b)
     assert got == dense_mat_mul(a, b)
-    assert_all_fractions(got)
+    assert_canonical(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +113,7 @@ def test_mat_vec_matches_dense_product(pair):
     a, v = pair
     got = mat_vec(a, v)
     assert got == dense_mat_vec(a, v)
-    assert all(type(x) is Fraction for x in got)
+    assert all(map(is_canonical, got))
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,10 +122,10 @@ def test_bracket_matches_dense_bracket(pair):
     a, b = pair
     got = bracket(a, b)
     assert got == dense_bracket(a, b)
-    assert_all_fractions(got)
+    assert_canonical(got)
     sparse_got = sparse_bracket(sparse(a), sparse(b))
     assert sparse_got == sparse(got)
-    assert all(type(x) is Fraction and x for x in sparse_got.values())
+    assert all(map(exact_nonzero, sparse_got.values()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,18 +150,18 @@ def test_tensor_mat_vec_matches_dense_product(case):
     dense = tuple(tuple(leibniz(s, t) for t in tuples) for s in tuples)
     got = tensor_mat_vec([column_index(sparse(a)) for a in factors], {t: x for t, x in zip(tuples, v) if x})
     assert got == {t: x for t, x in zip(tuples, dense_mat_vec(dense, v)) if x}
-    assert all(type(x) is Fraction and x for x in got.values())
+    assert all(map(exact_nonzero, got.values()))
 
 
 def test_products_of_all_zero_and_empty_shapes():
     z = ((Fraction(0),) * 3,) * 2
     assert mat_mul(z, ((Fraction(1),) * 4,) * 3) == ((Fraction(0),) * 4,) * 2
-    assert_all_fractions(mat_mul(z, ((Fraction(1),) * 4,) * 3))
+    assert_canonical(mat_mul(z, ((Fraction(1),) * 4,) * 3))
     assert mat_mul(((), ()), ()) == ((), ())  # empty inner dimension
     assert mat_mul((), ((Fraction(1),),)) == ()
     assert mat_vec(z, (Fraction(1), 0, 2)) == (0, 0)
     assert mat_vec(((), ()), ()) == (Fraction(0), Fraction(0))
-    assert all(type(x) is Fraction for x in mat_vec(((), ()), ()))
+    assert all(type(x) is int for x in mat_vec(((), ()), ()))
 
 
 def test_integer_input_stays_exact():
@@ -160,16 +171,39 @@ def test_integer_input_stays_exact():
     assert det(((2, 1), (1, 3))) == 5 and type(det(((2, 1), (1, 3)))) is Fraction
     inv = mat_inv(((2, 1), (1, 3)))
     assert inv == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
-    assert_all_fractions(inv)
+    assert_canonical(inv)
+    assert scaled_inverse(((2, 1), (1, 3))) == (5, ((3, -1), (-1, 2)))
+    assert mat_inv(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    assert_canonical(mat_inv(((2, 1), (1, 1))))
     x = solve(((2, 1), (1, 3)), (1, 2))
     assert x == (Fraction(1, 5), Fraction(3, 5))
     assert all(type(t) is Fraction for t in x)
     red, pivots = rref(((2, 4, 1), (1, 3, 0)))
     assert pivots == [0, 1]
-    assert_all_fractions(red)
+    assert red == ((1, 0, Fraction(3, 2)), (0, 1, Fraction(-1, 2)))
+    assert_canonical(red)
     (k,) = nullspace(singular)
-    assert all(type(t) is Fraction for t in k)
+    assert all(map(is_canonical, k))
     assert mat_vec(singular, k) == (0, 0, 0)
+    assert kernel_rays(singular) == [k]
+    wide = ((2, 4, 1), (1, 3, 0))
+    assert nullspace(wide) == ((Fraction(-3, 2), Fraction(1, 2), 1),)
+    assert kernel_rays(wide) == [(-3, 1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda nr: st.integers(0, 6).flatmap(lambda nc: matrices(nr, nc))))
+def test_kernel_rays_lie_on_the_nullspace_rays(a):
+    # Each ray is an integer vector, a positive multiple of the matching
+    # nullspace vector, so it is zero under a and has the same primitive.
+    kernel = nullspace(a)
+    rays = kernel_rays(a)
+    assert len(rays) == len(kernel)
+    for v, k in zip(rays, kernel):
+        assert all(type(x) is int for x in v) and all(map(is_canonical, k))
+        (c,) = {Fraction(x) / y for x, y in zip(v, k) if y}
+        assert c > 0 and v == tuple(c * y for y in k)
+        assert not any(mat_vec(a, v))
 
 
 @st.composite
@@ -229,7 +263,7 @@ def test_span_coords_match_the_inverse_solver(case):
         sparse_x = span.coords(dict(enumerate(v)))
         assert sparse_x == (None if x is None else {k: t for k, t in enumerate(x) if t})
         assert (x is not None) == span.contains(dict(enumerate(v)))
-        assert x is None or all(type(t) is Fraction for t in x)
+        assert x is None or all(map(is_canonical, x))
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,7 +303,12 @@ def test_mat_inv_matches_gauss_jordan(a):
         return
     got = mat_inv(a)
     assert got == expected
-    assert_all_fractions(got)
+    assert_canonical(got)
+    d, rows = scaled_inverse(a)
+    assert rows == tuple(tuple(d * x for x in row) for row in expected)
+    assert all(type(x) is int for row in rows for x in row)
+    # d is the least common denominator of the inverse.
+    assert d == math.lcm(*(x.denominator for row in expected for x in row))
 
 
 def test_coordinate_solver_out_of_span_and_dependent_basis():

@@ -29,6 +29,7 @@ from oracles import (
     defining_raw,
     distinct_words,
     ext_power_raw,
+    is_canonical,
     lift,
     sym_power_raw,
     tensor_raw,
@@ -36,12 +37,6 @@ from oracles import (
     trivial_raw,
     word_products,
 )
-
-
-def is_canonical(x):
-    """An int, or a Fraction that is not integral: never a float, never an
-    integral Fraction."""
-    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def weyl_dim(cb, psi):

@@ -215,6 +215,8 @@ def class_orbit_count(disc):
     limit on |D| is checked first, as is_fundamental trial-divides up to
     sqrt|D|.
     """
+    if disc >= 0:
+        raise CaseStudyError("only negative discriminants (imaginary quadratic fields) are supported")
     _check_disc_limit(disc)
     if not is_fundamental(disc):
         raise CaseStudyError("class group of non-maximal orders out of scope")

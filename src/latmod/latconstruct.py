@@ -20,7 +20,7 @@ of the sandwich by Birkhoff's formula, without listing them.
 from math import lcm
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import F, clear_denominators, identity, mat_scale, mat_vec
+from latmod.matrixops import F, clear_denominators, dense, identity, mat_scale, mat_vec
 from latmod.reps import down_step, lattice_generators, weights_down
 
 
@@ -153,7 +153,7 @@ def split_hull(rep, lat):
 
 def is_invariant(rep, lat):
     """Is the lattice preserved by every Chevalley generator action?"""
-    return all(lat.stable_under(g) for g in lattice_generators(rep))
+    return all(lat.stable_under(dense(g, rep.dim)) for g in lattice_generators(rep))
 
 
 # -----------------------------------------------------------------------
@@ -311,16 +311,13 @@ def _invariant_valuations(rep, p, box):
     """
     bound = {}
     for g in lattice_generators(rep):
-        for r, row in enumerate(g):
-            for c, x in enumerate(row):
-                if not x:
-                    continue
-                w = vp(x, p)
-                if r == c:
-                    if w < 0:
-                        return
-                elif bound.get((r, c), w) >= w:
-                    bound[r, c] = w
+        for (r, c), x in g.items():
+            w = vp(x, p)
+            if r == c:
+                if w < 0:
+                    return
+            elif bound.get((r, c), w) >= w:
+                bound[r, c] = w
     graded = []
     for psi in rep.distinct_highest_weights():
         for chi, m in weights_down(rep, psi):

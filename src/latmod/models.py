@@ -17,7 +17,7 @@ from math import gcd, prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import F, clear_denominators, mat_mul, mat_vec, trace
+from latmod.matrixops import F, clear_denominators, dense, mat_mul, mat_vec, trace
 
 
 class ModelError(ValueError):
@@ -90,9 +90,9 @@ def lie_model(rep, lat):
     if lat.ambient != rep.dim:
         raise ModelError("lattice lives in the wrong space")
     gens = [rep.action[key] for key in cb.basis_order()]
-    if not any(x for g in gens for row in g for x in row):
+    if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")
-    return LieLattice(cb, transporter(gens, lat, lat))
+    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, lat))
 
 
 @lru_cache(maxsize=None)

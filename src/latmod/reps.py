@@ -21,12 +21,12 @@ is an int, and a Fraction is left only for a non-integral one, such as
 the 1/2 entries of type B or an entry 1/3 of the adapted action of
 C2 (2,1), so almost all of the arithmetic is on ints, and a
 representation whose entries are all integral makes no Fraction.
-Representation(cb, action, psi_of) checks a sparse adapted action, keeps
-it (sparse_action) and publishes it dense; adapt brings any sparse action
-to an adapted basis, and direct_sum and tensor_product read the sparse
-actions of their summands and factors.  The powers are built on sorted
-index tuples, so the symmetric power keeps the monomial basis (e1^k,
-e1^{k-1}e2, ...).
+Representation(cb, action, psi_of) checks a sparse adapted action and
+keeps it in that one form, made dense only when it is written out;
+adapt brings any sparse action to an adapted basis, and direct_sum and
+tensor_product read the actions of their summands and factors.  The
+powers are built on sorted index tuples, so the symmetric power keeps
+the monomial basis (e1^k, e1^{k-1}e2, ...).
 """
 
 import itertools
@@ -202,16 +202,16 @@ class Representation:
     """Weight-adapted representation of a Chevalley basis.
 
     action maps each generator key (root fund-coords tuple, or ("h", i))
-    to a dim×dim rational matrix, and sparse_action to the same matrix as
-    a canonical sparse matrix; weights[i] is the weight of basis vector
-    i; psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
-    basis indices of the chi-weight space of the psi-component.
-    Representation(cb, action, psi_of) takes the canonical sparse action
-    on an adapted basis (as _adapted reads it), checks that it is a
-    representation, and keeps it both sparse and as dense matrices.
+    to its dim×dim matrix as a canonical sparse matrix {(i, j): entry};
+    weights[i] is the weight of basis vector i; psi_of[i] names its
+    isotypic component; blocks[(psi, chi)] lists the basis indices of the
+    chi-weight space of the psi-component.  Representation(cb, action,
+    psi_of) takes the canonical sparse action on an adapted basis (as
+    _adapted reads it), checks that it is a representation, and keeps it;
+    to_json_obj alone makes its matrices dense.
     """
 
-    __slots__ = ("cb", "dim", "action", "sparse_action", "weights", "psi_of", "blocks", "highest_weights")
+    __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
 
     def __init__(self, cb, action, psi_of):
         dim = len(psi_of)
@@ -223,8 +223,7 @@ class Representation:
         hws = [psi for psi in sorted(set(psi_of), reverse=True) for _ in blocks[(psi, psi)]]
         self.cb = cb
         self.dim = dim
-        self.action = {key: dense(m, dim) for key, m in action.items()}
-        self.sparse_action = action
+        self.action = action
         self.weights = weights
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
@@ -245,7 +244,7 @@ class Representation:
         return {
             "dim": self.dim,
             "rootsystem": self.cb.rs.to_json_obj(),
-            "action": {key2s(k): [[str(x) for x in row] for row in v] for k, v in self.action.items()},
+            "action": {key2s(k): [[str(x) for x in row] for row in dense(v, self.dim)] for k, v in self.action.items()},
             "weights": [list(w) for w in self.weights],
             "highest_weights": [list(w) for w in self.highest_weights],
             "blocks": {
@@ -266,7 +265,7 @@ def build_irrep(cb, psi):
     rank = cb.rs.rank
     if len(psi) != rank or any(x < 0 for x in psi):
         raise RepError("highest weight must be a dominant integer vector")
-    defining = (cb.N, cb.sparse_action, _diagonal_weights(cb, cb.sparse_action, cb.N))
+    defining = (cb.N, cb.action, _diagonal_weights(cb, cb.action, cb.N))
     factors = [_power_raw(defining, psi[0])]
     for i in range(1, rank):
         if psi[i]:
@@ -306,7 +305,7 @@ def direct_sum(reps):
     action = {key: {} for key in reps[0].action}
     off = 0
     for r in reps:
-        for key, g in r.sparse_action.items():
+        for key, g in r.action.items():
             action[key].update(((i + off, j + off), x) for (i, j), x in g.items())
         off += r.dim
     return adapt(cb, action, off)
@@ -315,7 +314,7 @@ def direct_sum(reps):
 def tensor_product(r1, r2):
     if r1.cb is not r2.cb:
         raise RepError("tensor product requires a common Chevalley basis")
-    return _adapt(r1.cb, [(r.dim, r.sparse_action, r.weights) for r in (r1, r2)])
+    return _adapt(r1.cb, [(r.dim, r.action, r.weights) for r in (r1, r2)])
 
 
 def projector(rep, psi, chi):
@@ -348,9 +347,9 @@ def down_step(rep, psi, a, chi, sign):
     upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
     if sign < 0:
         g = rep.action[tuple(-x for x in a)]
-        return tuple(tuple(g[r][c] for c in upper) for r in lower)
+        return tuple(tuple(g.get((r, c), 0) for c in upper) for r in lower)
     g = rep.action[a]
-    return tuple(tuple(g[c][r] for c in upper) for r in lower)
+    return tuple(tuple(g.get((c, r), 0) for c in upper) for r in lower)
 
 
 def check_transition_surjectivity(rep, psi, chi, sign):
@@ -399,7 +398,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 
 
 def lattice_generators(rep):
-    """Action matrices of the generators of the Chevalley lattice: every
-    root vector, then the simple coroots h_i, the basis of the coroot
-    lattice (the simply connected form)."""
+    """Sparse action matrices of the generators of the Chevalley lattice:
+    every root vector, then the simple coroots h_i, the basis of the
+    coroot lattice (the simply connected form)."""
     return [rep.action[key] for key in rep.cb.basis_order()]

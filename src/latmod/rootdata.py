@@ -242,9 +242,10 @@ class ChevalleyBasis:
     Attributes:
       rs: the RootSystem
       N: matrix size of the defining realization
-      x: dict fund-coords -> N×N matrix
-      h: tuple of coroot matrices h_{alpha_i} for the simple roots
-      sparse_action: x and h as sparse matrices, keyed like Representation.action
+      action: the N×N matrices of the basis as canonical sparse matrices
+        {(i, j): entry}, keyed like Representation.action: x_alpha at the
+        fund coords of alpha, then the coroot h_{alpha_i} of each simple
+        root at ("h", i)
       bracket_table: bracket_table[i][j] = {k: c} with
         [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
@@ -333,9 +334,7 @@ class ChevalleyBasis:
         for gamma in rs.positive:
             neg = tuple(-c for c in gamma)
             x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
-        self.sparse_action = {**x, **{("h", i): self._h_sparse(a) for i, a in enumerate(rs.simple)}}
-        self.x = {a: dense(m, self.N) for a, m in x.items()}
-        self.h = tuple(dense(self.sparse_action["h", i], self.N) for i in range(rs.rank))
+        self.action = {**x, **{("h", i): self._h_sparse(a) for i, a in enumerate(rs.simple)}}
 
     # -- public API ----------------------------------------------------
 
@@ -352,7 +351,7 @@ class ChevalleyBasis:
         return list(self._basis_order) + [("h", i) for i in range(self.rs.rank)]
 
     def basis_matrices(self):
-        return [self.x[a] for a in self._basis_order] + list(self.h)
+        return [dense(self.action[key], self.N) for key in self.basis_order()]
 
     @cached_property
     def _coords(self):
@@ -365,7 +364,7 @@ class ChevalleyBasis:
     def from_coords(self, coords):
         out = {}
         for c, key in zip(coords, self.basis_order()):
-            for p, x in self.sparse_action[key].items():
+            for p, x in self.action[key].items():
                 out[p] = out.get(p, 0) + c * x
         return dense(canonical(out), self.N)
 
@@ -396,7 +395,7 @@ class ChevalleyBasis:
         record the bracket table they establish."""
         rs = self.rs
         ix = self._index
-        x = self.sparse_action
+        x = self.action
         h = [x[("h", i)] for i in range(rs.rank)]
         hix = [ix[("h", i)] for i in range(rs.rank)]
         table = [[{} for _ in ix] for _ in ix]
@@ -447,13 +446,13 @@ class ChevalleyBasis:
 
     def to_json_obj(self):
         def m2s(m):
-            return [[str(x) for x in row] for row in m]
+            return [[str(x) for x in row] for row in dense(m, self.N)]
 
         return {
             "rootsystem": self.rs.to_json_obj(),
             "defining_dim": self.N,
-            "x": {",".join(map(str, k)): m2s(v) for k, v in self.x.items()},
-            "h": [m2s(v) for v in self.h],
+            "x": {",".join(map(str, a)): m2s(self.action[a]) for a in self._basis_order},
+            "h": [m2s(self.action["h", i]) for i in range(self.rs.rank)],
         }
 
 

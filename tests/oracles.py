@@ -58,6 +58,7 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     clear_denominators,
+    dense,
     identity,
     mat,
     mat_inv,
@@ -70,12 +71,21 @@ from latmod.matrixops import (
     rref,
     sparse,
 )
+from latmod.rootdata import ChevalleyBasis
 
 
 # The oracles compute in Fractions throughout, as the code they check did:
 # latmod's own helpers give an int for an integral value, and `/` between
 # ints is a float.
 F = Fraction
+
+
+def dense_action(owner):
+    """The sparse action of a Representation or a ChevalleyBasis as dense
+    matrices, {key: matrixops.dense of its matrix}, for the tests and
+    oracles that read entries as g[i][j] or multiply dense matrices."""
+    n = owner.N if isinstance(owner, ChevalleyBasis) else owner.dim
+    return {key: dense(m, n) for key, m in owner.action.items()}
 
 
 def is_canonical(x):
@@ -202,10 +212,8 @@ def sub_action_by_solve(action, basis_cols):
 
 
 def defining_raw(cb):
-    action = dict(cb.x)
-    for i, hm in enumerate(cb.h):
-        action[("h", i)] = hm
-    weights = tuple(tuple(int(cb.h[i][k][k]) for i in range(cb.rs.rank)) for k in range(cb.N))
+    action = dense_action(cb)
+    weights = tuple(tuple(int(action["h", i][k][k]) for i in range(cb.rs.rank)) for k in range(cb.N))
     return (cb.N, action, weights)
 
 
@@ -985,10 +993,8 @@ def word_matrices(rep, degrees, sign, scales):
     """The action matrix of each word of each degree, in order: x_(a_k)···
     x_(a_1) for the word (a_1, ..., a_k) of simple roots (x_(-a) when sign
     < 0), times the product of scales[a_i]."""
-    gens = {
-        a: rep.action[a if sign > 0 else tuple(-x for x in a)]
-        for a in rep.cb.rs.simple
-    }
+    action = dense_action(rep)
+    gens = {a: action[a if sign > 0 else tuple(-x for x in a)] for a in rep.cb.rs.simple}
     words = (w for degree in degrees for w in words_of_degree(rep, degree))
     for word, prod in word_products(gens, words):
         c = Fraction(1)
@@ -1052,7 +1058,7 @@ def transition_by_words(rep, psi, chi, sign):
     rows_ix, cols_ix = (src, tgt) if sign > 0 else (tgt, src)
     target_dim = len(rows_ix) * len(cols_ix)
     span = QSpan()
-    for _, prod in word_products(rep.action, distinct_words(letters)):
+    for _, prod in word_products(dense_action(rep), distinct_words(letters)):
         span.insert(dict(enumerate(prod[r][c] for r in rows_ix for c in cols_ix)))
     return span.rank == target_dim, span.rank
 
@@ -1076,7 +1082,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
         raise LatticeError("sandwich is empty (construction bug)")
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
-    gens = reps.lattice_generators(rep)
+    gens = [dense(g, rep.dim) for g in reps.lattice_generators(rep)]
     invariant = []
     for m in mids:
         if not all(m.stable_under(g) for g in gens):

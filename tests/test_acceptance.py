@@ -24,6 +24,7 @@ from latmod.matrixops import bracket, mat_inv, mat_mul, mat_vec
 from latmod.models import lie_invariants, lie_model
 from latmod.reps import build_irrep, check_transition_surjectivity
 from latmod.rootdata import build_chevalley, killing_h
+from oracles import dense_action
 
 
 class _Budget:
@@ -73,17 +74,18 @@ def test_criterion_2_chevalley_suite():
         for label, rank in (("A", 1), ("A", 2), ("A", 3), ("C", 2)):
             cb = build_chevalley(label, rank)
             rs = cb.rs
+            mats = dense_action(cb)
             for a in rs.all_roots:
                 na = tuple(-x for x in a)
                 # [x_a, x_-a] = h_a
-                got = cb.coords_of(bracket(cb.x[a], cb.x[na]))
+                got = cb.coords_of(bracket(mats[a], mats[na]))
                 want = [Fraction(0)] * len(rs.all_roots) + list(
                     killing_h(rs, a)
                 )
                 assert list(got) == [Fraction(x) for x in want]
                 for b in rs.all_roots:
                     s = tuple(x + y for x, y in zip(a, b))
-                    br = bracket(cb.x[a], cb.x[b])
+                    br = bracket(mats[a], mats[b])
                     if rs.is_root(s):
                         c = cb.structure_constant(a, b)
                         r = rs.root_string_r(a, b)
@@ -142,8 +144,9 @@ def test_criterion_4_sandwich_suite():
             assert _has_j_components(rep, edge, hi)
             if lo.index_in(hi) > 2**12:
                 continue
-            lowering = [rep.action[tuple(-x for x in a)] for a in cb.rs.simple]
-            raising = [rep.action[a] for a in cb.rs.simple]
+            action = dense_action(rep)
+            lowering = [action[tuple(-x for x in a)] for a in cb.rs.simple]
+            raising = [action[a] for a in cb.rs.simple]
             for m in enumerate_between(lo, hi):
                 if not (is_split(rep, m) and _has_j_components(rep, edge, m)):
                     continue
@@ -228,10 +231,11 @@ def test_criterion_8_lie_model_suite():
             # Ad-equivariance under diagonal conjugation: act on V by the
             # image of diag(2,1), i.e. 2^a on each weight vector with
             # h-eigenvalue 2a - n.
-            n = max(rep.action[("h", 0)][i][i] for i in range(rep.dim))
+            h = dense_action(rep)["h", 0]
+            n = max(h[i][i] for i in range(rep.dim))
             g = [
                 [
-                    Fraction(2) ** int((n + rep.action[("h", 0)][i][i]) / 2)
+                    Fraction(2) ** int((n + h[i][i]) / 2)
                     if i == j
                     else Fraction(0)
                     for j in range(rep.dim)

@@ -240,6 +240,16 @@ def test_class_count_rejects_non_fundamental():
         class_orbit_count(-12)
 
 
+@pytest.mark.parametrize("disc", [5, 0])
+def test_class_count_rejects_non_negative_discriminants(disc):
+    # 5 is the fundamental discriminant of a real quadratic field, and 0
+    # of none: neither is an order out of scope, but a sign this module
+    # does not handle.
+    with pytest.raises(CaseStudyError, match="^only negative discriminants") as err:
+        class_orbit_count(disc)
+    assert "out of scope" not in str(err.value)
+
+
 # -- symmetric-square report --------------------------------------------------
 
 

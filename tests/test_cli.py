@@ -242,6 +242,13 @@ def test_nonfundamental_disc_exits_1(capsys):
     assert "out of scope" in err
 
 
+@pytest.mark.parametrize("disc", ["5", "0"])
+def test_non_negative_disc_exits_1(disc, capsys):
+    code, out, err = run(["case", "classgroup", "--disc", disc], capsys)
+    assert (code, out) == (1, "")
+    assert "only negative discriminants" in err and "out of scope" not in err
+
+
 def test_bad_prime_exits_1_before_building(monkeypatch, capsys):
     def fail(args):
         raise AssertionError("representation built before --p was checked")

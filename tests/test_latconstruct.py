@@ -30,7 +30,7 @@ from latmod.latconstruct import (
     subgroup_count,
     unit_edge,
 )
-from latmod.matrixops import mat_scale, mat_vec
+from latmod.matrixops import dense, mat_scale, mat_vec
 from latmod.reps import (
     build_irrep,
     check_transition_surjectivity,
@@ -43,6 +43,7 @@ from latmod.reps import (
 from latmod.rootdata import build_chevalley
 from oracles import (
     count_invariant_orbits_by_enumeration,
+    dense_action,
     s_minus_by_words,
     s_plus_by_words,
     shift_lattice_columns_by_inverse_cartan,
@@ -92,7 +93,7 @@ def test_u_span_single_generator(a1_reps):
     rep = a1_reps[1]
     edge = unit_edge(rep, prime=2)
     sp = u_span(rep, edge, +1, (1,))
-    e = rep.action[(2,)]
+    e = dense_action(rep)[(2,)]
     flat = tuple(e[r][c] for r in range(2) for c in range(2))
     assert sp.rank == 1 and sp.member(flat)
 
@@ -103,7 +104,7 @@ def test_u_span_square(a1_reps):
     sp = u_span(rep, edge, +1, (2,))
     from latmod.matrixops import mat_mul
 
-    e = rep.action[(2,)]
+    e = dense_action(rep)[(2,)]
     e2 = mat_mul(e, e)
     flat = tuple(e2[r][c] for r in range(3) for c in range(3))
     assert sp.rank == 1 and sp.member(flat)
@@ -137,7 +138,7 @@ def test_sandwich_membership_oracle(a1_reps):
     sp = s_plus(rep, edge)
     from latmod.matrixops import mat_mul
 
-    e = rep.action[(2,)]
+    e = dense_action(rep)[(2,)]
     e2 = mat_mul(e, e)
     for v in [
         (1, 0, 0),
@@ -194,8 +195,9 @@ def test_minimality_maximality_via_enumeration(a1_reps):
     edge = unit_edge(rep, prime=2)
     sm = s_minus(rep, edge)
     sp = s_plus(rep, edge)
-    lowering = [rep.action[(-2,)]]
-    raising = [rep.action[(2,)]]
+    action = dense_action(rep)
+    lowering = [action[(-2,)]]
+    raising = [action[(2,)]]
     from latmod.latconstruct import _has_j_components
 
     for m in enumerate_between(sm, sp):
@@ -302,10 +304,11 @@ def test_sandwich_properties_beyond_the_oracle():
         edge = unit_edge(rep, prime=2)
         lo, hi = s_minus(rep, edge), s_plus(rep, edge)
         assert hi.contains(lo)
+        action = dense_action(rep)
         for a in rep.cb.rs.simple:
-            lowering = rep.action[tuple(-x for x in a)]
+            lowering = action[tuple(-x for x in a)]
             assert lo.stable_under(mat_scale(edge.l_minus[a], lowering))
-            assert hi.stable_under(mat_scale(edge.l_plus[a], rep.action[a]))
+            assert hi.stable_under(mat_scale(edge.l_plus[a], action[a]))
         assert is_split(rep, lo) and is_split(rep, hi)
         assert _has_j_components(rep, edge, lo) and _has_j_components(rep, edge, hi)
     assert time.monotonic() - start < 10
@@ -316,7 +319,7 @@ def test_sandwich_properties_beyond_the_oracle():
 
 def one_step_hull(rep, lat):
     """lat plus its images under every Chevalley-lattice generator."""
-    images = [mat_vec(g, col) for g in lattice_generators(rep) for col in lat.basis]
+    images = [mat_vec(dense(g, rep.dim), col) for g in lattice_generators(rep) for col in lat.basis]
     return Lattice(list(lat.basis) + [v for v in images if any(v)], lat.prime)
 
 
@@ -477,6 +480,34 @@ def test_lattice_constructions_build_no_coordinate_solver(monkeypatch):
         for sign in (-1, 1):
             check_transition_surjectivity(rep, psi, lowest, sign)
     assert built == []
+
+
+def test_sandwich_and_orbit_paths_build_no_dense_grid(monkeypatch):
+    # The generator matrices have one form, sparse: building the
+    # representation, S₋, S₊ and the orbit report makes no dense matrix,
+    # and neither the Representation nor its ChevalleyBasis keeps a dense
+    # copy of its generators.
+    calls = []
+
+    def counting(m, n):
+        calls.append(n)
+        return dense(m, n)
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "latmod" and getattr(module, "dense", None) is dense:
+            monkeypatch.setattr(module, "dense", counting)
+            patched.append(name)
+    assert "latmod.reps" in patched
+    for t, r, hw, p in (("A", 1, (4,), 2), ("A", 2, (2, 0), 2), ("C", 2, (0, 1), 2), ("C", 3, (1, 0, 0), 2)):
+        rep = build_irrep(build_chevalley(t, r), hw)
+        edge = unit_edge(rep, prime=p)
+        s_minus(rep, edge)
+        s_plus(rep, edge)
+        count_invariant_orbits(rep, edge)
+        assert not hasattr(rep, "sparse_action"), (t, r, hw)
+        assert not hasattr(rep.cb, "x") and not hasattr(rep.cb, "h"), (t, r)
+    assert calls == []
 
 
 def test_orbit_count_trivial():

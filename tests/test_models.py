@@ -33,6 +33,7 @@ from latmod.reps import build_irrep
 from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
 from oracles import (
     bracket_closed_pairwise,
+    dense_action,
     product_echelon_by_fractions,
     tracked_membership_by_fractions,
 )
@@ -182,7 +183,8 @@ def test_lattice_coordinates_invert_no_fraction_basis(monkeypatch, a1):
     local = Lattice([[Fraction(1, 2), 0, 0], [1, 2, 0], [0, 3, 4]], 2)
     lat.dual()
     local.dual()
-    transporter([sym2.action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(1, 2)))
+    action = dense_action(sym2)
+    transporter([action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(1, 2)))
     distance(local, Lattice([[1, 0, 0], [0, 4, 0], [0, 0, 1]], 2))
     c2_lat = Lattice([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 1, 0, 4]])
     for rep, v in ((sym2, lat), (c2, c2_lat)):

@@ -27,6 +27,7 @@ from oracles import (
     build_irrep_by_conjugation,
     build_irrep_by_solve,
     defining_raw,
+    dense_action,
     distinct_words,
     ext_power_raw,
     is_canonical,
@@ -115,9 +116,10 @@ def test_homomorphism_property(sweep_reps):
     rep = sweep_reps[("C", 2, (0, 1))]
     cb = rep.cb
     mats = cb.basis_matrices()
+    action = dense_action(rep)
 
     def rho(m):
-        return lift(cb, rep.action, rep.dim, cb.coords_of(m))
+        return lift(cb, action, rep.dim, cb.coords_of(m))
 
     for a in mats[:4]:
         for b in mats[4:8]:
@@ -152,7 +154,7 @@ CONJUGATION_CASES = [
 
 
 def same_as_oracle(rep, old):
-    return (rep.action, rep.weights, rep.blocks, rep.highest_weights) == (
+    return (dense_action(rep), rep.weights, rep.blocks, rep.highest_weights) == (
         old["action"],
         old["weights"],
         old["blocks"],
@@ -177,8 +179,9 @@ def test_reducible_representation_matches_conjugation_oracle():
     cb = build_chevalley("A", 2)
     v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
     z = (Fraction(0),) * v.dim
-    plus = {key: tuple(row + z for row in g) + tuple(z + row for row in g) for key, g in v.action.items()}
-    _, times, _ = tensor_raw((v.dim, v.action, v.weights), (w.dim, w.action, w.weights))
+    va, wa = dense_action(v), dense_action(w)
+    plus = {key: tuple(row + z for row in g) + tuple(z + row for row in g) for key, g in va.items()}
+    _, times, _ = tensor_raw((v.dim, va, v.weights), (w.dim, wa, w.weights))
     for rep, action in ((direct_sum([v, v]), plus), (tensor_product(v, w), times)):
         assert same_as_oracle(rep, adapt_by_conjugation(cb, action)), rep.highest_weights
 
@@ -237,8 +240,9 @@ def test_build_irrep_constructs_one_representation(monkeypatch):
 
 
 def test_sums_and_products_densify_only_to_publish(monkeypatch):
-    # direct_sum and tensor_product build their actions sparse; the only
-    # dense matrices made are the published ones, one per generator.
+    # direct_sum and tensor_product build their actions sparse and make no
+    # dense matrix; to_json_obj makes the published ones, one per
+    # generator.
     cb = build_chevalley("A", 2)
     v, w = build_irrep(cb, (1, 0)), build_irrep(cb, (0, 1))
     dense = reps.dense
@@ -252,6 +256,8 @@ def test_sums_and_products_densify_only_to_publish(monkeypatch):
     for make in (lambda: direct_sum([v, w]), lambda: tensor_product(v, w)):
         calls.clear()
         rep = make()
+        assert calls == []
+        rep.to_json_obj()
         assert calls == [rep.dim] * len(rep.action)
 
 
@@ -301,13 +307,13 @@ def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
     cb = build_chevalley(t, r)
     rep = build_irrep(cb, hw)
     assert walked and len(received) == 1
-    generators = [x for m in cb.sparse_action.values() for x in m.values()]
+    generators = [x for m in cb.action.values() for x in m.values()]
     assert all(map(is_canonical, generators))
     assert any(type(x) is Fraction for x in generators) == (t == "B")
     assert all(is_canonical(x) for v in walked for x in v.values())
-    for action in received + [rep.sparse_action]:
+    for action in received + [rep.action]:
         assert all(is_canonical(x) and x for m in action.values() for x in m.values())
-    assert rep.sparse_action == {key: sparse(g) for key, g in rep.action.items()}
+    assert rep.action == {key: sparse(g) for key, g in dense_action(rep).items()}
 
 
 def test_build_irrep_indexes_only_its_factors(monkeypatch):
@@ -357,7 +363,7 @@ def test_sparse_powers_match_dense_builders(t, r):
     # tuple (s, t) at flattened index s·d₂ + t; Sym^0 is the trivial
     # representation.
     cb = build_chevalley(t, r)
-    defining = (cb.N, cb.sparse_action, reps._diagonal_weights(cb, cb.sparse_action, cb.N))
+    defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N))
     assert defining == sparse_raw(defining_raw(cb))
     assert reps._power_raw(defining, 0) == sparse_raw(trivial_raw(cb))
     sparse_powers = [reps._power_raw(defining, k) for k in (1, 2, 3)]
@@ -401,11 +407,12 @@ def test_a1_standard_and_sym2_matrices():
     assert std.weights == ((1,), (-1,))
     sym2 = build_irrep(cb, (2,))
     # Monomial basis e1^2, e1e2, e2^2: f acts by 2, then 1.
-    f = sym2.action[(-2,)]
+    action = dense_action(sym2)
+    f = action[(-2,)]
     assert f[1][0] == 2 and f[2][1] == 1
-    e = sym2.action[(2,)]
+    e = action[(2,)]
     assert e[0][1] == 1 and e[1][2] == 2
-    assert [sym2.action[("h", 0)][i][i] for i in range(3)] == [2, 0, -2]
+    assert [action[("h", 0)][i][i] for i in range(3)] == [2, 0, -2]
 
 
 def test_a2_adjoint_weight_multiplicity():
@@ -444,7 +451,7 @@ def test_tensor_decompose():
 def test_not_a_representation():
     cb = build_chevalley("A", 1)
     std = build_irrep(cb, (1,))
-    broken = dict(std.action)
+    broken = dense_action(std)
     broken[(2,)] = tuple(
         tuple(x + 1 for x in row) for row in broken[(2,)]
     )
@@ -480,11 +487,12 @@ def test_single_entry_change_is_not_a_representation():
     ):
         cb = build_chevalley(t, r)
         rep = build_irrep(cb, hw)
-        assert adapt(cb, sparse_action(rep.action), rep.dim).action == rep.action
+        action = dense_action(rep)
+        assert adapt(cb, sparse_action(action), rep.dim).action == rep.action
         rs = cb.rs
         for key in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
-            for i, j, value in single_entry_changes(rep.action[key]):
-                broken = dict(rep.action)
+            for i, j, value in single_entry_changes(action[key]):
+                broken = dict(action)
                 broken[key] = with_entry(broken[key], i, j, value)
                 with pytest.raises(RepError):
                     adapt(cb, sparse_action(broken), rep.dim)
@@ -496,11 +504,32 @@ def test_projector_properties(sweep_reps):
         p = projector(rep, psi, chi)
         assert mat_mul(p, p) == p
         for i in range(rep.cb.rs.rank):
-            h = rep.action[("h", i)]
+            h = dense_action(rep)[("h", i)]
             assert mat_mul(p, h) == mat_mul(h, p)
     # Invalid block: zero matrix, not an error.
     z = projector(rep, (1, 1), (9, 9))
     assert all(x == 0 for row in z for x in row)
+
+
+def test_down_step_is_the_block_of_the_dense_generator(sweep_reps):
+    # For every simple root a and both signs, down_step from the (psi,
+    # chi + a) block to the (psi, chi) block is the block of the dense
+    # x_(-a) (sign < 0), or the transposed block of the dense x_a from chi
+    # up (sign > 0); empty when chi + a is no weight of the component.
+    compared = 0
+    for (t, r, hw), rep in sweep_reps.items():
+        action = dense_action(rep)
+        for a in rep.cb.rs.simple:
+            lower_gen, raise_gen = action[tuple(-x for x in a)], action[a]
+            for psi, chi in rep.blocks:
+                lower = rep.block(psi, chi)
+                upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
+                down = tuple(tuple(lower_gen[i][j] for j in upper) for i in lower)
+                up = tuple(tuple(raise_gen[j][i] for j in upper) for i in lower)
+                assert reps.down_step(rep, psi, a, chi, -1) == down, (t, r, hw, a, chi)
+                assert reps.down_step(rep, psi, a, chi, +1) == up, (t, r, hw, a, chi)
+                compared += any(x for row in down for x in row)
+    assert compared > 0
 
 
 def test_transition_surjectivity_trivial_chi_equals_psi(sweep_reps):
@@ -558,13 +587,14 @@ def test_word_products_match_direct_products(sweep_reps):
     a, b = (tuple(-x for x in r) for r in rep.cb.rs.simple)
     words = list(distinct_words([a, a, b])) + [(), (b,), (a, b, a, a)]
     # Reversed, words arrive before their prefixes and share fewer of them.
+    action = dense_action(rep)
     for order in (words, words[::-1]):
-        got = list(word_products(rep.action, order))
+        got = list(word_products(action, order))
         assert [w for w, _ in got] == order
         for word, prod in got:
             direct = identity(rep.dim)
             for key in word:
-                direct = mat_mul(rep.action[key], direct)
+                direct = mat_mul(action[key], direct)
             assert prod == direct
 
 

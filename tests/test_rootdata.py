@@ -23,7 +23,7 @@ from latmod.rootdata import (
     build_root_system,
     killing_h,
 )
-from oracles import ChevalleyBasisByNullspace, root_data_by_fraction_dot
+from oracles import ChevalleyBasisByNullspace, dense_action, root_data_by_fraction_dot
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -147,10 +147,11 @@ def test_a1_chevalley_matrices():
     e12 = ((0, 1), (0, 0))
     e21 = ((0, 0), (1, 0))
     h = ((1, 0), (0, -1))
-    assert tuple(tuple(int(x) for x in row) for row in cb.x[alpha]) == e12
-    assert tuple(tuple(int(x) for x in row) for row in cb.x[(-2,)]) == e21
-    assert tuple(tuple(int(x) for x in row) for row in cb.h[0]) == h
-    assert bracket(cb.x[alpha], cb.x[(-2,)]) == cb.h[0]
+    x = dense_action(cb)
+    assert tuple(tuple(int(v) for v in row) for row in x[alpha]) == e12
+    assert tuple(tuple(int(v) for v in row) for row in x[(-2,)]) == e21
+    assert tuple(tuple(int(v) for v in row) for row in x["h", 0]) == h
+    assert bracket(x[alpha], x[(-2,)]) == x["h", 0]
 
 
 def test_a2_simple_bracket_unit_constant():
@@ -243,15 +244,16 @@ def test_verify_catches_single_entry_change():
     for t, r in (("B", 3), ("C", 2), ("A", 3), ("D", 4)):
         cb = build_chevalley(t, r)
         rs = cb.rs
+        action = dense_action(cb)
         for alpha in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
-            xm = cb.x[alpha]
+            xm = action[alpha]
             off = [(i, j) for i in range(cb.N) for j in range(cb.N) if i != j]
             i, j = [ij for ij in off if xm[ij[0]][ij[1]]][0]
             k, l = [ij for ij in off if not xm[ij[0]][ij[1]]][-1]
             for changed in (with_entry(xm, i, j, xm[i][j] + 1), with_entry(xm, k, l, Fraction(1))):
                 broken = copy.copy(cb)
-                broken.sparse_action = dict(cb.sparse_action)
-                broken.sparse_action[alpha] = sparse(changed)
+                broken.action = dict(cb.action)
+                broken.action[alpha] = sparse(changed)
                 with pytest.raises(AssertionError):
                     broken._verify()
         cb._verify()
@@ -262,7 +264,7 @@ def test_coords_of_rejects_one_entry_off_the_algebra():
     # change of an element leaves the algebra.
     cb = build_chevalley("B", 3)
     dense = cb.from_coords([1] * len(cb.basis_order()))
-    for m in (cb.x[cb.rs.simple[0]], dense):
+    for m in (dense_action(cb)[cb.rs.simple[0]], dense):
         assert cb.coords_of(m) is not None
         for i in range(cb.N):
             for j in range(cb.N):

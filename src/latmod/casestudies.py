@@ -18,7 +18,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 from latmod.exact import Lattice, transporter, vp
 from latmod.matrixops import F, mat, ratio
@@ -50,11 +49,6 @@ DISC_LIMIT = 10**5
 # -----------------------------------------------------------------------
 
 
-def _check_disc_limit(disc):
-    if -disc > DISC_LIMIT:
-        raise CaseStudyError("|D| = %d exceeds the supported limit %d" % (-disc, DISC_LIMIT))
-
-
 def is_fundamental(disc):
     if disc >= 0:
         return False
@@ -84,9 +78,10 @@ class QuadField:
     def __init__(self, disc):
         if disc >= 0 or disc % 4 not in (0, 1):
             raise CaseStudyError("expected a negative discriminant = 0,1 mod 4")
-        _check_disc_limit(disc)
+        if -disc > DISC_LIMIT:
+            raise CaseStudyError("|D| = %d exceeds the supported limit %d" % (-disc, DISC_LIMIT))
         object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "_c", Fraction(disc - disc * disc, 4))
+        object.__setattr__(self, "_c", (disc - disc * disc) // 4)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadField is immutable")
@@ -211,16 +206,16 @@ def class_orbit_count(disc):
 
     The multiplier ring of a nonzero ideal I is an order (x·I ⊆ I makes x
     integral: the determinant trick on a basis of I) containing O_F, so it
-    is O_F; it is still computed, and any other ring fails loudly.  The
-    limit on |D| is checked first, as is_fundamental trial-divides up to
-    sqrt|D|.
+    is O_F; it is still computed, and any other ring fails loudly.
+    QuadField checks D mod 4 (D = 2, 3 mod 4 is the discriminant of no
+    order) and the limit on |D| first, as is_fundamental trial-divides up
+    to sqrt|D|.
     """
     if disc >= 0:
         raise CaseStudyError("only negative discriminants (imaginary quadratic fields) are supported")
-    _check_disc_limit(disc)
+    field = QuadField(disc)
     if not is_fundamental(disc):
         raise CaseStudyError("class group of non-maximal orders out of scope")
-    field = QuadField(disc)
     maximal = Lattice([[1, 0], [0, 1]])
     bound = field.minkowski_bound()
     classes = {}
@@ -301,11 +296,11 @@ def pgl2_sym2_report():
     det_s = {}
     for perm in itertools.permutations(range(3)):
         inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-        term = {(0, 0, 0, 0): Fraction((-1) ** inversions)}
+        term = {(0, 0, 0, 0): (-1) ** inversions}
         for i, j in enumerate(perm):
             term = poly_mul(term, s[i][j])
         det_s = poly_add(det_s, term)
-    det_g = {(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): Fraction(-1)}
+    det_g = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}
     cube = poly_mul(det_g, poly_mul(det_g, det_g))
     diff = poly_add(det_s, {e: -c for e, c in cube.items()})
     witness = poly_str(diff) if diff else None

@@ -8,19 +8,23 @@ that is neither an int nor a Fraction) the first time a quotient is not
 integral, so work on integral values never imports it.
 
 Dense matrices are tuples of rows, dense vectors tuples; the dense
-products skip zero entries.  The eliminations are fraction-free:
-_echelon keeps integer rows, each a multiple of the matching row of the
-reduced row echelon form, and rref, nullspace and mat_inv divide only
-at the end, through ratio; kernel_rays gives integer vectors on the
-rays of nullspace.  Sparse matrices are {(i, j): entry}, sparse vectors
-{i: entry} over ints or index tuples, zeros left out.  The sparse
-products (sparse_bracket, tensor_mat_vec) sum from 0, so on integer
-input they stay in ints.  tensor_mat_vec applies a matrix through its
-column index on each factor of a tensor product, at the cost of the
-vector's support.  QSpan holds sparse vectors as integer echelon rows,
-each with its integer combination of the vectors inserted, so
-coordinates in a basis are one reduction per vector; coordinate_solver
-reads dense columns through it.
+products skip zero entries.  Sparse matrices are {(i, j): entry}, sparse
+vectors {i: entry} over ints or index tuples, zeros left out.  The
+sparse products (sparse_bracket, tensor_mat_vec) sum from 0, so on
+integer input they stay in ints.  tensor_mat_vec applies a matrix
+through its column index on each factor of a tensor product, at the
+cost of the vector's support.
+
+QSpan is the one elimination, fraction-free: it holds sparse vectors as
+integer echelon rows, each with its integer combination of the vectors
+inserted, so the relation of a vector to the basis, and its coordinates,
+are one reduction per vector.  Every kernel, inverse and rref is read
+off it: relations gives the primitive integer relations among vectors
+(the rays of a nullspace), scaled_inverse d·a⁻¹ from the relations of
+the unit vectors to a's columns, and rref and mat_inv divide only at the
+end, through ratio; coordinate_solver reads dense columns through it.
+rref and mat_inv have no caller in src/: perfbench looks them up by
+name.
 """
 
 from bisect import insort
@@ -180,64 +184,57 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def _echelon(a):
-    """Fraction-free Gauss–Jordan elimination of the rows of a: (rows,
-    pivot columns), the rows integer lists, zero at every pivot but their
-    own, the nonzero rows first.  Each row is a nonzero multiple of the
-    matching row of the reduced row echelon form (which is row / row[its
-    pivot]): an eliminated row is cross-multiplied with the pivot row and
-    divided by its content, so the zero pattern, and with it every choice
-    of pivot, is the one of the reduction over Q."""
-    m, _ = clear_denominators(a)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
-        if piv is None:
+def relations(vectors):
+    """The integer relations among the sparse vectors, inserted in order
+    into one QSpan: for each vector j that does not grow the span, the
+    primitive {k: x} with Σ x_k·vectors[k] = 0, positive at j and zero
+    but at j and the earlier vectors that grew the span.  These are the
+    rays of nullspace of the matrix with these columns, and a zero
+    vector's relation is {j: 1}."""
+    span = QSpan()
+    grew = []
+    out = []
+    for j, v in enumerate(vectors):
+        if span.insert(v):
+            grew.append(j)
             continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        pv = top[c]
-        for i in range(nr):
-            f = m[i][c]
-            if i != r and f:
-                g = gcd(pv, f)
-                s, f = pv // g, f // g
-                row = [s * x - f * y for x, y in zip(m[i], top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
+        c, x = span.relation(v)
+        r = {grew[k]: -y for k, y in x.items()}
+        r[j] = c
+        g = gcd(*r.values())
+        if c < 0:
+            g = -g
+        out.append({k: r[k] // g for k in sorted(r)})
+    return out
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m, pivots = _echelon(a)
-    red = [tuple(ratio(x, row[c]) for x in row) for row, c in zip(m, pivots)]
-    return tuple(red + [tuple(row) for row in m[len(pivots) :]]), pivots
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).  The
+    pivot columns are those that grow the span of the columns before
+    them, and a free column's entries are its relation's at the pivots,
+    negated, over its own."""
+    nc = len(a[0]) if a else 0
+    free = {max(r): r for r in relations([dict(enumerate(col)) for col in zip(*a)])}
+    pivots = [j for j in range(nc) if j not in free]
+    red = tuple(
+        tuple(ratio(-free[j].get(p, 0), free[j][j]) if j in free else int(j == p) for j in range(nc))
+        for p in pivots
+    )
+    return red + ((0,) * nc,) * (len(a) - len(pivots)), pivots
 
 
 def scaled_inverse(a):
     """(d, the rows of d·a⁻¹) for the square a, d the least integer making
-    them integral, from the echelon form of [a | I] without a quotient:
-    its row i over its pivot is row i of [I | a⁻¹].  Raises
-    ZeroDivisionError if a is singular."""
+    them integral, without a quotient: after the columns of a, the unit
+    vector e_j has the primitive relation c·e_j = Σ x_k·a_k, so column j
+    of a⁻¹ is x/c in lowest terms.  Raises ZeroDivisionError if a is
+    singular."""
     n = len(a)
-    m, pivots = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
+    rels = relations([dict(enumerate(col)) for col in zip(*a)] + [{j: 1} for j in range(n)])
+    if any(max(r) < n for r in rels):
         raise ZeroDivisionError("singular matrix")
-    lowest = []
-    for i, row in enumerate(m):
-        # Row i of a⁻¹ is row[n:] / row[i], in lowest terms over their content g.
-        g = gcd(row[i], *row[n:])
-        lowest.append((row[i] // g, [x // g for x in row[n:]]))
-    d = lcm(*(p for p, _ in lowest))
-    return d, tuple(tuple(x * (d // p) for x in row) for p, row in lowest)
+    d = lcm(*(r[n + j] for j, r in enumerate(rels)))
+    return d, tuple(tuple(-r.get(i, 0) * (d // r[n + j]) for j, r in enumerate(rels)) for i in range(n))
 
 
 def mat_inv(a):
@@ -245,37 +242,6 @@ def mat_inv(a):
     ZeroDivisionError if singular."""
     d, rows = scaled_inverse(a)
     return tuple(tuple(ratio(x, d) for x in row) for row in rows)
-
-
-def _kernel(a):
-    """[(free column c, integer kernel vector v with v[c] > 0), ...], one
-    per free column of the echelon form: the rays of nullspace(a)."""
-    nc = len(a[0]) if a else 0
-    m, pivots = _echelon(a)
-    out = []
-    for fc in range(nc):
-        if fc in pivots:
-            continue
-        hits = [(pc, row[fc], row[pc]) for row, pc in zip(m, pivots) if row[fc]]
-        scale = lcm(*(p for _, _, p in hits))
-        v = [0] * nc
-        v[fc] = scale
-        for pc, x, p in hits:
-            v[pc] = -x * (scale // p)
-        out.append((fc, v))
-    return out
-
-
-def nullspace(a):
-    """Basis of the right kernel, as a tuple of vectors: the one with 1 at
-    each free column of rref(a) and 0 at the others."""
-    return tuple(tuple(ratio(x, v[fc]) for x in v) for fc, v in _kernel(a))
-
-
-def kernel_rays(a):
-    """Integer vectors on the rays of nullspace(a), in its order, made
-    without a quotient."""
-    return [tuple(v) for _, v in _kernel(a)]
 
 
 def coordinate_solver(cols):
@@ -366,14 +332,24 @@ class QSpan:
     def contains(self, v):
         return not self._reduce(v)[0]
 
-    def coords(self, v):
-        """The sparse x with Σ x_k·u_k = v, u_k the vectors that grew the
-        span in insertion order, or None when v lies outside the span."""
+    def relation(self, v):
+        """(c, x) with c·v = Σ x_k·u_k, u_k the vectors that grew the span
+        in insertion order, c a nonzero integer and x sparse and integral;
+        None when v lies outside the span."""
         a, m, t, e = self._reduce(v)
         if a:
             return None
         scales = self._scales
-        return {k: ratio(c * scales[k], m * e) for k, c in t.items() if c}
+        return m * e, {k: y * scales[k] for k, y in t.items() if y}
+
+    def coords(self, v):
+        """The sparse x with Σ x_k·u_k = v, or None when v lies outside the
+        span: the relation of v over its c."""
+        rel = self.relation(v)
+        if rel is None:
+            return None
+        c, x = rel
+        return {k: ratio(y, c) for k, y in x.items()}
 
     @property
     def rank(self):

@@ -10,14 +10,13 @@ reduced monomials, whose transform gives an explicit integral
 certificate for every positive answer.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import F, clear_denominators, dense, mat_mul, mat_vec, trace
+from latmod.matrixops import F, clear_denominators, dense, mat_mul, mat_vec, ratio, trace
 
 
 class ModelError(ValueError):
@@ -118,7 +117,7 @@ def lie_invariants(model):
     rows, den = model.bracket
     return {
         "killing_divisors": [str(d) for d in snf(g_lat)],
-        "bracket_divisors": [str(d) for d in snf([[Fraction(x, den) for x in r] for r in rows])],
+        "bracket_divisors": [str(d) for d in snf([[ratio(x, den) for x in r] for r in rows])],
     }
 
 
@@ -134,14 +133,14 @@ def poly_mul(a, b):
     for ea, ca in a.items():
         for eb, cb_ in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb_
+            out[e] = out.get(e, 0) + ca * cb_
     return {e: c for e, c in out.items() if c}
 
 
 def poly_add(a, b):
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
@@ -159,13 +158,13 @@ def poly_reduce_det(a):
         if e[0] > 0 and e[3] > 0:
             base = (e[0] - 1, e[1], e[2], e[3] - 1)
             for extra in (base, (base[0], base[1] + 1, base[2] + 1, base[3])):
-                cur = work.get(extra, Fraction(0)) + c
+                cur = work.get(extra, 0) + c
                 if cur:
                     work[extra] = cur
                 elif extra in work:
                     del work[extra]
         else:
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
@@ -220,10 +219,10 @@ def _sym2_symbolic():
     def v(i):
         e = [0, 0, 0, 0]
         e[i] = 1
-        return {tuple(e): Fraction(1)}
+        return {tuple(e): 1}
 
     a, b, c, d = v(0), v(1), v(2), v(3)
-    two = {(0, 0, 0, 0): Fraction(2)}
+    two = {(0, 0, 0, 0): 2}
     return (
         (poly_mul(a, a), poly_mul(a, b), poly_mul(b, b)),
         (
@@ -252,7 +251,7 @@ def hopf_generators(rep, lat):
             entry = {}
             for k in range(3):
                 for l in range(3):
-                    coef = Fraction(inv[k][i] * lat.columns[j][l], den * lat.denominator)
+                    coef = ratio(inv[k][i] * lat.columns[j][l], den * lat.denominator)
                     if coef:
                         entry = poly_add(entry, poly_scale(coef, s[k][l]))
             gens.append(entry)
@@ -267,8 +266,8 @@ def hopf_generators(rep, lat):
 def _monomial_products(gens, degree_bound):
     """All products of generators with reduced ambient degree within the
     bound, as (polynomial, multiset of generator indices)."""
-    out = [({(0, 0, 0, 0): Fraction(1)}, ())]
-    frontier = [({(0, 0, 0, 0): Fraction(1)}, ())]
+    out = [({(0, 0, 0, 0): 1}, ())]
+    frontier = [({(0, 0, 0, 0): 1}, ())]
     while frontier:
         nxt = []
         for poly, word in frontier:
@@ -334,14 +333,14 @@ def _tracked_membership(echelon, target, p):
     if x is None:
         return "outside", None
     scale = den * pivot_prod
-    coords = [Fraction(xk, scale) for xk in x]
+    coords = [ratio(xk, scale) for xk in x]
     if p is not None:
         bad = next((q for q in coords if q.denominator % p == 0), None)
         if bad is not None:
             return "excluded", bad
     n = len(ix)
     combo = [sum(xk * col[n + k] for xk, col in zip(x, cols)) for k in range(len(words))]
-    return "member", [(Fraction(c, scale), words[k]) for k, c in enumerate(combo) if c]
+    return "member", [(ratio(c, scale), words[k]) for k, c in enumerate(combo) if c]
 
 
 def order_equal_bounded(g1, g2, degree_bound, p):

@@ -10,9 +10,10 @@ Irreducibles are built inside tensor products of symmetric and exterior
 powers of the defining realization, kept as the list of factors: locate
 a highest-weight vector as an integer ray of the joint kernel of the
 raising operators in a weight space (the index tuples whose factor
-weights sum to it; matrixops.kernel_rays), then walk its cyclic span
-under the lowering operators once into one fraction-free QSpan, whose
-coordinates read the action.  Matrices are sparse {(i, j): entry}
+weights sum to it): an integer relation among the raising images of
+those tuples (matrixops.relations).  Then walk its cyclic span under the
+lowering operators once into one fraction-free QSpan, whose coordinates
+read the action.  Matrices are sparse {(i, j): entry}
 on each factor, vectors sparse over index tuples, and every generator,
 in the powers too, acts through tensor_mat_vec: no matrix of the tensor
 ambient is built.  The generators, their powers, the walked vectors and
@@ -38,10 +39,10 @@ from latmod.matrixops import (
     column_index,
     dense,
     identity,
-    kernel_rays,
     mat_vec,
     primitive,
     ratio,
+    relations,
     sparse_bracket,
     tensor_mat_vec,
 )
@@ -116,18 +117,17 @@ def _ambient(factors):
 def _highest_weight_vectors(cb, columns, spaces, tops):
     """[(w, v), ...]: for each weight w of tops, in order, a basis of the
     joint kernel of the raising operators inside the weight-w space, as
-    sparse integer vectors v over index tuples, each on the ray of a
-    vector of the reduced basis (matrixops.kernel_rays)."""
+    sparse integer vectors v over index tuples: the relations among the
+    raising images of the tuples of the space (matrixops.relations), on
+    the rays of the reduced basis."""
     out = []
     for w in tops:
         space = spaces.get(w, [])
-        rows = {}
-        for n, t in enumerate(space):
-            for k, a in enumerate(cb.rs.simple):
-                for r, x in tensor_mat_vec(columns[a], {t: 1}).items():
-                    rows.setdefault((k, r), [0] * len(space))[n] = x
-        kernel = kernel_rays(list(rows.values())) if rows else identity(len(space))
-        out.extend((w, {t: x for t, x in zip(space, kv) if x}) for kv in kernel)
+        images = [
+            {(k, r): x for k, a in enumerate(cb.rs.simple) for r, x in tensor_mat_vec(columns[a], {t: 1}).items()}
+            for t in space
+        ]
+        out.extend((w, {space[n]: x for n, x in rel.items()}) for rel in relations(images))
     return out
 
 

@@ -7,8 +7,9 @@ the diagonal matrices form a split Cartan subalgebra.  Each root space is
 solved for on the one or two matrix positions of its weight; the coroot
 of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
 Root vectors are built recursively from the simple root spaces, each
-root space an integer kernel ray (matrixops.kernel_rays).  The Cartan
-inverse, taken once as d·C⁻¹ without a quotient
+root space the one integer relation among the form equations of its
+matrix positions (matrixops.relations).  The Cartan inverse, taken once
+as d·C⁻¹ without a quotient from a QSpan of C's columns
 (matrixops.scaled_inverse), gives the simple-root coordinates of roots
 and weights alike (fund = C·m, read as one integer product), for the
 height order here and for every walk down the weights of a
@@ -30,10 +31,9 @@ from latmod.matrixops import (
     canonical,
     coordinate_solver,
     dense,
-    identity,
-    kernel_rays,
     primitive,
     ratio,
+    relations,
     scaled_inverse,
     sparse_bracket,
 )
@@ -292,18 +292,20 @@ class ChevalleyBasis:
         gens = {}
         for fund, beta in zip(rs.all_roots, rs.all_euclid):
             pos = positions[beta]
-            rows = {}
-            for k, (a, b) in enumerate(pos):
+            equations = []
+            for a, b in pos:
                 # X[a][b] enters (XᵀS)[b][j] with S[a][j], (SX)[i][b] with S[i][a].
+                eq = {}
                 for (i, j), v in s.items():
                     if i == a:
-                        rows.setdefault((b, j), [0] * len(pos))[k] += v
+                        eq[b, j] = eq.get((b, j), 0) + v
                     if j == a:
-                        rows.setdefault((i, b), [0] * len(pos))[k] += v
-            ker = kernel_rays(list(rows.values())) if rows else identity(len(pos))
+                        eq[i, b] = eq.get((i, b), 0) + v
+                equations.append(eq)
+            ker = relations(equations)
             if len(ker) != 1:
                 raise AssertionError("root space dimension %d for %r" % (len(ker), beta))
-            gens[fund] = primitive(dict(zip(pos, ker[0])))
+            gens[fund] = primitive({pos[k]: x for k, x in ker[0].items()})
         return gens
 
     def _pair_negative(self, fund, x, gen):

@@ -34,13 +34,17 @@ solver gave the simple-root coordinates of each weight, and the lattice
 operations on the `Fraction` basis (`dual`, `transporter` and `distance`
 through a Gauss–Jordan B⁻¹, `sum`, `scale`, `apply` and `intersect` on
 the basis vectors, the pairwise bracket closure of a Lie lattice), as
-before `Lattice.coordinates` read them off the integer columns.
+before `Lattice.coordinates` read them off the integer columns, and the
+dense fraction-free elimination `echelon` with the `rref`, `nullspace`,
+kernel rays, `scaled_inverse` and `mat_inv` built on it, as before
+`matrixops` read every kernel, inverse and rref off `QSpan` relations.
+The other oracles eliminate with it, not with the library.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 from latmod import reps
 from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
@@ -61,14 +65,12 @@ from latmod.matrixops import (
     dense,
     identity,
     mat,
-    mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
-    nullspace,
     primitive,
-    rref,
+    ratio,
     sparse,
 )
 from latmod.rootdata import ChevalleyBasis
@@ -102,6 +104,105 @@ def is_prime_by_trial_division(n):
 
 def zeros(nr, nc):
     return tuple((Fraction(0),) * nc for _ in range(nr))
+
+
+# -----------------------------------------------------------------------
+# The dense fraction-free elimination that matrixops ran beside QSpan
+# before every kernel, inverse and rref was read off QSpan relations.
+# -----------------------------------------------------------------------
+
+
+def echelon(a):
+    """Fraction-free Gauss–Jordan elimination of the rows of a: (rows,
+    pivot columns), the rows integer lists, zero at every pivot but their
+    own, the nonzero rows first.  Each row is a nonzero multiple of the
+    matching row of the reduced row echelon form (which is row / row[its
+    pivot]): an eliminated row is cross-multiplied with the pivot row and
+    divided by its content, so the zero pattern, and with it every choice
+    of pivot, is the one of the reduction over Q."""
+    m, _ = clear_denominators(a)
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(nr):
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                row = [s * x - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def rref_by_echelon(a):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    m, pivots = echelon(a)
+    red = [tuple(ratio(x, row[c]) for x in row) for row, c in zip(m, pivots)]
+    return tuple(red + [tuple(row) for row in m[len(pivots) :]]), pivots
+
+
+def scaled_inverse_by_echelon(a):
+    """(d, the rows of d·a⁻¹) for the square a, d the least integer making
+    them integral, from the echelon form of [a | I] without a quotient:
+    its row i over its pivot is row i of [I | a⁻¹].  Raises
+    ZeroDivisionError if a is singular."""
+    n = len(a)
+    m, pivots = echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    lowest = []
+    for i, row in enumerate(m):
+        # Row i of a⁻¹ is row[n:] / row[i], in lowest terms over their content g.
+        g = gcd(row[i], *row[n:])
+        lowest.append((row[i] // g, [x // g for x in row[n:]]))
+    d = lcm(*(p for p, _ in lowest))
+    return d, tuple(tuple(x * (d // p) for x in row) for p, row in lowest)
+
+
+def mat_inv_by_echelon(a):
+    """Inverse, the rows of scaled_inverse_by_echelon over its d; raises
+    ZeroDivisionError if singular."""
+    d, rows = scaled_inverse_by_echelon(a)
+    return tuple(tuple(ratio(x, d) for x in row) for row in rows)
+
+
+def kernel_by_echelon(a):
+    """[(free column c, integer kernel vector v with v[c] > 0), ...], one
+    per free column of the echelon form: the rays of
+    nullspace_by_echelon(a)."""
+    nc = len(a[0]) if a else 0
+    m, pivots = echelon(a)
+    out = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        hits = [(pc, row[fc], row[pc]) for row, pc in zip(m, pivots) if row[fc]]
+        scale = lcm(*(p for _, _, p in hits))
+        v = [0] * nc
+        v[fc] = scale
+        for pc, x, p in hits:
+            v[pc] = -x * (scale // p)
+        out.append((fc, v))
+    return out
+
+
+def nullspace_by_echelon(a):
+    """Basis of the right kernel, as a tuple of vectors: the one with 1 at
+    each free column of rref_by_echelon(a) and 0 at the others."""
+    return tuple(tuple(ratio(x, v[fc]) for x in v) for fc, v in kernel_by_echelon(a))
 
 
 def mat_inv_by_gauss_jordan(a):
@@ -149,7 +250,7 @@ def solve(a, b):
     nr = len(a)
     nc = len(a[0]) if nr else 0
     aug = [list(row) + [F(bb)] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
+    red, pivots = rref_by_echelon(aug)
     for row in red:
         if all(x == 0 for x in row[:nc]) and row[nc] != 0:
             return None
@@ -349,7 +450,7 @@ def highest_weight_vectors(raising, weights, w):
     cols = [i for i in range(dim) if weights[i] == w]
     rows = [tuple(g[r][c] for c in cols) for g in raising for r in range(dim)]
     out = []
-    for kv in nullspace(mat(rows)):
+    for kv in nullspace_by_echelon(mat(rows)):
         full = [Fraction(0)] * dim
         for c, x in zip(cols, kv):
             full[c] = x
@@ -362,10 +463,10 @@ def coordinate_solver_by_inverse(cols):
     rref picks rows on which the basis is independent, mat_inv inverts
     that square block, and each call checks the residual on every row."""
     a = tuple(zip(*cols))
-    _, rows = rref(cols)
+    _, rows = rref_by_echelon(cols)
     if len(rows) != len(cols):
         raise ValueError("coordinate basis is linearly dependent")
-    inv = mat_inv(tuple(a[i] for i in rows))
+    inv = mat_inv_by_echelon(tuple(a[i] for i in rows))
 
     def coords(v):
         v = tuple(v)
@@ -400,7 +501,7 @@ def build_irrep_by_solve(cb, psi):
     cols = [i for i in range(d) if weights[i] == tuple(psi)]
     rows = [tuple(action[a][r][c] for c in cols) for a in cb.rs.simple for r in range(d)]
     v = [Fraction(0)] * d
-    for c, x in zip(cols, nullspace(mat(rows))[0]):
+    for c, x in zip(cols, nullspace_by_echelon(mat(rows))[0]):
         v[c] = x
     lowering = [action[tuple(-c for c in a)] for a in cb.rs.simple]
     basis_cols = lowering_span(QSpan(), lowering, v)
@@ -429,7 +530,7 @@ def adapt_by_conjugation(cb, action):
             psi_of.extend([w] * len(local))
     assert span.rank == dim, "cyclic spans do not exhaust the space"
     b = tuple(zip(*basis_cols))
-    binv = mat_inv(b)
+    binv = mat_inv_by_echelon(b)
     new_action = {key: mat_mul(binv, mat_mul(g, b)) for key, g in action.items()}
     new_weights = tuple(
         tuple(int(new_action[("h", i)][k][k]) for i in range(rank)) for k in range(dim)
@@ -813,7 +914,7 @@ def _lie_algebra_basis(rs):
                 row[a * N + i] += s[a][j]
                 row[a * N + j] += s[i][a]
             rows.append(tuple(row))
-    return nullspace(mat(rows))
+    return nullspace_by_echelon(mat(rows))
 
 
 class ChevalleyBasisByNullspace:
@@ -848,7 +949,7 @@ class ChevalleyBasisByNullspace:
                 if tuple(a - b for a, b in zip(dvecs[i], dvecs[j])) == beta
             }
             rows = [tuple(b[pos] for b in lie) for pos in range(N * N) if pos not in allowed]
-            ker = nullspace(mat(rows))
+            ker = nullspace_by_echelon(mat(rows))
             assert len(ker) == 1
             flat = dense_primitive(mat_vec(lie_by_position, ker[0]))
             gens[rs.fund_coords(beta)] = tuple(tuple(flat[i * N + j] for j in range(N)) for i in range(N))
@@ -1032,7 +1133,7 @@ def s_plus_by_words(rep, edge):
     rows = []
     for psi, j in edge.j.items():
         ix = rep.block(psi, psi)
-        binv = mat_inv(j.basis_matrix())
+        binv = mat_inv_by_echelon(j.basis_matrix())
         degrees = degrees_of_component(rep, psi)
         for m in word_matrices(rep, degrees, +1, edge.l_plus):
             block_rows = tuple(m[i] for i in ix)
@@ -1123,7 +1224,7 @@ def shift_lattice_columns_by_inverse_cartan(rep):
     <chi - psi, mu> over the sorted blocks; zero columns dropped."""
     order = sorted(rep.blocks)
     cols = [[1 if p == psi else 0 for p, _ in order] for psi in rep.distinct_highest_weights()]
-    cinv = mat_inv(mat(tuple(zip(*rep.cb.rs.cartan_matrix))))
+    cinv = mat_inv_by_echelon(mat(tuple(zip(*rep.cb.rs.cartan_matrix))))
     for k in range(rep.cb.rs.rank):
         mu = tuple(row[k] for row in cinv)
         col = []
@@ -1143,7 +1244,7 @@ def shift_lattice_columns_by_inverse_cartan(rep):
 def dual_by_inverse(lat):
     """The dual lattice spanned by the rows of B⁻¹, B the Fraction basis
     inverted by Gauss–Jordan."""
-    return Lattice(list(mat_inv(lat.basis_matrix())), lat.prime)
+    return Lattice(list(mat_inv_by_echelon(lat.basis_matrix())), lat.prime)
 
 
 def sum_by_fractions(a, b):
@@ -1166,7 +1267,7 @@ def transporter_by_inverse(gens, src, dst):
     """{c : (Σ c_k·gens[k])·src ⊆ dst}: the dual of the lattice spanned by
     the entry rows of the products B_dst⁻¹·gens[k]·B_src."""
     b = src.basis_matrix()
-    dinv = mat_inv(dst.basis_matrix())
+    dinv = mat_inv_by_echelon(dst.basis_matrix())
     conj = [mat_mul(dinv, mat_mul(g, b)) for g in gens]
     n = src.ambient
     rows = [tuple(c[i][j] for c in conj) for i in range(n) for j in range(n)]
@@ -1175,7 +1276,7 @@ def transporter_by_inverse(gens, src, dst):
 
 def distance_by_inverse(a, b):
     """max − min of the valuations of the elementary divisors of B_a⁻¹·B_b."""
-    divs = snf(mat_mul(mat_inv(a.basis_matrix()), b.basis_matrix()))
+    divs = snf(mat_mul(mat_inv_by_echelon(a.basis_matrix()), b.basis_matrix()))
     vals = [vp(d, a.prime) for d in divs]
     return max(vals) - min(vals)
 

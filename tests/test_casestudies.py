@@ -240,6 +240,15 @@ def test_class_count_rejects_non_fundamental():
         class_orbit_count(-12)
 
 
+@pytest.mark.parametrize("disc", [-1, -5, -6])
+def test_class_count_rejects_discriminants_of_no_order(disc):
+    # D = 2 or 3 mod 4 is the discriminant of no quadratic order, so no
+    # order is out of scope: QuadField names the residue.
+    with pytest.raises(CaseStudyError, match="^expected a negative discriminant = 0,1 mod 4$") as err:
+        class_orbit_count(disc)
+    assert "out of scope" not in str(err.value)
+
+
 @pytest.mark.parametrize("disc", [5, 0])
 def test_class_count_rejects_non_negative_discriminants(disc):
     # 5 is the fundamental discriminant of a real quadratic field, and 0

@@ -242,6 +242,13 @@ def test_nonfundamental_disc_exits_1(capsys):
     assert "out of scope" in err
 
 
+@pytest.mark.parametrize("disc", ["-1", "-5", "-6"])
+def test_disc_of_no_order_exits_1(disc, capsys):
+    code, out, err = run(["case", "classgroup", "--disc", disc], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: expected a negative discriminant = 0,1 mod 4\n"
+
+
 @pytest.mark.parametrize("disc", ["5", "0"])
 def test_non_negative_disc_exits_1(disc, capsys):
     code, out, err = run(["case", "classgroup", "--disc", disc], capsys)
@@ -653,6 +660,7 @@ for argv in (
     ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "3"],
     ["orbits", "--type", "C", "--rank", "2", "--hw", "0,1", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "2", "--hw", "2,0", "--p", "2"],
+    ["case", "classgroup", "--disc", "-119"],
 ):
     seen.append([latmod.cli.main(argv + ["--out", os.devnull]), "fractions" in sys.modules])
 code = latmod.cli.main(["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"])
@@ -663,10 +671,11 @@ sys.stderr.write(repr(seen))
 
 def test_integral_requests_do_not_import_fractions():
     # Types A, C and D compute on integral values only, so their requests
-    # never make a Fraction and never import fractions; the 1/2 entries of
+    # never make a Fraction and never import fractions, and neither does a
+    # class group, whose ring and ideals are integral; the 1/2 entries of
     # type B do, and B3 (1,0,0) still writes its golden output.
     proc = run_child(["-c", NO_FRACTIONS])
-    assert proc.stderr == repr([[0, False]] * 6 + [[0, True]])
+    assert proc.stderr == repr([[0, False]] * 7 + [[0, True]])
     (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
     assert proc.stdout == golden["stdout"]
 

@@ -2,7 +2,8 @@
 and the Leibniz product on a tensor of factors against the dense
 products they replaced, the span coordinates against per-vector solve
 and the rref and mat_inv solver, mat_inv against Gauss–Jordan, the
-fraction-free kernel and inverse against nullspace and mat_inv, and
+relations, rref and inverses read off a QSpan against the dense
+fraction-free elimination they replaced (tests/oracles.py: echelon), and
 canonical results: an int where a value is integral, a Fraction only
 where it is not."""
 
@@ -20,18 +21,28 @@ from latmod.matrixops import (
     bracket,
     column_index,
     coordinate_solver,
-    kernel_rays,
     mat_inv,
     mat_mul,
     mat_vec,
-    nullspace,
+    primitive,
+    relations,
     rref,
     scaled_inverse,
     sparse,
     sparse_bracket,
     tensor_mat_vec,
 )
-from oracles import coordinate_solver_by_inverse, det, is_canonical, mat_inv_by_gauss_jordan, solve
+from oracles import (
+    coordinate_solver_by_inverse,
+    det,
+    is_canonical,
+    mat_inv_by_echelon,
+    mat_inv_by_gauss_jordan,
+    nullspace_by_echelon,
+    rref_by_echelon,
+    scaled_inverse_by_echelon,
+    solve,
+)
 
 
 def dense_mat_mul(a, b):
@@ -86,6 +97,15 @@ def matrix_vector_pairs(draw):
     n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     (v,) = draw(matrices(1, k))
     return draw(matrices(n, k)), v
+
+
+def columns(a):
+    """The columns of the dense matrix a as sparse vectors {row: entry}."""
+    return [dict(enumerate(col)) for col in zip(*a)]
+
+
+def types(m):
+    return [[type(x) for x in row] for row in m]
 
 
 def assert_canonical(m):
@@ -182,22 +202,23 @@ def test_integer_input_stays_exact():
     assert pivots == [0, 1]
     assert red == ((1, 0, Fraction(3, 2)), (0, 1, Fraction(-1, 2)))
     assert_canonical(red)
-    (k,) = nullspace(singular)
+    (k,) = nullspace_by_echelon(singular)
     assert all(map(is_canonical, k))
     assert mat_vec(singular, k) == (0, 0, 0)
-    assert kernel_rays(singular) == [k]
+    assert relations(columns(singular)) == [dict(enumerate(k))]
     wide = ((2, 4, 1), (1, 3, 0))
-    assert nullspace(wide) == ((Fraction(-3, 2), Fraction(1, 2), 1),)
-    assert kernel_rays(wide) == [(-3, 1, 2)]
+    assert nullspace_by_echelon(wide) == ((Fraction(-3, 2), Fraction(1, 2), 1),)
+    assert relations(columns(wide)) == [{0: -3, 1: 1, 2: 2}]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda nr: st.integers(0, 6).flatmap(lambda nc: matrices(nr, nc))))
 def test_kernel_rays_lie_on_the_nullspace_rays(a):
-    # Each ray is an integer vector, a positive multiple of the matching
-    # nullspace vector, so it is zero under a and has the same primitive.
-    kernel = nullspace(a)
-    rays = kernel_rays(a)
+    # Each relation among the columns is an integer vector, a positive
+    # multiple of the matching nullspace vector, so it is zero under a and
+    # has the same primitive.
+    kernel = nullspace_by_echelon(a)
+    rays = [tuple(r.get(j, 0) for j in range(len(a[0]))) for r in relations(columns(a))]
     assert len(rays) == len(kernel)
     for v, k in zip(rays, kernel):
         assert all(type(x) is int for x in v) and all(map(is_canonical, k))
@@ -324,3 +345,104 @@ def test_coordinate_solver_out_of_span_and_dependent_basis():
     assert all(type(t) is int for t in coords((3, 4, 0)))
     half = coords((0, 1, 0))
     assert half == (Fraction(1, 2), 0) and list(map(type, half)) == [Fraction, int]
+
+
+@st.composite
+def sparse_vector_lists(draw):
+    """(keys, vectors): up to seven sparse vectors over int keys or index
+    tuples, with Fraction and int entries, explicit zeros, zero vectors,
+    and vectors that are combinations of earlier ones."""
+    keys = draw(st.sampled_from([list(range(5)), list(itertools.product(range(3), range(2)))]))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))] | st.integers(-4, 4)
+    vectors = []
+    for _ in range(draw(st.integers(0, 7))):
+        if vectors and draw(st.booleans()):
+            v = {}
+            for u in vectors:
+                c = draw(entry)
+                for key, x in u.items():
+                    v[key] = v.get(key, 0) + c * x
+        else:
+            v = {key: draw(entry) for key in draw(st.sets(st.sampled_from(keys)))}
+        vectors.append(v)
+    return keys, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vector_lists())
+def test_relations_are_the_primitive_nullspace_rays(case):
+    # relations on sparse vectors gives, in order, the rays of the
+    # nullspace of the matrix with these columns: each a primitive integer
+    # relation, positive at its own vector, supported on it and on the
+    # pivots before it.
+    keys, vectors = case
+    n = len(vectors)
+    a = tuple(tuple(v.get(key, 0) for v in vectors) for key in keys)
+    rels = relations(vectors)
+    kernel = nullspace_by_echelon(a)
+    _, pivots = rref_by_echelon(a)
+    assert len(rels) == len(kernel) == n - len(pivots)
+    for r, k in zip(rels, kernel):
+        own = max(r)
+        assert k[own] == 1 and not any(k[j] for j in range(own + 1, n))
+        assert all(type(x) is int and x for x in r.values()) and r[own] > 0
+        assert math.gcd(*r.values()) == 1 and primitive(r) == primitive(dict(enumerate(k)))
+        assert set(r) <= {own} | {p for p in pivots if p < own}
+        assert tuple(r.get(j, 0) for j in range(n)) == tuple(r[own] * x for x in k)
+        total = {}
+        for j, c in r.items():
+            for key, x in vectors[j].items():
+                total[key] = total.get(key, 0) + c * x
+        assert not any(total.values())
+    assert sorted(pivots + [max(r) for r in rels]) == list(range(n))
+
+
+def test_relations_of_zero_and_no_vectors():
+    assert relations([]) == []
+    assert relations([{}, {(0, 1): Fraction(0)}, {(0, 1): 2}, {}]) == [{0: 1}, {1: 1}, {3: 1}]
+    assert relations([{0: Fraction(1, 2)}, {0: Fraction(-3, 4)}]) == [{0: 3, 1: 2}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_and_vectors())
+def test_span_relation_is_an_integer_combination(case):
+    # relation(v) is (c, x) with c·v = Σ x_k·u_k, c a nonzero int and x
+    # sparse over ints; coords is x over c; None outside the span.
+    cols, vs = case
+    span = QSpan()
+    assert all(span.insert(dict(enumerate(c))) for c in cols)
+    for v in list(cols) + vs:
+        rel = span.relation(dict(enumerate(v)))
+        assert (rel is not None) == span.contains(dict(enumerate(v)))
+        if rel is None:
+            assert span.coords(dict(enumerate(v))) is None
+            continue
+        c, x = rel
+        assert type(c) is int and c and all(type(y) is int and y for y in x.values())
+        combo = tuple(sum((y * cols[k][i] for k, y in x.items()), 0) for i in range(len(v)))
+        assert combo == tuple(c * t for t in v)
+        assert span.coords(dict(enumerate(v))) == {k: Fraction(y, c) for k, y in x.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda nr: st.integers(0, 6).flatmap(lambda nc: matrices(nr, nc))))
+def test_rref_matches_the_echelon_oracle(a):
+    got, expected = rref(a), rref_by_echelon(a)
+    assert got == expected
+    assert types(got[0]) == types(expected[0]) and type(got[0]) is tuple and type(got[1]) is list
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_inverses_match_the_echelon_oracle(a):
+    try:
+        expected = scaled_inverse_by_echelon(a)
+    except ZeroDivisionError:
+        for f in (scaled_inverse, mat_inv):
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                f(a)
+        return
+    got = scaled_inverse(a)
+    assert got == expected and types(got[1]) == types(expected[1]) and type(got[0]) is int
+    inv = mat_inv(a)
+    assert inv == mat_inv_by_echelon(a) and types(inv) == types(mat_inv_by_echelon(a))

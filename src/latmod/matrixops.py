@@ -22,9 +22,9 @@ are one reduction per vector.  Every kernel, inverse and rref is read
 off it: relations gives the primitive integer relations among vectors
 (the rays of a nullspace), scaled_inverse d·a⁻¹ from the relations of
 the unit vectors to a's columns, and rref and mat_inv divide only at the
-end, through ratio; coordinate_solver reads dense columns through it.
-rref and mat_inv have no caller in src/: perfbench looks them up by
-name.
+end, through ratio; the Chevalley coordinates of a matrix are read off
+a QSpan of the sparse generators (rootdata).  rref and mat_inv have no
+caller in src/: perfbench looks them up by name.
 """
 
 from bisect import insort
@@ -176,10 +176,6 @@ def sparse_bracket(a, b):
     return {ij: x for ij, x in out.items() if x}
 
 
-def trace(a):
-    return F(sum(a[i][i] for i in range(len(a))))
-
-
 def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
@@ -242,23 +238,6 @@ def mat_inv(a):
     ZeroDivisionError if singular."""
     d, rows = scaled_inverse(a)
     return tuple(tuple(ratio(x, d) for x in row) for row in rows)
-
-
-def coordinate_solver(cols):
-    """Coordinates in the basis cols (linearly independent dense vectors).
-
-    Returns coords(v): the tuple x with Σ x_k·cols[k] = v, or None when v
-    lies outside the span; read off a QSpan that cols were inserted into.
-    """
-    span = QSpan()
-    if not all(span.insert(dict(enumerate(c))) for c in cols):
-        raise ValueError("coordinate basis is linearly dependent")
-
-    def coords(v):
-        x = span.coords(dict(enumerate(v)))
-        return None if x is None else tuple(x.get(k, 0) for k in range(len(cols)))
-
-    return coords
 
 
 class QSpan:

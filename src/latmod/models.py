@@ -2,6 +2,10 @@
 lattice {X in g : X·Lambda ⊆ Lambda}, its basis-change invariants, and
 bounded-degree Hopf-order generators for the rank-1 adjoint case.
 
+The brackets of a Lie lattice's basis and the Killing form are read off
+the integer bracket table of the Chevalley basis, so they stay integral
+and no matrix of ad is built.
+
 Hopf orders are handled through explicit matrix-coefficient polynomials in
 the group coordinates, reduced modulo the determinant relation
 x11·x22 = 1 + x12·x21; equality of two orders is decided up to a degree
@@ -16,7 +20,7 @@ from math import gcd, prod
 
 from latmod.exact import snf, transporter
 from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import F, clear_denominators, dense, mat_mul, mat_vec, ratio, trace
+from latmod.matrixops import F, clear_denominators, dense, mat_mul, ratio
 
 
 class ModelError(ValueError):
@@ -32,8 +36,8 @@ class LieLattice:
     """Lattice in the Lie algebra, coordinates in the Chevalley basis.
 
     ``bracket`` holds the coordinates in the lattice basis u of the
-    brackets [u_i, u_j] = ad(u_i)·u_j, row i·m + j, as integer rows over
-    one denominator; the lattice is closed under the bracket exactly when
+    brackets [u_i, u_j], row i·m + j, as integer rows over one
+    denominator; the lattice is closed under the bracket exactly when
     they are integral (p-integral over Z_(p)).
     """
 
@@ -42,10 +46,11 @@ class LieLattice:
     def __init__(self, cb, lattice):
         object.__setattr__(self, "cb", cb)
         object.__setattr__(self, "lattice", lattice)
-        # Taken on the integer columns c = d·u (one ad per column), so over d².
+        # Taken on the integer columns c = d·u, so over d²; the bracket
+        # table is integral, and so are the brackets of the columns.
         cols = lattice.columns
-        ints, e = clear_denominators([mat_vec(a, c) for a in map(cb.ad, cols) for c in cols])
-        object.__setattr__(self, "bracket", lattice.coordinates(ints, e * lattice.denominator**2))
+        ints = [cb.bracket_coords(u, v) for u in cols for v in cols]
+        object.__setattr__(self, "bracket", lattice.coordinates(ints, lattice.denominator**2))
         if not self.bracket_closed():
             raise ModelError("lattice is not closed under the bracket")
 
@@ -96,15 +101,17 @@ def lie_model(rep, lat):
 
 @lru_cache(maxsize=None)
 def killing_gram(cb):
-    """Gram matrix of the Killing form on the Chevalley coordinate basis.
+    """Gram matrix of the Killing form on the Chevalley coordinate basis,
+    read off the bracket table T: column k of ad(b_i) is [b_i, b_k] = T[i][k],
+    so tr ad(b_i)·ad(b_j) = Σ_k Σ_l T[i][k]_l·T[j][l]_k.
 
     Cached per basis object; the cache holds the basis, so no later basis
     can take over its entry.
     """
-    m = len(cb.basis_order())
-    ad = [cb.ad([int(k == i) for k in range(m)]) for i in range(m)]
+    t = cb.bracket_table
     return tuple(
-        tuple(trace(mat_mul(ad[i], ad[j])) for j in range(m)) for i in range(m)
+        tuple(sum(c * tj[l].get(k, 0) for k, entry in enumerate(ti) for l, c in entry.items()) for tj in t)
+        for ti in t
     )
 
 

@@ -5,7 +5,8 @@ The realization is the defining one: sl_{n+1} for type A, so_{2n+1},
 sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
 the diagonal matrices form a split Cartan subalgebra.  Each root space is
 solved for on the one or two matrix positions of its weight; the coroot
-of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters.
+of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters,
+and the diagonal of a matrix is read off the weights of its positions.
 Root vectors are built recursively from the simple root spaces, each
 root space the one integer relation among the form equations of its
 matrix positions (matrixops.relations).  The Cartan inverse, taken once
@@ -21,20 +22,25 @@ fractions.  Every Chevalley-set identity
 is verified eagerly at construction, on sparse matrices, and the
 verification records the coordinates of the bracket of every pair of
 basis elements as the bracket table, so a wrong structure constant
-cannot escape this module.
+cannot escape this module.  Every other fact about g is read off these
+two forms: the bracket of coordinate vectors and the Killing form
+(models.killing_gram) off the table, the coordinates of a matrix off
+one QSpan of the sparse generators, and h_alpha in the simple coroots
+off the expansion of alpha in the simple roots.
 """
 
 from functools import cached_property, lru_cache
 
 from latmod.matrixops import (
     F,
+    QSpan,
     canonical,
-    coordinate_solver,
     dense,
     primitive,
     ratio,
     relations,
     scaled_inverse,
+    sparse,
     sparse_bracket,
 )
 
@@ -177,25 +183,11 @@ def build_root_system(type_label, rank):
 # -----------------------------------------------------------------------
 
 
-def _realization_data(rs):
-    """Defining matrix size N and the diagonal Cartan parametrization.
-
-    Returns (N, diag_param) where diag_param maps Euclidean coordinates
-    (diagonal parameters) to the N-diagonal of the matrix whose
-    root-space weights reproduce them.
-    """
-    n = rs.rank
-    t = rs.type_label
-    if t == "A":
-        return n + 1, list
-    if t == "B":
-        return 2 * n + 1, lambda params: list(params) + [-x for x in params] + [0]
-    return 2 * n, lambda params: list(params) + [-x for x in params]
-
-
 def _position_weights(rs):
-    """Euclidean weight of each diagonal position of the realization;
-    position (i, j) of a matrix has weight w[i] - w[j]."""
+    """Euclidean weight of each diagonal position of the realization, one
+    per row of its N×N matrices: position (i, j) of a matrix has weight
+    w[i] - w[j], and the diagonal matrix of parameters t has entry
+    <w[i], t> at (i, i)."""
     n = rs.rank
     if rs.type_label == "A":
         return [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
@@ -252,7 +244,8 @@ class ChevalleyBasis:
 
     def __init__(self, rs):
         self.rs = rs
-        self.N, self._diag_param = _realization_data(rs)
+        self._weights = _position_weights(rs)
+        self.N = len(self._weights)
         # The Killing form restricted to the Cartan is a multiple of the
         # Euclidean form on the diagonal parameters (both are Weyl
         # invariant and the algebra is simple), so h_alpha, the element
@@ -262,7 +255,6 @@ class ChevalleyBasis:
             fund: tuple(ratio(2 * c, _dot(b, b)) for c in b)
             for fund, b in zip(rs.all_roots, rs.all_euclid)
         }
-        self._h_coords = coordinate_solver([self._coroots[a] for a in rs.simple])
         self._build_chevalley_set(self._root_spaces())
         self._basis_order = list(rs.all_roots)
         self._index = {key: k for k, key in enumerate(self.basis_order())}
@@ -275,15 +267,15 @@ class ChevalleyBasis:
         return self._coroots[fund]
 
     def _h_sparse(self, fund):
-        d = self._diag_param(self._coroots[fund])
-        return canonical({(i, i): v for i, v in enumerate(d)})
+        t = self._coroots[fund]
+        return canonical({(i, i): _dot(w, t) for i, w in enumerate(self._weights)})
 
     def _root_spaces(self):
         """Primitive integer generator of each root space, sparse, keyed
         by fund coords: the solutions of Xᵀ·S + S·X = 0 (S the form)
         supported on the positions of the root's weight."""
         rs = self.rs
-        w = _position_weights(rs)
+        w = self._weights
         positions = {}
         for i in range(self.N):
             for j in range(self.N):
@@ -341,8 +333,14 @@ class ChevalleyBasis:
     # -- public API ----------------------------------------------------
 
     def h_alpha_coords(self, fund):
-        """h_alpha in the basis {h_{alpha_i}}; integral for every root."""
-        return self._h_coords(self._coroots[fund])
+        """h_alpha in the basis {h_{alpha_i}}, integral for every root: for
+        alpha = Σ m_i·alpha_i, h_alpha = Σ m_i·(alpha_i, alpha_i)/(alpha,
+        alpha)·h_{alpha_i}."""
+        rs = self.rs
+        b = rs.euclid(fund)
+        return tuple(
+            ratio(m * _dot(a, a), _dot(b, b)) for m, a in zip(rs.expansion(fund), rs.simple_euclid)
+        )
 
     def pairing(self, weight_fund, h_coords):
         """<weight, h> where h = sum c_i h_{alpha_i}."""
@@ -356,32 +354,40 @@ class ChevalleyBasis:
         return [dense(self.action[key], self.N) for key in self.basis_order()]
 
     @cached_property
-    def _coords(self):
-        return coordinate_solver([tuple(x for row in m for x in row) for m in self.basis_matrices()])
+    def _span(self):
+        """The sparse generators in basis order, inserted into one QSpan."""
+        span = QSpan()
+        if not all(span.insert(self.action[key]) for key in self.basis_order()):
+            raise AssertionError("Chevalley basis is linearly dependent")
+        return span
 
     def coords_of(self, m):
-        """Coordinates of a matrix in the Chevalley basis, or None."""
-        return self._coords(tuple(x for row in m for x in row))
+        """Coordinates of a dense matrix in the Chevalley basis, or None."""
+        x = self._span.coords(sparse(m))
+        return None if x is None else tuple(x.get(k, 0) for k in range(len(self._index)))
 
-    def from_coords(self, coords):
+    def _combination(self, coords, keys):
+        """Σ coords_k·action[keys[k]] as a canonical sparse matrix."""
         out = {}
-        for c, key in zip(coords, self.basis_order()):
+        for c, key in zip(coords, keys):
             for p, x in self.action[key].items():
                 out[p] = out.get(p, 0) + c * x
-        return dense(canonical(out), self.N)
+        return canonical(out)
 
-    def ad(self, coords):
-        """Matrix of ad(X) on the Chevalley basis, X = Σ coords_i·b_i:
-        column j holds the coordinates of [X, b_j], read off the bracket
-        table."""
-        m = len(self.bracket_table)
-        out = [[0] * m for _ in range(m)]
-        for c, row in zip(coords, self.bracket_table):
-            if c:
-                for j, entry in enumerate(row):
-                    for k, v in entry.items():
-                        out[k][j] += c * v
-        return tuple(tuple(map(F, r)) for r in out)
+    def from_coords(self, coords):
+        return dense(self._combination(coords, self.basis_order()), self.N)
+
+    def bracket_coords(self, u, v):
+        """Coordinates of [X, Y] for X = Σ u_i·b_i and Y = Σ v_j·b_j:
+        Σ u_i·v_j·[b_i, b_j], read off the bracket table."""
+        out = [0] * len(self.bracket_table)
+        for x, row in zip(u, self.bracket_table):
+            if x:
+                for y, entry in zip(v, row):
+                    if y:
+                        for k, c in entry.items():
+                            out[k] += x * y * c
+        return tuple(map(F, out))
 
     def structure_constant(self, alpha, beta):
         """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}; roots by fund coords.
@@ -398,17 +404,21 @@ class ChevalleyBasis:
         rs = self.rs
         ix = self._index
         x = self.action
-        h = [x[("h", i)] for i in range(rs.rank)]
-        hix = [ix[("h", i)] for i in range(rs.rank)]
+        hkeys = [("h", i) for i in range(rs.rank)]
+        h = [x[key] for key in hkeys]
+        hix = [ix[key] for key in hkeys]
         table = [[{} for _ in ix] for _ in ix]
-        h_coords = {}
         for alpha in rs.all_roots:
             a = ix[alpha]
             neg = tuple(-c for c in alpha)
-            if sparse_bracket(x[alpha], x[neg]) != self._h_sparse(alpha):
+            # h_alpha integral on the coroot basis for every root, and
+            # [x_a, x_-a] = h_a on those coordinates, as the table records.
+            coords = self.h_alpha_coords(alpha)
+            if any(c.denominator != 1 for c in coords):
+                raise AssertionError("h_alpha not in the coroot lattice")
+            if sparse_bracket(x[alpha], x[neg]) != self._combination(coords, hkeys):
                 raise AssertionError("[x_a, x_-a] != h_a for %r" % (alpha,))
-            h_coords[alpha] = self.h_alpha_coords(alpha)
-            table[a][ix[neg]] = {k: c for k, c in zip(hix, h_coords[alpha]) if c}
+            table[a][ix[neg]] = {k: c for k, c in zip(hix, coords) if c}
             # Cartan action.
             for i, hm in enumerate(h):
                 if sparse_bracket(hm, x[alpha]) != _scaled(alpha[i], x[alpha]):
@@ -440,10 +450,6 @@ class ChevalleyBasis:
                 if br != _scaled(c, x[target]):
                     raise AssertionError("bracket not proportional to x_{a+b}")
                 table[ix[alpha]][ix[beta]] = {ix[target]: c}
-        # h_alpha integral on the coroot basis for every root.
-        for coords in h_coords.values():
-            if any(c.denominator != 1 for c in coords):
-                raise AssertionError("h_alpha not in the coroot lattice")
         self.bracket_table = tuple(tuple(row) for row in table)
 
     def to_json_obj(self):

@@ -4,8 +4,8 @@ Each is a slower or older path to a result the library computes another
 way: the two canonicalisers that `exact._canonical` merged, the
 `Fraction` forward substitutions that `kernels.hermite_coords` replaced
 under `Lattice.member`, `ZSpan.member` and the Hermite search, the
-per-vector `solve` that `reps.build_irrep` used before
-`matrixops.coordinate_solver`, the second walk of the adapted basis with
+per-vector `solve` that `reps.build_irrep` used before it read
+coordinates off a QSpan, the second walk of the adapted basis with
 the `mat_inv` conjugation that `reps.Representation` ran on every action
 before one walk read the adapted action, the dense builders of
 `build_irrep`'s ambient (the defining realization, the trivial
@@ -37,8 +37,14 @@ the basis vectors, the pairwise bracket closure of a Lie lattice), as
 before `Lattice.coordinates` read them off the integer columns, and the
 dense fraction-free elimination `echelon` with the `rref`, `nullspace`,
 kernel rays, `scaled_inverse` and `mat_inv` built on it, as before
-`matrixops` read every kernel, inverse and rref off `QSpan` relations.
-The other oracles eliminate with it, not with the library.
+`matrixops` read every kernel, inverse and rref off `QSpan` relations,
+and the Killing Gram as the trace of dense products of ad matrices, as
+`models.killing_gram` took it before it read the trace off the bracket
+table, with ad built here from the dense brackets of the realization
+matrices.
+The other oracles eliminate with the dense `echelon`, not with the
+library; only the ad matrices read coordinates with `coords_of`, so they
+are independent of the bracket table, not of `QSpan`.
 """
 
 import itertools
@@ -46,7 +52,7 @@ import math
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from latmod import reps
+from latmod import matrixops, reps
 from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
@@ -459,9 +465,10 @@ def highest_weight_vectors(raising, weights, w):
 
 
 def coordinate_solver_by_inverse(cols):
-    """coordinate_solver as it was before QSpan kept its combinations: one
-    rref picks rows on which the basis is independent, mat_inv inverts
-    that square block, and each call checks the residual on every row."""
+    """The dense coordinate solver as it was before QSpan kept its
+    combinations: one rref picks rows on which the basis is independent,
+    mat_inv inverts that square block, and each call checks the residual
+    on every row."""
     a = tuple(zip(*cols))
     _, rows = rref_by_echelon(cols)
     if len(rows) != len(cols):
@@ -493,7 +500,7 @@ def ambient_of(cb, psi):
 
 
 def build_irrep_by_solve(cb, psi):
-    """build_irrep as it was before coordinate_solver: the first joint
+    """build_irrep as it was before QSpan coordinates: the first joint
     kernel vector of the raising operators in the psi weight space, its
     cyclic span under the lowering operators, and the action on that span
     by one `solve` per generator and basis vector."""
@@ -1281,12 +1288,33 @@ def distance_by_inverse(a, b):
     return max(vals) - min(vals)
 
 
+def ad_by_matrices(cb, u):
+    """The matrix of ad(X) on the Chevalley basis, X = Σ u_i·b_i, built
+    from matrices, not from the bracket table: column k holds the
+    coordinates of the dense bracket [X, b_k] of the realization
+    matrices."""
+    x = cb.from_coords(u)
+    return tuple(zip(*(cb.coords_of(bracket(x, b)) for b in cb.basis_matrices())))
+
+
+def trace(a):
+    return matrixops.F(sum(a[i][i] for i in range(len(a))))
+
+
+def killing_gram_by_ad(cb):
+    """The Killing Gram on the Chevalley basis as tr ad(b_i)·ad(b_j), with
+    one dense product per pair."""
+    m = len(cb.basis_order())
+    ad = [ad_by_matrices(cb, [int(k == i) for k in range(m)]) for i in range(m)]
+    return tuple(tuple(trace(mat_mul(ad[i], ad[j])) for j in range(m)) for i in range(m))
+
+
 def bracket_closed_pairwise(cb, lat):
     """Does [u_i, u_j] lie in lat for every pair i < j of basis elements?
     Column j of ad(u_i)·B is [u_i, u_j]."""
     b = lat.basis_matrix()
     for i, u in enumerate(lat.basis):
-        images = tuple(zip(*mat_mul(cb.ad(u), b)))
+        images = tuple(zip(*mat_mul(ad_by_matrices(cb, u), b)))
         if not all(lat.member(v) for v in images[i + 1 :]):
             return False
     return True

@@ -58,6 +58,23 @@ def test_perfbench_imports_resolve():
         assert hasattr(importlib.import_module(module), name), "%s.%s" % (module, name)
 
 
+def test_lie_oracle_matches_the_pool():
+    # perfbench/lieoracle.py checks `model lie` through coords_of,
+    # LieLattice.element, basis_matrix, killing_gram, bracket and mat_inv:
+    # on one lattice of each pool representation, one that finished when
+    # the pool was recorded where there is one (none of A2 (1,1) did; the
+    # oracle's Smith form is bounded, so it finishes there too), its
+    # divisors equal the recorded ones.
+    spec = importlib.util.spec_from_file_location("perfbench_lieoracle", PERFBENCH / "lieoracle.py")
+    lieoracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lieoracle)
+    pool = json.loads((PERFBENCH / "data" / "model_lie_pool.json").read_text())
+    for name, entry in pool["reps"].items():
+        records = entry["lattices"]
+        record = next((r for r in records if r["finished"]), records[0])
+        assert lieoracle.lie_divisors(entry["descriptor"], record["lattice"]) == record["divisors"], name
+
+
 def test_run_probe_resolves():
     tree = ast.parse((PERFBENCH / "run.py").read_text())
     probe = next(

@@ -40,7 +40,7 @@ from latmod.reps import (
     tensor_product,
     weights_down,
 )
-from latmod.rootdata import build_chevalley
+from latmod.rootdata import build_chevalley, build_root_system
 from oracles import (
     count_invariant_orbits_by_enumeration,
     dense_action,
@@ -452,8 +452,9 @@ def test_shift_span_matches_inverse_cartan():
 
 def test_lattice_constructions_build_no_coordinate_solver(monkeypatch):
     # The simple-root coordinates of a weight come from the root system's
-    # one Cartan solver: once the representation is built, the sandwich,
-    # the orbit report and the transition check build no solver.
+    # one Cartan solver, scaled_inverse, taken when the root system is
+    # built: once the representation is built, the sandwich, the orbit
+    # report and the transition check invert no matrix.
     reps = [
         build_irrep(build_chevalley(t, r), hw)
         for t, r, hw in (("A", 2, (2, 0)), ("C", 3, (1, 0, 0)), ("A", 3, (0, 1, 0)))
@@ -461,15 +462,18 @@ def test_lattice_constructions_build_no_coordinate_solver(monkeypatch):
     built = []
 
     def counting(solver):
-        def wrapped(cols):
-            built.append(cols)
-            return solver(cols)
+        def wrapped(a):
+            built.append(a)
+            return solver(a)
 
         return wrapped
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "latmod" and hasattr(module, "coordinate_solver"):
-            monkeypatch.setattr(module, "coordinate_solver", counting(module.coordinate_solver))
+        if name.split(".")[0] == "latmod" and hasattr(module, "scaled_inverse"):
+            monkeypatch.setattr(module, "scaled_inverse", counting(module.scaled_inverse))
+    build_root_system("A", 2)
+    assert len(built) == 1
+    built.clear()
     for rep in reps:
         (psi,) = rep.distinct_highest_weights()
         edge = unit_edge(rep, prime=2)

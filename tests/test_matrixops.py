@@ -20,7 +20,6 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     column_index,
-    coordinate_solver,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -255,14 +254,30 @@ def bases_and_vectors(draw):
     return cols, vs
 
 
+def span_of(cols):
+    """A QSpan with the dense vectors cols inserted in order; returns it
+    and whether every one of them grew it."""
+    span = QSpan()
+    grew = [span.insert(dict(enumerate(c))) for c in cols]
+    return span, all(grew)
+
+
+def dense_coords(span, n, v):
+    """The coordinates of the dense v in a span of n vectors as an n-tuple,
+    or None outside the span."""
+    x = span.coords(dict(enumerate(v)))
+    return None if x is None else tuple(x.get(k, 0) for k in range(n))
+
+
 @settings(max_examples=100, deadline=None)
 @given(bases_and_vectors())
-def test_coordinate_solver_matches_solve(case):
+def test_span_coords_match_solve(case):
     cols, vs = case
-    coords = coordinate_solver(cols)
+    span, independent = span_of(cols)
+    assert independent
     a = tuple(zip(*cols))
     for v in vs:
-        x = coords(v)
+        x = dense_coords(span, len(cols), v)
         assert x == solve(a, v)
         if x is not None:
             assert mat_vec(a, x) == v
@@ -272,15 +287,14 @@ def test_coordinate_solver_matches_solve(case):
 @given(bases_and_vectors())
 def test_span_coords_match_the_inverse_solver(case):
     # The coordinates a QSpan reads off its echelon rows, in the order the
-    # basis was inserted, and coordinate_solver built on them, against the
-    # rref and mat_inv solver they replaced; None outside the span.
+    # basis was inserted, against the rref and mat_inv solver they
+    # replaced; None outside the span.
     cols, vs = case
-    span = QSpan()
-    assert all(span.insert(dict(enumerate(c))) for c in cols)
-    old, new = coordinate_solver_by_inverse(cols), coordinate_solver(cols)
+    span, independent = span_of(cols)
+    assert independent
+    old = coordinate_solver_by_inverse(cols)
     for v in list(cols) + vs:
         x = old(v)
-        assert x == new(v)
         sparse_x = span.coords(dict(enumerate(v)))
         assert sparse_x == (None if x is None else {k: t for k, t in enumerate(x) if t})
         assert (x is not None) == span.contains(dict(enumerate(v)))
@@ -294,9 +308,10 @@ def test_dependent_basis_is_refused(case, data):
     (c,) = data.draw(matrices(1, len(cols)))
     at = data.draw(st.integers(0, len(cols)))
     dependent = cols[:at] + (mat_vec(tuple(zip(*cols)), c),) + cols[at:]
-    for solver in (coordinate_solver, coordinate_solver_by_inverse):
-        with pytest.raises(ValueError, match="dependent"):
-            solver(dependent)
+    span, independent = span_of(dependent)
+    assert not independent and span.rank == len(cols)
+    with pytest.raises(ValueError, match="dependent"):
+        coordinate_solver_by_inverse(dependent)
 
 
 @st.composite
@@ -332,18 +347,18 @@ def test_mat_inv_matches_gauss_jordan(a):
     assert d == math.lcm(*(x.denominator for row in expected for x in row))
 
 
-def test_coordinate_solver_out_of_span_and_dependent_basis():
-    coords = coordinate_solver([(1, 0, 0), (0, 1, 1)])
-    assert coords((2, 3, 3)) == (2, 3)
-    assert coords((0, 1, 0)) is None
+def test_span_coords_out_of_span_and_dependent_basis():
+    span, independent = span_of([(1, 0, 0), (0, 1, 1)])
+    assert independent
+    assert dense_coords(span, 2, (2, 3, 3)) == (2, 3)
+    assert dense_coords(span, 2, (0, 1, 0)) is None
     assert solve(((1, 0), (0, 1), (0, 1)), (0, 1, 0)) is None
-    with pytest.raises(ValueError):
-        coordinate_solver([(1, 2), (2, 4)])
-    coords = coordinate_solver([(0, 2, 0), (1, 0, 0)])
-    assert coords((3, 4, 0)) == (2, 3) and coords((0, 0, 1)) is None
+    assert span_of([(1, 2), (2, 4)])[1] is False
+    span, _ = span_of([(0, 2, 0), (1, 0, 0)])
+    assert dense_coords(span, 2, (3, 4, 0)) == (2, 3) and dense_coords(span, 2, (0, 0, 1)) is None
     # Coordinates are canonical: ints where integral, else Fractions.
-    assert all(type(t) is int for t in coords((3, 4, 0)))
-    half = coords((0, 1, 0))
+    assert all(type(t) is int for t in dense_coords(span, 2, (3, 4, 0)))
+    half = dense_coords(span, 2, (0, 1, 0))
     assert half == (Fraction(1, 2), 0) and list(map(type, half)) == [Fraction, int]
 
 

@@ -30,10 +30,11 @@ from latmod.models import (
 )
 from latmod import models
 from latmod.reps import build_irrep
-from latmod.rootdata import ChevalleyBasis, build_chevalley, build_root_system
+from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system
 from oracles import (
     bracket_closed_pairwise,
     dense_action,
+    killing_gram_by_ad,
     product_echelon_by_fractions,
     tracked_membership_by_fractions,
 )
@@ -277,6 +278,18 @@ def test_invariants_of_the_benchmark_pool():
     elapsed = time.perf_counter() - start
     assert checked == 60
     assert elapsed < POOL_BUDGET_S, "pool took %.1f s, budget %.0f s" % (elapsed, POOL_BUDGET_S)
+
+
+@pytest.mark.parametrize(
+    "label,rank", [(t, r) for t in sorted(SUPPORTED) for r in SUPPORTED[t]], ids=lambda v: str(v)
+)
+def test_killing_gram_matches_the_dense_ad_oracle(label, rank):
+    # tr ad(b_i)·ad(b_j) read off the bracket table against the dense
+    # products of ad matrices built from dense brackets; value and type.
+    cb = build_chevalley(label, rank)
+    gram, expected = killing_gram(cb), killing_gram_by_ad(cb)
+    assert gram == expected
+    assert [list(map(type, row)) for row in gram] == [list(map(type, row)) for row in expected]
 
 
 def test_killing_gram_cache_does_not_alias_freed_bases():

@@ -13,9 +13,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmod.matrixops import bracket, identity, mat_scale, mat_sub, sparse
 from latmod.rootdata import (
+    SUPPORTED,
     ChevalleyBasis,
     RootDataError,
     _first_ratio,
@@ -209,6 +212,27 @@ def test_bracket_table_matches_dense_brackets(label, rank):
             assert coords == cb.coords_of(bracket(mats[i], mats[j])), (i, j)
 
 
+@st.composite
+def coordinate_pairs(draw):
+    """A supported basis and two integer coordinate vectors on it."""
+    label = draw(st.sampled_from(sorted(SUPPORTED)))
+    cb = build_chevalley(label, draw(st.sampled_from(SUPPORTED[label])))
+    m = len(cb.basis_order())
+    coords = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    return cb, draw(coords), draw(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_pairs())
+def test_bracket_coords_match_dense_brackets(case):
+    # The bracket of two coordinate vectors read off the bracket table
+    # against the coordinates of the dense bracket of their matrices.
+    cb, u, v = case
+    got = cb.bracket_coords(u, v)
+    assert got == cb.coords_of(bracket(cb.from_coords(u), cb.from_coords(v)))
+    assert all(type(x) is int for x in got)
+
+
 def test_structure_constants_integral():
     for t, r in (("A", 2), ("B", 2), ("C", 2)):
         cb = build_chevalley(t, r)
@@ -257,6 +281,18 @@ def test_verify_catches_single_entry_change():
                 with pytest.raises(AssertionError):
                     broken._verify()
         cb._verify()
+
+
+def test_verify_checks_the_coroot_coordinates():
+    # h_alpha's coordinates enter the bracket table as [x_a, x_-a]; doubled
+    # they stay integral, and half of them are not, and _verify refuses both.
+    for t, r in (("A", 2), ("B", 3), ("C", 2)):
+        cb = build_chevalley(t, r)
+        for scale, message in ((2, r"\[x_a, x_-a\] != h_a"), (Fraction(1, 2), "coroot lattice")):
+            broken = copy.copy(cb)
+            broken.h_alpha_coords = lambda fund: tuple(scale * c for c in cb.h_alpha_coords(fund))
+            with pytest.raises(AssertionError, match=message):
+                broken._verify()
 
 
 def test_coords_of_rejects_one_entry_off_the_algebra():

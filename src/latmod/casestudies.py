@@ -21,18 +21,6 @@ import math
 
 from latmod.exact import Lattice, transporter, vp
 from latmod.matrixops import F, mat, ratio
-from latmod.models import (
-    _sym2_symbolic,
-    hopf_generators,
-    lie_invariants,
-    lie_model,
-    order_equal_bounded,
-    poly_add,
-    poly_mul,
-    poly_str,
-)
-from latmod.reps import build_irrep
-from latmod.rootdata import build_chevalley
 
 
 class CaseStudyError(ValueError):
@@ -259,6 +247,20 @@ def pgl2_sym2_report():
     symmetric square: equal bounded-degree Hopf orders, quotient of order
     2, the cube-valuation purity obstruction separating the orbits, and
     matching Lie-lattice invariants."""
+    # Imported here, so a class-group request imports only its pipeline.
+    from latmod.models import (
+        _sym2_symbolic,
+        hopf_generators,
+        lie_invariants,
+        lie_model,
+        order_equal_bounded,
+        poly_add,
+        poly_mul,
+        poly_str,
+    )
+    from latmod.reps import build_irrep
+    from latmod.rootdata import build_chevalley
+
     cb = build_chevalley("A", 1)
     sym2 = build_irrep(cb, (2,))
     lam = Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -13,9 +13,14 @@ read them: ``--flag value``, ``--flag=value``, a unique prefix of the
 name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
-flags or inputs), 2 internal assertion failure.
+flags or inputs), 2 internal assertion failure.  main returns the code and
+never ends the process; run, the entry of ``python -m latmod.cli`` and of
+the ``latmod`` script, flushes stdout and stderr and then ends the process
+with os._exit, skipping interpreter teardown.  No atexit handler runs
+(latmod registers none); an --out file is closed before main returns.
 """
 
+import os
 import sys
 
 
@@ -290,5 +295,19 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """main on sys.argv, then os._exit with its code once stdout and
+    stderr are flushed.  A flush that fails (a closed pipe) raises
+    SystemExit instead, so the interpreter reports it as it would without
+    run."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -30,7 +30,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, mat_vec, ratio
+from latmod.matrixops import F, clear_denominators, mat_vec, ratio, ratio_text
 
 ENUM_ORDER_CAP = 2**20
 
@@ -285,14 +285,10 @@ class Lattice:
         str(Fraction) would write column / denominator."""
         ring = "Z" if self.prime is None else {"Zp": self.prime}
         d = self.denominator
-
-        def entry(x):
-            if not x:
-                return "0"
-            g = gcd(x, d)
-            return str(x // g) if g == d else "%d/%d" % (x // g, d // g)
-
-        rows = [[entry(x) for x in row] for row in zip(*self.columns)]
+        if d == 1:
+            rows = [[str(x) for x in row] for row in zip(*self.columns)]
+        else:
+            rows = [["0" if not x else ratio_text(x, d) for x in row] for row in zip(*self.columns)]
         return {"ambient": self.ambient, "ring": ring, "basis": rows}
 
     @classmethod
@@ -373,7 +369,8 @@ def snf(rows):
 
     The denominators are cleared to one common d and the divisors of the
     integer matrix come from `kernels.snf_diagonal`, a Smith form modulo
-    a determinant; each is then divided by d.
+    a determinant; each is then divided by d.  No caller in src/:
+    perfbench traces it by name.
     """
     cols = list(zip(*rows)) if rows else []
     ints, d = clear_denominators(cols)

@@ -5,7 +5,8 @@ int, and a Fraction is left only for a value that is not integral.  F
 makes a scalar so and canonical a sparse matrix; ratio is the one exact
 quotient, and fractions is imported inside it (and inside F, for input
 that is neither an int nor a Fraction) the first time a quotient is not
-integral, so work on integral values never imports it.
+integral, so work on integral values never imports it; ratio_text
+writes a quotient of ints as str writes it, and never imports it.
 
 Dense matrices are tuples of rows, dense vectors tuples; the dense
 products skip zero entries.  Sparse matrices are {(i, j): entry}, sparse
@@ -67,6 +68,12 @@ def ratio(a, b):
 
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
+
+
+def ratio_text(a, b):
+    """str(ratio(a, b)) for ints a and b > 0, written without a Fraction."""
+    g = gcd(a, b)
+    return str(a // g) if g == b else "%d/%d" % (a // g, b // g)
 
 
 def primitive(v):

@@ -4,7 +4,8 @@ bounded-degree Hopf-order generators for the rank-1 adjoint case.
 
 The brackets of a Lie lattice's basis and the Killing form are read off
 the integer bracket table of the Chevalley basis, so they stay integral
-and no matrix of ad is built.
+and no matrix of ad is built; the invariants are Smith forms of those
+integers, each divisor written over their one denominator.
 
 Hopf orders are handled through explicit matrix-coefficient polynomials in
 the group coordinates, reduced modulo the determinant relation
@@ -18,9 +19,9 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
-from latmod.exact import snf, transporter
-from latmod.kernels import hermite_coords, hnf_columns
-from latmod.matrixops import F, clear_denominators, dense, mat_mul, ratio
+from latmod.exact import transporter
+from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
+from latmod.matrixops import F, clear_denominators, dense, ratio, ratio_text
 
 
 class ModelError(ValueError):
@@ -117,15 +118,28 @@ def killing_gram(cb):
 
 def lie_invariants(model):
     """Basis-change invariants: elementary divisors of the Killing Gram
-    and of the flattened bracket structure tensor in a model basis."""
-    cb, lat = model.cb, model.lattice
-    g_lat = mat_mul(lat.basis, mat_mul(killing_gram(cb), lat.basis_matrix()))  # Bᵀ·G·B
-    # snf divides out the content of the bracket rows first.
-    rows, den = model.bracket
+    and of the flattened bracket structure tensor in a model basis.
+
+    Both are integer matrices over one denominator: the Gram Bᵀ·G·B is
+    Cᵀ·G·C over d² on the integer columns C = d·B, and the bracket rows
+    carry theirs.
+    """
+    cols = model.lattice.columns
+    g = [[(l, x) for l, x in enumerate(row) if x] for row in killing_gram(model.cb)]
+    gc = [[sum(x * c[l] for l, x in row) for row in g] for c in cols]  # G·c_j
+    gram = [[sum(a * b for a, b in zip(ci, gcj)) for gcj in gc] for ci in cols]
     return {
-        "killing_divisors": [str(d) for d in snf(g_lat)],
-        "bracket_divisors": [str(d) for d in snf([[ratio(x, den) for x in r] for r in rows])],
+        "killing_divisors": _divisors(gram, model.lattice.denominator**2),
+        "bracket_divisors": _divisors(*model.bracket),
     }
+
+
+def _divisors(rows, den):
+    """Elementary divisors of the integer rows over den, written as
+    str(Fraction) writes them; the common factor of the rows and den is
+    divided out first."""
+    g = gcd(den, *chain.from_iterable(rows))
+    return [ratio_text(x, den // g) for x in snf_diagonal([[x // g for x in r] for r in rows])]
 
 
 # -----------------------------------------------------------------------

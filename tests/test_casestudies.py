@@ -21,7 +21,7 @@ from latmod.casestudies import (
     pgl2_sym2_report,
     reduced_forms_count,
 )
-from latmod import casestudies
+from latmod import casestudies, models
 from latmod.exact import Lattice
 from latmod.models import _sym2_symbolic
 from oracles import scaling_equivalent
@@ -295,12 +295,13 @@ def test_report_details(report):
 def test_purity_obstruction_is_the_determinant_identity(report, monkeypatch):
     # The check proves det Sym²(g) = det(g)³ from the symbolic Sym² matrix;
     # with one corrupted entry the identity fails and the report says so.
+    # The report imports the matrix from models when it runs.
     assert report["assertions"]["purity_obstruction"]["witness"] is None
     good = _sym2_symbolic()
     for i, j in ((1, 1), (0, 2), (2, 0)):
         bad = [list(row) for row in good]
         bad[i][j] = {e: 2 * c for e, c in good[i][j].items()}
-        monkeypatch.setattr(casestudies, "_sym2_symbolic", lambda: tuple(map(tuple, bad)))
+        monkeypatch.setattr(models, "_sym2_symbolic", lambda: tuple(map(tuple, bad)))
         out = casestudies.pgl2_sym2_report()
         purity = out["assertions"]["purity_obstruction"]
         assert out["status"] == "fail" and not purity["pass"]

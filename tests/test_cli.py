@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -616,9 +617,19 @@ print(json.dumps([on_import, sorted(m for m in sys.modules if m.startswith("latm
 """
 
 
+CLASSGROUP_SCOPE = """
+import json, os, sys
+import latmod.cli
+latmod.cli.main(["case", "classgroup", "--disc", "-95", "--out", os.devnull])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("latmod"))))
+"""
+
+
 def test_import_scope():
     # The command table and its converters need only sys; each pipeline is
-    # imported by the handler that runs it.
+    # imported by the handler that runs it.  The class-group pipeline needs
+    # exact arithmetic only: the Lie and representation modules are
+    # imported by the pgl2 report when it runs.
     proc = run_child(["-c", IMPORT_SCOPE])
     assert proc.returncode == 0, proc.stderr
     on_import, after_orbits = json.loads(proc.stdout)
@@ -626,6 +637,11 @@ def test_import_scope():
     assert [m for m in on_import if m.startswith("latmod")] == ["latmod", "latmod.cli", "latmod.kernels"]
     assert "latmod.latconstruct" in after_orbits
     assert "latmod.models" not in after_orbits and "latmod.casestudies" not in after_orbits
+    proc = run_child(["-c", CLASSGROUP_SCOPE])
+    assert proc.returncode == 0, proc.stderr
+    after_classgroup = json.loads(proc.stdout)
+    assert "latmod.casestudies" in after_classgroup
+    assert not {"latmod.models", "latmod.reps", "latmod.rootdata"} & set(after_classgroup)
 
 
 NO_JSON = """
@@ -661,6 +677,7 @@ for argv in (
     ["orbits", "--type", "C", "--rank", "2", "--hw", "0,1", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "2", "--hw", "2,0", "--p", "2"],
     ["case", "classgroup", "--disc", "-119"],
+    ["model", "lie", "--rep", sys.argv[1], "--lattice", sys.argv[2]],
 ):
     seen.append([latmod.cli.main(argv + ["--out", os.devnull]), "fractions" in sys.modules])
 code = latmod.cli.main(["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"])
@@ -669,13 +686,19 @@ sys.stderr.write(repr(seen))
 """
 
 
-def test_integral_requests_do_not_import_fractions():
+def test_integral_requests_do_not_import_fractions(tmp_path):
     # Types A, C and D compute on integral values only, so their requests
     # never make a Fraction and never import fractions, and neither does a
-    # class group, whose ring and ideals are integral; the 1/2 entries of
-    # type B do, and B3 (1,0,0) still writes its golden output.
-    proc = run_child(["-c", NO_FRACTIONS])
-    assert proc.stderr == repr([[0, False]] * 7 + [[0, True]])
+    # class group, whose ring and ideals are integral, nor `model lie` on
+    # an integral lattice (the first C2 (1,0) lattice of the benchmark
+    # pool), whose invariants are written over one denominator; the 1/2
+    # entries of type B do, and B3 (1,0,0) still writes its golden output.
+    entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"]["C2_10"]
+    rep, lat = tmp_path / "rep.json", tmp_path / "lat.json"
+    rep.write_text(json.dumps(entry["descriptor"]))
+    lat.write_text(json.dumps(entry["lattices"][0]["lattice"]))
+    proc = run_child(["-c", NO_FRACTIONS, str(rep), str(lat)])
+    assert proc.stderr == repr([[0, False]] * 8 + [[0, True]])
     (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
     assert proc.stdout == golden["stdout"]
 
@@ -710,24 +733,94 @@ def test_writer_on_empty_and_nested_containers():
         assert cli._dump(obj) == dumps(obj), obj
 
 
-def test_module_entry_point_matches_main(tmp_path, capsys):
-    # One argv of each command, a usage error and help, each run as
-    # `python -m latmod.cli` and through main in-process.
+def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):
+    # One argv of each command, an output longer than a pipe buffer (91 KB),
+    # an --out file, two usage errors and help, each run as
+    # `python -m latmod.cli`, as the `latmod` script runs (its target
+    # called under sys.exit, as the generated wrapper does) and through
+    # main in-process.  The children's stdout is block-buffered, as in a
+    # shell without PYTHONUNBUFFERED, so output left unflushed at exit
+    # would be lost.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     lat = tmp_path / "lat.json"
     lat.write_text(Lattice([[1, 0], [0, 2]]).to_json())
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    out_file = tmp_path / "out.json"
+    # The function pyproject.toml names as the `latmod` script.
+    (entry,) = re.findall(r'^latmod = "latmod\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    script = "import sys; from latmod.cli import %s as entry; sys.argv[0] = 'latmod'; sys.exit(entry())" % entry
     for argv in (
         ["rep", "build"] + REP_A1,
         ["lattice", "dist", "--p", "2", "--a", str(lat), "--b", str(lat)],
         ["sandwich"] + REP_A1 + ["--p", "2"],
         ["orbits"] + REP_A1 + ["--p", "3"],
+        ["orbits", "--type", "A", "--rank", "1", "--hw", "6", "--p", "2"],
         ["model", "lie", "--rep", str(rep), "--lattice", str(lat)],
         ["case", "pgl2"],
         ["case", "classgroup", "--disc", "-20"],
+        ["case", "classgroup", "--disc", "-95", "--out", str(out_file)],
         ["orbits", "--p", "4"],
+        ["case", "nope"],
         ["--help"],
     ):
-        code, out, _ = run(argv, capsys)
-        proc = run_child(["-m", "latmod.cli"] + argv)
-        assert (proc.returncode, proc.stdout) == (code, out), argv
+        code, out, err = run(argv, capsys)
+        written = out_file.read_text() if out_file.exists() else None
+        for child in (["-m", "latmod.cli"], ["-c", script]):
+            out_file.unlink(missing_ok=True)
+            proc = run_child(child + argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), (child, argv)
+            assert (out_file.read_text() if out_file.exists() else None) == written, (child, argv)
+        out_file.unlink(missing_ok=True)
+    # The A1 hw 6 report is longer than a 64 KiB pipe buffer.
+    assert len(run(["orbits", "--type", "A", "--rank", "1", "--hw", "6", "--p", "2"], capsys)[1]) > 2**16
+
+
+class _ClosedStdout:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_ends_the_process_with_the_code_of_main(monkeypatch, capsys):
+    # run flushes both streams and hands main's code to os._exit, which
+    # here records it instead of ending the test process.
+    exits = []
+
+    def fake_exit(code):
+        exits.append((code, capsys.readouterr()))
+        raise SystemExit("os._exit")
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    for argv, code in ((["case", "classgroup", "--disc", "-20"], 0), (["orbits", "--p", "4"], 1)):
+        monkeypatch.setattr(sys, "argv", ["latmod"] + argv)
+        with pytest.raises(SystemExit, match="os._exit"):
+            cli.run()
+        ((got, (out, err)),) = exits
+        assert got == code and (out, err) == run(argv, capsys)[1:]
+        exits.clear()
+
+
+def test_run_falls_back_to_system_exit_when_a_flush_fails(monkeypatch):
+    # A flush that fails (a closed pipe) leaves the exit to the interpreter,
+    # with main's code; os._exit is never called.
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    for argv, code in ((["case", "classgroup", "--disc", "-20"], 0), (["orbits", "--p", "4"], 1), (["--help"], 0)):
+        monkeypatch.setattr(sys, "argv", ["latmod"] + argv)
+        with pytest.raises(SystemExit) as e:
+            cli.run()
+        assert e.value.code == code
+    assert exits == []
+
+
+def test_main_never_ends_the_process(monkeypatch, capsys):
+    # main returns its code, also after help and usage errors: the
+    # benchmark's tracing shim calls it and writes its spans afterwards.
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("main called os._exit"))
+    for argv, code in ((["case", "pgl2"], 0), (["orbits", "--p", "4"], 1), (["--help"], 0)):
+        assert main(argv) == code
+    capsys.readouterr()

@@ -24,6 +24,7 @@ from latmod.matrixops import (
     mat_mul,
     mat_vec,
     primitive,
+    ratio_text,
     relations,
     rref,
     scaled_inverse,
@@ -461,3 +462,8 @@ def test_inverses_match_the_echelon_oracle(a):
     assert got == expected and types(got[1]) == types(expected[1]) and type(got[0]) is int
     inv = mat_inv(a)
     assert inv == mat_inv_by_echelon(a) and types(inv) == types(mat_inv_by_echelon(a))
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**20))
+def test_ratio_text_is_str_of_the_fraction(a, b):
+    assert ratio_text(a, b) == str(Fraction(a, b))

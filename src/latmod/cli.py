@@ -2,9 +2,12 @@
 subcommand emitting JSON (deterministic, sorted keys) to stdout or --out;
 --pretty renders a flat key/value table instead.  The JSON is written by
 _dump, byte for byte what json.dumps(obj, sort_keys=True, separators=(",",
-": "), indent=1) writes, without importing json for what reports hold;
-json is imported only where JSON is read, or for a string that needs an
-escape.
+": "), indent=1) writes, without importing json for what reports hold.
+Input files are read by _load, which gives what json.loads gives and
+reads plain JSON itself (objects, arrays, integers, true, false, null,
+strings with no escape).  So json is imported only for input that is not
+plain, for a string that needs an escape, or to quote a bad value in an
+error.
 
 COMMANDS maps each command to its handler and its required flags with
 their converters; every flag is converted before the handler runs, and
@@ -13,7 +16,8 @@ read them: ``--flag value``, ``--flag=value``, a unique prefix of the
 name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
-flags or inputs), 2 internal assertion failure.  main returns the code and
+flags or inputs) or a failed write of help, usage or report (a closed
+pipe), 2 internal assertion failure.  main returns the code and
 never ends the process; run, the entry of ``python -m latmod.cli`` and of
 the ``latmod`` script, flushes stdout and stderr and then ends the process
 with os._exit, skipping interpreter teardown.  No atexit handler runs
@@ -49,7 +53,72 @@ def _prime(text):
 def _load_lattice(path):
     from latmod.exact import Lattice
     with open(path) as f:
-        return Lattice.from_json(f.read())
+        return Lattice.from_json_obj(_load(f.read()))
+
+
+def _load(text):
+    """json.loads(text).  Objects, arrays, integers, true, false, null
+    and strings with no escape or control character are read here; any
+    other text (a float, an escape, malformed or very deeply nested
+    text) goes to json.loads, which reads it or raises as it would."""
+    try:
+        value, end = _read(text, _skip(text, 0))
+        if end == len(text):
+            return value
+    except (IndexError, ValueError, RecursionError):
+        pass
+    import json
+    return json.loads(text)
+
+
+def _skip(text, i):
+    """The index of the first character at or past i that is not JSON
+    white space."""
+    while i < len(text) and text[i] in " \t\n\r":
+        i += 1
+    return i
+
+
+def _read(text, i):
+    """The value that starts at text[i] and the index past it and the
+    white space after it; IndexError or ValueError where _load gives up."""
+    c = text[i]
+    if c == "[" or c == "{":
+        out, close = ([], "]") if c == "[" else ({}, "}")
+        i = _skip(text, i + 1)
+        if text[i] == close:
+            return out, _skip(text, i + 1)
+        while True:
+            if close == "]":
+                value, i = _read(text, i)
+                out.append(value)
+            else:
+                key, i = _read(text, i)
+                if type(key) is not str or text[i] != ":":
+                    raise ValueError
+                out[key], i = _read(text, _skip(text, i + 1))
+            if text[i] == close:
+                return out, _skip(text, i + 1)
+            if text[i] != ",":
+                raise ValueError
+            i = _skip(text, i + 1)
+    if c == '"':
+        end = text.index('"', i + 1)
+        s = text[i + 1 : end]
+        if "\\" in s or s and min(s) < " ":
+            raise ValueError
+        return s, _skip(text, end + 1)
+    for word, value in (("true", True), ("false", False), ("null", None)):
+        if text.startswith(word, i):
+            return value, _skip(text, i + len(word))
+    # An integer, -?(0|[1-9][0-9]*); a fraction or exponent after it is
+    # where the caller finds no separator.
+    start = end = i + 1 if c == "-" else i
+    while end < len(text) and text[end] in "0123456789":
+        end += 1
+    if end == start or text[start] == "0" and end > start + 1:
+        raise ValueError
+    return int(text[i:end]), _skip(text, end)
 
 
 def _build_rep(args):
@@ -168,13 +237,11 @@ def _spec_int(name, x):
 
 
 def _cmd_model_lie(args):
-    import json
-
     from latmod.models import lie_invariants, lie_model
     from latmod.reps import build_irrep
     from latmod.rootdata import build_chevalley
     with open(args["rep"]) as f:
-        spec = json.load(f)
+        spec = _load(f.read())
     shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
     if not shaped or not all(type(x) in (int, str) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
@@ -279,14 +346,15 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     path = []
     try:
-        handler, args = _parse(argv, path)
-    except _Usage as e:
-        stream, tail = (sys.stderr, "error: %s\n" % e) if e.args else (sys.stdout, "")
-        stream.write(_usage(path) + "\n" + tail)
-        return 1 if e.args else 0
-    try:
+        try:
+            handler, args = _parse(argv, path)
+        except _Usage as e:
+            stream, tail = (sys.stderr, "error: %s\n" % e) if e.args else (sys.stdout, "")
+            stream.write(_usage(path) + "\n" + tail)
+            return 1 if e.args else 0
         _emit(handler(args), args)
     except (ValueError, OSError, KeyError) as e:
+        # An OSError may be the usage or the report written to a closed pipe.
         sys.stderr.write("error: %s\n" % e)
         return 1
     except AssertionError as e:

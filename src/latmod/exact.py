@@ -22,8 +22,8 @@ for the torus shift lattice of the orbit reports.  Every rational this
 module returns is canonical (matrixops.F): an int when it is integral,
 and every quotient is matrixops.ratio, so fractions is imported only for
 a value that is not integral, such as a basis entry column / scale or
-an "a/b" entry of a lattice file.  json is imported only by the methods
-that read or write lattice files.
+an "a/b" entry of a lattice file.  json is imported only by to_json and
+from_json, and by from_json_obj to quote a bad value in its error.
 """
 
 from itertools import chain
@@ -293,8 +293,6 @@ class Lattice:
 
     @classmethod
     def from_json_obj(cls, obj):
-        import json
-
         if not isinstance(obj, dict):
             raise LatticeError("a lattice file holds one object")
         if missing := [k for k in ("ambient", "ring", "basis") if k not in obj]:
@@ -302,6 +300,8 @@ class Lattice:
         # type(x) is int: a JSON true or false is a bool, not an integer.
         n, ring, basis, entry = obj["ambient"], obj["ring"], obj["basis"], (int, str)
         if type(n) is not int or n < 1:
+            import json
+
             raise LatticeError("ambient must be a positive integer, not %s" % json.dumps(n))
         if ring != "Z" and not (isinstance(ring, dict) and type(ring.get("Zp")) in entry):
             raise LatticeError('ring must be "Z" or {"Zp": p}')
@@ -311,6 +311,8 @@ class Lattice:
         try:
             prime = None if ring == "Z" else int(ring["Zp"])
         except ValueError:
+            import json
+
             raise LatticeError("Zp must be an integer, not %s" % json.dumps(ring["Zp"]))
         try:
             rows = [[_entry(x) for x in row] for row in basis]

@@ -21,7 +21,7 @@ from math import gcd, prod
 
 from latmod.exact import transporter
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, dense, ratio, ratio_text
+from latmod.matrixops import clear_denominators, dense, ratio, ratio_text
 
 
 class ModelError(ValueError):
@@ -165,11 +165,6 @@ def poly_add(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def poly_scale(c, a):
-    c = F(c)
-    return {e: c * x for e, x in a.items()} if c else {}
-
-
 def poly_reduce_det(a):
     """Rewrite x11·x22 -> 1 + x12·x21 until no monomial has both."""
     work = dict(a)
@@ -257,7 +252,12 @@ def _sym2_symbolic():
 
 def hopf_generators(rep, lat):
     """Matrix coefficients of the symmetric-square action in a lattice
-    basis, as reduced polynomials in the group coordinates."""
+    basis, as reduced polynomials in the group coordinates.
+
+    Entry (i, j) of B⁻¹·Sym²(g)·B is Σ_kl B⁻¹[i][k]·B[l][j]·s[k][l]; its
+    coefficients are summed over the integers inv and the integer columns
+    of B, and each is divided once by their denominators, so an integral
+    generator (both paper lattices) makes no Fraction."""
     cb = rep.cb
     if cb.rs.type_label != "A" or cb.rs.rank != 1 or rep.dim != 3:
         raise ModelError("unsupported group presentation")
@@ -266,16 +266,18 @@ def hopf_generators(rep, lat):
     s = _sym2_symbolic()
     # B⁻¹[i][k] = inv[k][i] / den: column k of B⁻¹ is the coordinates of e_k.
     inv, den = lat.coordinates([[int(i == k) for i in range(3)] for k in range(3)], 1)
+    scale = den * lat.denominator
     gens = []
     for i in range(3):
-        for j in range(3):
+        for col in lat.columns:
             entry = {}
             for k in range(3):
                 for l in range(3):
-                    coef = ratio(inv[k][i] * lat.columns[j][l], den * lat.denominator)
-                    if coef:
-                        entry = poly_add(entry, poly_scale(coef, s[k][l]))
-            gens.append(entry)
+                    c = inv[k][i] * col[l]
+                    if c:
+                        for e, x in s[k][l].items():
+                            entry[e] = entry.get(e, 0) + c * x
+            gens.append({e: ratio(x, scale) for e, x in entry.items() if x})
     return HopfOrderGenerators(gens)
 
 
@@ -339,8 +341,10 @@ def _tracked_membership(echelon, target, p):
     p-denominator, or "outside" when the target is not even in the
     Q-span.  The basis is triangular with pivot product P, so the target,
     scaled like the products and then to integers by some den, has
-    coordinates in Z/P; hermite_coords finds den·P times the target's
-    coordinates.
+    coordinates in Z/P; hermite_coords finds the integers den·P times the
+    target's coordinates.  The p-denominator test and the combination
+    read only the nonzero ones (a generator of the paper pair has one),
+    and each coefficient is divided by den·P once, at the end.
     """
     ix, d, cols, pivots, words = echelon
     if any(c and e not in ix for e, c in target.items()):
@@ -354,13 +358,17 @@ def _tracked_membership(echelon, target, p):
     if x is None:
         return "outside", None
     scale = den * pivot_prod
-    coords = [ratio(xk, scale) for xk in x]
+    used = [(xk, col) for xk, col in zip(x, cols) if xk]
     if p is not None:
-        bad = next((q for q in coords if q.denominator % p == 0), None)
+        bad = next((xk for xk, _ in used if scale // gcd(xk, scale) % p == 0), None)
         if bad is not None:
-            return "excluded", bad
+            return "excluded", ratio(bad, scale)
     n = len(ix)
-    combo = [sum(xk * col[n + k] for xk, col in zip(x, cols)) for k in range(len(words))]
+    combo = [0] * len(words)
+    for xk, col in used:
+        for k, t in enumerate(col[n:]):
+            if t:
+                combo[k] += xk * t
     return "member", [(ratio(c, scale), words[k]) for k, c in enumerate(combo) if c]
 
 

@@ -117,11 +117,11 @@ def test_model_lie(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_child(args, timeout=60):
+def run_child(args, timeout=60, stdout=subprocess.PIPE):
     """A fresh interpreter on this checkout's src/, as the benchmark runs the CLI."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable] + args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("name, index", [("A2_11", 0), ("C2_10", 0)])
@@ -650,18 +650,37 @@ import latmod.cli
 seen = ["json" in sys.modules]
 code = latmod.cli.main(["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1"])
 seen.append("json" in sys.modules)
-for argv in (["sandwich", "--p", "2"], ["orbits", "--p", "3"]):
-    code += latmod.cli.main(argv + ["--type", "A", "--rank", "1", "--hw", "4", "--out", os.devnull])
+rep, lat = sys.argv[1:]
+for argv in (
+    ["sandwich", "--type", "A", "--rank", "1", "--hw", "4", "--p", "2"],
+    ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "3"],
+    ["model", "lie", "--rep", rep, "--lattice", lat],
+    ["lattice", "dist", "--p", "2", "--a", lat, "--b", lat],
+    ["case", "pgl2"],
+):
+    code += latmod.cli.main(argv + ["--out", os.devnull])
     seen.append("json" in sys.modules)
 sys.stderr.write("%d %s" % (code, seen))
 """
 
 
-def test_output_path_does_not_import_json():
-    # json is imported where JSON is read, not to write a report: not by
-    # the command table, nor by rep build, nor by the lattice pipelines.
-    proc = run_child(["-c", NO_JSON])
-    assert proc.stderr == "0 [False, False, False, False]"
+def _pool_files(tmp_path):
+    """The descriptor and first lattice of the benchmark pool's C2 (1,0)
+    entry, written as json.dumps writes them."""
+    entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"]["C2_10"]
+    rep, lat = tmp_path / "rep.json", tmp_path / "lat.json"
+    rep.write_text(json.dumps(entry["descriptor"]))
+    lat.write_text(json.dumps(entry["lattices"][0]["lattice"]))
+    return str(rep), str(lat)
+
+
+def test_output_path_does_not_import_json(tmp_path):
+    # json is imported only to write a string that needs an escape, or to
+    # read input that is not plain: not by the command table, nor by rep
+    # build, the lattice pipelines or case pgl2, nor by model lie and
+    # lattice dist, whose plain input files cli._load reads.
+    proc = run_child(["-c", NO_JSON, *_pool_files(tmp_path)])
+    assert proc.stderr == "0 %s" % ([False] * 7)
     assert json.loads(proc.stdout)["dim"] == 8
 
 
@@ -677,6 +696,7 @@ for argv in (
     ["orbits", "--type", "C", "--rank", "2", "--hw", "0,1", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "2", "--hw", "2,0", "--p", "2"],
     ["case", "classgroup", "--disc", "-119"],
+    ["case", "pgl2"],
     ["model", "lie", "--rep", sys.argv[1], "--lattice", sys.argv[2]],
 ):
     seen.append([latmod.cli.main(argv + ["--out", os.devnull]), "fractions" in sys.modules])
@@ -689,16 +709,13 @@ sys.stderr.write(repr(seen))
 def test_integral_requests_do_not_import_fractions(tmp_path):
     # Types A, C and D compute on integral values only, so their requests
     # never make a Fraction and never import fractions, and neither does a
-    # class group, whose ring and ideals are integral, nor `model lie` on
-    # an integral lattice (the first C2 (1,0) lattice of the benchmark
+    # class group, whose ring and ideals are integral, nor case pgl2,
+    # whose Hopf generators and certificates are integral, nor `model lie`
+    # on an integral lattice (the first C2 (1,0) lattice of the benchmark
     # pool), whose invariants are written over one denominator; the 1/2
     # entries of type B do, and B3 (1,0,0) still writes its golden output.
-    entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"]["C2_10"]
-    rep, lat = tmp_path / "rep.json", tmp_path / "lat.json"
-    rep.write_text(json.dumps(entry["descriptor"]))
-    lat.write_text(json.dumps(entry["lattices"][0]["lattice"]))
-    proc = run_child(["-c", NO_FRACTIONS, str(rep), str(lat)])
-    assert proc.stderr == repr([[0, False]] * 8 + [[0, True]])
+    proc = run_child(["-c", NO_FRACTIONS, *_pool_files(tmp_path)])
+    assert proc.stderr == repr([[0, False]] * 9 + [[0, True]])
     (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
     assert proc.stdout == golden["stdout"]
 
@@ -731,6 +748,83 @@ def test_writer_matches_json_dumps(obj):
 def test_writer_on_empty_and_nested_containers():
     for obj in ({}, [], [{}], {"a": []}, [[[]]], {"b": {"a": [None, True, False, -1, 10**30]}}, ['q"uote', "\u00e9"]):
         assert cli._dump(obj) == dumps(obj), obj
+
+
+def _typed(x):
+    """x with the type of every value and the key order of every object
+    written out, so that 1 and True, or {"a": 1, "b": 2} and {"b": 2,
+    "a": 1}, are told apart."""
+    if type(x) is list:
+        return "list", [_typed(v) for v in x]
+    if type(x) is dict:
+        return "dict", [(k, _typed(v)) for k, v in x.items()]
+    return type(x).__name__, x
+
+
+# Texts json.dumps writes: indented or not, with and without spaces, with
+# non-ASCII characters raw or escaped, between any JSON white space.
+DUMPS_SETTINGS = st.sampled_from(
+    [
+        {},
+        {"indent": 1, "sort_keys": True, "separators": (",", ": ")},
+        {"indent": 2, "ensure_ascii": False},
+        {"indent": "\t", "separators": (" ,", " : ")},
+        {"separators": (",", ":"), "ensure_ascii": False},
+        {"indent": 0},
+    ]
+)
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, DUMPS_SETTINGS, SPACE, SPACE)
+def test_reader_matches_json_loads(obj, kwargs, before, after):
+    text = before + json.dumps(obj, **kwargs) + after
+    assert _typed(cli._load(text)) == _typed(json.loads(text))
+
+
+BAD_JSON = [
+    "01",
+    "-01",
+    "00",
+    "1.0",
+    "[-0.5e-3]",
+    "1e3",
+    "\x0c1",
+    "[1,\u00a02]",
+    "-",
+    "[-]",
+    "[1,]",
+    "[1 2]",
+    '{"a" 1}',
+    '{"a": 1,}',
+    "{1: 2}",
+    '"\\u0001"',
+    '"\u0001"',
+    '"open',
+    "NaN",
+    "tru",
+    "﻿[]",
+    "[1] 2",
+    "{}x",
+    "",
+    " \n",
+    "[" * 100_000,
+    "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", BAD_JSON, ids=range(len(BAD_JSON)))
+def test_reader_fails_as_json_loads_fails(text):
+    # Every text the reader does not read itself, malformed or not, is
+    # read by json.loads: the same value, or the same exception and message.
+    def outcome(load):
+        try:
+            return "value", _typed(load(text))
+        except Exception as e:
+            return type(e), str(e)
+
+    assert outcome(cli._load) == outcome(json.loads)
 
 
 def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):
@@ -815,6 +909,31 @@ def test_run_falls_back_to_system_exit_when_a_flush_fails(monkeypatch):
             cli.run()
         assert e.value.code == code
     assert exits == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_to_a_closed_pipe_is_an_error_not_a_traceback(unbuffered, monkeypatch):
+    # `latmod --help | true`: the reader of stdout is gone before the help
+    # is written.  Help then ends as a short report does: unbuffered, main's
+    # write fails and it exits 1 with an error line; buffered, the write
+    # fails at run's flush.  Neither prints a traceback.
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    got = []
+    for argv in (["--help"], ["case", "classgroup", "--disc", "-20"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_child(["-m", "latmod.cli"] + argv, stdout=write)
+        finally:
+            os.close(write)
+        got.append((proc.returncode, proc.stderr))
+    assert "Traceback" not in got[0][1]
+    assert got[0] == got[1]
+    if unbuffered:
+        assert got[0] == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_main_never_ends_the_process(monkeypatch, capsys):

@@ -25,7 +25,6 @@ from latmod.models import (
     poly_add,
     poly_mul,
     poly_reduce_det,
-    poly_scale,
     poly_str,
 )
 from latmod import models
@@ -396,7 +395,7 @@ def _assert_certificates(report, g1, g2, p):
             prod = {(0, 0, 0, 0): Fraction(1)}
             for k in term["word"]:
                 prod = poly_reduce_det(poly_mul(prod, src.generators[k]))
-            total = poly_add(total, poly_scale(coeff, prod))
+            total = poly_add(total, {e: coeff * x for e, x in prod.items()})
         assert total == target
 
 

@@ -16,12 +16,15 @@ read them: ``--flag value``, ``--flag=value``, a unique prefix of the
 name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
-flags or inputs) or a failed write of help, usage or report (a closed
-pipe), 2 internal assertion failure.  main returns the code and
-never ends the process; run, the entry of ``python -m latmod.cli`` and of
-the ``latmod`` script, flushes stdout and stderr and then ends the process
-with os._exit, skipping interpreter teardown.  No atexit handler runs
-(latmod registers none); an --out file is closed before main returns.
+flags or inputs, or a rep build report with more action entries than
+REPORT_ENTRY_CAP, refused before it is built) or a failed write of help,
+usage or report (a closed pipe), 2 internal assertion failure.  main
+returns the code and never ends the process; run, the entry of
+``python -m latmod.cli`` and of the ``latmod`` script, flushes stdout and
+stderr and then ends the process with os._exit, skipping interpreter
+teardown; a flush that fails ends it with code 1 and an error line, as a
+failed write in main does.  No atexit handler runs (latmod registers
+none); an --out file is closed before main returns.
 """
 
 import os
@@ -121,8 +124,8 @@ def _read(text, i):
     return int(text[i:end]), _skip(text, end)
 
 
-def _build_rep(args):
-    from latmod.reps import build_irrep
+def _rep_input(args):
+    """The Chevalley basis and highest weight the flags name."""
     from latmod.rootdata import build_chevalley
     cb = build_chevalley(args["type"], args["rank"])
     try:
@@ -131,7 +134,12 @@ def _build_rep(args):
         raise ValueError("highest weight must be comma-separated integers")
     if len(hw) != args["rank"] or any(x < 0 for x in hw):
         raise ValueError("highest weight needs %d nonnegative coordinates" % args["rank"])
-    return build_irrep(cb, hw)
+    return cb, hw
+
+
+def _build_rep(args):
+    from latmod.reps import build_irrep
+    return build_irrep(*_rep_input(args))
 
 
 def _dump(obj):
@@ -198,8 +206,24 @@ def _pretty(obj, prefix=""):
     return "%-40s %s" % (prefix.rstrip("."), obj)
 
 
+# The most action entries (dim² for each generator) a rep build report
+# writes.  Its peak memory grows by about 97 bytes an entry (CPython 3.11,
+# x86-64: rep build A4 (0,1,1,1), B4 (0,0,0,2), D4 (1,1,0,0)), so the cap
+# keeps it under about 400 MB; B4 (0,0,0,2), the largest report the tests
+# and the benchmark write, has 571,536 entries.
+REPORT_ENTRY_CAP = 4_000_000
+
+
 def _cmd_rep_build(args):
-    return _build_rep(args).to_json_obj()
+    from latmod.reps import build_irrep, weyl_dimension
+    cb, hw = _rep_input(args)
+    dim, gens = weyl_dimension(cb, hw), len(cb.basis_order())
+    if dim * dim * gens > REPORT_ENTRY_CAP:
+        raise ValueError(
+            "the report of dimension %d with %d generators has %d action entries, more than the cap of %d"
+            % (dim, gens, dim * dim * gens, REPORT_ENTRY_CAP)
+        )
+    return build_irrep(cb, hw).to_json_obj()
 
 
 def _cmd_lattice_dist(args):
@@ -365,15 +389,20 @@ def main(argv=None):
 
 def run():
     """main on sys.argv, then os._exit with its code once stdout and
-    stderr are flushed.  A flush that fails (a closed pipe) raises
-    SystemExit instead, so the interpreter reports it as it would without
-    run."""
+    stderr are flushed.  A flush that fails (a closed pipe) ends the
+    process with code 1, after an error line as main writes for a failed
+    write, so a closed pipe ends a request the same way whether stdout is
+    buffered or not."""
     code = main()
     try:
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            code = 1
+            sys.stderr.write("error: %s\n" % e)
         sys.stderr.flush()
     except OSError:
-        raise SystemExit(code)
+        code = 1
     os._exit(code)
 
 

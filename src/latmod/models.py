@@ -8,16 +8,27 @@ and no matrix of ad is built; the invariants are Smith forms of those
 integers, each divisor written over their one denominator.
 
 Hopf orders are handled through explicit matrix-coefficient polynomials in
-the group coordinates, reduced modulo the determinant relation
-x11·x22 = 1 + x12·x21; equality of two orders is decided up to a degree
-bound on one integer Hermite basis of the generator products in the
-reduced monomials, whose transform gives an explicit integral
-certificate for every positive answer.
+the group coordinates, each kept in one normal form modulo the
+determinant relation x11·x22 = 1 + x12·x21: the polynomial with no
+monomial divisible by x11·x22 (poly_reduce_det, in closed form).  The
+degree of a normal form is additive on products.  Replacing x11·x22 by
+1 + x12·x21 keeps the top-degree part of a polynomial modulo
+q = x11·x22 − x12·x21, so the top-degree part of NF(f·g) is the normal
+form modulo q of f_d·g_e, the product of the top-degree parts.  The
+normal-form monomials are a basis of Q[x]/(q) too, so f_d and g_e are
+nonzero there; q is irreducible (a nondegenerate quadratic form in four
+variables), so Q[x]/(q) is an integral domain, f_d·g_e is nonzero modulo
+q, and deg NF(f·g) = deg f + deg g.  So the generator products within a
+degree bound are known from the generators' degrees before any is built.
+Equality of two orders is decided up to a degree bound on one integer
+Hermite basis of those products in the normal-form monomials, whose
+transform gives an explicit integral certificate for every positive
+answer.
 """
 
 from functools import lru_cache
 from itertools import chain
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from latmod.exact import transporter
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
@@ -166,21 +177,17 @@ def poly_add(a, b):
 
 
 def poly_reduce_det(a):
-    """Rewrite x11·x22 -> 1 + x12·x21 until no monomial has both."""
-    work = dict(a)
+    """The normal form of a modulo x11·x22 − 1 − x12·x21: the one
+    polynomial congruent to a with no monomial divisible by x11·x22.  With
+    m = min(i, l), x11^i·x12^j·x21^k·x22^l is
+    x11^(i−m)·x12^j·x21^k·x22^(l−m)·(1 + x12·x21)^m, and the last factor
+    is Σ_t C(m, t)·(x12·x21)^t."""
     out = {}
-    while work:
-        e, c = work.popitem()
-        if e[0] > 0 and e[3] > 0:
-            base = (e[0] - 1, e[1], e[2], e[3] - 1)
-            for extra in (base, (base[0], base[1] + 1, base[2] + 1, base[3])):
-                cur = work.get(extra, 0) + c
-                if cur:
-                    work[extra] = cur
-                elif extra in work:
-                    del work[extra]
-        else:
-            out[e] = out.get(e, 0) + c
+    for (i, j, k, l), c in a.items():
+        m = min(i, l)
+        for t in range(m + 1):
+            e = (i - m, j + t, k + t, l - m)
+            out[e] = out.get(e, 0) + comb(m, t) * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -203,29 +210,16 @@ def poly_str(a):
 
 
 class HopfOrderGenerators:
-    """Matrix-coefficient polynomials generating an order, plus metadata."""
+    """Matrix-coefficient polynomials generating an order, each kept in
+    the normal form of poly_reduce_det."""
 
-    __slots__ = ("variables", "generators", "degree_bound")
+    __slots__ = ("generators",)
 
-    def __init__(self, generators, degree_bound=4):
-        object.__setattr__(self, "variables", PGL2_VARS)
-        object.__setattr__(
-            self, "generators", tuple(poly_reduce_det(g) for g in generators)
-        )
-        object.__setattr__(self, "degree_bound", degree_bound)
+    def __init__(self, generators):
+        object.__setattr__(self, "generators", tuple(poly_reduce_det(g) for g in generators))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
-
-    def to_json_obj(self):
-        return {
-            "variables": list(self.variables),
-            "generators": [
-                {",".join(map(str, e)): str(c) for e, c in g.items()}
-                for g in self.generators
-            ],
-            "degree_bound": self.degree_bound,
-        }
 
 
 def _sym2_symbolic():
@@ -288,25 +282,28 @@ def hopf_generators(rep, lat):
 
 def _monomial_products(gens, degree_bound):
     """All products of generators with reduced ambient degree within the
-    bound, as (polynomial, multiset of generator indices)."""
-    out = [({(0, 0, 0, 0): 1}, ())]
-    frontier = [({(0, 0, 0, 0): 1}, ())]
+    bound, as (polynomial, multiset of generator indices), breadth first:
+    by the number of factors, each word extended by the indices from its
+    last one on.  gens are in normal form; a zero generator takes part in
+    no product, and a nonzero constant is refused, since its powers would
+    never leave the bound.  The degree of a normal form is additive (see
+    the module docstring), so a word's degree is the sum of its
+    generators' and only the products within the bound are built.
+    """
+    degrees = [max(map(sum, g)) if g else None for g in gens]
+    if 0 in degrees:
+        raise ModelError("generator %d is a nonzero constant: its powers have no degree bound" % degrees.index(0))
+    frontier = [({(0, 0, 0, 0): 1}, (), 0)]
+    out = list(frontier)
     while frontier:
-        nxt = []
-        for poly, word in frontier:
-            start = word[-1] if word else 0
-            for k in range(start, len(gens)):
-                prod = poly_reduce_det(poly_mul(poly, gens[k]))
-                if not prod:
-                    continue
-                deg = max(sum(e) for e in prod)
-                if deg > degree_bound:
-                    continue
-                item = (prod, word + (k,))
-                out.append(item)
-                nxt.append(item)
-        frontier = nxt
-    return out
+        frontier = [
+            (poly_reduce_det(poly_mul(poly, gens[k])), word + (k,), deg + degrees[k])
+            for poly, word, deg in frontier
+            for k in range(word[-1] if word else 0, len(gens))
+            if degrees[k] is not None and deg + degrees[k] <= degree_bound
+        ]
+        out += frontier
+    return [(poly, word) for poly, word, _ in out]
 
 
 def _product_echelon(products):

@@ -46,6 +46,7 @@ from latmod.matrixops import (
     sparse_bracket,
     tensor_mat_vec,
 )
+from latmod.rootdata import killing_h
 
 
 class RepError(ValueError):
@@ -276,6 +277,20 @@ def build_irrep(cb, psi):
         raise RepError("highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi)))
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
     return _adapted(cb, columns, tops[:1])
+
+
+def weyl_dimension(cb, psi):
+    """The dimension of the irreducible with highest weight psi (fund
+    coords), by Weyl's formula: the product over the positive roots beta
+    of <psi + rho, h_beta> / <rho, h_beta>, rho = (1, ..., 1); every
+    pairing is an integer, and so is the quotient of the products."""
+    rho = (1,) * cb.rs.rank
+    num = den = 1
+    for beta in cb.rs.positive:
+        h = killing_h(cb.rs, beta)
+        num *= cb.pairing([x + 1 for x in psi], h)
+        den *= cb.pairing(rho, h)
+    return num // den
 
 
 def _adapt(cb, factors):

@@ -41,7 +41,10 @@ kernel rays, `scaled_inverse` and `mat_inv` built on it, as before
 and the Killing Gram as the trace of dense products of ad matrices, as
 `models.killing_gram` took it before it read the trace off the bracket
 table, with ad built here from the dense brackets of the realization
-matrices.
+matrices, and the determinant rewrite of a Hopf-order polynomial one
+monomial at a time with the generator products built and reduced before
+those above the degree bound are dropped, as before the closed-form
+normal form and the enumeration by degree.
 The other oracles eliminate with the dense `echelon`, not with the
 library; only the ad matrices read coordinates with `coords_of`, so they
 are independent of the bracket table, not of `QSpan`.
@@ -52,7 +55,7 @@ import math
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from latmod import matrixops, reps
+from latmod import matrixops, models, reps
 from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
@@ -768,6 +771,48 @@ def tracked_membership_by_fractions(echelon, target, p):
     if bad_val is not None:
         return "excluded", bad_val
     return "member", [(c, words[k]) for k, c in enumerate(combo) if c]
+
+
+def poly_reduce_det_by_rewriting(a):
+    """Rewrite x11·x22 -> 1 + x12·x21 one monomial at a time until no
+    monomial has both."""
+    work = dict(a)
+    out = {}
+    while work:
+        e, c = work.popitem()
+        if e[0] > 0 and e[3] > 0:
+            base = (e[0] - 1, e[1], e[2], e[3] - 1)
+            for extra in (base, (base[0], base[1] + 1, base[2] + 1, base[3])):
+                cur = work.get(extra, 0) + c
+                if cur:
+                    work[extra] = cur
+                elif extra in work:
+                    del work[extra]
+        else:
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def monomial_products_by_discarding(gens, degree_bound):
+    """All products of generators with reduced ambient degree within the
+    bound, breadth first, as (polynomial, multiset of generator indices):
+    every extension of a word is multiplied and reduced, and a zero
+    product or one above the bound is dropped afterwards."""
+    out = [({(0, 0, 0, 0): 1}, ())]
+    frontier = [({(0, 0, 0, 0): 1}, ())]
+    while frontier:
+        nxt = []
+        for poly, word in frontier:
+            start = word[-1] if word else 0
+            for k in range(start, len(gens)):
+                product = poly_reduce_det_by_rewriting(models.poly_mul(poly, gens[k]))
+                if not product or max(sum(e) for e in product) > degree_bound:
+                    continue
+                item = (product, word + (k,))
+                out.append(item)
+                nxt.append(item)
+        frontier = nxt
+    return out
 
 
 def snf_diagonal_unbounded(rows):

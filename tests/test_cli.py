@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod import cli
+from latmod import cli, reps
 from latmod.cli import main
 from latmod.exact import Lattice
 from latmod.latconstruct import _has_j_components, is_invariant, is_split, s_minus, s_plus, unit_edge
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley
+from test_reps import PINNED
 
 
 def run(argv, capsys):
@@ -31,6 +33,45 @@ def test_rep_build(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["dim"] == 3
+
+
+def test_rep_build_past_the_entry_cap_exits_1_before_building(monkeypatch, capsys):
+    # B4 (0,0,2,0) has dimension 1980, so 141 M action entries over its 36
+    # generators, about 14 GB of report; it is refused before it is built.
+    monkeypatch.setattr(reps, "build_irrep", lambda *a: pytest.fail("built a representation"))
+    code, out, err = run(["rep", "build", "--type", "B", "--rank", "4", "--hw", "0,0,2,0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the report of dimension 1980 with 36 generators has 141134400 action entries, more than the cap of %d\n"
+        % cli.REPORT_ENTRY_CAP
+    )
+
+
+def test_entry_cap_admits_every_known_report(capsys):
+    # The count the cap is checked on is the number of entries a report
+    # writes, and it admits the golden rep builds, the pinned large
+    # ambients and the builds of the benchmark's workloads, the largest of
+    # them B4 (0,0,0,2) with 571,536 entries.
+    def entries(t, r, hw):
+        cb = build_chevalley(t, r)
+        return reps.weyl_dimension(cb, hw) ** 2 * len(cb.basis_order())
+
+    for t, r, hw in (("A", 2, (1, 1)), ("C", 2, (1, 1)), ("B", 3, (1, 0, 0))):
+        code, out, _ = run(["rep", "build", "--type", t, "--rank", str(r), "--hw", ",".join(map(str, hw))], capsys)
+        action = json.loads(out)["action"]
+        assert code == 0 and sum(len(row) for m in action.values() for row in m) == entries(t, r, hw)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    known = [(t, r, hw) for t, r, hw, _ in PINNED]
+    known += [(t, r, tuple(map(int, hw.split(",")))) for t, r, hw in workloads.REP_BUILD]
+    known += [
+        (c["argv"][3], int(c["argv"][5]), tuple(map(int, c["argv"][7].split(","))))
+        for c in GOLDEN["cases"]
+        if c["argv"][:2] == ["rep", "build"]
+    ]
+    assert max(entries(*k) for k in known) == entries("B", 4, (0, 0, 0, 2)) == 571536
+    assert entries("B", 4, (0, 0, 0, 2)) <= cli.REPORT_ENTRY_CAP
 
 
 def test_lattice_dist_identical_files(tmp_path, capsys):
@@ -897,32 +938,39 @@ def test_run_ends_the_process_with_the_code_of_main(monkeypatch, capsys):
         exits.clear()
 
 
-def test_run_falls_back_to_system_exit_when_a_flush_fails(monkeypatch):
-    # A flush that fails (a closed pipe) leaves the exit to the interpreter,
-    # with main's code; os._exit is never called.
+def test_run_reports_a_failed_flush_and_exits_1(monkeypatch, capsys):
+    # A flush that fails (a closed pipe) ends the process through os._exit
+    # with code 1, after main's own output, and an error line on stderr.
     exits = []
-    monkeypatch.setattr(os, "_exit", exits.append)
-    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
-    for argv, code in ((["case", "classgroup", "--disc", "-20"], 0), (["orbits", "--p", "4"], 1), (["--help"], 0)):
+
+    def fake_exit(code):
+        exits.append((code, capsys.readouterr().err))
+        raise SystemExit("os._exit")
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    for argv in (["case", "classgroup", "--disc", "-20"], ["orbits", "--p", "4"], ["--help"]):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
         monkeypatch.setattr(sys, "argv", ["latmod"] + argv)
-        with pytest.raises(SystemExit) as e:
+        with pytest.raises(SystemExit, match="os._exit"):
             cli.run()
-        assert e.value.code == code
-    assert exits == []
+        ((code, err),) = exits
+        assert code == 1 and err == run(argv, capsys)[2] + "error: [Errno 32] Broken pipe\n"
+        exits.clear()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_help_to_a_closed_pipe_is_an_error_not_a_traceback(unbuffered, monkeypatch):
     # `latmod --help | true`: the reader of stdout is gone before the help
-    # is written.  Help then ends as a short report does: unbuffered, main's
-    # write fails and it exits 1 with an error line; buffered, the write
-    # fails at run's flush.  Neither prints a traceback.
+    # is written.  Help, a short report and one longer than a pipe buffer
+    # all exit 1 with one error line: unbuffered or long, main's write
+    # fails; buffered and short, the write fails at run's flush.
     if unbuffered:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     else:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     got = []
-    for argv in (["--help"], ["case", "classgroup", "--disc", "-20"]):
+    long_report = ["orbits", "--type", "A", "--rank", "1", "--hw", "6", "--p", "2"]
+    for argv in (["--help"], ["case", "classgroup", "--disc", "-20"], long_report):
         read, write = os.pipe()
         os.close(read)
         try:
@@ -930,10 +978,7 @@ def test_help_to_a_closed_pipe_is_an_error_not_a_traceback(unbuffered, monkeypat
         finally:
             os.close(write)
         got.append((proc.returncode, proc.stderr))
-    assert "Traceback" not in got[0][1]
-    assert got[0] == got[1]
-    if unbuffered:
-        assert got[0] == (1, "error: [Errno 32] Broken pipe\n")
+    assert got == [(1, "error: [Errno 32] Broken pipe\n")] * 3
 
 
 def test_main_never_ends_the_process(monkeypatch, capsys):

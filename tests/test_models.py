@@ -34,6 +34,8 @@ from oracles import (
     bracket_closed_pairwise,
     dense_action,
     killing_gram_by_ad,
+    monomial_products_by_discarding,
+    poly_reduce_det_by_rewriting,
     product_echelon_by_fractions,
     tracked_membership_by_fractions,
 )
@@ -483,8 +485,74 @@ def test_order_undecided(a1):
     assert report["status"] == "undecided"
 
 
-def test_hopf_json(a1):
-    g1, _ = _orders(a1)
-    obj = g1.to_json_obj()
-    assert obj["variables"] == ["x11", "x12", "x21", "x22"]
-    assert len(obj["generators"]) == 9
+def test_constant_generator_is_refused_and_zero_generators_skipped():
+    # A nonzero constant keeps every power within the bound, so it is
+    # refused by index; a generator that reduces to 0 (det − 1 − x12·x21
+    # here) takes part in no product.
+    g = HopfOrderGenerators([_var(0), {(0, 0, 0, 0): 2}])
+    with pytest.raises(ModelError, match="generator 1 is a nonzero constant"):
+        order_equal_bounded(g, g, 2, 2)
+    zero = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1}
+    with_zero = HopfOrderGenerators([zero, _var(0), zero, _var(1)])
+    assert with_zero.generators[0] == {}
+    words = [w for _, w in models._monomial_products(with_zero.generators, 3)]
+    plain = HopfOrderGenerators([_var(0), _var(1)]).generators
+    assert words == [tuple(2 * k + 1 for k in w) for _, w in models._monomial_products(plain, 3)]
+
+
+# -- normal form and the products by degree --------------------------------
+
+
+def _degree(poly):
+    return max(map(sum, poly))
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+polynomials = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), coefficients, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials)
+def test_closed_form_reduction_matches_the_rewriting_loop(poly):
+    assert poly_reduce_det(poly) == poly_reduce_det_by_rewriting(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, polynomials)
+def test_normal_form_degree_is_additive(f, g):
+    f, g = poly_reduce_det(f), poly_reduce_det(g)
+    if f and g:
+        assert _degree(poly_reduce_det(poly_mul(f, g))) == _degree(f) + _degree(g)
+
+
+# Degree-1 generators among higher ones, non-integral coefficients, and
+# now and then a generator that is constant or reduces to 0.
+linear = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+generator_sets = st.lists(
+    st.one_of(
+        st.dictionaries(st.sampled_from(linear), coefficients, min_size=1, max_size=2),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), coefficients, max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets, st.integers(0, 4))
+def test_products_by_degree_match_the_discarding_oracle(gens, bound):
+    gens = HopfOrderGenerators(gens).generators
+    if any(g and _degree(g) == 0 for g in gens):
+        with pytest.raises(ModelError, match="nonzero constant"):
+            models._monomial_products(gens, bound)
+        return
+    assert models._monomial_products(gens, bound) == monomial_products_by_discarding(gens, bound)
+
+
+@pytest.mark.parametrize("bound", range(2, 9))
+def test_paper_pair_products_match_the_discarding_oracle(a1, bound):
+    for g in _orders(a1):
+        assert models._monomial_products(g.generators, bound) == monomial_products_by_discarding(g.generators, bound)

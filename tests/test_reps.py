@@ -84,6 +84,13 @@ def test_dimensions_match_weyl_oracle(sweep_reps):
         assert rep.dim == weyl_dim(rep.cb, hw), (t, r, hw)
 
 
+@pytest.mark.parametrize("t, r", [(t, r) for t, ranks in SUPPORTED.items() for r in ranks])
+def test_weyl_dimension_matches_the_test_oracle(t, r):
+    cb = build_chevalley(t, r)
+    for hw in itertools.product(range(3), repeat=r):
+        assert reps.weyl_dimension(cb, hw) == weyl_dim(cb, hw), hw
+
+
 def test_irreducible_single_highest_weight(sweep_reps):
     for (t, r, hw), rep in sweep_reps.items():
         assert rep.highest_weights == (hw,)

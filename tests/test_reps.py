@@ -272,13 +272,18 @@ def test_sums_and_products_densify_only_to_publish(monkeypatch):
 # dimensions; D4 (0,0,2,0): (Λ³)⊗², 3,136; D4 (0,0,1,1): Λ³ ⊗ Λ⁴, 3,920;
 # B4 (0,0,0,2): (Λ⁴)⊗², 15,876), and A3 (1,1,1), walked in three factors
 # (V ⊗ Λ² ⊗ Λ³), each output pinned by the sha256 of its sorted JSON as
-# the walk on the whole ambient built it.
+# the walk on the whole ambient built it; then the two irreducibles of
+# type C whose adapted actions are not integral, C2 (2,1) (entries in
+# thirds) and C3 (1,1,0) (entries ±1/2, ±3/2), as the Fraction action
+# wrote them.
 PINNED = [
     ("B", 3, (0, 0, 2), "6316089240c79864d750fabdb160aa1ec72fb86f531a93f0c9fa933e85ebe305"),
     ("D", 4, (0, 0, 2, 0), "b5322a647aaa401c4406af99f9b39b617044dfe6fc867a90a0c2e08f1314afc6"),
     ("D", 4, (0, 0, 1, 1), "8055447ed27bbd51651748d64bcdf7882e3367ab2f32fadbd7822b58e90c61b6"),
     ("B", 4, (0, 0, 0, 2), "ea03864aace426f40ebf1812705b6ab718116465be5c29df96c75c4af02df44c"),
     ("A", 3, (1, 1, 1), "ad48acb0ad7504f4fb739383c991abc2a4b9c37307fff10bb44efc7dd91b68b9"),
+    ("C", 2, (2, 1), "bae9e1e34c53a5b1f10c82fca439c362f01841b6c1efaec7c4720aa0ec495369"),
+    ("C", 3, (1, 1, 0), "8d98eeb917a6860dfe8f4353242aa11e3667e79ef093e6352c37e91098c39218"),
 ]
 
 

@@ -214,13 +214,14 @@ class Lattice:
         d, cols, rows = self.denominator, self.columns, range(self.ambient)
         return all(_in_span(c, other.denominator, d, cols, rows, self.prime) for c in other.columns)
 
-    def stable_under(self, g):
-        """Is g·L ⊆ L for the rational matrix g (rows)?  It is when g maps
-        each integer column into the span of the columns."""
+    def stable_under(self, g, den=1):
+        """Is (g/den)·L ⊆ L for the rational matrix g (rows) and the
+        integer den > 0?  It is when g/den maps each integer column into
+        the span of the columns."""
         rows = range(self.ambient)
         for col in self.columns:
             (w,), e = clear_denominators([mat_vec(g, col)])
-            if not _in_span(w, e, 1, self.columns, rows, self.prime):
+            if not _in_span(w, e * den, 1, self.columns, rows, self.prime):
                 return False
         return True
 

@@ -68,7 +68,8 @@ def _block_lattices(rep, psi, top, sign, scales):
     at psi, and at each lower chi the span of the images under
     scales[a]·down_step a of the lattices at chi + a, taken on their
     integer columns over the least common multiple d of their
-    denominators."""
+    denominators; down_step is integral over rep.denominator, which
+    joins d in the denominator of the images."""
     blocks = {psi: top}
     for chi, _ in weights_down(rep, psi)[1:]:
         above = []
@@ -82,7 +83,7 @@ def _block_lattices(rep, psi, top, sign, scales):
             step = mat_scale(scales[a] * (d // lat.denominator), down_step(rep, psi, a, chi, sign))
             gens.extend(mat_vec(step, col) for col in lat.columns)
         ints, e = clear_denominators(gens)
-        blocks[chi] = Lattice.from_integers(ints, e * d, top.prime, len(rep.block(psi, chi)))
+        blocks[chi] = Lattice.from_integers(ints, e * d * rep.denominator, top.prime, len(rep.block(psi, chi)))
     return blocks
 
 
@@ -153,7 +154,7 @@ def split_hull(rep, lat):
 
 def is_invariant(rep, lat):
     """Is the lattice preserved by every Chevalley generator action?"""
-    return all(lat.stable_under(dense(g, rep.dim)) for g in lattice_generators(rep))
+    return all(lat.stable_under(dense(g, rep.dim), rep.denominator) for g in lattice_generators(rep))
 
 
 # -----------------------------------------------------------------------
@@ -307,12 +308,14 @@ def _invariant_valuations(rep, p, box):
 
     The blocks are fixed down the weights, by the height of psi - chi, and
     each constraint v_r ≤ v_c + w bounds whichever of its two ends is fixed
-    second, so a branch stops as soon as its range is empty.
+    second, so a branch stops as soon as its range is empty.  An entry x
+    of a generator over the denominator D has w = v_p(x) − v_p(D).
     """
     bound = {}
+    shift = vp(rep.denominator, p)
     for g in lattice_generators(rep):
         for (r, c), x in g.items():
-            w = vp(x, p)
+            w = vp(x, p) - shift
             if r == c:
                 if w < 0:
                     return

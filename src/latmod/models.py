@@ -100,7 +100,9 @@ def lie_model(rep, lat):
     nonzero: ker rho is an ideal of g, since rho is a homomorphism (the
     Representation checked every bracket of the basis), and every
     supported type (A1–A4, B2–B4, C2–C4, D3–D4) is a simple Lie algebra
-    over Q, so ker rho is 0 or g.
+    over Q, so ker rho is 0 or g.  The generators act as the integer
+    matrices A_k over D = rep.denominator, and (Σ c_k·A_k/D)·Λ ⊆ Λ
+    exactly when (Σ c_k·A_k)·Λ ⊆ D·Λ: the transporter into D·Λ.
     """
     cb = rep.cb
     if lat.ambient != rep.dim:
@@ -108,7 +110,8 @@ def lie_model(rep, lat):
     gens = [rep.action[key] for key in cb.basis_order()]
     if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")
-    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, lat))
+    dst = lat if rep.denominator == 1 else lat.scale(rep.denominator)
+    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, dst))
 
 
 @lru_cache(maxsize=None)
@@ -322,9 +325,11 @@ def _product_echelon(products):
         vecs.append(v)
     ints, d = clear_denominators(vecs)
     m = len(products)
-    cols = hnf_columns(
-        [v + [int(j == k) for j in range(m)] for k, v in enumerate(ints)], len(ix)
-    )
+    for k, v in enumerate(ints):
+        tail = [0] * m
+        tail[k] = 1
+        v += tail
+    cols = hnf_columns(ints, len(ix))
     pivots = [next(i for i, x in enumerate(col) if x) for col in cols]
     return ix, d, cols, pivots, [word for _, word in products]
 

@@ -1,5 +1,5 @@
 """Highest-weight representations with exact rational action matrices,
-kept in ints wherever an entry is integral.
+kept as integer matrices over one denominator.
 
 A Representation carries the action of every Chevalley generator in a
 weight-adapted basis: each basis vector is a weight vector, assigned to an
@@ -16,22 +16,24 @@ lowering operators once into one fraction-free QSpan, whose coordinates
 read the action.  Matrices are sparse {(i, j): entry}
 on each factor, vectors sparse over index tuples, and every generator,
 in the powers too, acts through tensor_mat_vec: no matrix of the tensor
-ambient is built.  The generators, their powers, the walked vectors and
-the adapted action are canonical (matrixops.canonical): an integral entry
-is an int, and a Fraction is left only for a non-integral one, such as
-the 1/2 entries of type B or an entry 1/3 of the adapted action of
-C2 (2,1), so almost all of the arithmetic is on ints, and a
-representation whose entries are all integral makes no Fraction.
-Representation(cb, action, psi_of) checks a sparse adapted action and
-keeps it in that one form, made dense only when it is written out;
-adapt brings any sparse action to an adapted basis, and direct_sum and
-tensor_product read the actions of their summands and factors.  The
+ambient is built.  Every action is integer sparse matrices over one
+positive denominator: the generators of the Chevalley basis over its
+denominator (2 for type B), their powers and tensor products over the
+same one, and the adapted action over the least common denominator of
+its entries (2 for B3 (1,0,0), 3 for C2 (2,1)), each column read over
+the multiplier of its QSpan relation.  So all of the arithmetic is on
+ints and no Fraction is made.
+Representation(cb, action, denominator, psi_of) checks a sparse adapted
+action and keeps it in that one form, made dense only when it is
+written out; adapt brings any sparse rational action to an adapted
+basis, and direct_sum and tensor_product read the actions of their
+summands and factors, brought to one denominator.  The
 powers are built on sorted index tuples, so the symmetric power keeps
 the monomial basis (e1^k, e1^{k-1}e2, ...).
 """
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 from latmod.matrixops import (
     QSpan,
@@ -41,7 +43,7 @@ from latmod.matrixops import (
     identity,
     mat_vec,
     primitive,
-    ratio,
+    ratio_text,
     relations,
     sparse_bracket,
     tensor_mat_vec,
@@ -55,7 +57,7 @@ class RepError(ValueError):
 
 # -----------------------------------------------------------------------
 # Raw action triples (dim, sparse action dict, weights) used during
-# construction
+# construction, the actions integral over a denominator kept beside them
 # -----------------------------------------------------------------------
 
 
@@ -64,7 +66,9 @@ def _power_raw(raw, k, exterior=False):
     monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing): a generator
     acts on e_t1 ⊗ … ⊗ e_tk, and each image tuple is sorted again, with
     the sign of the sort in the exterior power, where a tuple with a
-    repeated index is 0.  Sym^0 is the trivial representation."""
+    repeated index is 0.  Sym^0 is the trivial representation.  The
+    power of D·g is D times the power of g, so an action over D stays
+    over D."""
     d0, a0, w0 = raw
     tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
     basis = list(tuples(range(d0), k))
@@ -132,31 +136,23 @@ def _highest_weight_vectors(cb, columns, spaces, tops):
     return out
 
 
-def _diagonal_weights(cb, action, dim):
-    """The diagonals of the Cartan generators, one weight per basis vector."""
+def _diagonal_weights(cb, action, dim, den):
+    """The diagonals of the Cartan generators over den, one weight per
+    basis vector."""
     h = [action[("h", i)] for i in range(cb.rs.rank)]
-    return tuple(tuple(int(m.get((k, k), 0)) for m in h) for k in range(dim))
+    return tuple(tuple(m.get((k, k), 0) // den for m in h) for k in range(dim))
 
 
-def _integral(cols):
-    """(d, the column indices of d·g on each factor) for g's column indices
-    cols on each factor, d the least integer that makes them integral."""
-    d = lcm(*(x.denominator for col in cols for entries in col.values() for _, x in entries))
-    if d == 1:
-        return d, cols
-    return d, [{j: [(i, x.numerator * (d // x.denominator)) for i, x in e] for j, e in col.items()} for col in cols]
-
-
-def _adapted(cb, columns, hw_vectors):
+def _adapted(cb, columns, den, hw_vectors):
     """The Representation on the lowering spans of the highest-weight
-    vectors [(psi, v), ...], walked in order into one QSpan.  The span's
-    coordinates read the image of every basis vector under every
-    generator (column indices on each factor) on the walked basis.  Each
-    generator g acts as the integral d·g (the 1/2 entries of type B make
-    d = 2), so the walk is on ints: d·g·v has the primitive vector of g·v,
-    and the coordinates of g·v are those of d·g·v over d."""
-    columns = {key: _integral(cols) for key, cols in columns.items()}
-    lowering = [columns[tuple(-c for c in a)][1] for a in cb.rs.simple]
+    vectors [(psi, v), ...], walked in order into one QSpan.  Each
+    generator g acts as D·g, given by its integer column indices on each
+    factor over den = D, so the walk is on ints: D·g·v has the primitive
+    vector of g·v.  The span's relation c·(D·g·b) = Σ x_k·b_k reads the
+    image of every walked b under every generator as the column x over
+    c·D, in lowest terms; the action is then written over the least
+    common denominator of the columns, the least one of its entries."""
+    lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
     span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
@@ -165,58 +161,72 @@ def _adapted(cb, columns, hw_vectors):
         walked = _lowering_span(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
-    adapted = {}
-    for key, (d, g) in columns.items():
-        m = adapted[key] = {}
-        for c, b in enumerate(basis):
-            x = span.coords(tensor_mat_vec(g, b))
-            if x is None:
+    read = {}
+    for key, g in columns.items():
+        read[key] = cols = []
+        for b in basis:
+            rel = span.relation(tensor_mat_vec(g, b))
+            if rel is None:
                 raise RepError("cyclic span not invariant (construction bug)")
-            m.update(((r, c), ratio(y, d)) for r, y in x.items())
-    return Representation(cb, adapted, psi_of)
+            c, x = rel
+            e = c * den
+            q = gcd(e, *x.values()) if e > 0 else -gcd(e, *x.values())
+            cols.append((e // q, {r: y // q for r, y in x.items()}))
+    d = lcm(*(e for cols in read.values() for e, _ in cols))
+    adapted = {}
+    for key, cols in read.items():
+        m = adapted[key] = {}
+        for c, (e, x) in enumerate(cols):
+            s = d // e
+            m.update(((r, c), s * y) for r, y in x.items())
+    return Representation(cb, adapted, d, psi_of)
 
 
-def _checked_weights(cb, action, dim):
-    """The weight of each basis vector of the sparse action, once the
-    Cartan generators act diagonally with integers and [ρ(b_i), ρ(b_j)]
-    = Σ c_k·ρ(b_k) for every pair i < j of basis elements, the c_k read
-    from the basis's bracket table."""
+def _checked_weights(cb, action, den, dim):
+    """The weight of each basis vector of the integer sparse action A over
+    den = D, once the Cartan generators act diagonally with integers and
+    [A_i, A_j] = D·Σ c_k·A_k, that is [ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k), for
+    every pair i < j of basis elements, the c_k read from the basis's
+    bracket table."""
     for i in range(cb.rs.rank):
         for (r, c), x in action[("h", i)].items():
             if r != c:
                 raise RepError("Cartan generators must act diagonally")
-            if x.denominator != 1:
+            if x % den:
                 raise RepError("non-integral weight")
     rho = [action[key] for key in cb.basis_order()]
     for i, row in enumerate(cb.bracket_table):
         for j in range(i + 1, len(rho)):
             expect = {}
             for k, c in row[j].items():
+                c *= den
                 for p, y in rho[k].items():
                     expect[p] = expect.get(p, 0) + c * y
             if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
                 raise RepError("not a representation")
-    return _diagonal_weights(cb, action, dim)
+    return _diagonal_weights(cb, action, dim, den)
 
 
 class Representation:
     """Weight-adapted representation of a Chevalley basis.
 
-    action maps each generator key (root fund-coords tuple, or ("h", i))
-    to its dim×dim matrix as a canonical sparse matrix {(i, j): entry};
-    weights[i] is the weight of basis vector i; psi_of[i] names its
-    isotypic component; blocks[(psi, chi)] lists the basis indices of the
-    chi-weight space of the psi-component.  Representation(cb, action,
-    psi_of) takes the canonical sparse action on an adapted basis (as
-    _adapted reads it), checks that it is a representation, and keeps it;
-    to_json_obj alone makes its matrices dense.
+    Each generator key (root fund-coords tuple, or ("h", i)) acts by the
+    dim×dim matrix action[key] / denominator: action[key] is an integer
+    sparse matrix {(i, j): entry}, zeros left out, and denominator is a
+    positive integer; weights[i] is the weight of basis vector i;
+    psi_of[i] names its isotypic component; blocks[(psi, chi)] lists the
+    basis indices of the chi-weight space of the psi-component.
+    Representation(cb, action, denominator, psi_of) takes the action on
+    an adapted basis (as _adapted reads it), checks that it is a
+    representation, and keeps it; to_json_obj alone makes its matrices
+    dense.
     """
 
-    __slots__ = ("cb", "dim", "action", "weights", "psi_of", "blocks", "highest_weights")
+    __slots__ = ("cb", "dim", "action", "denominator", "weights", "psi_of", "blocks", "highest_weights")
 
-    def __init__(self, cb, action, psi_of):
+    def __init__(self, cb, action, denominator, psi_of):
         dim = len(psi_of)
-        weights = _checked_weights(cb, action, dim)
+        weights = _checked_weights(cb, action, denominator, dim)
         blocks = {}
         for i, w in enumerate(weights):
             blocks.setdefault((psi_of[i], w), []).append(i)
@@ -225,6 +235,7 @@ class Representation:
         self.cb = cb
         self.dim = dim
         self.action = action
+        self.denominator = denominator
         self.weights = weights
         self.psi_of = tuple(psi_of)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
@@ -242,10 +253,12 @@ class Representation:
         def key2s(k):
             return "h%d" % k[1] if k[0] == "h" else ",".join(map(str, k))
 
+        d = self.denominator
+        text = str if d == 1 else lambda x: ratio_text(x, d) if x else "0"
         return {
             "dim": self.dim,
             "rootsystem": self.cb.rs.to_json_obj(),
-            "action": {key2s(k): [[str(x) for x in row] for row in dense(v, self.dim)] for k, v in self.action.items()},
+            "action": {key2s(k): [[text(x) for x in row] for row in dense(v, self.dim)] for k, v in self.action.items()},
             "weights": [list(w) for w in self.weights],
             "highest_weights": [list(w) for w in self.highest_weights],
             "blocks": {
@@ -266,7 +279,7 @@ def build_irrep(cb, psi):
     rank = cb.rs.rank
     if len(psi) != rank or any(x < 0 for x in psi):
         raise RepError("highest weight must be a dominant integer vector")
-    defining = (cb.N, cb.action, _diagonal_weights(cb, cb.action, cb.N))
+    defining = (cb.N, cb.action, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [_power_raw(defining, psi[0])]
     for i in range(1, rank):
         if psi[i]:
@@ -276,7 +289,7 @@ def build_irrep(cb, psi):
     if not tops:
         raise RepError("highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi)))
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
-    return _adapted(cb, columns, tops[:1])
+    return _adapted(cb, columns, cb.denominator, tops[:1])
 
 
 def weyl_dimension(cb, psi):
@@ -294,21 +307,34 @@ def weyl_dimension(cb, psi):
 
 
 def _adapt(cb, factors):
-    """The Representation of the tensor product of the factors on the
-    basis walked from the highest-weight vectors of every weight, top
-    down: a change of basis, once the spans exhaust the space."""
+    """The Representation of the tensor product of the factors (dim,
+    integer action, weights, denominator) on the basis walked from the
+    highest-weight vectors of every weight, top down: a change of basis,
+    once the spans exhaust the space.  The actions are brought to the
+    least common multiple of their denominators first."""
+    den = lcm(*(f[3] for f in factors))
+    factors = [(n, _times(den // d, a), w) for n, a, w, d in factors]
     columns, spaces = _ambient(factors)
-    rep = _adapted(cb, columns, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
+    rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
     if rep.dim != sum(map(len, spaces.values())):
         raise RepError("cyclic spans do not exhaust the space")
     return rep
 
 
+def _times(s, action):
+    """The sparse action with every entry times the integer s."""
+    return action if s == 1 else {key: {p: s * x for p, x in g.items()} for key, g in action.items()}
+
+
 def adapt(cb, action, dim):
-    """The Representation of a sparse action of dim×dim matrices on an
-    adapted basis; it is checked, and it is a representation exactly when
-    action is one."""
-    return _adapt(cb, [(dim, action, _diagonal_weights(cb, action, dim))])
+    """The Representation of a sparse action of dim×dim matrices with
+    rational entries (ints or Fractions) on an adapted basis; it is
+    checked, and it is a representation exactly when action is one.  The
+    entries are read as integers over the least common multiple of their
+    denominators."""
+    den = lcm(*(x.denominator for g in action.values() for x in g.values()))
+    ints = {key: {p: x.numerator * (den // x.denominator) for p, x in g.items()} for key, g in action.items()}
+    return _adapt(cb, [(dim, ints, _diagonal_weights(cb, ints, dim, den), den)])
 
 
 def direct_sum(reps):
@@ -317,19 +343,21 @@ def direct_sum(reps):
     cb = reps[0].cb
     if any(r.cb is not cb for r in reps):
         raise RepError("direct sum requires a common Chevalley basis")
+    den = lcm(*(r.denominator for r in reps))
     action = {key: {} for key in reps[0].action}
     off = 0
     for r in reps:
+        s = den // r.denominator
         for key, g in r.action.items():
-            action[key].update(((i + off, j + off), x) for (i, j), x in g.items())
+            action[key].update(((i + off, j + off), s * x) for (i, j), x in g.items())
         off += r.dim
-    return adapt(cb, action, off)
+    return _adapt(cb, [(off, action, _diagonal_weights(cb, action, off, den), den)])
 
 
 def tensor_product(r1, r2):
     if r1.cb is not r2.cb:
         raise RepError("tensor product requires a common Chevalley basis")
-    return _adapt(r1.cb, [(r.dim, r.action, r.weights) for r in (r1, r2)])
+    return _adapt(r1.cb, [(r.dim, r.action, r.weights, r.denominator) for r in (r1, r2)])
 
 
 def projector(rep, psi, chi):
@@ -356,8 +384,9 @@ def weights_down(rep, psi):
 
 def down_step(rep, psi, a, chi, sign):
     """The map from the (psi, chi + a) block to the (psi, chi) block that
-    takes a word one letter a further down: the block of x_(-a) when sign
-    < 0, the transpose of the block of x_a from chi up when sign > 0."""
+    takes a word one letter a further down, times rep.denominator, as
+    integers: the block of x_(-a) when sign < 0, the transpose of the
+    block of x_a from chi up when sign > 0."""
     lower = rep.block(psi, chi)
     upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
     if sign < 0:
@@ -413,7 +442,8 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 
 
 def lattice_generators(rep):
-    """Sparse action matrices of the generators of the Chevalley lattice:
-    every root vector, then the simple coroots h_i, the basis of the
-    coroot lattice (the simply connected form)."""
+    """Sparse integer action matrices, over rep.denominator, of the
+    generators of the Chevalley lattice: every root vector, then the
+    simple coroots h_i, the basis of the coroot lattice (the simply
+    connected form)."""
     return [rep.action[key] for key in rep.cb.basis_order()]

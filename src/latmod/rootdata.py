@@ -14,22 +14,28 @@ as d·C⁻¹ without a quotient from a QSpan of C's columns
 (matrixops.scaled_inverse), gives the simple-root coordinates of roots
 and weights alike (fund = C·m, read as one integer product), for the
 height order here and for every walk down the weights of a
-representation.  The coroots, the sparse generators, the bracket table
-and every structure constant are canonical (matrixops.canonical): ints
-where integral, a Fraction only for the 1/2 entries of type B, and every
-ratio is exact (matrixops.ratio), so types A, C and D never import
-fractions.  Every Chevalley-set identity
-is verified eagerly at construction, on sparse matrices, and the
-verification records the coordinates of the bracket of every pair of
-basis elements as the bracket table, so a wrong structure constant
-cannot escape this module.  Every other fact about g is read off these
-two forms: the bracket of coordinate vectors and the Killing form
-(models.killing_gram) off the table, the coordinates of a matrix off
-one QSpan of the sparse generators, and h_alpha in the simple coroots
-off the expansion of alpha in the simple roots.
+representation.  The basis acts as integer sparse matrices over one
+positive denominator, the least one: x_alpha is action[alpha] /
+denominator, and so is every coroot.  The denominator is 2 for type B,
+whose x_{e_i+e_j} has entries 1/2 in this realization, and 1 for types
+A, C and D.  The set is built on pairs (integer matrix, denominator)
+and brought to the one denominator at the end, so the construction
+makes no Fraction in any type; the coroots, the bracket table and every
+structure constant are ints.  Every Chevalley-set identity is verified
+eagerly at construction, on the integer matrices, with integer divmod
+and no quotient, and the verification records the coordinates of the
+bracket of every pair of basis elements as the bracket table, so a
+wrong structure constant cannot escape this module.  Every other fact
+about g is read off these two forms: the bracket of coordinate vectors
+and the Killing form (models.killing_gram) off the table, the
+coordinates of a matrix off one QSpan of the sparse generators, and
+h_alpha in the simple coroots off the expansion of alpha in the simple
+roots.  The dense views (basis_matrices, from_coords, coords_of) take
+and give the rational matrices of the basis itself.
 """
 
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from latmod.matrixops import (
     F,
@@ -38,6 +44,7 @@ from latmod.matrixops import (
     dense,
     primitive,
     ratio,
+    ratio_text,
     relations,
     scaled_inverse,
     sparse,
@@ -215,17 +222,26 @@ def _form(rs):
     return s
 
 
-def _first_ratio(m, x):
-    """m's entry over x's at the first nonzero entry of the sparse matrix
-    x, in row-major order, exactly (an int when it is integral)."""
+def _first_entries(m, x):
+    """(m's entry, x's entry) at the first nonzero entry of the sparse
+    matrix x, in row-major order: m is proportional to x exactly when
+    x's entry times m equals m's entry times x."""
     if not x:
         raise AssertionError("zero root vector")
     k = min(x)
-    return ratio(m.get(k, 0), x[k])
+    return m.get(k, 0), x[k]
 
 
 def _scaled(c, m):
     return {p: c * v for p, v in m.items()} if c else {}
+
+
+def _lowest(m, d):
+    """The integer sparse matrix m over d > 0 in lowest terms, as the pair
+    (matrix, denominator): the common factor of d and the entries
+    divided out."""
+    g = gcd(d, *m.values())
+    return ({p: v // g for p, v in m.items()}, d // g) if g > 1 else (m, d)
 
 
 class ChevalleyBasis:
@@ -234,10 +250,12 @@ class ChevalleyBasis:
     Attributes:
       rs: the RootSystem
       N: matrix size of the defining realization
-      action: the N×N matrices of the basis as canonical sparse matrices
-        {(i, j): entry}, keyed like Representation.action: x_alpha at the
-        fund coords of alpha, then the coroot h_{alpha_i} of each simple
-        root at ("h", i)
+      denominator: the least positive integer D that makes the N×N
+        matrices of the basis integral (2 for type B, 1 otherwise)
+      action: D times the N×N matrices of the basis, as integer sparse
+        matrices {(i, j): entry}, keyed like Representation.action:
+        x_alpha at the fund coords of alpha, then the coroot h_{alpha_i}
+        of each simple root at ("h", i)
       bracket_table: bracket_table[i][j] = {k: c} with
         [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
@@ -301,17 +319,26 @@ class ChevalleyBasis:
         return gens
 
     def _pair_negative(self, fund, x, gen):
-        """The unique y in g_{-alpha} with [x, y] = h_alpha."""
-        br = sparse_bracket(x, gen)
+        """The unique y in g_{-alpha} with [x, y] = h_alpha, for x the pair
+        (X, e) of X/e, as such a pair: [X, gen] = b/c·e·h_alpha for the
+        entries b of [X, gen] and c of h_alpha at its first nonzero
+        entry, so y = (e·c/b)·gen."""
+        m, e = x
+        br = sparse_bracket(m, gen)
         h = self._h_sparse(fund)
-        lam = _first_ratio(br, h)
-        if lam == 0 or br != _scaled(lam, h):
+        b, c = _first_entries(br, h)
+        if not b or _scaled(c, br) != _scaled(b, h):
             raise AssertionError("[g_a, g_-a] not proportional to coroot")
-        return canonical(_scaled(ratio(1, lam), gen))
+        if b < 0:
+            b, c = -b, -c
+        return _lowest(_scaled(e * c, gen), b)
 
     def _build_chevalley_set(self, gens):
+        """Each x_alpha as a pair (integer matrix, denominator) in lowest
+        terms, then all of them and the coroots over their least common
+        denominator."""
         rs = self.rs
-        x = {a: gens[a] for a in rs.simple}
+        x = {a: (gens[a], 1) for a in rs.simple}
         # Positive roots in height order; each non-simple root comes from
         # the first simple root that can be peeled off.
         for gamma in rs.positive:
@@ -321,14 +348,17 @@ class ChevalleyBasis:
                 beta = tuple(g - c for g, c in zip(gamma, a))
                 if beta in x:
                     r = rs.root_string_r(a, beta)
-                    x[gamma] = {p: ratio(v, r + 1) for p, v in sparse_bracket(x[a], x[beta]).items()}
+                    (ma, da), (mb, db) = x[a], x[beta]
+                    x[gamma] = _lowest(sparse_bracket(ma, mb), da * db * (r + 1))
                     break
             else:
                 raise AssertionError("no decomposition for %r" % (gamma,))
         for gamma in rs.positive:
             neg = tuple(-c for c in gamma)
             x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
-        self.action = {**x, **{("h", i): self._h_sparse(a) for i, a in enumerate(rs.simple)}}
+        d = self.denominator = lcm(*(e for _, e in x.values()))
+        self.action = {key: _scaled(d // e, m) for key, (m, e) in x.items()}
+        self.action.update((("h", i), _scaled(d, self._h_sparse(a))) for i, a in enumerate(rs.simple))
 
     # -- public API ----------------------------------------------------
 
@@ -350,8 +380,13 @@ class ChevalleyBasis:
         """Keys of the Chevalley basis: all roots, then rank coroots."""
         return list(self._basis_order) + [("h", i) for i in range(self.rs.rank)]
 
+    def _rational(self, m):
+        """The sparse matrix m over the denominator, canonical."""
+        d = self.denominator
+        return {p: ratio(x, d) for p, x in m.items()} if d > 1 else m
+
     def basis_matrices(self):
-        return [dense(self.action[key], self.N) for key in self.basis_order()]
+        return [dense(self._rational(self.action[key]), self.N) for key in self.basis_order()]
 
     @cached_property
     def _span(self):
@@ -362,12 +397,18 @@ class ChevalleyBasis:
         return span
 
     def coords_of(self, m):
-        """Coordinates of a dense matrix in the Chevalley basis, or None."""
-        x = self._span.coords(sparse(m))
-        return None if x is None else tuple(x.get(k, 0) for k in range(len(self._index)))
+        """Coordinates of a dense matrix in the Chevalley basis, or None:
+        c·m = Σ x_k·action_k = Σ D·x_k·b_k, so they are D·x_k/c."""
+        rel = self._span.relation(sparse(m))
+        if rel is None:
+            return None
+        c, x = rel
+        d = self.denominator
+        return tuple(ratio(d * x.get(k, 0), c) for k in range(len(self._index)))
 
     def _combination(self, coords, keys):
-        """Σ coords_k·action[keys[k]] as a canonical sparse matrix."""
+        """Σ coords_k·action[keys[k]] as a canonical sparse matrix, the
+        combination of the basis times the denominator."""
         out = {}
         for c, key in zip(coords, keys):
             for p, x in self.action[key].items():
@@ -375,7 +416,7 @@ class ChevalleyBasis:
         return canonical(out)
 
     def from_coords(self, coords):
-        return dense(self._combination(coords, self.basis_order()), self.N)
+        return dense(self._rational(self._combination(coords, self.basis_order())), self.N)
 
     def bracket_coords(self, u, v):
         """Coordinates of [X, Y] for X = Σ u_i·b_i and Y = Σ v_j·b_j:
@@ -399,10 +440,14 @@ class ChevalleyBasis:
     # -- verification ----------------------------------------------------
 
     def _verify(self):
-        """Check the Chevalley-set identities on the sparse generators, and
-        record the bracket table they establish."""
+        """Check the Chevalley-set identities on the integer generators
+        A = D·b, D the denominator, and record the bracket table they
+        establish: [A_a, A_b] = D·c·A_{a+b} with |c| = r + 1, [A_a, A_-a]
+        = D·Σ c_i·A_{h_i} for h_a = Σ c_i·h_i, and [A_{h_i}, A_a] =
+        D·a_i·A_a."""
         rs = self.rs
         ix = self._index
+        d = self.denominator
         x = self.action
         hkeys = [("h", i) for i in range(rs.rank)]
         h = [x[key] for key in hkeys]
@@ -416,12 +461,12 @@ class ChevalleyBasis:
             coords = self.h_alpha_coords(alpha)
             if any(c.denominator != 1 for c in coords):
                 raise AssertionError("h_alpha not in the coroot lattice")
-            if sparse_bracket(x[alpha], x[neg]) != self._combination(coords, hkeys):
+            if sparse_bracket(x[alpha], x[neg]) != _scaled(d, self._combination(coords, hkeys)):
                 raise AssertionError("[x_a, x_-a] != h_a for %r" % (alpha,))
             table[a][ix[neg]] = {k: c for k, c in zip(hix, coords) if c}
             # Cartan action.
             for i, hm in enumerate(h):
-                if sparse_bracket(hm, x[alpha]) != _scaled(alpha[i], x[alpha]):
+                if sparse_bracket(hm, x[alpha]) != _scaled(d * alpha[i], x[alpha]):
                     raise AssertionError("[h, x_a] != a(h)x_a for %r" % (alpha,))
                 if alpha[i]:
                     table[hix[i]][a] = {a: alpha[i]}
@@ -441,20 +486,21 @@ class ChevalleyBasis:
                         raise AssertionError("bracket outside root system nonzero")
                     continue
                 r = rs.root_string_r(alpha, beta)
-                c = _first_ratio(br, x[target])
-                if c.denominator != 1 or abs(c) != r + 1:
+                b, t = _first_entries(br, x[target])
+                c, rem = divmod(b, d * t)
+                if rem or abs(c) != r + 1:
                     raise AssertionError(
                         "structure constant %s != ±(r+1)=±%d for %r,%r"
-                        % (c, r + 1, alpha, beta)
+                        % (ratio_text(b if t > 0 else -b, d * abs(t)), r + 1, alpha, beta)
                     )
-                if br != _scaled(c, x[target]):
+                if br != _scaled(d * c, x[target]):
                     raise AssertionError("bracket not proportional to x_{a+b}")
                 table[ix[alpha]][ix[beta]] = {ix[target]: c}
         self.bracket_table = tuple(tuple(row) for row in table)
 
     def to_json_obj(self):
         def m2s(m):
-            return [[str(x) for x in row] for row in dense(m, self.N)]
+            return [[ratio_text(x, self.denominator) for x in row] for row in dense(m, self.N)]
 
         return {
             "rootsystem": self.rs.to_json_obj(),

@@ -92,11 +92,13 @@ F = Fraction
 
 
 def dense_action(owner):
-    """The sparse action of a Representation or a ChevalleyBasis as dense
-    matrices, {key: matrixops.dense of its matrix}, for the tests and
-    oracles that read entries as g[i][j] or multiply dense matrices."""
+    """The action of a Representation or a ChevalleyBasis as dense
+    rational matrices, {key: matrixops.dense of action[key] /
+    denominator}, canonical, for the tests and oracles that read entries
+    as g[i][j] or multiply dense matrices."""
     n = owner.N if isinstance(owner, ChevalleyBasis) else owner.dim
-    return {key: dense(m, n) for key, m in owner.action.items()}
+    d = owner.denominator
+    return {key: dense({p: ratio(x, d) for p, x in m.items()}, n) for key, m in owner.action.items()}
 
 
 def is_canonical(x):
@@ -1238,7 +1240,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
     gens = [dense(g, rep.dim) for g in reps.lattice_generators(rep)]
     invariant = []
     for m in mids:
-        if not all(m.stable_under(g) for g in gens):
+        if not all(m.stable_under(g, rep.denominator) for g in gens):
             continue
         if not is_split(rep, m):
             continue

@@ -732,7 +732,9 @@ seen = []
 for argv in (
     ["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1"],
     ["rep", "build", "--type", "C", "--rank", "2", "--hw", "1,1"],
+    ["rep", "build", "--type", "C", "--rank", "2", "--hw", "2,1"],
     ["sandwich", "--type", "C", "--rank", "3", "--hw", "1,0,0", "--p", "2"],
+    ["sandwich", "--type", "B", "--rank", "3", "--hw", "0,1,0", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "3"],
     ["orbits", "--type", "C", "--rank", "2", "--hw", "0,1", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "2", "--hw", "2,0", "--p", "2"],
@@ -748,15 +750,18 @@ sys.stderr.write(repr(seen))
 
 
 def test_integral_requests_do_not_import_fractions(tmp_path):
-    # Types A, C and D compute on integral values only, so their requests
-    # never make a Fraction and never import fractions, and neither does a
-    # class group, whose ring and ideals are integral, nor case pgl2,
-    # whose Hopf generators and certificates are integral, nor `model lie`
-    # on an integral lattice (the first C2 (1,0) lattice of the benchmark
-    # pool), whose invariants are written over one denominator; the 1/2
-    # entries of type B do, and B3 (1,0,0) still writes its golden output.
+    # Every action is integers over one denominator, so no representation
+    # request makes a Fraction or imports fractions: not types A, C and
+    # D, not C2 (2,1), whose adapted action has entries in thirds, nor
+    # the sandwich of B3 (0,1,0) and the rep build of B3 (1,0,0), whose
+    # actions have entries 1/2 and which write their golden output.
+    # Neither does a class group, whose ring and ideals are integral, nor
+    # case pgl2, whose Hopf generators and certificates are integral, nor
+    # `model lie` on an integral lattice (the first C2 (1,0) lattice of
+    # the benchmark pool), whose invariants are written over one
+    # denominator.
     proc = run_child(["-c", NO_FRACTIONS, *_pool_files(tmp_path)])
-    assert proc.stderr == repr([[0, False]] * 9 + [[0, True]])
+    assert proc.stderr == repr([[0, False]] * 12)
     (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
     assert proc.stdout == golden["stdout"]
 

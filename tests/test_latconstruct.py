@@ -318,8 +318,10 @@ def test_sandwich_properties_beyond_the_oracle():
 
 
 def one_step_hull(rep, lat):
-    """lat plus its images under every Chevalley-lattice generator."""
-    images = [mat_vec(dense(g, rep.dim), col) for g in lattice_generators(rep) for col in lat.basis]
+    """lat plus its images under every Chevalley-lattice generator, each
+    generator's integer matrix over rep.denominator."""
+    c = Fraction(1, rep.denominator)
+    images = [mat_vec(mat_scale(c, dense(g, rep.dim)), col) for g in lattice_generators(rep) for col in lat.basis]
     return Lattice(list(lat.basis) + [v for v in images if any(v)], lat.prime)
 
 

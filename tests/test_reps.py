@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -299,9 +300,9 @@ def test_large_ambient_output_pinned(t, r, hw, digest):
 )
 def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
     # The sparse generators, the walked vectors, the sparse adapted action
-    # Representation receives and the one it keeps hold ints, and
-    # Fractions only for entries that are not integral (the 1/2 entries of
-    # type B); no float anywhere.
+    # Representation receives and the one it keeps hold ints only, type B
+    # too: each action is integral over one denominator, the least one
+    # (2 for the 1/2 entries of type B), and no Fraction or float is made.
     walk, init = reps._lowering_span, Representation.__init__
     walked, received = [], []
 
@@ -310,9 +311,9 @@ def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
         walked.extend(added)
         return added
 
-    def recording_init(self, cb, action, psi_of):
-        received.append(action)
-        init(self, cb, action, psi_of)
+    def recording_init(self, cb, action, denominator, psi_of):
+        received.append((action, denominator))
+        init(self, cb, action, denominator, psi_of)
 
     monkeypatch.setattr(reps, "_lowering_span", recording_walk)
     monkeypatch.setattr(Representation, "__init__", recording_init)
@@ -320,12 +321,18 @@ def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
     rep = build_irrep(cb, hw)
     assert walked and len(received) == 1
     generators = [x for m in cb.action.values() for x in m.values()]
-    assert all(map(is_canonical, generators))
-    assert any(type(x) is Fraction for x in generators) == (t == "B")
-    assert all(is_canonical(x) for v in walked for x in v.values())
-    for action in received + [rep.action]:
-        assert all(is_canonical(x) and x for m in action.values() for x in m.values())
-    assert rep.action == {key: sparse(g) for key, g in dense_action(rep).items()}
+    assert all(type(x) is int and x for x in generators)
+    assert cb.denominator == (2 if t == "B" else 1) and gcd(cb.denominator, *generators) == 1
+    assert all(type(x) is int for v in walked for x in v.values())
+    for action, denominator in received + [(rep.action, rep.denominator)]:
+        entries = [x for m in action.values() for x in m.values()]
+        assert all(type(x) is int and x for x in entries)
+        assert type(denominator) is int and denominator > 0 and gcd(denominator, *entries) == 1
+    assert rep.denominator == (2 if t == "B" else 1)
+    d = rep.denominator
+    assert {key: {p: Fraction(x, d) for p, x in m.items()} for key, m in rep.action.items()} == {
+        key: sparse(g) for key, g in dense_action(rep).items()
+    }
 
 
 def test_build_irrep_indexes_only_its_factors(monkeypatch):
@@ -363,6 +370,12 @@ def sparse_raw(raw):
     return d, sparse_action(action), weights
 
 
+def scaled_raw(raw, c):
+    """sparse_raw of raw with every action entry times c."""
+    d, action, weights = sparse_raw(raw)
+    return d, {key: {p: c * x for p, x in g.items()} for key, g in action.items()}, weights
+
+
 # Every supported defining realization; type B has entries ±1/2.
 REALIZATIONS = [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks]
 
@@ -374,29 +387,31 @@ def test_sparse_powers_match_dense_builders(t, r):
     # and their weight spaces against the dense tensor products, index
     # tuple (s, t) at flattened index s·d₂ + t; Sym^0 is the trivial
     # representation.
+    # The sparse builders act over the denominator of the basis, the dense
+    # ones on its rational matrices, so these are scaled by it.
     cb = build_chevalley(t, r)
-    defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N))
-    assert defining == sparse_raw(defining_raw(cb))
+    defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N, cb.denominator))
+    assert defining == scaled_raw(defining_raw(cb), cb.denominator)
     assert reps._power_raw(defining, 0) == sparse_raw(trivial_raw(cb))
     sparse_powers = [reps._power_raw(defining, k) for k in (1, 2, 3)]
     sparse_powers += [reps._power_raw(defining, k, exterior=True) for k in (2, 3)]
     dense_powers = [sym_power_raw(defining_raw(cb), k) for k in (1, 2, 3)]
     dense_powers += [ext_power_raw(defining_raw(cb), k) for k in (2, 3)]
     for got, want in zip(sparse_powers, dense_powers):
-        assert got == sparse_raw(want)
+        assert got == scaled_raw(want, cb.denominator)
     assert all(is_canonical(x) for _, a, _ in sparse_powers for g in a.values() for x in g.values())
     for i, j in itertools.combinations_with_replacement(range(len(sparse_powers)), 2):
         factors = [sparse_powers[i], sparse_powers[j]]
         (d1, a1, _), (d2, a2, _) = factors
         if d1 * d2 > 100:
             continue
-        _, want, weights = tensor_raw(dense_powers[i], dense_powers[j])
+        _, want, weights = scaled_raw(tensor_raw(dense_powers[i], dense_powers[j]), cb.denominator)
         columns, spaces = reps._ambient(factors)
         for key, cols in columns.items():
             got = {}
             for s, u in itertools.product(range(d1), range(d2)):
                 got.update(((v * d2 + w, s * d2 + u), x) for (v, w), x in tensor_mat_vec(cols, {(s, u): 1}).items())
-            assert got == sparse(want[key]), (i, j, key)
+            assert got == want[key], (i, j, key)
         assert {s * d2 + u: w for w, ts in spaces.items() for s, u in ts} == dict(enumerate(weights)), (i, j)
         assert all(ts == sorted(ts) for ts in spaces.values())
 

@@ -11,17 +11,17 @@ coordinates of dense brackets.
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod.matrixops import bracket, identity, mat_scale, mat_sub, sparse
+from latmod.matrixops import bracket, dense, identity, mat_scale, mat_sub, sparse
 from latmod.rootdata import (
     SUPPORTED,
     ChevalleyBasis,
     RootDataError,
-    _first_ratio,
     build_chevalley,
     build_root_system,
     killing_h,
@@ -242,19 +242,19 @@ def test_structure_constants_integral():
                 assert c.denominator == 1
 
 
-def test_first_ratio_is_exact_on_int_matrices():
-    # Between ints `/` would give a float: the ratio is a Fraction, and an
-    # int when it is integral, read at x's first nonzero entry in
-    # row-major order.
-    half = _first_ratio({(0, 1): 1, (2, 0): 8}, {(2, 0): 4, (0, 1): 2})
-    assert half == Fraction(1, 2) and type(half) is Fraction
-    minus_two = _first_ratio({(1, 1): -6}, {(1, 1): 3})
-    assert minus_two == -2 and type(minus_two) is int
-    assert _first_ratio({}, {(0, 0): 5}) == 0
-    third = _first_ratio({(0, 0): Fraction(1, 2)}, {(0, 0): Fraction(3, 2)})
-    assert third == Fraction(1, 3) and type(third) is Fraction
-    with pytest.raises(AssertionError, match="zero root vector"):
-        _first_ratio({(0, 0): 1}, {})
+@pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_action_over_denominator_matches_nullspace_oracle(label, rank):
+    # The stored matrices are ints over the least denominator (2 for the
+    # 1/2 entries of type B, 1 otherwise), and over it they are the dense
+    # Fraction matrices of the nullspace construction.
+    cb = build_chevalley(label, rank)
+    old = ChevalleyBasisByNullspace(cb.rs)
+    entries = [x for m in cb.action.values() for x in m.values()]
+    assert all(type(x) is int and x for x in entries)
+    assert cb.denominator == (2 if label == "B" else 1) and gcd(cb.denominator, *entries) == 1
+    want = {**old.x, **{("h", i): h for i, h in enumerate(old.h)}}
+    assert dense_action(cb) == want
+    assert cb.basis_matrices() == [want[key] for key in cb.basis_order()]
 
 
 def with_entry(m, r, c, value):
@@ -268,7 +268,7 @@ def test_verify_catches_single_entry_change():
     for t, r in (("B", 3), ("C", 2), ("A", 3), ("D", 4)):
         cb = build_chevalley(t, r)
         rs = cb.rs
-        action = dense_action(cb)
+        action = {key: dense(m, cb.N) for key, m in cb.action.items()}
         for alpha in (rs.simple[0], tuple(-x for x in rs.simple[-1]), rs.positive[-1]):
             xm = action[alpha]
             off = [(i, j) for i in range(cb.N) for j in range(cb.N) if i != j]

@@ -254,11 +254,13 @@ class Representation:
             return "h%d" % k[1] if k[0] == "h" else ",".join(map(str, k))
 
         d = self.denominator
-        text = str if d == 1 else lambda x: ratio_text(x, d) if x else "0"
         return {
             "dim": self.dim,
             "rootsystem": self.cb.rs.to_json_obj(),
-            "action": {key2s(k): [[text(x) for x in row] for row in dense(v, self.dim)] for k, v in self.action.items()},
+            "action": {
+                key2s(k): [[ratio_text(x, d) if x else "0" for x in row] for row in dense(v, self.dim)]
+                for k, v in self.action.items()
+            },
             "weights": [list(w) for w in self.weights],
             "highest_weights": [list(w) for w in self.highest_weights],
             "blocks": {
@@ -313,17 +315,12 @@ def _adapt(cb, factors):
     once the spans exhaust the space.  The actions are brought to the
     least common multiple of their denominators first."""
     den = lcm(*(f[3] for f in factors))
-    factors = [(n, _times(den // d, a), w) for n, a, w, d in factors]
+    factors = [(n, {key: {p: den // d * x for p, x in g.items()} for key, g in a.items()}, w) for n, a, w, d in factors]
     columns, spaces = _ambient(factors)
     rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
     if rep.dim != sum(map(len, spaces.values())):
         raise RepError("cyclic spans do not exhaust the space")
     return rep
-
-
-def _times(s, action):
-    """The sparse action with every entry times the integer s."""
-    return action if s == 1 else {key: {p: s * x for p, x in g.items()} for key, g in action.items()}
 
 
 def adapt(cb, action, dim):

@@ -14,9 +14,9 @@ vectors {i: entry} over ints or index tuples, zeros left out.  The
 sparse products (sparse_bracket, tensor_mat_vec) sum from 0, so on
 integer input they stay in ints; the actions of rootdata and reps are
 integer sparse matrices over one denominator, so the products on them
-never make a Fraction, and ratio_text writes their entries.  tensor_mat_vec applies a matrix
-through its column index on each factor of a tensor product, at the
-cost of the vector's support.
+never make a Fraction, and ratio_text writes their entries.
+tensor_mat_vec applies a matrix through its column index on each factor
+of a tensor product, at the cost of the vector's support.
 
 QSpan is the one elimination, fraction-free: it holds sparse vectors as
 integer echelon rows, each with its integer combination of the vectors

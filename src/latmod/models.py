@@ -110,8 +110,7 @@ def lie_model(rep, lat):
     gens = [rep.action[key] for key in cb.basis_order()]
     if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")
-    dst = lat if rep.denominator == 1 else lat.scale(rep.denominator)
-    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, dst))
+    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, lat.scale(rep.denominator)))
 
 
 @lru_cache(maxsize=None)

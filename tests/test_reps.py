@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from latmod import matrixops, reps
-from latmod.matrixops import bracket, identity, mat_mul, sparse, tensor_mat_vec
+from latmod.matrixops import bracket, identity, mat_mul, mat_scale, sparse, tensor_mat_vec
 from latmod.reps import (
     RepError,
     Representation,
@@ -542,10 +542,13 @@ def test_down_step_is_the_block_of_the_dense_generator(sweep_reps):
     # For every simple root a and both signs, down_step from the (psi,
     # chi + a) block to the (psi, chi) block is the block of the dense
     # x_(-a) (sign < 0), or the transposed block of the dense x_a from chi
-    # up (sign > 0); empty when chi + a is no weight of the component.
+    # up (sign > 0), times the denominator (2 for B2 (1,0)); empty when
+    # chi + a is no weight of the component.
     compared = 0
-    for (t, r, hw), rep in sweep_reps.items():
-        action = dense_action(rep)
+    cases = dict(sweep_reps)
+    cases[("B", 2, (1, 0))] = build_irrep(build_chevalley("B", 2), (1, 0))
+    for (t, r, hw), rep in cases.items():
+        action = {key: mat_scale(rep.denominator, g) for key, g in dense_action(rep).items()}
         for a in rep.cb.rs.simple:
             lower_gen, raise_gen = action[tuple(-x for x in a)], action[a]
             for psi, chi in rep.blocks:

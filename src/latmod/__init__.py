@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from latmod.kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
+KERNEL_IMPLEMENTATION = "python"

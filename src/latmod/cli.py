@@ -16,7 +16,8 @@ read them: ``--flag value``, ``--flag=value``, a unique prefix of the
 name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
-flags or inputs, or a rep build report with more action entries than
+flags or inputs, an input file nested past the recursion limit among
+them, or a rep build report with more action entries than
 REPORT_ENTRY_CAP, refused before it is built) or a failed write of help,
 usage or report (a closed pipe), 2 internal assertion failure.  main
 returns the code and never ends the process; run, the entry of
@@ -377,8 +378,9 @@ def main(argv=None):
             stream.write(_usage(path) + "\n" + tail)
             return 1 if e.args else 0
         _emit(handler(args), args)
-    except (ValueError, OSError, KeyError) as e:
-        # An OSError may be the usage or the report written to a closed pipe.
+    except (ValueError, OSError, KeyError, RecursionError) as e:
+        # An OSError may be the usage or the report written to a closed pipe;
+        # a RecursionError is an input file nested past the recursion limit.
         sys.stderr.write("error: %s\n" % e)
         return 1
     except AssertionError as e:

@@ -20,8 +20,6 @@ their inputs untouched.
 
 from math import gcd
 
-IMPLEMENTATION = "python"
-
 
 def hnf_columns(cols, nrows):
     """Column-style Hermite normal form of the integer column span.

@@ -24,8 +24,9 @@ its entries (2 for B3 (1,0,0), 3 for C2 (2,1)), each column read over
 the multiplier of its QSpan relation.  So all of the arithmetic is on
 ints and no Fraction is made.
 Representation(cb, action, denominator, psi_of) checks a sparse adapted
-action and keeps it in that one form, made dense only when it is
-written out; adapt brings any sparse rational action to an adapted
+action against the bracket table (rootdata.check_brackets, which checks
+the defining action too) and keeps it in that one form, made dense only
+when it is written out; adapt brings any sparse rational action to an adapted
 basis, and direct_sum and tensor_product read the actions of their
 summands and factors, brought to one denominator.  The
 powers are built on sorted index tuples, so the symmetric power keeps
@@ -45,10 +46,9 @@ from latmod.matrixops import (
     primitive,
     ratio_text,
     relations,
-    sparse_bracket,
     tensor_mat_vec,
 )
-from latmod.rootdata import killing_h
+from latmod.rootdata import check_brackets
 
 
 class RepError(ValueError):
@@ -184,26 +184,16 @@ def _adapted(cb, columns, den, hw_vectors):
 
 def _checked_weights(cb, action, den, dim):
     """The weight of each basis vector of the integer sparse action A over
-    den = D, once the Cartan generators act diagonally with integers and
-    [A_i, A_j] = D·Σ c_k·A_k, that is [ρ(b_i), ρ(b_j)] = Σ c_k·ρ(b_k), for
-    every pair i < j of basis elements, the c_k read from the basis's
-    bracket table."""
+    den, once the Cartan generators act diagonally with integers and A
+    satisfies the bracket table of the basis (rootdata.check_brackets)."""
     for i in range(cb.rs.rank):
         for (r, c), x in action[("h", i)].items():
             if r != c:
                 raise RepError("Cartan generators must act diagonally")
             if x % den:
                 raise RepError("non-integral weight")
-    rho = [action[key] for key in cb.basis_order()]
-    for i, row in enumerate(cb.bracket_table):
-        for j in range(i + 1, len(rho)):
-            expect = {}
-            for k, c in row[j].items():
-                c *= den
-                for p, y in rho[k].items():
-                    expect[p] = expect.get(p, 0) + c * y
-            if sparse_bracket(rho[i], rho[j]) != {p: y for p, y in expect.items() if y}:
-                raise RepError("not a representation")
+    if check_brackets(cb, action, den):
+        raise RepError("not a representation")
     return _diagonal_weights(cb, action, dim, den)
 
 
@@ -302,7 +292,7 @@ def weyl_dimension(cb, psi):
     rho = (1,) * cb.rs.rank
     num = den = 1
     for beta in cb.rs.positive:
-        h = killing_h(cb.rs, beta)
+        h = cb.h_alpha_coords(beta)
         num *= cb.pairing([x + 1 for x in psi], h)
         den *= cb.pairing(rho, h)
     return num // den

@@ -21,11 +21,15 @@ whose x_{e_i+e_j} has entries 1/2 in this realization, and 1 for types
 A, C and D.  The set is built on pairs (integer matrix, denominator)
 and brought to the one denominator at the end, so the construction
 makes no Fraction in any type; the coroots, the bracket table and every
-structure constant are ints.  Every Chevalley-set identity is verified
-eagerly at construction, on the integer matrices, with integer divmod
-and no quotient, and the verification records the coordinates of the
-bracket of every pair of basis elements as the bracket table, so a
-wrong structure constant cannot escape this module.  Every other fact
+structure constant are ints.  The bracket table, the coordinates of the
+bracket of every pair of basis elements, is read off the root data:
+h_alpha on the simple coroots for [x_alpha, x_-alpha], alpha_i for
+[h_i, x_alpha], ±(r + 1) where alpha + beta is a root, with the sign read
+off that one bracket, and 0 for every other pair.  check_brackets is the
+one check of an integer action over a denominator against the table,
+pair by pair: it checks the defining action at construction, so a wrong
+structure constant cannot escape this module, and every representation
+(reps.Representation).  Every other fact
 about g is read off these two forms: the bracket of coordinate vectors
 and the Killing form (models.killing_gram) off the table, the
 coordinates of a matrix off one QSpan of the sparse generators, and
@@ -440,63 +444,41 @@ class ChevalleyBasis:
     # -- verification ----------------------------------------------------
 
     def _verify(self):
-        """Check the Chevalley-set identities on the integer generators
-        A = D·b, D the denominator, and record the bracket table they
-        establish: [A_a, A_b] = D·c·A_{a+b} with |c| = r + 1, [A_a, A_-a]
-        = D·Σ c_i·A_{h_i} for h_a = Σ c_i·h_i, and [A_{h_i}, A_a] =
-        D·a_i·A_a."""
+        """Read the bracket table off the root data and check the integer
+        generators A = D·b, D the denominator, against it (check_brackets).
+        For b_i before b_j in basis order, [x_a, x_-a] = h_a = Σ c_i·h_i
+        with the c_i checked integral, [x_a, h_i] = -a_i·x_a, [x_a, x_b] =
+        ±(r + 1)·x_{a+b} when a + b is a root, the sign read off that one
+        bracket (check_brackets then checks the whole bracket, so |c| = r +
+        1 too), and 0 for every other pair; [b_j, b_i] is the negative,
+        the commutator being antisymmetric."""
         rs = self.rs
         ix = self._index
-        d = self.denominator
         x = self.action
-        hkeys = [("h", i) for i in range(rs.rank)]
-        h = [x[key] for key in hkeys]
-        hix = [ix[key] for key in hkeys]
+        hix = [ix["h", i] for i in range(rs.rank)]
         table = [[{} for _ in ix] for _ in ix]
-        for alpha in rs.all_roots:
-            a = ix[alpha]
-            neg = tuple(-c for c in alpha)
-            # h_alpha integral on the coroot basis for every root, and
-            # [x_a, x_-a] = h_a on those coordinates, as the table records.
-            coords = self.h_alpha_coords(alpha)
-            if any(c.denominator != 1 for c in coords):
-                raise AssertionError("h_alpha not in the coroot lattice")
-            if sparse_bracket(x[alpha], x[neg]) != _scaled(d, self._combination(coords, hkeys)):
-                raise AssertionError("[x_a, x_-a] != h_a for %r" % (alpha,))
-            table[a][ix[neg]] = {k: c for k, c in zip(hix, coords) if c}
-            # Cartan action.
-            for i, hm in enumerate(h):
-                if sparse_bracket(hm, x[alpha]) != _scaled(d * alpha[i], x[alpha]):
-                    raise AssertionError("[h, x_a] != a(h)x_a for %r" % (alpha,))
-                if alpha[i]:
-                    table[hix[i]][a] = {a: alpha[i]}
-                    table[a][hix[i]] = {a: -alpha[i]}
-        for i, hm in enumerate(h):
-            for hn in h[i + 1:]:
-                if sparse_bracket(hm, hn):
-                    raise AssertionError("Cartan generators do not commute")
-        for alpha in rs.all_roots:
-            for beta in rs.all_roots:
-                target = tuple(a + b for a, b in zip(alpha, beta))
+        for a, alpha in enumerate(rs.all_roots):
+            for i, c in zip(hix, alpha):
+                if c:
+                    table[a][i] = {a: -c}
+            for b, beta in enumerate(rs.all_roots[a + 1 :], a + 1):
+                target = tuple(p + q for p, q in zip(alpha, beta))
                 if not any(target):
-                    continue
-                br = sparse_bracket(x[alpha], x[beta])
-                if not rs.is_root(target):
-                    if br:
-                        raise AssertionError("bracket outside root system nonzero")
-                    continue
-                r = rs.root_string_r(alpha, beta)
-                b, t = _first_entries(br, x[target])
-                c, rem = divmod(b, d * t)
-                if rem or abs(c) != r + 1:
-                    raise AssertionError(
-                        "structure constant %s != ±(r+1)=±%d for %r,%r"
-                        % (ratio_text(b if t > 0 else -b, d * abs(t)), r + 1, alpha, beta)
-                    )
-                if br != _scaled(d * c, x[target]):
-                    raise AssertionError("bracket not proportional to x_{a+b}")
-                table[ix[alpha]][ix[beta]] = {ix[target]: c}
+                    coords = self.h_alpha_coords(alpha)
+                    if any(c.denominator != 1 for c in coords):
+                        raise AssertionError("h_alpha not in the coroot lattice")
+                    table[a][b] = {i: c for i, c in zip(hix, coords) if c}
+                elif rs.is_root(target):
+                    r = rs.root_string_r(alpha, beta)
+                    u, t = _first_entries(sparse_bracket(x[alpha], x[beta]), x[target])
+                    table[a][b] = {ix[target]: r + 1 if u * t > 0 else -r - 1}
+        for i, row in enumerate(table):
+            for j in range(i):
+                row[j] = {k: -c for k, c in table[j][i].items()}
         self.bracket_table = tuple(tuple(row) for row in table)
+        pair = check_brackets(self, x, self.denominator)
+        if pair:
+            raise AssertionError("bracket of %r and %r off the bracket table" % pair)
 
     def to_json_obj(self):
         def m2s(m):
@@ -508,6 +490,24 @@ class ChevalleyBasis:
             "x": {",".join(map(str, a)): m2s(self.action[a]) for a in self._basis_order},
             "h": [m2s(self.action["h", i]) for i in range(self.rs.rank)],
         }
+
+
+def check_brackets(cb, action, den):
+    """The first pair (key_i, key_j), i < j in cb.basis_order(), where the
+    integer sparse action A over den fails [A_i, A_j] = den·Σ c_k·A_k, the
+    c_k read off cb.bracket_table[i][j], or None when every pair holds:
+    then A / den is a representation of the Lie algebra."""
+    keys = cb.basis_order()
+    rho = [action[key] for key in keys]
+    for i, row in enumerate(cb.bracket_table):
+        for j in range(i + 1, len(rho)):
+            expect = {}
+            for k, c in row[j].items():
+                for p, y in rho[k].items():
+                    expect[p] = expect.get(p, 0) + den * c * y
+            if sparse_bracket(rho[i], rho[j]) != canonical(expect):
+                return keys[i], keys[j]
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,10 @@ table, with ad built here from the dense brackets of the realization
 matrices, and the determinant rewrite of a Hopf-order polynomial one
 monomial at a time with the generator products built and reduced before
 those above the degree bound are dropped, as before the closed-form
-normal form and the enumeration by degree.
+normal form and the enumeration by degree, and the bracket table read
+off the brackets of every ordered pair of the defining action, as
+`ChevalleyBasis._verify` read it before it read the table off the root
+data.
 The other oracles eliminate with the dense `echelon`, not with the
 library; only the ad matrices read coordinates with `coords_of`, so they
 are independent of the bracket table, not of `QSpan`.
@@ -81,8 +84,9 @@ from latmod.matrixops import (
     primitive,
     ratio,
     sparse,
+    sparse_bracket,
 )
-from latmod.rootdata import ChevalleyBasis
+from latmod.rootdata import ChevalleyBasis, _first_entries, _scaled
 
 
 # The oracles compute in Fractions throughout, as the code they check did:
@@ -1083,6 +1087,50 @@ def lift(cb, action, dim, coords):
                     if y:
                         out[r][s] += c * y
     return mat(out)
+
+
+def bracket_table_by_ordered_pairs(cb):
+    """The bracket table of cb read off the brackets of its integer
+    generators A = D·b over every ordered pair, as ChevalleyBasis._verify
+    read it before the table was read off the root data: [A_a, A_-a] =
+    D·Σ c_i·A_{h_i} for h_a = Σ c_i·h_i, [A_{h_i}, A_a] = D·a_i·A_a, and
+    [A_a, A_b] = D·c·A_{a+b} with |c| = r + 1, each identity checked."""
+    rs = cb.rs
+    ix = cb._index
+    d = cb.denominator
+    x = cb.action
+    hkeys = [("h", i) for i in range(rs.rank)]
+    h = [x[key] for key in hkeys]
+    hix = [ix[key] for key in hkeys]
+    table = [[{} for _ in ix] for _ in ix]
+    for alpha in rs.all_roots:
+        a = ix[alpha]
+        neg = tuple(-c for c in alpha)
+        coords = cb.h_alpha_coords(alpha)
+        assert all(F(c).denominator == 1 for c in coords), "h_alpha not in the coroot lattice"
+        assert sparse_bracket(x[alpha], x[neg]) == _scaled(d, cb._combination(coords, hkeys)), alpha
+        table[a][ix[neg]] = {k: c for k, c in zip(hix, coords) if c}
+        for i, hm in enumerate(h):
+            assert sparse_bracket(hm, x[alpha]) == _scaled(d * alpha[i], x[alpha]), alpha
+            if alpha[i]:
+                table[hix[i]][a] = {a: alpha[i]}
+                table[a][hix[i]] = {a: -alpha[i]}
+    assert not any(sparse_bracket(hm, hn) for hm in h for hn in h), "Cartan generators do not commute"
+    for alpha in rs.all_roots:
+        for beta in rs.all_roots:
+            target = tuple(a + b for a, b in zip(alpha, beta))
+            if not any(target):
+                continue
+            br = sparse_bracket(x[alpha], x[beta])
+            if not rs.is_root(target):
+                assert not br, "bracket outside root system nonzero"
+                continue
+            b, t = _first_entries(br, x[target])
+            c, rem = divmod(b, d * t)
+            assert not rem and abs(c) == rs.root_string_r(alpha, beta) + 1, (alpha, beta)
+            assert br == _scaled(d * c, x[target]), "bracket not proportional to x_{a+b}"
+            table[ix[alpha]][ix[beta]] = {ix[target]: c}
+    return tuple(tuple(row) for row in table)
 
 
 # -----------------------------------------------------------------------

@@ -508,6 +508,29 @@ def test_zero_denominator_in_lattice_file_exits_1(tmp_path):
         assert proc.stderr == "error: basis entry with a zero denominator\n", proc.stderr
 
 
+def test_deeply_nested_input_files_exit_1(tmp_path):
+    # json.loads raises RecursionError on a file nested past the recursion
+    # limit, a rep spec's hw 5,000 deep or a lattice 100,000 deep; both
+    # commands that read input files print one error line and no traceback.
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
+    deep_rep = tmp_path / "deep_rep.json"
+    deep_rep.write_text('{"type": "A", "rank": 1, "hw": %s}' % ("[" * 5000 + "]" * 5000))
+    deep_lat = tmp_path / "deep_lat.json"
+    deep_lat.write_text("[" * 100_000 + "]" * 100_000)
+    good = tmp_path / "good.json"
+    good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    for args in (
+        ["model", "lie", "--rep", str(deep_rep), "--lattice", str(good)],
+        ["model", "lie", "--rep", str(rep), "--lattice", str(deep_lat)],
+        ["lattice", "dist", "--p", "2", "--a", str(good), "--b", str(deep_lat)],
+    ):
+        proc = run_child(["-m", "latmod.cli"] + args)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert proc.stderr.startswith("error: maximum recursion depth exceeded"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code, _, _ = run(
         ["lattice", "dist", "--p", "2", "--a", str(tmp_path / "no.json"), "--b", str(tmp_path / "no.json")],
@@ -675,7 +698,7 @@ def test_import_scope():
     assert proc.returncode == 0, proc.stderr
     on_import, after_orbits = json.loads(proc.stdout)
     assert "argparse" not in on_import and "gettext" not in on_import
-    assert [m for m in on_import if m.startswith("latmod")] == ["latmod", "latmod.cli", "latmod.kernels"]
+    assert [m for m in on_import if m.startswith("latmod")] == ["latmod", "latmod.cli"]
     assert "latmod.latconstruct" in after_orbits
     assert "latmod.models" not in after_orbits and "latmod.casestudies" not in after_orbits
     proc = run_child(["-c", CLASSGROUP_SCOPE])

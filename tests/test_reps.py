@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from latmod import matrixops, reps
+from latmod import matrixops, reps, rootdata
 from latmod.matrixops import bracket, identity, mat_mul, mat_scale, sparse, tensor_mat_vec
 from latmod.reps import (
     RepError,
@@ -22,7 +22,7 @@ from latmod.reps import (
     projector,
     tensor_product,
 )
-from latmod.rootdata import SUPPORTED, build_chevalley, killing_h
+from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system, killing_h
 from oracles import (
     adapt_by_conjugation,
     build_irrep_by_conjugation,
@@ -90,6 +90,15 @@ def test_weyl_dimension_matches_the_test_oracle(t, r):
     cb = build_chevalley(t, r)
     for hw in itertools.product(range(3), repeat=r):
         assert reps.weyl_dimension(cb, hw) == weyl_dim(cb, hw), hw
+
+
+def test_weyl_dimension_reads_the_basis_it_is_given(monkeypatch):
+    # A basis built outside build_chevalley's cache gives its own h_beta;
+    # no second basis is looked up by (type, rank).
+    cb = ChevalleyBasis(build_root_system("B", 3))
+    monkeypatch.setattr(rootdata, "build_chevalley", None)
+    assert reps.weyl_dimension(cb, (1, 0, 0)) == 7
+    assert reps.weyl_dimension(cb, (0, 1, 0)) == 21
 
 
 def test_irreducible_single_highest_weight(sweep_reps):

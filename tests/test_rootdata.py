@@ -5,11 +5,13 @@ these tests mostly pin down the public data (counts, Cartan matrices,
 specific structure constants) and exercise the lattice-closure invariant.
 On every supported type the construction is compared with the dense
 nullspace construction it replaced, and the bracket table with the
-coordinates of dense brackets.
+coordinates of dense brackets and with the table read off every ordered
+pair of the defining action.
 """
 
 import copy
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +28,12 @@ from latmod.rootdata import (
     build_root_system,
     killing_h,
 )
-from oracles import ChevalleyBasisByNullspace, dense_action, root_data_by_fraction_dot
+from oracles import (
+    ChevalleyBasisByNullspace,
+    bracket_table_by_ordered_pairs,
+    dense_action,
+    root_data_by_fraction_dot,
+)
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -212,6 +219,14 @@ def test_bracket_table_matches_dense_brackets(label, rank):
             assert coords == cb.coords_of(bracket(mats[i], mats[j])), (i, j)
 
 
+@pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_bracket_table_matches_the_ordered_pair_oracle(label, rank):
+    # The table read off the root data, one sign per pair whose sum is a
+    # root, against the table read off the brackets of every ordered pair.
+    cb = build_chevalley(label, rank)
+    assert cb.bracket_table == bracket_table_by_ordered_pairs(cb)
+
+
 @st.composite
 def coordinate_pairs(draw):
     """A supported basis and two integer coordinate vectors on it."""
@@ -285,10 +300,13 @@ def test_verify_catches_single_entry_change():
 
 def test_verify_checks_the_coroot_coordinates():
     # h_alpha's coordinates enter the bracket table as [x_a, x_-a]; doubled
-    # they stay integral, and half of them are not, and _verify refuses both.
+    # they stay integral, and _verify refuses the bracket of the first
+    # root and its negative, and half of them are not, and it refuses them.
     for t, r in (("A", 2), ("B", 3), ("C", 2)):
         cb = build_chevalley(t, r)
-        for scale, message in ((2, r"\[x_a, x_-a\] != h_a"), (Fraction(1, 2), "coroot lattice")):
+        first = cb.rs.all_roots[0]
+        pair = "bracket of %r and %r off the bracket table" % (first, tuple(-c for c in first))
+        for scale, message in ((2, re.escape(pair)), (Fraction(1, 2), "coroot lattice")):
             broken = copy.copy(cb)
             broken.h_alpha_coords = lambda fund: tuple(scale * c for c in cb.h_alpha_coords(fund))
             with pytest.raises(AssertionError, match=message):

@@ -27,8 +27,8 @@ class CaseStudyError(ValueError):
     pass
 
 
-# Largest |D| accepted by QuadField: the class count for D = -99995
-# (h = 116) takes about 2 s in-process on a 2-vCPU x86-64 host.
+# Largest |D| accepted by QuadField: the class count for D = -99995 (h =
+# 116) takes 0.65-0.78 s in-process over five runs on a 2-vCPU x86-64 host.
 DISC_LIMIT = 10**5
 
 

@@ -4,13 +4,13 @@ in explicit matrix realizations.
 The realization is the defining one: sl_{n+1} for type A, so_{2n+1},
 sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
 the diagonal matrices form a split Cartan subalgebra.  Each root space is
-solved for on the one or two matrix positions of its weight; the coroot
-of a root alpha is 2·alpha/(alpha, alpha) in the diagonal parameters,
-and the diagonal of a matrix is read off the weights of its positions.
-Root vectors are built recursively from the simple root spaces, each
-root space the one integer relation among the form equations of its
-matrix positions (matrixops.relations).  The Cartan inverse, taken once
-as d·C⁻¹ without a quotient from a QSpan of C's columns
+written down in closed form: the weight of a root sits at one matrix
+position and at its partner under the form, and the form equations tie
+the two entries by one sign (_root_spaces); the coroot of a root alpha
+is 2·alpha/(alpha, alpha) in the diagonal parameters, and the diagonal
+of a matrix is read off the weights of its positions.  Root vectors are
+built recursively from the simple root spaces.  The Cartan inverse,
+taken once as d·C⁻¹ without a quotient from a QSpan of C's columns
 (matrixops.scaled_inverse), gives the simple-root coordinates of roots
 and weights alike (fund = C·m, read as one integer product), for the
 height order here and for every walk down the weights of a
@@ -25,12 +25,12 @@ structure constant are ints.  The bracket table, the coordinates of the
 bracket of every pair of basis elements, is read off the root data:
 h_alpha on the simple coroots for [x_alpha, x_-alpha], alpha_i for
 [h_i, x_alpha], ±(r + 1) where alpha + beta is a root, with the sign read
-off that one bracket, and 0 for every other pair.  check_brackets is the
-one check of an integer action over a denominator against the table,
-pair by pair: it checks the defining action at construction, so a wrong
-structure constant cannot escape this module, and every representation
-(reps.Representation).  Every other fact
-about g is read off these two forms: the bracket of coordinate vectors
+off one entry of that bracket, and 0 for every other pair.
+check_brackets is the one check of an integer action over a denominator
+against the table, pair by pair: it checks the defining action at
+construction, so a wrong structure constant cannot escape this module,
+and every representation (reps.Representation).  Every other fact about
+g is read off these two forms: the bracket of coordinate vectors
 and the Killing form (models.killing_gram) off the table, the
 coordinates of a matrix off one QSpan of the sparse generators, and
 h_alpha in the simple coroots off the expansion of alpha in the simple
@@ -49,7 +49,6 @@ from latmod.matrixops import (
     primitive,
     ratio,
     ratio_text,
-    relations,
     scaled_inverse,
     sparse,
     sparse_bracket,
@@ -226,14 +225,10 @@ def _form(rs):
     return s
 
 
-def _first_entries(m, x):
-    """(m's entry, x's entry) at the first nonzero entry of the sparse
-    matrix x, in row-major order: m is proportional to x exactly when
-    x's entry times m equals m's entry times x."""
-    if not x:
-        raise AssertionError("zero root vector")
-    k = min(x)
-    return m.get(k, 0), x[k]
+def _bracket_entry(x, y, i, j):
+    """Entry (i, j) of xy − yx for sparse matrices x and y."""
+    xy = sum(v * y.get((k, j), 0) for (r, k), v in x.items() if r == i)
+    return xy - sum(v * x.get((k, j), 0) for (r, k), v in y.items() if r == i)
 
 
 def _scaled(c, m):
@@ -294,32 +289,33 @@ class ChevalleyBasis:
 
     def _root_spaces(self):
         """Primitive integer generator of each root space, sparse, keyed
-        by fund coords: the solutions of Xᵀ·S + S·X = 0 (S the form)
-        supported on the positions of the root's weight."""
+        by fund coords.  Row k of the form S (_form) has one entry s_k =
+        ±1, at column σ(k), σ an involution, so Xᵀ·S + S·X = 0 reads
+        X[σ(b)][σ(a)] = −s_σ(a)·s_σ(b)·X[a][b]: each equation ties a
+        position (a, b) to its partner (σ(b), σ(a)).  The weights w[k] are
+        distinct, ±e_i and 0 for type B, with w[σ(k)] = −w[k], so a root
+        is w[a] − w[b] for exactly the pairs (w[a], w[b]) = (u, v) and
+        (−v, −u): one position and its partner.  The root space is then
+        spanned by e_ab − s_σ(a)·s_σ(b)·e_σ(b)σ(a), which is 2·e_ab when
+        the partner is (a, b) itself (u = −v, the long roots of type C,
+        where s_a·s_σ(a) = −1).  Type A has no form, and e_i − e_j sits
+        at (i, j) alone."""
         rs = self.rs
         w = self._weights
-        positions = {}
+        first = {}
         for i in range(self.N):
             for j in range(self.N):
-                positions.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), []).append((i, j))
+                first.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), (i, j))
         s = _form(rs)
+        sigma = {k: l for k, l in s}
         gens = {}
         for fund, beta in zip(rs.all_roots, rs.all_euclid):
-            pos = positions[beta]
-            equations = []
-            for a, b in pos:
-                # X[a][b] enters (XᵀS)[b][j] with S[a][j], (SX)[i][b] with S[i][a].
-                eq = {}
-                for (i, j), v in s.items():
-                    if i == a:
-                        eq[b, j] = eq.get((b, j), 0) + v
-                    if j == a:
-                        eq[i, b] = eq.get((i, b), 0) + v
-                equations.append(eq)
-            ker = relations(equations)
-            if len(ker) != 1:
-                raise AssertionError("root space dimension %d for %r" % (len(ker), beta))
-            gens[fund] = primitive({pos[k]: x for k, x in ker[0].items()})
+            a, b = first[beta]
+            gen = {(a, b): 1}
+            if s:
+                sa, sb = sigma[a], sigma[b]
+                gen[sb, sa] = gen.get((sb, sa), 0) - s[sa, a] * s[sb, b]
+            gens[fund] = primitive(gen)
         return gens
 
     def _pair_negative(self, fund, x, gen):
@@ -330,7 +326,8 @@ class ChevalleyBasis:
         m, e = x
         br = sparse_bracket(m, gen)
         h = self._h_sparse(fund)
-        b, c = _first_entries(br, h)
+        k, c = min(h.items())
+        b = br.get(k, 0)
         if not b or _scaled(c, br) != _scaled(b, h):
             raise AssertionError("[g_a, g_-a] not proportional to coroot")
         if b < 0:
@@ -448,10 +445,11 @@ class ChevalleyBasis:
         generators A = D·b, D the denominator, against it (check_brackets).
         For b_i before b_j in basis order, [x_a, x_-a] = h_a = Σ c_i·h_i
         with the c_i checked integral, [x_a, h_i] = -a_i·x_a, [x_a, x_b] =
-        ±(r + 1)·x_{a+b} when a + b is a root, the sign read off that one
-        bracket (check_brackets then checks the whole bracket, so |c| = r +
-        1 too), and 0 for every other pair; [b_j, b_i] is the negative,
-        the commutator being antisymmetric."""
+        ±(r + 1)·x_{a+b} when a + b is a root, with the sign of u·t for
+        the entries u of [A_a, A_b] and t of A_{a+b} at the first nonzero
+        entry of A_{a+b} (check_brackets then checks the whole bracket, so
+        |c| = r + 1 too), and 0 for every other pair; [b_j, b_i] is the
+        negative, the commutator being antisymmetric."""
         rs = self.rs
         ix = self._index
         x = self.action
@@ -470,7 +468,8 @@ class ChevalleyBasis:
                     table[a][b] = {i: c for i, c in zip(hix, coords) if c}
                 elif rs.is_root(target):
                     r = rs.root_string_r(alpha, beta)
-                    u, t = _first_entries(sparse_bracket(x[alpha], x[beta]), x[target])
+                    p, t = min(x[target].items())
+                    u = _bracket_entry(x[alpha], x[beta], *p)
                     table[a][b] = {ix[target]: r + 1 if u * t > 0 else -r - 1}
         for i, row in enumerate(table):
             for j in range(i):

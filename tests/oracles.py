@@ -47,10 +47,13 @@ those above the degree bound are dropped, as before the closed-form
 normal form and the enumeration by degree, and the bracket table read
 off the brackets of every ordered pair of the defining action, as
 `ChevalleyBasis._verify` read it before it read the table off the root
-data.
+data, and the root spaces as the kernels of the form equations on the
+positions of each weight, as `ChevalleyBasis._root_spaces` solved for
+them before it wrote them down in closed form.
 The other oracles eliminate with the dense `echelon`, not with the
-library; only the ad matrices read coordinates with `coords_of`, so they
-are independent of the bracket table, not of `QSpan`.
+library; the root-space kernels are read with `matrixops.relations`,
+and only the ad matrices read coordinates with `coords_of`, so they are
+independent of the bracket table, not of `QSpan`.
 """
 
 import itertools
@@ -86,7 +89,7 @@ from latmod.matrixops import (
     sparse,
     sparse_bracket,
 )
-from latmod.rootdata import ChevalleyBasis, _first_entries, _scaled
+from latmod.rootdata import ChevalleyBasis, _form, _scaled
 
 
 # The oracles compute in Fractions throughout, as the code they check did:
@@ -1075,6 +1078,36 @@ class ChevalleyBasisByNullspace:
         }
 
 
+def root_space_kernels(cb):
+    """{fund: the kernel of Xᵀ·S + S·X = 0 (S = rootdata._form) on the
+    matrix positions of the root's weight, as a list of sparse matrices},
+    through matrixops.relations among the form equations of those
+    positions, as ChevalleyBasis._root_spaces solved for each root space
+    before it wrote them down in closed form."""
+    rs = cb.rs
+    w = cb._weights
+    positions = {}
+    for i in range(cb.N):
+        for j in range(cb.N):
+            positions.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), []).append((i, j))
+    s = _form(rs)
+    out = {}
+    for fund, beta in zip(rs.all_roots, rs.all_euclid):
+        pos = positions[beta]
+        equations = []
+        for a, b in pos:
+            # X[a][b] enters (XᵀS)[b][j] with S[a][j], (SX)[i][b] with S[i][a].
+            eq = {}
+            for (i, j), v in s.items():
+                if i == a:
+                    eq[b, j] = eq.get((b, j), 0) + v
+                if j == a:
+                    eq[i, b] = eq.get((i, b), 0) + v
+            equations.append(eq)
+        out[fund] = [{pos[k]: x for k, x in rel.items()} for rel in matrixops.relations(equations)]
+    return out
+
+
 def lift(cb, action, dim, coords):
     """Action matrix of the Lie algebra element with Chevalley coordinates
     coords, as a dense sum over the basis (the per-pair homomorphism check
@@ -1087,6 +1120,15 @@ def lift(cb, action, dim, coords):
                     if y:
                         out[r][s] += c * y
     return mat(out)
+
+
+def _first_entries(m, x):
+    """(m's entry, x's entry) at the first nonzero entry of the sparse
+    matrix x, in row-major order: m is proportional to x exactly when
+    x's entry times m equals m's entry times x."""
+    assert x, "zero root vector"
+    k = min(x)
+    return m.get(k, 0), x[k]
 
 
 def bracket_table_by_ordered_pairs(cb):

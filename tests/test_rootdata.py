@@ -4,14 +4,16 @@ The ChevalleyBasis constructor verifies every bracket identity eagerly, so
 these tests mostly pin down the public data (counts, Cartan matrices,
 specific structure constants) and exercise the lattice-closure invariant.
 On every supported type the construction is compared with the dense
-nullspace construction it replaced, and the bracket table with the
-coordinates of dense brackets and with the table read off every ordered
-pair of the defining action.
+nullspace construction it replaced, the closed-form root spaces with the
+kernels of the form equations on the positions of each weight, and the
+bracket table with the coordinates of dense brackets and with the table
+read off every ordered pair of the defining action.
 """
 
 import copy
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod.matrixops import bracket, dense, identity, mat_scale, mat_sub, sparse
+from latmod import matrixops, rootdata
+from latmod.matrixops import bracket, dense, identity, mat_scale, mat_sub, primitive, sparse
 from latmod.rootdata import (
     SUPPORTED,
     ChevalleyBasis,
@@ -33,6 +36,7 @@ from oracles import (
     bracket_table_by_ordered_pairs,
     dense_action,
     root_data_by_fraction_dot,
+    root_space_kernels,
 )
 
 ROOT_COUNTS = {
@@ -225,6 +229,44 @@ def test_bracket_table_matches_the_ordered_pair_oracle(label, rank):
     # root, against the table read off the brackets of every ordered pair.
     cb = build_chevalley(label, rank)
     assert cb.bracket_table == bracket_table_by_ordered_pairs(cb)
+
+
+@pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_root_spaces_match_the_form_equation_kernels(label, rank):
+    # The closed form against the kernel of Xᵀ·S + S·X = 0 on every
+    # position of the root's weight: one-dimensional, spanned by it.
+    cb = build_chevalley(label, rank)
+    gens = cb._root_spaces()
+    kernels = root_space_kernels(cb)
+    assert sorted(gens) == sorted(kernels) == sorted(cb.rs.all_roots)
+    for root, ker in kernels.items():
+        assert len(ker) == 1, root
+        assert primitive(ker[0]) == gens[root], root
+
+
+@pytest.mark.parametrize("label,rank,brackets", [("B", 3, 225), ("B", 4, 658)])
+def test_one_build_computes_each_bracket_once(label, rank, brackets, monkeypatch):
+    # check_brackets takes the n(n − 1)/2 brackets of the basis; the
+    # Chevalley set adds one per non-simple positive root and one per
+    # negative root.  No root space is solved for: the one relations
+    # call is the Cartan inverse.
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rootdata, "sparse_bracket", counted("bracket", rootdata.sparse_bracket))
+    monkeypatch.setattr(matrixops, "relations", counted("relations", matrixops.relations))
+    build_chevalley.cache_clear()
+    cb = build_chevalley(label, rank)
+    n = len(cb.basis_order())
+    assert brackets == n * (n - 1) // 2 + 2 * len(cb.rs.positive) - rank
+    assert calls == {"bracket": brackets, "relations": 1}
+    assert not hasattr(rootdata, "relations")
 
 
 @st.composite

@@ -371,9 +371,9 @@ def snf(rows):
     """Elementary divisors of a rational matrix (rows); rank many.
 
     The denominators are cleared to one common d and the divisors of the
-    integer matrix come from `kernels.snf_diagonal`, a Smith form modulo
-    a determinant; each is then divided by d.  No caller in src/:
-    perfbench traces it by name.
+    integer matrix come from `kernels.snf_diagonal`, which reads them
+    off alternating Hermite forms; each is then divided by d.  No caller
+    in src/: perfbench traces it by name.
     """
     cols = list(zip(*rows)) if rows else []
     ints, d = clear_denominators(cols)

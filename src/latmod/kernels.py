@@ -2,23 +2,26 @@
 one integer coordinate routine, in a Hermite basis), and Smith form.
 
 Every lattice operation funnels through column Hermite reduction (Cohen,
-*A Course in Computational Algebraic Number Theory*, §2.4).  The rows
+*A Course in Computational Algebraic Number Theory*, §2.4), and so does
+the Smith form: it is the one elimination here.  The rows
 of a column from nrows on are carried through its column operations
 without being reduced: with an identity tail appended to each input
 column, each output column's tail holds the integer combination of the
 inputs that makes it, the transformation matrix of Cohen §2.4.2.
 
-The Smith form is taken modulo D = |a nonzero r×r minor|, r the rank
-(Cohen §2.4.3; Hafner–McCurley 1991), so no entry grows past D: the
-product d_1⋯d_r divides every r×r minor, hence each divisor divides D
-and survives the reduction.
+The Smith form is read off Hermite forms modulo d, the product of the
+pivots of the row lattice's Hermite basis: that product is a nonzero
+r×r minor, r the rank, so d_1⋯d_r divides it, and adding d·Z^n to the
+lattice keeps every divisor while every later Hermite form keeps its
+entries in [0, d).  Hermite forms of the matrix and its transpose
+alternate until it is diagonal; snf_diagonal says why that ends.
 
 The Hermite kernels take lists of columns, snf_diagonal a list of rows;
 entries are Python ints (arbitrary precision).  All functions leave
 their inputs untouched.
 """
 
-from math import gcd
+from math import gcd, prod
 
 
 def hnf_columns(cols, nrows):
@@ -89,135 +92,49 @@ def hermite_coords(v, cols, pivots):
 
 
 def snf_diagonal(rows):
-    """Elementary divisors of an integer matrix (Smith normal form),
-    computed modulo a determinant (Cohen §2.4.3).
+    """Elementary divisors of an integer matrix (Smith normal form), from
+    column Hermite forms alone.
 
     Input is a list of rows.  Returns the list of nonzero divisors, each
     positive and dividing the next; its length is the rank r.
 
-    Bareiss elimination gives r and D = |a nonzero r×r minor|; the
-    reduction then keeps every entry in [0, D).  This is exact because
-    d_1⋯d_r divides every r×r minor, so each d_i divides D: the rows
-    together with D·Z^n have the divisors d_1, …, d_r, D, …, D.
+    The modulus.  The Hermite basis h of the row lattice R ⊆ Z^n has r
+    vectors and the same divisors as the rows.  Its entries at its r
+    pivot positions form a triangular r×r minor, the product d of the
+    pivots, and d_1⋯d_r, the gcd of the r×r minors, divides it.  So
+    R + d·Z^n has the divisors d_1, …, d_r, d, …, d, all dividing d, and
+    the row and the column lattice of any square basis matrix of it both
+    contain d·Z^n.  A Hermite form of either, with the columns d·e_j
+    appended, is then a basis of that same lattice, with its entries in
+    [0, d); the loop alternates such forms of the matrix and of its
+    transpose until it is diagonal.
+
+    Termination.  The first pivot p of a pass is the gcd of the first
+    coordinates of its lattice: of the first column of the previous
+    matrix, so it divides the previous first pivot, and properly while
+    that pivot does not divide its column.  Once it does, the lattice
+    holds the previous (lower triangular) matrix's first row p·e_1, so
+    by the uniqueness of the Hermite form its first basis vector is
+    p·e_1.  Its first row and column are then clear, the lattice splits
+    as p·Z ⊕ L', every later pass keeps the split, and the same argument
+    runs on L'.  A gcd/lcm sweep orders the diagonal into d_1, …, d_r,
+    d, …, d.
     """
-    r, d = _rank_and_minor(rows)
-    if r == 0:
+    n = len(rows[0]) if rows else 0
+    h = hnf_columns(rows, n)
+    if not h:
         return []
-    nc = len(rows[0])
-    m = [row for row in ([x % d for x in row] for row in rows) if any(row)]
-    diag = []
-    k = 0
-    while k < nc and _pivot_to(m, k, nc):
-        piv = m[k]
-        while True:
-            # Clear column k with row operations, then row k with column
-            # operations.  A step either divides (the pivot stays) or
-            # replaces the pivot by a proper divisor, so this ends.
-            changed = False
-            for i in range(k + 1, len(m)):
-                row = m[i]
-                b = row[k]
-                if not b:
-                    continue
-                a = piv[k]
-                g, s, t = _xgcd(a, b)
-                if g == a:
-                    q = b // a
-                    row[k] = 0
-                    for j in range(k + 1, nc):
-                        row[j] = (row[j] - q * piv[j]) % d
-                else:
-                    ag, bg = a // g, b // g
-                    new = [(s * x + t * y) % d for x, y in zip(piv, row)]
-                    m[i] = [(ag * y - bg * x) % d for x, y in zip(piv, row)]
-                    piv = m[k] = new
-                    changed = True
-            clear = True  # column k is zero below the pivot
-            for j in range(k + 1, nc):
-                b = piv[j]
-                if not b:
-                    continue
-                a = piv[k]
-                g, s, t = _xgcd(a, b)
-                if g == a and clear:
-                    piv[j] = 0
-                    continue
-                ag, bg = a // g, b // g
-                for row in m[k:]:
-                    x, y = row[k], row[j]
-                    row[k] = (s * x + t * y) % d
-                    row[j] = (ag * y - bg * x) % d
-                if g != a:
-                    clear = False
-                    changed = True
-            if not changed:
-                break
-        diag.append(piv[k])
-        k += 1
-        m[k:] = [row for row in m[k:] if any(row)]
-    # Entries left at zero stand for D; a gcd/lcm sweep restores the
-    # divisibility chain, whose first r terms are the divisors.
-    divs = [gcd(e, d) for e in diag] + [d] * (r - len(diag))
-    for i in range(len(divs)):
-        for j in range(i + 1, len(divs)):
+    d = prod(next(x for x in c if x) for c in h)
+    modulus = [[d * (i == j) for i in range(n)] for j in range(n)]
+    m = [[x % d for x in c] for c in h]
+    while True:
+        m = hnf_columns(m + modulus, n)
+        if not any(x for k, c in enumerate(m) for x in c[k + 1 :]):
+            break
+        m = list(zip(*m))
+    divs = [c[k] for k, c in enumerate(m)]
+    for i in range(n):
+        for j in range(i + 1, n):
             g = gcd(divs[i], divs[j])
             divs[i], divs[j] = g, divs[i] // g * divs[j]
-    return divs[:r]
-
-
-def _rank_and_minor(rows):
-    """Rank r of an integer matrix and |a nonzero r×r minor| (1 when r
-    is 0), by fraction-free Bareiss elimination with full pivoting: each
-    intermediate entry is a minor of the input, so none grows past the
-    Hadamard bound."""
-    m = [list(row) for row in rows if any(row)]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    for k in range(min(nr, nc)):
-        if not _pivot_to(m, k, nc):
-            return k, abs(prev)
-        top = m[k]
-        p = top[k]
-        for i in range(k + 1, nr):
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, nc):
-                row[j] = (row[j] * p - f * top[j]) // prev
-        prev = p
-    return min(nr, nc), abs(prev)
-
-
-def _pivot_to(m, k, nc):
-    """Swap the entry of least absolute value among the nonzero ones of
-    the block below and right of (k, k) into (k, k); False if the block
-    is zero."""
-    best = None
-    for i in range(k, len(m)):
-        row = m[i]
-        for j in range(k, nc):
-            x = abs(row[j])
-            if x and (best is None or x < best[0]):
-                best = (x, i, j)
-    if best is None:
-        return False
-    _, i, j = best
-    m[k], m[i] = m[i], m[k]
-    if j != k:
-        for row in m[k:]:
-            row[k], row[j] = row[j], row[k]
-    return True
-
-
-def _xgcd(a, b):
-    """(g, s, t) with s·a + t·b = g = gcd(a, b), for a > 0 and b >= 0;
-    (a, 1, 0) when a divides b."""
-    if b % a == 0:
-        return a, 1, 0
-    s0, t0, s1, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+    return divs[: len(h)]

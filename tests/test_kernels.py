@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import latmod
 from latmod.exact import ZSpan
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from oracles import det, reduces_to_zero, snf_diagonal_unbounded, zspan_member
+from oracles import (
+    det,
+    reduces_to_zero,
+    snf_diagonal_by_minor,
+    snf_diagonal_unbounded,
+    zspan_member,
+)
 
 
 def _determinantal_divisors(rows):
@@ -86,14 +92,25 @@ def _product(a, b):
 
 @st.composite
 def smith_inputs(draw):
-    """Integer rows of shape 0–7 × 0–7 from four families: entries up to
-    2⁶⁴ with zero rows and columns; rank-deficient rows (sums and
-    multiples of other rows); diag(1, …, 1, pᵏ), where the last divisor
-    is the modulus; and a small matrix under big unimodular transforms,
-    whose minors are much larger than the product of its divisors."""
-    nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    """Integer rows of shape 0–7 × 0–7, or tall (5–8 times as many rows
+    as its 1–4 columns, as the m²×m bracket rows of a Lie lattice are),
+    from four families: entries up to 2⁶⁴ with zero rows and columns;
+    rank-deficient rows (sums and multiples of other rows); diag(1, …, 1,
+    pᵏ), where the last divisor is the modulus; and a small matrix under
+    big unimodular transforms, whose minors are much larger than the
+    product of its divisors.  Tall rows keep entries and multipliers up
+    to 9 and transforms up to 4, and no more than 4 columns: the
+    unbounded elimination takes seconds on 20×4 rows of 64-bit entries
+    and on 48×6 rows of one-digit entries."""
+    tall = draw(st.booleans())
+    if tall:
+        nc = draw(st.integers(1, 4))
+        nr = nc * draw(st.integers(5, 8))
+    else:
+        nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    big = 9 if tall else 2**64
     family = draw(st.sampled_from(["entries", "dependent", "last_is_modulus", "large_minor"]))
-    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-big, big))
     if family == "entries":
         rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
         zero_rows = draw(st.sets(st.integers(0, max(nr - 1, 0))))
@@ -106,7 +123,7 @@ def smith_inputs(draw):
         rows = [[draw(entry) for _ in range(nc)] for _ in range(draw(st.integers(0, nr)))]
         while len(rows) < nr:
             if rows and draw(st.booleans()):
-                c = draw(st.integers(-(2**64), 2**64))
+                c = draw(st.integers(-big, big))
                 rows.append([c * x for x in rows[draw(st.integers(0, len(rows) - 1))]])
             else:
                 coef = [draw(st.integers(-3, 3)) for _ in rows]
@@ -124,7 +141,7 @@ def smith_inputs(draw):
     small = [[draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
     if not nr or not nc:
         return small
-    bound = 2 ** draw(st.integers(4, 32))
+    bound = 4 if tall else 2 ** draw(st.integers(4, 32))
     return _product(_product(_unimodular(draw, nr, bound), small), _unimodular(draw, nc, bound))
 
 
@@ -140,6 +157,7 @@ def test_snf_matches_the_unbounded_elimination(rows):
     divs = snf_diagonal(rows)
     assert rows == before
     assert divs == snf_diagonal_unbounded(rows)
+    assert divs == snf_diagonal_by_minor(rows)
 
 
 def _is_column_hermite(h, nrows):

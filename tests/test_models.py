@@ -257,7 +257,7 @@ def test_invariants_unimodular_stability(a1):
 
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "model_lie_pool.json"
-POOL_BUDGET_S = 20.0
+POOL_BUDGET_S = 3.0
 
 
 def test_invariants_of_the_benchmark_pool():

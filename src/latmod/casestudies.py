@@ -216,27 +216,6 @@ def class_orbit_count(disc):
     return len(reps), reps
 
 
-def reduced_forms_count(disc):
-    """Independent oracle: reduced binary quadratic forms (a, b, c) with
-    b² - 4ac = disc, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
-    count = 0
-    a = 1
-    # a <= sqrt(|disc| / 3) for a reduced form.
-    while 3 * a * a <= -disc:
-        for b in range(-a, a + 1):
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == -b or a == c):
-                continue
-            count += 1
-        a += 1
-    return count
-
-
 # -----------------------------------------------------------------------
 # Rank-1 adjoint group in the symmetric square over Z_(2)
 # -----------------------------------------------------------------------

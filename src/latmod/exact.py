@@ -372,8 +372,7 @@ def snf(rows):
 
     The denominators are cleared to one common d and the divisors of the
     integer matrix come from `kernels.snf_diagonal`, which reads them
-    off alternating Hermite forms; each is then divided by d.  No caller
-    in src/: perfbench traces it by name.
+    off alternating Hermite forms; each is then divided by d.
     """
     cols = list(zip(*rows)) if rows else []
     ints, d = clear_denominators(cols)

@@ -251,12 +251,8 @@ def count_invariant_orbits(rep, edge):
     vlo, vhi = _valuations(lo), _valuations(hi)
     lam = [b - a for a, b in zip(vhi, vlo)]  # S₋ ⊆ S₊ iff lam ≥ 0; S₊/S₋ has type lam
     if min(lam) < 0:
-        raise LatticeError("sandwich is empty (construction bug)")
+        raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
     box = list(zip(vhi, vlo))
-    for psi, j in edge.j.items():
-        (x,) = _valuations(j)
-        i = rep.block(psi, psi)[0]
-        box[i] = (max(box[i][0], x), min(box[i][1], x))
     span = _shift_span(rep)
     ix = [rep.block(psi, chi)[0] for psi, chi in _block_order(rep)]
     invariant = 0
@@ -386,11 +382,3 @@ def subgroup_count(lam, p):
         }
     return sum(f.values())
 
-
-def _has_j_components(rep, edge, lat):
-    for psi, j in edge.j.items():
-        ix = rep.block(psi, psi)
-        gens = [[col[i] for i in ix] for col in lat.columns]
-        if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != j:
-            return False
-    return True

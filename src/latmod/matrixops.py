@@ -20,14 +20,13 @@ of a tensor product, at the cost of the vector's support.
 
 QSpan is the one elimination, fraction-free: it holds sparse vectors as
 integer echelon rows, each with its integer combination of the vectors
-inserted, so the relation of a vector to the basis, and its coordinates,
-are one reduction per vector.  Every kernel, inverse and rref is read
-off it: relations gives the primitive integer relations among vectors
-(the rays of a nullspace), scaled_inverse d·a⁻¹ from the relations of
-the unit vectors to a's columns, and rref and mat_inv divide only at the
-end, through ratio; the Chevalley coordinates of a matrix are read off
-a QSpan of the sparse generators (rootdata).  rref and mat_inv have no
-caller in src/: perfbench looks them up by name.
+inserted, so the relation of a vector to the basis is one reduction per
+vector.  Every kernel, inverse and rref is read off it: relations gives
+the primitive integer relations among vectors (the rays of a nullspace),
+scaled_inverse d·a⁻¹ from the relations of the unit vectors to a's
+columns, and rref and mat_inv divide only at the end, through ratio; the
+Chevalley coordinates of a matrix are read off a QSpan of the sparse
+generators (rootdata).
 """
 
 from bisect import insort
@@ -185,10 +184,6 @@ def sparse_bracket(a, b):
     return {ij: x for ij, x in out.items() if x}
 
 
-def is_zero(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def relations(vectors):
     """The integer relations among the sparse vectors, inserted in order
     into one QSpan: for each vector j that does not grow the span, the
@@ -260,8 +255,8 @@ class QSpan:
     against the rows in pivot order; a row whose pivot does not divide
     the vector's entry there is met by cross-multiplying, and the content
     of the vector, its multiplier and its combination is then divided
-    out.  So the coordinates of a vector in the basis u come from one
-    reduction and one ratio per coordinate; they are canonical.
+    out.  So the relation of a vector to the basis u, an integer multiple
+    of it as an integer combination of the u_k, comes from one reduction.
     """
 
     __slots__ = ("_rows", "_pivots", "_scales")
@@ -317,9 +312,6 @@ class QSpan:
         self._scales.append(e)
         return True
 
-    def contains(self, v):
-        return not self._reduce(v)[0]
-
     def relation(self, v):
         """(c, x) with c·v = Σ x_k·u_k, u_k the vectors that grew the span
         in insertion order, c a nonzero integer and x sparse and integral;
@@ -329,15 +321,6 @@ class QSpan:
             return None
         scales = self._scales
         return m * e, {k: y * scales[k] for k, y in t.items() if y}
-
-    def coords(self, v):
-        """The sparse x with Σ x_k·u_k = v, or None when v lies outside the
-        span: the relation of v over its c."""
-        rel = self.relation(v)
-        if rel is None:
-            return None
-        c, x = rel
-        return {k: ratio(y, c) for k, y in x.items()}
 
     @property
     def rank(self):

@@ -41,8 +41,6 @@ from latmod.matrixops import (
     canonical,
     column_index,
     dense,
-    identity,
-    mat_vec,
     primitive,
     ratio_text,
     relations,
@@ -353,7 +351,7 @@ def projector(rep, psi, chi):
 
 
 # -----------------------------------------------------------------------
-# Surjectivity of graded enveloping-algebra maps
+# Walks down the weights of a component
 # -----------------------------------------------------------------------
 
 
@@ -381,46 +379,6 @@ def down_step(rep, psi, a, chi, sign):
         return tuple(tuple(g.get((r, c), 0) for c in upper) for r in lower)
     g = rep.action[a]
     return tuple(tuple(g.get((c, r), 0) for c in upper) for r in lower)
-
-
-def check_transition_surjectivity(rep, psi, chi, sign):
-    """Do graded generator words span Hom(highest block, chi block)?
-
-    sign -1 uses lowering words mapping the psi block to the chi block;
-    sign +1 uses raising words mapping the chi block back up, walked
-    transposed, which keeps the rank.  Returns (surjective, rank).  The
-    words of degree psi - w span the maps at each w + a composed with
-    down_step a, so the walk down to chi keeps a QSpan basis of block
-    maps per weight, each map as its columns.
-    """
-    psi = tuple(psi)
-    chi = tuple(chi)
-    cb = rep.cb
-    src = rep.block(psi, psi)
-    tgt = rep.block(psi, chi)
-    if not src or not tgt:
-        raise RepError("chi is not a weight of the psi component")
-    m = cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
-    if m is None or any(x < 0 for x in m):
-        raise RepError("chi not under psi in the root order")
-    k = len(src)
-    maps = {psi: [identity(k)]}
-    for w, mw in weights_down(rep, psi)[1:]:
-        if any(x > y for x, y in zip(mw, m)):
-            continue
-        span = QSpan()
-        maps[w] = []
-        for a in cb.rs.simple:
-            above = maps.get(tuple(x + y for x, y in zip(w, a)))
-            if above is None:
-                continue
-            step = down_step(rep, psi, a, w, sign)
-            for cols in above:
-                img = tuple(mat_vec(step, c) for c in cols)
-                if span.insert(dict(enumerate(itertools.chain.from_iterable(img)))):
-                    maps[w].append(img)
-    rank = len(maps[chi])
-    return rank == len(tgt) * k, rank
 
 
 # -----------------------------------------------------------------------

@@ -34,8 +34,8 @@ g is read off these two forms: the bracket of coordinate vectors
 and the Killing form (models.killing_gram) off the table, the
 coordinates of a matrix off one QSpan of the sparse generators, and
 h_alpha in the simple coroots off the expansion of alpha in the simple
-roots.  The dense views (basis_matrices, from_coords, coords_of) take
-and give the rational matrices of the basis itself.
+roots.  The dense views (from_coords, coords_of) take and give the
+rational matrices of the basis itself.
 """
 
 from functools import cached_property, lru_cache
@@ -153,9 +153,6 @@ class RootSystem:
         if any(x % d for x in dm):
             return None
         return tuple(x // d for x in dm)
-
-    def height(self, fund):
-        return sum(self.expansion(fund))
 
     def is_root(self, fund):
         return fund in self._by_fund
@@ -279,10 +276,6 @@ class ChevalleyBasis:
 
     # -- scaffolding ---------------------------------------------------
 
-    def coroot_params(self, fund):
-        """h_alpha as diagonal parameters."""
-        return self._coroots[fund]
-
     def _h_sparse(self, fund):
         t = self._coroots[fund]
         return canonical({(i, i): _dot(w, t) for i, w in enumerate(self._weights)})
@@ -386,9 +379,6 @@ class ChevalleyBasis:
         d = self.denominator
         return {p: ratio(x, d) for p, x in m.items()} if d > 1 else m
 
-    def basis_matrices(self):
-        return [dense(self._rational(self.action[key]), self.N) for key in self.basis_order()]
-
     @cached_property
     def _span(self):
         """The sparse generators in basis order, inserted into one QSpan."""
@@ -430,13 +420,6 @@ class ChevalleyBasis:
                         for k, c in entry.items():
                             out[k] += x * y * c
         return tuple(map(F, out))
-
-    def structure_constant(self, alpha, beta):
-        """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}; roots by fund coords.
-        Zero when a + b is not a root (ix.get gives no basis index)."""
-        ix = self._index
-        target = tuple(a + b for a, b in zip(alpha, beta))
-        return self.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), 0)
 
     # -- verification ----------------------------------------------------
 
@@ -512,9 +495,3 @@ def check_brackets(cb, action, den):
 @lru_cache(maxsize=None)
 def build_chevalley(type_label, rank):
     return ChevalleyBasis(build_root_system(type_label, rank))
-
-
-def killing_h(rs, alpha):
-    """h_alpha in coroot coordinates (basis {h_{alpha_i}})."""
-    cb = build_chevalley(rs.type_label, rs.rank)
-    return cb.h_alpha_coords(alpha)

@@ -56,6 +56,12 @@ The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
 independent of the bracket table, not of `QSpan`.
+
+The last section holds the checks and views that only tests use, so
+no command reaches them in src/ (tests/test_reachability.py): the Chevalley
+basis as dense matrices and its structure constants, the J components of a
+lattice, the surjectivity of the transition maps (acceptance criterion 3)
+and the class number from reduced binary forms.
 """
 
 import itertools
@@ -68,7 +74,6 @@ from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transpor
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
     _check_multiplicity_free,
-    _has_j_components,
     _profile,
     _shift_span,
     is_split,
@@ -1461,7 +1466,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
     lo = s_minus(rep, edge)
     hi = s_plus(rep, edge)
     if not hi.contains(lo):
-        raise LatticeError("sandwich is empty (construction bug)")
+        raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
     gens = [dense(g, rep.dim) for g in reps.lattice_generators(rep)]
@@ -1471,7 +1476,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
             continue
         if not is_split(rep, m):
             continue
-        if not _has_j_components(rep, edge, m):
+        if not has_j_components(rep, edge, m):
             continue
         invariant.append(m)
     orbits = {}
@@ -1568,7 +1573,7 @@ def ad_by_matrices(cb, u):
     coordinates of the dense bracket [X, b_k] of the realization
     matrices."""
     x = cb.from_coords(u)
-    return tuple(zip(*(cb.coords_of(bracket(x, b)) for b in cb.basis_matrices())))
+    return tuple(zip(*(cb.coords_of(bracket(x, b)) for b in basis_matrices(cb))))
 
 
 def trace(a):
@@ -1592,3 +1597,93 @@ def bracket_closed_pairwise(cb, lat):
         if not all(lat.member(v) for v in images[i + 1 :]):
             return False
     return True
+
+
+# -----------------------------------------------------------------------
+# Checks and views that only tests use.
+# -----------------------------------------------------------------------
+
+
+def basis_matrices(cb):
+    """The Chevalley basis as dense rational matrices, in basis order."""
+    m = len(cb.basis_order())
+    return [cb.from_coords([int(k == i) for k in range(m)]) for i in range(m)]
+
+
+def structure_constant(cb, alpha, beta):
+    """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}, roots by fund coords,
+    off the bracket table; zero when a + b is not a root."""
+    ix = {key: k for k, key in enumerate(cb.basis_order())}
+    target = tuple(a + b for a, b in zip(alpha, beta))
+    return cb.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), 0)
+
+
+def has_j_components(rep, edge, lat):
+    """Is J_psi the psi block of lat at every highest weight psi?"""
+    for psi, j in edge.j.items():
+        ix = rep.block(psi, psi)
+        gens = [[col[i] for i in ix] for col in lat.columns]
+        if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != j:
+            return False
+    return True
+
+
+def check_transition_surjectivity(rep, psi, chi, sign):
+    """Do graded generator words span Hom(highest block, chi block)?
+
+    sign -1 uses lowering words mapping the psi block to the chi block;
+    sign +1 uses raising words mapping the chi block back up, walked
+    transposed, which keeps the rank.  Returns (surjective, rank).  The
+    words of degree psi - w span the maps at each w + a composed with
+    down_step a, so the walk down to chi keeps a QSpan basis of block
+    maps per weight, each map as its columns.
+    """
+    psi = tuple(psi)
+    chi = tuple(chi)
+    cb = rep.cb
+    src = rep.block(psi, psi)
+    tgt = rep.block(psi, chi)
+    if not src or not tgt:
+        raise reps.RepError("chi is not a weight of the psi component")
+    m = cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
+    if m is None or any(x < 0 for x in m):
+        raise reps.RepError("chi not under psi in the root order")
+    k = len(src)
+    maps = {psi: [identity(k)]}
+    for w, mw in reps.weights_down(rep, psi)[1:]:
+        if any(x > y for x, y in zip(mw, m)):
+            continue
+        span = QSpan()
+        maps[w] = []
+        for a in cb.rs.simple:
+            above = maps.get(tuple(x + y for x, y in zip(w, a)))
+            if above is None:
+                continue
+            step = reps.down_step(rep, psi, a, w, sign)
+            for cols in above:
+                img = tuple(mat_vec(step, c) for c in cols)
+                if span.insert(dict(enumerate(itertools.chain.from_iterable(img)))):
+                    maps[w].append(img)
+    rank = len(maps[chi])
+    return rank == len(tgt) * k, rank
+
+
+def reduced_forms_count(disc):
+    """The class number of disc < 0: reduced binary quadratic forms (a, b, c)
+    with b² - 4ac = disc, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    count = 0
+    a = 1
+    # a <= sqrt(|disc| / 3) for a reduced form.
+    while 3 * a * a <= -disc:
+        for b in range(-a, a + 1):
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (a == -b or a == c):
+                continue
+            count += 1
+        a += 1
+    return count

@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from latmod.casestudies import QuadField, class_orbit_count, pgl2_sym2_report, reduced_forms_count
+from latmod.casestudies import QuadField, class_orbit_count, pgl2_sym2_report
 from latmod.exact import Lattice, distance, enumerate_between, snf
 from latmod.latconstruct import (
-    _has_j_components,
     count_invariant_orbits,
     is_invariant,
     is_split,
@@ -22,9 +21,15 @@ from latmod.latconstruct import (
 )
 from latmod.matrixops import bracket, mat_inv, mat_mul, mat_vec
 from latmod.models import lie_invariants, lie_model
-from latmod.reps import build_irrep, check_transition_surjectivity
-from latmod.rootdata import build_chevalley, killing_h
-from oracles import dense_action
+from latmod.reps import build_irrep
+from latmod.rootdata import build_chevalley
+from oracles import (
+    check_transition_surjectivity,
+    dense_action,
+    has_j_components,
+    reduced_forms_count,
+    structure_constant,
+)
 
 
 class _Budget:
@@ -80,21 +85,19 @@ def test_criterion_2_chevalley_suite():
                 # [x_a, x_-a] = h_a
                 got = cb.coords_of(bracket(mats[a], mats[na]))
                 want = [Fraction(0)] * len(rs.all_roots) + list(
-                    killing_h(rs, a)
+                    cb.h_alpha_coords(a)
                 )
                 assert list(got) == [Fraction(x) for x in want]
                 for b in rs.all_roots:
                     s = tuple(x + y for x, y in zip(a, b))
                     br = bracket(mats[a], mats[b])
                     if rs.is_root(s):
-                        c = cb.structure_constant(a, b)
+                        c = structure_constant(cb, a, b)
                         r = rs.root_string_r(a, b)
                         assert abs(c) == r + 1
                         assert c.denominator == 1
                     elif b != na:
-                        from latmod.matrixops import is_zero
-
-                        assert is_zero(br)
+                        assert not any(x for row in br for x in row)
 
 
 def _weyl_dim(cb, hw):
@@ -103,7 +106,7 @@ def _weyl_dim(cb, hw):
     num = Fraction(1)
     den = Fraction(1)
     for a in rs.positive:
-        h = killing_h(rs, a)
+        h = cb.h_alpha_coords(a)
         num *= cb.pairing(tuple(x + y for x, y in zip(hw, rho)), h)
         den *= cb.pairing(rho, h)
     return num / den
@@ -140,15 +143,15 @@ def test_criterion_4_sandwich_suite():
             hi = s_plus(rep, edge)
             assert hi.contains(lo)
             assert is_split(rep, lo) and is_split(rep, hi)
-            assert _has_j_components(rep, edge, lo)
-            assert _has_j_components(rep, edge, hi)
+            assert has_j_components(rep, edge, lo)
+            assert has_j_components(rep, edge, hi)
             if lo.index_in(hi) > 2**12:
                 continue
             action = dense_action(rep)
             lowering = [action[tuple(-x for x in a)] for a in cb.rs.simple]
             raising = [action[a] for a in cb.rs.simple]
             for m in enumerate_between(lo, hi):
-                if not (is_split(rep, m) and _has_j_components(rep, edge, m)):
+                if not (is_split(rep, m) and has_j_components(rep, edge, m)):
                     continue
                 if all(
                     not any(mat_vec(g, col)) or m.member(mat_vec(g, col))

@@ -19,12 +19,11 @@ from latmod.casestudies import (
     is_fundamental,
     multiplier_ring,
     pgl2_sym2_report,
-    reduced_forms_count,
 )
 from latmod import casestudies, models
 from latmod.exact import Lattice
 from latmod.models import _sym2_symbolic
-from oracles import scaling_equivalent
+from oracles import reduced_forms_count, scaling_equivalent
 
 
 # -- field arithmetic ------------------------------------------------------

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from latmod import cli, reps
 from latmod.cli import main
 from latmod.exact import Lattice
-from latmod.latconstruct import _has_j_components, is_invariant, is_split, s_minus, s_plus, unit_edge
+from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus, unit_edge
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley
+from oracles import has_j_components
 from test_reps import PINNED
 
 
@@ -140,7 +141,7 @@ def test_orbits_past_the_former_enumeration_cap(capsys):
     edge = unit_edge(rep, prime=3)
     lo, hi = s_minus(rep, edge), s_plus(rep, edge)
     for m in map(Lattice.from_json_obj, obj["representatives"]):
-        assert is_invariant(rep, m) and is_split(rep, m) and _has_j_components(rep, edge, m)
+        assert is_invariant(rep, m) and is_split(rep, m) and has_j_components(rep, edge, m)
         assert m.contains(lo) and hi.contains(m)
 
 

@@ -17,7 +17,6 @@ from latmod import latconstruct
 from latmod.exact import Lattice, LatticeError, ZSpan, _canonical, enumerate_between
 from latmod.latconstruct import (
     EdgeData,
-    _has_j_components,
     _shift_lattice_columns,
     _shift_span,
     count_invariant_orbits,
@@ -33,7 +32,6 @@ from latmod.latconstruct import (
 from latmod.matrixops import dense, mat_scale, mat_vec
 from latmod.reps import (
     build_irrep,
-    check_transition_surjectivity,
     direct_sum,
     lattice_generators,
     projector,
@@ -42,8 +40,10 @@ from latmod.reps import (
 )
 from latmod.rootdata import build_chevalley, build_root_system
 from oracles import (
+    check_transition_surjectivity,
     count_invariant_orbits_by_enumeration,
     dense_action,
+    has_j_components,
     s_minus_by_words,
     s_plus_by_words,
     shift_lattice_columns_by_inverse_cartan,
@@ -184,10 +184,8 @@ def test_sandwich_properties_sweep():
         assert sp.contains(sm)
         assert is_split(rep, sm) and is_split(rep, sp)
         # Highest-weight components equal J on both ends.
-        from latmod.latconstruct import _has_j_components
-
-        assert _has_j_components(rep, edge, sm)
-        assert _has_j_components(rep, edge, sp)
+        assert has_j_components(rep, edge, sm)
+        assert has_j_components(rep, edge, sp)
 
 
 def test_minimality_maximality_via_enumeration(a1_reps):
@@ -198,10 +196,8 @@ def test_minimality_maximality_via_enumeration(a1_reps):
     action = dense_action(rep)
     lowering = [action[(-2,)]]
     raising = [action[(2,)]]
-    from latmod.latconstruct import _has_j_components
-
     for m in enumerate_between(sm, sp):
-        if not (is_split(rep, m) and _has_j_components(rep, edge, m)):
+        if not (is_split(rep, m) and has_j_components(rep, edge, m)):
             continue
         if all(
             m.member(mat_vec(g, col)) or not any(mat_vec(g, col))
@@ -310,7 +306,7 @@ def test_sandwich_properties_beyond_the_oracle():
             assert lo.stable_under(mat_scale(edge.l_minus[a], lowering))
             assert hi.stable_under(mat_scale(edge.l_plus[a], action[a]))
         assert is_split(rep, lo) and is_split(rep, hi)
-        assert _has_j_components(rep, edge, lo) and _has_j_components(rep, edge, hi)
+        assert has_j_components(rep, edge, lo) and has_j_components(rep, edge, hi)
     assert time.monotonic() - start < 10
 
 
@@ -362,7 +358,7 @@ CRITERION_4_SWEEP = (
 
 
 def _projector_reads(rep, edge, lat, prs):
-    """split_hull and _has_j_components by 0/1 projector products."""
+    """split_hull and has_j_components by 0/1 projector products."""
     images = {key: [mat_vec(pr, col) for col in lat.basis] for key, pr in prs.items()}
     hull = Lattice(
         [v for vs in images.values() for v in vs if any(v)], lat.prime, ambient=lat.ambient
@@ -377,7 +373,7 @@ def _projector_reads(rep, edge, lat, prs):
 
 
 def test_block_reads_match_projector_products_on_criterion_4_sweep():
-    # split_hull and _has_j_components read block coordinates straight
+    # split_hull and has_j_components read block coordinates straight
     # from rep.blocks; the oracle is the projector product they replaced.
     for label, rank, hw in CRITERION_4_SWEEP:
         rep = build_irrep(build_chevalley(label, rank), hw)
@@ -389,7 +385,7 @@ def test_block_reads_match_projector_products_on_criterion_4_sweep():
         for m in [lo, hi] + enumerate_between(lo, hi):
             hull, has_j = _projector_reads(rep, edge, m, prs)
             assert split_hull(rep, m) == hull
-            assert _has_j_components(rep, edge, m) == has_j
+            assert has_j_components(rep, edge, m) == has_j
 
 
 # -- profiles and orbits ---------------------------------------------------
@@ -696,6 +692,9 @@ def test_orbit_report_matches_enumeration_on_random_edges(name, p, data):
     }
     edge = EdgeData(rep, l_plus=l_plus, l_minus=l_minus, j=j, prime=p)
     lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    # The valuation box is fixed by J at each highest weight because both
+    # ends carry J's components there.
+    assert has_j_components(rep, edge, lo) and has_j_components(rep, edge, hi)
     if not hi.contains(lo):
         for count in (count_invariant_orbits, count_invariant_orbits_by_enumeration):
             with pytest.raises(LatticeError, match="sandwich is empty"):

@@ -17,16 +17,17 @@ from latmod.reps import (
     Representation,
     adapt,
     build_irrep,
-    check_transition_surjectivity,
     direct_sum,
     projector,
     tensor_product,
 )
-from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system, killing_h
+from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system
 from oracles import (
     adapt_by_conjugation,
+    basis_matrices,
     build_irrep_by_conjugation,
     build_irrep_by_solve,
+    check_transition_surjectivity,
     defining_raw,
     dense_action,
     distinct_words,
@@ -48,7 +49,7 @@ def weyl_dim(cb, psi):
     num = Fraction(1)
     den = Fraction(1)
     for beta in rs.positive:
-        coords = killing_h(rs, beta)
+        coords = cb.h_alpha_coords(beta)
         num *= cb.pairing(tuple(p + r for p, r in zip(psi, rho)), coords)
         den *= cb.pairing(rho, coords)
     d = num / den
@@ -132,7 +133,7 @@ def test_homomorphism_property(sweep_reps):
     # lifted realization elements matches the commutator.
     rep = sweep_reps[("C", 2, (0, 1))]
     cb = rep.cb
-    mats = cb.basis_matrices()
+    mats = basis_matrices(cb)
     action = dense_action(rep)
 
     def rho(m):

@@ -20,7 +20,6 @@ import itertools
 import math
 
 from latmod.exact import Lattice, transporter, vp
-from latmod.matrixops import F, mat, ratio
 
 
 class CaseStudyError(ValueError):
@@ -77,24 +76,21 @@ class QuadField:
     def mul(self, x, y):
         u1, v1 = x
         u2, v2 = y
-        u = F(u1) * u2 + F(v1) * v2 * self._c
-        v = F(u1) * v2 + F(u2) * v1 + F(v1) * v2 * self.disc
+        u = u1 * u2 + v1 * v2 * self._c
+        v = u1 * v2 + u2 * v1 + v1 * v2 * self.disc
         return (u, v)
 
     def norm(self, x):
         u, v = x
         # N(u + v·w) = (u + v·w)(u + v·w̄), w + w̄ = D, w·w̄ = (D² - D)/4.
-        return F(u) ** 2 + F(u) * F(v) * self.disc - F(v) ** 2 * self._c
+        return u * u + u * v * self.disc - v * v * self._c
 
     def mul_matrix(self, x):
-        """Matrix of multiplication by x on the basis (1, w), columns."""
+        """Multiplication by the integral x on the basis (1, w), as an
+        integer sparse matrix."""
         u, v = x
-        return mat(
-            [
-                [F(u), F(v) * self._c],
-                [F(v), F(u) + F(v) * self.disc],
-            ]
-        )
+        m = {(0, 0): u, (0, 1): v * self._c, (1, 0): v, (1, 1): u + v * self.disc}
+        return {k: y for k, y in m.items() if y}
 
     def minkowski_bound(self):
         """An integer above (2/pi)·sqrt(|disc|), the norm within which
@@ -166,17 +162,17 @@ def _class_key(field, ideal):
     form correspondence).  GL₂(Z) would also identify I with its
     conjugate, which is in another class in general.
     """
-    w1, w2 = ideal.basis
+    assert ideal.denominator == 1, "an ideal of O_F is integral"
+    w1, w2 = ideal.columns
     if w1[0] * w2[1] - w1[1] * w2[0] <= 0:
         raise AssertionError("canonical ideal basis is not positively oriented")
     n = ideal.covolume()
     q1 = field.norm(w1)
     q2 = field.norm(w2)
-    tr = field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2
-    form = tuple(ratio(x, n) for x in (q1, tr, q2))
-    if any(x.denominator != 1 for x in form):
+    form = (q1, field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2, q2)
+    if any(x % n for x in form):
         raise AssertionError("norm form of an ideal is not integral")
-    a, b, c = (int(x) for x in form)
+    a, b, c = (x // n for x in form)
     if math.gcd(a, b, c) != 1 or b * b - 4 * a * c != field.disc:
         raise AssertionError("norm form is not primitive of discriminant D")
     return _reduce_form(a, b, c)

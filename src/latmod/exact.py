@@ -15,22 +15,26 @@ comparison of (denominator, columns):
 Membership is kernels.hermite_coords on the columns, and so are the
 coordinates of Lattice.coordinates, over one denominator: dual,
 transporter and distance read them, sum, scale and apply span integer
-columns, and no Fraction basis is inverted.  covolume and index_in are
-quotients of integer pivot products.
-ZSpan is the integer span of any rank in the same representation, used
-for the torus shift lattice of the orbit reports.  Every rational this
-module returns is canonical (matrixops.F): an int when it is integral,
-and every quotient is matrixops.ratio, so fractions is imported only for
-a value that is not integral, such as a basis entry column / scale or
-an "a/b" entry of a lattice file.  json is imported only by to_json and
-from_json, and by from_json_obj to quote a bad value in its error.
+columns, and no Fraction basis is inverted.  An operator is an integer
+sparse matrix {(i, j): entry}, as the library builds every one, over a
+denominator den where one is taken: stable_under, apply and transporter
+apply it to the integer columns by matrixops.sparse_mat_vec.  covolume
+and index_in are quotients of integer pivot products.  ZSpan is the
+integer span of any rank in the same representation: the torus shifts
+of the orbit reports, which reduce modulo its columns.  Every rational
+this module returns is canonical (matrixops.F): an int when it is
+integral, and every quotient is matrixops.ratio, so fractions is
+imported only for a value that is not integral, such as a basis entry
+column / scale or an "a/b" entry of a lattice file.  json is imported
+only by to_json and from_json, and by from_json_obj to quote a bad value
+in its error.
 """
 
 from itertools import chain
 from math import gcd, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, mat_vec, ratio, ratio_text
+from latmod.matrixops import F, clear_denominators, ratio, ratio_text, sparse_mat_vec
 
 ENUM_ORDER_CAP = 2**20
 
@@ -215,15 +219,11 @@ class Lattice:
         return all(_in_span(c, other.denominator, d, cols, rows, self.prime) for c in other.columns)
 
     def stable_under(self, g, den=1):
-        """Is (g/den)·L ⊆ L for the rational matrix g (rows) and the
+        """Is (g/den)·L ⊆ L for the integer sparse matrix g and the
         integer den > 0?  It is when g/den maps each integer column into
         the span of the columns."""
-        rows = range(self.ambient)
-        for col in self.columns:
-            (w,), e = clear_denominators([mat_vec(g, col)])
-            if not _in_span(w, e * den, 1, self.columns, rows, self.prime):
-                return False
-        return True
+        n, cols = self.ambient, self.columns
+        return all(_in_span(sparse_mat_vec(g, col, n), den, 1, cols, range(n), self.prime) for col in cols)
 
     def _check_compatible(self, other):
         if self.ambient != other.ambient or self.prime != other.prime:
@@ -274,10 +274,13 @@ class Lattice:
             return q
         return self.prime ** vp(q, self.prime)
 
-    def apply(self, matrix):
-        """Image lattice under a nonsingular rational matrix (rows)."""
-        ints, e = clear_denominators([mat_vec(matrix, c) for c in self.columns])
-        return Lattice.from_integers(ints, e * self.denominator, self.prime, self.ambient)
+    def apply(self, g, den=1):
+        """Image lattice under g/den, g a nonsingular integer sparse matrix
+        and den > 0: the images of the integer columns, over den times the
+        scale."""
+        n = self.ambient
+        ints = [sparse_mat_vec(g, c, n) for c in self.columns]
+        return Lattice.from_integers(ints, den * self.denominator, self.prime, n)
 
     # -- serialization -----------------------------------------------
 
@@ -381,7 +384,8 @@ def snf(rows):
 
 
 def transporter(gens, src, dst):
-    """Coefficient lattice {c : (sum_k c_k·gens[k])·src ⊆ dst}.
+    """Coefficient lattice {c : (sum_k c_k·gens[k])·src ⊆ dst} of the
+    integer sparse matrices gens.
 
     Every entry of sum_k c_k·B_dst⁻¹·gens[k]·B_src must lie in the ring, so
     the solutions are the dual of the lattice spanned by the entry rows;
@@ -391,8 +395,8 @@ def transporter(gens, src, dst):
     """
     dst._check_compatible(src)
     n, m = src.ambient, len(gens)
-    ints, e = clear_denominators([mat_vec(g, col) for g in gens for col in src.columns])
-    x, den = dst.coordinates(ints, e * src.denominator)
+    ints = [sparse_mat_vec(g, col, n) for g in gens for col in src.columns]
+    x, den = dst.coordinates(ints, src.denominator)
     rows = [[x[k * n + j][i] for k in range(m)] for i in range(n) for j in range(n)]
     return Lattice.from_integers(rows, den, dst.prime, m).dual()
 
@@ -510,18 +514,6 @@ class ZSpan:
     def __setattr__(self, *a):
         raise AttributeError("ZSpan is immutable")
 
-    @property
-    def rank(self):
-        return len(self.columns)
-
-    @property
-    def basis(self):
-        return tuple(tuple(ratio(x, self.denominator) for x in c) for c in self.columns)
-
-    def member(self, v):
-        (w,), e = clear_denominators([v])
-        return _in_span(w, e, self.denominator, self.columns, self.pivots)
-
     def __eq__(self, other):
         return (
             isinstance(other, ZSpan)
@@ -534,4 +526,4 @@ class ZSpan:
         return hash((self.ambient, self.denominator, self.columns))
 
     def __repr__(self):
-        return "ZSpan(rank %d in Q^%d)" % (self.rank, self.ambient)
+        return "ZSpan(rank %d in Q^%d)" % (len(self.columns), self.ambient)

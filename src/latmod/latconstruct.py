@@ -20,7 +20,7 @@ of the sandwich by Birkhoff's formula, without listing them.
 from math import lcm
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import F, clear_denominators, dense, identity, mat_scale, mat_vec
+from latmod.matrixops import F, clear_denominators, identity, sparse_mat_vec
 from latmod.reps import down_step, lattice_generators, weights_down
 
 
@@ -32,7 +32,7 @@ class EdgeData:
     the (psi, psi) block.
     """
 
-    __slots__ = ("rep", "prime", "l_plus", "l_minus", "j")
+    __slots__ = ("prime", "l_plus", "l_minus", "j")
 
     def __init__(self, rep, l_plus=None, l_minus=None, j=None, prime=None):
         simple = rep.cb.rs.simple
@@ -49,7 +49,6 @@ class EdgeData:
             if lat.ambient != k or lat.prime != prime:
                 raise LatticeError("J lattice has wrong ambient or ring")
             jj[psi] = lat
-        object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "l_plus", lp)
         object.__setattr__(self, "l_minus", lm)
@@ -68,8 +67,8 @@ def _block_lattices(rep, psi, top, sign, scales):
     at psi, and at each lower chi the span of the images under
     scales[a]·down_step a of the lattices at chi + a, taken on their
     integer columns over the least common multiple d of their
-    denominators; down_step is integral over rep.denominator, which
-    joins d in the denominator of the images."""
+    denominators; down_step is an integer sparse matrix over
+    rep.denominator, which joins d in the denominator of the images."""
     blocks = {psi: top}
     for chi, _ in weights_down(rep, psi)[1:]:
         above = []
@@ -78,12 +77,13 @@ def _block_lattices(rep, psi, top, sign, scales):
             if lat is not None:
                 above.append((a, lat))
         d = lcm(*(lat.denominator for _, lat in above))
+        k = len(rep.block(psi, chi))
         gens = []
         for a, lat in above:
-            step = mat_scale(scales[a] * (d // lat.denominator), down_step(rep, psi, a, chi, sign))
-            gens.extend(mat_vec(step, col) for col in lat.columns)
+            step, c = down_step(rep, psi, a, chi, sign), scales[a] * (d // lat.denominator)
+            gens.extend([c * x for x in sparse_mat_vec(step, col, k)] for col in lat.columns)
         ints, e = clear_denominators(gens)
-        blocks[chi] = Lattice.from_integers(ints, e * d * rep.denominator, top.prime, len(rep.block(psi, chi)))
+        blocks[chi] = Lattice.from_integers(ints, e * d * rep.denominator, top.prime, k)
     return blocks
 
 
@@ -154,7 +154,7 @@ def split_hull(rep, lat):
 
 def is_invariant(rep, lat):
     """Is the lattice preserved by every Chevalley generator action?"""
-    return all(lat.stable_under(dense(g, rep.dim), rep.denominator) for g in lattice_generators(rep))
+    return all(lat.stable_under(g, rep.denominator) for g in lattice_generators(rep))
 
 
 # -----------------------------------------------------------------------

@@ -8,15 +8,22 @@ that is neither an int nor a Fraction) the first time a quotient is not
 integral, so work on integral values never imports it; ratio_text
 writes a quotient of ints as str writes it, and never imports it.
 
-Dense matrices are tuples of rows, dense vectors tuples; the dense
-products skip zero entries.  Sparse matrices are {(i, j): entry}, sparse
-vectors {i: entry} over ints or index tuples, zeros left out.  The
-sparse products (sparse_bracket, tensor_mat_vec) sum from 0, so on
-integer input they stay in ints; the actions of rootdata and reps are
-integer sparse matrices over one denominator, so the products on them
+Sparse matrices are {(i, j): entry}, sparse vectors {i: entry} over
+ints or index tuples, zeros left out.  Every operator of the library is
+an integer sparse matrix over one denominator: the actions of rootdata
+and reps, the blocks of reps.down_step and the multiplications of a
+quadratic field.  The sparse products (sparse_mat_vec, sparse_bracket,
+tensor_mat_vec) sum from 0, so on integer input they stay in ints and
 never make a Fraction, and ratio_text writes their entries.
-tensor_mat_vec applies a matrix through its column index on each factor
-of a tensor product, at the cost of the vector's support.
+sparse_mat_vec applies a sparse matrix to a dense integer column, the
+one product of the lattice layer (exact, latconstruct); tensor_mat_vec
+applies a matrix through its column index on each factor of a tensor
+product, at the cost of the vector's support.  Dense matrices are tuples
+of rows, dense vectors tuples, made only by the report writers
+(dense), from_coords and projector.  The dense helpers mat_vec,
+mat_mul, mat_sub, bracket, rref and mat_inv skip zero entries; no
+command runs them, and they stay for the benchmark's Lie oracle and
+tracer (perfbench/).
 
 QSpan is the one elimination, fraction-free: it holds sparse vectors as
 integer echelon rows, each with its integer combination of the vectors
@@ -90,20 +97,12 @@ def primitive(v):
     return {i: x // g for i, x in zip(v, ints)}
 
 
-def mat(rows):
-    return tuple(tuple(F(x) for x in row) for row in rows)
-
-
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_sub(a, b):
     return tuple(tuple(F(x - y) if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(tuple(F(c * x) for x in row) for row in a)
 
 
 def mat_mul(a, b):
@@ -156,6 +155,15 @@ def column_index(a):
     for (i, j), x in a.items():
         cols.setdefault(j, []).append((i, x))
     return cols
+
+
+def sparse_mat_vec(g, v, rows):
+    """g·v as a list of rows entries, for the sparse matrix g with that
+    many rows and the dense column v."""
+    out = [0] * rows
+    for (i, j), x in g.items():
+        out[i] += x * v[j]
+    return out
 
 
 def tensor_mat_vec(cols, v):

@@ -32,7 +32,7 @@ from math import comb, gcd, prod
 
 from latmod.exact import transporter
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import clear_denominators, dense, ratio, ratio_text
+from latmod.matrixops import clear_denominators, ratio, ratio_text
 
 
 class ModelError(ValueError):
@@ -110,7 +110,7 @@ def lie_model(rep, lat):
     gens = [rep.action[key] for key in cb.basis_order()]
     if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")
-    return LieLattice(cb, transporter([dense(g, rep.dim) for g in gens], lat, lat.scale(rep.denominator)))
+    return LieLattice(cb, transporter(gens, lat, lat.scale(rep.denominator)))
 
 
 @lru_cache(maxsize=None)

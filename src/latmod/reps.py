@@ -369,16 +369,20 @@ def weights_down(rep, psi):
 
 def down_step(rep, psi, a, chi, sign):
     """The map from the (psi, chi + a) block to the (psi, chi) block that
-    takes a word one letter a further down, times rep.denominator, as
-    integers: the block of x_(-a) when sign < 0, the transpose of the
-    block of x_a from chi up when sign > 0."""
+    takes a word one letter a further down, times rep.denominator, as an
+    integer sparse matrix {(row, column): entry}, its rows the (psi, chi)
+    block and its columns the (psi, chi + a) block in block order: the
+    block of x_(-a) when sign < 0, the transpose of the block of x_a
+    from chi up when sign > 0."""
     lower = rep.block(psi, chi)
     upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
     if sign < 0:
         g = rep.action[tuple(-x for x in a)]
-        return tuple(tuple(g.get((r, c), 0) for c in upper) for r in lower)
-    g = rep.action[a]
-    return tuple(tuple(g.get((c, r), 0) for c in upper) for r in lower)
+        step = {(i, j): g.get((r, c)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
+    else:
+        g = rep.action[a]
+        step = {(i, j): g.get((c, r)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
+    return {p: x for p, x in step.items() if x}
 
 
 # -----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from latmod.matrixops import (
     dense,
     primitive,
     ratio,
-    ratio_text,
     scaled_inverse,
     sparse,
     sparse_bracket,
@@ -181,10 +180,6 @@ class RootSystem:
         }
 
 
-def build_root_system(type_label, rank):
-    return RootSystem(type_label, rank)
-
-
 # -----------------------------------------------------------------------
 # Matrix realization
 # -----------------------------------------------------------------------
@@ -220,12 +215,6 @@ def _form(rs):
     if t == "B":
         s[2 * n, 2 * n] = 1
     return s
-
-
-def _bracket_entry(x, y, i, j):
-    """Entry (i, j) of xy − yx for sparse matrices x and y."""
-    xy = sum(v * y.get((k, j), 0) for (r, k), v in x.items() if r == i)
-    return xy - sum(v * x.get((k, j), 0) for (r, k), v in y.items() if r == i)
 
 
 def _scaled(c, m):
@@ -451,8 +440,10 @@ class ChevalleyBasis:
                     table[a][b] = {i: c for i, c in zip(hix, coords) if c}
                 elif rs.is_root(target):
                     r = rs.root_string_r(alpha, beta)
-                    p, t = min(x[target].items())
-                    u = _bracket_entry(x[alpha], x[beta], *p)
+                    (row, col), t = min(x[target].items())
+                    # The one entry of [A_a, A_b]: check_brackets takes the whole bracket.
+                    u = sum(v * x[beta].get((k, col), 0) for (s, k), v in x[alpha].items() if s == row)
+                    u -= sum(v * x[alpha].get((k, col), 0) for (s, k), v in x[beta].items() if s == row)
                     table[a][b] = {ix[target]: r + 1 if u * t > 0 else -r - 1}
         for i, row in enumerate(table):
             for j in range(i):
@@ -461,17 +452,6 @@ class ChevalleyBasis:
         pair = check_brackets(self, x, self.denominator)
         if pair:
             raise AssertionError("bracket of %r and %r off the bracket table" % pair)
-
-    def to_json_obj(self):
-        def m2s(m):
-            return [[ratio_text(x, self.denominator) for x in row] for row in dense(m, self.N)]
-
-        return {
-            "rootsystem": self.rs.to_json_obj(),
-            "defining_dim": self.N,
-            "x": {",".join(map(str, a)): m2s(self.action[a]) for a in self._basis_order},
-            "h": [m2s(self.action["h", i]) for i in range(self.rs.rank)],
-        }
 
 
 def check_brackets(cb, action, den):
@@ -494,4 +474,4 @@ def check_brackets(cb, action, den):
 
 @lru_cache(maxsize=None)
 def build_chevalley(type_label, rank):
-    return ChevalleyBasis(build_root_system(type_label, rank))
+    return ChevalleyBasis(RootSystem(type_label, rank))

@@ -3,7 +3,7 @@
 Each is a slower or older path to a result the library computes another
 way: the two canonicalisers that `exact._canonical` merged, the
 `Fraction` forward substitutions that `kernels.hermite_coords` replaced
-under `Lattice.member`, `ZSpan.member` and the Hermite search, the
+under `Lattice.member`, the former `ZSpan.member` and the Hermite search, the
 per-vector `solve` that `reps.build_irrep` used before it read
 coordinates off a QSpan, the second walk of the adapted basis with
 the `mat_inv` conjugation that `reps.Representation` ran on every action
@@ -86,15 +86,14 @@ from latmod.matrixops import (
     clear_denominators,
     dense,
     identity,
-    mat,
     mat_mul,
-    mat_scale,
     mat_sub,
     mat_vec,
     primitive,
     ratio,
     sparse,
     sparse_bracket,
+    sparse_mat_vec,
 )
 from latmod.rootdata import ChevalleyBasis, _form, _scaled
 
@@ -103,6 +102,16 @@ from latmod.rootdata import ChevalleyBasis, _form, _scaled
 # latmod's own helpers give an int for an integral value, and `/` between
 # ints is a float.
 F = Fraction
+
+
+def mat(rows):
+    """rows as a dense matrix of canonical entries (matrixops.F)."""
+    return tuple(tuple(matrixops.F(x) for x in row) for row in rows)
+
+
+def mat_scale(c, a):
+    """c·a for the dense matrix a, canonical."""
+    return tuple(tuple(matrixops.F(c * x) for x in row) for row in a)
 
 
 def dense_action(owner):
@@ -653,7 +662,8 @@ def scaling_equivalent(field, lat1, lat2):
             y = tuple(s * b0[i] + t * b1[i] for i in range(2))
             if field.norm(y) != ratio:
                 continue
-            moved = lat1.apply(field.mul_matrix(y))
+            (ints,), e = clear_denominators([y])
+            moved = lat1.apply(field.mul_matrix(ints), e)
             if moved == lat2:
                 return True
     return False
@@ -682,7 +692,7 @@ def zspan_coords(span, v):
     """Coordinates of v in the Hermite basis of span, or None if v is
     outside its Q-span: forward substitution on the pivots, then a
     residual check on every row."""
-    basis = span.basis
+    basis = [[F(x, span.denominator) for x in col] for col in span.columns]
     v = tuple(F(x) for x in v)
     if not basis:
         return () if not any(v) else None
@@ -1122,7 +1132,7 @@ def _lie_algebra_basis(rs):
 
 class ChevalleyBasisByNullspace:
     """The Chevalley set as `rootdata.ChevalleyBasis` built it with dense
-    matrices: x, h, to_json_obj, coroot_params, h_alpha_coords and
+    matrices: x, h, coroot_params, h_alpha_coords and
     structure_constant, without the eager verification."""
 
     def __init__(self, rs):
@@ -1207,17 +1217,6 @@ class ChevalleyBasisByNullspace:
         m = bracket(self.x[alpha], self.x[beta])
         xm = self.x[target]
         return next(F(m[i][j]) / xm[i][j] for i in range(self.N) for j in range(self.N) if xm[i][j] != 0)
-
-    def to_json_obj(self):
-        def m2s(m):
-            return [[str(x) for x in row] for row in m]
-
-        return {
-            "rootsystem": self.rs.to_json_obj(),
-            "defining_dim": self.N,
-            "x": {",".join(map(str, k)): m2s(v) for k, v in self.x.items()},
-            "h": [m2s(v) for v in self.h],
-        }
 
 
 def root_space_kernels(cb):
@@ -1469,7 +1468,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
         raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
-    gens = [dense(g, rep.dim) for g in reps.lattice_generators(rep)]
+    gens = reps.lattice_generators(rep)
     invariant = []
     for m in mids:
         if not all(m.stable_under(g, rep.denominator) for g in gens):
@@ -1661,7 +1660,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
                 continue
             step = reps.down_step(rep, psi, a, w, sign)
             for cols in above:
-                img = tuple(mat_vec(step, c) for c in cols)
+                img = tuple(sparse_mat_vec(step, c, len(rep.block(psi, w))) for c in cols)
                 if span.insert(dict(enumerate(itertools.chain.from_iterable(img)))):
                     maps[w].append(img)
     rank = len(maps[chi])

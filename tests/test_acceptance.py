@@ -236,15 +236,7 @@ def test_criterion_8_lie_model_suite():
             # h-eigenvalue 2a - n.
             h = dense_action(rep)["h", 0]
             n = max(h[i][i] for i in range(rep.dim))
-            g = [
-                [
-                    Fraction(2) ** int((n + h[i][i]) / 2)
-                    if i == j
-                    else Fraction(0)
-                    for j in range(rep.dim)
-                ]
-                for i in range(rep.dim)
-            ]
+            g = {(i, i): 2 ** ((n + h[i][i]) // 2) for i in range(rep.dim)}
             lat = _random_lattice(rng, rep.dim, 2)
             moved = lie_model(rep, lat.apply(g))
             ginv2 = mat_inv([[Fraction(2), 0], [0, 1]])

@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -91,6 +92,16 @@ def test_lattice_dist_nontrivial(tmp_path, capsys):
     code, out, _ = run(["lattice", "dist", "--p", "2", "--a", str(fa), "--b", str(fb)], capsys)
     assert code == 0
     assert json.loads(out)["distance"] == 2
+
+
+def test_lattice_dist_on_two_local_planes(tmp_path, capsys):
+    # b's coordinates in a are the columns (4, 0), (2, 8), whose divisors 2
+    # and 16 have 2-adic valuations 1 and 4.
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text('{"ambient": 2, "ring": {"Zp": 2}, "basis": [["1/2", "0"], ["0", "1"]]}\n')
+    fb.write_text('{"ambient": 2, "ring": {"Zp": 2}, "basis": [["2", "1"], ["0", "8"]]}\n')
+    code, out, _ = run(["lattice", "dist", "--p", "2", "--a", str(fa), "--b", str(fb)], capsys)
+    assert code == 0 and json.loads(out) == {"p": 2, "distance": 3}
 
 
 def test_lattice_dist_refuses_a_lattice_over_another_prime(tmp_path, capsys):
@@ -185,6 +196,30 @@ def test_model_lie_former_stalls(name, index, tmp_path):
     assert json.loads(proc.stdout)["invariants"] == record["divisors"]
 
 
+POOL_MODEL_LIE = """
+import sys
+import latmod.cli
+code = latmod.cli.main(["model", "lie", "--rep", sys.argv[1], "--lattice", sys.argv[2]])
+sys.stderr.write(repr([code, "json" in sys.modules, "fractions" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("name", ["A2_10", "C2_10"])
+def test_model_lie_on_a_finished_pool_lattice(name, tmp_path):
+    # The first finished A2 (1,0) and C2 (1,0) lattice of the benchmark
+    # pool, in files written as json.dumps writes them: `model lie` gives
+    # the recorded divisors, reads the plain files without importing json,
+    # and imports no fractions, the lattice being integral.
+    entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"][name]
+    record = next(r for r in entry["lattices"] if r["finished"])
+    repf, latf = tmp_path / "rep.json", tmp_path / "lat.json"
+    repf.write_text(json.dumps(entry["descriptor"]))
+    latf.write_text(json.dumps(record["lattice"]))
+    proc = run_child(["-c", POOL_MODEL_LIE, str(repf), str(latf)])
+    assert proc.stderr == repr([0, False, False])
+    assert json.loads(proc.stdout)["invariants"] == record["divisors"]
+
+
 def test_case_classgroup(capsys):
     code, out, _ = run(["case", "classgroup", "--disc", "-20"], capsys)
     assert code == 0
@@ -218,6 +253,15 @@ CLASSGROUP_REPRESENTATIVES = {
         [["2", "0"], ["1", "3"]],
     ],
 }
+
+
+@pytest.mark.parametrize("t, r, hw", [("D", 4, (0, 0, 1, 1)), ("B", 4, (0, 0, 0, 2))])
+def test_large_rep_build_writes_the_pinned_representation(t, r, hw, capsys):
+    # The report of the CLI is the representation whose digest is pinned.
+    (digest,) = [d for pt, pr, phw, d in PINNED if (pt, pr, phw) == (t, r, hw)]
+    code, out, _ = run(["rep", "build", "--type", t, "--rank", str(r), "--hw", ",".join(map(str, hw))], capsys)
+    assert code == 0
+    assert hashlib.sha256(json.dumps(json.loads(out), sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("disc", sorted(CLASSGROUP_REPRESENTATIVES))
@@ -690,6 +734,14 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("latmod"))))
 """
 
 
+REP_BUILD_SCOPE = """
+import json, os, sys
+import latmod.cli
+latmod.cli.main(["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1", "--out", os.devnull])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("latmod"))))
+"""
+
+
 def test_import_scope():
     # The command table and its converters need only sys; each pipeline is
     # imported by the handler that runs it.  The class-group pipeline needs
@@ -707,6 +759,12 @@ def test_import_scope():
     after_classgroup = json.loads(proc.stdout)
     assert "latmod.casestudies" in after_classgroup
     assert not {"latmod.models", "latmod.reps", "latmod.rootdata"} & set(after_classgroup)
+    # The package root imports no module of its own, so rep build does not
+    # load the lattice kernels.
+    proc = run_child(["-c", REP_BUILD_SCOPE])
+    assert proc.returncode == 0, proc.stderr
+    after_rep_build = json.loads(proc.stdout)
+    assert "latmod.reps" in after_rep_build and "latmod.kernels" not in after_rep_build
 
 
 NO_JSON = """
@@ -788,6 +846,50 @@ def test_integral_requests_do_not_import_fractions(tmp_path):
     assert proc.stderr == repr([[0, False]] * 12)
     (golden,) = [c for c in GOLDEN["cases"] if c["argv"] == ["rep", "build", "--type", "B", "--rank", "3", "--hw", "1,0,0"]]
     assert proc.stdout == golden["stdout"]
+
+
+NO_DENSE_PRODUCTS = """
+import contextlib, io, json, sys
+from latmod import matrixops
+
+
+def refuse(name):
+    def stub(*args):
+        raise RuntimeError("a command ran matrixops." + name)
+
+    return stub
+
+
+for name in ("mat_vec", "mat_mul", "mat_sub", "bracket", "rref", "mat_inv"):
+    setattr(matrixops, name, refuse(name))
+import latmod.cli
+
+got = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got.append([latmod.cli.main(argv), out.getvalue()])
+print(json.dumps(got))
+"""
+
+
+def test_commands_run_no_dense_product(tmp_path):
+    # The dense helpers stay for the benchmark's Lie oracle and tracer
+    # only: with each replaced by a stub that raises, before any pipeline
+    # module is imported, every golden argv and every pinned exit code
+    # comes out as before.
+    # "<name>" in an argv is a file in tmp_path: an input, or the --out file.
+    for name, obj in GOLDEN["inputs"].items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    cases = [(c["argv"], c["exit_code"], c["stdout"]) for c in GOLDEN["cases"]]
+    cases += [(argv, code, None) for argv, code in PINNED_EXIT_CODES]
+    argvs = [[str(tmp_path / a[1:-1]) if a.startswith("<") else a for a in argv] for argv, _, _ in cases]
+    proc = run_child(["-c", NO_DENSE_PRODUCTS, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert [code for code, _ in got] == [code for _, code, _ in cases]
+    for (argv, _, stdout), (_, out) in zip(cases, got):
+        assert stdout is None or out == stdout, argv
 
 
 def dumps(obj):

@@ -1,6 +1,6 @@
-"""Exact matrix helpers: the zero-skipping products, the sparse bracket
-and the Leibniz product on a tensor of factors against the dense
-products they replaced, the span coordinates against per-vector solve
+"""Exact matrix helpers: the zero-skipping products, the sparse bracket,
+the sparse product on an integer column and the Leibniz product on a
+tensor of factors against the dense products they replaced, the span coordinates against per-vector solve
 and the rref and mat_inv solver, mat_inv against Gauss–Jordan, the
 relations, rref and inverses read off a QSpan against the dense
 fraction-free elimination they replaced (tests/oracles.py: echelon), and
@@ -31,6 +31,7 @@ from latmod.matrixops import (
     scaled_inverse,
     sparse,
     sparse_bracket,
+    sparse_mat_vec,
     tensor_mat_vec,
 )
 from oracles import (
@@ -172,6 +173,53 @@ def test_tensor_mat_vec_matches_dense_product(case):
     got = tensor_mat_vec([column_index(sparse(a)) for a in factors], {t: x for t, x in zip(tuples, v) if x})
     assert got == {t: x for t, x in zip(tuples, dense_mat_vec(dense, v)) if x}
     assert all(map(exact_nonzero, got.values()))
+
+
+@st.composite
+def sparse_matrix_vector_pairs(draw):
+    """(g, v, nr): an nr×nc integer sparse matrix, nr and nc up to 5 and
+    not equal in general, with its empty rows and zero columns, and an
+    integer column v of nc entries."""
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    positions = [(i, j) for i in range(nr) for j in range(nc)]
+    g = draw(st.dictionaries(st.sampled_from(positions), st.integers(-9, 9).filter(bool))) if positions else {}
+    return g, draw(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc)), nr
+
+
+def dense_rows(g, nr, nc):
+    return tuple(tuple(g.get((i, j), 0) for j in range(nc)) for i in range(nr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrix_vector_pairs())
+def test_sparse_mat_vec_matches_the_dense_product(case):
+    # The dense mat_vec, which no command runs, is the oracle.
+    g, v, nr = case
+    got = sparse_mat_vec(g, v, nr)
+    assert got == list(mat_vec(dense_rows(g, nr, len(v)), v))
+    assert all(type(x) is int for x in got)
+
+
+def test_sparse_mat_vec_on_the_down_step_blocks():
+    # The blocks of reps.down_step are not square where a weight of the
+    # component has multiplicity 2 (A2 (1,1)), and are over the
+    # denominator 2 for B2 (1,0).
+    from latmod.reps import build_irrep, down_step, weights_down
+    from latmod.rootdata import build_chevalley
+
+    shapes = set()
+    for t, r, hw in (("A", 2, (1, 1)), ("B", 2, (1, 0)), ("C", 2, (1, 1))):
+        rep = build_irrep(build_chevalley(t, r), hw)
+        (psi,) = rep.distinct_highest_weights()
+        for chi, _ in weights_down(rep, psi):
+            for a in rep.cb.rs.simple:
+                nr, nc = len(rep.block(psi, chi)), len(rep.block(psi, tuple(x + y for x, y in zip(chi, a))))
+                for sign in (-1, 1):
+                    g = down_step(rep, psi, a, chi, sign)
+                    shapes.add((nr, nc))
+                    for v in itertools.product(range(-1, 2), repeat=nc):
+                        assert sparse_mat_vec(g, v, nr) == list(mat_vec(dense_rows(g, nr, nc), v))
+    assert {(1, 2), (2, 1), (1, 0)} <= shapes
 
 
 def test_products_of_all_zero_and_empty_shapes():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmod.exact import Lattice, distance, snf, transporter, vp
-from latmod.matrixops import bracket, mat, mat_inv, mat_mul, mat_vec
+from latmod.matrixops import bracket, mat_inv, mat_mul, mat_vec
 from latmod.models import (
     HopfOrderGenerators,
     LieLattice,
@@ -29,11 +29,12 @@ from latmod.models import (
 )
 from latmod import models
 from latmod.reps import build_irrep
-from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system
+from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevalley
 from oracles import (
     bracket_closed_pairwise,
     dense_action,
     killing_gram_by_ad,
+    mat,
     monomial_products_by_discarding,
     poly_reduce_det_by_rewriting,
     product_echelon_by_fractions,
@@ -86,7 +87,7 @@ def test_lie_model_ad_equivariance(a1):
     g = mat([[2, 0], [0, Fraction(1, 3)]])
     ginv = mat_inv(g)
     lat = Lattice([[1, 1], [0, 3]])
-    moved = lie_model(std, lat.apply(g))
+    moved = lie_model(std, lat.apply({(0, 0): 6, (1, 1): 1}, 3))
     base = lie_model(std, lat)
     # Ad(g) on coordinates: conjugate the realization matrices.
     cols = []
@@ -185,8 +186,7 @@ def test_lattice_coordinates_invert_no_fraction_basis(monkeypatch, a1):
     local = Lattice([[Fraction(1, 2), 0, 0], [1, 2, 0], [0, 3, 4]], 2)
     lat.dual()
     local.dual()
-    action = dense_action(sym2)
-    transporter([action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(1, 2)))
+    transporter([sym2.action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(sym2.denominator, 2)))
     distance(local, Lattice([[1, 0, 0], [0, 4, 0], [0, 0, 1]], 2))
     c2_lat = Lattice([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 1, 0, 4]])
     for rep, v in ((sym2, lat), (c2, c2_lat)):
@@ -300,7 +300,7 @@ def test_killing_gram_cache_does_not_alias_freed_bases():
     # the same type.
     for k in range(24):
         label, rank = (("A", 1), ("A", 1), ("A", 2))[k % 3]
-        cb = ChevalleyBasis(build_root_system(label, rank))
+        cb = ChevalleyBasis(RootSystem(label, rank))
         gram = killing_gram(cb)
         del cb
         assert gram == killing_gram(build_chevalley(label, rank))

@@ -31,7 +31,8 @@ PERFBENCH = ROOT / "perfbench"
 
 PUBLIC_API = {
     "latmod.exact.Lattice.intersect": "a lattice operation of the library",
-    "latmod.exact.Lattice.apply": "a lattice operation of the library (acceptance criterion 8)",
+    "latmod.exact.Lattice.apply": "the image of a lattice under an integer sparse operator over a denominator, "
+    "the operator form stable_under and transporter take (acceptance criterion 8)",
     "latmod.exact.Lattice.to_json": "writes the lattice file format that Lattice.from_json reads",
     "latmod.reps.adapt": "builds reducible representations, which the CLI does not take yet",
     "latmod.reps.direct_sum": "builds reducible representations, which the CLI does not take yet",

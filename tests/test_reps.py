@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from latmod import matrixops, reps, rootdata
-from latmod.matrixops import bracket, identity, mat_mul, mat_scale, sparse, tensor_mat_vec
+from latmod.matrixops import bracket, identity, mat_mul, sparse, tensor_mat_vec
 from latmod.reps import (
     RepError,
     Representation,
@@ -21,7 +21,7 @@ from latmod.reps import (
     projector,
     tensor_product,
 )
-from latmod.rootdata import SUPPORTED, ChevalleyBasis, build_chevalley, build_root_system
+from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevalley
 from oracles import (
     adapt_by_conjugation,
     basis_matrices,
@@ -34,6 +34,7 @@ from oracles import (
     ext_power_raw,
     is_canonical,
     lift,
+    mat_scale,
     sym_power_raw,
     tensor_raw,
     transition_by_words,
@@ -96,7 +97,7 @@ def test_weyl_dimension_matches_the_test_oracle(t, r):
 def test_weyl_dimension_reads_the_basis_it_is_given(monkeypatch):
     # A basis built outside build_chevalley's cache gives its own h_beta;
     # no second basis is looked up by (type, rank).
-    cb = ChevalleyBasis(build_root_system("B", 3))
+    cb = ChevalleyBasis(RootSystem("B", 3))
     monkeypatch.setattr(rootdata, "build_chevalley", None)
     assert reps.weyl_dimension(cb, (1, 0, 0)) == 7
     assert reps.weyl_dimension(cb, (0, 1, 0)) == 21
@@ -552,8 +553,9 @@ def test_down_step_is_the_block_of_the_dense_generator(sweep_reps):
     # For every simple root a and both signs, down_step from the (psi,
     # chi + a) block to the (psi, chi) block is the block of the dense
     # x_(-a) (sign < 0), or the transposed block of the dense x_a from chi
-    # up (sign > 0), times the denominator (2 for B2 (1,0)); empty when
-    # chi + a is no weight of the component.
+    # up (sign > 0), times the denominator (2 for B2 (1,0)), as an integer
+    # sparse matrix on the block positions; empty when chi + a is no weight
+    # of the component.
     compared = 0
     cases = dict(sweep_reps)
     cases[("B", 2, (1, 0))] = build_irrep(build_chevalley("B", 2), (1, 0))
@@ -566,8 +568,8 @@ def test_down_step_is_the_block_of_the_dense_generator(sweep_reps):
                 upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
                 down = tuple(tuple(lower_gen[i][j] for j in upper) for i in lower)
                 up = tuple(tuple(raise_gen[j][i] for j in upper) for i in lower)
-                assert reps.down_step(rep, psi, a, chi, -1) == down, (t, r, hw, a, chi)
-                assert reps.down_step(rep, psi, a, chi, +1) == up, (t, r, hw, a, chi)
+                assert reps.down_step(rep, psi, a, chi, -1) == sparse(down), (t, r, hw, a, chi)
+                assert reps.down_step(rep, psi, a, chi, +1) == sparse(up), (t, r, hw, a, chi)
                 compared += any(x for row in down for x in row)
     assert compared > 0
 

@@ -32,7 +32,6 @@ from latmod.reps import build_irrep
 from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevalley
 from oracles import (
     bracket_closed_pairwise,
-    dense_action,
     killing_gram_by_ad,
     mat,
     monomial_products_by_discarding,

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmod import matrixops, rootdata
-from latmod.matrixops import bracket, dense, identity, mat_sub, primitive, sparse
+from latmod.matrixops import bracket, dense, identity, primitive, sparse
 from latmod.rootdata import (
     SUPPORTED,
     ChevalleyBasis,
@@ -35,7 +35,6 @@ from oracles import (
     basis_matrices,
     bracket_table_by_ordered_pairs,
     dense_action,
-    mat_scale,
     root_data_by_fraction_dot,
     root_space_kernels,
     structure_constant,

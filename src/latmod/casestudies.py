@@ -1,13 +1,14 @@
 """End-to-end case studies.
 
-1. Imaginary quadratic fields: lattices in F = Q(sqrt(D)) whose multiplier
-   ring is the maximal order, counted up to F*-scaling.  The count equals
-   the class number, computed here by exhaustive ideal enumeration below
-   the Minkowski bound.  Each ideal's F*-class is keyed by the reduced
-   form of its norm form on an oriented basis (the ideal <-> binary
-   quadratic form correspondence, Cohen, A Course in Computational
-   Algebraic Number Theory, 5.2-5.4), so counting is a set lookup.
-   Fundamental discriminants with |D| <= DISC_LIMIT are supported.
+1. Imaginary quadratic orders: lattices in F = Q(sqrt(D)) whose multiplier
+   ring is the order O_D of discriminant D, counted up to F*-scaling.  The
+   count is the class number h(O_D), computed here by exhaustive ideal
+   enumeration below the Minkowski bound.  Each ideal's F*-class is keyed
+   by the reduced form of its norm form on an oriented basis (the proper
+   ideal <-> primitive binary quadratic form correspondence, Cohen, A
+   Course in Computational Algebraic Number Theory, 5.2-5.4; Cox, Primes
+   of the Form x² + ny², Thm. 7.7), so counting is a set lookup.  Every
+   D < 0 with D = 0, 1 mod 4 and |D| <= DISC_LIMIT is supported.
 
 2. The rank-1 adjoint group acting on the symmetric square over Z_(2):
    two lattices of index 2 apart generate the same bounded-degree Hopf
@@ -26,8 +27,9 @@ class CaseStudyError(ValueError):
     pass
 
 
-# Largest |D| accepted by QuadField: the class count for D = -99995 (h =
-# 116) takes 0.65-0.78 s in-process over five runs on a 2-vCPU x86-64 host.
+# Largest |D| accepted by QuadField: the slowest class count measured near
+# the limit, over nine D from -99372 to -100000, fundamental or not, took
+# 1.13 s in-process (D = -99996, h = 144) on a 2-vCPU x86-64 host.
 DISC_LIMIT = 10**5
 
 
@@ -36,29 +38,11 @@ DISC_LIMIT = 10**5
 # -----------------------------------------------------------------------
 
 
-def is_fundamental(disc):
-    if disc >= 0:
-        return False
-    if disc % 4 == 1:
-        return _squarefree(-disc)
-    if disc % 4 == 0:
-        m = disc // 4
-        return _squarefree(-m) and (m % 4) in (2, 3)
-    return False
-
-
-def _squarefree(n):
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
 class QuadField:
-    """Q(sqrt(D)) for a negative discriminant D, with ring basis (1, w),
-    w = (D + sqrt(D))/2, so w² = D·w + (D - D²)/4."""
+    """Q(sqrt(D)) for a negative discriminant D, with basis (1, w),
+    w = (D + sqrt(D))/2, so w² = D·w + (D - D²)/4.  Z·1 + Z·w is the order
+    O_D of discriminant D: for D = f²·d with d fundamental, it is
+    Z + f·O_(Q(sqrt d)), the maximal order when f = 1."""
 
     __slots__ = ("disc", "_c")
 
@@ -93,10 +77,12 @@ class QuadField:
         return {k: y for k, y in m.items() if y}
 
     def minkowski_bound(self):
-        """An integer above (2/pi)·sqrt(|disc|), the norm within which
-        every ideal class contains an integral ideal.  As 333/106 < pi,
-        212/333 > 2/pi, and floor(212/333·sqrt(|disc|)) + 1 is computed
-        in integers."""
+        """An integer above (2/pi)·sqrt(|disc|), a norm within which every
+        class of Pic(O_D) contains a proper integral ideal: a class's
+        reduced primitive form (a, b, c) gives the proper ideal
+        Z·a + Z·(-b + sqrt(D))/2 of norm a <= sqrt(|disc|/3), which is
+        below (2/pi)·sqrt(|disc|).  As 333/106 < pi, 212/333 > 2/pi, and
+        floor(212/333·sqrt(|disc|)) + 1 is computed in integers."""
         return math.isqrt(4 * 106**2 * -self.disc) // 333 + 1
 
 
@@ -116,7 +102,7 @@ def multiplier_ring(field, lat):
 
 
 def _ideal_lattices_of_norm(field, n):
-    """Index-n sublattices of O_F closed under multiplication by w."""
+    """Index-n sublattices of O_D closed under multiplication by w."""
     omega = field.mul_matrix((0, 1))
     out = []
     for a in range(1, n + 1):
@@ -179,35 +165,43 @@ def _class_key(field, ideal):
 
 
 def class_orbit_count(disc):
-    """Number of F*-classes of lattices with maximal multiplier ring,
-    with one representative ideal per class: the first ideal of each
-    class in order of norm, then of enumeration within a norm.
+    """Number of F*-classes of lattices with multiplier ring O_D, with one
+    representative ideal per class: the first ideal of each class in order
+    of norm, then of enumeration within a norm.
 
-    Ideals of norm up to the Minkowski bound meet every class.  Each is
-    keyed by the reduced form of its norm form (`_class_key`).  The tests
-    check the key against a pairwise search for a scaling x with
-    x·I = J (`scaling_equivalent` in tests/oracles.py).
+    These classes are the models of the torus T = R_(F/Q) G_m acting on
+    F: a lattice Lambda with multiplier ring O has Ĝ_Lambda = R_(O/Z) G_m.
+    Inside End_Q(F), O = F ∩ End_Z(Lambda), so End_Z(Lambda)/O is
+    torsion-free and the plane V(O) is a closed, flat subscheme of the
+    affine space End(Lambda).  Its units R_(O/Z) G_m = V(O) ∩ GL(Lambda)
+    (x is a unit exactly when N(x) = det(x) is) form a closed subgroup of
+    GL(Lambda), flat over Z as an open piece of V(O), with generic fibre
+    T.  A closed flat subscheme is the closure of its generic fibre, so it
+    is Ĝ_Lambda.  Up to F*-scaling these lattices are the proper ideals of
+    O, the classes of Pic(O) (Cox, Thms. 7.7 and 7.24).
 
-    The multiplier ring of a nonzero ideal I is an order (x·I ⊆ I makes x
-    integral: the determinant trick on a basis of I) containing O_F, so it
-    is O_F; it is still computed, and any other ring fails loudly.
-    QuadField checks D mod 4 (D = 2, 3 mod 4 is the discriminant of no
-    order) and the limit on |D| first, as is_fundamental trial-divides up
-    to sqrt|D|.
+    Ideals of O_D of norm up to the Minkowski bound meet every class.  The
+    multiplier ring of an ideal of O_D contains O_D, and one that does not
+    fails loudly; the proper ideals, those whose multiplier ring is O_D,
+    are kept.  Each is keyed by the reduced form of its norm form
+    (`_class_key`).  The tests check the key against a pairwise search
+    for a scaling x with x·I = J (`scaling_equivalent` in
+    tests/oracles.py).  QuadField checks D mod 4 (D = 2, 3 mod 4 is the
+    discriminant of no order) and the limit on |D|.
     """
     if disc >= 0:
         raise CaseStudyError("only negative discriminants (imaginary quadratic fields) are supported")
     field = QuadField(disc)
-    if not is_fundamental(disc):
-        raise CaseStudyError("class group of non-maximal orders out of scope")
-    maximal = Lattice([[1, 0], [0, 1]])
+    order = Lattice([[1, 0], [0, 1]])
     bound = field.minkowski_bound()
     classes = {}
     for n in range(1, bound + 1):
         for ideal in _ideal_lattices_of_norm(field, n):
-            if multiplier_ring(field, ideal) != maximal:
-                raise AssertionError("an ideal of O_F has multiplier ring other than O_F")
-            classes.setdefault(_class_key(field, ideal), ideal)
+            ring = multiplier_ring(field, ideal)
+            if not ring.contains(order):
+                raise AssertionError("the multiplier ring of an ideal of O_D does not contain O_D")
+            if ring == order:
+                classes.setdefault(_class_key(field, ideal), ideal)
     reps = list(classes.values())
     return len(reps), reps
 

@@ -297,7 +297,7 @@ COMMANDS = {
     "orbits": (_cmd_orbits, dict(_REP, p=_prime), "invariant-lattice orbit report"),
     "model lie": (_cmd_model_lie, {"rep": str, "lattice": str}, "Lie lattice of a lattice, its invariants"),
     "case pgl2": (_cmd_case_pgl2, {}, "rank-1 symmetric-square case study"),
-    "case classgroup": (_cmd_case_classgroup, {"disc": int}, "class orbits of a fundamental discriminant"),
+    "case classgroup": (_cmd_case_classgroup, {"disc": int}, "class orbits of an imaginary quadratic order"),
 }
 # Optional flags of every command; None converts a flag that takes no value.
 _OPTIONAL = {"out": str, "pretty": None, "help": None}

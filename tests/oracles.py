@@ -1668,8 +1668,9 @@ def check_transition_surjectivity(rep, psi, chi, sign):
 
 
 def reduced_forms_count(disc):
-    """The class number of disc < 0: reduced binary quadratic forms (a, b, c)
-    with b² - 4ac = disc, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    """The class number of the order of discriminant disc < 0: primitive
+    reduced binary quadratic forms (a, b, c) with b² - 4ac = disc,
+    gcd(a, b, c) = 1, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
     count = 0
     a = 1
     # a <= sqrt(|disc| / 3) for a reduced form.
@@ -1682,6 +1683,8 @@ def reduced_forms_count(disc):
             if c < a:
                 continue
             if b < 0 and (a == -b or a == c):
+                continue
+            if math.gcd(a, b, c) != 1:
                 continue
             count += 1
         a += 1

@@ -16,7 +16,6 @@ from latmod.casestudies import (
     _ideal_lattices_of_norm,
     _reduce_form,
     class_orbit_count,
-    is_fundamental,
     multiplier_ring,
     pgl2_sym2_report,
 )
@@ -24,6 +23,15 @@ from latmod import casestudies, models
 from latmod.exact import Lattice
 from latmod.models import _sym2_symbolic
 from oracles import reduced_forms_count, scaling_equivalent
+
+
+def _is_fundamental(disc):
+    """Is disc < 0 the discriminant of a maximal order: no f > 1 with
+    disc/f² a discriminant (= 0, 1 mod 4)?"""
+    return disc < 0 and disc % 4 in (0, 1) and not any(
+        disc % (f * f) == 0 and (disc // (f * f)) % 4 in (0, 1)
+        for f in range(2, math.isqrt(-disc) + 1)
+    )
 
 
 # -- field arithmetic ------------------------------------------------------
@@ -63,7 +71,7 @@ def test_quadfield_mul_is_associative():
     def element():
         return tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(2))
 
-    discs = [d for d in range(-3, -501, -1) if is_fundamental(d)] + [-99995]
+    discs = [d for d in range(-3, -501, -1) if _is_fundamental(d)] + [-99995]
     for disc in discs:
         f = QuadField(disc)
         triples = list(itertools.product(samples, repeat=3))
@@ -107,14 +115,6 @@ def test_minkowski_bound_in_integers_covers_the_float_bound():
             bound = QuadField(disc).minkowski_bound()
             floats = int(2 * math.sqrt(-disc) / math.pi) + 1
             assert floats <= bound <= floats + 1
-
-
-def test_is_fundamental():
-    assert is_fundamental(-4) and is_fundamental(-8)
-    assert is_fundamental(-20) and is_fundamental(-23) and is_fundamental(-47)
-    assert not is_fundamental(-12)  # -12 = 4·(-3), order of conductor 2
-    assert not is_fundamental(-16)
-    assert not is_fundamental(-9)
 
 
 # -- multiplier rings -------------------------------------------------------
@@ -179,20 +179,21 @@ def test_class_orbit_count_matches_forms_oracle(disc):
         assert multiplier_ring(f, lat) == maximal
 
 
-def _maximal_ideals(disc):
+def _proper_ideals(disc):
     f = QuadField(disc)
-    maximal = Lattice([[1, 0], [0, 1]])
+    order = Lattice([[1, 0], [0, 1]])
     return f, [
         ideal
         for n in range(1, f.minkowski_bound() + 1)
         for ideal in _ideal_lattices_of_norm(f, n)
-        if multiplier_ring(f, ideal) == maximal
+        if multiplier_ring(f, ideal) == order
     ]
 
 
-@pytest.mark.parametrize("disc", [-20, -23, -47, -71])
+@pytest.mark.parametrize("disc", [-20, -23, -47, -71, -63, -99])
 def test_class_key_matches_scaling_oracle(disc):
-    f, ideals = _maximal_ideals(disc)
+    # -63 = 3²·(-7) and -99 = 3²·(-11) are non-maximal orders.
+    f, ideals = _proper_ideals(disc)
     keys = [_class_key(f, ideal) for ideal in ideals]
     for i, ideal in enumerate(ideals):
         for j in range(i + 1, len(ideals)):
@@ -205,7 +206,7 @@ def test_class_key_separates_conjugate_classes(disc):
     # Some class differs from its conjugate's, whose key is (a, -b, c):
     # reducing under GL2(Z), or flipping the orientation of one basis,
     # would merge them.
-    f, ideals = _maximal_ideals(disc)
+    f, ideals = _proper_ideals(disc)
     keys = {_class_key(f, ideal) for ideal in ideals}
     assert any(b != 0 and (a, -b, c) in keys for a, b, c in keys)
 
@@ -224,25 +225,64 @@ def test_reduce_form_is_reduced_and_sl2_invariant():
 
 
 def test_every_ideal_has_the_maximal_order_as_multiplier_ring(monkeypatch):
-    # class_orbit_count asserts it on every ideal below the Minkowski
-    # bound; sweep the fundamental D down to -300 against the forms oracle.
+    # class_orbit_count asserts that every ideal's multiplier ring contains
+    # O_D, which for a fundamental D makes it the maximal order; sweep the
+    # fundamental D down to -300 against the forms oracle.
     for disc in range(-3, -301, -1):
-        if is_fundamental(disc):
+        if _is_fundamental(disc):
             assert class_orbit_count(disc)[0] == reduced_forms_count(disc)
     monkeypatch.setattr(casestudies, "multiplier_ring", lambda field, lat: lat)
     with pytest.raises(AssertionError, match="multiplier ring"):
         class_orbit_count(-23)
 
 
-def test_class_count_rejects_non_fundamental():
-    with pytest.raises(CaseStudyError, match="out of scope"):
-        class_orbit_count(-12)
+def test_class_count_of_non_maximal_order():
+    # -12 = 2²·(-3): Z[sqrt(-3)] has class number 1, the order itself.
+    assert class_orbit_count(-12) == (1, [Lattice([[1, 0], [0, 1]])])
+
+
+def test_class_count_matches_primitive_forms_for_every_order():
+    # Every discriminant of an imaginary quadratic order down to -1000,
+    # fundamental or not.
+    for disc in range(-3, -1001, -1):
+        if disc % 4 in (0, 1):
+            assert class_orbit_count(disc)[0] == reduced_forms_count(disc), disc
+
+
+def _kronecker(d, p):
+    """The Kronecker symbol (d/p) for a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_class_count_matches_cox_formula():
+    # h(O_f) = h(O_K)·f / [O_K* : O_f*] · prod_(p | f) (1 - (D/p)/p) for the
+    # order of conductor f in the field of fundamental discriminant D
+    # (Cox, Primes of the Form x² + ny², Thm. 7.24); the unit index is 3
+    # for D = -3, 2 for D = -4 and 1 otherwise.
+    orders = 0
+    for disc in (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -39, -47, -84, -163):
+        assert _is_fundamental(disc)
+        h = class_orbit_count(disc)[0]
+        units = {-3: 3, -4: 2}.get(disc, 1)
+        for f in range(2, 16):
+            if f * f * -disc > 5000:
+                break
+            expected = Fraction(h * f, units)
+            for p in range(2, f + 1):
+                if f % p == 0 and all(p % q for q in range(2, p)):
+                    expected *= 1 - Fraction(_kronecker(disc, p), p)
+            assert class_orbit_count(f * f * disc)[0] == expected, (disc, f)
+            orders += 1
+    assert orders == 167
 
 
 @pytest.mark.parametrize("disc", [-1, -5, -6])
 def test_class_count_rejects_discriminants_of_no_order(disc):
-    # D = 2 or 3 mod 4 is the discriminant of no quadratic order, so no
-    # order is out of scope: QuadField names the residue.
+    # D = 2 or 3 mod 4 is the discriminant of no quadratic order: QuadField
+    # names the residue.
     with pytest.raises(CaseStudyError, match="^expected a negative discriminant = 0,1 mod 4$") as err:
         class_orbit_count(disc)
     assert "out of scope" not in str(err.value)
@@ -251,8 +291,7 @@ def test_class_count_rejects_discriminants_of_no_order(disc):
 @pytest.mark.parametrize("disc", [5, 0])
 def test_class_count_rejects_non_negative_discriminants(disc):
     # 5 is the fundamental discriminant of a real quadratic field, and 0
-    # of none: neither is an order out of scope, but a sign this module
-    # does not handle.
+    # of none: a sign this module does not handle.
     with pytest.raises(CaseStudyError, match="^only negative discriminants") as err:
         class_orbit_count(disc)
     assert "out of scope" not in str(err.value)

@@ -323,10 +323,13 @@ def test_unsupported_rank_exits_1(capsys):
     assert code == 1
 
 
-def test_nonfundamental_disc_exits_1(capsys):
-    code, _, err = run(["case", "classgroup", "--disc", "-12"], capsys)
-    assert code == 1
-    assert "out of scope" in err
+def test_nonfundamental_disc_exits_0(capsys):
+    # -12 = 2²·(-3): the order Z[sqrt(-3)] has one class, its own.
+    code, out, err = run(["case", "classgroup", "--disc", "-12"], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["disc"], obj["orbit_count"]) == (-12, 1)
+    assert [Lattice.from_json_obj(x) for x in obj["representatives"]] == [Lattice([[1, 0], [0, 1]])]
 
 
 @pytest.mark.parametrize("disc", ["-1", "-5", "-6"])
@@ -526,8 +529,8 @@ def test_unwritable_out_exits_1(tmp_path):
 
 
 def test_huge_disc_is_refused_before_trial_division():
-    # The limit on |D| comes before is_fundamental, whose trial division up
-    # to sqrt|D| would not end for this D (= 1 mod 4).
+    # The limit on |D| comes before any work: the ideal loop runs to a norm
+    # bound of about sqrt|D|, which would not end for this D (= 1 mod 4).
     disc = -(10**30) - 3
     proc = run_child(["-m", "latmod.cli", "case", "classgroup", "--disc", str(disc)], timeout=20)
     assert proc.returncode == 1 and proc.stdout == ""

@@ -3,9 +3,9 @@
 1. Imaginary quadratic orders: lattices in F = Q(sqrt(D)) whose multiplier
    ring is the order O_D of discriminant D, counted up to F*-scaling.  The
    count is the class number h(O_D), computed here by exhaustive ideal
-   enumeration below the Minkowski bound.  Each ideal's F*-class is keyed
-   by the reduced form of its norm form on an oriented basis (the proper
-   ideal <-> primitive binary quadratic form correspondence, Cohen, A
+   enumeration below the Minkowski bound.  An ideal's norm form is
+   primitive exactly when it is proper, and its reduced form keys the
+   F*-class (the proper ideal <-> primitive form correspondence, Cohen, A
    Course in Computational Algebraic Number Theory, 5.2-5.4; Cox, Primes
    of the Form x² + ny², Thm. 7.7), so counting is a set lookup.  Every
    D < 0 with D = 0, 1 mod 4 and |D| <= DISC_LIMIT is supported.
@@ -27,9 +27,9 @@ class CaseStudyError(ValueError):
     pass
 
 
-# Largest |D| accepted by QuadField: the slowest class count measured near
-# the limit, over nine D from -99372 to -100000, fundamental or not, took
-# 1.13 s in-process (D = -99996, h = 144) on a 2-vCPU x86-64 host.
+# Largest |D| accepted by QuadField: over nine D from -99372 to -100000,
+# fundamental or not, the slowest class count took 0.04 s in-process and
+# 0.17 s as a CLI request (D = -99991, h = 205; 2-vCPU x86-64 host).
 DISC_LIMIT = 10**5
 
 
@@ -101,20 +101,45 @@ def multiplier_ring(field, lat):
     return ring
 
 
-def _ideal_lattices_of_norm(field, n):
-    """Index-n sublattices of O_D closed under multiplication by w."""
-    omega = field.mul_matrix((0, 1))
-    out = []
+def _ideals_of_norm(field, n):
+    """The ideals of O_D of index n, as the (a, b, d) of their bases
+    a, b + d·w, in order of a, then of b.  Every index-n subgroup of
+    Z + Z·w has one such basis with a·d = n and 0 <= b < a, and it is an
+    ideal when w maps it into itself.  a·w = x·a + y·(b + d·w) forces
+    y = a/d and x = -b/d, so d | a and d | b; then, as w² = D·w + c,
+    w·(b + d·w) = (b/d + D)·(b + d·w) + d·c - b·(b/d + D) needs
+    a | d·c - b·(b/d + D)."""
     for a in range(1, n + 1):
-        if n % a:
-            continue
         d = n // a
-        for b in range(a):
-            cols = [[a, 0], [b, d]]
-            lat = Lattice(cols)
-            if lat.stable_under(omega):
-                out.append(lat)
-    return out
+        if n % a or a % d:
+            continue
+        for b in range(0, a, d):
+            if (d * field._c - b * (b // d + field.disc)) % a == 0:
+                yield a, b, d
+
+
+def _norm_form(field, a, b, d):
+    """(A, B, C) with N(x·a + y·(b + d·w)) / n = A·x² + B·x·y + C·y² for
+    the ideal I = Z·a + Z·(b + d·w) of index n = a·d.
+
+    N(u + v·w) = u² + D·u·v - c·v² gives A = a/d, B = 2·b/d + D and
+    C = -(d·c - b·(b/d + D))/a, integers as I is an ideal, and B² - 4·A·C
+    = D² + 4·c = D.  The content g is [O : O_D] for the multiplier ring O
+    of I: the form is A·(x + y·t)(x + y·t̄) for t = (b + d·w)/a, a root of
+    the primitive (A·X² - B·X + C)/g, so O, the ring of Z + Z·t, has
+    discriminant D/g² (Cox, Primes of the Form x² + ny², Lemma 7.5) and
+    index g over O_D.  The basis is positively oriented (determinant n)
+    and F*-scaling multiplies every norm and n alike, so the reduced form
+    of a primitive form keys the class of I in Pic(O_D) (Cox, Thm. 7.7);
+    GL₂(Z) would also join I to its conjugate, in general another class.
+    """
+    n = a * d
+    q1, q2 = field.norm((a, 0)), field.norm((b, d))
+    form = (q1, field.norm((a + b, d)) - q1 - q2, q2)
+    A, B, C = (x // n for x in form)
+    if any(x % n for x in form) or B * B - 4 * A * C != field.disc:
+        raise AssertionError("norm form of an ideal is not integral of discriminant D")
+    return A, B, C
 
 
 def _reduce_form(a, b, c):
@@ -137,33 +162,6 @@ def _reduce_form(a, b, c):
     return a, b, c
 
 
-def _class_key(field, ideal):
-    """Canonical key of the F*-class of an invertible ideal: the reduced
-    form of N(x·ω₁ + y·ω₂) / N(I) on its canonical basis (ω₁, ω₂).
-
-    Scaling by x in F* multiplies every norm and N(I) by N(x) and keeps
-    the orientation, and two positively oriented bases of one lattice
-    differ by SL₂(Z), so equivalent ideals get equal keys; conversely,
-    SL₂(Z)-equivalent forms come from equivalent ideals (the ideal <->
-    form correspondence).  GL₂(Z) would also identify I with its
-    conjugate, which is in another class in general.
-    """
-    assert ideal.denominator == 1, "an ideal of O_F is integral"
-    w1, w2 = ideal.columns
-    if w1[0] * w2[1] - w1[1] * w2[0] <= 0:
-        raise AssertionError("canonical ideal basis is not positively oriented")
-    n = ideal.covolume()
-    q1 = field.norm(w1)
-    q2 = field.norm(w2)
-    form = (q1, field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2, q2)
-    if any(x % n for x in form):
-        raise AssertionError("norm form of an ideal is not integral")
-    a, b, c = (x // n for x in form)
-    if math.gcd(a, b, c) != 1 or b * b - 4 * a * c != field.disc:
-        raise AssertionError("norm form is not primitive of discriminant D")
-    return _reduce_form(a, b, c)
-
-
 def class_orbit_count(disc):
     """Number of F*-classes of lattices with multiplier ring O_D, with one
     representative ideal per class: the first ideal of each class in order
@@ -180,29 +178,27 @@ def class_orbit_count(disc):
     is Ĝ_Lambda.  Up to F*-scaling these lattices are the proper ideals of
     O, the classes of Pic(O) (Cox, Thms. 7.7 and 7.24).
 
-    Ideals of O_D of norm up to the Minkowski bound meet every class.  The
-    multiplier ring of an ideal of O_D contains O_D, and one that does not
-    fails loudly; the proper ideals, those whose multiplier ring is O_D,
-    are kept.  Each is keyed by the reduced form of its norm form
-    (`_class_key`).  The tests check the key against a pairwise search
-    for a scaling x with x·I = J (`scaling_equivalent` in
-    tests/oracles.py).  QuadField checks D mod 4 (D = 2, 3 mod 4 is the
-    discriminant of no order) and the limit on |D|.
+    Ideals of O_D of norm up to the Minkowski bound meet every class.  An
+    ideal is proper exactly when its norm form is primitive, and it is
+    keyed by the reduced form (`_norm_form`).  A Lattice is built for each
+    representative only, and its multiplier ring must be O_D.  The tests
+    check the key against a pairwise search for a scaling x with x·I = J
+    (`scaling_equivalent` in tests/oracles.py).  QuadField checks D mod 4
+    (D = 2, 3 mod 4 is the discriminant of no order) and the limit on |D|.
     """
     if disc >= 0:
         raise CaseStudyError("only negative discriminants (imaginary quadratic fields) are supported")
     field = QuadField(disc)
-    order = Lattice([[1, 0], [0, 1]])
-    bound = field.minkowski_bound()
     classes = {}
-    for n in range(1, bound + 1):
-        for ideal in _ideal_lattices_of_norm(field, n):
-            ring = multiplier_ring(field, ideal)
-            if not ring.contains(order):
-                raise AssertionError("the multiplier ring of an ideal of O_D does not contain O_D")
-            if ring == order:
-                classes.setdefault(_class_key(field, ideal), ideal)
-    reps = list(classes.values())
+    for n in range(1, field.minkowski_bound() + 1):
+        for a, b, d in _ideals_of_norm(field, n):
+            form = _norm_form(field, a, b, d)
+            if math.gcd(*form) == 1:
+                classes.setdefault(_reduce_form(*form), (a, b, d))
+    order = Lattice([[1, 0], [0, 1]])
+    reps = [Lattice([[a, 0], [b, d]]) for a, b, d in classes.values()]
+    if any(multiplier_ring(field, lat) != order for lat in reps):
+        raise AssertionError("the multiplier ring of a class representative is not O_D")
     return len(reps), reps
 
 

@@ -17,8 +17,8 @@ name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
 flags or inputs, an input file nested past the recursion limit among
-them, or a rep build report with more action entries than
-REPORT_ENTRY_CAP, refused before it is built) or a failed write of help,
+them, or a rep build or orbits report with more matrix entries than
+reps.REPORT_ENTRY_CAP, refused before it is built) or a failed write of help,
 usage or report (a closed pipe), 2 internal assertion failure.  main
 returns the code and never ends the process; run, the entry of
 ``python -m latmod.cli`` and of the ``latmod`` script, flushes stdout and
@@ -207,16 +207,8 @@ def _pretty(obj, prefix=""):
     return "%-40s %s" % (prefix.rstrip("."), obj)
 
 
-# The most action entries (dim² for each generator) a rep build report
-# writes.  Its peak memory grows by about 97 bytes an entry (CPython 3.11,
-# x86-64: rep build A4 (0,1,1,1), B4 (0,0,0,2), D4 (1,1,0,0)), so the cap
-# keeps it under about 400 MB; B4 (0,0,0,2), the largest report the tests
-# and the benchmark write, has 571,536 entries.
-REPORT_ENTRY_CAP = 4_000_000
-
-
 def _cmd_rep_build(args):
-    from latmod.reps import build_irrep, weyl_dimension
+    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weyl_dimension
     cb, hw = _rep_input(args)
     dim, gens = weyl_dimension(cb, hw), len(cb.basis_order())
     if dim * dim * gens > REPORT_ENTRY_CAP:

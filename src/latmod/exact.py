@@ -18,8 +18,8 @@ transporter and distance read them, sum, scale and apply span integer
 columns, and no Fraction basis is inverted.  An operator is an integer
 sparse matrix {(i, j): entry}, as the library builds every one, over a
 denominator den where one is taken: stable_under, apply and transporter
-apply it to the integer columns by matrixops.sparse_mat_vec.  covolume
-and index_in are quotients of integer pivot products.  ZSpan is the
+apply it to the integer columns by matrixops.sparse_mat_vec.  index_in
+is a quotient of integer pivot products.  ZSpan is the
 integer span of any rank in the same representation: the torus shifts
 of the orbit reports, which reduce modulo its columns.  Every rational
 this module returns is canonical (matrixops.F): an int when it is
@@ -202,10 +202,6 @@ class Lattice:
     def _pivot_product(self):
         """det C of the integer Hermite columns C, the product of pivots."""
         return prod(col[i] for i, col in enumerate(self.columns))
-
-    def covolume(self):
-        """|det| of the canonical basis (product of pivots)."""
-        return ratio(self._pivot_product(), self.denominator**self.ambient)
 
     # -- predicates --------------------------------------------------
 

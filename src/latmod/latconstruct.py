@@ -21,7 +21,7 @@ from math import lcm
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
 from latmod.matrixops import F, clear_denominators, identity, sparse_mat_vec
-from latmod.reps import down_step, lattice_generators, weights_down
+from latmod.reps import REPORT_ENTRY_CAP, down_step, lattice_generators, weights_down
 
 
 class EdgeData:
@@ -240,7 +240,9 @@ def count_invariant_orbits(rep, edge):
     lattices, the number of generator-invariant split lattices with the
     prescribed highest-weight components, the number of torus-orbit
     classes among them (modulo _shift_span), and one representative per
-    class: the lattice with the smallest canonical basis.
+    class: the lattice with the smallest canonical basis.  A report of
+    more than REPORT_ENTRY_CAP basis entries (dim² per class) is refused
+    after the search, before any representative is built.
     """
     _check_multiplicity_free(rep)
     if edge.prime is None:
@@ -264,6 +266,10 @@ def count_invariant_orbits(rep, edge):
         # compare as the valuation vectors do.
         if inv not in orbits or v < orbits[inv]:
             orbits[inv] = v
+    entries = len(orbits) * rep.dim**2
+    if entries > REPORT_ENTRY_CAP:
+        msg = "the report of %d classes of dimension %d has %d basis entries, more than the cap of %d"
+        raise LatticeError(msg % (len(orbits), rep.dim, entries, REPORT_ENTRY_CAP))
     return {
         "sandwich_index": p ** sum(lam),
         "total_between": subgroup_count(lam, p),

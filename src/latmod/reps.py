@@ -53,6 +53,14 @@ class RepError(ValueError):
     pass
 
 
+# The most matrix entries a report writes (dim² per generator in rep build,
+# per class in orbits), refused before it is built.  Peak memory grows by
+# about 97 bytes an action entry and 83 a basis entry (CPython 3.11,
+# x86-64), so a report stays under about 400 MB; the largest rep build of
+# the tests and the benchmark, B4 (0,0,0,2), has 571,536 entries.
+REPORT_ENTRY_CAP = 4_000_000
+
+
 # -----------------------------------------------------------------------
 # Raw action triples (dim, sparse action dict, weights) used during
 # construction, the actions integral over a denominator kept beside them

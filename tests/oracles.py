@@ -15,7 +15,9 @@ every action stayed sparse, the coordinate solver by one `rref` and the
 `mat_inv` of a square block, as before a QSpan kept the combinations of
 its echelon rows, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
-keys of `casestudies.class_orbit_count`, the Euclid echelon of the
+keys of `casestudies.class_orbit_count`, and its ideals as Hermite
+lattices stable under w with the class key read off their canonical
+bases, as before the norm form of a basis a, b + d·w decided both, the Euclid echelon of the
 Hopf-order products with `Fraction` combination lists and its forward
 substitution, as before the Hermite basis with a transform, the
 Gauss–Jordan `mat_inv` that `rref([a | I])` replaced, `det` and `solve`,
@@ -70,6 +72,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from latmod import matrixops, models, reps
+from latmod.casestudies import _reduce_form
 from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
@@ -641,9 +644,43 @@ def subgroup_count_of_quotient(divisors):
     return len(subgroups)
 
 
+def ideal_lattices_of_norm(field, n):
+    """Index-n sublattices of O_D closed under multiplication by w, a
+    Lattice per Hermite basis a, b + d·w (a·d = n, 0 <= b < a) kept when
+    it is stable under w, as `casestudies.class_orbit_count` enumerated
+    them before `_ideals_of_norm` decided it in closed form."""
+    omega = field.mul_matrix((0, 1))
+    out = []
+    for a in range(1, n + 1):
+        if n % a:
+            continue
+        d = n // a
+        for b in range(a):
+            lat = Lattice([[a, 0], [b, d]])
+            if lat.stable_under(omega):
+                out.append(lat)
+    return out
+
+
+def class_key_by_lattice(field, ideal):
+    """The reduced form of N(x·w1 + y·w2) / N(I) on the canonical basis
+    (w1, w2) of the proper ideal I of O_D, as `casestudies` keyed a class
+    before it read the key off the basis a, b + d·w."""
+    w1, w2 = ideal.basis
+    assert w1[0] * w2[1] - w1[1] * w2[0] > 0, "canonical ideal basis is positively oriented"
+    n = ideal.index_in(Lattice([[1, 0], [0, 1]]))
+    q1 = field.norm(w1)
+    q2 = field.norm(w2)
+    form = (q1, field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2, q2)
+    assert not any(x % n for x in form), "norm form of an ideal is integral"
+    a, b, c = (x // n for x in form)
+    assert math.gcd(a, b, c) == 1 and b * b - 4 * a * c == field.disc
+    return _reduce_form(a, b, c)
+
+
 def scaling_equivalent(field, lat1, lat2):
     """Is lat2 = x·lat1 for some x in F*?"""
-    ratio = F(lat2.covolume()) / lat1.covolume()
+    ratio = abs(det(lat2.basis_matrix()) / det(lat1.basis_matrix()))
     # Candidate multipliers lie in {y : y·lat1 ⊆ lat2} with N(y) = ratio.
     quot = transporter([field.mul_matrix((1, 0)), field.mul_matrix((0, 1))], lat1, lat2)
     # The norm form is positive definite, so Q(s,t) = ratio confines the

@@ -12,8 +12,8 @@ from latmod.casestudies import (
     DISC_LIMIT,
     CaseStudyError,
     QuadField,
-    _class_key,
-    _ideal_lattices_of_norm,
+    _ideals_of_norm,
+    _norm_form,
     _reduce_form,
     class_orbit_count,
     multiplier_ring,
@@ -22,7 +22,7 @@ from latmod.casestudies import (
 from latmod import casestudies, models
 from latmod.exact import Lattice
 from latmod.models import _sym2_symbolic
-from oracles import reduced_forms_count, scaling_equivalent
+from oracles import class_key_by_lattice, ideal_lattices_of_norm, reduced_forms_count, scaling_equivalent
 
 
 def _is_fundamental(disc):
@@ -179,22 +179,58 @@ def test_class_orbit_count_matches_forms_oracle(disc):
         assert multiplier_ring(f, lat) == maximal
 
 
+ORDER = Lattice([[1, 0], [0, 1]])
+
+
+def _discs_to(limit):
+    """Every discriminant of an imaginary quadratic order down to limit."""
+    return [disc for disc in range(-3, limit - 1, -1) if disc % 4 in (0, 1)]
+
+
+def test_ideals_of_norm_match_the_lattice_enumeration():
+    # The closed-form test gives exactly the Hermite lattices that are
+    # stable under w, in the same order, for every norm up to the
+    # Minkowski bound of every order down to -1000.
+    for disc in _discs_to(-1000):
+        f = QuadField(disc)
+        for n in range(1, f.minkowski_bound() + 1):
+            ideals = [Lattice([[a, 0], [b, d]]) for a, b, d in _ideals_of_norm(f, n)]
+            assert ideals == ideal_lattices_of_norm(f, n), (disc, n)
+
+
+def test_norm_form_content_is_the_multiplier_ring_index():
+    # The content of the norm form is [O : O_D] for the multiplier ring O,
+    # and on a proper ideal the reduced form is the class key read off the
+    # canonical basis of its lattice.
+    for disc in _discs_to(-1000):
+        f = QuadField(disc)
+        for n in range(1, f.minkowski_bound() + 1):
+            for a, b, d in _ideals_of_norm(f, n):
+                ideal = Lattice([[a, 0], [b, d]])
+                form = _norm_form(f, a, b, d)
+                assert math.gcd(*form) == ORDER.index_in(multiplier_ring(f, ideal)), (disc, a, b, d)
+                if math.gcd(*form) == 1:
+                    assert _reduce_form(*form) == class_key_by_lattice(f, ideal), (disc, a, b, d)
+
+
 def _proper_ideals(disc):
+    """The proper ideals below the Minkowski bound, by the multiplier ring
+    of each lattice, with their class keys."""
     f = QuadField(disc)
-    order = Lattice([[1, 0], [0, 1]])
-    return f, [
-        ideal
-        for n in range(1, f.minkowski_bound() + 1)
-        for ideal in _ideal_lattices_of_norm(f, n)
-        if multiplier_ring(f, ideal) == order
-    ]
+    ideals, keys = [], []
+    for n in range(1, f.minkowski_bound() + 1):
+        for a, b, d in _ideals_of_norm(f, n):
+            ideal = Lattice([[a, 0], [b, d]])
+            if multiplier_ring(f, ideal) == ORDER:
+                ideals.append(ideal)
+                keys.append(_reduce_form(*_norm_form(f, a, b, d)))
+    return f, ideals, keys
 
 
 @pytest.mark.parametrize("disc", [-20, -23, -47, -71, -63, -99])
 def test_class_key_matches_scaling_oracle(disc):
     # -63 = 3²·(-7) and -99 = 3²·(-11) are non-maximal orders.
-    f, ideals = _proper_ideals(disc)
-    keys = [_class_key(f, ideal) for ideal in ideals]
+    f, ideals, keys = _proper_ideals(disc)
     for i, ideal in enumerate(ideals):
         for j in range(i + 1, len(ideals)):
             assert (keys[i] == keys[j]) == scaling_equivalent(f, ideal, ideals[j])
@@ -206,8 +242,8 @@ def test_class_key_separates_conjugate_classes(disc):
     # Some class differs from its conjugate's, whose key is (a, -b, c):
     # reducing under GL2(Z), or flipping the orientation of one basis,
     # would merge them.
-    f, ideals = _proper_ideals(disc)
-    keys = {_class_key(f, ideal) for ideal in ideals}
+    _, _, keys = _proper_ideals(disc)
+    keys = set(keys)
     assert any(b != 0 and (a, -b, c) in keys for a, b, c in keys)
 
 
@@ -224,13 +260,28 @@ def test_reduce_form_is_reduced_and_sl2_invariant():
             assert _reduce_form(a2, b2, c2) == (a, b, c)
 
 
-def test_every_ideal_has_the_maximal_order_as_multiplier_ring(monkeypatch):
-    # class_orbit_count asserts that every ideal's multiplier ring contains
-    # O_D, which for a fundamental D makes it the maximal order; sweep the
-    # fundamental D down to -300 against the forms oracle.
-    for disc in range(-3, -301, -1):
-        if _is_fundamental(disc):
-            assert class_orbit_count(disc)[0] == reduced_forms_count(disc)
+def test_only_class_representatives_are_built_and_checked(monkeypatch):
+    # class_orbit_count builds a Lattice and computes a multiplier ring for
+    # each class representative only (and builds O_D once), and every
+    # representative's ring must be O_D: a ring that is not fails loudly.
+    built, rings = [], []
+
+    def lattice(cols):
+        built.append(cols)
+        return Lattice(cols)
+
+    def ring(field, lat):
+        rings.append(lat)
+        return multiplier_ring(field, lat)
+
+    monkeypatch.setattr(casestudies, "Lattice", lattice)
+    monkeypatch.setattr(casestudies, "multiplier_ring", ring)
+    for disc in (-23, -63, -479, -2075):
+        built.clear()
+        rings.clear()
+        count, reps = class_orbit_count(disc)
+        assert count == reduced_forms_count(disc)
+        assert rings == reps and len(built) == count + 1
     monkeypatch.setattr(casestudies, "multiplier_ring", lambda field, lat: lat)
     with pytest.raises(AssertionError, match="multiplier ring"):
         class_orbit_count(-23)
@@ -244,9 +295,8 @@ def test_class_count_of_non_maximal_order():
 def test_class_count_matches_primitive_forms_for_every_order():
     # Every discriminant of an imaginary quadratic order down to -1000,
     # fundamental or not.
-    for disc in range(-3, -1001, -1):
-        if disc % 4 in (0, 1):
-            assert class_orbit_count(disc)[0] == reduced_forms_count(disc), disc
+    for disc in _discs_to(-1000):
+        assert class_orbit_count(disc)[0] == reduced_forms_count(disc), disc
 
 
 def _kronecker(d, p):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod import cli, reps
+from latmod import cli, latconstruct, reps
 from latmod.cli import main
 from latmod.exact import Lattice
 from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus, unit_edge
@@ -45,7 +45,7 @@ def test_rep_build_past_the_entry_cap_exits_1_before_building(monkeypatch, capsy
     assert (code, out) == (1, "")
     assert err == (
         "error: the report of dimension 1980 with 36 generators has 141134400 action entries, more than the cap of %d\n"
-        % cli.REPORT_ENTRY_CAP
+        % reps.REPORT_ENTRY_CAP
     )
 
 
@@ -73,7 +73,23 @@ def test_entry_cap_admits_every_known_report(capsys):
         if c["argv"][:2] == ["rep", "build"]
     ]
     assert max(entries(*k) for k in known) == entries("B", 4, (0, 0, 0, 2)) == 571536
-    assert entries("B", 4, (0, 0, 0, 2)) <= cli.REPORT_ENTRY_CAP
+    assert entries("B", 4, (0, 0, 0, 2)) <= reps.REPORT_ENTRY_CAP
+
+
+def test_orbits_past_the_entry_cap_exits_1_before_building(monkeypatch, capsys):
+    # A1 hw 4 at p = 2 has 32 classes of dimension 5: 800 basis entries.
+    # Past the cap the report is refused after the search, before any
+    # representative is built; at the cap it is written.
+    argv = ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "2"]
+    monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 799)
+    with monkeypatch.context() as m:
+        m.setattr(latconstruct, "_diagonal", lambda *a: pytest.fail("built a representative"))
+        code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: the report of 32 classes of dimension 5 has 800 basis entries, more than the cap of 799\n"
+    monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 800)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["orbits"] == 32
 
 
 def test_lattice_dist_identical_files(tmp_path, capsys):
@@ -558,12 +574,13 @@ def test_zero_denominator_in_lattice_file_exits_1(tmp_path):
 
 def test_deeply_nested_input_files_exit_1(tmp_path):
     # json.loads raises RecursionError on a file nested past the recursion
-    # limit, a rep spec's hw 5,000 deep or a lattice 100,000 deep; both
-    # commands that read input files print one error line and no traceback.
+    # limit, a rep spec's hw or a lattice 100,000 deep (Python 3.13's json
+    # parses a 5,000-deep array); both commands that read input files print
+    # one error line and no traceback.
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
     deep_rep = tmp_path / "deep_rep.json"
-    deep_rep.write_text('{"type": "A", "rank": 1, "hw": %s}' % ("[" * 5000 + "]" * 5000))
+    deep_rep.write_text('{"type": "A", "rank": 1, "hw": %s}' % ("[" * 100_000 + "]" * 100_000))
     deep_lat = tmp_path / "deep_lat.json"
     deep_lat.write_text("[" * 100_000 + "]" * 100_000)
     good = tmp_path / "good.json"

@@ -107,10 +107,11 @@ def test_hnf_identity():
 
 
 def test_hnf_index_two_covolume():
+    # The covolume of a sublattice of Z^2 is its index, the quotient of
+    # pivot products that index_in reads: count residues of Z^2 mod the
+    # lattice by brute force over one fundamental box.
     lat = Lattice([[2, 0], [1, 1]])
-    assert abs(lat.covolume()) == 2
-    # Covolume equals the index: count residues of Z^2 mod the lattice
-    # by brute force over one fundamental box.
+    assert lat.index_in(standard_lattice(2)) == 2
     residues = set()
     for v in itertools.product(range(8), repeat=2):
         for r in list(residues):

@@ -17,11 +17,11 @@ its echelon rows, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
 keys of `casestudies.class_orbit_count`, and its ideals as Hermite
 lattices stable under w with the class key read off their canonical
-bases, as before the norm form of a basis a, b + d·w decided both, the Euclid echelon of the
-Hopf-order products with `Fraction` combination lists and its forward
-substitution, as before the Hermite basis with a transform, the
-Gauss–Jordan `mat_inv` that `rref([a | I])` replaced, `det` and `solve`,
-which `src/` no longer uses, the Smith
+bases, as before the norm form of a basis a, b + d·w decided both, the
+Euclid echelon of the Hopf-order products with `Fraction` combination
+lists and its forward substitution, as before the Hermite basis with a
+transform, the Gauss–Jordan `mat_inv` that `rref([a | I])` replaced,
+`det` and `solve`, which `src/` no longer uses, the Smith
 elimination with unbounded entries that `kernels.snf_diagonal` replaced
 by one modulo a determinant, and that one (a Bareiss minor, then xgcd
 row and column sweeps), as before the kernel read the Smith form off

@@ -3,14 +3,21 @@
 A Lattice is a full-rank R-submodule of Q^n, R either Z (prime=None) or
 the localization Z_(p).  It is stored as integer Hermite columns over one
 denominator, its scale: the least d with d·L integral, over Z_(p) a power
-of p.  The basis is the view columns / scale, built on request.  One
-routine, _canonical, makes the canonical pair, so equality is a tuple
-comparison of (denominator, columns):
+of p.  The basis is the view columns / scale, built on request.  The
+pair (denominator, columns) is canonical, so equality is a tuple
+comparison:
 
 * global: column Hermite normal form, lower triangular, positive pivots;
 * local: lower triangular with p-power pivots p^e, off-pivot entries in a
   pivot row reduced to integers in [0, p^e), so the columns also span
   p^e·Z^n.
+
+Lattice writes every pair, through _store.  The constructor and
+from_integers run _canonical, a Hermite pass over the generators;
+from_blocks, the direct sum of lattices on disjoint coordinates (the
+split lattices of latconstruct), and diagonal, ⊕ p^(v_i)·Z_(p)·e_i, write
+the pair as it stands, each docstring proving it is the one _canonical
+would return; valuations reads v back off a diagonal lattice.
 
 Membership is kernels.hermite_coords on the columns, and so are the
 coordinates of Lattice.coordinates, over one denominator: dual,
@@ -150,12 +157,75 @@ class Lattice:
         return lat
 
     @classmethod
-    def from_canonical(cls, d, cols, prime, ambient):
-        """The lattice whose canonical pair is (d, cols), taken as it
-        stands: the caller knows that _canonical would return it."""
+    def from_blocks(cls, parts, ambient):
+        """The direct sum of the lattices of parts, (coordinates, lattice)
+        pairs whose ascending, disjoint coordinate lists cover
+        range(ambient): each lattice's integer columns, scaled to the lcm d
+        of the scales, placed on its coordinates in pivot order.
+
+        That placement is the pair _canonical returns, so no Hermite form
+        is run (Cohen, §2.4).  A column's pivot stays its first nonzero
+        entry, as the coordinates ascend, and:
+
+        * no other block has an entry in a pivot row, so the entries of
+          earlier columns there are a block's own;
+        * a reduced entry scales with its pivot: 0 ≤ x < a gives
+          0 ≤ q·x < q·a, so the columns are the Hermite form of their span;
+        * d is the least scale: for each ℓ | d, the block with the largest
+          ℓ-part of its scale is scaled by q prime to ℓ, and its canonical
+          columns have an entry prime to ℓ, as gcd(scale, entries) = 1;
+        * over Z_(p) the scales are p-powers and the columns still span
+          p^e·Z^n, p^e the product of the pivots: block B's span holds
+          q_B·p^(e_B)·Z^(n_B), and q_B·p^(e_B) divides p^e.  So the local
+          Hermite pass of _canonical returns them unchanged, over d.
+        """
+        primes = {lat.prime for _, lat in parts}
+        if len(primes) != 1:
+            raise LatticeError("blocks over mixed rings" if primes else "no blocks")
+        d = lcm(*(lat.denominator for _, lat in parts))
+        cols = [None] * ambient
+        for ix, lat in parts:
+            if lat.ambient != len(ix):
+                raise LatticeError("a block of ambient %d on %d coordinates" % (lat.ambient, len(ix)))
+            if any(a >= b for a, b in zip(ix, ix[1:])):
+                raise LatticeError("block coordinates must ascend")
+            if any(not 0 <= i < ambient or cols[i] is not None for i in ix):
+                raise LatticeError("block coordinates overlap or leave the ambient")
+            q = d // lat.denominator
+            for i, col in zip(ix, lat.columns):
+                v = [0] * ambient
+                for r, x in zip(ix, col):
+                    v[r] = q * x
+                cols[i] = v
+        if None in cols:
+            raise LatticeError("blocks leave coordinate %d uncovered" % cols.index(None))
         lat = object.__new__(cls)
-        lat._store(ambient, prime, d, cols)
+        lat._store(ambient, primes.pop(), d, cols)
         return lat
+
+    @classmethod
+    def diagonal(cls, v, p):
+        """The lattice ⊕ p^(v_i)·Z_(p)·e_i.  Its columns p^(v_i + s)·e_i
+        over p^s, s = max(0, −min v), are its canonical pair as they
+        stand: the local Hermite form of a diagonal of p-powers is itself,
+        and p^s is the least scale, as s > 0 only when some v_i + s is 0."""
+        s = max(0, -min(v))
+        n = len(v)
+        lat = object.__new__(cls)
+        lat._store(n, p, p**s, [[p ** (x + s) if r == i else 0 for r in range(n)] for i, x in enumerate(v)])
+        return lat
+
+    def valuations(self):
+        """Valuation v_i of each coordinate of a diagonal lattice over
+        Z_(p): its canonical column i is p^(v_i + s)·e_i over the scale
+        p^s."""
+        p = self.prime
+        if p is None:
+            raise LatticeError("valuations are defined over localized lattices")
+        if any(x for i, col in enumerate(self.columns) for k, x in enumerate(col) if k != i):
+            raise LatticeError("valuations require a diagonal lattice")
+        s = vp(self.denominator, p)
+        return [vp(col[i], p) - s for i, col in enumerate(self.columns)]
 
     def _set(self, n, prime, ints, d):
         d, cols = _canonical(ints, d, n, prime)

@@ -15,6 +15,12 @@ is one p-adic valuation per block, in the box between the valuations of
 s_plus and s_minus, and invariance is a system of difference constraints
 on them; so the orbit report searches that box and counts the lattices
 of the sandwich by Birkhoff's formula, without listing them.
+
+exact.Lattice writes every canonical pair used here: each block lattice
+comes from a Hermite pass on the block's few coordinates, S± are their
+direct sum by Lattice.from_blocks, and the orbit representatives are
+Lattice.diagonal of their valuation vectors, read back by
+Lattice.valuations; the latter three run no Hermite form.
 """
 
 from math import lcm
@@ -87,31 +93,12 @@ def _block_lattices(rep, psi, top, sign, scales):
     return blocks
 
 
-def _from_blocks(rep, prime, blocks):
-    """The lattice of Q^dim that is blocks[(psi, chi)] on each block, on
-    their integer columns over the least common multiple d of their
-    denominators."""
-    d = lcm(*(lat.denominator for lat in blocks.values()))
-    gens = []
-    for (psi, chi), lat in blocks.items():
-        q = d // lat.denominator
-        for col in lat.columns:
-            v = [0] * rep.dim
-            for i, x in zip(rep.block(psi, chi), col):
-                v[i] = q * x
-            gens.append(v)
-    return Lattice.from_integers(gens, d, prime, rep.dim)
-
-
 def s_minus(rep, edge):
     """U⁻·J block by block: J_psi at each highest weight psi, and at each
     lower chi the sum of the images under l_minus[a]·x_(-a) of the blocks
     at chi + a."""
-    blocks = {}
-    for psi, j in edge.j.items():
-        for chi, lat in _block_lattices(rep, psi, j, -1, edge.l_minus).items():
-            blocks[psi, chi] = lat
-    return _from_blocks(rep, edge.prime, blocks)
+    walks = [(psi, _block_lattices(rep, psi, j, -1, edge.l_minus)) for psi, j in edge.j.items()]
+    return Lattice.from_blocks([(rep.block(psi, chi), lat) for psi, w in walks for chi, lat in w.items()], rep.dim)
 
 
 def s_plus(rep, edge):
@@ -123,11 +110,8 @@ def s_plus(rep, edge):
     transposed words span: the same walk as s_minus, from J_psi^∨ with the
     transposed l_plus[a]·x_a, each block dualised.
     """
-    blocks = {}
-    for psi, j in edge.j.items():
-        for chi, lat in _block_lattices(rep, psi, j.dual(), +1, edge.l_plus).items():
-            blocks[psi, chi] = lat.dual()
-    return _from_blocks(rep, edge.prime, blocks)
+    walks = [(psi, _block_lattices(rep, psi, j.dual(), +1, edge.l_plus)) for psi, j in edge.j.items()]
+    return Lattice.from_blocks([(rep.block(psi, chi), lat.dual()) for psi, w in walks for chi, lat in w.items()], rep.dim)
 
 
 def is_split(rep, lat):
@@ -200,7 +184,7 @@ def _check_multiplicity_free(rep):
 
 def _profile(rep, lat, span):
     """Valuation profile of a split lattice and its class modulo span."""
-    v = _valuations(lat)
+    v = lat.valuations()
     profile = tuple(v[rep.block(psi, chi)[0]] for psi, chi in _block_order(rep))
     return profile, _reduce_mod_columns(profile, span)
 
@@ -250,7 +234,7 @@ def count_invariant_orbits(rep, edge):
     p = edge.prime
     lo = s_minus(rep, edge)
     hi = s_plus(rep, edge)
-    vlo, vhi = _valuations(lo), _valuations(hi)
+    vlo, vhi = lo.valuations(), hi.valuations()
     lam = [b - a for a, b in zip(vhi, vlo)]  # S₋ ⊆ S₊ iff lam ≥ 0; S₊/S₋ has type lam
     if min(lam) < 0:
         raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
@@ -275,32 +259,8 @@ def count_invariant_orbits(rep, edge):
         "total_between": subgroup_count(lam, p),
         "invariant": invariant,
         "orbits": len(orbits),
-        "representatives": [_diagonal(orbits[k], p).to_json_obj() for k in sorted(orbits)],
+        "representatives": [Lattice.diagonal(orbits[k], p).to_json_obj() for k in sorted(orbits)],
     }
-
-
-def _valuations(lat):
-    """Valuation v_i of each coordinate of a diagonal lattice over Z_(p):
-    its canonical column i is p^(v_i + s)·e_i over the scale p^s."""
-    p = lat.prime
-    s = vp(lat.denominator, p)
-    out = []
-    for i, col in enumerate(lat.columns):
-        assert not any(x for k, x in enumerate(col) if k != i), "lattice is not diagonal"
-        out.append(vp(col[i], p) - s)
-    return out
-
-
-def _diagonal(v, p):
-    """The lattice ⊕ p^(v_i)·Z_(p)·e_i.  Its columns p^(v_i + s)·e_i over
-    p^s, s = max(0, −min v), are its canonical pair as they stand, so no
-    Hermite form is run: the local Hermite form of a diagonal of p-powers
-    is itself, and p^s is the least scale, as s > 0 only when some
-    v_i + s is 0."""
-    s = max(0, -min(v))
-    n = len(v)
-    cols = [[p ** (x + s) if r == i else 0 for r in range(n)] for i, x in enumerate(v)]
-    return Lattice.from_canonical(p**s, cols, p, n)
 
 
 def _invariant_valuations(rep, p, box):

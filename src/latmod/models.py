@@ -33,6 +33,7 @@ from math import comb, gcd, prod
 from latmod.exact import transporter
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import clear_denominators, ratio, ratio_text
+from latmod.reps import lattice_generators
 
 
 class ModelError(ValueError):
@@ -104,13 +105,12 @@ def lie_model(rep, lat):
     matrices A_k over D = rep.denominator, and (Σ c_k·A_k/D)·Λ ⊆ Λ
     exactly when (Σ c_k·A_k)·Λ ⊆ D·Λ: the transporter into D·Λ.
     """
-    cb = rep.cb
     if lat.ambient != rep.dim:
         raise ModelError("lattice lives in the wrong space")
-    gens = [rep.action[key] for key in cb.basis_order()]
+    gens = lattice_generators(rep)
     if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")
-    return LieLattice(cb, transporter(gens, lat, lat.scale(rep.denominator)))
+    return LieLattice(rep.cb, transporter(gens, lat, lat.scale(rep.denominator)))
 
 
 @lru_cache(maxsize=None)

@@ -53,7 +53,10 @@ off the brackets of every ordered pair of the defining action, as
 `ChevalleyBasis._verify` read it before it read the table off the root
 data, and the root spaces as the kernels of the form equations on the
 positions of each weight, as `ChevalleyBasis._root_spaces` solved for
-them before it wrote them down in closed form.
+them before it wrote them down in closed form, and the direct sum of
+block lattices by a Hermite pass over the whole space, as
+`latconstruct._from_blocks` assembled S₋ and S₊ before
+`Lattice.from_blocks` placed their canonical blocks as they stand.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -325,6 +328,21 @@ def canonical_local_full(cols, n, p):
     gens = [list(c) for c in h] + [[pe * int(i == j) for i in range(n)] for j in range(n)]
     ps = p**s
     return [tuple(Fraction(x, ps) for x in col) for col in hnf_columns(gens, n)]
+
+
+def direct_sum_by_hermite(parts, ambient):
+    """The lattice of Q^ambient that is lat on the coordinates ix of each
+    (ix, lat) in parts: their integer columns over the lcm d of their
+    scales, placed and put through Lattice.from_integers."""
+    d = lcm(*(lat.denominator for _, lat in parts))
+    gens = []
+    for ix, lat in parts:
+        for col in lat.columns:
+            v = [0] * ambient
+            for i, x in zip(ix, col):
+                v[i] = d // lat.denominator * x
+            gens.append(v)
+    return Lattice.from_integers(gens, d, parts[0][1].prime, ambient)
 
 
 def sub_action_by_solve(action, basis_cols):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmod import cli, latconstruct, reps
+import latmod
+from latmod import cli, kernels, latconstruct, reps
 from latmod.cli import main
 from latmod.exact import Lattice
 from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus, unit_edge
@@ -83,7 +85,7 @@ def test_orbits_past_the_entry_cap_exits_1_before_building(monkeypatch, capsys):
     argv = ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "2"]
     monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 799)
     with monkeypatch.context() as m:
-        m.setattr(latconstruct, "_diagonal", lambda *a: pytest.fail("built a representative"))
+        m.setattr(Lattice, "diagonal", lambda *a: pytest.fail("built a representative"))
         code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: the report of 32 classes of dimension 5 has 800 basis entries, more than the cap of 799\n"
@@ -170,6 +172,56 @@ def test_orbits_past_the_former_enumeration_cap(capsys):
     for m in map(Lattice.from_json_obj, obj["representatives"]):
         assert is_invariant(rep, m) and is_split(rep, m) and has_j_components(rep, edge, m)
         assert m.contains(lo) and hi.contains(m)
+
+
+# Sandwiches and orbit reports past the golden set (sandwiches up to
+# dimension 21, orbit reports up to 32 classes), each stdout pinned by its
+# sha256 as the Hermite assembly of the split lattices wrote it: S± of B4
+# (0,0,0,2) (dimension 126) and D4 (0,0,1,1) (56), and the 2,268 classes
+# of A1 hw 8.
+PINNED_REPORTS = [
+    ("sandwich --type B --rank 4 --hw 0,0,0,2 --p 2", "452f9bb43d6b24b94bab07b57b986001a48aa487d2dac837b0a4a825835dee95"),
+    ("sandwich --type D --rank 4 --hw 0,0,1,1 --p 2", "bd4518d7d2f6a4281d81755fae04c5aa0cbdd58096a4b3400c7e8af0f5ad29d0"),
+    ("orbits --type A --rank 1 --hw 8 --p 2", "e2650e57356a691b8ff42f92d3d26d60b354f83dc02dff2c51e6fb430ca98411"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS, ids=[a for a, _ in PINNED_REPORTS])
+def test_large_report_output_pinned(argv, digest, capsys):
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        ("sandwich --type B --rank 4 --hw 0,0,0,2 --p 2", 0),
+        ("sandwich --type B --rank 3 --hw 0,1,0 --p 2", 0),
+        ("orbits --type A --rank 2 --hw 2,0 --p 2", 1),
+    ],
+)
+def test_split_lattices_take_no_hermite_form_of_the_whole_space(argv, calls, monkeypatch, capsys):
+    # S± are placed from their canonical blocks and the orbit
+    # representatives are diagonal, so no Hermite form runs on as many rows
+    # as the representation has dimensions; the one an orbit report takes
+    # is its torus-shift span, one row per block.  The whole-space
+    # assembly took 4 for a sandwich and 5 for this report.
+    real, rows = kernels.hnf_columns, []
+
+    def counted(cols, nrows):
+        rows.append(nrows)
+        return real(cols, nrows)
+
+    for info in pkgutil.iter_modules(latmod.__path__):
+        module = importlib.import_module("latmod." + info.name)
+        if getattr(module, "hnf_columns", None) is real:
+            monkeypatch.setattr(module, "hnf_columns", counted)
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    obj = json.loads(out)
+    dim = obj["s_minus"]["ambient"] if "s_minus" in obj else obj["representatives"][0]["ambient"]
+    assert rows and rows.count(dim) == calls
 
 
 def test_model_lie(tmp_path, capsys):

@@ -6,7 +6,9 @@ search for the distance formula, a closure-based subgroup counter for
 enumerate_between, the two canonicalisers that _canonical replaced, the
 Fraction forward substitutions that hermite_coords replaced, and the
 Fraction-basis dual, sum, scale, apply, intersect, transporter and
-distance that Lattice.coordinates and the integer columns replaced.
+distance that Lattice.coordinates and the integer columns replaced, and
+the whole-space Hermite assembly of a direct sum that Lattice.from_blocks
+replaced.
 """
 
 import itertools
@@ -38,6 +40,7 @@ from oracles import (
     canonical_global,
     canonical_local_full,
     det,
+    direct_sum_by_hermite,
     distance_by_inverse,
     dual_by_inverse,
     intersect_by_fractions,
@@ -580,6 +583,67 @@ def test_clear_denominators_and_primitive():
     assert primitive({0: 0, 1: Fraction(-2, 3), 2: Fraction(4, 9)}) == {1: 3, 2: -2}
     assert primitive({2: Fraction(4, 9), 1: Fraction(-2, 3)}) == {1: 3, 2: -2}
     assert primitive({0: 0, 1: 0}) == {} == primitive({})
+
+
+# -- direct sums and diagonal lattices --------------------------------------
+
+
+@st.composite
+def block_sums(draw):
+    """(parts, n): lattices over one ring, Z or Z_(p), on the blocks of a
+    random partition of range(n), n ≤ 5, from generators with p-power and
+    prime-to-p denominators, the blocks in random order."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    parts = []
+    for b in sorted(set(labels)):
+        ix = [i for i, x in enumerate(labels) if x == b]
+        vectors = st.lists(rational, min_size=len(ix), max_size=len(ix))
+        try:
+            lat = Lattice(draw(st.lists(vectors, min_size=len(ix), max_size=len(ix) + 1)), p, ambient=len(ix))
+        except LatticeError:
+            lat = Lattice(identity(len(ix)), p).scale(draw(rational.filter(bool)))
+        parts.append((ix, lat))
+    return draw(st.permutations(parts)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sums())
+def test_from_blocks_matches_the_hermite_assembly(data):
+    # The placed columns are the canonical pair a whole-space Hermite
+    # pass makes of them.
+    parts, n = data
+    assert Lattice.from_blocks(parts, n) == direct_sum_by_hermite(parts, n)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([([0, 1], "Z2"), ([1], "Z1")], "overlap"),
+        ([([0, 2], "Z2")], "overlap or leave the ambient"),
+        ([([1, 0], "Z2")], "must ascend"),
+        ([([0], "Z1")], "coordinate 1 uncovered"),
+        ([([0, 1], "Z1")], "a block of ambient 1 on 2 coordinates"),
+        ([([0], "Z1"), ([1], "Z_(2)1")], "mixed rings"),
+        ([], "no blocks"),
+    ],
+    ids=["overlapping", "outside", "unsorted", "uncovered", "wrong ambient", "mixed rings", "empty"],
+)
+def test_from_blocks_refuses_bad_blocks(parts, message):
+    lattices = {"Z1": standard_lattice(1), "Z2": standard_lattice(2), "Z_(2)1": standard_lattice(1, prime=2)}
+    with pytest.raises(LatticeError, match=message):
+        Lattice.from_blocks([(ix, lattices[name]) for ix, name in parts], 2)
+
+
+@pytest.mark.parametrize(
+    "lat, message",
+    [(standard_lattice(2), "localized"), (Lattice([[1, 1], [0, 2]], prime=2), "diagonal")],
+    ids=["global", "not diagonal"],
+)
+def test_valuations_refuse_a_global_or_non_diagonal_lattice(lat, message):
+    with pytest.raises(LatticeError, match=message):
+        lat.valuations()
 
 
 # -- the integer representation ------------------------------------------

@@ -43,6 +43,7 @@ from oracles import (
     check_transition_surjectivity,
     count_invariant_orbits_by_enumeration,
     dense_action,
+    direct_sum_by_hermite,
     has_j_components,
     mat_scale,
     s_minus_by_words,
@@ -603,13 +604,13 @@ def test_orbit_count_sym3_regression(a1_reps):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.lists(st.integers(-3, 3), min_size=1, max_size=5))
 def test_diagonal_representative_is_already_canonical(p, v):
-    # _diagonal takes its columns as they stand; the Hermite form gives
-    # the same canonical pair, so the lattice is the one from_integers
-    # builds and its valuations are v.
-    lat = latconstruct._diagonal(v, p)
+    # Lattice.diagonal takes its columns as they stand; the Hermite form
+    # gives the same canonical pair, so the lattice is the one
+    # from_integers builds and its valuations are v.
+    lat = Lattice.diagonal(v, p)
     assert (lat.denominator, [list(c) for c in lat.columns]) == _canonical(lat.columns, lat.denominator, len(v), p)
     assert lat == Lattice.from_integers(lat.columns, lat.denominator, p, len(v))
-    assert latconstruct._valuations(lat) == v
+    assert lat.valuations() == v
 
 
 def test_orbit_report_schema(a1_reps):
@@ -661,7 +662,7 @@ def test_orbit_report_matches_enumeration_on_criterion_5_cases(a1_reps, n, p):
 
 
 @lru_cache(maxsize=None)
-def _multiplicity_free_rep(name):
+def _rep_by_name(name):
     cb1 = build_chevalley("A", 1)
     if name == "A1 1+2":
         return direct_sum([build_irrep(cb1, (1,)), build_irrep(cb1, (2,))])
@@ -690,7 +691,7 @@ def test_orbit_report_matches_enumeration_on_random_edges(name, p, data):
     # Scaled raising and lowering lattices on random simple roots, and J =
     # p^e on every highest block; the sandwich is kept small enough to
     # enumerate.
-    rep = _multiplicity_free_rep(name)
+    rep = _rep_by_name(name)
     simple = rep.cb.rs.simple
     power = st.integers(-1, 2).map(lambda e: Fraction(p) ** e)
     l_plus = data.draw(st.dictionaries(st.sampled_from(simple), power))
@@ -710,6 +711,24 @@ def test_orbit_report_matches_enumeration_on_random_edges(name, p, data):
         return
     assume(lo.index_in(hi) <= 2**12)
     assert count_invariant_orbits(rep, edge) == count_invariant_orbits_by_enumeration(rep, edge)
+
+
+@pytest.mark.parametrize("name", MULTIPLICITY_FREE + ["A 2 1,1", "A 2 2,1", "C 2 1,1", "B 3 0,1,0", "D 4 0,0,1,1"])
+def test_split_lattices_match_the_hermite_assembly(name):
+    # S₋ and S₊ place their canonical blocks as they stand; a Hermite pass
+    # over the whole space, as the blocks were once assembled, gives the
+    # same lattices.
+    rep = _rep_by_name(name)
+    for p in (None, 2, 3):
+        edge = unit_edge(rep, prime=p)
+        lower, upper = [], []
+        for psi, j in edge.j.items():
+            for chi, lat in latconstruct._block_lattices(rep, psi, j, -1, edge.l_minus).items():
+                lower.append((rep.block(psi, chi), lat))
+            for chi, lat in latconstruct._block_lattices(rep, psi, j.dual(), +1, edge.l_plus).items():
+                upper.append((rep.block(psi, chi), lat.dual()))
+        assert s_minus(rep, edge) == direct_sum_by_hermite(lower, rep.dim)
+        assert s_plus(rep, edge) == direct_sum_by_hermite(upper, rep.dim)
 
 
 # -- Birkhoff's subgroup count -------------------------------------------------

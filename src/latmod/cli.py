@@ -17,10 +17,13 @@ name, the last of a repeated flag wins, a value may be negative.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
 flags or inputs, an input file nested past the recursion limit among
-them, or a rep build or orbits report with more matrix entries than
-reps.REPORT_ENTRY_CAP, refused before it is built) or a failed write of help,
-usage or report (a closed pipe), 2 internal assertion failure.  main
-returns the code and never ends the process; run, the entry of
+them, a model lie lattice whose ambient is not the Weyl dimension of the
+spec, or a rep build, sandwich or orbits report with more matrix entries
+than reps.REPORT_ENTRY_CAP: refused before the representation is built
+when its dimension alone puts the report past the cap, and an orbits
+report during the search, at the first class past it) or a failed write
+of help, usage or report (a closed pipe), 2 internal assertion failure.
+main returns the code and never ends the process; run, the entry of
 ``python -m latmod.cli`` and of the ``latmod`` script, flushes stdout and
 stderr and then ends the process with os._exit, skipping interpreter
 teardown; a flush that fails ends it with code 1 and an error line, as a
@@ -138,9 +141,20 @@ def _rep_input(args):
     return cb, hw
 
 
-def _build_rep(args):
-    from latmod.reps import build_irrep
-    return build_irrep(*_rep_input(args))
+def _build_rep(args, matrices, what, kind):
+    """The irreducible the flags name, refused before it is built when its
+    report has more than reps.REPORT_ENTRY_CAP entries: at least
+    matrices(cb) dim×dim matrices of kind entries, what naming them (a
+    format of their number), dim the Weyl dimension."""
+    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weyl_dimension
+    cb, hw = _rep_input(args)
+    dim, n = weyl_dimension(cb, hw), matrices(cb)
+    if n * dim * dim > REPORT_ENTRY_CAP:
+        raise ValueError(
+            "the report of dimension %d with %s has %d %s entries, more than the cap of %d"
+            % (dim, what % n, n * dim * dim, kind, REPORT_ENTRY_CAP)
+        )
+    return build_irrep(cb, hw)
 
 
 def _dump(obj):
@@ -208,15 +222,7 @@ def _pretty(obj, prefix=""):
 
 
 def _cmd_rep_build(args):
-    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weyl_dimension
-    cb, hw = _rep_input(args)
-    dim, gens = weyl_dimension(cb, hw), len(cb.basis_order())
-    if dim * dim * gens > REPORT_ENTRY_CAP:
-        raise ValueError(
-            "the report of dimension %d with %d generators has %d action entries, more than the cap of %d"
-            % (dim, gens, dim * dim * gens, REPORT_ENTRY_CAP)
-        )
-    return build_irrep(cb, hw).to_json_obj()
+    return _build_rep(args, lambda cb: len(cb.basis_order()), "%d generators", "action").to_json_obj()
 
 
 def _cmd_lattice_dist(args):
@@ -233,7 +239,7 @@ def _cmd_lattice_dist(args):
 
 def _cmd_sandwich(args):
     from latmod.latconstruct import s_minus, s_plus, unit_edge
-    rep = _build_rep(args)
+    rep = _build_rep(args, lambda cb: 2, "%d lattices", "basis")
     edge = unit_edge(rep, prime=args["p"])
     lo, hi = s_minus(rep, edge), s_plus(rep, edge)
     return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": str(lo.index_in(hi))}
@@ -241,7 +247,9 @@ def _cmd_sandwich(args):
 
 def _cmd_orbits(args):
     from latmod.latconstruct import count_invariant_orbits, unit_edge
-    rep = _build_rep(args)
+    # The admissible lattice of the Chevalley module is an invariant split
+    # lattice with unit J, so a report has at least one class.
+    rep = _build_rep(args, lambda cb: 1, "at least %d class", "basis")
     return count_invariant_orbits(rep, unit_edge(rep, prime=args["p"]))
 
 
@@ -254,8 +262,8 @@ def _spec_int(name, x):
 
 
 def _cmd_model_lie(args):
-    from latmod.models import lie_invariants, lie_model
-    from latmod.reps import build_irrep
+    from latmod.models import check_ambient, lie_invariants, lie_model
+    from latmod.reps import build_irrep, dominant, weyl_dimension
     from latmod.rootdata import build_chevalley
     with open(args["rep"]) as f:
         spec = _load(f.read())
@@ -264,8 +272,12 @@ def _cmd_model_lie(args):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
     rank = _spec_int("rank", spec["rank"])
     hw = tuple(_spec_int("hw entry", x) for x in spec["hw"])
-    rep = build_irrep(build_chevalley(spec["type"], rank), hw)
-    model = lie_model(rep, _load_lattice(args["lattice"]))
+    cb = build_chevalley(spec["type"], rank)
+    dominant(cb, hw)
+    # A lattice in the wrong space is refused before the representation is built.
+    lat = _load_lattice(args["lattice"])
+    check_ambient(lat, weyl_dimension(cb, hw))
+    model = lie_model(build_irrep(cb, hw), lat)
     return {"model": model.to_json_obj(), "invariants": lie_invariants(model)}
 
 

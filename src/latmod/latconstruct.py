@@ -215,10 +215,10 @@ def count_invariant_orbits(rep, edge):
     for every nonzero off-diagonal entry and no diagonal entry has a
     negative valuation.  So the invariant split lattices with the J
     components are the integer points of a system of difference
-    constraints, found by a search down the weights, and no intermediate
-    lattice is built.  The number of lattices between S₋ and S₊ is the
-    number of subgroups of S₊/S₋, which has type {v(S₋)_i - v(S₊)_i}; it
-    comes from Birkhoff's formula (subgroup_count).
+    constraints, found by a search in basis order (_invariant_valuations),
+    and no intermediate lattice is built.  The number of lattices between
+    S₋ and S₊ is the number of subgroups of S₊/S₋, which has type
+    {v(S₋)_i - v(S₊)_i}; it comes from Birkhoff's formula (subgroup_count).
 
     Returns a dict with the sandwich index, the number of intermediate
     lattices, the number of generator-invariant split lattices with the
@@ -226,7 +226,9 @@ def count_invariant_orbits(rep, edge):
     classes among them (modulo _shift_span), and one representative per
     class: the lattice with the smallest canonical basis.  A report of
     more than REPORT_ENTRY_CAP basis entries (dim² per class) is refused
-    after the search, before any representative is built.
+    during the search, at the first vector that opens a class past the
+    REPORT_ENTRY_CAP // dim² the cap admits, so the search holds at most
+    that many vectors and no representative is built.
     """
     _check_multiplicity_free(rep)
     if edge.prime is None:
@@ -241,19 +243,19 @@ def count_invariant_orbits(rep, edge):
     box = list(zip(vhi, vlo))
     span = _shift_span(rep)
     ix = [rep.block(psi, chi)[0] for psi, chi in _block_order(rep)]
+    admitted = REPORT_ENTRY_CAP // rep.dim**2
     invariant = 0
     orbits = {}
     for v in _invariant_valuations(rep, p, box):
         invariant += 1
         inv = _reduce_mod_columns([v[i] for i in ix], span)
+        if inv not in orbits and len(orbits) == admitted:
+            msg = "the report has more than the %d classes of dimension %d that the cap of %d basis entries admits"
+            raise LatticeError(msg % (admitted, rep.dim, REPORT_ENTRY_CAP))
         # The canonical basis of a split lattice is diag(p^v_i), so bases
         # compare as the valuation vectors do.
         if inv not in orbits or v < orbits[inv]:
             orbits[inv] = v
-    entries = len(orbits) * rep.dim**2
-    if entries > REPORT_ENTRY_CAP:
-        msg = "the report of %d classes of dimension %d has %d basis entries, more than the cap of %d"
-        raise LatticeError(msg % (len(orbits), rep.dim, entries, REPORT_ENTRY_CAP))
     return {
         "sandwich_index": p ** sum(lam),
         "total_between": subgroup_count(lam, p),
@@ -266,12 +268,16 @@ def count_invariant_orbits(rep, edge):
 def _invariant_valuations(rep, p, box):
     """Every valuation vector v (indexed like the basis) inside box[i] =
     (low, high) that satisfies the invariance constraints of
-    lattice_generators(rep), as tuples.
+    lattice_generators(rep), as tuples in lexicographic order.
 
-    The blocks are fixed down the weights, by the height of psi - chi, and
-    each constraint v_r ≤ v_c + w bounds whichever of its two ends is fixed
-    second, so a branch stops as soon as its range is empty.  An entry x
-    of a generator over the denominator D has w = v_p(x) − v_p(D).
+    The coordinates are fixed in basis order, and each constraint
+    v_r ≤ v_c + w bounds whichever of its two ends is fixed second, so a
+    branch stops as soon as its range is empty.  Which vectors come out
+    does not depend on that order; only the pruning does.  The lowering
+    walk of an irreducible is breadth first, so its basis runs down the
+    weights by the height of psi - chi, and a block is fixed after the
+    blocks above it that bound it.  An entry x of a generator over the
+    denominator D has w = v_p(x) − v_p(D).
     """
     bound = {}
     shift = vp(rep.denominator, p)
@@ -283,31 +289,24 @@ def _invariant_valuations(rep, p, box):
                     return
             elif bound.get((r, c), w) >= w:
                 bound[r, c] = w
-    graded = []
-    for psi in rep.distinct_highest_weights():
-        for chi, m in weights_down(rep, psi):
-            graded.append((sum(m), rep.block(psi, chi)[0]))
-    order = [i for _, i in sorted(graded)]
-    pos = {i: k for k, i in enumerate(order)}
-    ups = [[] for _ in order]  # v_i ≤ v_j + w
-    lows = [[] for _ in order]  # v_i ≥ v_j - w
+    ups = [[] for _ in range(rep.dim)]  # v_i ≤ v_j + w
+    lows = [[] for _ in range(rep.dim)]  # v_i ≥ v_j - w
     for (r, c), w in bound.items():
-        if pos[r] > pos[c]:
-            ups[pos[r]].append((c, w))
+        if r > c:
+            ups[r].append((c, w))
         else:
-            lows[pos[c]].append((r, w))
+            lows[c].append((r, w))
     v = [0] * rep.dim
 
-    def walk(k):
-        if k == len(order):
+    def walk(i):
+        if i == rep.dim:
             yield tuple(v)
             return
-        i = order[k]
-        low = max([box[i][0]] + [v[j] - w for j, w in lows[k]])
-        high = min([box[i][1]] + [v[j] + w for j, w in ups[k]])
+        low = max([box[i][0]] + [v[j] - w for j, w in lows[i]])
+        high = min([box[i][1]] + [v[j] + w for j, w in ups[i]])
         for x in range(low, high + 1):
             v[i] = x
-            yield from walk(k + 1)
+            yield from walk(i + 1)
 
     yield from walk(0)
 

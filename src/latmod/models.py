@@ -94,6 +94,12 @@ class LieLattice:
         }
 
 
+def check_ambient(lat, dim):
+    """Refuse a lattice that does not live in a space of dimension dim."""
+    if lat.ambient != dim:
+        raise ModelError("lattice lives in the wrong space")
+
+
 def lie_model(rep, lat):
     """The Lie lattice {X in g : rho(X)·Lambda ⊆ Lambda}.
 
@@ -105,8 +111,7 @@ def lie_model(rep, lat):
     matrices A_k over D = rep.denominator, and (Σ c_k·A_k/D)·Λ ⊆ Λ
     exactly when (Σ c_k·A_k)·Λ ⊆ D·Λ: the transporter into D·Λ.
     """
-    if lat.ambient != rep.dim:
-        raise ModelError("lattice lives in the wrong space")
+    check_ambient(lat, rep.dim)
     gens = lattice_generators(rep)
     if not any(x for g in gens for x in g.values()):
         raise ModelError("representation is not faithful on the Lie algebra")

@@ -54,10 +54,13 @@ class RepError(ValueError):
 
 
 # The most matrix entries a report writes (dim² per generator in rep build,
-# per class in orbits), refused before it is built.  Peak memory grows by
-# about 97 bytes an action entry and 83 a basis entry (CPython 3.11,
-# x86-64), so a report stays under about 400 MB; the largest rep build of
-# the tests and the benchmark, B4 (0,0,0,2), has 571,536 entries.
+# per lattice in sandwich, per class in orbits).  The CLI refuses a report
+# that its dimension alone puts past the cap before the representation is
+# built, and the orbit search stops at the first class past it.  Peak
+# memory grows by about 97 bytes an action entry and 83 a basis entry
+# (CPython 3.11, x86-64), so a report stays under about 400 MB; the
+# largest rep build of the tests and the benchmark, B4 (0,0,0,2), has
+# 571,536 entries.
 REPORT_ENTRY_CAP = 4_000_000
 
 
@@ -273,10 +276,8 @@ class Representation:
 
 def build_irrep(cb, psi):
     """Irreducible representation with highest weight psi (fund coords)."""
-    psi = tuple(int(x) for x in psi)
+    psi = dominant(cb, psi)
     rank = cb.rs.rank
-    if len(psi) != rank or any(x < 0 for x in psi):
-        raise RepError("highest weight must be a dominant integer vector")
     defining = (cb.N, cb.action, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [_power_raw(defining, psi[0])]
     for i in range(1, rank):
@@ -288,6 +289,15 @@ def build_irrep(cb, psi):
         raise RepError("highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi)))
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
     return _adapted(cb, columns, cb.denominator, tops[:1])
+
+
+def dominant(cb, psi):
+    """psi (fund coords) as a tuple of ints, refused unless it is a
+    dominant integer vector of the rank of cb."""
+    psi = tuple(int(x) for x in psi)
+    if len(psi) != cb.rs.rank or any(x < 0 for x in psi):
+        raise RepError("highest weight must be a dominant integer vector")
+    return psi
 
 
 def weyl_dimension(cb, psi):

@@ -76,22 +76,91 @@ def test_entry_cap_admits_every_known_report(capsys):
     ]
     assert max(entries(*k) for k in known) == entries("B", 4, (0, 0, 0, 2)) == 571536
     assert entries("B", 4, (0, 0, 0, 2)) <= reps.REPORT_ENTRY_CAP
+    # A sandwich writes 2·dim² basis entries and an orbits report dim² per
+    # class; the golden ones are admitted and written.
+    for c in GOLDEN["cases"]:
+        if c["argv"][0] in ("sandwich", "orbits"):
+            code, out, _ = run(c["argv"], capsys)
+            obj = json.loads(out)
+            lattices = [obj["s_minus"], obj["s_plus"]] if "s_minus" in obj else obj["representatives"]
+            written = sum(len(col) for lat in lattices for col in lat["basis"])
+            assert code == 0 and written == len(lattices) * lattices[0]["ambient"] ** 2 <= reps.REPORT_ENTRY_CAP
 
 
 def test_orbits_past_the_entry_cap_exits_1_before_building(monkeypatch, capsys):
     # A1 hw 4 at p = 2 has 32 classes of dimension 5: 800 basis entries.
-    # Past the cap the report is refused after the search, before any
-    # representative is built; at the cap it is written.
+    # Past the cap the report is refused during the search, at the first
+    # class past the 31 that 799 entries admit, before any representative
+    # is built; at the cap it is written.
     argv = ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "2"]
     monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 799)
     with monkeypatch.context() as m:
         m.setattr(Lattice, "diagonal", lambda *a: pytest.fail("built a representative"))
         code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
-    assert err == "error: the report of 32 classes of dimension 5 has 800 basis entries, more than the cap of 799\n"
+    assert err == "error: the report has more than the 31 classes of dimension 5 that the cap of 799 basis entries admits\n"
     monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 800)
     code, out, _ = run(argv, capsys)
     assert code == 0 and json.loads(out)["orbits"] == 32
+
+
+@pytest.mark.parametrize(
+    "argv, dim, matrices",
+    [
+        ("sandwich --type C --rank 3 --hw 2,2,2 --p 2", 19683, "with 2 lattices has 774840978"),
+        ("orbits --type A --rank 1 --hw 2000 --p 2", 2001, "with at least 1 class has 4004001"),
+    ],
+    ids=["sandwich", "orbits"],
+)
+def test_reports_past_the_entry_cap_exit_1_before_building(argv, dim, matrices, monkeypatch, capsys):
+    # A sandwich writes 2·dim² basis entries and an orbits report at least
+    # dim²; C3 (2,2,2) has dimension 19,683 and built until a MemoryError.
+    # Both are refused from the Weyl dimension, as rep build is.
+    monkeypatch.setattr(reps, "build_irrep", lambda *a: pytest.fail("built a representation"))
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (1, "")
+    msg = "error: the report of dimension %d %s basis entries, more than the cap of %d\n"
+    assert err == msg % (dim, matrices, reps.REPORT_ENTRY_CAP)
+
+
+def test_sandwich_and_orbits_check_the_entries_they_write(monkeypatch, capsys):
+    # A1 hw 2 has dimension 3: a sandwich writes 18 basis entries and an
+    # orbits report at least 9.
+    for command, entries in (("sandwich", 18), ("orbits", 9)):
+        argv = [command, "--type", "A", "--rank", "1", "--hw", "2", "--p", "2"]
+        monkeypatch.setattr(reps, "REPORT_ENTRY_CAP", entries - 1)
+        code, _, err = run(argv, capsys)
+        assert code == 1 and "more than the cap of %d" % (entries - 1) in err
+        monkeypatch.setattr(reps, "REPORT_ENTRY_CAP", entries)
+        assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("rank, hw, dim", [(1, "40", 41), (2, "9,0", 55)])
+def test_orbits_past_the_cap_exit_1_in_bounded_memory(rank, hw, dim):
+    # The search stops at the first class past the cap; while every
+    # invariant vector was kept first, A1 hw 40 reached 7.66 GB.  Each
+    # request runs as a child under a 512 MB address space.
+    import resource
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = ["orbits", "--type", "A", "--rank", str(rank), "--hw", hw, "--p", "2"]
+    proc = run_child(["-m", "latmod.cli"] + argv, preexec_fn=bounded)
+    cap = reps.REPORT_ENTRY_CAP
+    msg = "error: the report has more than the %d classes of dimension %d that the cap of %d basis entries admits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", msg % (cap // dim**2, dim, cap))
+
+
+def test_model_lie_refuses_a_lattice_in_the_wrong_space_before_building(tmp_path, monkeypatch, capsys):
+    # C3 (2,2,2) has dimension 19,683, and its build ran to a MemoryError
+    # before a 3-dimensional lattice was found to live in the wrong space.
+    repf, latf = tmp_path / "rep.json", tmp_path / "lat.json"
+    repf.write_text(json.dumps({"type": "C", "rank": 3, "hw": [2, 2, 2]}))
+    latf.write_text(Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).to_json())
+    monkeypatch.setattr(reps, "build_irrep", lambda *a: pytest.fail("built a representation"))
+    code, out, err = run(["model", "lie", "--rep", str(repf), "--lattice", str(latf)], capsys)
+    assert (code, out, err) == (1, "", "error: lattice lives in the wrong space\n")
 
 
 def test_lattice_dist_identical_files(tmp_path, capsys):
@@ -178,11 +247,16 @@ def test_orbits_past_the_former_enumeration_cap(capsys):
 # dimension 21, orbit reports up to 32 classes), each stdout pinned by its
 # sha256 as the Hermite assembly of the split lattices wrote it: S± of B4
 # (0,0,0,2) (dimension 126) and D4 (0,0,1,1) (56), and the 2,268 classes
-# of A1 hw 8.
+# of A1 hw 8.  Then two reports pinned as the search in height order with
+# the cap checked after it wrote them: the 6,400 classes of A1 hw 13
+# (14,170,236 bytes, the largest A1 report at p = 2 under the cap) and the
+# 540 of A2 (5,0).
 PINNED_REPORTS = [
     ("sandwich --type B --rank 4 --hw 0,0,0,2 --p 2", "452f9bb43d6b24b94bab07b57b986001a48aa487d2dac837b0a4a825835dee95"),
     ("sandwich --type D --rank 4 --hw 0,0,1,1 --p 2", "bd4518d7d2f6a4281d81755fae04c5aa0cbdd58096a4b3400c7e8af0f5ad29d0"),
     ("orbits --type A --rank 1 --hw 8 --p 2", "e2650e57356a691b8ff42f92d3d26d60b354f83dc02dff2c51e6fb430ca98411"),
+    ("orbits --type A --rank 1 --hw 13 --p 2", "125a9b32abde0587c9547557507010c9aaaad0f65399f6f179e1825fe0202d28"),
+    ("orbits --type A --rank 2 --hw 5,0 --p 2", "6b1cbb9293a34c74c38e88cd6ca061233b807d65dd86b90bb703adb913ed665f"),
 ]
 
 
@@ -238,11 +312,13 @@ def test_model_lie(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_child(args, timeout=60, stdout=subprocess.PIPE):
+def run_child(args, timeout=60, stdout=subprocess.PIPE, preexec_fn=None):
     """A fresh interpreter on this checkout's src/, as the benchmark runs the CLI."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable] + args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
+    return subprocess.run(
+        [sys.executable] + args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn
+    )
 
 
 @pytest.mark.parametrize("name, index", [("A2_11", 0), ("C2_10", 0)])

@@ -587,6 +587,28 @@ def test_orbit_representatives_independent_of_enumeration_order(a1_reps, monkeyp
         assert count_invariant_orbits(rep, edge)["representatives"] == SYM2_P2_REPRESENTATIVES
 
 
+def test_orbit_search_stops_at_the_first_class_past_the_cap(monkeypatch):
+    # A1 hw 4 at p = 2 has 36 invariant valuation vectors in 32 classes of
+    # dimension 5.  250 basis entries admit 10 classes, and the first 11
+    # vectors open 11, so the search stops at the 11th.
+    rep = build_irrep(build_chevalley("A", 1), (4,))
+    edge = unit_edge(rep, prime=2)
+    search, drawn = latconstruct._invariant_valuations, []
+
+    def counted(*args):
+        for v in search(*args):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(latconstruct, "_invariant_valuations", counted)
+    assert count_invariant_orbits(rep, edge)["invariant"] == len(drawn) == 36
+    drawn.clear()
+    monkeypatch.setattr(latconstruct, "REPORT_ENTRY_CAP", 250)
+    with pytest.raises(LatticeError, match="more than the 10 classes of dimension 5 that the cap of 250"):
+        count_invariant_orbits(rep, edge)
+    assert len(drawn) == 11
+
+
 def test_orbit_count_rejects_multiplicity(a1_reps):
     adj = build_irrep(build_chevalley("A", 2), (1, 1))
     with pytest.raises(LatticeError, match="multiplicity-free"):

@@ -3,11 +3,9 @@ subcommand emitting JSON (deterministic, sorted keys) to stdout or --out;
 --pretty renders a flat key/value table instead.  The JSON is written by
 _dump, byte for byte what json.dumps(obj, sort_keys=True, separators=(",",
 ": "), indent=1) writes, without importing json for what reports hold.
-Input files are read by _load, which gives what json.loads gives and
-reads plain JSON itself (objects, arrays, integers, true, false, null,
-strings with no escape).  So json is imported only for input that is not
-plain, for a string that needs an escape, or to quote a bad value in an
-error.
+So json is imported only to read an input file (model lie, lattice
+dist) with json.load, for a string that needs an escape, or to quote a
+bad value in an error.
 
 COMMANDS maps each command to its handler and its required flags with
 their converters; every flag is converted before the handler runs, and
@@ -58,87 +56,23 @@ def _prime(text):
 
 
 def _load_lattice(path):
+    import json
     from latmod.exact import Lattice
     with open(path) as f:
-        return Lattice.from_json_obj(_load(f.read()))
-
-
-def _load(text):
-    """json.loads(text).  Objects, arrays, integers, true, false, null
-    and strings with no escape or control character are read here; any
-    other text (a float, an escape, malformed or very deeply nested
-    text) goes to json.loads, which reads it or raises as it would."""
-    try:
-        value, end = _read(text, _skip(text, 0))
-        if end == len(text):
-            return value
-    except (IndexError, ValueError, RecursionError):
-        pass
-    import json
-    return json.loads(text)
-
-
-def _skip(text, i):
-    """The index of the first character at or past i that is not JSON
-    white space."""
-    while i < len(text) and text[i] in " \t\n\r":
-        i += 1
-    return i
-
-
-def _read(text, i):
-    """The value that starts at text[i] and the index past it and the
-    white space after it; IndexError or ValueError where _load gives up."""
-    c = text[i]
-    if c == "[" or c == "{":
-        out, close = ([], "]") if c == "[" else ({}, "}")
-        i = _skip(text, i + 1)
-        if text[i] == close:
-            return out, _skip(text, i + 1)
-        while True:
-            if close == "]":
-                value, i = _read(text, i)
-                out.append(value)
-            else:
-                key, i = _read(text, i)
-                if type(key) is not str or text[i] != ":":
-                    raise ValueError
-                out[key], i = _read(text, _skip(text, i + 1))
-            if text[i] == close:
-                return out, _skip(text, i + 1)
-            if text[i] != ",":
-                raise ValueError
-            i = _skip(text, i + 1)
-    if c == '"':
-        end = text.index('"', i + 1)
-        s = text[i + 1 : end]
-        if "\\" in s or s and min(s) < " ":
-            raise ValueError
-        return s, _skip(text, end + 1)
-    for word, value in (("true", True), ("false", False), ("null", None)):
-        if text.startswith(word, i):
-            return value, _skip(text, i + len(word))
-    # An integer, -?(0|[1-9][0-9]*); a fraction or exponent after it is
-    # where the caller finds no separator.
-    start = end = i + 1 if c == "-" else i
-    while end < len(text) and text[end] in "0123456789":
-        end += 1
-    if end == start or text[start] == "0" and end > start + 1:
-        raise ValueError
-    return int(text[i:end]), _skip(text, end)
+        return Lattice.from_json_obj(json.load(f))
 
 
 def _rep_input(args):
-    """The Chevalley basis and highest weight the flags name."""
+    """The Chevalley basis and highest weight the flags name, the weight
+    refused unless it is dominant."""
+    from latmod.reps import dominant
     from latmod.rootdata import build_chevalley
     cb = build_chevalley(args["type"], args["rank"])
     try:
         hw = tuple(int(x) for x in args["hw"].split(","))
     except ValueError:
         raise ValueError("highest weight must be comma-separated integers")
-    if len(hw) != args["rank"] or any(x < 0 for x in hw):
-        raise ValueError("highest weight needs %d nonnegative coordinates" % args["rank"])
-    return cb, hw
+    return cb, dominant(cb, hw)
 
 
 def _build_rep(args, matrices, what, kind):
@@ -262,11 +196,12 @@ def _spec_int(name, x):
 
 
 def _cmd_model_lie(args):
+    import json
     from latmod.models import check_ambient, lie_invariants, lie_model
     from latmod.reps import build_irrep, dominant, weyl_dimension
     from latmod.rootdata import build_chevalley
     with open(args["rep"]) as f:
-        spec = _load(f.read())
+        spec = json.load(f)
     shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
     if not shaped or not all(type(x) in (int, str) for x in [spec.get("type"), spec.get("rank")] + spec["hw"]):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')

@@ -344,7 +344,7 @@ POOL_MODEL_LIE = """
 import sys
 import latmod.cli
 code = latmod.cli.main(["model", "lie", "--rep", sys.argv[1], "--lattice", sys.argv[2]])
-sys.stderr.write(repr([code, "json" in sys.modules, "fractions" in sys.modules]))
+sys.stderr.write(repr([code, "fractions" in sys.modules]))
 """
 
 
@@ -352,15 +352,15 @@ sys.stderr.write(repr([code, "json" in sys.modules, "fractions" in sys.modules])
 def test_model_lie_on_a_finished_pool_lattice(name, tmp_path):
     # The first finished A2 (1,0) and C2 (1,0) lattice of the benchmark
     # pool, in files written as json.dumps writes them: `model lie` gives
-    # the recorded divisors, reads the plain files without importing json,
-    # and imports no fractions, the lattice being integral.
+    # the recorded divisors and imports no fractions, the lattice being
+    # integral.
     entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"][name]
     record = next(r for r in entry["lattices"] if r["finished"])
     repf, latf = tmp_path / "rep.json", tmp_path / "lat.json"
     repf.write_text(json.dumps(entry["descriptor"]))
     latf.write_text(json.dumps(record["lattice"]))
     proc = run_child(["-c", POOL_MODEL_LIE, str(repf), str(latf)])
-    assert proc.stderr == repr([0, False, False])
+    assert proc.stderr == repr([0, False])
     assert json.loads(proc.stdout)["invariants"] == record["divisors"]
 
 
@@ -505,6 +505,26 @@ def test_bad_prime_exits_1_before_building(monkeypatch, capsys):
         assert "prime must be prime" in err
 
 
+@pytest.mark.parametrize("hw", ["1,2", "-1"])
+def test_highest_weight_is_refused_by_one_check_before_building(hw, monkeypatch, tmp_path, capsys):
+    # A weight of the wrong length or with a negative coordinate, given as
+    # --hw of rep build, sandwich and orbits or in a model lie spec, is
+    # refused by reps.dominant with one message, before any build.
+    monkeypatch.setattr(reps, "build_irrep", lambda *a: pytest.fail("built a representation"))
+    flags = ["--type", "A", "--rank", "1", "--hw", hw]
+    repf = tmp_path / "rep.json"
+    repf.write_text(json.dumps({"type": "A", "rank": 1, "hw": [int(x) for x in hw.split(",")]}))
+    lat = tmp_path / "lat.json"
+    lat.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    for argv in (
+        ["rep", "build"] + flags,
+        ["sandwich"] + flags + ["--p", "2"],
+        ["orbits"] + flags + ["--p", "2"],
+        ["model", "lie", "--rep", str(repf), "--lattice", str(lat)],
+    ):
+        assert run(argv, capsys) == (1, "", "error: highest weight must be a dominant integer vector\n"), argv
+
+
 def test_ragged_lattice_file_exits_1(tmp_path, capsys):
     # zip(*rows) would silently drop the third entry of the first row.
     ragged = tmp_path / "ragged.json"
@@ -563,15 +583,16 @@ SPEC_ERROR = 'error: representation spec must be {"type": ..., "rank": ..., "hw"
 I2 = [["1", "0"], ["0", "1"]]
 
 
-def lattice_file_errors(tmp_path, capsys, lattice):
+def lattice_file_errors(tmp_path, capsys, text):
     """The (code, stdout, stderr) of lattice dist and model lie on a
-    lattice file holding lattice."""
+    lattice file holding text; good.json and rep.json in tmp_path are
+    the good lattice and rep files they are run with."""
     good = tmp_path / "good.json"
     good.write_text(Lattice([[1, 0], [0, 1]]).to_json())
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps({"type": "A", "rank": 1, "hw": [1]}))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(lattice))
+    bad.write_text(text)
     return [
         run(["lattice", "dist", "--p", "2", "--a", str(bad), "--b", str(good)], capsys),
         run(["model", "lie", "--rep", str(rep), "--lattice", str(bad)], capsys),
@@ -596,7 +617,7 @@ def lattice_file_errors(tmp_path, capsys, lattice):
 def test_lattice_file_names_the_bad_field(lattice, message, tmp_path, capsys):
     # A missing field or a mistyped ambient is named where the file is
     # read, not met later as a KeyError or as ragged generators.
-    for result in lattice_file_errors(tmp_path, capsys, lattice):
+    for result in lattice_file_errors(tmp_path, capsys, json.dumps(lattice)):
         assert result == (1, "", "error: %s\n" % message)
 
 
@@ -610,8 +631,95 @@ def test_lattice_file_names_the_bad_field(lattice, message, tmp_path, capsys):
 )
 def test_booleans_are_not_integers_in_lattice_files(lattice, message, tmp_path, capsys):
     # JSON true is not the integer 1 (Python's bool is an int).
-    for result in lattice_file_errors(tmp_path, capsys, lattice):
+    for result in lattice_file_errors(tmp_path, capsys, json.dumps(lattice)):
         assert result == (1, "", "error: %s\n" % message)
+
+
+# Texts json.loads rejects (malformed, nested past the recursion limit,
+# an integer past int's digit limit) or reads as a value that is not an
+# object (a float, a list, NaN, a string holding a control character).
+BAD_JSON = [
+    "01",
+    "-01",
+    "00",
+    "1.0",
+    "[-0.5e-3]",
+    "1e3",
+    "\x0c1",
+    "[1,\u00a02]",
+    "-",
+    "[-]",
+    "[1,]",
+    "[1 2]",
+    '{"a" 1}',
+    '{"a": 1,}',
+    "{1: 2}",
+    '"\\u0001"',
+    '"\u0001"',
+    '"open',
+    "NaN",
+    "tru",
+    "﻿[]",
+    "[1] 2",
+    "{}x",
+    "",
+    " \n",
+    "[" * 100_000,
+    "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", BAD_JSON, ids=range(len(BAD_JSON)))
+def test_bad_json_input_files_exit_1(text, tmp_path, capsys):
+    # Each text, written raw as a lattice file of lattice dist and model
+    # lie and as the rep file of model lie, exits 1 with one error line:
+    # json.loads's own message where it refuses the text, the shape the
+    # file needs where it reads a value that is not an object.
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as e:
+        lattice_error = spec_error = "error: %s\n" % e
+    else:
+        lattice_error, spec_error = "error: a lattice file holds one object\n", SPEC_ERROR
+    assert lattice_error.count("\n") == spec_error.count("\n") == 1
+    assert lattice_file_errors(tmp_path, capsys, text) == [(1, "", lattice_error)] * 2
+    repf = tmp_path / "bad_rep.json"
+    repf.write_text(text)
+    argv = ["model", "lie", "--rep", str(repf), "--lattice", str(tmp_path / "good.json")]
+    assert run(argv, capsys) == (1, "", spec_error)
+
+
+def _escaped(obj):
+    """The JSON of obj indented by tabs, with \\r\\n line ends and every
+    character of every string written as a \\u escape."""
+    text = json.dumps(obj, indent="\t")
+    text = re.sub(r'"([^"]*)"', lambda m: '"%s"' % "".join("\\u%04x" % ord(c) for c in m.group(1)), text)
+    return text.replace("\n", "\r\n")
+
+
+def test_escaped_input_files_read_as_plain_ones(tmp_path, capsys):
+    # A lattice and a descriptor (its rank and weight as digit strings)
+    # written with escapes, tabs and CRLF line ends give the report that
+    # their plain files give.
+    entry = json.loads((ROOT / "perfbench" / "data" / "model_lie_pool.json").read_text())["reps"]["C2_10"]
+    d = entry["descriptor"]
+    spec = {"type": d["type"], "rank": str(d["rank"]), "hw": [str(x) for x in d["hw"]]}
+    lattice = entry["lattices"][0]["lattice"]
+    other = Lattice([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 1]]).to_json_obj()
+    files = {}
+    for name, obj in (("rep", spec), ("lat", lattice), ("other", other)):
+        for form, text in (("plain", json.dumps(obj)), ("escaped", _escaped(obj))):
+            files[name, form] = tmp_path / ("%s_%s.json" % (name, form))
+            files[name, form].write_bytes(text.encode())
+    assert "\\u0031" in files["lat", "escaped"].read_text() and "\\u0031" in files["rep", "escaped"].read_text()
+    for argv in (
+        ["lattice", "dist", "--p", "2", "--a", "lat", "--b", "other"],
+        ["model", "lie", "--rep", "rep", "--lattice", "lat"],
+    ):
+        plain, escaped = [
+            run([str(files[a, form]) if (a, form) in files else a for a in argv], capsys) for form in ("plain", "escaped")
+        ]
+        assert plain[0] == 0 and plain == escaped, argv
 
 
 @pytest.mark.parametrize(
@@ -921,12 +1029,9 @@ import latmod.cli
 seen = ["json" in sys.modules]
 code = latmod.cli.main(["rep", "build", "--type", "A", "--rank", "2", "--hw", "1,1"])
 seen.append("json" in sys.modules)
-rep, lat = sys.argv[1:]
 for argv in (
     ["sandwich", "--type", "A", "--rank", "1", "--hw", "4", "--p", "2"],
     ["orbits", "--type", "A", "--rank", "1", "--hw", "4", "--p", "3"],
-    ["model", "lie", "--rep", rep, "--lattice", lat],
-    ["lattice", "dist", "--p", "2", "--a", lat, "--b", lat],
     ["case", "pgl2"],
 ):
     code += latmod.cli.main(argv + ["--out", os.devnull])
@@ -945,13 +1050,12 @@ def _pool_files(tmp_path):
     return str(rep), str(lat)
 
 
-def test_output_path_does_not_import_json(tmp_path):
-    # json is imported only to write a string that needs an escape, or to
-    # read input that is not plain: not by the command table, nor by rep
-    # build, the lattice pipelines or case pgl2, nor by model lie and
-    # lattice dist, whose plain input files cli._load reads.
-    proc = run_child(["-c", NO_JSON, *_pool_files(tmp_path)])
-    assert proc.stderr == "0 %s" % ([False] * 7)
+def test_output_path_does_not_import_json():
+    # json is imported to read an input file or to write a string that
+    # needs an escape: not by the command table, nor by the reports of rep
+    # build, the lattice pipelines or case pgl2.
+    proc = run_child(["-c", NO_JSON])
+    assert proc.stderr == "0 %s" % ([False] * 5)
     assert json.loads(proc.stdout)["dim"] == 8
 
 
@@ -1068,83 +1172,6 @@ def test_writer_matches_json_dumps(obj):
 def test_writer_on_empty_and_nested_containers():
     for obj in ({}, [], [{}], {"a": []}, [[[]]], {"b": {"a": [None, True, False, -1, 10**30]}}, ['q"uote', "\u00e9"]):
         assert cli._dump(obj) == dumps(obj), obj
-
-
-def _typed(x):
-    """x with the type of every value and the key order of every object
-    written out, so that 1 and True, or {"a": 1, "b": 2} and {"b": 2,
-    "a": 1}, are told apart."""
-    if type(x) is list:
-        return "list", [_typed(v) for v in x]
-    if type(x) is dict:
-        return "dict", [(k, _typed(v)) for k, v in x.items()]
-    return type(x).__name__, x
-
-
-# Texts json.dumps writes: indented or not, with and without spaces, with
-# non-ASCII characters raw or escaped, between any JSON white space.
-DUMPS_SETTINGS = st.sampled_from(
-    [
-        {},
-        {"indent": 1, "sort_keys": True, "separators": (",", ": ")},
-        {"indent": 2, "ensure_ascii": False},
-        {"indent": "\t", "separators": (" ,", " : ")},
-        {"separators": (",", ":"), "ensure_ascii": False},
-        {"indent": 0},
-    ]
-)
-SPACE = st.text(alphabet=" \t\n\r", max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(VALUES, DUMPS_SETTINGS, SPACE, SPACE)
-def test_reader_matches_json_loads(obj, kwargs, before, after):
-    text = before + json.dumps(obj, **kwargs) + after
-    assert _typed(cli._load(text)) == _typed(json.loads(text))
-
-
-BAD_JSON = [
-    "01",
-    "-01",
-    "00",
-    "1.0",
-    "[-0.5e-3]",
-    "1e3",
-    "\x0c1",
-    "[1,\u00a02]",
-    "-",
-    "[-]",
-    "[1,]",
-    "[1 2]",
-    '{"a" 1}',
-    '{"a": 1,}',
-    "{1: 2}",
-    '"\\u0001"',
-    '"\u0001"',
-    '"open',
-    "NaN",
-    "tru",
-    "﻿[]",
-    "[1] 2",
-    "{}x",
-    "",
-    " \n",
-    "[" * 100_000,
-    "1" * 5000,
-]
-
-
-@pytest.mark.parametrize("text", BAD_JSON, ids=range(len(BAD_JSON)))
-def test_reader_fails_as_json_loads_fails(text):
-    # Every text the reader does not read itself, malformed or not, is
-    # read by json.loads: the same value, or the same exception and message.
-    def outcome(load):
-        try:
-            return "value", _typed(load(text))
-        except Exception as e:
-            return type(e), str(e)
-
-    assert outcome(cli._load) == outcome(json.loads)
 
 
 def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):

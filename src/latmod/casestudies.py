@@ -2,13 +2,10 @@
 
 1. Imaginary quadratic orders: lattices in F = Q(sqrt(D)) whose multiplier
    ring is the order O_D of discriminant D, counted up to F*-scaling.  The
-   count is the class number h(O_D), computed here by exhaustive ideal
-   enumeration below the Minkowski bound.  An ideal's norm form is
-   primitive exactly when it is proper, and its reduced form keys the
-   F*-class (the proper ideal <-> primitive form correspondence, Cohen, A
-   Course in Computational Algebraic Number Theory, 5.2-5.4; Cox, Primes
-   of the Form x² + ny², Thm. 7.7), so counting is a set lookup.  Every
-   D < 0 with D = 0, 1 mod 4 and |D| <= DISC_LIMIT is supported.
+   count is the class number h(O_D), read off the reduced primitive forms
+   of discriminant D, one proper ideal Z·a + Z·(t + w) per form (Cox,
+   Primes of the Form x² + ny², Thms. 2.8 and 7.7), for every D < 0 with
+   D = 0, 1 mod 4 and |D| <= DISC_LIMIT.
 
 2. The rank-1 adjoint group acting on the symmetric square over Z_(2):
    two lattices of index 2 apart generate the same bounded-degree Hopf
@@ -29,7 +26,7 @@ class CaseStudyError(ValueError):
 
 # Largest |D| accepted by QuadField: over nine D from -99372 to -100000,
 # fundamental or not, the slowest class count took 0.04 s in-process and
-# 0.17 s as a CLI request (D = -99991, h = 205; 2-vCPU x86-64 host).
+# 0.14 s as a CLI request (D = -99623, h = 307; 2-vCPU x86-64 host).
 DISC_LIMIT = 10**5
 
 
@@ -64,26 +61,12 @@ class QuadField:
         v = u1 * v2 + u2 * v1 + v1 * v2 * self.disc
         return (u, v)
 
-    def norm(self, x):
-        u, v = x
-        # N(u + v·w) = (u + v·w)(u + v·w̄), w + w̄ = D, w·w̄ = (D² - D)/4.
-        return u * u + u * v * self.disc - v * v * self._c
-
     def mul_matrix(self, x):
         """Multiplication by the integral x on the basis (1, w), as an
         integer sparse matrix."""
         u, v = x
         m = {(0, 0): u, (0, 1): v * self._c, (1, 0): v, (1, 1): u + v * self.disc}
         return {k: y for k, y in m.items() if y}
-
-    def minkowski_bound(self):
-        """An integer above (2/pi)·sqrt(|disc|), a norm within which every
-        class of Pic(O_D) contains a proper integral ideal: a class's
-        reduced primitive form (a, b, c) gives the proper ideal
-        Z·a + Z·(-b + sqrt(D))/2 of norm a <= sqrt(|disc|/3), which is
-        below (2/pi)·sqrt(|disc|).  As 333/106 < pi, 212/333 > 2/pi, and
-        floor(212/333·sqrt(|disc|)) + 1 is computed in integers."""
-        return math.isqrt(4 * 106**2 * -self.disc) // 333 + 1
 
 
 def multiplier_ring(field, lat):
@@ -101,71 +84,10 @@ def multiplier_ring(field, lat):
     return ring
 
 
-def _ideals_of_norm(field, n):
-    """The ideals of O_D of index n, as the (a, b, d) of their bases
-    a, b + d·w, in order of a, then of b.  Every index-n subgroup of
-    Z + Z·w has one such basis with a·d = n and 0 <= b < a, and it is an
-    ideal when w maps it into itself.  a·w = x·a + y·(b + d·w) forces
-    y = a/d and x = -b/d, so d | a and d | b; then, as w² = D·w + c,
-    w·(b + d·w) = (b/d + D)·(b + d·w) + d·c - b·(b/d + D) needs
-    a | d·c - b·(b/d + D)."""
-    for a in range(1, n + 1):
-        d = n // a
-        if n % a or a % d:
-            continue
-        for b in range(0, a, d):
-            if (d * field._c - b * (b // d + field.disc)) % a == 0:
-                yield a, b, d
-
-
-def _norm_form(field, a, b, d):
-    """(A, B, C) with N(x·a + y·(b + d·w)) / n = A·x² + B·x·y + C·y² for
-    the ideal I = Z·a + Z·(b + d·w) of index n = a·d.
-
-    N(u + v·w) = u² + D·u·v - c·v² gives A = a/d, B = 2·b/d + D and
-    C = -(d·c - b·(b/d + D))/a, integers as I is an ideal, and B² - 4·A·C
-    = D² + 4·c = D.  The content g is [O : O_D] for the multiplier ring O
-    of I: the form is A·(x + y·t)(x + y·t̄) for t = (b + d·w)/a, a root of
-    the primitive (A·X² - B·X + C)/g, so O, the ring of Z + Z·t, has
-    discriminant D/g² (Cox, Primes of the Form x² + ny², Lemma 7.5) and
-    index g over O_D.  The basis is positively oriented (determinant n)
-    and F*-scaling multiplies every norm and n alike, so the reduced form
-    of a primitive form keys the class of I in Pic(O_D) (Cox, Thm. 7.7);
-    GL₂(Z) would also join I to its conjugate, in general another class.
-    """
-    n = a * d
-    q1, q2 = field.norm((a, 0)), field.norm((b, d))
-    form = (q1, field.norm((a + b, d)) - q1 - q2, q2)
-    A, B, C = (x // n for x in form)
-    if any(x % n for x in form) or B * B - 4 * A * C != field.disc:
-        raise AssertionError("norm form of an ideal is not integral of discriminant D")
-    return A, B, C
-
-
-def _reduce_form(a, b, c):
-    """SL₂(Z)-reduced form equivalent to the positive definite (a, b, c):
-    |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2)."""
-    disc = b * b - 4 * a * c
-    while True:
-        if not -a < b <= a:
-            # (x, y) -> (x + k·y, y) moves b by 2ka into (-a, a].
-            b %= 2 * a
-            if b > a:
-                b -= 2 * a
-            c = (b * b - disc) // (4 * a)
-        if a <= c:
-            break
-        # (x, y) -> (-y, x)
-        a, b, c = c, -b, a
-    if a == c and b < 0:
-        b = -b
-    return a, b, c
-
-
 def class_orbit_count(disc):
     """Number of F*-classes of lattices with multiplier ring O_D, with one
-    representative ideal per class: the first ideal of each class in order
-    of norm, then of enumeration within a norm.
+    representative ideal per class: the first proper ideal of each class in
+    order of norm, then of t in its basis a, t + w.
 
     These classes are the models of the torus T = R_(F/Q) G_m acting on
     F: a lattice Lambda with multiplier ring O has Ĝ_Lambda = R_(O/Z) G_m.
@@ -178,25 +100,41 @@ def class_orbit_count(disc):
     is Ĝ_Lambda.  Up to F*-scaling these lattices are the proper ideals of
     O, the classes of Pic(O) (Cox, Thms. 7.7 and 7.24).
 
-    Ideals of O_D of norm up to the Minkowski bound meet every class.  An
-    ideal is proper exactly when its norm form is primitive, and it is
-    keyed by the reduced form (`_norm_form`).  A Lattice is built for each
-    representative only, and its multiplier ring must be O_D.  The tests
-    check the key against a pairwise search for a scaling x with x·I = J
-    (`scaling_equivalent` in tests/oracles.py).  QuadField checks D mod 4
-    (D = 2, 3 mod 4 is the discriminant of no order) and the limit on |D|.
+    The classes are read off the reduced primitive forms (a, b, c) of
+    discriminant D (|b| <= a <= c, b >= 0 if |b| = a or a = c; 3a² <= |D|).
+    (1) For every order, D < 0, I -> N(x·u + y·v)/N(I) on a positively
+    oriented basis maps Pic(O_D) one to one onto the SL₂(Z)-classes of
+    primitive forms of discriminant D (Cox, Thm. 7.7), and each class
+    holds one reduced form, whose least value is a (Thm. 2.8).
+    (2) N(u + v·w) = u² + D·u·v + (D² - D)/4·v², so I = Z·a + Z·(t + w)
+    has the form (a, 2t + D, C), C = (t² + D·t + (D² - D)/4)/a, and is an
+    ideal exactly when C is an integer, as w·a = -t·a + a·(t + w) and
+    w·(t + w) = (t + D)·(t + w) - C·a.  t -> t + a shifts the form in
+    SL₂(Z), so t = (b - D)/2 mod a gives an ideal of the class of (a, b, c).
+    (3) An ideal with Hermite basis a', b' + d·w has d | a', d | b' (a'·w
+    lies in it), so it is d·J, J = Z·a'/d + Z·(b'/d + w), and N(J) = a'/d
+    is a value of the class's forms by (2), so N(J) >= a: a is the least
+    norm of an integral ideal in the class, reached only with d = 1.
+    (4) The form (a, 2t + D, ·) of an ideal of norm a in the class shifts
+    to (a, B, C') with -a < B <= a and C' >= a: reduced, so B = b, unless
+    a = C' and B < 0, when (x, y) -> (-y, x) gives (a, -B, a).  So t =
+    (b - D)/2 mod a or, when a = c, (-b - D)/2 mod a; the lesser is the
+    representative, and sorting by (a, t) orders the classes by norm,
+    then by t.  A Lattice and its multiplier ring, which must be O_D, are
+    built for the representatives only.  QuadField checks D mod 4 and |D|.
     """
     if disc >= 0:
         raise CaseStudyError("only negative discriminants (imaginary quadratic fields) are supported")
     field = QuadField(disc)
-    classes = {}
-    for n in range(1, field.minkowski_bound() + 1):
-        for a, b, d in _ideals_of_norm(field, n):
-            form = _norm_form(field, a, b, d)
-            if math.gcd(*form) == 1:
-                classes.setdefault(_reduce_form(*form), (a, b, d))
+    ideals = []
+    for a in range(1, math.isqrt(-disc // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b - disc, 4 * a)
+            if r == 0 and c >= a and (b >= 0 or c > a) and math.gcd(a, b, c) == 1:
+                t = (b - disc) // 2 % a
+                ideals.append((a, min(t, (-b - disc) // 2 % a) if a == c else t))
     order = Lattice([[1, 0], [0, 1]])
-    reps = [Lattice([[a, 0], [b, d]]) for a, b, d in classes.values()]
+    reps = [Lattice([[a, 0], [t, 1]]) for a, t in sorted(ideals)]
     if any(multiplier_ring(field, lat) != order for lat in reps):
         raise AssertionError("the multiplier ring of a class representative is not O_D")
     return len(reps), reps

@@ -19,7 +19,9 @@ them, a model lie lattice whose ambient is not the Weyl dimension of the
 spec, or a rep build, sandwich or orbits report with more matrix entries
 than reps.REPORT_ENTRY_CAP: refused before the representation is built
 when its dimension alone puts the report past the cap, and an orbits
-report during the search, at the first class past it) or a failed write
+report during the search, at the first class past it; an orbits
+representation with a weight multiplicity is refused before it is built
+too) or a failed write
 of help, usage or report (a closed pipe), 2 internal assertion failure.
 main returns the code and never ends the process; run, the entry of
 ``python -m latmod.cli`` and of the ``latmod`` script, flushes stdout and
@@ -75,12 +77,14 @@ def _rep_input(args):
     return cb, dominant(cb, hw)
 
 
-def _build_rep(args, matrices, what, kind):
+def _build_rep(args, matrices, what, kind, multiplicity_free=False):
     """The irreducible the flags name, refused before it is built when its
     report has more than reps.REPORT_ENTRY_CAP entries: at least
     matrices(cb) dim×dim matrices of kind entries, what naming them (a
-    format of their number), dim the Weyl dimension."""
-    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weyl_dimension
+    format of their number), dim the Weyl dimension.  With
+    multiplicity_free (orbits), it is then refused when it has fewer than
+    dim weights (reps.weight_set), a walk the cap keeps to dim weights."""
+    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weight_set, weyl_dimension
     cb, hw = _rep_input(args)
     dim, n = weyl_dimension(cb, hw), matrices(cb)
     if n * dim * dim > REPORT_ENTRY_CAP:
@@ -88,6 +92,8 @@ def _build_rep(args, matrices, what, kind):
             "the report of dimension %d with %s has %d %s entries, more than the cap of %d"
             % (dim, what % n, n * dim * dim, kind, REPORT_ENTRY_CAP)
         )
+    if multiplicity_free and len(weight_set(cb, hw)) < dim:
+        raise ValueError("orbit grouping implemented for multiplicity-free blocks only")
     return build_irrep(cb, hw)
 
 
@@ -183,7 +189,7 @@ def _cmd_orbits(args):
     from latmod.latconstruct import count_invariant_orbits, unit_edge
     # The admissible lattice of the Chevalley module is an invariant split
     # lattice with unit J, so a report has at least one class.
-    rep = _build_rep(args, lambda cb: 1, "at least %d class", "basis")
+    rep = _build_rep(args, lambda cb: 1, "at least %d class", "basis", multiplicity_free=True)
     return count_invariant_orbits(rep, unit_edge(rep, prime=args["p"]))
 
 

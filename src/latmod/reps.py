@@ -314,6 +314,34 @@ def weyl_dimension(cb, psi):
     return num // den
 
 
+def weight_set(cb, psi):
+    """The weights of the irreducible V(psi) (tuples in fund coords, mu[i] =
+    <mu, alpha_i^∨>), without building it: the closure of {psi} under the
+    downward strings mu - j·alpha_i, 0 < j <= <mu, alpha_i^∨>.
+
+    The alpha_i-string of weights through a weight mu is unbroken and
+    holds s_i(mu) = mu - <mu, alpha_i^∨>·alpha_i, so it holds the whole
+    downward string: the closure holds weights only.  Conversely, V(psi)
+    is spanned by lowerings of a psi-vector, so each weight mu below psi
+    has some mu + alpha_i among the weights.  Let nu = mu + k·alpha_i,
+    k >= 1, be the top of the alpha_i-string through mu; it runs down to
+    s_i(nu), so k <= <nu, alpha_i^∨>.  nu is higher than mu, so by
+    induction on the height of psi - mu, nu and then mu lie in the
+    closure.  V(psi) is free of multiplicities exactly when it has
+    weyl_dimension(cb, psi) weights."""
+    seen, todo = {psi}, [psi]
+    while todo:
+        mu = todo.pop()
+        for i, alpha in enumerate(cb.rs.simple):
+            nu = mu
+            for _ in range(mu[i]):
+                nu = tuple(x - y for x, y in zip(nu, alpha))
+                if nu not in seen:
+                    seen.add(nu)
+                    todo.append(nu)
+    return seen
+
+
 def _adapt(cb, factors):
     """The Representation of the tensor product of the factors (dim,
     integer action, weights, denominator) on the basis walked from the

@@ -15,7 +15,10 @@ every action stayed sparse, the coordinate solver by one `rref` and the
 `mat_inv` of a square block, as before a QSpan kept the combinations of
 its echelon rows, a brute-force subgroup count for
 `exact.enumerate_between`, a pairwise scaling search for the class-group
-keys of `casestudies.class_orbit_count`, and its ideals as Hermite
+representatives of `casestudies.class_orbit_count`, its ideal search
+below the Minkowski bound (`class_orbit_count_by_ideals`) with the norm
+forms of the bases a, b + d·w and their reduction, as before the classes
+were read off the reduced primitive forms, and those ideals as Hermite
 lattices stable under w with the class key read off their canonical
 bases, as before the norm form of a basis a, b + d·w decided both, the
 Euclid echelon of the Hopf-order products with `Fraction` combination
@@ -75,7 +78,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from latmod import matrixops, models, reps
-from latmod.casestudies import _reduce_form
+from latmod.casestudies import QuadField, multiplier_ring
 from latmod.exact import Lattice, LatticeError, enumerate_between, snf, transporter, vp
 from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
@@ -666,7 +669,7 @@ def ideal_lattices_of_norm(field, n):
     """Index-n sublattices of O_D closed under multiplication by w, a
     Lattice per Hermite basis a, b + d·w (a·d = n, 0 <= b < a) kept when
     it is stable under w, as `casestudies.class_orbit_count` enumerated
-    them before `_ideals_of_norm` decided it in closed form."""
+    them before `ideals_of_norm` decided it in closed form."""
     omega = field.mul_matrix((0, 1))
     out = []
     for a in range(1, n + 1):
@@ -687,13 +690,13 @@ def class_key_by_lattice(field, ideal):
     w1, w2 = ideal.basis
     assert w1[0] * w2[1] - w1[1] * w2[0] > 0, "canonical ideal basis is positively oriented"
     n = ideal.index_in(Lattice([[1, 0], [0, 1]]))
-    q1 = field.norm(w1)
-    q2 = field.norm(w2)
-    form = (q1, field.norm((w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2, q2)
+    q1 = quad_norm(field, w1)
+    q2 = quad_norm(field, w2)
+    form = (q1, quad_norm(field, (w1[0] + w2[0], w1[1] + w2[1])) - q1 - q2, q2)
     assert not any(x % n for x in form), "norm form of an ideal is integral"
     a, b, c = (x // n for x in form)
     assert math.gcd(a, b, c) == 1 and b * b - 4 * a * c == field.disc
-    return _reduce_form(a, b, c)
+    return reduce_form(a, b, c)
 
 
 def scaling_equivalent(field, lat1, lat2):
@@ -704,9 +707,9 @@ def scaling_equivalent(field, lat1, lat2):
     # The norm form is positive definite, so Q(s,t) = ratio confines the
     # basis coefficients to |s|² <= ratio·c/det(Q), |t|² <= ratio·a/det(Q).
     b0, b1 = quot.basis
-    qa = field.norm(b0)
-    qc = field.norm(b1)
-    qb = (field.norm(tuple(x + y for x, y in zip(b0, b1))) - qa - qc) / 2
+    qa = quad_norm(field, b0)
+    qc = quad_norm(field, b1)
+    qb = (quad_norm(field, tuple(x + y for x, y in zip(b0, b1))) - qa - qc) / 2
     det_q = qa * qc - qb * qb
     smax = math.isqrt(int(ratio * qc / det_q)) + 1
     tmax = math.isqrt(int(ratio * qa / det_q)) + 1
@@ -715,13 +718,119 @@ def scaling_equivalent(field, lat1, lat2):
             if s == 0 and t == 0:
                 continue
             y = tuple(s * b0[i] + t * b1[i] for i in range(2))
-            if field.norm(y) != ratio:
+            if quad_norm(field, y) != ratio:
                 continue
             (ints,), e = clear_denominators([y])
             moved = lat1.apply(field.mul_matrix(ints), e)
             if moved == lat2:
                 return True
     return False
+
+
+# -----------------------------------------------------------------------
+# Class groups by the ideal search below the Minkowski bound, each proper
+# ideal keyed by the reduced form of its norm form, as before
+# `casestudies.class_orbit_count` read the classes off the reduced forms.
+# -----------------------------------------------------------------------
+
+
+def quad_norm(field, x):
+    """N(u + v·w) = (u + v·w)(u + v·w̄) in the field, w + w̄ = D and
+    w·w̄ = (D² - D)/4."""
+    u, v = x
+    return u * u + u * v * field.disc - v * v * field._c
+
+
+def minkowski_bound(field):
+    """An integer above (2/pi)·sqrt(|disc|), a norm within which every
+    class of Pic(O_D) contains a proper integral ideal: a class's
+    reduced primitive form (a, b, c) gives the proper ideal
+    Z·a + Z·(-b + sqrt(D))/2 of norm a <= sqrt(|disc|/3), which is
+    below (2/pi)·sqrt(|disc|).  As 333/106 < pi, 212/333 > 2/pi, and
+    floor(212/333·sqrt(|disc|)) + 1 is computed in integers."""
+    return math.isqrt(4 * 106**2 * -field.disc) // 333 + 1
+
+
+def ideals_of_norm(field, n):
+    """The ideals of O_D of index n, as the (a, b, d) of their bases
+    a, b + d·w, in order of a, then of b.  Every index-n subgroup of
+    Z + Z·w has one such basis with a·d = n and 0 <= b < a, and it is an
+    ideal when w maps it into itself.  a·w = x·a + y·(b + d·w) forces
+    y = a/d and x = -b/d, so d | a and d | b; then, as w² = D·w + c,
+    w·(b + d·w) = (b/d + D)·(b + d·w) + d·c - b·(b/d + D) needs
+    a | d·c - b·(b/d + D)."""
+    for a in range(1, n + 1):
+        d = n // a
+        if n % a or a % d:
+            continue
+        for b in range(0, a, d):
+            if (d * field._c - b * (b // d + field.disc)) % a == 0:
+                yield a, b, d
+
+
+def norm_form(field, a, b, d):
+    """(A, B, C) with N(x·a + y·(b + d·w)) / n = A·x² + B·x·y + C·y² for
+    the ideal I = Z·a + Z·(b + d·w) of index n = a·d.
+
+    N(u + v·w) = u² + D·u·v - c·v² gives A = a/d, B = 2·b/d + D and
+    C = -(d·c - b·(b/d + D))/a, integers as I is an ideal, and B² - 4·A·C
+    = D² + 4·c = D.  The content g is [O : O_D] for the multiplier ring O
+    of I: the form is A·(x + y·t)(x + y·t̄) for t = (b + d·w)/a, a root of
+    the primitive (A·X² - B·X + C)/g, so O, the ring of Z + Z·t, has
+    discriminant D/g² (Cox, Primes of the Form x² + ny², Lemma 7.5) and
+    index g over O_D.  The basis is positively oriented (determinant n)
+    and F*-scaling multiplies every norm and n alike, so the reduced form
+    of a primitive form keys the class of I in Pic(O_D) (Cox, Thm. 7.7);
+    GL₂(Z) would also join I to its conjugate, in general another class.
+    """
+    n = a * d
+    q1, q2 = quad_norm(field, (a, 0)), quad_norm(field, (b, d))
+    form = (q1, quad_norm(field, (a + b, d)) - q1 - q2, q2)
+    A, B, C = (x // n for x in form)
+    if any(x % n for x in form) or B * B - 4 * A * C != field.disc:
+        raise AssertionError("norm form of an ideal is not integral of discriminant D")
+    return A, B, C
+
+
+def reduce_form(a, b, c):
+    """SL₂(Z)-reduced form equivalent to the positive definite (a, b, c):
+    |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2)."""
+    disc = b * b - 4 * a * c
+    while True:
+        if not -a < b <= a:
+            # (x, y) -> (x + k·y, y) moves b by 2ka into (-a, a].
+            b %= 2 * a
+            if b > a:
+                b -= 2 * a
+            c = (b * b - disc) // (4 * a)
+        if a <= c:
+            break
+        # (x, y) -> (-y, x)
+        a, b, c = c, -b, a
+    if a == c and b < 0:
+        b = -b
+    return a, b, c
+
+
+def class_orbit_count_by_ideals(disc):
+    """class_orbit_count by the ideal search: every ideal of O_D of norm
+    up to the Minkowski bound, kept when its norm form is primitive (it is
+    proper) and keyed by the reduced form, the first of each class in
+    order of norm, then of enumeration within a norm its representative."""
+    if disc >= 0:
+        raise AssertionError("only negative discriminants")
+    field = QuadField(disc)
+    classes = {}
+    for n in range(1, minkowski_bound(field) + 1):
+        for a, b, d in ideals_of_norm(field, n):
+            form = norm_form(field, a, b, d)
+            if math.gcd(*form) == 1:
+                classes.setdefault(reduce_form(*form), (a, b, d))
+    order = Lattice([[1, 0], [0, 1]])
+    reps = [Lattice([[a, 0], [b, d]]) for a, b, d in classes.values()]
+    if any(multiplier_ring(field, lat) != order for lat in reps):
+        raise AssertionError("the multiplier ring of a class representative is not O_D")
+    return len(reps), reps
 
 
 def lattice_coords(lat, v):

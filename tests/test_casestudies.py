@@ -12,9 +12,6 @@ from latmod.casestudies import (
     DISC_LIMIT,
     CaseStudyError,
     QuadField,
-    _ideals_of_norm,
-    _norm_form,
-    _reduce_form,
     class_orbit_count,
     multiplier_ring,
     pgl2_sym2_report,
@@ -22,7 +19,18 @@ from latmod.casestudies import (
 from latmod import casestudies, models
 from latmod.exact import Lattice
 from latmod.models import _sym2_symbolic
-from oracles import class_key_by_lattice, ideal_lattices_of_norm, reduced_forms_count, scaling_equivalent
+from oracles import (
+    class_key_by_lattice,
+    class_orbit_count_by_ideals,
+    ideal_lattices_of_norm,
+    ideals_of_norm,
+    minkowski_bound,
+    norm_form,
+    quad_norm,
+    reduce_form,
+    reduced_forms_count,
+    scaling_equivalent,
+)
 
 
 def _is_fundamental(disc):
@@ -48,8 +56,8 @@ def test_quadfield_norm_multiplicative():
     xs = [(1, 0), (0, 1), (2, -3), (-1, 4), (5, 2)]
     for x in xs:
         for y in xs:
-            assert f.norm(f.mul(x, y)) == f.norm(x) * f.norm(y)
-    assert f.norm((1, 0)) == 1
+            assert quad_norm(f, f.mul(x, y)) == quad_norm(f, x) * quad_norm(f, y)
+    assert quad_norm(f, (1, 0)) == 1
 
 
 def test_quadfield_norm_positive_definite():
@@ -57,7 +65,7 @@ def test_quadfield_norm_positive_definite():
     for u in range(-4, 5):
         for v in range(-4, 5):
             if (u, v) != (0, 0):
-                assert f.norm((u, v)) > 0
+                assert quad_norm(f, (u, v)) > 0
 
 
 def test_quadfield_mul_is_associative():
@@ -112,7 +120,7 @@ def test_minkowski_bound_in_integers_covers_the_float_bound():
     # + 1, and it is at most 1 above it (first above at |D| = 2075).
     for disc in list(range(-3, -101, -1)) + [-2075, -99995, -DISC_LIMIT]:
         if disc % 4 in (0, 1):
-            bound = QuadField(disc).minkowski_bound()
+            bound = minkowski_bound(QuadField(disc))
             floats = int(2 * math.sqrt(-disc) / math.pi) + 1
             assert floats <= bound <= floats + 1
 
@@ -193,8 +201,8 @@ def test_ideals_of_norm_match_the_lattice_enumeration():
     # Minkowski bound of every order down to -1000.
     for disc in _discs_to(-1000):
         f = QuadField(disc)
-        for n in range(1, f.minkowski_bound() + 1):
-            ideals = [Lattice([[a, 0], [b, d]]) for a, b, d in _ideals_of_norm(f, n)]
+        for n in range(1, minkowski_bound(f) + 1):
+            ideals = [Lattice([[a, 0], [b, d]]) for a, b, d in ideals_of_norm(f, n)]
             assert ideals == ideal_lattices_of_norm(f, n), (disc, n)
 
 
@@ -204,13 +212,13 @@ def test_norm_form_content_is_the_multiplier_ring_index():
     # canonical basis of its lattice.
     for disc in _discs_to(-1000):
         f = QuadField(disc)
-        for n in range(1, f.minkowski_bound() + 1):
-            for a, b, d in _ideals_of_norm(f, n):
+        for n in range(1, minkowski_bound(f) + 1):
+            for a, b, d in ideals_of_norm(f, n):
                 ideal = Lattice([[a, 0], [b, d]])
-                form = _norm_form(f, a, b, d)
+                form = norm_form(f, a, b, d)
                 assert math.gcd(*form) == ORDER.index_in(multiplier_ring(f, ideal)), (disc, a, b, d)
                 if math.gcd(*form) == 1:
-                    assert _reduce_form(*form) == class_key_by_lattice(f, ideal), (disc, a, b, d)
+                    assert reduce_form(*form) == class_key_by_lattice(f, ideal), (disc, a, b, d)
 
 
 def _proper_ideals(disc):
@@ -218,12 +226,12 @@ def _proper_ideals(disc):
     of each lattice, with their class keys."""
     f = QuadField(disc)
     ideals, keys = [], []
-    for n in range(1, f.minkowski_bound() + 1):
-        for a, b, d in _ideals_of_norm(f, n):
+    for n in range(1, minkowski_bound(f) + 1):
+        for a, b, d in ideals_of_norm(f, n):
             ideal = Lattice([[a, 0], [b, d]])
             if multiplier_ring(f, ideal) == ORDER:
                 ideals.append(ideal)
-                keys.append(_reduce_form(*_norm_form(f, a, b, d)))
+                keys.append(reduce_form(*norm_form(f, a, b, d)))
     return f, ideals, keys
 
 
@@ -251,13 +259,32 @@ def test_reduce_form_is_reduced_and_sl2_invariant():
     # Images of reduced forms under (x, y) -> (p·x + q·y, r·x + s·y) with
     # ps - qr = 1 reduce back to the same form.
     for a, b, c in [(1, 1, 6), (2, 1, 3), (2, -1, 3), (3, 1, 4), (2, 2, 3), (5, 5, 6)]:
-        assert _reduce_form(a, b, c) == (a, b, c)
+        assert reduce_form(a, b, c) == (a, b, c)
         for p_, q, r, s_ in [(1, 3, 0, 1), (2, 1, 1, 1), (0, -1, 1, 0), (5, 2, 7, 3), (-3, 4, 2, -3)]:
             assert p_ * s_ - q * r == 1
             a2 = a * p_ * p_ + b * p_ * r + c * r * r
             c2 = a * q * q + b * q * s_ + c * s_ * s_
             b2 = 2 * a * p_ * q + b * (p_ * s_ + q * r) + 2 * c * r * s_
-            assert _reduce_form(a2, b2, c2) == (a, b, c)
+            assert reduce_form(a2, b2, c2) == (a, b, c)
+
+
+def test_class_orbit_count_matches_the_ideal_search():
+    # The reduced forms give the count and the representatives, in order,
+    # of the search below the Minkowski bound, for every order down to
+    # -2000: the least norm in each class, then the least t.
+    for disc in _discs_to(-2000):
+        assert class_orbit_count(disc) == class_orbit_count_by_ideals(disc), disc
+
+
+@pytest.mark.parametrize("disc", [-47, -63, -71, -95, -99, -119])
+def test_representatives_are_pairwise_inequivalent(disc):
+    # No scaling x joins two representatives: a check independent of
+    # reduced forms.
+    f = QuadField(disc)
+    _, reps = class_orbit_count(disc)
+    for i, lat in enumerate(reps):
+        for other in reps[i + 1 :]:
+            assert not scaling_equivalent(f, lat, other), (disc, lat.basis, other.basis)
 
 
 def test_only_class_representatives_are_built_and_checked(monkeypatch):

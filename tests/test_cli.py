@@ -505,6 +505,27 @@ def test_bad_prime_exits_1_before_building(monkeypatch, capsys):
         assert "prime must be prime" in err
 
 
+MULTIPLICITY_ERROR = "error: orbit grouping implemented for multiplicity-free blocks only\n"
+
+
+@pytest.mark.parametrize("t, r, hw", [("A", "2", "1,1"), ("C", "2", "1,1"), ("B", "3", "0,1,0"), ("B", "4", "0,2,0,0")])
+def test_weight_multiplicity_exits_1_before_building(t, r, hw, monkeypatch, capsys):
+    # The weights of the irreducible are read off its highest weight, so a
+    # weight of multiplicity > 1 is refused without building it.
+    monkeypatch.setattr(reps, "build_irrep", lambda *a: pytest.fail("built a representation"))
+    argv = ["orbits", "--type", t, "--rank", r, "--hw", hw, "--p", "2"]
+    assert run(argv, capsys) == (1, "", MULTIPLICITY_ERROR)
+
+
+def test_weight_multiplicity_child_exits_1_within_a_second():
+    # B4 (0,1,1,0), of dimension 1,650 under the entry cap, took 13.5 s to
+    # build before it was refused.
+    start = time.perf_counter()
+    proc = run_child(["-m", "latmod.cli", "orbits", "--type", "B", "--rank", "4", "--hw", "0,1,1,0", "--p", "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", MULTIPLICITY_ERROR)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("hw", ["1,2", "-1"])
 def test_highest_weight_is_refused_by_one_check_before_building(hw, monkeypatch, tmp_path, capsys):
     # A weight of the wrong length or with a negative coordinate, given as

@@ -125,6 +125,33 @@ def test_weyl_dimension_reads_the_basis_it_is_given(monkeypatch):
     assert reps.weyl_dimension(cb, (0, 1, 0)) == 21
 
 
+def test_weight_set_is_the_weights_of_the_built_irreducible():
+    # The closure under downward root strings is the weight set of the
+    # irreducible on every highest weight with entries ≤ 2 and dimension
+    # ≤ 64 that the realization reaches, and it has Weyl-dimension many
+    # weights exactly when every block holds one vector.
+    built = free = 0
+    for t, ranks in sorted(SUPPORTED.items()):
+        for r in ranks:
+            cb = build_chevalley(t, r)
+            for psi in itertools.product(range(3), repeat=r):
+                if reps.weyl_dimension(cb, psi) > 64:
+                    continue
+                try:
+                    rep = build_irrep(cb, psi)
+                except RepError:
+                    continue
+                weights = reps.weight_set(cb, psi)
+                assert weights == set(rep.weights), (t, r, psi)
+                single = all(len(ix) == 1 for ix in rep.blocks.values())
+                assert (len(weights) == rep.dim) == single, (t, r, psi)
+                built += 1
+                free += single
+    assert (built, free) == (87, 39)
+    # A2 (1,1), the adjoint: 6 roots and one zero weight of multiplicity 2.
+    assert len(reps.weight_set(build_chevalley("A", 2), (1, 1))) == 7
+
+
 def test_irreducible_single_highest_weight(sweep_reps):
     for (t, r, hw), rep in sweep_reps.items():
         assert rep.highest_weights == (hw,)

@@ -11,7 +11,7 @@ COMMANDS maps each command to its handler and its required flags with
 their converters; every flag is converted before the handler runs, and
 the handler imports its pipeline when it runs.  Flags read as argparse
 read them: ``--flag value``, ``--flag=value``, a unique prefix of the
-name, the last of a repeated flag wins, a value may be negative.
+name, the last of a repeated flag wins, a value may be a negative number.
 
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
 flags or inputs, an input file nested past the recursion limit among
@@ -178,19 +178,18 @@ def _cmd_lattice_dist(args):
 
 
 def _cmd_sandwich(args):
-    from latmod.latconstruct import s_minus, s_plus, unit_edge
+    from latmod.latconstruct import s_minus, s_plus
     rep = _build_rep(args, lambda cb: 2, "%d lattices", "basis")
-    edge = unit_edge(rep, prime=args["p"])
-    lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    lo, hi = s_minus(rep, args["p"]), s_plus(rep, args["p"])
     return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": str(lo.index_in(hi))}
 
 
 def _cmd_orbits(args):
-    from latmod.latconstruct import count_invariant_orbits, unit_edge
+    from latmod.latconstruct import count_invariant_orbits
     # The admissible lattice of the Chevalley module is an invariant split
     # lattice with unit J, so a report has at least one class.
     rep = _build_rep(args, lambda cb: 1, "at least %d class", "basis", multiplicity_free=True)
-    return count_invariant_orbits(rep, unit_edge(rep, prime=args["p"]))
+    return count_invariant_orbits(rep, args["p"])
 
 
 def _spec_int(name, x):
@@ -269,6 +268,13 @@ def _match(word, flags):
     return hits[0]
 
 
+def _negative_number(word):
+    """Does argparse read word, "-" and what follows, as a negative
+    number: "-" then digits, or "-", optional digits, "." and digits?"""
+    whole, dot, frac = word[1:].partition(".")
+    return frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+
+
 def _flags(words, required):
     """Values of the flags in words, converted in order."""
     flags = dict(required, **_OPTIONAL)
@@ -285,7 +291,7 @@ def _flags(words, required):
             continue
         value = word.partition("=")[2] if explicit else next(words, "--")
         # As in argparse, a word starting with "-" is a flag unless it is "-" or a negative number.
-        if not explicit and value[:1] == "-" and value != "-" and not value[1:].isdigit():
+        if not explicit and value[:1] == "-" and value != "-" and not _negative_number(value):
             raise _Usage("--%s needs a value" % name)
         try:
             args[name] = flags[name](value)

@@ -1,17 +1,17 @@
 """Lattice constructions in a weight-adapted representation: the
-minimal/maximal sandwich lattices with prescribed highest-weight
+minimal/maximal sandwich lattices with the standard highest-weight
 components, built block by block down the weights, split hulls, the
 invariance filter, and orbit reports.
 
-Conventions: edge data assigns a nonzero scale to each simple raising and
-lowering generator and a full-rank lattice J_psi to every highest-weight
-block; s_minus is the smallest split lattice with those highest-weight
-components invariant under the scaled lowering generators, s_plus the
-largest one invariant under the scaled raising generators.  Over Z_(p)
-the sandwich [s_minus, s_plus] is finite and every generator-invariant
-split lattice with the same highest-weight components lives in it up to
-the torus action.  For a multiplicity-free representation such a lattice
-is one p-adic valuation per block, in the box between the valuations of
+Conventions: the ring is Z (p None) or Z_(p), G acts through its simple
+Chevalley generators x_(±a), and J_psi is the standard lattice of every
+highest-weight block; s_minus is the smallest split lattice with those
+highest-weight components invariant under the lowering generators, s_plus
+the largest one invariant under the raising generators.  Over Z_(p) the
+sandwich [s_minus, s_plus] is finite and every generator-invariant split
+lattice with the same highest-weight components lives in it up to the
+torus action.  For a multiplicity-free representation such a lattice is
+one p-adic valuation per block, in the box between the valuations of
 s_plus and s_minus, and invariance is a system of difference constraints
 on them; so the orbit report searches that box and counts the lattices
 of the sandwich by Birkhoff's formula, without listing them.
@@ -26,56 +26,18 @@ Lattice.valuations; the latter three run no Hermite form.
 from math import lcm
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import F, clear_denominators, identity, sparse_mat_vec
+from latmod.matrixops import identity, sparse_mat_vec
 from latmod.reps import REPORT_ENTRY_CAP, down_step, lattice_generators, weights_down
 
 
-class EdgeData:
-    """Scales for the simple generator lattices and highest-weight lattices.
-
-    l_plus[alpha] scales x_alpha, l_minus[alpha] scales x_{-alpha} (both
-    keyed by the simple root); j[psi] is a Lattice in the coordinates of
-    the (psi, psi) block.
-    """
-
-    __slots__ = ("prime", "l_plus", "l_minus", "j")
-
-    def __init__(self, rep, l_plus=None, l_minus=None, j=None, prime=None):
-        simple = rep.cb.rs.simple
-        lp = {a: F((l_plus or {}).get(a, 1)) for a in simple}
-        lm = {a: F((l_minus or {}).get(a, 1)) for a in simple}
-        if any(x == 0 for x in lp.values()) or any(x == 0 for x in lm.values()):
-            raise LatticeError("edge scales must be nonzero")
-        jj = {}
-        for psi in rep.distinct_highest_weights():
-            k = len(rep.block(psi, psi))
-            lat = (j or {}).get(psi)
-            if lat is None:
-                lat = Lattice(identity(k), prime)
-            if lat.ambient != k or lat.prime != prime:
-                raise LatticeError("J lattice has wrong ambient or ring")
-            jj[psi] = lat
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "l_plus", lp)
-        object.__setattr__(self, "l_minus", lm)
-        object.__setattr__(self, "j", jj)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EdgeData is immutable")
-
-
-def unit_edge(rep, prime=None):
-    return EdgeData(rep, prime=prime)
-
-
-def _block_lattices(rep, psi, top, sign, scales):
-    """Block lattices of the psi-component, walked down the weights: top
-    at psi, and at each lower chi the span of the images under
-    scales[a]·down_step a of the lattices at chi + a, taken on their
-    integer columns over the least common multiple d of their
-    denominators; down_step is an integer sparse matrix over
-    rep.denominator, which joins d in the denominator of the images."""
-    blocks = {psi: top}
+def _block_lattices(rep, psi, sign, p):
+    """Block lattices of the psi-component, walked down the weights: the
+    standard lattice at psi, and at each lower chi the span of the images
+    under down_step a of the lattices at chi + a, taken on their integer
+    columns over the least common multiple d of their denominators;
+    down_step is an integer sparse matrix over rep.denominator, which
+    joins d in the denominator of the images."""
+    blocks = {psi: Lattice(identity(len(rep.block(psi, psi))), p)}
     for chi, _ in weights_down(rep, psi)[1:]:
         above = []
         for a in rep.cb.rs.simple:
@@ -86,31 +48,32 @@ def _block_lattices(rep, psi, top, sign, scales):
         k = len(rep.block(psi, chi))
         gens = []
         for a, lat in above:
-            step, c = down_step(rep, psi, a, chi, sign), scales[a] * (d // lat.denominator)
+            step, c = down_step(rep, psi, a, chi, sign), d // lat.denominator
             gens.extend([c * x for x in sparse_mat_vec(step, col, k)] for col in lat.columns)
-        ints, e = clear_denominators(gens)
-        blocks[chi] = Lattice.from_integers(ints, e * d * rep.denominator, top.prime, k)
+        blocks[chi] = Lattice.from_integers(gens, d * rep.denominator, p, k)
     return blocks
 
 
-def s_minus(rep, edge):
-    """U⁻·J block by block: J_psi at each highest weight psi, and at each
-    lower chi the sum of the images under l_minus[a]·x_(-a) of the blocks
-    at chi + a."""
-    walks = [(psi, _block_lattices(rep, psi, j, -1, edge.l_minus)) for psi, j in edge.j.items()]
+def s_minus(rep, p=None):
+    """U⁻·J block by block, over Z (p None) or Z_(p): J_psi at each highest
+    weight psi, and at each lower chi the sum of the images under x_(-a)
+    of the blocks at chi + a."""
+    walks = [(psi, _block_lattices(rep, psi, -1, p)) for psi in rep.distinct_highest_weights()]
     return Lattice.from_blocks([(rep.block(psi, chi), lat) for psi, w in walks for chi, lat in w.items()], rep.dim)
 
 
-def s_plus(rep, edge):
-    """Largest lattice whose raising-word images project into each J_psi.
+def s_plus(rep, p=None):
+    """Largest lattice whose raising-word images project into each J_psi,
+    over Z (p None) or Z_(p).
 
     On the (psi, chi) block the constraints "pr_(psi),psi(u·x) in J_psi"
     over the raising words u of degree psi - chi ask x to pair integrally
     with u^T·J_psi^∨, so the block is the dual of the lattice those
-    transposed words span: the same walk as s_minus, from J_psi^∨ with the
-    transposed l_plus[a]·x_a, each block dualised.
+    transposed words span.  The standard J_psi is its own dual, so this is
+    the walk of s_minus from J_psi with the transposed x_a, each block
+    dualised.
     """
-    walks = [(psi, _block_lattices(rep, psi, j.dual(), +1, edge.l_plus)) for psi, j in edge.j.items()]
+    walks = [(psi, _block_lattices(rep, psi, +1, p)) for psi in rep.distinct_highest_weights()]
     return Lattice.from_blocks([(rep.block(psi, chi), lat.dual()) for psi, w in walks for chi, lat in w.items()], rep.dim)
 
 
@@ -203,9 +166,9 @@ def normalize_profile(rep, lat):
     return _profile(rep, lat, _shift_span(rep))
 
 
-def count_invariant_orbits(rep, edge):
-    """Orbit report between the sandwich lattices, read off the valuation
-    box.
+def count_invariant_orbits(rep, p):
+    """Orbit report between the sandwich lattices over Z_(p), read off the
+    valuation box.
 
     The representation must be multiplicity-free, so every (psi, chi)
     block is one basis vector e_i and a split lattice is ⊕ p^(v_i)·Z_(p)·e_i,
@@ -220,6 +183,16 @@ def count_invariant_orbits(rep, edge):
     S₋ and S₊ is the number of subgroups of S₊/S₋, which has type
     {v(S₋)_i - v(S₊)_i}; it comes from Birkhoff's formula (subgroup_count).
 
+    The box is never empty, as S₋ ⊆ S₊ (R. Steinberg, Lectures on
+    Chevalley Groups, §2).  Let v⁺ span J_psi (the (psi, psi) block is one
+    vector here), u a raising word and w a lowering word of the same
+    degree.  Kostant's Z-form U_Z is U_Z⁻·U_Z⁰·U_Z⁺; U_Z⁺ acts on v⁺
+    through its constant term and U_Z⁰ by integers, so U_Z·v⁺ = U_Z⁻·v⁺
+    and every x_a preserves M = U_Z⁻·v⁺.  Then u·w·v⁺ lies in M and has
+    weight psi, and the weight-psi part of M is Z·v⁺, so u·w·v⁺ = c·v⁺
+    with c in Z.  That is, every lowering image of J_psi projects into
+    J_psi under every raising word: S₋ ⊆ S₊, over Z and over every Z_(p).
+
     Returns a dict with the sandwich index, the number of intermediate
     lattices, the number of generator-invariant split lattices with the
     prescribed highest-weight components, the number of torus-orbit
@@ -231,15 +204,12 @@ def count_invariant_orbits(rep, edge):
     that many vectors and no representative is built.
     """
     _check_multiplicity_free(rep)
-    if edge.prime is None:
-        raise LatticeError("orbit enumeration requires a localized edge")
-    p = edge.prime
-    lo = s_minus(rep, edge)
-    hi = s_plus(rep, edge)
-    vlo, vhi = lo.valuations(), hi.valuations()
-    lam = [b - a for a, b in zip(vhi, vlo)]  # S₋ ⊆ S₊ iff lam ≥ 0; S₊/S₋ has type lam
+    if p is None:
+        raise LatticeError("orbit reports are defined over Z_(p), not over Z")
+    vlo, vhi = s_minus(rep, p).valuations(), s_plus(rep, p).valuations()
+    lam = [b - a for a, b in zip(vhi, vlo)]  # S₊/S₋ has type lam
     if min(lam) < 0:
-        raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
+        raise AssertionError("S₋ is not inside S₊")
     box = list(zip(vhi, vlo))
     span = _shift_span(rep)
     ix = [rep.block(psi, chi)[0] for psi, chi in _block_order(rep)]

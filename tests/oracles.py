@@ -1539,18 +1539,15 @@ def degrees_of_component(rep, psi):
     return sorted(out)
 
 
-def word_matrices(rep, degrees, sign, scales):
+def word_matrices(rep, degrees, sign):
     """The action matrix of each word of each degree, in order: x_(a_k)···
     x_(a_1) for the word (a_1, ..., a_k) of simple roots (x_(-a) when sign
-    < 0), times the product of scales[a_i]."""
+    < 0)."""
     action = dense_action(rep)
     gens = {a: action[a if sign > 0 else tuple(-x for x in a)] for a in rep.cb.rs.simple}
     words = (w for degree in degrees for w in words_of_degree(rep, degree))
-    for word, prod in word_products(gens, words):
-        c = Fraction(1)
-        for a in word:
-            c *= scales[a]
-        yield mat_scale(c, prod) if c != 1 else prod
+    for _, prod in word_products(gens, words):
+        yield prod
 
 
 def block_embed(rep, psi, block_vec):
@@ -1561,35 +1558,33 @@ def block_embed(rep, psi, block_vec):
     return tuple(v)
 
 
-def s_minus_by_words(rep, edge):
-    """Sum over psi of the lowering-word images of J_psi."""
+def s_minus_by_words(rep, p=None):
+    """Sum over psi of the lowering-word images of the standard J_psi."""
     gens = []
-    for psi, j in edge.j.items():
-        jvecs = [block_embed(rep, psi, col) for col in j.basis]
+    for psi in rep.distinct_highest_weights():
+        jvecs = [block_embed(rep, psi, col) for col in identity(len(rep.block(psi, psi)))]
         degrees = degrees_of_component(rep, psi)
-        for m in word_matrices(rep, degrees, -1, edge.l_minus):
+        for m in word_matrices(rep, degrees, -1):
             for v in jvecs:
                 img = mat_vec(m, v)
                 if any(img):
                     gens.append(img)
-    return Lattice(gens, edge.prime, ambient=rep.dim)
+    return Lattice(gens, p, ambient=rep.dim)
 
 
-def s_plus_by_words(rep, edge):
-    """Largest lattice whose raising-word images project into each J_psi:
-    the dual of the lattice spanned by the rows of B_J^-1 times the
-    (psi, psi) rows of every raising word."""
+def s_plus_by_words(rep, p=None):
+    """Largest lattice whose raising-word images project into each
+    standard J_psi: the dual of the lattice spanned by the (psi, psi) rows
+    of every raising word."""
     rows = []
-    for psi, j in edge.j.items():
+    for psi in rep.distinct_highest_weights():
         ix = rep.block(psi, psi)
-        binv = mat_inv_by_echelon(j.basis_matrix())
         degrees = degrees_of_component(rep, psi)
-        for m in word_matrices(rep, degrees, +1, edge.l_plus):
-            block_rows = tuple(m[i] for i in ix)
-            for row in mat_mul(binv, block_rows):
+        for m in word_matrices(rep, degrees, +1):
+            for row in (m[i] for i in ix):
                 if any(row):
                     rows.append(row)
-    return Lattice(rows, edge.prime, ambient=rep.dim).dual()
+    return Lattice(rows, p, ambient=rep.dim).dual()
 
 
 def transition_by_words(rep, psi, chi, sign):
@@ -1619,17 +1614,15 @@ def transition_by_words(rep, psi, chi, sign):
 # -----------------------------------------------------------------------
 
 
-def count_invariant_orbits_by_enumeration(rep, edge):
+def count_invariant_orbits_by_enumeration(rep, p):
     """The orbit report of count_invariant_orbits from enumerate_between:
     every intermediate lattice, kept when it is stable under every lattice
     generator, split and has the J components; one class per profile
     modulo the torus shifts, represented by the smallest canonical basis."""
-    if edge.prime is None:
-        raise LatticeError("orbit enumeration requires a localized edge")
-    lo = s_minus(rep, edge)
-    hi = s_plus(rep, edge)
-    if not hi.contains(lo):
-        raise LatticeError("sandwich is empty: S₋ is not inside S₊ for these edge scales")
+    if p is None:
+        raise LatticeError("orbit reports are defined over Z_(p), not over Z")
+    lo = s_minus(rep, p)
+    hi = s_plus(rep, p)
     sandwich_index = lo.index_in(hi)
     mids = enumerate_between(lo, hi)
     gens = reps.lattice_generators(rep)
@@ -1639,7 +1632,7 @@ def count_invariant_orbits_by_enumeration(rep, edge):
             continue
         if not is_split(rep, m):
             continue
-        if not has_j_components(rep, edge, m):
+        if not has_j_components(rep, m):
             continue
         invariant.append(m)
     orbits = {}
@@ -1781,12 +1774,13 @@ def structure_constant(cb, alpha, beta):
     return cb.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), 0)
 
 
-def has_j_components(rep, edge, lat):
-    """Is J_psi the psi block of lat at every highest weight psi?"""
-    for psi, j in edge.j.items():
+def has_j_components(rep, lat):
+    """Is the standard lattice J_psi the psi block of lat at every highest
+    weight psi?"""
+    for psi in rep.distinct_highest_weights():
         ix = rep.block(psi, psi)
         gens = [[col[i] for i in ix] for col in lat.columns]
-        if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != j:
+        if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != Lattice(identity(len(ix)), lat.prime):
             return False
     return True
 

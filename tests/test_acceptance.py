@@ -17,7 +17,6 @@ from latmod.latconstruct import (
     normalize_profile,
     s_minus,
     s_plus,
-    unit_edge,
 )
 from latmod.matrixops import bracket, mat_inv, mat_mul, mat_vec
 from latmod.models import lie_invariants, lie_model
@@ -138,20 +137,19 @@ def test_criterion_4_sandwich_suite():
         for label, rank, hw in SWEEP:
             cb = build_chevalley(label, rank)
             rep = build_irrep(cb, hw)
-            edge = unit_edge(rep, prime=2)
-            lo = s_minus(rep, edge)
-            hi = s_plus(rep, edge)
+            lo = s_minus(rep, 2)
+            hi = s_plus(rep, 2)
             assert hi.contains(lo)
             assert is_split(rep, lo) and is_split(rep, hi)
-            assert has_j_components(rep, edge, lo)
-            assert has_j_components(rep, edge, hi)
+            assert has_j_components(rep, lo)
+            assert has_j_components(rep, hi)
             if lo.index_in(hi) > 2**12:
                 continue
             action = dense_action(rep)
             lowering = [action[tuple(-x for x in a)] for a in cb.rs.simple]
             raising = [action[a] for a in cb.rs.simple]
             for m in enumerate_between(lo, hi):
-                if not (is_split(rep, m) and has_j_components(rep, edge, m)):
+                if not (is_split(rep, m) and has_j_components(rep, m)):
                     continue
                 if all(
                     not any(mat_vec(g, col)) or m.member(mat_vec(g, col))
@@ -180,7 +178,7 @@ def test_criterion_5_orbit_finiteness():
         }
         for (n, p), (idx, inv, orb) in sorted(frozen.items()):
             rep = sym2 if n == 2 else sym3
-            report = count_invariant_orbits(rep, unit_edge(rep, prime=p))
+            report = count_invariant_orbits(rep, p)
             got = (report["sandwich_index"], report["invariant"], report["orbits"])
             assert got == (idx, inv, orb)
         # The two index-2-apart diagonal lattices are both invariant and
@@ -188,7 +186,7 @@ def test_criterion_5_orbit_finiteness():
         lam = Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]], prime=2)
         lam2 = Lattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]], prime=2)
         assert is_invariant(sym2, lam) and is_invariant(sym2, lam2)
-        report = count_invariant_orbits(sym2, unit_edge(sym2, prime=2))
+        report = count_invariant_orbits(sym2, 2)
         invs = {
             normalize_profile(sym2, Lattice.from_json_obj(o))[1]
             for o in report["representatives"]

@@ -19,7 +19,7 @@ import latmod
 from latmod import cli, kernels, latconstruct, reps
 from latmod.cli import main
 from latmod.exact import Lattice
-from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus, unit_edge
+from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley
 from oracles import has_j_components
@@ -236,11 +236,21 @@ def test_orbits_past_the_former_enumeration_cap(capsys):
     counts = (obj["sandwich_index"], obj["total_between"], obj["invariant"], obj["orbits"])
     assert counts == (4782969, 309701016, 16, 16)
     rep = build_irrep(build_chevalley("A", 1), (6,))
-    edge = unit_edge(rep, prime=3)
-    lo, hi = s_minus(rep, edge), s_plus(rep, edge)
+    lo, hi = s_minus(rep, 3), s_plus(rep, 3)
     for m in map(Lattice.from_json_obj, obj["representatives"]):
-        assert is_invariant(rep, m) and is_split(rep, m) and has_j_components(rep, edge, m)
+        assert is_invariant(rep, m) and is_split(rep, m) and has_j_components(rep, m)
         assert m.contains(lo) and hi.contains(m)
+
+
+def test_orbits_exits_2_when_s_minus_is_not_inside_s_plus(monkeypatch, capsys):
+    # S₋ ⊆ S₊ is proved in count_invariant_orbits' docstring, so a
+    # violation is an internal fault (exit 2), not a validation error.
+    def shrunk(rep, p=None):
+        return Lattice.diagonal([v + 1 for v in s_minus(rep, p).valuations()], p)
+
+    monkeypatch.setattr(latconstruct, "s_plus", shrunk)
+    code, out, err = run(["orbits", "--type", "A", "--rank", "1", "--hw", "2", "--p", "2"], capsys)
+    assert (code, out, err) == (2, "", "internal assertion failure: S₋ is not inside S₊\n")
 
 
 # Sandwiches and orbit reports past the golden set (sandwiches up to
@@ -978,6 +988,27 @@ def test_flag_forms_read_as_argparse_read_them(tmp_path, capsys):
     code, out, _ = run(["case", "classgroup", "--pretty", "--out", str(dest), "--disc", "-4"], capsys)
     assert code == 0 and out == ""
     assert "orbit_count" in dest.read_text()
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("-5", "error: expected a negative discriminant = 0,1 mod 4\n"),
+        ("-1.5", "error: argument --disc: invalid literal for int() with base 10: '-1.5'\n"),
+        ("-.5", "error: argument --disc: invalid literal for int() with base 10: '-.5'\n"),
+        ("-1e3", "error: --disc needs a value\n"),
+        ("-1,2", "error: --disc needs a value\n"),
+    ],
+    ids=["-5", "-1.5", "-.5", "-1e3", "-1,2"],
+)
+def test_negative_numbers_read_as_argparse_reads_them(value, error, capsys):
+    # argparse takes a word for a negative number, and so for a value, when
+    # it is "-" and digits, or "-", optional digits, "." and digits; any
+    # other word starting with "-" is a flag, so the flag before it has no
+    # value.
+    code, out, err = run(["case", "classgroup", "--disc", value], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith(error) and err.count("error: ") == 1
 
 
 def test_help_names_every_command_and_flag(capsys):

@@ -259,10 +259,15 @@ def _usage(path):
     return "\n".join(lines)
 
 
+def _named(word, flags):
+    """The flags that word names in full or by a prefix."""
+    name = word[2:].partition("=")[0] if word[:2] == "--" else "help" if word == "-h" else ""
+    return [name] if name in flags else [f for f in flags if name and f.startswith(name)]
+
+
 def _match(word, flags):
     """The flag that word names in full or by a unique prefix."""
-    name = word[2:].partition("=")[0] if word[:2] == "--" else "help" if word == "-h" else ""
-    hits = [name] if name in flags else [f for f in flags if name and f.startswith(name)]
+    hits = _named(word, flags)
     if len(hits) != 1:
         raise _Usage("%s: %s" % ("ambiguous flag" if hits else "unrecognized argument", word))
     return hits[0]
@@ -290,9 +295,12 @@ def _flags(words, required):
             args[name] = True
             continue
         value = word.partition("=")[2] if explicit else next(words, "--")
-        # As in argparse, a word starting with "-" is a flag unless it is "-" or a negative number.
-        if not explicit and value[:1] == "-" and value != "-" and not _negative_number(value):
-            raise _Usage("--%s needs a value" % name)
+        # In the order of argparse's _parse_optional, a word starting with "-" other than "-" is a flag
+        # when it names one ("-h" and anything after it too), else a value only when it is a negative
+        # number or holds a space.
+        if not explicit and value[:1] == "-" and value != "-":
+            if value[:2] == "-h" or _named(value, flags) or not (_negative_number(value) or " " in value):
+                raise _Usage("--%s needs a value" % name)
         try:
             args[name] = flags[name](value)
         except ValueError as e:

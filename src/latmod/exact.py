@@ -304,7 +304,8 @@ class Lattice:
         cols, rows = self.columns, range(self.ambient)
         pv = self._pivot_product()
         out = [hermite_coords([pv * self.denominator * x for x in w], cols, rows) for w in ints]
-        assert None not in out, "adj C of an integral C is integral"
+        if None in out:
+            raise AssertionError("adj C of an integral C is integral")
         return out, pv * e
 
     def scale(self, c):
@@ -336,7 +337,8 @@ class Lattice:
         n = self.ambient
         q = ratio(self._pivot_product() * sup.denominator**n, sup._pivot_product() * self.denominator**n)
         if self.prime is None:
-            assert q.denominator == 1
+            if q.denominator != 1:
+                raise AssertionError("the index of a sublattice is an integer")
             return q
         return self.prime ** vp(q, self.prime)
 
@@ -548,13 +550,15 @@ def enumerate_between(low, high):
         raise LatticeError("quotient order %d exceeds cap %d" % (order, ENUM_ORDER_CAP))
     out = []
     for cols in _subgroup_hnfs(h):
-        assert all(hermite_coords(h[j], cols, range(n)) is not None for j in range(n))
+        if any(hermite_coords(h[j], cols, range(n)) is None for j in range(n)):
+            raise AssertionError("a Hermite parameter does not contain the lower lattice")
         gens = [
             [sum(c[k] * basis[k][r] for k in range(k0, n)) for r in range(n)]
             for k0, c in enumerate(cols)
         ]
         out.append(Lattice.from_integers(gens, denom, p, n))
-    assert len(set(out)) == len(out), "Hermite parametrization must be injective"
+    if len(set(out)) != len(out):
+        raise AssertionError("Hermite parametrization must be injective")
     return out
 
 

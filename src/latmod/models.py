@@ -26,7 +26,6 @@ transform gives an explicit integral certificate for every positive
 answer.
 """
 
-from functools import lru_cache
 from itertools import chain
 from math import comb, gcd, prod
 
@@ -118,14 +117,10 @@ def lie_model(rep, lat):
     return LieLattice(rep.cb, transporter(gens, lat, lat.scale(rep.denominator)))
 
 
-@lru_cache(maxsize=None)
 def killing_gram(cb):
     """Gram matrix of the Killing form on the Chevalley coordinate basis,
     read off the bracket table T: column k of ad(b_i) is [b_i, b_k] = T[i][k],
     so tr ad(b_i)·ad(b_j) = Σ_k Σ_l T[i][k]_l·T[j][l]_k.
-
-    Cached per basis object; the cache holds the basis, so no later basis
-    can take over its entry.
     """
     t = cb.bracket_table
     return tuple(
@@ -231,23 +226,17 @@ class HopfOrderGenerators:
 
 def _sym2_symbolic():
     """The symmetric-square action matrix with polynomial entries, in the
-    monomial basis e1^2, e1e2, e2^2."""
-
-    def v(i):
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return {tuple(e): 1}
-
-    a, b, c, d = v(0), v(1), v(2), v(3)
-    two = {(0, 0, 0, 0): 2}
-    return (
-        (poly_mul(a, a), poly_mul(a, b), poly_mul(b, b)),
-        (
-            poly_mul(two, poly_mul(a, c)),
-            poly_add(poly_mul(a, d), poly_mul(b, c)),
-            poly_mul(two, poly_mul(b, d)),
-        ),
-        (poly_mul(c, c), poly_mul(c, d), poly_mul(d, d)),
+    monomial basis e1^2, e1e2, e2^2.  Column j is the image of
+    e1^(n−j)·e2^j, (x11·e1 + x21·e2)^(n−j)·(x12·e1 + x22·e2)^j with n = 2,
+    so entry (i, j) is the sum over a + b = i of
+    C(n−j, a)·C(j, b)·x11^(n−j−a)·x12^(j−b)·x21^a·x22^b."""
+    n = 2
+    return tuple(
+        tuple(
+            {(n - j - a, j - i + a, a, i - a): c for a in range(i + 1) if (c := comb(n - j, a) * comb(j, i - a))}
+            for j in range(n + 1)
+        )
+        for i in range(n + 1)
     )
 
 
@@ -387,36 +376,22 @@ def order_equal_bounded(g1, g2, degree_bound, p):
     negatives are bounded: a generator outside the Z_(p)-span of the
     products up to degree_bound may be inside it at a higher bound.
     """
-    report = {"status": "equal", "certificates": [], "witness": None}
+    certificates = []
     for left, right, direction in ((g1, g2, "1in2"), (g2, g1, "2in1")):
         echelon = _product_echelon(_monomial_products(right.generators, degree_bound))
         for gi, gen in enumerate(left.generators):
             status, data = _tracked_membership(echelon, gen, p)
-            if status == "member":
-                report["certificates"].append(
-                    {
-                        "direction": direction,
-                        "generator": gi,
-                        "target": poly_str(gen),
-                        "combination": [
-                            {"coeff": str(c), "word": list(w)} for c, w in data
-                        ],
-                    }
-                )
-            elif status == "excluded":
+            if status != "member":
+                witness = {"direction": direction, "generator": gi}
+                if status == "excluded":
+                    witness["coefficient"] = str(data)
                 return {
-                    "status": "not_shown",
+                    "status": "not_shown" if status == "excluded" else "undecided",
                     "certificates": [],
-                    "witness": {
-                        "direction": direction,
-                        "generator": gi,
-                        "coefficient": str(data),
-                    },
+                    "witness": witness,
                 }
-            else:
-                return {
-                    "status": "undecided",
-                    "certificates": [],
-                    "witness": {"direction": direction, "generator": gi},
-                }
-    return report
+            combination = [{"coeff": str(c), "word": list(w)} for c, w in data]
+            certificates.append(
+                {"direction": direction, "generator": gi, "target": poly_str(gen), "combination": combination}
+            )
+    return {"status": "equal", "certificates": certificates, "witness": None}

@@ -59,7 +59,9 @@ positions of each weight, as `ChevalleyBasis._root_spaces` solved for
 them before it wrote them down in closed form, and the direct sum of
 block lattices by a Hermite pass over the whole space, as
 `latconstruct._from_blocks` assembled S₋ and S₊ before
-`Lattice.from_blocks` placed their canonical blocks as they stand.
+`Lattice.from_blocks` placed their canonical blocks as they stand,
+and the symbolic Sym²(g) of `models._sym2_symbolic` as products and sums
+of the coordinate polynomials, as before the binomial closed form.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -981,6 +983,30 @@ def poly_reduce_det_by_rewriting(a):
         else:
             out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def sym2_symbolic_by_products():
+    """The symmetric-square action matrix with polynomial entries, in the
+    monomial basis e1^2, e1e2, e2^2, from products and sums of the group
+    coordinates written out entry by entry."""
+
+    def v(i):
+        e = [0, 0, 0, 0]
+        e[i] = 1
+        return {tuple(e): 1}
+
+    a, b, c, d = v(0), v(1), v(2), v(3)
+    two = {(0, 0, 0, 0): 2}
+    poly_mul, poly_add = models.poly_mul, models.poly_add
+    return (
+        (poly_mul(a, a), poly_mul(a, b), poly_mul(b, b)),
+        (
+            poly_mul(two, poly_mul(a, c)),
+            poly_add(poly_mul(a, d), poly_mul(b, c)),
+            poly_mul(two, poly_mul(b, d)),
+        ),
+        (poly_mul(c, c), poly_mul(c, d), poly_mul(d, d)),
+    )
 
 
 def monomial_products_by_discarding(gens, degree_bound):

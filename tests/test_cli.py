@@ -998,14 +998,21 @@ def test_flag_forms_read_as_argparse_read_them(tmp_path, capsys):
         ("-.5", "error: argument --disc: invalid literal for int() with base 10: '-.5'\n"),
         ("-1e3", "error: --disc needs a value\n"),
         ("-1,2", "error: --disc needs a value\n"),
+        ("-1 2", "error: argument --disc: invalid literal for int() with base 10: '-1 2'\n"),
+        ("-x y", "error: argument --disc: invalid literal for int() with base 10: '-x y'\n"),
+        ("--pre tty", "error: argument --disc: invalid literal for int() with base 10: '--pre tty'\n"),
+        ("--out=x y", "error: --disc needs a value\n"),
+        ("-h x", "error: --disc needs a value\n"),
     ],
-    ids=["-5", "-1.5", "-.5", "-1e3", "-1,2"],
+    ids=["-5", "-1.5", "-.5", "-1e3", "-1,2", "-1 2", "-x y", "--pre tty", "--out=x y", "-h x"],
 )
 def test_negative_numbers_read_as_argparse_reads_them(value, error, capsys):
-    # argparse takes a word for a negative number, and so for a value, when
-    # it is "-" and digits, or "-", optional digits, "." and digits; any
-    # other word starting with "-" is a flag, so the flag before it has no
-    # value.
+    # argparse reads a word starting with "-" as a flag when it names one
+    # (in full, with "=" and a value, by a unique "--" prefix, or "-h" and
+    # anything after it), and otherwise as a value when it is a negative
+    # number ("-" and digits, or "-", optional digits, "." and digits) or
+    # holds a space; any other such word is a flag, so the flag before it
+    # has no value.
     code, out, err = run(["case", "classgroup", "--disc", value], capsys)
     assert (code, out) == (1, "")
     assert err.endswith(error) and err.count("error: ") == 1

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmod.exact import Lattice, distance, snf, transporter, vp
-from latmod.matrixops import bracket, mat_inv, mat_mul, mat_vec
+from latmod.matrixops import bracket, dense, mat_inv, mat_mul, mat_vec
 from latmod.models import (
     HopfOrderGenerators,
     LieLattice,
@@ -37,6 +38,7 @@ from oracles import (
     monomial_products_by_discarding,
     poly_reduce_det_by_rewriting,
     product_echelon_by_fractions,
+    sym2_symbolic_by_products,
     tracked_membership_by_fractions,
 )
 
@@ -306,6 +308,32 @@ def test_killing_gram_cache_does_not_alias_freed_bases():
 
 
 # -- Hopf generators -------------------------------------------------------
+
+
+def test_sym2_closed_form_matches_the_products():
+    assert models._sym2_symbolic() == sym2_symbolic_by_products()
+
+
+def test_sym2_derivative_at_the_identity_is_the_lie_action(a1):
+    # case pgl2 takes its group matrices from _sym2_symbolic and its Lie
+    # action from build_irrep, in one basis e1², e1e2, e2²: the derivative
+    # of Sym²(g) at g = 1 along x12, x21 and x11 − x22 is the action of
+    # x_α, x_−α and h_α.
+    _, _, sym2 = a1
+    point = (1, 0, 0, 1)
+
+    def derivative(poly, direction):
+        return sum(
+            c * e[v] * direction[v] * prod(x ** (k - (w == v)) for w, (x, k) in enumerate(zip(point, e)))
+            for e, c in poly.items()
+            for v in range(4)
+            if e[v]
+        )
+
+    s = models._sym2_symbolic()
+    for key, direction in (((2,), (0, 1, 0, 0)), ((-2,), (0, 0, 1, 0)), (("h", 0), (1, 0, 0, -1))):
+        action = [[Fraction(x, sym2.denominator) for x in row] for row in dense(sym2.action[key], 3)]
+        assert [[derivative(f, direction) for f in row] for row in s] == action, key
 
 
 def test_hopf_generators_unit_lattice(a1):

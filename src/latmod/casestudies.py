@@ -14,7 +14,6 @@
    with valuation divisible by 3.
 """
 
-import itertools
 import math
 
 from latmod.exact import Lattice, transporter, vp
@@ -151,16 +150,7 @@ def pgl2_sym2_report():
     2, the cube-valuation purity obstruction separating the orbits, and
     matching Lie-lattice invariants."""
     # Imported here, so a class-group request imports only its pipeline.
-    from latmod.models import (
-        _sym2_symbolic,
-        hopf_generators,
-        lie_invariants,
-        lie_model,
-        order_equal_bounded,
-        poly_add,
-        poly_mul,
-        poly_str,
-    )
+    from latmod.models import hopf_generators, lie_invariants, lie_model, order_equal_bounded, poly_str, sym_det_defect
     from latmod.reps import build_irrep
     from latmod.rootdata import build_chevalley
 
@@ -195,19 +185,9 @@ def pgl2_sym2_report():
     # GL₂(Q₂), and c·Sym²(M') = c·Sym²(g)·Sym²(M), so the index between
     # the two has the 2-adic valuation of det(c·Sym²(g)) = c³·det Sym²(g).
     # det Sym²(g) = det(g)³ as a polynomial identity in the entries of g,
-    # checked below, so that valuation is 3·v(c·det g) ≡ 0 (mod 3) for
+    # checked by sym_det_defect, so that valuation is 3·v(c·det g) ≡ 0 (mod 3) for
     # every g and c; the observed index 2 has valuation 1.
-    s = _sym2_symbolic()
-    det_s = {}
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-        term = {(0, 0, 0, 0): (-1) ** inversions}
-        for i, j in enumerate(perm):
-            term = poly_mul(term, s[i][j])
-        det_s = poly_add(det_s, term)
-    det_g = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}
-    cube = poly_mul(det_g, poly_mul(det_g, det_g))
-    diff = poly_add(det_s, {e: -c for e, c in cube.items()})
+    diff = sym_det_defect(2)
     witness = poly_str(diff) if diff else None
     obstruction = not diff and (vp(idx, 2) % 3 != 0)
     record(

@@ -1,32 +1,34 @@
 """Computable shadows of an integral model attached to a lattice: the Lie
 lattice {X in g : X·Lambda ⊆ Lambda}, its basis-change invariants, and
-bounded-degree Hopf-order generators for the rank-1 adjoint case.
+bounded-degree Hopf-order generators for A1 (n) acting on Sym^n, over Z
+or Z_(p).
 
 The brackets of a Lie lattice's basis and the Killing form are read off
 the integer bracket table of the Chevalley basis, so they stay integral
 and no matrix of ad is built; the invariants are Smith forms of those
 integers, each divisor written over their one denominator.
 
-Hopf orders are handled through explicit matrix-coefficient polynomials in
-the group coordinates, each kept in one normal form modulo the
-determinant relation x11·x22 = 1 + x12·x21: the polynomial with no
-monomial divisible by x11·x22 (poly_reduce_det, in closed form).  The
-degree of a normal form is additive on products.  Replacing x11·x22 by
-1 + x12·x21 keeps the top-degree part of a polynomial modulo
-q = x11·x22 − x12·x21, so the top-degree part of NF(f·g) is the normal
-form modulo q of f_d·g_e, the product of the top-degree parts.  The
-normal-form monomials are a basis of Q[x]/(q) too, so f_d and g_e are
-nonzero there; q is irreducible (a nondegenerate quadratic form in four
-variables), so Q[x]/(q) is an integral domain, f_d·g_e is nonzero modulo
-q, and deg NF(f·g) = deg f + deg g.  So the generator products within a
-degree bound are known from the generators' degrees before any is built.
-Equality of two orders is decided up to a degree bound on one integer
-Hermite basis of those products in the normal-form monomials, whose
-transform gives an explicit integral certificate for every positive
-answer.
+Hopf orders are handled through explicit matrix-coefficient polynomials
+in the coordinates x11, x12, x21, x22 of SL2 (it acts on Sym^n
+faithfully for odd n; its image is PGL2 only for even n), each kept in
+one normal form modulo the determinant relation x11·x22 = 1 + x12·x21:
+the polynomial with no monomial divisible by x11·x22 (poly_reduce_det,
+in closed form).  The degree of a normal form is additive on products.
+Replacing x11·x22 by 1 + x12·x21 keeps the top-degree part of a
+polynomial modulo q = x11·x22 − x12·x21, so the top-degree part of
+NF(f·g) is the normal form modulo q of f_d·g_e, the product of the
+top-degree parts.  The normal-form monomials are a basis of Q[x]/(q)
+too, so f_d and g_e are nonzero there; q is irreducible (a nondegenerate
+quadratic form in four variables), so Q[x]/(q) is an integral domain,
+f_d·g_e is nonzero modulo q, and deg NF(f·g) = deg f + deg g.  So the
+generator products within a degree bound are known from the generators'
+degrees before any is built.  Equality of two orders is decided up to a
+degree bound on one integer Hermite basis of those products in the
+normal-form monomials, whose transform gives an explicit integral
+certificate for every positive answer.
 """
 
-from itertools import chain
+from itertools import chain, permutations
 from math import comb, gcd, prod
 
 from latmod.exact import transporter
@@ -159,7 +161,7 @@ def _divisors(rows, den):
 # Polynomials in the group coordinates
 # -----------------------------------------------------------------------
 
-PGL2_VARS = ("x11", "x12", "x21", "x22")
+SL2_VARS = ("x11", "x12", "x21", "x22")
 
 
 def poly_mul(a, b):
@@ -199,7 +201,7 @@ def poly_str(a):
         c = a[e]
         mono = "*".join(
             v if k == 1 else "%s^%d" % (v, k)
-            for v, k in zip(PGL2_VARS, e)
+            for v, k in zip(SL2_VARS, e)
             if k
         )
         if not mono:
@@ -211,26 +213,11 @@ def poly_str(a):
     return " + ".join(terms) if terms else "0"
 
 
-class HopfOrderGenerators:
-    """Matrix-coefficient polynomials generating an order, each kept in
-    the normal form of poly_reduce_det."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators):
-        object.__setattr__(self, "generators", tuple(poly_reduce_det(g) for g in generators))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-
-def _sym2_symbolic():
-    """The symmetric-square action matrix with polynomial entries, in the
-    monomial basis e1^2, e1e2, e2^2.  Column j is the image of
-    e1^(n−j)·e2^j, (x11·e1 + x21·e2)^(n−j)·(x12·e1 + x22·e2)^j with n = 2,
-    so entry (i, j) is the sum over a + b = i of
-    C(n−j, a)·C(j, b)·x11^(n−j−a)·x12^(j−b)·x21^a·x22^b."""
-    n = 2
+def _sym_symbolic(n):
+    """The action matrix of Sym^n(g) with polynomial entries, in the
+    monomial basis e_j = e1^(n−j)·e2^j.  Column j is the image of e_j,
+    (x11·e1 + x21·e2)^(n−j)·(x12·e1 + x22·e2)^j, so entry (i, j) is the
+    sum over a + b = i of C(n−j, a)·C(j, b)·x11^(n−j−a)·x12^(j−b)·x21^a·x22^b."""
     return tuple(
         tuple(
             {(n - j - a, j - i + a, a, i - a): c for a in range(i + 1) if (c := comb(n - j, a) * comb(j, i - a))}
@@ -240,35 +227,63 @@ def _sym2_symbolic():
     )
 
 
-def hopf_generators(rep, lat):
-    """Matrix coefficients of the symmetric-square action in a lattice
-    basis, as reduced polynomials in the group coordinates.
+def sym_det_defect(n):
+    """det Sym^n(g) − det(g)^(n(n+1)/2), expanded over the permutations of
+    the rows of the symbolic Sym^n(g); {} when the identity holds."""
+    s = _sym_symbolic(n)
+    out = {(0, 0, 0, 0): -1}
+    for _ in range(n * (n + 1) // 2):
+        out = poly_mul(out, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    for perm in permutations(range(n + 1)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = {(0, 0, 0, 0): (-1) ** inversions}
+        for i, j in enumerate(perm):
+            term = poly_mul(term, s[i][j])
+        out = poly_add(out, term)
+    return out
 
-    Entry (i, j) of B⁻¹·Sym²(g)·B is Σ_kl B⁻¹[i][k]·B[l][j]·s[k][l]; its
+
+def hopf_generators(rep, lat):
+    """Matrix coefficients of Sym^n(g), n = rep.dim − 1, in a lattice
+    basis over Z or Z_(p), as polynomials in normal form in the
+    coordinates of SL2.
+
+    rep must be A1 (n), n ≥ 1, acting on the monomial basis
+    e_j = e1^(n−j)·e2^j of Sym^n, where the derivative of Sym^n(g) at 1
+    is x_α·e_j = j·e_(j−1), x_−α·e_j = (n−j)·e_(j+1), h·e_j = (n−2j)·e_j:
+    its action must be exactly that, over rep.denominator.  A1 (0) is not
+    faithful, and any other action is not the Sym^n(g) taken here.
+
+    Entry (i, j) of B⁻¹·Sym^n(g)·B is Σ_kl B⁻¹[i][k]·B[l][j]·s[k][l]; its
     coefficients are summed over the integers inv and the integer columns
     of B, and each is divided once by their denominators, so an integral
     generator (both paper lattices) makes no Fraction."""
-    cb = rep.cb
-    if cb.rs.type_label != "A" or cb.rs.rank != 1 or rep.dim != 3:
+    n, d, dims = rep.dim - 1, rep.denominator, range(rep.dim)
+    lie = {
+        (2,): {(j - 1, j): j * d for j in dims if j},
+        (-2,): {(j + 1, j): (n - j) * d for j in dims if j < n},
+        ("h", 0): {(j, j): (n - 2 * j) * d for j in dims if n != 2 * j},
+    }
+    rs = rep.cb.rs
+    if rs.type_label != "A" or rs.rank != 1 or n < 1 or rep.action != lie:
         raise ModelError("unsupported group presentation")
-    if lat.ambient != 3 or lat.prime is not None:
-        raise ModelError("expected a global lattice in the 3-dimensional space")
-    s = _sym2_symbolic()
+    check_ambient(lat, rep.dim)
+    s = _sym_symbolic(n)
     # B⁻¹[i][k] = inv[k][i] / den: column k of B⁻¹ is the coordinates of e_k.
-    inv, den = lat.coordinates([[int(i == k) for i in range(3)] for k in range(3)], 1)
+    inv, den = lat.coordinates([[int(i == k) for i in dims] for k in dims], 1)
     scale = den * lat.denominator
     gens = []
-    for i in range(3):
+    for i in dims:
         for col in lat.columns:
             entry = {}
-            for k in range(3):
-                for l in range(3):
+            for k in dims:
+                for l in dims:
                     c = inv[k][i] * col[l]
                     if c:
                         for e, x in s[k][l].items():
                             entry[e] = entry.get(e, 0) + c * x
-            gens.append({e: ratio(x, scale) for e, x in entry.items() if x})
-    return HopfOrderGenerators(gens)
+            gens.append(poly_reduce_det({e: ratio(x, scale) for e, x in entry.items() if x}))
+    return gens
 
 
 # -----------------------------------------------------------------------
@@ -368,7 +383,9 @@ def _tracked_membership(echelon, target, p):
 
 
 def order_equal_bounded(g1, g2, degree_bound, p):
-    """Tri-state bounded-degree equality of two orders.
+    """Tri-state bounded-degree equality of the orders generated by two
+    lists of polynomials in the coordinates of SL2, each first put in
+    normal form.
 
     Returns a dict: status "equal" (with mutual certificates), "not_shown"
     (with a p-adic valuation witness), or "undecided" (a generator escapes
@@ -376,10 +393,11 @@ def order_equal_bounded(g1, g2, degree_bound, p):
     negatives are bounded: a generator outside the Z_(p)-span of the
     products up to degree_bound may be inside it at a higher bound.
     """
+    g1, g2 = [poly_reduce_det(g) for g in g1], [poly_reduce_det(g) for g in g2]
     certificates = []
     for left, right, direction in ((g1, g2, "1in2"), (g2, g1, "2in1")):
-        echelon = _product_echelon(_monomial_products(right.generators, degree_bound))
-        for gi, gen in enumerate(left.generators):
+        echelon = _product_echelon(_monomial_products(right, degree_bound))
+        for gi, gen in enumerate(left):
             status, data = _tracked_membership(echelon, gen, p)
             if status != "member":
                 witness = {"direction": direction, "generator": gi}

@@ -60,8 +60,8 @@ them before it wrote them down in closed form, and the direct sum of
 block lattices by a Hermite pass over the whole space, as
 `latconstruct._from_blocks` assembled S₋ and S₊ before
 `Lattice.from_blocks` placed their canonical blocks as they stand,
-and the symbolic Sym²(g) of `models._sym2_symbolic` as products and sums
-of the coordinate polynomials, as before the binomial closed form.
+and the symbolic Sym²(g) of `models._sym_symbolic(2)` as products and
+sums of the coordinate polynomials, as before the binomial closed form.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are

@@ -18,7 +18,7 @@ from latmod.casestudies import (
 )
 from latmod import casestudies, models
 from latmod.exact import Lattice
-from latmod.models import _sym2_symbolic
+from latmod.models import _sym_symbolic
 from oracles import (
     class_key_by_lattice,
     class_orbit_count_by_ideals,
@@ -410,13 +410,13 @@ def test_report_details(report):
 def test_purity_obstruction_is_the_determinant_identity(report, monkeypatch):
     # The check proves det Sym²(g) = det(g)³ from the symbolic Sym² matrix;
     # with one corrupted entry the identity fails and the report says so.
-    # The report imports the matrix from models when it runs.
+    # The report reads the matrix through models.sym_det_defect when it runs.
     assert report["assertions"]["purity_obstruction"]["witness"] is None
-    good = _sym2_symbolic()
+    good = _sym_symbolic(2)
     for i, j in ((1, 1), (0, 2), (2, 0)):
         bad = [list(row) for row in good]
         bad[i][j] = {e: 2 * c for e, c in good[i][j].items()}
-        monkeypatch.setattr(models, "_sym2_symbolic", lambda: tuple(map(tuple, bad)))
+        monkeypatch.setattr(models, "_sym_symbolic", lambda n: tuple(map(tuple, bad)))
         out = casestudies.pgl2_sym2_report()
         purity = out["assertions"]["purity_obstruction"]
         assert out["status"] == "fail" and not purity["pass"]

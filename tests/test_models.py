@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from latmod.exact import Lattice, distance, snf, transporter, vp
 from latmod.matrixops import bracket, dense, mat_inv, mat_mul, mat_vec
 from latmod.models import (
-    HopfOrderGenerators,
     LieLattice,
     ModelError,
     hopf_generators,
@@ -27,9 +26,10 @@ from latmod.models import (
     poly_mul,
     poly_reduce_det,
     poly_str,
+    sym_det_defect,
 )
 from latmod import models
-from latmod.reps import build_irrep
+from latmod.reps import build_irrep, direct_sum
 from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevalley
 from oracles import (
     bracket_closed_pairwise,
@@ -311,15 +311,17 @@ def test_killing_gram_cache_does_not_alias_freed_bases():
 
 
 def test_sym2_closed_form_matches_the_products():
-    assert models._sym2_symbolic() == sym2_symbolic_by_products()
+    assert models._sym_symbolic(2) == sym2_symbolic_by_products()
 
 
-def test_sym2_derivative_at_the_identity_is_the_lie_action(a1):
-    # case pgl2 takes its group matrices from _sym2_symbolic and its Lie
-    # action from build_irrep, in one basis e1², e1e2, e2²: the derivative
-    # of Sym²(g) at g = 1 along x12, x21 and x11 − x22 is the action of
-    # x_α, x_−α and h_α.
-    _, _, sym2 = a1
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym_derivative_at_the_identity_is_the_lie_action(a1, n):
+    # hopf_generators takes its group matrices from _sym_symbolic(n) and
+    # accepts a Lie action only in one basis e_j = e1^(n−j)·e2^j: the
+    # derivative of Sym^n(g) at g = 1 along x12, x21 and x11 − x22 is the
+    # action of x_α, x_−α and h_α of build_irrep(A1, (n,)).
+    cb, _, _ = a1
+    rep = build_irrep(cb, (n,))
     point = (1, 0, 0, 1)
 
     def derivative(poly, direction):
@@ -330,16 +332,16 @@ def test_sym2_derivative_at_the_identity_is_the_lie_action(a1):
             if e[v]
         )
 
-    s = models._sym2_symbolic()
+    s = models._sym_symbolic(n)
     for key, direction in (((2,), (0, 1, 0, 0)), ((-2,), (0, 0, 1, 0)), (("h", 0), (1, 0, 0, -1))):
-        action = [[Fraction(x, sym2.denominator) for x in row] for row in dense(sym2.action[key], 3)]
+        action = [[Fraction(x, rep.denominator) for x in row] for row in dense(rep.action[key], n + 1)]
         assert [[derivative(f, direction) for f in row] for row in s] == action, key
 
 
 def test_hopf_generators_unit_lattice(a1):
     cb, std, sym2 = a1
     g = hopf_generators(sym2, Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    strs = {poly_str(p) for p in g.generators}
+    strs = {poly_str(p) for p in g}
     assert strs == {
         "x11^2",
         "x11*x12",
@@ -356,7 +358,7 @@ def test_hopf_generators_unit_lattice(a1):
 def test_hopf_generators_doubled_lattice(a1):
     cb, std, sym2 = a1
     g = hopf_generators(sym2, Lattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
-    strs = {poly_str(p) for p in g.generators}
+    strs = {poly_str(p) for p in g}
     assert strs == {
         "x11^2",
         "2*x11*x12",
@@ -370,10 +372,48 @@ def test_hopf_generators_doubled_lattice(a1):
     }
 
 
+def _unit(n, prime=None):
+    return Lattice([[int(i == j) for j in range(n)] for i in range(n)], prime)
+
+
 def test_hopf_generators_unsupported(a1):
+    # A1 (1)⊕(0) has type A1 and dimension 3, like Sym², but its action is
+    # not Sym²'s; A2 (1,0) is not A1; A1 (0) is not faithful.
     cb, std, _ = a1
-    with pytest.raises(ModelError, match="unsupported"):
-        hopf_generators(std, Lattice([[1, 0], [0, 1]]))
+    for rep in (
+        direct_sum([std, build_irrep(cb, (0,))]),
+        build_irrep(build_chevalley("A", 2), (1, 0)),
+        build_irrep(cb, (0,)),
+    ):
+        with pytest.raises(ModelError, match="unsupported"):
+            hopf_generators(rep, _unit(rep.dim))
+
+
+def test_hopf_generators_standard_representation(a1):
+    _, std, _ = a1
+    assert [poly_str(p) for p in hopf_generators(std, _unit(2))] == ["x11", "x12", "x21", "x22"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("prime", [None, 3])
+def test_hopf_generators_of_the_unit_lattice_are_the_entries_of_sym(a1, n, prime):
+    # On the standard basis the matrix coefficients are the entries of
+    # Sym^n(g), row by row, in normal form, over Z and over Z_(3) alike.
+    cb, _, _ = a1
+    gens = hopf_generators(build_irrep(cb, (n,)), _unit(n + 1, prime))
+    assert gens == [poly_reduce_det(f) for row in models._sym_symbolic(n) for f in row]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_determinant_of_sym_is_a_power_of_the_determinant(n):
+    assert sym_det_defect(n) == {}
+
+
+@pytest.mark.parametrize("basis", [[[1, 0, 0], [0, 2, 0], [0, 0, 1]], [[1, 1, 0], [0, 2, 0], [0, 1, 3]]])
+def test_order_of_a_lattice_equals_the_order_of_its_localisation(a1, basis):
+    _, _, sym2 = a1
+    g, local = hopf_generators(sym2, Lattice(basis)), hopf_generators(sym2, Lattice(basis, 2))
+    assert order_equal_bounded(g, local, 4, 2)["status"] == "equal"
 
 
 # -- order comparison -------------------------------------------------------
@@ -415,7 +455,7 @@ def _assert_certificates(report, g1, g2, p):
     is p-adically integral."""
     for cert in report["certificates"]:
         src, tgt = (g2, g1) if cert["direction"] == "1in2" else (g1, g2)
-        target = tgt.generators[cert["generator"]]
+        target = poly_reduce_det(tgt[cert["generator"]])
         assert cert["target"] == poly_str(target)
         total = {}
         for term in cert["combination"]:
@@ -423,7 +463,7 @@ def _assert_certificates(report, g1, g2, p):
             assert coeff.denominator % p != 0
             prod = {(0, 0, 0, 0): Fraction(1)}
             for k in term["word"]:
-                prod = poly_reduce_det(poly_mul(prod, src.generators[k]))
+                prod = poly_reduce_det(poly_mul(prod, src[k]))
             total = poly_add(total, {e: coeff * x for e, x in prod.items()})
         assert total == target
 
@@ -431,7 +471,7 @@ def _assert_certificates(report, g1, g2, p):
 def _half_integral(g1):
     """g1's generators and x11·x12/2, which is not 2-adically integral."""
     half = {k: v / 2 for k, v in poly_mul(_var(0), _var(1)).items()}
-    return HopfOrderGenerators(list(g1.generators) + [half])
+    return g1 + [half]
 
 
 def test_order_equal_paper_case(a1):
@@ -455,7 +495,7 @@ def test_order_reports_match_the_fraction_echelon(a1, monkeypatch):
     # and witness positions; its own certificates must be p-integral and
     # reproduce their targets, and its witnesses must have a p-denominator.
     g1, g2 = _orders(a1)
-    sets = ((g1, g2), (g1, _half_integral(g1)), (g1, HopfOrderGenerators([_var(0)])))
+    sets = ((g1, g2), (g1, _half_integral(g1)), (g1, [_var(0)]))
     cases = [
         (left, right, bound, p)
         for a, b in sets
@@ -507,7 +547,7 @@ def test_order_not_equal_is_equal_at_other_prime(a1):
 
 def test_order_undecided(a1):
     g1, _ = _orders(a1)
-    tiny = HopfOrderGenerators([_var(0)])  # only x11: x12 etc. unreachable
+    tiny = [_var(0)]  # only x11: x12 etc. unreachable
     report = order_equal_bounded(g1, tiny, 4, 2)
     assert report["status"] == "undecided"
 
@@ -515,15 +555,17 @@ def test_order_undecided(a1):
 def test_constant_generator_is_refused_and_zero_generators_skipped():
     # A nonzero constant keeps every power within the bound, so it is
     # refused by index; a generator that reduces to 0 (det − 1 − x12·x21
-    # here) takes part in no product.
-    g = HopfOrderGenerators([_var(0), {(0, 0, 0, 0): 2}])
+    # here) takes part in no product, and order_equal_bounded reduces it
+    # itself.
+    g = [_var(0), {(0, 0, 0, 0): 2}]
     with pytest.raises(ModelError, match="generator 1 is a nonzero constant"):
         order_equal_bounded(g, g, 2, 2)
-    zero = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1}
-    with_zero = HopfOrderGenerators([zero, _var(0), zero, _var(1)])
-    assert with_zero.generators[0] == {}
-    words = [w for _, w in models._monomial_products(with_zero.generators, 3)]
-    plain = HopfOrderGenerators([_var(0), _var(1)]).generators
+    det_relation = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1}
+    zero = poly_reduce_det(det_relation)
+    assert zero == {}
+    words = [w for _, w in models._monomial_products([zero, _var(0), zero, _var(1)], 3)]
+    plain = [_var(0), _var(1)]
+    assert order_equal_bounded([det_relation, _var(0)], [_var(0)], 2, 2)["status"] == "equal"
     assert words == [tuple(2 * k + 1 for k in w) for _, w in models._monomial_products(plain, 3)]
 
 
@@ -571,7 +613,7 @@ generator_sets = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(generator_sets, st.integers(0, 4))
 def test_products_by_degree_match_the_discarding_oracle(gens, bound):
-    gens = HopfOrderGenerators(gens).generators
+    gens = [poly_reduce_det(g) for g in gens]
     if any(g and _degree(g) == 0 for g in gens):
         with pytest.raises(ModelError, match="nonzero constant"):
             models._monomial_products(gens, bound)
@@ -582,4 +624,4 @@ def test_products_by_degree_match_the_discarding_oracle(gens, bound):
 @pytest.mark.parametrize("bound", range(2, 9))
 def test_paper_pair_products_match_the_discarding_oracle(a1, bound):
     for g in _orders(a1):
-        assert models._monomial_products(g.generators, bound) == monomial_products_by_discarding(g.generators, bound)
+        assert models._monomial_products(g, bound) == monomial_products_by_discarding(g, bound)

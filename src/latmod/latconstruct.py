@@ -1,6 +1,7 @@
 """Lattice constructions in a weight-adapted representation: the
 minimal/maximal sandwich lattices with the standard highest-weight
-components, built block by block down the weights, split hulls, the
+components, built block by block in basis order by applying the simple
+generators of rep.action to the block lattices above, split hulls, the
 invariance filter, and orbit reports.
 
 Conventions: the ring is Z (p None) or Z_(p), G acts through its simple
@@ -26,31 +27,46 @@ Lattice.valuations; the latter three run no Hermite form.
 from math import lcm
 
 from latmod.exact import Lattice, LatticeError, ZSpan, vp
-from latmod.matrixops import identity, sparse_mat_vec
-from latmod.reps import REPORT_ENTRY_CAP, down_step, lattice_generators, weights_down
+from latmod.matrixops import column_index, identity
+from latmod.reps import REPORT_ENTRY_CAP, lattice_generators
 
 
 def _block_lattices(rep, psi, sign, p):
-    """Block lattices of the psi-component, walked down the weights: the
+    """Block lattices of the psi-component, walked in basis order: the
     standard lattice at psi, and at each lower chi the span of the images
-    under down_step a of the lattices at chi + a, taken on their integer
-    columns over the least common multiple d of their denominators;
-    down_step is an integer sparse matrix over rep.denominator, which
-    joins d in the denominator of the images."""
+    of the lattices at chi + a under g_a = x_(-a) (sign < 0) or the
+    transpose of x_a (sign > 0), g_a applied to their integer columns
+    over the least common multiple d of their denominators, and the
+    chi-block coordinates kept; g_a is over rep.denominator, which joins
+    d in the denominator of the images.  The breadth-first lowering walk
+    lists the basis by the height of psi - chi, so every block above chi
+    is walked first."""
+    simple = rep.cb.rs.simple
+    if sign < 0:
+        steps = [column_index(rep.action[tuple(-x for x in a)]) for a in simple]
+    else:
+        steps = [column_index({(j, i): x for (i, j), x in rep.action[a].items()}) for a in simple]
     blocks = {psi: Lattice(identity(len(rep.block(psi, psi))), p)}
-    for chi, _ in weights_down(rep, psi)[1:]:
+    for (q, chi), lower in rep.blocks.items():
+        if q != psi or chi == psi:
+            continue
         above = []
-        for a in rep.cb.rs.simple:
-            lat = blocks.get(tuple(x + y for x, y in zip(chi, a)))
-            if lat is not None:
-                above.append((a, lat))
-        d = lcm(*(lat.denominator for _, lat in above))
-        k = len(rep.block(psi, chi))
+        for a, step in zip(simple, steps):
+            up = tuple(x + y for x, y in zip(chi, a))
+            if up in blocks:
+                above.append((step, rep.blocks[psi, up], blocks[up]))
+            elif (psi, up) in rep.blocks:
+                raise AssertionError("weight %s of %s is walked before the weight %s above it" % (chi, psi, up))
+        d = lcm(*(lat.denominator for _, _, lat in above))
         gens = []
-        for a, lat in above:
-            step, c = down_step(rep, psi, a, chi, sign), d // lat.denominator
-            gens.extend([c * x for x in sparse_mat_vec(step, col, k)] for col in lat.columns)
-        blocks[chi] = Lattice.from_integers(gens, d * rep.denominator, p, k)
+        for step, upper, lat in above:
+            for col in lat.columns:
+                img = {}
+                for j, y in zip(upper, col):
+                    for r, x in step.get(j, ()):
+                        img[r] = img.get(r, 0) + x * y
+                gens.append([d // lat.denominator * img.get(r, 0) for r in lower])
+        blocks[chi] = Lattice.from_integers(gens, d * rep.denominator, p, len(lower))
     return blocks
 
 

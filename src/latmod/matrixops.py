@@ -11,19 +11,19 @@ writes a quotient of ints as str writes it, and never imports it.
 Sparse matrices are {(i, j): entry}, sparse vectors {i: entry} over
 ints or index tuples, zeros left out.  Every operator of the library is
 an integer sparse matrix over one denominator: the actions of rootdata
-and reps, the blocks of reps.down_step and the multiplications of a
-quadratic field.  The sparse products (sparse_mat_vec, sparse_bracket,
-tensor_mat_vec) sum from 0, so on integer input they stay in ints and
-never make a Fraction, and ratio_text writes their entries.
-sparse_mat_vec applies a sparse matrix to a dense integer column, the
-one product of the lattice layer (exact, latconstruct); tensor_mat_vec
-applies a matrix through its column index on each factor of a tensor
-product, at the cost of the vector's support.  Dense matrices are tuples
-of rows, dense vectors tuples, made only by the report writers
-(dense), from_coords and projector.  The dense helpers mat_vec,
-mat_mul, mat_sub, bracket, rref and mat_inv skip zero entries; no
-command runs them, and they stay for the benchmark's Lie oracle and
-tracer (perfbench/).
+and reps and the multiplications of a quadratic field.  The sparse
+products (sparse_mat_vec, sparse_bracket, tensor_mat_vec) sum from 0,
+so on integer input they stay in ints and never make a Fraction, and
+ratio_text writes their entries.  sparse_mat_vec applies a sparse
+matrix to a dense integer column, the product of exact.Lattice;
+tensor_mat_vec applies a matrix through its column index (column_index)
+on each factor of a tensor product, at the cost of the vector's
+support, and latconstruct and the powers of reps read column indices
+directly.  Dense matrices are tuples of rows, dense vectors tuples,
+made only by the report writers (dense), from_coords and projector.
+The dense helpers mat_vec, mat_mul, mat_sub, bracket, rref and mat_inv
+skip zero entries; no command runs them, and they stay for the
+benchmark's Lie oracle and tracer (perfbench/).
 
 QSpan is the one elimination, fraction-free: it holds sparse vectors as
 integer echelon rows, each with its integer combination of the vectors

@@ -14,9 +14,10 @@ weights sum to it): an integer relation among the raising images of
 those tuples (matrixops.relations).  Then walk its cyclic span under the
 lowering operators once into one fraction-free QSpan, whose coordinates
 read the action.  Matrices are sparse {(i, j): entry}
-on each factor, vectors sparse over index tuples, and every generator,
-in the powers too, acts through tensor_mat_vec: no matrix of the tensor
-ambient is built.  Every action is integer sparse matrices over one
+on each factor, vectors sparse over index tuples, and every generator
+acts on the factors through tensor_mat_vec: no matrix of the tensor
+ambient is built, though its index tuples are enumerated once to find
+the weight spaces.  Every action is integer sparse matrices over one
 positive denominator: the generators of the Chevalley basis over its
 denominator (2 for type B), their powers and tensor products over the
 same one, and the adapted action over the least common denominator of
@@ -30,10 +31,14 @@ when it is written out; adapt brings any sparse rational action to an adapted
 basis, and direct_sum and tensor_product read the actions of their
 summands and factors, brought to one denominator.  The
 powers are built on sorted index tuples, so the symmetric power keeps
-the monomial basis (e1^k, e1^{k-1}e2, ...).
+the monomial basis (e1^k, e1^{k-1}e2, ...): a generator replaces one
+index per distinct entry of a tuple and puts the new one back in order,
+times the entry's multiplicity in Sym^k and with the sign of the entries
+it passes in Λ^k.
 """
 
 import itertools
+from bisect import bisect_left
 from math import gcd, lcm
 
 from latmod.matrixops import (
@@ -72,27 +77,33 @@ REPORT_ENTRY_CAP = 4_000_000
 
 def _power_raw(raw, k, exterior=False):
     """Sym^k (or Λ^k) of raw on the sorted index tuples t of length k (a
-    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing): a generator
-    acts on e_t1 ⊗ … ⊗ e_tk, and each image tuple is sorted again, with
-    the sign of the sort in the exterior power, where a tuple with a
-    repeated index is 0.  Sym^0 is the trivial representation.  The
-    power of D·g is D times the power of g, so an action over D stays
-    over D."""
+    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing).  A generator
+    takes e_j to Σ x·e_i, so on t it replaces one j by i, for each
+    distinct j of t, and puts i back in sorted order: in Sym^k times the
+    multiplicity of j in t, in Λ^k with the sign (−1)^(the entries of t
+    strictly between i and j), and 0 when i ≠ j is already in t.  Sym^0
+    is the trivial representation.  The power of D·g is D times the
+    power of g, so an action over D stays over D."""
     d0, a0, w0 = raw
     tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
     basis = list(tuples(range(d0), k))
     index = {t: n for n, t in enumerate(basis)}
     action = {}
     for key, g in a0.items():
-        cols, m = [column_index(g)] * k, {}
+        col, m = column_index(g), {}
         for src, t in enumerate(basis):
-            for s, x in tensor_mat_vec(cols, {t: 1}).items():
-                if exterior:
-                    if len(set(s)) < k:
-                        continue
-                    x = -x if sum(i > j for i, j in itertools.combinations(s, 2)) % 2 else x
-                p = (index[tuple(sorted(s))], src)
-                m[p] = m.get(p, 0) + x
+            for n, j in enumerate(t):
+                if n and t[n - 1] == j:
+                    continue
+                rest, mult = t[:n] + t[n + 1 :], t.count(j)
+                for i, x in col.get(j, ()):
+                    q = bisect_left(rest, i)
+                    if exterior:
+                        if q < len(rest) and rest[q] == i:
+                            continue
+                        x = -x if (q - n) % 2 else x
+                    p = (index[rest[:q] + (i,) + rest[q:]], src)
+                    m[p] = m.get(p, 0) + mult * x
         action[key] = canonical(m)
     weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
     return (len(basis), action, weights)
@@ -394,41 +405,6 @@ def tensor_product(r1, r2):
 def projector(rep, psi, chi):
     """0/1 diagonal projection onto the (psi, chi) block; zero if absent."""
     return dense({(i, i): 1 for i in rep.block(psi, chi)}, rep.dim)
-
-
-# -----------------------------------------------------------------------
-# Walks down the weights of a component
-# -----------------------------------------------------------------------
-
-
-def weights_down(rep, psi):
-    """The weights chi of the psi-component from the top down, in order of
-    the height of psi - chi, each with the simple-root coordinates of
-    psi - chi."""
-    graded = []
-    for (p, chi) in rep.blocks:
-        if p == psi:
-            m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
-            graded.append((sum(m), m, chi))
-    return [(chi, m) for _, m, chi in sorted(graded)]
-
-
-def down_step(rep, psi, a, chi, sign):
-    """The map from the (psi, chi + a) block to the (psi, chi) block that
-    takes a word one letter a further down, times rep.denominator, as an
-    integer sparse matrix {(row, column): entry}, its rows the (psi, chi)
-    block and its columns the (psi, chi + a) block in block order: the
-    block of x_(-a) when sign < 0, the transpose of the block of x_a
-    from chi up when sign > 0."""
-    lower = rep.block(psi, chi)
-    upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
-    if sign < 0:
-        g = rep.action[tuple(-x for x in a)]
-        step = {(i, j): g.get((r, c)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
-    else:
-        g = rep.action[a]
-        step = {(i, j): g.get((c, r)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
-    return {p: x for p, x in step.items() if x}
 
 
 # -----------------------------------------------------------------------

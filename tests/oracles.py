@@ -61,7 +61,11 @@ block lattices by a Hermite pass over the whole space, as
 `latconstruct._from_blocks` assembled S₋ and S₊ before
 `Lattice.from_blocks` placed their canonical blocks as they stand,
 and the symbolic Sym²(g) of `models._sym_symbolic(2)` as products and
-sums of the coordinate polynomials, as before the binomial closed form.
+sums of the coordinate polynomials, as before the binomial closed form,
+and the sparse Sym^k and Λ^k by a Leibniz step at each of the k
+positions, a re-sort and a pairwise inversion count
+(`power_raw_by_leibniz`), as `reps._power_raw` built them before it
+replaced one index per distinct entry.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -70,8 +74,12 @@ independent of the bracket table, not of `QSpan`.
 The last section holds the checks and views that only tests use, so
 no command reaches them in src/ (tests/test_reachability.py): the Chevalley
 basis as dense matrices and its structure constants, the J components of a
-lattice, the surjectivity of the transition maps (acceptance criterion 3)
-and the class number from reduced binary forms.
+lattice, the walk down the weights of a component that the transition
+check takes (`weights_down`, sorted by height, and `down_step`, the block
+of x_(-a) or the transposed block of x_a, as `reps` kept them while
+`latconstruct._block_lattices` walked S± through them), the surjectivity
+of the transition maps (acceptance criterion 3) and the class number from
+reduced binary forms.
 """
 
 import itertools
@@ -477,6 +485,33 @@ def ext_power_raw(raw, k):
         tuple(sum(w0[j][i] for j in sub) for i in range(len(w0[0]))) for sub in basis
     )
     return (d, action, weights)
+
+
+def power_raw_by_leibniz(raw, k, exterior=False):
+    """Sym^k (or Λ^k) of the sparse integer raw (dim, action, weights) on
+    the sorted index tuples of length k, as reps._power_raw built it
+    before it replaced one index per distinct entry: each generator acts
+    on e_t1 ⊗ … ⊗ e_tk at each of the k positions (tensor_mat_vec), each
+    image tuple is sorted again, in the exterior power with the sign of
+    its inversions, counted pairwise, and 0 when an index repeats."""
+    d0, a0, w0 = raw
+    tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
+    basis = list(tuples(range(d0), k))
+    index = {t: n for n, t in enumerate(basis)}
+    action = {}
+    for key, g in a0.items():
+        cols, m = [matrixops.column_index(g)] * k, {}
+        for src, t in enumerate(basis):
+            for s, x in matrixops.tensor_mat_vec(cols, {t: 1}).items():
+                if exterior:
+                    if len(set(s)) < k:
+                        continue
+                    x = -x if sum(i > j for i, j in itertools.combinations(s, 2)) % 2 else x
+                p = (index[tuple(sorted(s))], src)
+                m[p] = m.get(p, 0) + x
+        action[key] = matrixops.canonical(m)
+    weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
+    return (len(basis), action, weights)
 
 
 def dense_primitive(v):
@@ -1811,6 +1846,37 @@ def has_j_components(rep, lat):
     return True
 
 
+def weights_down(rep, psi):
+    """The weights chi of the psi-component from the top down, in order of
+    the height of psi - chi, each with the simple-root coordinates of
+    psi - chi, sorted as latconstruct walked them before it took the
+    blocks in basis order."""
+    graded = []
+    for (p, chi) in rep.blocks:
+        if p == psi:
+            m = rep.cb.rs.expansion(tuple(a - b for a, b in zip(psi, chi)))
+            graded.append((sum(m), m, chi))
+    return [(chi, m) for _, m, chi in sorted(graded)]
+
+
+def down_step(rep, psi, a, chi, sign):
+    """The map from the (psi, chi + a) block to the (psi, chi) block that
+    takes a word one letter a further down, times rep.denominator, as an
+    integer sparse matrix {(row, column): entry}, its rows the (psi, chi)
+    block and its columns the (psi, chi + a) block in block order: the
+    block of x_(-a) when sign < 0, the transpose of the block of x_a
+    from chi up when sign > 0."""
+    lower = rep.block(psi, chi)
+    upper = rep.block(psi, tuple(x + y for x, y in zip(chi, a)))
+    if sign < 0:
+        g = rep.action[tuple(-x for x in a)]
+        step = {(i, j): g.get((r, c)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
+    else:
+        g = rep.action[a]
+        step = {(i, j): g.get((c, r)) for i, r in enumerate(lower) for j, c in enumerate(upper)}
+    return {p: x for p, x in step.items() if x}
+
+
 def check_transition_surjectivity(rep, psi, chi, sign):
     """Do graded generator words span Hom(highest block, chi block)?
 
@@ -1833,7 +1899,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
         raise reps.RepError("chi not under psi in the root order")
     k = len(src)
     maps = {psi: [identity(k)]}
-    for w, mw in reps.weights_down(rep, psi)[1:]:
+    for w, mw in weights_down(rep, psi)[1:]:
         if any(x > y for x, y in zip(mw, m)):
             continue
         span = QSpan()
@@ -1842,7 +1908,7 @@ def check_transition_surjectivity(rep, psi, chi, sign):
             above = maps.get(tuple(x + y for x, y in zip(w, a)))
             if above is None:
                 continue
-            step = reps.down_step(rep, psi, a, w, sign)
+            step = down_step(rep, psi, a, w, sign)
             for cols in above:
                 img = tuple(sparse_mat_vec(step, c, len(rep.block(psi, w))) for c in cols)
                 if span.insert(dict(enumerate(itertools.chain.from_iterable(img)))):

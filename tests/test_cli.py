@@ -536,6 +536,18 @@ def test_weight_multiplicity_child_exits_1_within_a_second():
     assert time.perf_counter() - start < 1
 
 
+def test_capped_orbit_report_child_exits_1_within_two_seconds():
+    # A1 (400), dimension 401, is built before the cap refuses its report;
+    # Sym^400 took 4.9 s while each generator acted at all 400 positions
+    # of each index tuple.
+    start = time.perf_counter()
+    proc = run_child(["-m", "latmod.cli", "orbits", "--type", "A", "--rank", "1", "--hw", "400", "--p", "2"])
+    cap = reps.REPORT_ENTRY_CAP
+    msg = "error: the report has more than the %d classes of dimension %d that the cap of %d basis entries admits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", msg % (cap // 401**2, 401, cap))
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("hw", ["1,2", "-1"])
 def test_highest_weight_is_refused_by_one_check_before_building(hw, monkeypatch, tmp_path, capsys):
     # A weight of the wrong length or with a negative coordinate, given as

@@ -35,7 +35,6 @@ from latmod.reps import (
     lattice_generators,
     projector,
     tensor_product,
-    weights_down,
 )
 from latmod.rootdata import RootSystem, build_chevalley
 from oracles import (
@@ -49,6 +48,7 @@ from oracles import (
     s_plus_by_words,
     shift_lattice_columns_by_inverse_cartan,
     subgroup_count_of_quotient,
+    weights_down,
     word_matrices,
     zspan_member,
 )
@@ -260,6 +260,19 @@ def test_sandwich_properties_beyond_the_oracle():
         assert is_split(rep, lo) and is_split(rep, hi)
         assert has_j_components(rep, lo) and has_j_components(rep, hi)
     assert time.monotonic() - start < 10
+
+
+def test_sandwich_walk_refuses_a_block_listed_before_one_above_it():
+    # s_minus and s_plus walk a component's blocks in basis order, which
+    # the breadth-first lowering walk puts in height order
+    # (test_walked_basis_runs_down_the_weights); a weight met before a
+    # weight of the component above it fails loudly, not skipped.
+    rep = build_irrep(build_chevalley("A", 1), (3,))
+    top, high, low, bottom = rep.blocks.items()
+    rep.blocks = dict([top, low, high, bottom])
+    for build in (s_minus, s_plus):
+        with pytest.raises(AssertionError, match="weight \\(-1,\\) of \\(3,\\) is walked before the weight \\(1,\\)"):
+            build(rep, 2)
 
 
 # -- hulls ---------------------------------------------------------------

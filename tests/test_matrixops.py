@@ -201,11 +201,13 @@ def test_sparse_mat_vec_matches_the_dense_product(case):
 
 
 def test_sparse_mat_vec_on_the_down_step_blocks():
-    # The blocks of reps.down_step are not square where a weight of the
+    # The blocks of the oracle down_step (the step of
+    # check_transition_surjectivity) are not square where a weight of the
     # component has multiplicity 2 (A2 (1,1)), and are over the
     # denominator 2 for B2 (1,0).
-    from latmod.reps import build_irrep, down_step, weights_down
+    from latmod.reps import build_irrep
     from latmod.rootdata import build_chevalley
+    from oracles import down_step, weights_down
 
     shapes = set()
     for t, r, hw in (("A", 2, (1, 1)), ("B", 2, (1, 0)), ("C", 2, (1, 1))):

@@ -191,11 +191,10 @@ def count_invariant_orbits(rep, p):
     one valuation per block.  Between S₋ and S₊ (both split) v lies in the
     box v(S₊) ≤ v ≤ v(S₋), fixed by J at each highest weight; the lattice
     is invariant under a generator g exactly when v_r ≤ v_c + v_p(g[r][c])
-    for every nonzero off-diagonal entry and no diagonal entry has a
-    negative valuation.  So the invariant split lattices with the J
-    components are the integer points of a system of difference
-    constraints, found by a search in basis order (_invariant_valuations),
-    and no intermediate lattice is built.  The number of lattices between
+    for every nonzero off-diagonal entry (the diagonal is integral).  So
+    the invariant split lattices with the J components are the integer
+    points of a system of difference constraints, found by a search in
+    basis order (_invariant_valuations); no intermediate lattice is built.  The number of lattices between
     S₋ and S₊ is the number of subgroups of S₊/S₋, which has type
     {v(S₋)_i - v(S₊)_i}; it comes from Birkhoff's formula (subgroup_count).
 
@@ -252,49 +251,49 @@ def count_invariant_orbits(rep, p):
 
 
 def _invariant_valuations(rep, p, box):
-    """Every valuation vector v (indexed like the basis) inside box[i] =
-    (low, high) that satisfies the invariance constraints of
-    lattice_generators(rep), as tuples in lexicographic order.
+    """The valuation vectors v with box[i][0] ≤ v_i ≤ box[i][1] that meet the
+    invariance constraints of lattice_generators(rep), in lexicographic order.
 
-    The coordinates are fixed in basis order, and each constraint
-    v_r ≤ v_c + w bounds whichever of its two ends is fixed second, so a
-    branch stops as soon as its range is empty.  Which vectors come out
-    does not depend on that order; only the pruning does.  The lowering
-    walk of an irreducible is breadth first, so its basis runs down the
-    weights by the height of psi - chi, and a block is fixed after the
-    blocks above it that bound it.  An entry x of a generator over the
-    denominator D has w = v_p(x) − v_p(D).
+    An entry x at (r, c), r ≠ c, of a generator over the denominator D
+    asks v_r ≤ v_c + v_p(x) − v_p(D), read in one pass.  No two generators
+    share an off-diagonal position: x_γ maps weight μ to μ + γ, so (r, c)
+    is γ = wt(r) − wt(c)'s alone, and the Cartan generators are diagonal.
+    No diagonal entry bounds anything: x_γ has a zero diagonal (γ ≠ 0),
+    and Representation refuses a Cartan entry that D does not divide.
+
+    One loop fixes the coordinates in basis order on a stack of the ranges
+    that box[i] and the coordinates before i allow, so a branch stops as
+    soon as its range is empty, and no frame is held per coordinate.  The
+    order decides the pruning, not the vectors: the lowering walk of an
+    irreducible runs down the weights by the height of psi - chi, so a
+    block is fixed after the blocks above it that bound it.
     """
-    bound = {}
     shift = vp(rep.denominator, p)
-    for g in lattice_generators(rep):
-        for (r, c), x in g.items():
-            w = vp(x, p) - shift
-            if r == c:
-                if w < 0:
-                    return
-            elif bound.get((r, c), w) >= w:
-                bound[r, c] = w
     ups = [[] for _ in range(rep.dim)]  # v_i ≤ v_j + w
     lows = [[] for _ in range(rep.dim)]  # v_i ≥ v_j - w
-    for (r, c), w in bound.items():
-        if r > c:
-            ups[r].append((c, w))
-        else:
-            lows[c].append((r, w))
+    for g in lattice_generators(rep):
+        for (r, c), x in g.items():
+            if r > c:
+                ups[r].append((c, vp(x, p) - shift))
+            elif r < c:
+                lows[c].append((r, vp(x, p) - shift))
     v = [0] * rep.dim
 
-    def walk(i):
-        if i == rep.dim:
-            yield tuple(v)
-            return
+    def allowed(i):
         low = max([box[i][0]] + [v[j] - w for j, w in lows[i]])
         high = min([box[i][1]] + [v[j] + w for j, w in ups[i]])
-        for x in range(low, high + 1):
-            v[i] = x
-            yield from walk(i + 1)
+        return iter(range(low, high + 1))
 
-    yield from walk(0)
+    stack = [allowed(0)]
+    while stack:
+        i = len(stack) - 1
+        v[i] = next(stack[i], None)
+        if v[i] is None:
+            stack.pop()
+        elif i + 1 < rep.dim:
+            stack.append(allowed(i + 1))
+        else:
+            yield tuple(v)
 
 
 def _gaussian_binomial(n, k, p):

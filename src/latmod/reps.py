@@ -294,10 +294,18 @@ def build_irrep(cb, psi):
     for i in range(1, rank):
         if psi[i]:
             factors += [_power_raw(defining, i + 1, exterior=True)] * psi[i]
+    unreachable = "highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi))
+    # A psi that is no sum of one weight per factor has an empty weight
+    # space; it is refused before the ambient is enumerated.
+    sums = {(0,) * rank}
+    for _, _, weights in factors:
+        sums = {tuple(map(sum, zip(s, w))) for s in sums for w in set(weights)}
+    if psi not in sums:
+        raise RepError(unreachable)
     columns, spaces = _ambient(factors)
     tops = _highest_weight_vectors(cb, columns, spaces, [psi])
     if not tops:
-        raise RepError("highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi)))
+        raise RepError(unreachable)
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
     return _adapted(cb, columns, cb.denominator, tops[:1])
 

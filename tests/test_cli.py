@@ -548,6 +548,15 @@ def test_capped_orbit_report_child_exits_1_within_two_seconds():
     assert time.perf_counter() - start < 2
 
 
+def test_orbit_report_past_the_recursion_limit_child_exits_1_with_the_cap_line():
+    # A1 (990) has 991 coordinates, and a search that nested one frame per
+    # coordinate exited 1 with "maximum recursion depth exceeded".
+    proc = run_child(["-m", "latmod.cli", "orbits", "--type", "A", "--rank", "1", "--hw", "990", "--p", "2"])
+    cap = reps.REPORT_ENTRY_CAP
+    msg = "error: the report has more than the %d classes of dimension %d that the cap of %d basis entries admits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", msg % (cap // 991**2, 991, cap))
+
+
 @pytest.mark.parametrize("hw", ["1,2", "-1"])
 def test_highest_weight_is_refused_by_one_check_before_building(hw, monkeypatch, tmp_path, capsys):
     # A weight of the wrong length or with a negative coordinate, given as
@@ -802,6 +811,16 @@ def test_unreachable_weight_exits_1(t, r, hw, capsys):
     # Spin weights lie in no tensor power of the defining realization.
     code, out, err = run(["rep", "build", "--type", t, "--rank", r, "--hw", hw], capsys)
     assert (code, out, err) == (1, "", "error: highest weight (%s) is not reachable in this realization\n" % hw)
+
+
+def test_unreachable_weight_child_exits_1_within_a_second():
+    # D3 (0,2,3) is no sum of one weight per factor of Λ²^2 ⊗ Λ³^3; it took
+    # 4.8 s to enumerate that ambient before it was refused.
+    start = time.perf_counter()
+    proc = run_child(["-m", "latmod.cli", "rep", "build", "--type", "D", "--rank", "3", "--hw", "0,2,3"])
+    msg = "error: highest weight (0,2,3) is not reachable in this realization\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", msg)
+    assert time.perf_counter() - start < 1
 
 
 def test_prime_past_the_primality_bound_exits_1(capsys):

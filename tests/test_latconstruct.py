@@ -667,6 +667,25 @@ def test_orbit_count_refuses_z(a1_reps):
             count(a1_reps[2], None)
 
 
+def test_invariant_valuations_hold_no_frame_per_coordinate():
+    # A1 (300) has 301 coordinates.  A search that nests one generator
+    # frame per coordinate exceeds a recursion limit 100 frames above the
+    # caller's, and the CLI reported A1 (990) and beyond with the message
+    # it keeps for an input file nested too deep.
+    rep = build_irrep(build_chevalley("A", 1), (300,))
+    box = list(zip(s_plus(rep, 2).valuations(), s_minus(rep, 2).valuations()))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        v = next(latconstruct._invariant_valuations(rep, 2, box))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(v) == 301
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(MULTIPLICITY_FREE), st.sampled_from([2, 3, 5]), st.data())
 def test_invariant_valuations_match_brute_force_on_random_boxes(name, p, data):

@@ -51,18 +51,20 @@ class LatticeError(ValueError):
 
 
 def vp(x, p):
-    """p-adic valuation of a nonzero rational (int or Fraction)."""
+    """p-adic valuation of a nonzero rational (int or Fraction): while p
+    divides the numerator (or the denominator), q = p is squared up to
+    the largest p^(2^j) that divides it, which is divided out and counts
+    2^j (−2^j), so a valuation v takes O(log² v) operations."""
     if x == 0:
         raise ValueError("valuation of zero")
     v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
+    for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while n % p == 0:
+            q, e = p, 1
+            while n % (q * q) == 0:
+                q, e = q * q, 2 * e
+            n //= q
+            v += sign * e
     return v
 
 
@@ -218,11 +220,12 @@ class Lattice:
     def valuations(self):
         """Valuation v_i of each coordinate of a diagonal lattice over
         Z_(p): its canonical column i is p^(v_i + s)·e_i over the scale
-        p^s."""
+        p^s.  A canonical column has its pivot in its own row, so it is
+        diagonal when it has one nonzero entry."""
         p = self.prime
         if p is None:
             raise LatticeError("valuations are defined over localized lattices")
-        if any(x for i, col in enumerate(self.columns) for k, x in enumerate(col) if k != i):
+        if any(col.count(0) != self.ambient - 1 for col in self.columns):
             raise LatticeError("valuations require a diagonal lattice")
         s = vp(self.denominator, p)
         return [vp(col[i], p) - s for i, col in enumerate(self.columns)]

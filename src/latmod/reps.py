@@ -30,15 +30,14 @@ the defining action too) and keeps it in that one form, made dense only
 when it is written out; adapt brings any sparse rational action to an adapted
 basis, and direct_sum and tensor_product read the actions of their
 summands and factors, brought to one denominator.  The
-powers are built on sorted index tuples, so the symmetric power keeps
-the monomial basis (e1^k, e1^{k-1}e2, ...): a generator replaces one
-index per distinct entry of a tuple and puts the new one back in order,
-times the entry's multiplicity in Sym^k and with the sign of the entries
-it passes in Λ^k.
+powers are indexed by exponent vectors, listed in the order of the
+sorted index tuples, so the symmetric power keeps the monomial basis
+(e1^k, e1^{k-1}e2, ...): a generator's entry at (i, j) moves one unit
+of an exponent vector from j to i, times the exponent of j, and in Λ^k
+with the sign of the ones it passes.
 """
 
 import itertools
-from bisect import bisect_left
 from math import gcd, lcm
 
 from latmod.matrixops import (
@@ -76,36 +75,37 @@ REPORT_ENTRY_CAP = 4_000_000
 
 
 def _power_raw(raw, k, exterior=False):
-    """Sym^k (or Λ^k) of raw on the sorted index tuples t of length k (a
-    monomial e_t1·…·e_tk, or e_t1∧…∧e_tk with t increasing).  A generator
-    takes e_j to Σ x·e_i, so on t it replaces one j by i, for each
-    distinct j of t, and puts i back in sorted order: in Sym^k times the
-    multiplicity of j in t, in Λ^k with the sign (−1)^(the entries of t
-    strictly between i and j), and 0 when i ≠ j is already in t.  Sym^0
-    is the trivial representation.  The power of D·g is D times the
-    power of g, so an action over D stays over D."""
+    """Sym^k (or Λ^k) of raw on the exponent vectors a of length dim,
+    Σ a = k (the monomial Π e_j^a_j, or the wedge of the e_j with a_j = 1
+    in increasing j), listed in the order of the sorted index tuples.  A
+    generator takes e_j to Σ x·e_i, so its entry x at (i, j) sends a to b,
+    a with b_j − 1 and b_i + 1, with the coefficient a_j·x: the derivative
+    of e_j^a_j, and the one e_j of a wedge, as a_j = 1 in Λ^k.  In Λ^k the
+    term is 0 when b_i > 1, and e_i moved to its place passes the ones of
+    a strictly between i and j, one sign each.  The weight of a is
+    Σ a_j·w_j.  Sym^0 is the trivial representation.  The power of D·g is
+    D times the power of g, so an action over D stays over D."""
     d0, a0, w0 = raw
     tuples = itertools.combinations if exterior else itertools.combinations_with_replacement
-    basis = list(tuples(range(d0), k))
-    index = {t: n for n, t in enumerate(basis)}
+    basis = [tuple(map(t.count, range(d0))) for t in tuples(range(d0), k)]
+    index = {a: n for n, a in enumerate(basis)}
     action = {}
     for key, g in a0.items():
-        col, m = column_index(g), {}
-        for src, t in enumerate(basis):
-            for n, j in enumerate(t):
-                if n and t[n - 1] == j:
+        m = {}
+        for src, a in enumerate(basis):
+            for (i, j), x in g.items():
+                if not a[j]:
                     continue
-                rest, mult = t[:n] + t[n + 1 :], t.count(j)
-                for i, x in col.get(j, ()):
-                    q = bisect_left(rest, i)
-                    if exterior:
-                        if q < len(rest) and rest[q] == i:
-                            continue
-                        x = -x if (q - n) % 2 else x
-                    p = (index[rest[:q] + (i,) + rest[q:]], src)
-                    m[p] = m.get(p, 0) + mult * x
+                b = list(a)
+                b[j] -= 1
+                b[i] += 1
+                if exterior and b[i] > 1:
+                    continue
+                x = -x if exterior and sum(a[n] for n in range(min(i, j) + 1, max(i, j))) % 2 else x
+                p = (index[tuple(b)], src)
+                m[p] = m.get(p, 0) + a[j] * x
         action[key] = canonical(m)
-    weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
+    weights = tuple(tuple(sum(n * w[c] for n, w in zip(a, w0)) for c in range(len(w0[0]))) for a in basis)
     return (len(basis), action, weights)
 
 
@@ -347,11 +347,20 @@ def weight_set(cb, psi):
     s_i(nu), so k <= <nu, alpha_i^∨>.  nu is higher than mu, so by
     induction on the height of psi - mu, nu and then mu lie in the
     closure.  V(psi) is free of multiplicities exactly when it has
-    weyl_dimension(cb, psi) weights."""
+    weyl_dimension(cb, psi) weights.
+
+    Each alpha_i-string is walked once: mu skips its alpha_i walk when
+    mu + alpha_i is already seen.  The closure is unchanged: let t =
+    mu + k·alpha_i, k >= 1, be the highest weight of mu's string that is
+    ever seen.  t + alpha_i is not, so t walks its <t, alpha_i^∨>
+    steps down to s_i(t) = mu - (<t, alpha_i^∨> - k)·alpha_i, and
+    s_i(mu) = mu - (<t, alpha_i^∨> - 2k)·alpha_i lies above it."""
     seen, todo = {psi}, [psi]
     while todo:
         mu = todo.pop()
         for i, alpha in enumerate(cb.rs.simple):
+            if mu[i] > 0 and tuple(x + y for x, y in zip(mu, alpha)) in seen:
+                continue
             nu = mu
             for _ in range(mu[i]):
                 nu = tuple(x - y for x, y in zip(nu, alpha))

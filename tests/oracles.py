@@ -65,7 +65,11 @@ sums of the coordinate polynomials, as before the binomial closed form,
 and the sparse Sym^k and Λ^k by a Leibniz step at each of the k
 positions, a re-sort and a pairwise inversion count
 (`power_raw_by_leibniz`), as `reps._power_raw` built them before it
-replaced one index per distinct entry.
+replaced one index per distinct entry, and the p-adic valuation by one
+division per unit (`vp_by_division`), as `exact.vp` took it before it
+divided out repeated squares of p, and the weight closure with every
+string walked from every weight (`weight_set_by_every_walk`), as
+`reps.weight_set` took it before each string was walked once.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -153,6 +157,42 @@ def is_prime_by_trial_division(n):
     """Primality by trial division up to √n, as exact.is_prime decided it
     before Miller–Rabin."""
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def vp_by_division(x, p):
+    """p-adic valuation of a nonzero int or Fraction by one division per
+    unit of valuation, numerator and denominator in two loops, as
+    exact.vp took it before it divided out repeated squares of p."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    n = x.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = x.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def weight_set_by_every_walk(cb, psi):
+    """The closure of {psi} under the downward strings mu - j·alpha_i,
+    0 < j <= <mu, alpha_i^∨>, each weight walking every one of its
+    strings, as reps.weight_set took it before a weight mu skipped its
+    alpha_i walk once mu + alpha_i was seen."""
+    seen, todo = {psi}, [psi]
+    while todo:
+        mu = todo.pop()
+        for i, alpha in enumerate(cb.rs.simple):
+            nu = mu
+            for _ in range(mu[i]):
+                nu = tuple(x - y for x, y in zip(nu, alpha))
+                if nu not in seen:
+                    seen.add(nu)
+                    todo.append(nu)
+    return seen
 
 
 def zeros(nr, nc):

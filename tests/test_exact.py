@@ -13,6 +13,7 @@ replaced.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -52,6 +53,7 @@ from oracles import (
     subgroup_count_of_quotient,
     sum_by_fractions,
     transporter_by_inverse,
+    vp_by_division,
     zspan_member,
 )
 
@@ -570,6 +572,27 @@ def test_vp():
     assert vp(5, 5) == 1
     with pytest.raises(ValueError):
         vp(0, 2)
+    # Against one division per unit: ints of both signs and Fractions built
+    # from a numerator and a denominator both divisible by p, one valuation
+    # in ten up to 5,000.
+    rng = random.Random(4501)
+    for p in (2, 3, 7, 101):
+        for n in range(60):
+            top = 5000 if n % 10 == 0 else 300
+            a, b = rng.randint(0, top), rng.randint(1, top)
+            u, w = rng.randrange(1, 10**9), rng.randrange(1, 10**9)
+            fractions = Fraction(p**a * u, p**b * w), Fraction(-(p ** (a + 1)) * u, p**b * w)
+            for x in (p**a * u, -(p**a) * u, *fractions):
+                assert vp(x, p) == vp_by_division(x, p), (p, a, b, u, w)
+    assert vp(Fraction(2**5000 * 3, 2**4000 * 5), 2) == 1000
+
+
+def test_vp_of_a_large_valuation_within_a_tenth_of_a_second():
+    # One division per unit of valuation took 0.9 s (2-vCPU x86-64).
+    x = 2 * 3**50000
+    start = time.perf_counter()
+    assert vp(x, 3) == 50000
+    assert time.perf_counter() - start < 0.1
 
 
 def test_clear_denominators_and_primitive():

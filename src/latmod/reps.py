@@ -13,32 +13,35 @@ raising operators in a weight space (the index tuples whose factor
 weights sum to it): an integer relation among the raising images of
 those tuples (matrixops.relations).  Then walk its cyclic span under the
 lowering operators once into one fraction-free QSpan, whose coordinates
-read the action.  Matrices are sparse {(i, j): entry}
-on each factor, vectors sparse over index tuples, and every generator
-acts on the factors through tensor_mat_vec: no matrix of the tensor
-ambient is built, though its index tuples are enumerated once to find
-the weight spaces.  Every action is integer sparse matrices over one
-positive denominator: the generators of the Chevalley basis over its
-denominator (2 for type B), their powers and tensor products over the
-same one, and the adapted action over the least common denominator of
-its entries (2 for B3 (1,0,0), 3 for C2 (2,1)), each column read over
-the multiplier of its QSpan relation.  So all of the arithmetic is on
-ints and no Fraction is made.
+read the simple generators x_{±alpha_i} on the walked basis.  Matrices
+are sparse {(i, j): entry} on each factor, vectors sparse over index
+tuples, and only the 2·rank simple generators are powered into the
+factors and act on them, through tensor_mat_vec: no matrix of the
+tensor ambient is built, though its index tuples are enumerated once to
+find the weight spaces.  Every other root vector and every h_i of the
+adapted action comes from the simple generators by the recursion that
+builds the Chevalley set itself (rootdata.chevalley_set), on
+dim × dim sparse matrices.  Every action is integer sparse matrices
+over one positive denominator: the generators of the Chevalley basis
+over its denominator (2 for type B), their powers and tensor products
+over the same one, and the adapted action over the least common
+denominator of its entries (2 for B3 (1,0,0), 3 for C2 (2,1)).  So all
+of the arithmetic is on ints and no Fraction is made.
 Representation(cb, action, denominator, psi_of) checks a sparse adapted
 action against the bracket table (rootdata.check_brackets, which checks
 the defining action too) and keeps it in that one form, made dense only
-when it is written out; adapt brings any sparse rational action to an adapted
-basis, and direct_sum and tensor_product read the actions of their
-summands and factors, brought to one denominator.  The
-powers are indexed by exponent vectors, listed in the order of the
-sorted index tuples, so the symmetric power keeps the monomial basis
-(e1^k, e1^{k-1}e2, ...): a generator's entry at (i, j) moves one unit
-of an exponent vector from j to i, times the exponent of j, and in Λ^k
-with the sign of the ones it passes.
+when it is written out; adapt checks a sparse rational action against
+the bracket table and brings it to an adapted basis, and direct_sum and
+tensor_product read the actions of their summands and factors, brought
+to one denominator.  The powers are indexed by exponent vectors, listed
+in the order of the sorted index tuples, so the symmetric power keeps
+the monomial basis (e1^k, e1^{k-1}e2, ...): a generator's entry at
+(i, j) moves one unit of an exponent vector from j to i, times the
+exponent of j, and in Λ^k with the sign of the ones it passes.
 """
 
 import itertools
-from math import gcd, lcm
+from math import lcm
 
 from latmod.matrixops import (
     QSpan,
@@ -50,7 +53,7 @@ from latmod.matrixops import (
     relations,
     tensor_mat_vec,
 )
-from latmod.rootdata import check_brackets
+from latmod.rootdata import chevalley_set, check_brackets
 
 
 class RepError(ValueError):
@@ -128,8 +131,9 @@ def _lowering_span(span, lowering, v):
 
 
 def _ambient(factors):
-    """The tensor product of the factors (dim, action, weights): each
-    generator's column index on each factor, in factor order, and {w: the
+    """The tensor product of the factors (dim, action, weights): the
+    column index of each generator of the factors (the simple ones) on
+    each factor, in factor order, and {w: the
     index tuples of weight w, in lexicographic order}, the weight of a
     tuple the sum of its factors' weights."""
     spaces = {}
@@ -165,14 +169,16 @@ def _diagonal_weights(cb, action, dim, den):
 
 def _adapted(cb, columns, den, hw_vectors):
     """The Representation on the lowering spans of the highest-weight
-    vectors [(psi, v), ...], walked in order into one QSpan.  Each
-    generator g acts as D·g, given by its integer column indices on each
-    factor over den = D, so the walk is on ints: D·g·v has the primitive
-    vector of g·v.  The span's relation c·(D·g·b) = Σ x_k·b_k reads the
-    image of every walked b under every generator as the column x over
-    c·D, in lowest terms; the action is then written over the least
-    common denominator of the columns, the least one of its entries."""
-    lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
+    vectors [(psi, v), ...], walked in order into one QSpan.  Only the
+    simple generators x_{±alpha_i} act, each g as D·g, given by its
+    integer column indices on each factor over den = D, so the walk is on
+    ints: D·g·v has the primitive vector of g·v.  The span's relation
+    c·(D·g·b) = Σ x_k·b_k reads the image of every walked b as the
+    column x over c·D, and the columns of g over their lcm give g on the
+    walked basis.  Every other root vector and every h_i is read off
+    these by rootdata.chevalley_set, the recursion that builds the
+    Chevalley set, over the least common denominator of the action."""
+    lowering = [columns[f] for f in cb.rs.generators[cb.rs.rank :]]
     span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
@@ -181,25 +187,14 @@ def _adapted(cb, columns, den, hw_vectors):
         walked = _lowering_span(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
-    read = {}
+    simple = {}
     for key, g in columns.items():
-        read[key] = cols = []
-        for b in basis:
-            rel = span.relation(tensor_mat_vec(g, b))
-            if rel is None:
-                raise RepError("cyclic span not invariant (construction bug)")
-            c, x = rel
-            e = c * den
-            q = gcd(e, *x.values()) if e > 0 else -gcd(e, *x.values())
-            cols.append((e // q, {r: y // q for r, y in x.items()}))
-    d = lcm(*(e for cols in read.values() for e, _ in cols))
-    adapted = {}
-    for key, cols in read.items():
-        m = adapted[key] = {}
-        for c, (e, x) in enumerate(cols):
-            s = d // e
-            m.update(((r, c), s * y) for r, y in x.items())
-    return Representation(cb, adapted, d, psi_of)
+        cols = [span.relation(tensor_mat_vec(g, b)) for b in basis]
+        if None in cols:
+            raise RepError("cyclic span not invariant (construction bug)")
+        e = lcm(*(c for c, _ in cols))
+        simple[key] = ({(r, k): e // c * y for k, (c, x) in enumerate(cols) for r, y in x.items()}, e * den)
+    return Representation(cb, *chevalley_set(cb.rs, simple), psi_of)
 
 
 def _checked_weights(cb, action, den, dim):
@@ -289,7 +284,8 @@ def build_irrep(cb, psi):
     """Irreducible representation with highest weight psi (fund coords)."""
     psi = dominant(cb, psi)
     rank = cb.rs.rank
-    defining = (cb.N, cb.action, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
+    simple = {key: cb.action[key] for key in cb.rs.generators}
+    defining = (cb.N, simple, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [_power_raw(defining, psi[0])]
     for i in range(1, rank):
         if psi[i]:
@@ -374,10 +370,11 @@ def _adapt(cb, factors):
     """The Representation of the tensor product of the factors (dim,
     integer action, weights, denominator) on the basis walked from the
     highest-weight vectors of every weight, top down: a change of basis,
-    once the spans exhaust the space.  The actions are brought to the
-    least common multiple of their denominators first."""
+    once the spans exhaust the space.  Only the simple generators of the
+    factors are kept, brought to the least common multiple of their
+    denominators first."""
     den = lcm(*(f[3] for f in factors))
-    factors = [(n, {key: {p: den // d * x for p, x in g.items()} for key, g in a.items()}, w) for n, a, w, d in factors]
+    factors = [(n, {key: {p: den // d * x for p, x in a[key].items()} for key in cb.rs.generators}, w) for n, a, w, d in factors]
     columns, spaces = _ambient(factors)
     rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
     if rep.dim != sum(map(len, spaces.values())):
@@ -387,12 +384,16 @@ def _adapt(cb, factors):
 
 def adapt(cb, action, dim):
     """The Representation of a sparse action of dim×dim matrices with
-    rational entries (ints or Fractions) on an adapted basis; it is
-    checked, and it is a representation exactly when action is one.  The
+    rational entries (ints or Fractions) on an adapted basis.  The
     entries are read as integers over the least common multiple of their
-    denominators."""
+    denominators, and the action is refused unless it satisfies the
+    bracket table (rootdata.check_brackets): the adapted basis reads only
+    the simple generators, so an entry off the representation in any
+    other generator would not be seen there."""
     den = lcm(*(x.denominator for g in action.values() for x in g.values()))
     ints = {key: {p: x.numerator * (den // x.denominator) for p, x in g.items()} for key, g in action.items()}
+    if check_brackets(cb, ints, den):
+        raise RepError("not a representation")
     return _adapt(cb, [(dim, ints, _diagonal_weights(cb, ints, dim, den), den)])
 
 

@@ -8,20 +8,25 @@ written down in closed form: the weight of a root sits at one matrix
 position and at its partner under the form, and the form equations tie
 the two entries by one sign (_root_spaces); the coroot of a root alpha
 is 2·alpha/(alpha, alpha) in the diagonal parameters, and the diagonal
-of a matrix is read off the weights of its positions.  Root vectors are
-built recursively from the simple root spaces.  The Cartan inverse,
-taken once as d·C⁻¹ without a quotient from a QSpan of C's columns
-(matrixops.scaled_inverse), gives the simple-root coordinates of roots
-and weights alike (fund = C·m, read as one integer product), for the
-height order here and for every walk down the weights of a
-representation.  The basis acts as integer sparse matrices over one
-positive denominator, the least one: x_alpha is action[alpha] /
-denominator, and so is every coroot.  The denominator is 2 for type B,
-whose x_{e_i+e_j} has entries 1/2 in this realization, and 1 for types
-A, C and D.  The set is built on pairs (integer matrix, denominator)
-and brought to the one denominator at the end, so the construction
-makes no Fraction in any type; the coroots, the bracket table and every
-structure constant are ints.  The bracket table, the coordinates of the
+of a matrix is read off the weights of its positions.  Only the simple
+root spaces are taken: x_{alpha_i} is the primitive generator of its
+root space, and x_{-alpha_i} is paired with it by [x_{alpha_i},
+x_{-alpha_i}] = h_{alpha_i} (_pair_negative).  Every other root vector
+and every h_i comes from these by one recursion, chevalley_set, which
+builds the Chevalley set in any representation from its simple
+generators; reps reads every representation's action through it too.
+The Cartan inverse, taken once as d·C⁻¹ without a quotient from a QSpan
+of C's columns (matrixops.scaled_inverse), gives the simple-root
+coordinates of roots and weights alike (fund = C·m, read as one integer
+product), for the height order here and for every walk down the
+weights of a representation.  The basis acts as integer sparse
+matrices over one positive denominator, the least one: x_alpha is
+action[alpha] / denominator, and so is every coroot.  The denominator
+is 2 for type B, whose x_{e_i+e_j} has entries 1/2 in this
+realization, and 1 for types A, C and D.  The set is built on pairs
+(integer matrix, denominator) and brought to the one denominator at the
+end, so the construction makes no Fraction in any type; the coroots,
+the bracket table and every structure constant are ints.  The bracket table, the coordinates of the
 bracket of every pair of basis elements, is read off the root data:
 h_alpha on the simple coroots for [x_alpha, x_-alpha], alpha_i for
 [h_i, x_alpha], ±(r + 1) where alpha + beta is a root, with the sign read
@@ -136,6 +141,9 @@ class RootSystem:
         self.negative = tuple(self._fund[b] for b in self.negative_euclid)
         self.all_roots = self.positive + self.negative
         self.simple = tuple(self._fund[b] for b in self.simple_euclid)
+        # The roots ±alpha_i of the simple generators x_{±alpha_i}, which
+        # generate g: the simple roots, then their negatives.
+        self.generators = self.simple + tuple(tuple(-c for c in a) for a in self.simple)
         self._by_fund = {self._fund[b]: b for b in self.all_euclid}
 
     # -- coordinates ---------------------------------------------------
@@ -229,6 +237,72 @@ def _lowest(m, d):
     return ({p: v // g for p, v in m.items()}, d // g) if g > 1 else (m, d)
 
 
+def chevalley_set(rs, simple):
+    """The Chevalley set from its simple generators alone.  simple maps
+    the fund coords of each root ±alpha_i of rs.generators to x_{±alpha_i}
+    in some representation, as a pair (integer sparse matrix,
+    denominator > 0); returns (action, D): every x_alpha and h_i, keyed
+    in basis order (ChevalleyBasis.basis_order), as integer sparse
+    matrices over D, the least common denominator of all of them.
+
+    The positive roots are walked in height order, and a non-simple gamma
+    is written a + beta, a the first simple root that leaves a root beta,
+    of lower height.  With r the largest integer making beta − r·a a
+    root,
+
+        x_gamma = [x_a, x_beta]/(r + 1),
+        x_{-gamma} = −[x_{-a}, x_{-beta}]/(r + 1),
+        h_i = [x_{alpha_i}, x_{-alpha_i}].
+
+    x_{-gamma} is −ω(x_gamma), ω the Chevalley involution, the
+    automorphism taking x_{±alpha_i} to −x_{∓alpha_i}: by induction
+    ω(x_gamma) = [ω(x_a), ω(x_beta)]/(r + 1) = [x_{-a}, x_{-beta}]/(r + 1).
+    It is also the unique y in g_{-gamma} with [x_gamma, y] = h_gamma,
+    given this for a and beta.  Proof (Humphreys, Lie Algebras, §25): for
+    y in g_{-gamma}, [x_gamma, y] = kappa(x_gamma, y)·t_gamma, t_gamma
+    dual to gamma under the Killing form kappa, and h_gamma =
+    2·t_gamma/(gamma, gamma), (·, ·) the form kappa induces on the roots,
+    so the claim is kappa(x_gamma, x_{-gamma}) = 2/(gamma, gamma).  The a-string through
+    beta runs from beta − r·a to beta + q·a, q ≥ 1, an irreducible
+    module of the sl_2 of x_a, x_{-a}, h_a with x_beta q steps below its
+    top, so [x_{-a}, [x_a, x_beta]] = q·(r + 1)·x_beta, that is
+    [x_gamma, x_{-a}] = −q·x_beta.  By the invariance of kappa,
+
+        kappa(x_gamma, x_{-gamma}) = −kappa([x_gamma, x_{-a}], x_{-beta})/(r + 1)
+                                   = q·kappa(x_beta, x_{-beta})/(r + 1)
+                                   = 2q/((r + 1)·(beta, beta)),
+
+    which is 2/(gamma, gamma) as r + 1 = q·(gamma, gamma)/(beta, beta)
+    (§25.1, Lemma).  So x_{-gamma} is the vector _pair_negative would
+    pair with x_gamma, in every representation, and every structure
+    constant is ±(r + 1).  Every pair is kept in lowest terms (_lowest)
+    and brought to D at the end, so no Fraction is made."""
+    x = {key: _lowest(*pair) for key, pair in simple.items()}
+
+    def bracket(u, v, r):
+        (mu, du), (mv, dv) = x[u], x[v]
+        return _lowest(sparse_bracket(mu, mv), du * dv * r)
+
+    for gamma in rs.positive:
+        if gamma in x:
+            continue
+        for a in rs.simple:
+            beta = tuple(g - c for g, c in zip(gamma, a))
+            if beta in x:
+                r = rs.root_string_r(a, beta) + 1
+                x[gamma] = bracket(a, beta, r)
+                # −[x_{-a}, x_{-beta}] = [x_{-beta}, x_{-a}]
+                x[tuple(-c for c in gamma)] = bracket(tuple(-c for c in beta), tuple(-c for c in a), r)
+                break
+        else:
+            raise AssertionError("no decomposition for %r" % (gamma,))
+    for i, (a, f) in enumerate(zip(rs.simple, rs.generators[rs.rank :])):
+        x["h", i] = bracket(a, f, 1)
+    d = lcm(*(e for _, e in x.values()))
+    keys = [*rs.all_roots, *(("h", i) for i in range(rs.rank))]
+    return {key: _scaled(d // x[key][1], x[key][0]) for key in keys}, d
+
+
 class ChevalleyBasis:
     """Chevalley set {x_alpha} plus coroot matrices in the defining rep.
 
@@ -240,7 +314,7 @@ class ChevalleyBasis:
       action: D times the N×N matrices of the basis, as integer sparse
         matrices {(i, j): entry}, keyed like Representation.action:
         x_alpha at the fund coords of alpha, then the coroot h_{alpha_i}
-        of each simple root at ("h", i)
+        of each simple root at ("h", i), in basis order
       bracket_table: bracket_table[i][j] = {k: c} with
         [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
     """
@@ -249,30 +323,33 @@ class ChevalleyBasis:
         self.rs = rs
         self._weights = _position_weights(rs)
         self.N = len(self._weights)
-        # The Killing form restricted to the Cartan is a multiple of the
-        # Euclidean form on the diagonal parameters (both are Weyl
-        # invariant and the algebra is simple), so h_alpha, the element
-        # with kappa(h_alpha, ·) proportional to alpha and alpha(h_alpha)
-        # = 2, is 2·alpha/(alpha, alpha).
-        self._coroots = {
-            fund: tuple(ratio(2 * c, _dot(b, b)) for c in b)
-            for fund, b in zip(rs.all_roots, rs.all_euclid)
-        }
-        self._build_chevalley_set(self._root_spaces())
-        self._basis_order = list(rs.all_roots)
+        gens = self._root_spaces(rs.generators)
+        simple = {}
+        for a, f in zip(rs.simple, rs.generators[rs.rank :]):
+            simple[a] = (gens[a], 1)
+            simple[f] = self._pair_negative(a, simple[a], gens[f])
+        self.action, self.denominator = chevalley_set(rs, simple)
         self._index = {key: k for k, key in enumerate(self.basis_order())}
         self._verify()
 
     # -- scaffolding ---------------------------------------------------
 
     def _h_sparse(self, fund):
-        t = self._coroots[fund]
+        """The coroot h_alpha as a canonical sparse matrix.  The Killing
+        form restricted to the Cartan is a multiple of the Euclidean form
+        on the diagonal parameters (both are Weyl invariant and the
+        algebra is simple), so h_alpha, the element with kappa(h_alpha, ·)
+        proportional to alpha and alpha(h_alpha) = 2, is 2·alpha/(alpha,
+        alpha)."""
+        b = self.rs.euclid(fund)
+        t = tuple(ratio(2 * c, _dot(b, b)) for c in b)
         return canonical({(i, i): _dot(w, t) for i, w in enumerate(self._weights)})
 
-    def _root_spaces(self):
-        """Primitive integer generator of each root space, sparse, keyed
-        by fund coords.  Row k of the form S (_form) has one entry s_k =
-        ±1, at column σ(k), σ an involution, so Xᵀ·S + S·X = 0 reads
+    def _root_spaces(self, roots):
+        """Primitive integer generator of the root space of each root in
+        roots, sparse, keyed by fund coords.  Row k of the form S (_form)
+        has one entry s_k = ±1, at column σ(k), σ an involution, so
+        Xᵀ·S + S·X = 0 reads
         X[σ(b)][σ(a)] = −s_σ(a)·s_σ(b)·X[a][b]: each equation ties a
         position (a, b) to its partner (σ(b), σ(a)).  The weights w[k] are
         distinct, ±e_i and 0 for type B, with w[σ(k)] = −w[k], so a root
@@ -282,17 +359,16 @@ class ChevalleyBasis:
         the partner is (a, b) itself (u = −v, the long roots of type C,
         where s_a·s_σ(a) = −1).  Type A has no form, and e_i − e_j sits
         at (i, j) alone."""
-        rs = self.rs
         w = self._weights
         first = {}
         for i in range(self.N):
             for j in range(self.N):
                 first.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), (i, j))
-        s = _form(rs)
+        s = _form(self.rs)
         sigma = {k: l for k, l in s}
         gens = {}
-        for fund, beta in zip(rs.all_roots, rs.all_euclid):
-            a, b = first[beta]
+        for fund in roots:
+            a, b = first[self.rs.euclid(fund)]
             gen = {(a, b): 1}
             if s:
                 sa, sb = sigma[a], sigma[b]
@@ -316,33 +392,6 @@ class ChevalleyBasis:
             b, c = -b, -c
         return _lowest(_scaled(e * c, gen), b)
 
-    def _build_chevalley_set(self, gens):
-        """Each x_alpha as a pair (integer matrix, denominator) in lowest
-        terms, then all of them and the coroots over their least common
-        denominator."""
-        rs = self.rs
-        x = {a: (gens[a], 1) for a in rs.simple}
-        # Positive roots in height order; each non-simple root comes from
-        # the first simple root that can be peeled off.
-        for gamma in rs.positive:
-            if gamma in x:
-                continue
-            for a in rs.simple:
-                beta = tuple(g - c for g, c in zip(gamma, a))
-                if beta in x:
-                    r = rs.root_string_r(a, beta)
-                    (ma, da), (mb, db) = x[a], x[beta]
-                    x[gamma] = _lowest(sparse_bracket(ma, mb), da * db * (r + 1))
-                    break
-            else:
-                raise AssertionError("no decomposition for %r" % (gamma,))
-        for gamma in rs.positive:
-            neg = tuple(-c for c in gamma)
-            x[neg] = self._pair_negative(gamma, x[gamma], gens[neg])
-        d = self.denominator = lcm(*(e for _, e in x.values()))
-        self.action = {key: _scaled(d // e, m) for key, (m, e) in x.items()}
-        self.action.update((("h", i), _scaled(d, self._h_sparse(a))) for i, a in enumerate(rs.simple))
-
     # -- public API ----------------------------------------------------
 
     def h_alpha_coords(self, fund):
@@ -361,7 +410,7 @@ class ChevalleyBasis:
 
     def basis_order(self):
         """Keys of the Chevalley basis: all roots, then rank coroots."""
-        return list(self._basis_order) + [("h", i) for i in range(self.rs.rank)]
+        return [*self.rs.all_roots, *(("h", i) for i in range(self.rs.rank))]
 
     def _rational(self, m):
         """The sparse matrix m over the denominator, canonical."""

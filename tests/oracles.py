@@ -69,7 +69,14 @@ replaced one index per distinct entry, and the p-adic valuation by one
 division per unit (`vp_by_division`), as `exact.vp` took it before it
 divided out repeated squares of p, and the weight closure with every
 string walked from every weight (`weight_set_by_every_walk`), as
-`reps.weight_set` took it before each string was walked once.
+`reps.weight_set` took it before each string was walked once, and the
+read of every generator on every walked vector in the tensor ambient
+(`adapted_by_every_generator`, with the `build_irrep` and `_adapt`
+that power and keep every generator of the factors), and the Chevalley
+set with every negative root vector paired with its positive one by
+`_pair_negative` (`chevalley_set_by_pairing`), as before
+`rootdata.chevalley_set` read every other generator off the simple
+ones.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -86,6 +93,7 @@ of the transition maps (acceptance criterion 3) and the class number from
 reduced binary forms.
 """
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -118,7 +126,7 @@ from latmod.matrixops import (
     sparse_bracket,
     sparse_mat_vec,
 )
-from latmod.rootdata import ChevalleyBasis, _form, _scaled
+from latmod.rootdata import ChevalleyBasis, _form, _lowest, _scaled
 
 
 # The oracles compute in Fractions throughout, as the code they check did:
@@ -552,6 +560,61 @@ def power_raw_by_leibniz(raw, k, exterior=False):
         action[key] = matrixops.canonical(m)
     weights = tuple(tuple(sum(w0[j][c] for j in t) for c in range(len(w0[0]))) for t in basis)
     return (len(basis), action, weights)
+
+
+def adapted_by_every_generator(cb, columns, den, hw_vectors):
+    """reps._adapted as it was before rootdata.chevalley_set read the
+    other generators off the simple ones: the walk on the lowering
+    operators, then every generator in columns (every root vector and
+    every h_i) applied to every walked vector in the tensor ambient and
+    read off the span's relation, each column in lowest terms, and the
+    action written over the lcm of the columns' denominators."""
+    lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
+    span = QSpan()
+    basis, psi_of = [], []
+    for psi, v in hw_vectors:
+        walked = reps._lowering_span(span, lowering, v)
+        basis.extend(walked)
+        psi_of.extend([psi] * len(walked))
+    read = {}
+    for key, g in columns.items():
+        read[key] = cols = []
+        for b in basis:
+            c, x = span.relation(matrixops.tensor_mat_vec(g, b))
+            e = c * den
+            q = gcd(e, *x.values()) if e > 0 else -gcd(e, *x.values())
+            cols.append((e // q, {r: y // q for r, y in x.items()}))
+    d = lcm(*(e for cols in read.values() for e, _ in cols))
+    adapted = {}
+    for key, cols in read.items():
+        m = adapted[key] = {}
+        for c, (e, x) in enumerate(cols):
+            m.update(((r, c), d // e * y) for r, y in x.items())
+    return reps.Representation(cb, adapted, d, psi_of)
+
+
+def build_irrep_by_every_generator(cb, psi):
+    """reps.build_irrep as it was before it powered only the simple
+    generators: every generator of cb is powered into the factors and
+    read in the tensor ambient (adapted_by_every_generator)."""
+    defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N, cb.denominator))
+    factors = [reps._power_raw(defining, psi[0])]
+    for i in range(1, cb.rs.rank):
+        factors += [reps._power_raw(defining, i + 1, exterior=True)] * psi[i]
+    columns, spaces = reps._ambient(factors)
+    tops = reps._highest_weight_vectors(cb, columns, spaces, [psi])
+    return adapted_by_every_generator(cb, columns, cb.denominator, tops[:1])
+
+
+def adapt_by_every_generator(cb, factors):
+    """reps._adapt as it was before it kept only the simple generators of
+    its factors: every generator of every factor is read in the tensor
+    ambient (adapted_by_every_generator)."""
+    den = lcm(*(f[3] for f in factors))
+    factors = [(n, {key: {p: den // d * x for p, x in g.items()} for key, g in a.items()}, w) for n, a, w, d in factors]
+    columns, spaces = reps._ambient(factors)
+    tops = reps._highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True))
+    return adapted_by_every_generator(cb, columns, den, tops)
 
 
 def dense_primitive(v):
@@ -1579,6 +1642,40 @@ def bracket_table_by_ordered_pairs(cb):
             assert br == _scaled(d * c, x[target]), "bracket not proportional to x_{a+b}"
             table[ix[alpha]][ix[beta]] = {ix[target]: c}
     return tuple(tuple(row) for row in table)
+
+
+def chevalley_set_by_pairing(cb):
+    """(action, denominator, bracket table) of cb as ChevalleyBasis built
+    them before rootdata.chevalley_set: the closed-form root space of
+    every root, the positive root vectors by the recursion on the simple
+    ones, every negative root vector paired with its positive one by
+    _pair_negative, and each h_i the realization's coroot; the table is
+    read off this action by ChevalleyBasis._verify."""
+    rs = cb.rs
+    gens = cb._root_spaces(rs.all_roots)
+    x = {a: (gens[a], 1) for a in rs.simple}
+    for gamma in rs.positive:
+        if gamma in x:
+            continue
+        for a in rs.simple:
+            beta = tuple(g - c for g, c in zip(gamma, a))
+            if beta in x:
+                r = rs.root_string_r(a, beta)
+                (ma, da), (mb, db) = x[a], x[beta]
+                x[gamma] = _lowest(sparse_bracket(ma, mb), da * db * (r + 1))
+                break
+        else:
+            raise AssertionError("no decomposition for %r" % (gamma,))
+    for gamma in rs.positive:
+        neg = tuple(-c for c in gamma)
+        x[neg] = cb._pair_negative(gamma, x[gamma], gens[neg])
+    d = lcm(*(e for _, e in x.values()))
+    action = {key: _scaled(d // e, m) for key, (m, e) in x.items()}
+    action.update((("h", i), _scaled(d, cb._h_sparse(a))) for i, a in enumerate(rs.simple))
+    old = copy.copy(cb)
+    old.action, old.denominator = action, d
+    old._verify()
+    return action, d, old.bracket_table
 
 
 # -----------------------------------------------------------------------

@@ -25,8 +25,10 @@ from latmod.reps import (
 from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevalley
 from oracles import (
     adapt_by_conjugation,
+    adapt_by_every_generator,
     basis_matrices,
     build_irrep_by_conjugation,
+    build_irrep_by_every_generator,
     build_irrep_by_solve,
     check_transition_surjectivity,
     defining_raw,
@@ -276,6 +278,111 @@ def test_reducible_representation_matches_conjugation_oracle():
     _, times, _ = tensor_raw((v.dim, va, v.weights), (w.dim, wa, w.weights))
     for rep, action in ((direct_sum([v, v]), plus), (tensor_product(v, w), times)):
         assert same_as_oracle(rep, adapt_by_conjugation(cb, action)), rep.highest_weights
+
+
+@pytest.mark.parametrize("t, r", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_build_irrep_matches_every_generator_oracle(t, r):
+    # Reading the simple generators alone and the rest by the recursion of
+    # the Chevalley set gives the JSON that reading every generator in the
+    # tensor ambient gave: every reachable psi with |psi| <= 2 and at most
+    # 300 dimensions, the trivial representation included.
+    cb = build_chevalley(t, r)
+    built = 0
+    for psi in itertools.product(range(3), repeat=r):
+        if sum(psi) > 2 or reps.weyl_dimension(cb, psi) > 300:
+            continue
+        try:
+            rep = build_irrep(cb, psi)
+        except RepError as e:
+            assert "not reachable" in str(e), psi
+            continue
+        assert rep.to_json_obj() == build_irrep_by_every_generator(cb, psi).to_json_obj(), psi
+        built += 1
+    assert built > 1
+
+
+def plus(u, v):
+    return direct_sum([u, v])
+
+
+SUMS_AND_PRODUCTS = [
+    (plus, "A", 1, (1,), (2,)),
+    (tensor_product, "A", 1, (1,), (2,)),
+    (plus, "A", 1, (2,), (2,)),
+    (tensor_product, "A", 1, (2,), (2,)),
+    (plus, "A", 2, (1, 0), (0, 1)),
+    (tensor_product, "A", 2, (1, 0), (0, 1)),
+    (tensor_product, "A", 2, (1, 0), (1, 0)),
+    (tensor_product, "C", 2, (1, 0), (0, 1)),
+]
+
+
+def test_sums_and_products_match_every_generator_oracle(monkeypatch):
+    # direct_sum and tensor_product give the JSON they gave when every
+    # generator of their factors was read in the tensor ambient.
+    cases = []
+    for make, t, r, a, b in SUMS_AND_PRODUCTS:
+        cb = build_chevalley(t, r)
+        cases.append((make, build_irrep(cb, a), build_irrep(cb, b)))
+    new = [make(u, v).to_json_obj() for make, u, v in cases]
+    monkeypatch.setattr(reps, "_adapt", adapt_by_every_generator)
+    assert new == [make(u, v).to_json_obj() for make, u, v in cases]
+
+
+def test_builds_apply_only_the_simple_generators(monkeypatch):
+    # build_irrep powers only the 2·rank simple generators x_(±alpha_i),
+    # and every build applies only those in the tensor ambient: each
+    # tensor_mat_vec takes the column indices of one of them.
+    power, ambient, apply = reps._power_raw, reps._ambient, reps.tensor_mat_vec
+    powered, indexed, applied = [], {}, []
+
+    def recording_power(raw, *args, **kwargs):
+        powered.append(set(raw[1]))
+        return power(raw, *args, **kwargs)
+
+    def recording_ambient(factors):
+        columns, spaces = ambient(factors)
+        indexed.update((id(cols), (key, cols)) for key, cols in columns.items())
+        return columns, spaces
+
+    def recording_apply(cols, v):
+        applied.append(indexed[id(cols)][0])
+        return apply(cols, v)
+
+    monkeypatch.setattr(reps, "_power_raw", recording_power)
+    monkeypatch.setattr(reps, "_ambient", recording_ambient)
+    monkeypatch.setattr(reps, "tensor_mat_vec", recording_apply)
+    for t, r, hw in (("A", 2, (1, 1)), ("B", 3, (1, 0, 0)), ("D", 4, (0, 0, 1, 1))):
+        cb = build_chevalley(t, r)
+        powered.clear()
+        applied.clear()
+        v = build_irrep(cb, hw)
+        assert powered and all(keys == set(cb.rs.generators) for keys in powered), (t, r, hw)
+        assert set(applied) == set(cb.rs.generators), (t, r, hw)
+    # Then direct_sum, tensor_product and adapt, on D4 (0,0,1,1) and (1,0,0,0).
+    w = build_irrep(cb, (1, 0, 0, 0))
+    for make in (
+        lambda: direct_sum([v, w]),
+        lambda: tensor_product(v, w),
+        lambda: adapt(cb, sparse_action(dense_action(v)), v.dim),
+    ):
+        applied.clear()
+        make()
+        assert set(applied) == set(cb.rs.generators)
+
+
+def test_adapt_refuses_a_changed_highest_root_entry():
+    # The simple generators alone would not see it: adapt checks its input
+    # against the bracket table before it reads them.
+    cb = build_chevalley("B", 3)
+    rep = build_irrep(cb, (1, 0, 0))
+    action = dense_action(rep)
+    top = cb.rs.positive[-1]
+    for i, j, value in single_entry_changes(action[top]):
+        broken = dict(action)
+        broken[top] = with_entry(action[top], i, j, value)
+        with pytest.raises(RepError, match="not a representation"):
+            adapt(cb, sparse_action(broken), rep.dim)
 
 
 def test_build_irrep_walks_once(monkeypatch):

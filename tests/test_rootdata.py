@@ -5,9 +5,11 @@ these tests mostly pin down the public data (counts, Cartan matrices,
 specific structure constants) and exercise the lattice-closure invariant.
 On every supported type the construction is compared with the dense
 nullspace construction it replaced, the closed-form root spaces with the
-kernels of the form equations on the positions of each weight, and the
+kernels of the form equations on the positions of each weight, the
 bracket table with the coordinates of dense brackets and with the table
-read off every ordered pair of the defining action.
+read off every ordered pair of the defining action, and the Chevalley
+set read off the simple generators with the one that paired every
+negative root vector with its positive one.
 """
 
 import copy
@@ -34,6 +36,7 @@ from oracles import (
     ChevalleyBasisByNullspace,
     basis_matrices,
     bracket_table_by_ordered_pairs,
+    chevalley_set_by_pairing,
     dense_action,
     root_data_by_fraction_dot,
     root_space_kernels,
@@ -239,9 +242,11 @@ def test_bracket_table_matches_the_ordered_pair_oracle(label, rank):
 @pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
 def test_root_spaces_match_the_form_equation_kernels(label, rank):
     # The closed form against the kernel of Xᵀ·S + S·X = 0 on every
-    # position of the root's weight: one-dimensional, spanned by it.
+    # position of the root's weight: one-dimensional, spanned by it.  The
+    # construction takes the simple root spaces alone; the closed form is
+    # checked on every root.
     cb = build_chevalley(label, rank)
-    gens = cb._root_spaces()
+    gens = cb._root_spaces(cb.rs.all_roots)
     kernels = root_space_kernels(cb)
     assert sorted(gens) == sorted(kernels) == sorted(cb.rs.all_roots)
     for root, ker in kernels.items():
@@ -249,12 +254,13 @@ def test_root_spaces_match_the_form_equation_kernels(label, rank):
         assert primitive(ker[0]) == gens[root], root
 
 
-@pytest.mark.parametrize("label,rank,brackets", [("B", 3, 225), ("B", 4, 658)])
+@pytest.mark.parametrize("label,rank,brackets", [("B", 3, 228), ("B", 4, 662)])
 def test_one_build_computes_each_bracket_once(label, rank, brackets, monkeypatch):
     # check_brackets takes the n(n − 1)/2 brackets of the basis; the
-    # Chevalley set adds one per non-simple positive root and one per
-    # negative root.  No root space is solved for: the one relations
-    # call is the Cartan inverse.
+    # Chevalley set adds one per negative simple root (_pair_negative),
+    # two per non-simple positive root (x_gamma and x_-gamma) and one per
+    # h_i = [x_alpha_i, x_-alpha_i]: n(n − 1)/2 + 2|Φ⁺| in all.  No root
+    # space is solved for: the one relations call is the Cartan inverse.
     calls = Counter()
 
     def counted(name, f):
@@ -269,9 +275,48 @@ def test_one_build_computes_each_bracket_once(label, rank, brackets, monkeypatch
     build_chevalley.cache_clear()
     cb = build_chevalley(label, rank)
     n = len(cb.basis_order())
-    assert brackets == n * (n - 1) // 2 + 2 * len(cb.rs.positive) - rank
+    assert brackets == n * (n - 1) // 2 + 2 * len(cb.rs.positive)
     assert calls == {"bracket": brackets, "relations": 1}
     assert not hasattr(rootdata, "relations")
+
+
+@pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_chevalley_set_matches_the_pairing_oracle(label, rank):
+    # The recursion on the simple generators alone gives the action, the
+    # denominator and the bracket table that pairing every negative root
+    # vector with its positive one gave.
+    cb = build_chevalley(label, rank)
+    assert (cb.action, cb.denominator, cb.bracket_table) == chevalley_set_by_pairing(cb)
+    assert list(cb.action) == cb.basis_order()
+
+
+def test_pair_negative_runs_once_per_simple_root(monkeypatch):
+    # Only x_-alpha_i is paired with its positive root vector; every other
+    # negative root vector comes from the recursion.
+    pair = ChevalleyBasis._pair_negative
+    paired = []
+
+    def recording(self, fund, *args):
+        paired.append(fund)
+        return pair(self, fund, *args)
+
+    monkeypatch.setattr(ChevalleyBasis, "_pair_negative", recording)
+    for label, ranks in sorted(SUPPORTED.items()):
+        for rank in ranks:
+            paired.clear()
+            rs = RootSystem(label, rank)
+            ChevalleyBasis(rs)
+            assert paired == list(rs.simple), (label, rank)
+
+
+def test_chevalley_set_refuses_a_root_with_no_decomposition():
+    # A positive root the walk cannot reach from the generators it is
+    # given fails loudly: here the second simple root vector is missing.
+    cb = build_chevalley("A", 2)
+    rs = cb.rs
+    simple = {key: (cb.action[key], cb.denominator) for key in rs.generators if key != rs.simple[1]}
+    with pytest.raises(AssertionError, match=re.escape("no decomposition for %r" % (rs.simple[1],))):
+        rootdata.chevalley_set(rs, simple)
 
 
 @st.composite

@@ -11,10 +11,12 @@ is 2·alpha/(alpha, alpha) in the diagonal parameters, and the diagonal
 of a matrix is read off the weights of its positions.  Only the simple
 root spaces are taken: x_{alpha_i} is the primitive generator of its
 root space, and x_{-alpha_i} is paired with it by [x_{alpha_i},
-x_{-alpha_i}] = h_{alpha_i} (_pair_negative).  Every other root vector
-and every h_i comes from these by one recursion, chevalley_set, which
-builds the Chevalley set in any representation from its simple
-generators; reps reads every representation's action through it too.
+x_{-alpha_i}] = h_{alpha_i} (_pair_negative), whose one bracket also
+checks the coroot h_{alpha_i}.  Every other root vector comes from these
+by one recursion, chevalley_set, which builds the Chevalley set in any
+representation from its simple generators, with each h_i as their
+bracket unless it is given; reps reads every representation's action
+through it too.
 The Cartan inverse, taken once as d·C⁻¹ without a quotient from a QSpan
 of C's columns (matrixops.scaled_inverse), gives the simple-root
 coordinates of roots and weights alike (fund = C·m, read as one integer
@@ -241,7 +243,8 @@ def chevalley_set(rs, simple):
     """The Chevalley set from its simple generators alone.  simple maps
     the fund coords of each root ±alpha_i of rs.generators to x_{±alpha_i}
     in some representation, as a pair (integer sparse matrix,
-    denominator > 0); returns (action, D): every x_alpha and h_i, keyed
+    denominator > 0), and may map ("h", i) to h_i, when the caller
+    already has it; returns (action, D): every x_alpha and h_i, keyed
     in basis order (ChevalleyBasis.basis_order), as integer sparse
     matrices over D, the least common denominator of all of them.
 
@@ -252,7 +255,7 @@ def chevalley_set(rs, simple):
 
         x_gamma = [x_a, x_beta]/(r + 1),
         x_{-gamma} = −[x_{-a}, x_{-beta}]/(r + 1),
-        h_i = [x_{alpha_i}, x_{-alpha_i}].
+        h_i = [x_{alpha_i}, x_{-alpha_i}], unless given.
 
     x_{-gamma} is −ω(x_gamma), ω the Chevalley involution, the
     automorphism taking x_{±alpha_i} to −x_{∓alpha_i}: by induction
@@ -297,7 +300,8 @@ def chevalley_set(rs, simple):
         else:
             raise AssertionError("no decomposition for %r" % (gamma,))
     for i, (a, f) in enumerate(zip(rs.simple, rs.generators[rs.rank :])):
-        x["h", i] = bracket(a, f, 1)
+        if ("h", i) not in x:
+            x["h", i] = bracket(a, f, 1)
     d = lcm(*(e for _, e in x.values()))
     keys = [*rs.all_roots, *(("h", i) for i in range(rs.rank))]
     return {key: _scaled(d // x[key][1], x[key][0]) for key in keys}, d
@@ -325,9 +329,12 @@ class ChevalleyBasis:
         self.N = len(self._weights)
         gens = self._root_spaces(rs.generators)
         simple = {}
-        for a, f in zip(rs.simple, rs.generators[rs.rank :]):
+        # _pair_negative checks [x_{alpha_i}, x_{-alpha_i}] against the
+        # coroot, so h_i is passed on rather than bracketed again.
+        for i, (a, f) in enumerate(zip(rs.simple, rs.generators[rs.rank :])):
             simple[a] = (gens[a], 1)
             simple[f] = self._pair_negative(a, simple[a], gens[f])
+            simple["h", i] = (self._h_sparse(a), 1)
         self.action, self.denominator = chevalley_set(rs, simple)
         self._index = {key: k for k, key in enumerate(self.basis_order())}
         self._verify()

@@ -11,9 +11,11 @@ powers of the defining realization, kept as the list of factors: locate
 a highest-weight vector as an integer ray of the joint kernel of the
 raising operators in a weight space (the index tuples whose factor
 weights sum to it): an integer relation among the raising images of
-those tuples (matrixops.relations).  Then walk its cyclic span under the
-lowering operators once into one fraction-free QSpan, whose coordinates
-read the simple generators x_{±alpha_i} on the walked basis.  Matrices
+those tuples (matrixops.relations).  Then walk its cyclic span into one
+fraction-free QSpan in one pass: each simple generator x_{±alpha_i} acts
+once on each walked vector, a lowering image that grows the span joins
+the walk, and the span's coordinates read every image on the walked
+basis.  Matrices
 are sparse {(i, j): entry} on each factor, vectors sparse over index
 tuples, and only the 2·rank simple generators are powered into the
 factors and act on them, through tensor_mat_vec: no matrix of the
@@ -41,7 +43,7 @@ exponent of j, and in Λ^k with the sign of the ones it passes.
 """
 
 import itertools
-from math import lcm
+from math import lcm, prod
 
 from latmod.matrixops import (
     QSpan,
@@ -69,6 +71,16 @@ class RepError(ValueError):
 # largest rep build of the tests and the benchmark, B4 (0,0,0,2), has
 # 571,536 entries.
 REPORT_ENTRY_CAP = 4_000_000
+
+# The most index tuples of a tensor ambient build_irrep enumerates (the
+# product of its factors' dimensions).  A build past it is refused before
+# _ambient runs, once its weight is found reachable: the ambient grows
+# with psi much faster than the representation does, and D4 (0,0,0,4),
+# of dimension 294, has 24,010,000 tuples.  Near the cap, D3 (1,0,4)
+# (960,000 tuples, dimension 140) builds as a CLI child in 4.8–6.8 s at
+# a peak RSS of 110 MB (CPython 3.11, 2-vCPU x86-64); the largest build of
+# the tests, B4 (0,0,0,2), has 15,876 tuples, and D3 (1,3,1) 405,000.
+AMBIENT_TUPLE_CAP = 1_000_000
 
 
 # -----------------------------------------------------------------------
@@ -117,19 +129,6 @@ def _power_raw(raw, k, exterior=False):
 # -----------------------------------------------------------------------
 
 
-def _lowering_span(span, lowering, v):
-    """Grow span by the cyclic span of the sparse vector v under the
-    lowering operators (column indices on each factor); returns the
-    primitive vectors that entered it, in insertion order."""
-    queue = [primitive(v)]
-    added = []
-    for vec in queue:
-        if span.insert(vec):
-            added.append(vec)
-            queue.extend(primitive(img) for g in lowering if (img := tensor_mat_vec(g, vec)))
-    return added
-
-
 def _ambient(factors):
     """The tensor product of the factors (dim, action, weights): the
     column index of each generator of the factors (the simple ones) on
@@ -169,27 +168,36 @@ def _diagonal_weights(cb, action, dim, den):
 
 def _adapted(cb, columns, den, hw_vectors):
     """The Representation on the lowering spans of the highest-weight
-    vectors [(psi, v), ...], walked in order into one QSpan.  Only the
-    simple generators x_{±alpha_i} act, each g as D·g, given by its
-    integer column indices on each factor over den = D, so the walk is on
-    ints: D·g·v has the primitive vector of g·v.  The span's relation
-    c·(D·g·b) = Σ x_k·b_k reads the image of every walked b as the
-    column x over c·D, and the columns of g over their lcm give g on the
-    walked basis.  Every other root vector and every h_i is read off
-    these by rootdata.chevalley_set, the recursion that builds the
-    Chevalley set, over the least common denominator of the action."""
-    lowering = [columns[f] for f in cb.rs.generators[cb.rs.rank :]]
+    vectors [(psi, v), ...], walked in order into one QSpan in one pass.
+    Only the simple generators x_{±alpha_i} act, each g as D·g, given by
+    its integer column indices on each factor over den = D, so the walk
+    is on ints: D·g·v has the primitive vector of g·v.  Each walked b is
+    taken in turn, and each simple generator acts on it once: a lowering
+    image that grows the span joins the walk, as its primitive vector,
+    and the span's relation c·(D·g·b) = Σ x_k·b_k then reads every image
+    as the column x over c·D.  The walk is breadth first, so a raising
+    image lies in a weight layer that is already complete, and a
+    lowering image is in the span once it is inserted.  The columns of g
+    over their lcm give g on the walked basis.  Every other root vector
+    and every h_i is read off these by rootdata.chevalley_set, the
+    recursion that builds the Chevalley set, over the least common
+    denominator of the action."""
+    lowering = set(cb.rs.generators[cb.rs.rank :])
     span = QSpan()
-    basis, psi_of = [], []
+    psi_of, read = [], {key: [] for key in columns}
     for psi, v in hw_vectors:
         if any(c < 0 for c in psi):
             raise RepError("non-dominant highest weight: not completely adapted")
-        walked = _lowering_span(span, lowering, v)
-        basis.extend(walked)
-        psi_of.extend([psi] * len(walked))
+        walk = [v] if span.insert(v := primitive(v)) else []
+        for b in walk:
+            for key, g in columns.items():
+                img = tensor_mat_vec(g, b)
+                if key in lowering and img and span.insert(u := primitive(img)):
+                    walk.append(u)
+                read[key].append(span.relation(img))
+        psi_of.extend([psi] * len(walk))
     simple = {}
-    for key, g in columns.items():
-        cols = [span.relation(tensor_mat_vec(g, b)) for b in basis]
+    for key, cols in read.items():
         if None in cols:
             raise RepError("cyclic span not invariant (construction bug)")
         e = lcm(*(c for c, _ in cols))
@@ -298,6 +306,10 @@ def build_irrep(cb, psi):
         sums = {tuple(map(sum, zip(s, w))) for s in sums for w in set(weights)}
     if psi not in sums:
         raise RepError(unreachable)
+    tuples = prod(d for d, _, _ in factors)
+    if tuples > AMBIENT_TUPLE_CAP:
+        msg = "highest weight (%s) has an ambient of %d index tuples, more than the cap of %d"
+        raise RepError(msg % (",".join(map(str, psi)), tuples, AMBIENT_TUPLE_CAP))
     columns, spaces = _ambient(factors)
     tops = _highest_weight_vectors(cb, columns, spaces, [psi])
     if not tops:

@@ -72,7 +72,9 @@ string walked from every weight (`weight_set_by_every_walk`), as
 `reps.weight_set` took it before each string was walked once, and the
 read of every generator on every walked vector in the tensor ambient
 (`adapted_by_every_generator`, with the `build_irrep` and `_adapt`
-that power and keep every generator of the factors), and the Chevalley
+that power and keep every generator of the factors, walked first by a
+queue of lowering images, `lowering_walk`, as `reps._adapted` walked
+before it read the simple generators in the same pass), and the Chevalley
 set with every negative root vector paired with its positive one by
 `_pair_negative` (`chevalley_set_by_pairing`), as before
 `rootdata.chevalley_set` read every other generator off the simple
@@ -562,18 +564,34 @@ def power_raw_by_leibniz(raw, k, exterior=False):
     return (len(basis), action, weights)
 
 
+def lowering_walk(span, lowering, v):
+    """The walk of reps._adapted before it read the generators in the
+    same pass: grow span by the cyclic span of the sparse vector v under
+    the lowering operators (column indices on each factor), breadth
+    first through a queue of candidates; returns the primitive vectors
+    that entered it, in insertion order."""
+    queue = [primitive(v)]
+    added = []
+    for vec in queue:
+        if span.insert(vec):
+            added.append(vec)
+            queue.extend(primitive(img) for g in lowering if (img := matrixops.tensor_mat_vec(g, vec)))
+    return added
+
+
 def adapted_by_every_generator(cb, columns, den, hw_vectors):
     """reps._adapted as it was before rootdata.chevalley_set read the
     other generators off the simple ones: the walk on the lowering
-    operators, then every generator in columns (every root vector and
-    every h_i) applied to every walked vector in the tensor ambient and
-    read off the span's relation, each column in lowest terms, and the
-    action written over the lcm of the columns' denominators."""
+    operators (lowering_walk), then every generator in columns (every
+    root vector and every h_i) applied to every walked vector in the
+    tensor ambient and read off the span's relation, each column in
+    lowest terms, and the action written over the lcm of the columns'
+    denominators."""
     lowering = [columns[tuple(-c for c in a)] for a in cb.rs.simple]
     span = QSpan()
     basis, psi_of = [], []
     for psi, v in hw_vectors:
-        walked = reps._lowering_span(span, lowering, v)
+        walked = lowering_walk(span, lowering, v)
         basis.extend(walked)
         psi_of.extend([psi] * len(walked))
     read = {}

@@ -7,7 +7,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -332,9 +332,12 @@ def test_sums_and_products_match_every_generator_oracle(monkeypatch):
 def test_builds_apply_only_the_simple_generators(monkeypatch):
     # build_irrep powers only the 2·rank simple generators x_(±alpha_i),
     # and every build applies only those in the tensor ambient: each
-    # tensor_mat_vec takes the column indices of one of them.
-    power, ambient, apply = reps._power_raw, reps._ambient, reps.tensor_mat_vec
-    powered, indexed, applied = [], {}, []
+    # tensor_mat_vec takes the column indices of one of them.  The walk
+    # and the read are one pass: inside _adapted each of them acts once on
+    # each walked vector, 2·rank·dim calls, and no lowering image is made
+    # again to be read.
+    power, ambient, adapted, apply = reps._power_raw, reps._ambient, reps._adapted, reps.tensor_mat_vec
+    powered, indexed, applied, inside = [], {}, [], []
 
     def recording_power(raw, *args, **kwargs):
         powered.append(set(raw[1]))
@@ -345,20 +348,33 @@ def test_builds_apply_only_the_simple_generators(monkeypatch):
         indexed.update((id(cols), (key, cols)) for key, cols in columns.items())
         return columns, spaces
 
+    def recording_adapted(*args):
+        start = len(applied)
+        rep = adapted(*args)
+        inside.append(len(applied) - start)
+        return rep
+
     def recording_apply(cols, v):
         applied.append(indexed[id(cols)][0])
         return apply(cols, v)
 
+    def applies(make):
+        applied.clear()
+        inside.clear()
+        rep = make()
+        assert set(applied) == set(cb.rs.generators)
+        assert inside == [2 * cb.rs.rank * rep.dim], (cb.rs.rank, rep.dim, inside)
+        return rep
+
     monkeypatch.setattr(reps, "_power_raw", recording_power)
     monkeypatch.setattr(reps, "_ambient", recording_ambient)
+    monkeypatch.setattr(reps, "_adapted", recording_adapted)
     monkeypatch.setattr(reps, "tensor_mat_vec", recording_apply)
     for t, r, hw in (("A", 2, (1, 1)), ("B", 3, (1, 0, 0)), ("D", 4, (0, 0, 1, 1))):
         cb = build_chevalley(t, r)
         powered.clear()
-        applied.clear()
-        v = build_irrep(cb, hw)
+        v = applies(lambda: build_irrep(cb, hw))
         assert powered and all(keys == set(cb.rs.generators) for keys in powered), (t, r, hw)
-        assert set(applied) == set(cb.rs.generators), (t, r, hw)
     # Then direct_sum, tensor_product and adapt, on D4 (0,0,1,1) and (1,0,0,0).
     w = build_irrep(cb, (1, 0, 0, 0))
     for make in (
@@ -366,9 +382,7 @@ def test_builds_apply_only_the_simple_generators(monkeypatch):
         lambda: tensor_product(v, w),
         lambda: adapt(cb, sparse_action(dense_action(v)), v.dim),
     ):
-        applied.clear()
-        make()
-        assert set(applied) == set(cb.rs.generators)
+        applies(make)
 
 
 def test_adapt_refuses_a_changed_highest_root_entry():
@@ -386,12 +400,11 @@ def test_adapt_refuses_a_changed_highest_root_entry():
 
 
 def test_build_irrep_walks_once(monkeypatch):
-    # One lowering walk, no dense product and no inverse: the adapted
-    # action is read off the walk's own span, not walked again and
-    # conjugated, nor solved on an inverted block of the walked basis.
-    # A2 (1,1) is a proper subspace of its ambient, A3 (0,1,0) the whole
-    # of it.
-    walk = reps._lowering_span
+    # One walk, no dense product and no inverse: the adapted action is
+    # read off the walk's own span, not walked again and conjugated, nor
+    # solved on an inverted block of the walked basis.  A2 (1,1) is a
+    # proper subspace of its ambient, A3 (0,1,0) the whole of it.
+    walk = reps._adapted
     calls = {"walks": 0, "mat_mul": 0, "mat_inv": 0}
 
     def counting_walk(*args):
@@ -411,7 +424,7 @@ def test_build_irrep_walks_once(monkeypatch):
         cb = build_chevalley(t, r)
         calls.update(walks=0, mat_mul=0, mat_inv=0)
         with monkeypatch.context() as m:
-            m.setattr(reps, "_lowering_span", counting_walk)
+            m.setattr(reps, "_adapted", counting_walk)
             for name in ("mat_mul", "mat_inv"):
                 counted = counting(name)
                 m.setattr(matrixops, name, counted)
@@ -494,19 +507,23 @@ def test_representation_path_keeps_integral_entries_ints(t, r, hw, monkeypatch):
     # Representation receives and the one it keeps hold ints only, type B
     # too: each action is integral over one denominator, the least one
     # (2 for the 1/2 entries of type B), and no Fraction or float is made.
-    walk, init = reps._lowering_span, Representation.__init__
+    init = Representation.__init__
     walked, received = [], []
 
-    def recording_walk(*args):
-        added = walk(*args)
-        walked.extend(added)
-        return added
+    class RecordingSpan(reps.QSpan):
+        # Every vector the walk inserts into its QSpan, highest-weight
+        # vectors and lowering images alike.
+        __slots__ = ()
+
+        def insert(self, v):
+            walked.append(v)
+            return super().insert(v)
 
     def recording_init(self, cb, action, denominator, psi_of):
         received.append((action, denominator))
         init(self, cb, action, denominator, psi_of)
 
-    monkeypatch.setattr(reps, "_lowering_span", recording_walk)
+    monkeypatch.setattr(reps, "QSpan", RecordingSpan)
     monkeypatch.setattr(Representation, "__init__", recording_init)
     cb = build_chevalley(t, r)
     rep = build_irrep(cb, hw)
@@ -550,6 +567,32 @@ def test_spin_weights_are_not_reachable(t, r, hw):
     label = ",".join(map(str, hw))
     with pytest.raises(RepError, match=r"^highest weight \(%s\) is not reachable in this realization$" % label):
         build_irrep(build_chevalley(t, r), hw)
+
+
+def test_ambient_cap_is_checked_after_reachability_before_enumerating(monkeypatch):
+    # build_irrep checks the product of its factors' dimensions against
+    # the cap once the weight is found reachable, and before _ambient
+    # enumerates the tuples: D3 (1,3,1), V ⊗ (Λ²)^⊗3 ⊗ Λ³ with 405,000
+    # tuples, reaches _ambient; D3 (2,4,0) (1,063,125) and D4 (0,0,0,4)
+    # (24,010,000) are refused by the cap, and D3 (0,3,4) stays not
+    # reachable, although its ambient of 540,000,000 tuples is past it.
+    class Reached(Exception):
+        pass
+
+    def reached(factors):
+        raise Reached(prod(d for d, _, _ in factors))
+
+    monkeypatch.setattr(reps, "_ambient", reached)
+    with pytest.raises(Reached, match="^405000$"):
+        build_irrep(build_chevalley("D", 3), (1, 3, 1))
+    cap = reps.AMBIENT_TUPLE_CAP
+    for t, r, hw, tuples in (("D", 3, (2, 4, 0), 1063125), ("D", 4, (0, 0, 0, 4), 24010000)):
+        label = ",".join(map(str, hw))
+        msg = r"^highest weight \(%s\) has an ambient of %d index tuples, more than the cap of %d$" % (label, tuples, cap)
+        with pytest.raises(RepError, match=msg):
+            build_irrep(build_chevalley(t, r), hw)
+    with pytest.raises(RepError, match=r"^highest weight \(0,3,4\) is not reachable in this realization$"):
+        build_irrep(build_chevalley("D", 3), (0, 3, 4))
 
 
 def sparse_action(action):

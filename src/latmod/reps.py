@@ -11,16 +11,20 @@ powers of the defining realization, kept as the list of factors: locate
 a highest-weight vector as an integer ray of the joint kernel of the
 raising operators in a weight space (the index tuples whose factor
 weights sum to it): an integer relation among the raising images of
-those tuples (matrixops.relations).  Then walk its cyclic span into one
-fraction-free QSpan in one pass: each simple generator x_{±alpha_i} acts
-once on each walked vector, a lowering image that grows the span joins
-the walk, and the span's coordinates read every image on the walked
-basis.  Matrices
-are sparse {(i, j): entry} on each factor, vectors sparse over index
-tuples, and only the 2·rank simple generators are powered into the
-factors and act on them, through tensor_mat_vec: no matrix of the
-tensor ambient is built, though its index tuples are enumerated once to
-find the weight spaces.  Every other root vector and every h_i of the
+those tuples (matrixops.relations).  A weight table, built once from
+the last factor back, holds for each j the weights the factors from j
+on sum to: its first entry is the weights of the ambient, and a weight
+space is listed factor by factor, a prefix extended only by an index
+that leaves a weight of the factors after it (_weight_space).  Then
+walk its cyclic span into one fraction-free QSpan in one pass: each
+simple generator x_{±alpha_i} acts once on each walked vector, a
+lowering image that grows the span joins the walk, and the span's
+coordinates read every image on the walked basis.  Matrices are sparse
+{(i, j): entry} on each factor, vectors sparse over index tuples, and
+only the 2·rank simple generators are powered into the factors and act
+on them, through tensor_mat_vec: no matrix of the tensor ambient is
+built, and no index tuple is listed outside the weight spaces asked
+for.  Every other root vector and every h_i of the
 adapted action comes from the simple generators by the recursion that
 builds the Chevalley set itself (rootdata.chevalley_set), on
 dim × dim sparse matrices.  Every action is integer sparse matrices
@@ -72,14 +76,17 @@ class RepError(ValueError):
 # 571,536 entries.
 REPORT_ENTRY_CAP = 4_000_000
 
-# The most index tuples of a tensor ambient build_irrep enumerates (the
-# product of its factors' dimensions).  A build past it is refused before
-# _ambient runs, once its weight is found reachable: the ambient grows
-# with psi much faster than the representation does, and D4 (0,0,0,4),
-# of dimension 294, has 24,010,000 tuples.  Near the cap, D3 (1,0,4)
-# (960,000 tuples, dimension 140) builds as a CLI child in 4.8–6.8 s at
-# a peak RSS of 110 MB (CPython 3.11, 2-vCPU x86-64); the largest build of
-# the tests, B4 (0,0,0,2), has 15,876 tuples, and D3 (1,3,1) 405,000.
+# The most index tuples of a tensor ambient build_irrep admits (the
+# product of its factors' dimensions).  A build past it is refused once
+# its weight is found reachable on the weight table, before its psi weight
+# space is listed.  Nothing enumerates the ambient, so the cap bounds
+# the input, not the work: a build lists only the psi weight space,
+# and D4 (0,0,0,4), of dimension 294, has 24,010,000 tuples,
+# 9,016 of weight psi.  Near the cap, D3 (1,0,4) (960,000 tuples,
+# 1,416 of weight psi, dimension 140) builds as a CLI child in 2.2 s at a
+# peak RSS of 35 MB, and D3 (1,3,1) (405,000 tuples, 885 of weight psi,
+# dimension 256) in 4.9–5.0 s at 60 MB (CPython 3.11, 2-vCPU x86-64).
+# The tests build D3 (1,3,1) and B4 (0,0,0,2) (15,876 tuples).
 AMBIENT_TUPLE_CAP = 1_000_000
 
 
@@ -129,28 +136,41 @@ def _power_raw(raw, k, exterior=False):
 # -----------------------------------------------------------------------
 
 
-def _ambient(factors):
-    """The tensor product of the factors (dim, action, weights): the
-    column index of each generator of the factors (the simple ones) on
-    each factor, in factor order, and {w: the
-    index tuples of weight w, in lexicographic order}, the weight of a
-    tuple the sum of its factors' weights."""
-    spaces = {}
-    for t in itertools.product(*(range(d) for d, _, _ in factors)):
-        w = tuple(map(sum, zip(*(f[2][i] for f, i in zip(factors, t)))))
-        spaces.setdefault(w, []).append(t)
-    return {key: [column_index(a[key]) for _, a, _ in factors] for key in factors[0][1]}, spaces
+def _ambient(factors, rank):
+    """The tensor product of the factors (dim, action, weights), without
+    listing its index tuples: the column index of each generator of the
+    factors (the simple ones) on each factor, in factor order, and the
+    weight table, for each j the set of weights that the factors from j
+    on sum to (a tuple's weight is the sum of its factors' weights).  The
+    table is built from the last factor back, its last entry {0} and its
+    first the weights of the ambient."""
+    table = [{(0,) * rank}]
+    for _, _, weights in reversed(factors):
+        table.insert(0, {tuple(map(sum, zip(s, w))) for s in table[0] for w in set(weights)})
+    return {key: [column_index(a[key]) for _, a, _ in factors] for key in factors[0][1]}, table
 
 
-def _highest_weight_vectors(cb, columns, spaces, tops):
-    """[(w, v), ...]: for each weight w of tops, in order, a basis of the
-    joint kernel of the raising operators inside the weight-w space, as
-    sparse integer vectors v over index tuples: the relations among the
-    raising images of the tuples of the space (matrixops.relations), on
-    the rays of the reduced basis."""
+def _weight_space(factors, table, w):
+    """The index tuples of weight w, in lexicographic order, listed factor
+    by factor: a prefix is extended by an index of the next factor only
+    when what is left of w lies in the table entry of the factors after
+    it, so every prefix kept ends in some tuple of weight w, and a w off
+    the table's first entry lists none."""
+    space = [((), w)]
+    for (_, _, ws), after in zip(factors, table[1:]):
+        space = [(t + (i,), r) for t, v in space for i, u in enumerate(ws) if (r := tuple(x - y for x, y in zip(v, u))) in after]
+    return [t for t, _ in space]
+
+
+def _highest_weight_vectors(cb, columns, spaces):
+    """[(w, v), ...]: for each (w, space) of spaces, in order, a basis of
+    the joint kernel of the raising operators inside the weight-w space,
+    spanned by the index tuples of space, as sparse integer vectors v
+    over index tuples: the relations among the raising images of the
+    tuples of the space (matrixops.relations), on the rays of the
+    reduced basis."""
     out = []
-    for w in tops:
-        space = spaces.get(w, [])
+    for w, space in spaces:
         images = [
             {(k, r): x for k, a in enumerate(cb.rs.simple) for r, x in tensor_mat_vec(columns[a], {t: 1}).items()}
             for t in space
@@ -291,27 +311,22 @@ class Representation:
 def build_irrep(cb, psi):
     """Irreducible representation with highest weight psi (fund coords)."""
     psi = dominant(cb, psi)
-    rank = cb.rs.rank
     simple = {key: cb.action[key] for key in cb.rs.generators}
     defining = (cb.N, simple, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [_power_raw(defining, psi[0])]
-    for i in range(1, rank):
+    for i in range(1, cb.rs.rank):
         if psi[i]:
             factors += [_power_raw(defining, i + 1, exterior=True)] * psi[i]
     unreachable = "highest weight (%s) is not reachable in this realization" % ",".join(map(str, psi))
-    # A psi that is no sum of one weight per factor has an empty weight
-    # space; it is refused before the ambient is enumerated.
-    sums = {(0,) * rank}
-    for _, _, weights in factors:
-        sums = {tuple(map(sum, zip(s, w))) for s in sums for w in set(weights)}
-    if psi not in sums:
+    # A psi that is no sum of one weight per factor lies off the weight
+    # table; it is refused before any weight space is listed.
+    columns, table = _ambient(factors, cb.rs.rank)
+    if psi not in table[0]:
         raise RepError(unreachable)
-    tuples = prod(d for d, _, _ in factors)
-    if tuples > AMBIENT_TUPLE_CAP:
+    if (tuples := prod(d for d, _, _ in factors)) > AMBIENT_TUPLE_CAP:
         msg = "highest weight (%s) has an ambient of %d index tuples, more than the cap of %d"
         raise RepError(msg % (",".join(map(str, psi)), tuples, AMBIENT_TUPLE_CAP))
-    columns, spaces = _ambient(factors)
-    tops = _highest_weight_vectors(cb, columns, spaces, [psi])
+    tops = _highest_weight_vectors(cb, columns, [(psi, _weight_space(factors, table, psi))])
     if not tops:
         raise RepError(unreachable)
     # The psi weight space may hold more kernel vectors; the first spans the irreducible.
@@ -387,9 +402,10 @@ def _adapt(cb, factors):
     denominators first."""
     den = lcm(*(f[3] for f in factors))
     factors = [(n, {key: {p: den // d * x for p, x in a[key].items()} for key in cb.rs.generators}, w) for n, a, w, d in factors]
-    columns, spaces = _ambient(factors)
-    rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True)))
-    if rep.dim != sum(map(len, spaces.values())):
+    columns, table = _ambient(factors, cb.rs.rank)
+    spaces = ((w, _weight_space(factors, table, w)) for w in sorted(table[0], reverse=True))
+    rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces))
+    if rep.dim != prod(n for n, _, _ in factors):
         raise RepError("cyclic spans do not exhaust the space")
     return rep
 

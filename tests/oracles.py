@@ -74,7 +74,10 @@ read of every generator on every walked vector in the tensor ambient
 (`adapted_by_every_generator`, with the `build_irrep` and `_adapt`
 that power and keep every generator of the factors, walked first by a
 queue of lowering images, `lowering_walk`, as `reps._adapted` walked
-before it read the simple generators in the same pass), and the Chevalley
+before it read the simple generators in the same pass, and their weight
+spaces found by enumerating every index tuple of the ambient,
+`ambient_spaces`, as `reps._ambient` found them before
+`reps._weight_space` listed each one off a weight table), and the Chevalley
 set with every negative root vector paired with its positive one by
 `_pair_negative` (`chevalley_set_by_pairing`), as before
 `rootdata.chevalley_set` read every other generator off the simple
@@ -579,6 +582,19 @@ def lowering_walk(span, lowering, v):
     return added
 
 
+def ambient_spaces(factors):
+    """{w: the index tuples of weight w, in lexicographic order} of the
+    tensor product of the factors (dim, action, weights), the weight of a
+    tuple the sum of its factors' weights: every index tuple of the
+    ambient enumerated, as reps._ambient found the weight spaces before
+    reps._weight_space listed each one off the weight table."""
+    spaces = {}
+    for t in itertools.product(*(range(d) for d, _, _ in factors)):
+        w = tuple(map(sum, zip(*(f[2][i] for f, i in zip(factors, t)))))
+        spaces.setdefault(w, []).append(t)
+    return spaces
+
+
 def adapted_by_every_generator(cb, columns, den, hw_vectors):
     """reps._adapted as it was before rootdata.chevalley_set read the
     other generators off the simple ones: the walk on the lowering
@@ -614,24 +630,26 @@ def adapted_by_every_generator(cb, columns, den, hw_vectors):
 def build_irrep_by_every_generator(cb, psi):
     """reps.build_irrep as it was before it powered only the simple
     generators: every generator of cb is powered into the factors and
-    read in the tensor ambient (adapted_by_every_generator)."""
+    read in the tensor ambient (adapted_by_every_generator), its weight
+    space found by enumerating the ambient (ambient_spaces)."""
     defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [reps._power_raw(defining, psi[0])]
     for i in range(1, cb.rs.rank):
         factors += [reps._power_raw(defining, i + 1, exterior=True)] * psi[i]
-    columns, spaces = reps._ambient(factors)
-    tops = reps._highest_weight_vectors(cb, columns, spaces, [psi])
+    columns, _ = reps._ambient(factors, cb.rs.rank)
+    tops = reps._highest_weight_vectors(cb, columns, [(psi, ambient_spaces(factors).get(psi, []))])
     return adapted_by_every_generator(cb, columns, cb.denominator, tops[:1])
 
 
 def adapt_by_every_generator(cb, factors):
     """reps._adapt as it was before it kept only the simple generators of
     its factors: every generator of every factor is read in the tensor
-    ambient (adapted_by_every_generator)."""
+    ambient (adapted_by_every_generator), its weight spaces found by
+    enumerating the ambient (ambient_spaces)."""
     den = lcm(*(f[3] for f in factors))
     factors = [(n, {key: {p: den // d * x for p, x in g.items()} for key, g in a.items()}, w) for n, a, w, d in factors]
-    columns, spaces = reps._ambient(factors)
-    tops = reps._highest_weight_vectors(cb, columns, spaces, sorted(spaces, reverse=True))
+    columns, _ = reps._ambient(factors, cb.rs.rank)
+    tops = reps._highest_weight_vectors(cb, columns, sorted(ambient_spaces(factors).items(), reverse=True))
     return adapted_by_every_generator(cb, columns, den, tops)
 
 

@@ -826,8 +826,8 @@ def test_unreachable_weight_child_exits_1_within_a_second():
 def test_ambient_past_the_cap_child_exits_1_within_seconds():
     # D4 (0,0,0,4) has dimension 294, a report the entry cap admits, and
     # its weight is reachable, but its ambient (Λ⁴)^⊗4 has 70⁴ =
-    # 24,010,000 index tuples, tens of GB to enumerate: it is refused by
-    # the ambient cap before the ambient is enumerated.
+    # 24,010,000 index tuples: it is refused by the ambient cap before
+    # its psi weight space is listed.
     start = time.perf_counter()
     proc = run_child(["-m", "latmod.cli", "rep", "build", "--type", "D", "--rank", "4", "--hw", "0,0,0,4"])
     msg = "error: highest weight (0,0,0,4) has an ambient of 24010000 index tuples, more than the cap of %d\n"

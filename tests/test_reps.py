@@ -26,6 +26,7 @@ from latmod.rootdata import SUPPORTED, ChevalleyBasis, RootSystem, build_chevall
 from oracles import (
     adapt_by_conjugation,
     adapt_by_every_generator,
+    ambient_spaces,
     basis_matrices,
     build_irrep_by_conjugation,
     build_irrep_by_every_generator,
@@ -343,10 +344,10 @@ def test_builds_apply_only_the_simple_generators(monkeypatch):
         powered.append(set(raw[1]))
         return power(raw, *args, **kwargs)
 
-    def recording_ambient(factors):
-        columns, spaces = ambient(factors)
+    def recording_ambient(factors, rank):
+        columns, table = ambient(factors, rank)
         indexed.update((id(cols), (key, cols)) for key, cols in columns.items())
-        return columns, spaces
+        return columns, table
 
     def recording_adapted(*args):
         start = len(applied)
@@ -571,18 +572,19 @@ def test_spin_weights_are_not_reachable(t, r, hw):
 
 def test_ambient_cap_is_checked_after_reachability_before_enumerating(monkeypatch):
     # build_irrep checks the product of its factors' dimensions against
-    # the cap once the weight is found reachable, and before _ambient
-    # enumerates the tuples: D3 (1,3,1), V ⊗ (Λ²)^⊗3 ⊗ Λ³ with 405,000
-    # tuples, reaches _ambient; D3 (2,4,0) (1,063,125) and D4 (0,0,0,4)
-    # (24,010,000) are refused by the cap, and D3 (0,3,4) stays not
-    # reachable, although its ambient of 540,000,000 tuples is past it.
+    # the cap once the weight is found reachable on the weight table, and
+    # before _weight_space lists the psi weight space: D3 (1,3,1),
+    # V ⊗ (Λ²)^⊗3 ⊗ Λ³ with 405,000 tuples, reaches _weight_space;
+    # D3 (2,4,0) (1,063,125) and D4 (0,0,0,4) (24,010,000) are refused by
+    # the cap, and D3 (0,3,4) stays not reachable, although its ambient of
+    # 540,000,000 tuples is past it.
     class Reached(Exception):
         pass
 
-    def reached(factors):
+    def reached(factors, table, w):
         raise Reached(prod(d for d, _, _ in factors))
 
-    monkeypatch.setattr(reps, "_ambient", reached)
+    monkeypatch.setattr(reps, "_weight_space", reached)
     with pytest.raises(Reached, match="^405000$"):
         build_irrep(build_chevalley("D", 3), (1, 3, 1))
     cap = reps.AMBIENT_TUPLE_CAP
@@ -614,33 +616,40 @@ def scaled_raw(raw, c):
 REALIZATIONS = [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks]
 
 
+def sparse_powers(cb):
+    """Sym^k, k ≤ 3, then Λ^k, k ≤ 3, of the defining realization, as
+    build_irrep powers it."""
+    defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N, cb.denominator))
+    return [reps._power_raw(defining, k) for k in (1, 2, 3)] + [reps._power_raw(defining, k, exterior=True) for k in (2, 3)]
+
+
 @pytest.mark.parametrize("t, r", REALIZATIONS)
 def test_sparse_powers_match_dense_builders(t, r):
     # Sym^k and Λ^k, k ≤ 3, of the defining realization against the dense
     # builders, and each generator on pairs of them through tensor_mat_vec
-    # and their weight spaces against the dense tensor products, index
-    # tuple (s, t) at flattened index s·d₂ + t; Sym^0 is the trivial
-    # representation.
+    # and their weight spaces (the enumeration oracle, ambient_spaces)
+    # against the dense tensor products, index tuple (s, t) at flattened
+    # index s·d₂ + t; Sym^0 is the trivial representation.
     # The sparse builders act over the denominator of the basis, the dense
     # ones on its rational matrices, so these are scaled by it.
     cb = build_chevalley(t, r)
     defining = (cb.N, cb.action, reps._diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     assert defining == scaled_raw(defining_raw(cb), cb.denominator)
     assert reps._power_raw(defining, 0) == sparse_raw(trivial_raw(cb))
-    sparse_powers = [reps._power_raw(defining, k) for k in (1, 2, 3)]
-    sparse_powers += [reps._power_raw(defining, k, exterior=True) for k in (2, 3)]
+    powers = sparse_powers(cb)
     dense_powers = [sym_power_raw(defining_raw(cb), k) for k in (1, 2, 3)]
     dense_powers += [ext_power_raw(defining_raw(cb), k) for k in (2, 3)]
-    for got, want in zip(sparse_powers, dense_powers):
+    for got, want in zip(powers, dense_powers):
         assert got == scaled_raw(want, cb.denominator)
-    assert all(is_canonical(x) for _, a, _ in sparse_powers for g in a.values() for x in g.values())
-    for i, j in itertools.combinations_with_replacement(range(len(sparse_powers)), 2):
-        factors = [sparse_powers[i], sparse_powers[j]]
+    assert all(is_canonical(x) for _, a, _ in powers for g in a.values() for x in g.values())
+    for i, j in itertools.combinations_with_replacement(range(len(powers)), 2):
+        factors = [powers[i], powers[j]]
         (d1, a1, _), (d2, a2, _) = factors
         if d1 * d2 > 100:
             continue
         _, want, weights = scaled_raw(tensor_raw(dense_powers[i], dense_powers[j]), cb.denominator)
-        columns, spaces = reps._ambient(factors)
+        columns, _ = reps._ambient(factors, r)
+        spaces = ambient_spaces(factors)
         for key, cols in columns.items():
             got = {}
             for s, u in itertools.product(range(d1), range(d2)):
@@ -648,6 +657,79 @@ def test_sparse_powers_match_dense_builders(t, r):
             assert got == want[key], (i, j, key)
         assert {s * d2 + u: w for w, ts in spaces.items() for s, u in ts} == dict(enumerate(weights)), (i, j)
         assert all(ts == sorted(ts) for ts in spaces.values())
+
+
+def power_pairs(cb):
+    """The factor lists [P, Q] of two of sparse_powers(cb), in the order
+    of test_sparse_powers_match_dense_builders, with at most 100 index
+    tuples."""
+    powers = sparse_powers(cb)
+    pairs = itertools.combinations_with_replacement(powers, 2)
+    return [[p, q] for p, q in pairs if p[0] * q[0] <= 100]
+
+
+def sweep_factor_lists(cb, monkeypatch):
+    """The factor lists that build_irrep takes for every psi with
+    |psi| <= 2 and at most 300 dimensions, reachable or not, each build
+    stopped where it takes them."""
+    lists = []
+
+    class Recorded(Exception):
+        pass
+
+    def recording(factors, rank):
+        lists.append(factors)
+        raise Recorded
+
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_ambient", recording)
+        for psi in itertools.product(range(3), repeat=cb.rs.rank):
+            if sum(psi) <= 2 and reps.weyl_dimension(cb, psi) <= 300:
+                with pytest.raises(Recorded):
+                    build_irrep(cb, psi)
+    return lists
+
+
+@pytest.mark.parametrize("t, r", REALIZATIONS)
+def test_weight_spaces_match_the_enumeration_oracle(t, r, monkeypatch):
+    # The weight table holds, for each j, the weights the factors from j
+    # on sum to, and _weight_space lists the tuples of each weight in the
+    # order the enumeration of the whole ambient (ambient_spaces) gives
+    # them: a weight is off the table exactly when the enumeration has no
+    # tuple of it, and a weight off the table lists none.  On the factor
+    # lists of test_sparse_powers_match_dense_builders and of every
+    # build_irrep with |psi| <= 2 and at most 300 dimensions.
+    cb = build_chevalley(t, r)
+    sweep = sweep_factor_lists(cb, monkeypatch)
+    assert sweep
+    for factors in power_pairs(cb) + sweep:
+        _, table = reps._ambient(factors, r)
+        assert len(table) == len(factors) + 1 and table[-1] == {(0,) * r}
+        assert all(table[j] == set(ambient_spaces(factors[j:])) for j in range(len(factors)))
+        spaces = ambient_spaces(factors)
+        for w, ts in spaces.items():
+            assert reps._weight_space(factors, table, w) == ts, w
+            for c in range(r):
+                off = w[:c] + (w[c] + 1,) + w[c + 1 :]
+                if off not in spaces:
+                    assert reps._weight_space(factors, table, off) == [], off
+
+
+@pytest.mark.parametrize("t, r, hw, listed", [("D", 3, (1, 3, 1), 885), ("B", 4, (0, 0, 0, 2), 60)])
+def test_build_lists_only_the_psi_weight_space(t, r, hw, listed, monkeypatch):
+    # build_irrep lists the index tuples of weight psi alone, and no
+    # other tuple of its ambient: 885 of the 405,000 of D3 (1,3,1), and
+    # 60 of the 15,876 of B4 (0,0,0,2), counted where they are listed.
+    listing, counts = reps._weight_space, []
+
+    def counting(factors, table, w):
+        space = listing(factors, table, w)
+        counts.append(len(space))
+        return space
+
+    monkeypatch.setattr(reps, "_weight_space", counting)
+    build_irrep(build_chevalley(t, r), hw)
+    assert counts == [listed], (t, r, hw)
 
 
 @pytest.mark.parametrize("t, r", REALIZATIONS)

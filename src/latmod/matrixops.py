@@ -28,15 +28,15 @@ benchmark's Lie oracle and tracer (perfbench/).
 QSpan is the one elimination, fraction-free: it holds sparse vectors as
 integer echelon rows, each with its integer combination of the vectors
 inserted, so the relation of a vector to the basis is one reduction per
-vector.  Every kernel, inverse and rref is read off it: relations gives
-the primitive integer relations among vectors (the rays of a nullspace),
-scaled_inverse d·a⁻¹ from the relations of the unit vectors to a's
-columns, and rref and mat_inv divide only at the end, through ratio; the
-Chevalley coordinates of a matrix are read off a QSpan of the sparse
-generators (rootdata).
+vector, which steps through the pivots in the vector's own support, the
+least first, and never scans the span's other pivots.  Every kernel,
+inverse and rref is read off it: relations gives the primitive integer
+relations among vectors (the rays of a nullspace), scaled_inverse d·a⁻¹
+from the relations of the unit vectors to a's columns, and rref and
+mat_inv divide only at the end, through ratio; the Chevalley coordinates
+of a matrix are read off a QSpan of the sparse generators (rootdata).
 """
 
-from bisect import insort
 from math import gcd, lcm
 
 
@@ -260,18 +260,23 @@ class QSpan:
     least integer making U_k = e_k·u_k integral.  Each echelon row is an
     integer sparse vector R, zero before its pivot, with its integer
     combination K ({k: coefficient}), R = Σ K_k·U_k.  A vector is reduced
-    against the rows in pivot order; a row whose pivot does not divide
-    the vector's entry there is met by cross-multiplying, and the content
-    of the vector, its multiplier and its combination is then divided
-    out.  So the relation of a vector to the basis u, an integer multiple
-    of it as an integer combination of the u_k, comes from one reduction.
+    step by step, each step at the least pivot in its own nonzero
+    support; a row whose pivot does not divide the vector's entry there
+    is met by cross-multiplying, and the content of the vector, its
+    multiplier and its combination is then divided out.  A step zeroes
+    the entry at its pivot and changes only entries after it, since
+    every row is zero before its pivot: the rows met, and their order,
+    are those of a pass over every pivot in increasing order that skips
+    the pivots where the vector is zero, but a step costs the vector's
+    support, not the span's rank.  So the relation of a vector to the
+    basis u, an integer multiple of it as an integer combination of the
+    u_k, comes from one reduction.
     """
 
-    __slots__ = ("_rows", "_pivots", "_scales")
+    __slots__ = ("_rows", "_scales")
 
     def __init__(self):
         self._rows = {}  # pivot index -> (echelon row, its combination)
-        self._pivots = []  # the pivot indices, sorted
         self._scales = []  # e_k of each vector that grew the span
 
     def _reduce(self, v):
@@ -281,11 +286,11 @@ class QSpan:
         e = lcm(*(x.denominator for x in v.values()))
         a = {i: x.numerator * (e // x.denominator) for i, x in v.items() if x}
         m, t = 1, {}
-        for piv in self._pivots:
-            f = a.get(piv)
-            if not f:
-                continue
-            row, comb = self._rows[piv]
+        rows = self._rows
+        while pivots := [i for i, x in a.items() if x and i in rows]:
+            piv = min(pivots)
+            f = a[piv]
+            row, comb = rows[piv]
             p = row[piv]
             if f % p:
                 g = gcd(f, p)
@@ -316,7 +321,6 @@ class QSpan:
         comb[self.rank] = m
         piv = min(a)
         self._rows[piv] = (a, comb)
-        insort(self._pivots, piv)
         self._scales.append(e)
         return True
 

@@ -81,7 +81,9 @@ spaces found by enumerating every index tuple of the ambient,
 set with every negative root vector paired with its positive one by
 `_pair_negative` (`chevalley_set_by_pairing`), as before
 `rootdata.chevalley_set` read every other generator off the simple
-ones.
+ones, and the QSpan that visited every pivot of a sorted list for every
+vector (`PivotListQSpan`), as before `QSpan._reduce` stepped through
+the pivots of the vector's own support.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -101,6 +103,7 @@ reduced binary forms.
 import copy
 import itertools
 import math
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -309,6 +312,68 @@ def nullspace_by_echelon(a):
     """Basis of the right kernel, as a tuple of vectors: the one with 1 at
     each free column of rref_by_echelon(a) and 0 at the others."""
     return tuple(tuple(ratio(x, v[fc]) for x in v) for fc, v in kernel_by_echelon(a))
+
+
+class PivotListQSpan:
+    """matrixops.QSpan as it reduced a vector before it stepped through
+    the pivots of the vector's own support: every pivot of the span, kept
+    in a sorted list, is visited in increasing order for every vector."""
+
+    __slots__ = ("_rows", "_pivots", "_scales")
+
+    def __init__(self):
+        self._rows = {}  # pivot index -> (echelon row, its combination)
+        self._pivots = []  # the pivot indices, sorted
+        self._scales = []  # e_k of each vector that grew the span
+
+    def _reduce(self, v):
+        """(a, m, t, e): a = m·e·v − Σ t_k·U_k, zero at every pivot."""
+        e = lcm(*(x.denominator for x in v.values()))
+        a = {i: x.numerator * (e // x.denominator) for i, x in v.items() if x}
+        m, t = 1, {}
+        for piv in self._pivots:
+            f = a.get(piv)
+            if not f:
+                continue
+            row, comb = self._rows[piv]
+            p = row[piv]
+            if f % p:
+                g = gcd(f, p)
+                s, q = p // g, f // g
+                m *= s
+                a = {i: s * x for i, x in a.items()}
+                t = {k: s * c for k, c in t.items()}
+            else:
+                s, q = 1, f // p
+            for i, x in row.items():
+                a[i] = a.get(i, 0) - q * x
+            for k, c in comb.items():
+                t[k] = t.get(k, 0) + q * c
+            if s != 1:
+                g = gcd(m, *a.values(), *t.values())
+                if g > 1:
+                    m //= g
+                    a = {i: x // g for i, x in a.items()}
+                    t = {k: c // g for k, c in t.items()}
+        return {i: x for i, x in a.items() if x}, m, t, e
+
+    def insert(self, v):
+        a, m, t, e = self._reduce(v)
+        if not a:
+            return False
+        comb = {k: -c for k, c in t.items() if c}
+        comb[len(self._rows)] = m
+        piv = min(a)
+        self._rows[piv] = (a, comb)
+        insort(self._pivots, piv)
+        self._scales.append(e)
+        return True
+
+    def relation(self, v):
+        a, m, t, e = self._reduce(v)
+        if a:
+            return None
+        return m * e, {k: y * self._scales[k] for k, y in t.items() if y}
 
 
 def mat_inv_by_gauss_jordan(a):

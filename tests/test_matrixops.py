@@ -3,19 +3,24 @@ the sparse product on an integer column and the Leibniz product on a
 tensor of factors against the dense products they replaced, the span coordinates against per-vector solve
 and the rref and mat_inv solver, mat_inv against Gauss–Jordan, the
 relations, rref and inverses read off a QSpan against the dense
-fraction-free elimination they replaced (tests/oracles.py: echelon), and
+fraction-free elimination they replaced (tests/oracles.py: echelon), the
+QSpan reduction against the scan of a sorted pivot list it replaced
+(PivotListQSpan), with its work pinned to the vector's support, and
 canonical results: an int where a value is integral, a Fraction only
 where it is not."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmod import matrixops
 from latmod.matrixops import (
     QSpan,
     bracket,
@@ -35,6 +40,7 @@ from latmod.matrixops import (
     tensor_mat_vec,
 )
 from oracles import (
+    PivotListQSpan,
     coordinate_solver_by_inverse,
     det,
     is_canonical,
@@ -474,6 +480,66 @@ def test_relations_of_zero_and_no_vectors():
     assert relations([]) == []
     assert relations([{}, {(0, 1): Fraction(0)}, {(0, 1): 2}, {}]) == [{0: 1}, {1: 1}, {3: 1}]
     assert relations([{0: Fraction(1, 2)}, {0: Fraction(-3, 4)}]) == [{0: 3, 1: 2}]
+
+
+@st.composite
+def span_sequences(draw):
+    """The vectors of sparse_vector_lists with up to three one-entry
+    vectors put among them."""
+    keys, vectors = draw(sparse_vector_lists())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(vectors)))
+        vectors.insert(at, {draw(st.sampled_from(keys)): draw(nonzero | st.integers(-4, 4).filter(bool))})
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_sequences())
+def test_span_matches_the_pivot_list_oracle(vectors):
+    # Each step reduces at the least pivot of the vector's own support, so
+    # it meets the rows that the scan of every pivot met, in the same
+    # order: every (a, m, t, e), insert and relation is the old one.
+    span, old = QSpan(), PivotListQSpan()
+    for v in vectors:
+        assert span._reduce(v) == old._reduce(v)
+        assert span.relation(v) == old.relation(v)
+        assert span.insert(v) == old.insert(v)
+        assert span._rows == old._rows and span._scales == old._scales
+    with mock.patch.object(matrixops, "QSpan", PivotListQSpan):
+        expected = relations(vectors)
+    assert relations(vectors) == expected
+
+
+def reduce_line_events(n):
+    """The line events sys.settrace sees inside QSpan._reduce while a span
+    of the unit vectors e_0, …, e_(n−1) relates 3·e_(n−1)."""
+    span = QSpan()
+    assert all(span.insert({i: 1}) for i in range(n))
+    code = QSpan._reduce.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        rel = span.relation({n - 1: 3})
+    finally:
+        sys.settrace(before)
+    assert rel == (1, {n - 1: 3})
+    return count
+
+
+def test_reduction_work_is_the_support_not_the_rank():
+    # A one-entry vector meets one pivot however many the span has: a scan
+    # of every pivot made 55 line events at n = 10 and 4,015 at n = 1000.
+    # Line events differ across Python versions, so the two sizes are
+    # compared rather than either pinned.
+    assert reduce_line_events(10) == reduce_line_events(1000)
 
 
 @settings(max_examples=100, deadline=None)

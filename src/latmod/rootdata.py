@@ -1,15 +1,24 @@
-"""Root systems for classical types A-D (rank <= 4) and Chevalley bases
-in explicit matrix realizations.
+"""Root systems for classical types A-D (rank <= 4), read off their
+Cartan matrices, and Chevalley bases in explicit matrix realizations.
 
+A root is its tuple of fundamental-weight coordinates (fund coords), its
+pairings <alpha, alpha_i^vee> with the simple coroots; no other
+coordinates are kept.  The simple roots are the columns of the Cartan
+matrix (_cartan, in Bourbaki's numbering), and the roots are their
+closure under the simple reflections, each with the squared length of
+the simple root it was reached from (RootSystem).
 The realization is the defining one: sl_{n+1} for type A, so_{2n+1},
 sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
-the diagonal matrices form a split Cartan subalgebra.  Each root space is
-written down in closed form: the weight of a root sits at one matrix
-position and at its partner under the form, and the form equations tie
-the two entries by one sign (_root_spaces); the coroot of a root alpha
-is 2·alpha/(alpha, alpha) in the diagonal parameters, and the diagonal
-of a matrix is read off the weights of its positions.  Only the simple
-root spaces are taken: x_{alpha_i} is the primitive generator of its
+the diagonal matrices form a split Cartan subalgebra.  Its positions
+carry the weights of the defining representation, in fund coords
+(_position_weights), so the position (i, j) has weight w[i] - w[j].
+Each root space is written down in closed form: the weight of a root
+sits at one matrix position and at its partner under the form, and the
+form equations tie the two entries by one sign (_root_spaces); the
+coroot h_alpha is the diagonal matrix of the pairings <w[i], h_alpha>,
+h_alpha in the simple coroots read off the expansion of alpha in the
+simple roots and the squared lengths.  Only the simple root spaces are
+taken: x_{alpha_i} is the primitive generator of its
 root space, and x_{-alpha_i} is paired with it by [x_{alpha_i},
 x_{-alpha_i}] = h_{alpha_i} (_pair_negative), whose one bracket also
 checks the coroot h_{alpha_i}.  Every other root vector comes from these
@@ -24,12 +33,14 @@ product), for the height order here and for every walk down the
 weights of a representation.  The basis acts as integer sparse
 matrices over one positive denominator, the least one: x_alpha is
 action[alpha] / denominator, and so is every coroot.  The denominator
-is 2 for type B, whose x_{e_i+e_j} has entries 1/2 in this
-realization, and 1 for types A, C and D.  The set is built on pairs
-(integer matrix, denominator) and brought to the one denominator at the
+is 2 for type B, whose x_alpha has entries 1/2 in this realization for
+the positive roots alpha with coefficient 2 at alpha_n, and 1 for types
+A, C and D.  The set is built on pairs (integer matrix, denominator)
+and brought to the one denominator at the
 end, so the construction makes no Fraction in any type; the coroots,
-the bracket table and every structure constant are ints.  The bracket table, the coordinates of the
-bracket of every pair of basis elements, is read off the root data:
+the bracket table and every structure constant are ints.  The bracket
+table, the coordinates of the bracket of every pair of basis elements,
+is read off the root data:
 h_alpha on the simple coroots for [x_alpha, x_-alpha], alpha_i for
 [h_i, x_alpha], ±(r + 1) where alpha + beta is a root, with the sign read
 off one entry of that bracket, and 0 for every other pair.
@@ -38,11 +49,10 @@ against the table, pair by pair: it checks the defining action at
 construction, so a wrong structure constant cannot escape this module,
 and every representation (reps.Representation).  Every other fact about
 g is read off these two forms: the bracket of coordinate vectors
-and the Killing form (models.killing_gram) off the table, the
-coordinates of a matrix off one QSpan of the sparse generators, and
-h_alpha in the simple coroots off the expansion of alpha in the simple
-roots.  The dense views (from_coords, coords_of) take and give the
-rational matrices of the basis itself.
+and the Killing form (models.killing_gram) off the table, and the
+coordinates of a matrix off one QSpan of the sparse generators.  The
+dense views (from_coords, coords_of) take and give the rational
+matrices of the basis itself.
 """
 
 from functools import cached_property, lru_cache
@@ -72,23 +82,35 @@ class RootDataError(ValueError):
     pass
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _pairing(beta, alpha):
-    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an integer."""
-    q, r = divmod(2 * _dot(beta, alpha), _dot(alpha, alpha))
-    if r:
-        raise AssertionError("non-integral pairing")
-    return q
+def _cartan(label, n):
+    """C[i][j] = <alpha_j, alpha_i^vee> in Bourbaki's numbering (plates
+    I-IV): the chain of A_n with one bond changed.  alpha_n is short in B
+    (<alpha_(n-1), alpha_n^vee> = -2) and long in C (<alpha_n,
+    alpha_(n-1)^vee> = -2), and in D it is joined to alpha_(n-2) instead
+    of alpha_(n-1)."""
+    c = [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if label == "B":
+        c[n - 1][n - 2] = -2
+    elif label == "C":
+        c[n - 2][n - 1] = -2
+    elif label == "D":
+        c[n - 1][n - 2] = c[n - 2][n - 1] = 0
+        c[n - 1][n - 3] = c[n - 3][n - 1] = -1
+    return tuple(map(tuple, c))
 
 
 class RootSystem:
-    """Roots in Euclidean coordinates plus fundamental-weight bookkeeping.
+    """The roots of a classical type, read off its Cartan matrix.
 
-    A root is referred to externally by its fundamental-weight coordinate
-    tuple (integers); Euclidean vectors are internal scaffolding.
+    A root is referred to by its fundamental-weight coordinates (fund
+    coords), the integers <alpha, alpha_i^vee>.  The simple roots are the
+    columns of the Cartan matrix, and the roots are their closure under
+    the simple reflections s_i(mu) = mu - mu_i·alpha_i, which reach every
+    root (Humphreys, Lie Algebras, §10.3: every root is W-conjugate to a
+    simple one).  norm maps each root to its squared length (alpha,
+    alpha), that of the simple root it was reached from, as a reflection
+    keeps lengths: 2, except 1 for the short roots of B and 4 for the
+    long roots of C.
     """
 
     def __init__(self, type_label, rank):
@@ -96,63 +118,29 @@ class RootSystem:
             raise RootDataError("unsupported type %s rank %d" % (type_label, rank))
         self.type_label = type_label
         self.rank = rank
-        n = rank
-        if type_label == "A":
-            dim = n + 1
-            simple = [tuple(int(k == i) - int(k == i + 1) for k in range(dim)) for i in range(n)]
-            positive = [
-                tuple(int(k == i) - int(k == j) for k in range(dim))
-                for i in range(dim)
-                for j in range(i + 1, dim)
-            ]
-        else:
-            dim = n
-            e = lambda i: tuple(int(k == i) for k in range(n))
-
-            def comb(i, j, si, sj):
-                return tuple(si * int(k == i) + sj * int(k == j) for k in range(n))
-
-            simple = [comb(i, i + 1, 1, -1) for i in range(n - 1)]
-            positive = [comb(i, j, 1, -1) for i in range(n) for j in range(i + 1, n)]
-            positive += [comb(i, j, 1, 1) for i in range(n) for j in range(i + 1, n)]
-            if type_label == "B":
-                simple.append(e(n - 1))
-                positive += [e(i) for i in range(n)]
-            elif type_label == "C":
-                simple.append(tuple(2 * int(k == n - 1) for k in range(n)))
-                positive += [tuple(2 * int(k == i) for k in range(n)) for i in range(n)]
-            else:  # D
-                simple.append(comb(n - 2, n - 1, 1, 1))
-        self.euclid_dim = dim
-        self.simple_euclid = tuple(simple)
-        self.cartan_matrix = tuple(
-            tuple(_pairing(b, a) for b in self.simple_euclid) for a in self.simple_euclid
-        )
+        self.cartan_matrix = _cartan(type_label, rank)
         # fund = C·m for the simple-root coordinates m, so d·m = (d·C⁻¹)·fund
         # with d·C⁻¹ integral: one fraction-free elimination gives d·C⁻¹,
         # and each weight costs one integer product.
         self._cartan_den, self._cartan_inverse = scaled_inverse(self.cartan_matrix)
-        exp = {b: self.expansion(self.fund_coords(b)) for b in positive}
-        self.positive_euclid = tuple(sorted(positive, key=lambda b: (sum(exp[b]), exp[b])))
-        self.negative_euclid = tuple(tuple(-x for x in b) for b in self.positive_euclid)
-        self.all_euclid = self.positive_euclid + self.negative_euclid
-        self._fund = {b: self.fund_coords(b) for b in self.all_euclid}
-        if len(set(self._fund.values())) != len(self.all_euclid):
-            raise AssertionError("fundamental coordinates not separating")
-        self.positive = tuple(self._fund[b] for b in self.positive_euclid)
-        self.negative = tuple(self._fund[b] for b in self.negative_euclid)
+        self.simple = tuple(zip(*self.cartan_matrix))
+        self.norm = dict(zip(self.simple, (2,) * (rank - 1) + ({"B": 1, "C": 4}.get(type_label, 2),)))
+        roots = list(self.simple)
+        for mu in roots:
+            for m, a in zip(mu, self.simple):
+                nu = tuple(x - m * y for x, y in zip(mu, a))
+                if nu not in self.norm:
+                    self.norm[nu] = self.norm[mu]
+                    roots.append(nu)
+        exp = {b: self.expansion(b) for b in roots}
+        self.positive = tuple(sorted((b for b in roots if sum(exp[b]) > 0), key=lambda b: (sum(exp[b]), exp[b])))
+        self.negative = tuple(tuple(-c for c in b) for b in self.positive)
         self.all_roots = self.positive + self.negative
-        self.simple = tuple(self._fund[b] for b in self.simple_euclid)
         # The roots ±alpha_i of the simple generators x_{±alpha_i}, which
         # generate g: the simple roots, then their negatives.
         self.generators = self.simple + tuple(tuple(-c for c in a) for a in self.simple)
-        self._by_fund = {self._fund[b]: b for b in self.all_euclid}
 
     # -- coordinates ---------------------------------------------------
-
-    def fund_coords(self, euclid):
-        """<beta, h_alpha_i> for the simple coroots, as an integer tuple."""
-        return tuple(_pairing(euclid, a) for a in self.simple_euclid)
 
     def expansion(self, fund):
         """Simple-root coordinates m of the weight with these fund coords
@@ -164,19 +152,12 @@ class RootSystem:
         return tuple(x // d for x in dm)
 
     def is_root(self, fund):
-        return fund in self._by_fund
-
-    def euclid(self, fund):
-        return self._by_fund[fund]
+        return fund in self.norm
 
     def root_string_r(self, alpha, beta):
-        """Largest r >= 0 with beta - r·alpha a root (alpha, beta fund).
-
-        Fundamental coordinates are linear and separate the points of the
-        root lattice, so the string is walked in them directly.
-        """
+        """Largest r >= 0 with beta - r·alpha a root (alpha, beta fund)."""
         r = 0
-        while tuple(b - (r + 1) * a for a, b in zip(alpha, beta)) in self._by_fund:
+        while tuple(b - (r + 1) * a for a, b in zip(alpha, beta)) in self.norm:
             r += 1
         return r
 
@@ -196,35 +177,36 @@ class RootSystem:
 
 
 def _position_weights(rs):
-    """Euclidean weight of each diagonal position of the realization, one
-    per row of its N×N matrices: position (i, j) of a matrix has weight
-    w[i] - w[j], and the diagonal matrix of parameters t has entry
-    <w[i], t> at (i, i)."""
+    """The weight of each diagonal position of the realization in fund
+    coords, one per row of its N×N matrices: position (i, j) of a matrix
+    has weight w[i] - w[j], and the coroot h_alpha has entry <w[i],
+    h_alpha> at (i, i).  They are the weights of the defining
+    representation: e_1 = omega_1 and e_(k+1) = e_k - alpha_k, n + 1 of
+    them for A and n for B, C and D, followed there by -e_1, ..., -e_n,
+    and by 0 for B."""
     n = rs.rank
-    if rs.type_label == "A":
-        return [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
-    w = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    w += [tuple(-int(k == i) for k in range(n)) for i in range(n)]
+    w = [(1,) + (0,) * (n - 1)]
+    for a in rs.simple[: n if rs.type_label == "A" else n - 1]:
+        w.append(tuple(x - y for x, y in zip(w[-1], a)))
+    if rs.type_label != "A":
+        w += [tuple(-x for x in u) for u in w]
     if rs.type_label == "B":
         w.append((0,) * n)
     return w
 
 
 def _form(rs):
-    """The form S preserved by the realization, sparse; empty for type A,
-    where sl_N puts no condition on an off-diagonal position."""
-    n = rs.rank
-    t = rs.type_label
-    if t == "A":
+    """The form S preserved by the realization, sparse: row k has one
+    entry s_k, at the column σ(k) of the position of weight -w[k], with
+    s_k = -1 on the last n rows of type C, where S is alternating, and 1
+    otherwise; empty for type A, where sl_N puts no condition on an
+    off-diagonal position."""
+    if rs.type_label == "A":
         return {}
-    sign = -1 if t == "C" else 1
-    s = {}
-    for i in range(n):
-        s[i, n + i] = 1
-        s[n + i, i] = sign
-    if t == "B":
-        s[2 * n, 2 * n] = 1
-    return s
+    w = _position_weights(rs)
+    position = {u: k for k, u in enumerate(w)}
+    sign = -1 if rs.type_label == "C" else 1
+    return {(k, position[tuple(-x for x in u)]): sign if k >= rs.rank else 1 for k, u in enumerate(w)}
 
 
 def _scaled(c, m):
@@ -342,15 +324,12 @@ class ChevalleyBasis:
     # -- scaffolding ---------------------------------------------------
 
     def _h_sparse(self, fund):
-        """The coroot h_alpha as a canonical sparse matrix.  The Killing
-        form restricted to the Cartan is a multiple of the Euclidean form
-        on the diagonal parameters (both are Weyl invariant and the
-        algebra is simple), so h_alpha, the element with kappa(h_alpha, ·)
-        proportional to alpha and alpha(h_alpha) = 2, is 2·alpha/(alpha,
-        alpha)."""
-        b = self.rs.euclid(fund)
-        t = tuple(ratio(2 * c, _dot(b, b)) for c in b)
-        return canonical({(i, i): _dot(w, t) for i, w in enumerate(self._weights)})
+        """The coroot h_alpha as a canonical sparse matrix: the diagonal
+        matrix with <w[k], h_alpha> at (k, k) for the weight w[k] of each
+        position (_position_weights), read off the coordinates of h_alpha
+        in the simple coroots (h_alpha_coords)."""
+        h = self.h_alpha_coords(fund)
+        return canonical({(k, k): self.pairing(w, h) for k, w in enumerate(self._weights)})
 
     def _root_spaces(self, roots):
         """Primitive integer generator of the root space of each root in
@@ -358,13 +337,14 @@ class ChevalleyBasis:
         has one entry s_k = ±1, at column σ(k), σ an involution, so
         Xᵀ·S + S·X = 0 reads
         X[σ(b)][σ(a)] = −s_σ(a)·s_σ(b)·X[a][b]: each equation ties a
-        position (a, b) to its partner (σ(b), σ(a)).  The weights w[k] are
-        distinct, ±e_i and 0 for type B, with w[σ(k)] = −w[k], so a root
-        is w[a] − w[b] for exactly the pairs (w[a], w[b]) = (u, v) and
-        (−v, −u): one position and its partner.  The root space is then
-        spanned by e_ab − s_σ(a)·s_σ(b)·e_σ(b)σ(a), which is 2·e_ab when
+        position (a, b) to its partner (σ(b), σ(a)).  The weights w[k]
+        (_position_weights) are distinct, with w[σ(k)] = −w[k], and the
+        position (i, j) is keyed by w[i] − w[j], in fund coords like the
+        roots, so a root is w[a] − w[b] for exactly the pairs (w[a], w[b])
+        = (u, v) and (−v, −u): one position and its partner.  The root
+        space is then spanned by e_ab − s_σ(a)·s_σ(b)·e_σ(b)σ(a), which is 2·e_ab when
         the partner is (a, b) itself (u = −v, the long roots of type C,
-        where s_a·s_σ(a) = −1).  Type A has no form, and e_i − e_j sits
+        where s_a·s_σ(a) = −1).  Type A has no form, and w[i] − w[j] sits
         at (i, j) alone."""
         w = self._weights
         first = {}
@@ -375,7 +355,7 @@ class ChevalleyBasis:
         sigma = {k: l for k, l in s}
         gens = {}
         for fund in roots:
-            a, b = first[self.rs.euclid(fund)]
+            a, b = first[fund]
             gen = {(a, b): 1}
             if s:
                 sa, sb = sigma[a], sigma[b]
@@ -404,12 +384,9 @@ class ChevalleyBasis:
     def h_alpha_coords(self, fund):
         """h_alpha in the basis {h_{alpha_i}}, integral for every root: for
         alpha = Σ m_i·alpha_i, h_alpha = Σ m_i·(alpha_i, alpha_i)/(alpha,
-        alpha)·h_{alpha_i}."""
+        alpha)·h_{alpha_i}, the squared lengths read off rs.norm."""
         rs = self.rs
-        b = rs.euclid(fund)
-        return tuple(
-            ratio(m * _dot(a, a), _dot(b, b)) for m, a in zip(rs.expansion(fund), rs.simple_euclid)
-        )
+        return tuple(ratio(m * rs.norm[a], rs.norm[fund]) for m, a in zip(rs.expansion(fund), rs.simple))
 
     def pairing(self, weight_fund, h_coords):
         """<weight, h> where h = sum c_i h_{alpha_i}."""

@@ -83,7 +83,11 @@ set with every negative root vector paired with its positive one by
 `rootdata.chevalley_set` read every other generator off the simple
 ones, and the QSpan that visited every pivot of a sorted list for every
 vector (`PivotListQSpan`), as before `QSpan._reduce` stepped through
-the pivots of the vector's own support.
+the pivots of the vector's own support, and the Euclidean root data of
+the classical types, the roots and the weights of the defining
+realization written per type with the form it preserves
+(`EuclideanRootData`, `form_by_type`), as `rootdata.RootSystem` kept
+them before it read the roots off the Cartan matrix.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -1488,24 +1492,93 @@ def _xgcd(a, b):
 # -----------------------------------------------------------------------
 
 
+class EuclideanRootData:
+    """The roots of a classical type in Euclidean coordinates (Bourbaki,
+    plates I-IV), written per type as rootdata.RootSystem wrote them
+    before it read them off the Cartan matrix: simple, the simple roots
+    in R^dim; roots, the positive roots e_i − e_j, then e_i + e_j, e_i
+    for B and 2·e_i for C, followed by their negatives; fund, each root's
+    fund coords by fund_coords; and weights, the weights of the positions
+    of the defining realization, e_1, ..., e_(n+1) for A and ±e_i (and 0
+    for B) otherwise, in the order of rootdata._position_weights."""
+
+    def __init__(self, label, rank):
+        n = rank
+        self.dim = n + 1 if label == "A" else n
+
+        def e(i, c=1):
+            return tuple(c * int(k == i) for k in range(self.dim))
+
+        def comb(i, j, sj):
+            return tuple(x + sj * y for x, y in zip(e(i), e(j)))
+
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
+        simple = [comb(i, i + 1, -1) for i in range(self.dim - 1)]
+        positive = [comb(i, j, -1) for i, j in pairs]
+        if label != "A":
+            positive += [comb(i, j, 1) for i, j in pairs]
+            simple.append({"B": e(n - 1), "C": e(n - 1, 2), "D": comb(n - 2, n - 1, 1)}[label])
+            positive += {"B": [e(i) for i in range(n)], "C": [e(i, 2) for i in range(n)], "D": []}[label]
+        self.simple = tuple(simple)
+        self.roots = tuple(positive) + tuple(tuple(-x for x in b) for b in positive)
+        self.fund = {b: self.fund_coords(b) for b in self.roots}
+        self.weights = [e(i) for i in range(self.dim)]
+        if label != "A":
+            self.weights += [e(i, -1) for i in range(n)]
+        if label == "B":
+            self.weights.append((0,) * n)
+
+    def fund_coords(self, v):
+        """<v, α_i^∨> = 2(v, α_i)/(α_i, α_i) for each simple root α_i,
+        checked integral."""
+        out = []
+        for a in self.simple:
+            q, r = divmod(2 * _dot(v, a), _dot(a, a))
+            assert not r, "non-integral pairing"
+            out.append(q)
+        return tuple(out)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def form_by_type(label, rank):
+    """The form S of the defining realization, sparse, written per type as
+    rootdata._form wrote it: S[i][n + i] = 1 and S[n + i][i] = −1 for C
+    and 1 otherwise, and S[2n][2n] = 1 for B; empty for A."""
+    if label == "A":
+        return {}
+    n = rank
+    s = {}
+    for i in range(n):
+        s[i, n + i] = 1
+        s[n + i, i] = -1 if label == "C" else 1
+    if label == "B":
+        s[2 * n, 2 * n] = 1
+    return s
+
+
 def root_data_by_fraction_dot(rs):
     """(Cartan matrix, {fund: simple-root expansion}, positive roots in
-    height order) from Fraction inner products and one `solve` per root."""
+    height order, by fund coords) from Fraction inner products of the
+    Euclidean roots and one `solve` per root."""
 
     def dot(u, v):
         return sum(F(a) * F(b) for a, b in zip(u, v))
 
-    simple = rs.simple_euclid
+    e = EuclideanRootData(rs.type_label, rs.rank)
+    simple = e.simple
     cartan = tuple(tuple(int(2 * dot(b, a) / dot(a, a)) for b in simple) for a in simple)
     a = mat(tuple(zip(*simple)))
     expansion = {}
-    for fund, e in zip(rs.all_roots, rs.all_euclid):
-        x = solve(a, [F(t) for t in e])
+    for b in e.roots:
+        x = solve(a, [F(t) for t in b])
         assert x is not None and all(c.denominator == 1 for c in x)
-        expansion[fund] = tuple(int(c) for c in x)
+        expansion[e.fund[b]] = tuple(int(c) for c in x)
     positive = sorted(
-        (e for e in rs.all_euclid if sum(expansion[rs.fund_coords(e)]) > 0),
-        key=lambda e: (sum(expansion[rs.fund_coords(e)]), expansion[rs.fund_coords(e)]),
+        (f for f in e.fund.values() if sum(expansion[f]) > 0),
+        key=lambda f: (sum(expansion[f]), expansion[f]),
     )
     return cartan, expansion, tuple(positive)
 
@@ -1525,7 +1598,6 @@ def _diag_param(rs, params):
 def _lie_algebra_basis(rs):
     """Basis of the realization Lie algebra as flattened N² vectors."""
     N = _realization_size(rs)
-    n = rs.rank
     t = rs.type_label
     if t == "A":
         basis = []
@@ -1542,11 +1614,8 @@ def _lie_algebra_basis(rs):
             basis.append(tuple(v))
         return tuple(basis)
     s = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(n):
-        s[i][n + i] = Fraction(1)
-        s[n + i][i] = Fraction(-1 if t == "C" else 1)
-    if t == "B":
-        s[2 * n][2 * n] = Fraction(1)
+    for (i, j), v in form_by_type(t, rs.rank).items():
+        s[i][j] = Fraction(v)
     # X^T S + S X = 0, one linear condition per matrix position.
     rows = []
     for i in range(N):
@@ -1567,23 +1636,17 @@ class ChevalleyBasisByNullspace:
     def __init__(self, rs):
         self.rs = rs
         self.N = N = _realization_size(rs)
-        self._euclid_to_fund = dict(zip(rs.all_euclid, rs.all_roots))
-        n_par = len(rs.all_euclid[0])
+        e = EuclideanRootData(rs.type_label, rs.rank)
+        self._euclid_to_fund = e.fund
+        self._fund_to_euclid = {f: b for b, f in e.fund.items()}
         self._killing_gram = mat(
-            [[sum(F(b[i]) * F(b[j]) for b in rs.all_euclid) for j in range(n_par)] for i in range(n_par)]
+            [[sum(F(b[i]) * F(b[j]) for b in e.roots) for j in range(e.dim)] for i in range(e.dim)]
         )
         lie = _lie_algebra_basis(rs)
         lie_by_position = tuple(zip(*lie))
-        if rs.type_label == "A":
-            dvecs = [tuple(int(k == i) for k in range(N)) for i in range(N)]
-        else:
-            n = rs.rank
-            dvecs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-            dvecs += [tuple(-int(k == i) for k in range(n)) for i in range(n)]
-            if rs.type_label == "B":
-                dvecs += [tuple(0 for _ in range(n))]
+        dvecs = e.weights
         gens = {}
-        for beta in rs.all_euclid:
+        for beta in e.roots:
             allowed = {
                 i * N + j
                 for i in range(N)
@@ -1594,14 +1657,14 @@ class ChevalleyBasisByNullspace:
             ker = nullspace_by_echelon(mat(rows))
             assert len(ker) == 1
             flat = dense_primitive(mat_vec(lie_by_position, ker[0]))
-            gens[rs.fund_coords(beta)] = tuple(tuple(flat[i * N + j] for j in range(N)) for i in range(N))
+            gens[e.fund[beta]] = tuple(tuple(flat[i * N + j] for j in range(N)) for i in range(N))
         self.h = tuple(self._h_matrix(a) for a in rs.simple)
         self.x = {a: gens[a] for a in rs.simple}
         for gamma in rs.positive:
             if gamma in self.x:
                 continue
             for a in rs.simple:
-                beta = self._fund_of(tuple(x - y for x, y in zip(rs.euclid(gamma), rs.euclid(a))))
+                beta = self._fund_of(tuple(x - y for x, y in zip(self._euclid(gamma), self._euclid(a))))
                 if beta is None or beta not in self.x:
                     continue
                 r = rs.root_string_r(a, beta)
@@ -1618,10 +1681,13 @@ class ChevalleyBasisByNullspace:
     def _fund_of(self, euclid):
         return self._euclid_to_fund.get(tuple(euclid))
 
+    def _euclid(self, fund):
+        return self._fund_to_euclid[fund]
+
     def coroot_params(self, fund):
         """h_alpha as diagonal parameters, from t_alpha with
         kappa(t_alpha, ·) = alpha."""
-        t = solve(self._killing_gram, [F(x) for x in self.rs.euclid(fund)])
+        t = solve(self._killing_gram, [F(x) for x in self._euclid(fund)])
         if self.rs.type_label == "A":
             # The Gram matrix is degenerate on scalar matrices; pick the
             # traceless representative.
@@ -1640,7 +1706,7 @@ class ChevalleyBasisByNullspace:
 
     def structure_constant(self, alpha, beta):
         rs = self.rs
-        target = self._fund_of(tuple(x + y for x, y in zip(rs.euclid(alpha), rs.euclid(beta))))
+        target = self._fund_of(tuple(x + y for x, y in zip(self._euclid(alpha), self._euclid(beta))))
         if target is None:
             return Fraction(0)
         m = bracket(self.x[alpha], self.x[beta])
@@ -1653,7 +1719,9 @@ def root_space_kernels(cb):
     matrix positions of the root's weight, as a list of sparse matrices},
     through matrixops.relations among the form equations of those
     positions, as ChevalleyBasis._root_spaces solved for each root space
-    before it wrote them down in closed form."""
+    before it wrote them down in closed form.  A position (i, j) is
+    keyed by the fund coords of w[i] − w[j] for the weights w of
+    cb._weights."""
     rs = cb.rs
     w = cb._weights
     positions = {}
@@ -1662,8 +1730,8 @@ def root_space_kernels(cb):
             positions.setdefault(tuple(a - b for a, b in zip(w[i], w[j])), []).append((i, j))
     s = _form(rs)
     out = {}
-    for fund, beta in zip(rs.all_roots, rs.all_euclid):
-        pos = positions[beta]
+    for fund in rs.all_roots:
+        pos = positions[fund]
         equations = []
         for a, b in pos:
             # X[a][b] enters (XᵀS)[b][j] with S[a][j], (SX)[i][b] with S[i][a].

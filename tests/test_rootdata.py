@@ -30,16 +30,22 @@ from latmod.rootdata import (
     ChevalleyBasis,
     RootDataError,
     RootSystem,
+    _form,
     build_chevalley,
 )
 from oracles import (
     ChevalleyBasisByNullspace,
+    EuclideanRootData,
     basis_matrices,
     bracket_table_by_ordered_pairs,
     chevalley_set_by_pairing,
     dense_action,
+    det,
+    form_by_type,
+    mat,
     root_data_by_fraction_dot,
     root_space_kernels,
+    solve,
     structure_constant,
 )
 
@@ -125,13 +131,64 @@ def test_expansion_inverts_the_cartan_matrix():
     rng = random.Random(13)
     for t, r in ROOT_COUNTS:
         rs = RootSystem(t, r)
+        e = EuclideanRootData(t, r)
         c = rs.cartan_matrix
         for _ in range(25):
             m = tuple(rng.randint(-6, 6) for _ in range(r))
             fund = tuple(sum(c[i][j] * m[j] for j in range(r)) for i in range(r))
-            euclid = [sum(x * a[k] for x, a in zip(m, rs.simple_euclid)) for k in range(rs.euclid_dim)]
-            assert rs.fund_coords(euclid) == fund
+            euclid = [sum(x * a[k] for x, a in zip(m, e.simple)) for k in range(e.dim)]
+            assert e.fund_coords(euclid) == fund
             assert rs.expansion(fund) == m
+
+
+# Bourbaki, plates I-IV: the highest root in fund coords.
+HIGHEST_ROOT = {
+    ("A", 1): (2,),
+    ("A", 2): (1, 1),
+    ("A", 3): (1, 0, 1),
+    ("A", 4): (1, 0, 0, 1),
+    ("B", 2): (0, 2),
+    ("B", 3): (0, 1, 0),
+    ("B", 4): (0, 1, 0, 0),
+    ("C", 2): (2, 0),
+    ("C", 3): (2, 0, 0),
+    ("C", 4): (2, 0, 0, 0),
+    ("D", 3): (0, 1, 1),
+    ("D", 4): (0, 1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("label,rank", [(t, r) for t, ranks in sorted(SUPPORTED.items()) for r in ranks])
+def test_root_data_matches_the_euclidean_oracle(label, rank):
+    # The root data read off the Cartan matrix and the realization's
+    # position weights against the roots written per type in Euclidean
+    # coordinates; then two facts of the plates that neither computes.
+    rs = RootSystem(label, rank)
+    cb = build_chevalley(label, rank)
+    e = EuclideanRootData(label, rank)
+    cartan, _, positive = root_data_by_fraction_dot(rs)
+    assert rs.cartan_matrix == cartan
+    assert rs.simple == tuple(e.fund[a] for a in e.simple)
+    assert rs.positive == positive
+    assert sorted(rs.all_roots) == sorted(e.fund.values())
+
+    def coroot(v):
+        return [Fraction(2 * x, sum(y * y for y in v)) for x in v]
+
+    cols = mat(tuple(zip(*map(coroot, e.simple))))
+    for b in e.roots:
+        assert cb.h_alpha_coords(e.fund[b]) == solve(cols, coroot(b)), b
+    assert cb._weights == [e.fund_coords(w) for w in e.weights]
+    assert _form(rs) == form_by_type(label, rank)
+    assert rs.to_json_obj() == {
+        "type": label,
+        "rank": rank,
+        "simple_roots": [list(e.fund[a]) for a in e.simple],
+        "positive_roots": [list(a) for a in positive],
+        "cartan_matrix": [list(row) for row in cartan],
+    }
+    assert det(rs.cartan_matrix) == {"A": rank + 1, "B": 2, "C": 2, "D": 4}[label]
+    assert rs.positive[-1] == HIGHEST_ROOT[label, rank]
 
 
 def _fundamental_weights_off_the_root_lattice(t, n):
@@ -202,7 +259,7 @@ def test_construction_matches_nullspace_oracle(label, rank):
     rs = RootSystem(label, rank)
     cartan, expansion, positive = root_data_by_fraction_dot(rs)
     assert rs.cartan_matrix == cartan
-    assert rs.positive_euclid == positive
+    assert rs.positive == positive
     assert all(rs.expansion(a) == expansion[a] for a in rs.all_roots)
     cb = build_chevalley(label, rank)
     old = ChevalleyBasisByNullspace(rs)

@@ -13,6 +13,14 @@ the handler imports its pipeline when it runs.  Flags read as argparse
 read them: ``--flag value``, ``--flag=value``, a unique prefix of the
 name, the last of a repeated flag wins, a value may be a negative number.
 
+A representation request is refused on the closed forms of reps, read
+off the root system alone (rootdata.root_system): a highest weight that
+is not dominant, a report past the cap, a weight multiplicity (orbits)
+and a model lie lattice whose ambient is not the Weyl dimension.  Each
+of these refusals comes before the Chevalley basis is built, through
+rootdata.build_chevalley, so a request builds at most one root system
+and one basis, and a refused one builds no basis.
+
 Exit codes: 0 success (also after -h/--help), 1 validation error (bad
 flags or inputs, an input file nested past the recursion limit among
 them, a model lie lattice whose ambient is not the Weyl dimension of the
@@ -64,37 +72,31 @@ def _load_lattice(path):
         return Lattice.from_json_obj(json.load(f))
 
 
-def _rep_input(args):
-    """The Chevalley basis and highest weight the flags name, the weight
-    refused unless it is dominant."""
-    from latmod.reps import dominant
-    from latmod.rootdata import build_chevalley
-    cb = build_chevalley(args["type"], args["rank"])
+def _build_rep(args, matrices, what, kind, multiplicity_free=False):
+    """The irreducible the flags name, refused before its Chevalley basis
+    is built unless its weight is dominant, and when its report has more
+    than reps.REPORT_ENTRY_CAP entries: at least matrices(rs) dim×dim
+    matrices of kind entries, what naming them (a format of their
+    number), dim the Weyl dimension.  With multiplicity_free (orbits), it
+    is then refused when it has fewer than dim weights (reps.weight_set),
+    a walk the cap keeps to dim weights."""
+    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, dominant, weight_set, weyl_dimension
+    from latmod.rootdata import build_chevalley, root_system
+    rs = root_system(args["type"], args["rank"])
     try:
         hw = tuple(int(x) for x in args["hw"].split(","))
     except ValueError:
         raise ValueError("highest weight must be comma-separated integers")
-    return cb, dominant(cb, hw)
-
-
-def _build_rep(args, matrices, what, kind, multiplicity_free=False):
-    """The irreducible the flags name, refused before it is built when its
-    report has more than reps.REPORT_ENTRY_CAP entries: at least
-    matrices(cb) dim×dim matrices of kind entries, what naming them (a
-    format of their number), dim the Weyl dimension.  With
-    multiplicity_free (orbits), it is then refused when it has fewer than
-    dim weights (reps.weight_set), a walk the cap keeps to dim weights."""
-    from latmod.reps import REPORT_ENTRY_CAP, build_irrep, weight_set, weyl_dimension
-    cb, hw = _rep_input(args)
-    dim, n = weyl_dimension(cb, hw), matrices(cb)
+    hw = dominant(rs, hw)
+    dim, n = weyl_dimension(rs, hw), matrices(rs)
     if n * dim * dim > REPORT_ENTRY_CAP:
         raise ValueError(
             "the report of dimension %d with %s has %d %s entries, more than the cap of %d"
             % (dim, what % n, n * dim * dim, kind, REPORT_ENTRY_CAP)
         )
-    if multiplicity_free and len(weight_set(cb, hw)) < dim:
+    if multiplicity_free and len(weight_set(rs, hw)) < dim:
         raise ValueError("orbit grouping implemented for multiplicity-free blocks only")
-    return build_irrep(cb, hw)
+    return build_irrep(build_chevalley(rs.type_label, rs.rank), hw)
 
 
 def _dump(obj):
@@ -162,7 +164,7 @@ def _pretty(obj, prefix=""):
 
 
 def _cmd_rep_build(args):
-    return _build_rep(args, lambda cb: len(cb.basis_order()), "%d generators", "action").to_json_obj()
+    return _build_rep(args, lambda rs: len(rs.basis_order()), "%d generators", "action").to_json_obj()
 
 
 def _cmd_lattice_dist(args):
@@ -179,7 +181,7 @@ def _cmd_lattice_dist(args):
 
 def _cmd_sandwich(args):
     from latmod.latconstruct import s_minus, s_plus
-    rep = _build_rep(args, lambda cb: 2, "%d lattices", "basis")
+    rep = _build_rep(args, lambda rs: 2, "%d lattices", "basis")
     lo, hi = s_minus(rep, args["p"]), s_plus(rep, args["p"])
     return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": str(lo.index_in(hi))}
 
@@ -188,7 +190,7 @@ def _cmd_orbits(args):
     from latmod.latconstruct import count_invariant_orbits
     # The admissible lattice of the Chevalley module is an invariant split
     # lattice with unit J, so a report has at least one class.
-    rep = _build_rep(args, lambda cb: 1, "at least %d class", "basis", multiplicity_free=True)
+    rep = _build_rep(args, lambda rs: 1, "at least %d class", "basis", multiplicity_free=True)
     return count_invariant_orbits(rep, args["p"])
 
 
@@ -204,7 +206,7 @@ def _cmd_model_lie(args):
     import json
     from latmod.models import check_ambient, lie_invariants, lie_model
     from latmod.reps import build_irrep, dominant, weyl_dimension
-    from latmod.rootdata import build_chevalley
+    from latmod.rootdata import build_chevalley, root_system
     with open(args["rep"]) as f:
         spec = json.load(f)
     shaped = isinstance(spec, dict) and isinstance(spec.get("hw"), list)
@@ -212,12 +214,12 @@ def _cmd_model_lie(args):
         raise ValueError('representation spec must be {"type": ..., "rank": ..., "hw": [...]}')
     rank = _spec_int("rank", spec["rank"])
     hw = tuple(_spec_int("hw entry", x) for x in spec["hw"])
-    cb = build_chevalley(spec["type"], rank)
-    dominant(cb, hw)
-    # A lattice in the wrong space is refused before the representation is built.
+    rs = root_system(spec["type"], rank)
+    dominant(rs, hw)
+    # A lattice in the wrong space is refused before the Chevalley basis is built.
     lat = _load_lattice(args["lattice"])
-    check_ambient(lat, weyl_dimension(cb, hw))
-    model = lie_model(build_irrep(cb, hw), lat)
+    check_ambient(lat, weyl_dimension(rs, hw))
+    model = lie_model(build_irrep(build_chevalley(rs.type_label, rs.rank), hw), lat)
     return {"model": model.to_json_obj(), "invariants": lie_invariants(model)}
 
 

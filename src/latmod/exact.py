@@ -83,6 +83,14 @@ def is_prime(n):
     return all(pow(a, d, n) == 1 or n - 1 in {pow(a, d << r, n) for r in range(s)} for a in PRIME_BASES)
 
 
+def integral(values, den, p=None):
+    """Is every x/den (x in values, den > 0) in R, that is Z when p is
+    None and Z_(p) otherwise: is its least common denominator
+    den/gcd(den, values) 1, or prime to p?"""
+    q = den // gcd(den, *values)
+    return q == 1 or (p is not None and q % p != 0)
+
+
 def _canonical(ints, d, n, p=None):
     """Canonical (denominator, columns) of the span L of the integer
     columns ints over d > 0, in Q^n.
@@ -116,9 +124,9 @@ def _in_span(w, e, d, cols, pivots, p=None):
     span p^e·Z^n, so an integral vector in their Z_(p)-span is in their
     Z-span, and a prime-to-p denominator is a unit."""
     w = [d * x for x in w]
-    g = gcd(e, *w)
-    if g != e and (p is None or (e // g) % p == 0):
+    if not integral(w, e, p):
         return False
+    g = gcd(e, *w)
     return hermite_coords([x // g for x in w], cols, pivots) is not None
 
 

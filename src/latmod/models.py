@@ -31,7 +31,7 @@ certificate for every positive answer.
 from itertools import chain, permutations
 from math import comb, gcd, prod
 
-from latmod.exact import transporter
+from latmod.exact import integral, transporter
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
 from latmod.matrixops import clear_denominators, ratio, ratio_text
 from latmod.reps import lattice_generators
@@ -85,8 +85,7 @@ class LieLattice:
     def bracket_closed(self):
         """Are the bracket coordinates integral over the ring of the lattice?"""
         rows, den = self.bracket
-        q, p = den // gcd(den, *chain.from_iterable(rows)), self.lattice.prime
-        return q == 1 or (p is not None and q % p != 0)
+        return integral(chain.from_iterable(rows), den, self.lattice.prime)
 
     def to_json_obj(self):
         return {
@@ -343,16 +342,17 @@ def _product_echelon(products):
 
 
 def _tracked_membership(echelon, target, p):
-    """Decide membership of target in the Z_(p)-span of the products with
-    this _product_echelon; returns (status, combination or witness).
+    """Decide membership of target in the R-span of the products with
+    this _product_echelon, R = Z_(p), or Z when p is None; returns
+    (status, combination or witness).
 
-    status: "member" with an integral combination [(coeff, word)],
-    "excluded" with a coordinate in the Hermite basis that has a
-    p-denominator, or "outside" when the target is not even in the
+    status: "member" with a combination [(coeff, word)] over R,
+    "excluded" with a coordinate in the Hermite basis that is not in R
+    (exact.integral), or "outside" when the target is not even in the
     Q-span.  The basis is triangular with pivot product P, so the target,
     scaled like the products and then to integers by some den, has
     coordinates in Z/P; hermite_coords finds the integers den·P times the
-    target's coordinates.  The p-denominator test and the combination
+    target's coordinates.  The test of R and the combination
     read only the nonzero ones (a generator of the paper pair has one),
     and each coefficient is divided by den·P once, at the end.
     """
@@ -369,10 +369,9 @@ def _tracked_membership(echelon, target, p):
         return "outside", None
     scale = den * pivot_prod
     used = [(xk, col) for xk, col in zip(x, cols) if xk]
-    if p is not None:
-        bad = next((xk for xk, _ in used if scale // gcd(xk, scale) % p == 0), None)
-        if bad is not None:
-            return "excluded", ratio(bad, scale)
+    bad = next((xk for xk, _ in used if not integral((xk,), scale, p)), None)
+    if bad is not None:
+        return "excluded", ratio(bad, scale)
     n = len(ix)
     combo = [0] * len(words)
     for xk, col in used:
@@ -388,10 +387,11 @@ def order_equal_bounded(g1, g2, degree_bound, p):
     normal form.
 
     Returns a dict: status "equal" (with mutual certificates), "not_shown"
-    (with a p-adic valuation witness), or "undecided" (a generator escapes
-    the rational span at this bound).  Only "equal" is a proof.  The
-    negatives are bounded: a generator outside the Z_(p)-span of the
-    products up to degree_bound may be inside it at a higher bound.
+    (with a witness coefficient outside R), or "undecided" (a generator
+    escapes the rational span at this bound), R = Z_(p), or Z when p is
+    None.  Only "equal" is a proof.  The negatives are bounded: a
+    generator outside the R-span of the products up to degree_bound may
+    be inside it at a higher bound.
     """
     g1, g2 = [poly_reduce_det(g) for g in g1], [poly_reduce_det(g) for g in g2]
     certificates = []

@@ -44,6 +44,10 @@ in the order of the sorted index tuples, so the symmetric power keeps
 the monomial basis (e1^k, e1^{k-1}e2, ...): a generator's entry at
 (i, j) moves one unit of an exponent vector from j to i, times the
 exponent of j, and in Λ^k with the sign of the ones it passes.
+The closed forms of an irreducible need no Chevalley basis: dominant,
+weyl_dimension and weight_set read the highest weight and the coroots of
+a rootdata.RootSystem alone, so a request can be refused on them before
+any basis is built.
 """
 
 import itertools
@@ -310,7 +314,7 @@ class Representation:
 
 def build_irrep(cb, psi):
     """Irreducible representation with highest weight psi (fund coords)."""
-    psi = dominant(cb, psi)
+    psi = dominant(cb.rs, psi)
     simple = {key: cb.action[key] for key in cb.rs.generators}
     defining = (cb.N, simple, _diagonal_weights(cb, cb.action, cb.N, cb.denominator))
     factors = [_power_raw(defining, psi[0])]
@@ -333,30 +337,30 @@ def build_irrep(cb, psi):
     return _adapted(cb, columns, cb.denominator, tops[:1])
 
 
-def dominant(cb, psi):
+def dominant(rs, psi):
     """psi (fund coords) as a tuple of ints, refused unless it is a
-    dominant integer vector of the rank of cb."""
+    dominant integer vector of the rank of the root system rs."""
     psi = tuple(int(x) for x in psi)
-    if len(psi) != cb.rs.rank or any(x < 0 for x in psi):
+    if len(psi) != rs.rank or any(x < 0 for x in psi):
         raise RepError("highest weight must be a dominant integer vector")
     return psi
 
 
-def weyl_dimension(cb, psi):
+def weyl_dimension(rs, psi):
     """The dimension of the irreducible with highest weight psi (fund
     coords), by Weyl's formula: the product over the positive roots beta
-    of <psi + rho, h_beta> / <rho, h_beta>, rho = (1, ..., 1); every
+    of <psi + rho, beta^vee> / <rho, beta^vee>, rho = (1, ..., 1), each
+    pairing the dot product with the coroot c = rs.coroot[beta]; every
     pairing is an integer, and so is the quotient of the products."""
-    rho = (1,) * cb.rs.rank
     num = den = 1
-    for beta in cb.rs.positive:
-        h = cb.h_alpha_coords(beta)
-        num *= cb.pairing([x + 1 for x in psi], h)
-        den *= cb.pairing(rho, h)
+    for beta in rs.positive:
+        c = rs.coroot[beta]
+        num *= sum((x + 1) * y for x, y in zip(psi, c))
+        den *= sum(c)
     return num // den
 
 
-def weight_set(cb, psi):
+def weight_set(rs, psi):
     """The weights of the irreducible V(psi) (tuples in fund coords, mu[i] =
     <mu, alpha_i^∨>), without building it: the closure of {psi} under the
     downward strings mu - j·alpha_i, 0 < j <= <mu, alpha_i^∨>.
@@ -370,7 +374,7 @@ def weight_set(cb, psi):
     s_i(nu), so k <= <nu, alpha_i^∨>.  nu is higher than mu, so by
     induction on the height of psi - mu, nu and then mu lie in the
     closure.  V(psi) is free of multiplicities exactly when it has
-    weyl_dimension(cb, psi) weights.
+    weyl_dimension(rs, psi) weights.
 
     Each alpha_i-string is walked once: mu skips its alpha_i walk when
     mu + alpha_i is already seen.  The closure is unchanged: let t =
@@ -381,7 +385,7 @@ def weight_set(cb, psi):
     seen, todo = {psi}, [psi]
     while todo:
         mu = todo.pop()
-        for i, alpha in enumerate(cb.rs.simple):
+        for i, alpha in enumerate(rs.simple):
             if mu[i] > 0 and tuple(x + y for x, y in zip(mu, alpha)) in seen:
                 continue
             nu = mu
@@ -463,4 +467,4 @@ def lattice_generators(rep):
     generators of the Chevalley lattice: every root vector, then the
     simple coroots h_i, the basis of the coroot lattice (the simply
     connected form)."""
-    return [rep.action[key] for key in rep.cb.basis_order()]
+    return [rep.action[key] for key in rep.cb.rs.basis_order()]

@@ -5,8 +5,14 @@ A root is its tuple of fundamental-weight coordinates (fund coords), its
 pairings <alpha, alpha_i^vee> with the simple coroots; no other
 coordinates are kept.  The simple roots are the columns of the Cartan
 matrix (_cartan, in Bourbaki's numbering), and the roots are their
-closure under the simple reflections, each with the squared length of
-the simple root it was reached from (RootSystem).
+closure under the simple reflections, each with its coroot in the
+simple coroots, carried through the same closure (RootSystem.coroot).
+The closed forms of the root system read these alone, with no
+Chevalley basis: every pairing <mu, alpha^vee> is the integer dot
+product of mu's fund coords with alpha's coroot, and reps reads the
+Weyl dimension and the weight set of an irreducible off a RootSystem;
+root_system caches one per (type, rank), and build_chevalley builds
+its basis on it.
 The realization is the defining one: sl_{n+1} for type A, so_{2n+1},
 sp_{2n} and so_{2n} for B, C, D, with the bilinear form chosen so that
 the diagonal matrices form a split Cartan subalgebra.  Its positions
@@ -15,14 +21,13 @@ carry the weights of the defining representation, in fund coords
 Each root space is written down in closed form: the weight of a root
 sits at one matrix position and at its partner under the form, and the
 form equations tie the two entries by one sign (_root_spaces); the
-coroot h_alpha is the diagonal matrix of the pairings <w[i], h_alpha>,
-h_alpha in the simple coroots read off the expansion of alpha in the
-simple roots and the squared lengths.  Only the simple root spaces are
-taken: x_{alpha_i} is the primitive generator of its
-root space, and x_{-alpha_i} is paired with it by [x_{alpha_i},
-x_{-alpha_i}] = h_{alpha_i} (_pair_negative), whose one bracket also
-checks the coroot h_{alpha_i}.  Every other root vector comes from these
-by one recursion, chevalley_set, which builds the Chevalley set in any
+coroot h_{alpha_i} is the diagonal matrix of the pairings <w[k],
+alpha_i^vee> = w[k][i].  Only the simple root spaces are taken:
+x_{alpha_i} is the primitive generator of its root space, and
+x_{-alpha_i} is paired with it by [x_{alpha_i}, x_{-alpha_i}] =
+h_{alpha_i} (_pair_negative), whose one bracket also checks the coroot
+h_{alpha_i}.  Every other root vector comes from these by one
+recursion, chevalley_set, which builds the Chevalley set in any
 representation from its simple generators, with each h_i as their
 bracket unless it is given; reps reads every representation's action
 through it too.
@@ -41,7 +46,7 @@ end, so the construction makes no Fraction in any type; the coroots,
 the bracket table and every structure constant are ints.  The bracket
 table, the coordinates of the bracket of every pair of basis elements,
 is read off the root data:
-h_alpha on the simple coroots for [x_alpha, x_-alpha], alpha_i for
+the coroot of alpha for [x_alpha, x_-alpha], alpha_i for
 [h_i, x_alpha], ±(r + 1) where alpha + beta is a root, with the sign read
 off one entry of that bracket, and 0 for every other pair.
 check_brackets is the one check of an integer action over a denominator
@@ -107,10 +112,13 @@ class RootSystem:
     columns of the Cartan matrix, and the roots are their closure under
     the simple reflections s_i(mu) = mu - mu_i·alpha_i, which reach every
     root (Humphreys, Lie Algebras, §10.3: every root is W-conjugate to a
-    simple one).  norm maps each root to its squared length (alpha,
-    alpha), that of the simple root it was reached from, as a reflection
-    keeps lengths: 2, except 1 for the short roots of B and 4 for the
-    long roots of C.
+    simple one).  coroot maps each root alpha to alpha^vee in the simple
+    coroots, carried through the same closure: s_i(alpha)^vee =
+    s_i(alpha^vee) = alpha^vee - <alpha_i, alpha^vee>·alpha_i^vee, and
+    <mu, alpha^vee> = Σ mu_i·c_i for the coroot c, an integer dot product,
+    as mu_i = <mu, alpha_i^vee>.  So every
+    pairing a closed form needs (the Weyl dimension, a weight set, the
+    bracket [x_alpha, x_-alpha]) is read off the Cartan matrix alone.
     """
 
     def __init__(self, type_label, rank):
@@ -124,13 +132,15 @@ class RootSystem:
         # and each weight costs one integer product.
         self._cartan_den, self._cartan_inverse = scaled_inverse(self.cartan_matrix)
         self.simple = tuple(zip(*self.cartan_matrix))
-        self.norm = dict(zip(self.simple, (2,) * (rank - 1) + ({"B": 1, "C": 4}.get(type_label, 2),)))
+        self.coroot = {a: tuple(int(i == j) for j in range(rank)) for i, a in enumerate(self.simple)}
         roots = list(self.simple)
         for mu in roots:
-            for m, a in zip(mu, self.simple):
+            c = self.coroot[mu]
+            for i, (m, a) in enumerate(zip(mu, self.simple)):
                 nu = tuple(x - m * y for x, y in zip(mu, a))
-                if nu not in self.norm:
-                    self.norm[nu] = self.norm[mu]
+                if nu not in self.coroot:
+                    # s_i(alpha^vee) = alpha^vee - <alpha_i, alpha^vee>·alpha_i^vee
+                    self.coroot[nu] = c[:i] + (c[i] - sum(x * y for x, y in zip(a, c)),) + c[i + 1 :]
                     roots.append(nu)
         exp = {b: self.expansion(b) for b in roots}
         self.positive = tuple(sorted((b for b in roots if sum(exp[b]) > 0), key=lambda b: (sum(exp[b]), exp[b])))
@@ -152,14 +162,18 @@ class RootSystem:
         return tuple(x // d for x in dm)
 
     def is_root(self, fund):
-        return fund in self.norm
+        return fund in self.coroot
 
     def root_string_r(self, alpha, beta):
         """Largest r >= 0 with beta - r·alpha a root (alpha, beta fund)."""
         r = 0
-        while tuple(b - (r + 1) * a for a, b in zip(alpha, beta)) in self.norm:
+        while tuple(b - (r + 1) * a for a, b in zip(alpha, beta)) in self.coroot:
             r += 1
         return r
+
+    def basis_order(self):
+        """Keys of the Chevalley basis: all roots, then rank coroots."""
+        return [*self.all_roots, *(("h", i) for i in range(self.rank))]
 
     def to_json_obj(self):
         return {
@@ -221,13 +235,30 @@ def _lowest(m, d):
     return ({p: v // g for p, v in m.items()}, d // g) if g > 1 else (m, d)
 
 
+def _pair_negative(x, gen, h):
+    """The unique y in g_{-alpha} with [x, y] = h, the coroot matrix
+    h_alpha, for x the pair (X, e) of X/e spanning g_alpha and gen
+    spanning g_{-alpha}, as such a pair: [X, gen] = b/c·e·h for the
+    entries b of [X, gen] and c of h at its first nonzero entry, so y =
+    (e·c/b)·gen."""
+    m, e = x
+    br = sparse_bracket(m, gen)
+    k, c = min(h.items())
+    b = br.get(k, 0)
+    if not b or _scaled(c, br) != _scaled(b, h):
+        raise AssertionError("[g_a, g_-a] not proportional to coroot")
+    if b < 0:
+        b, c = -b, -c
+    return _lowest(_scaled(e * c, gen), b)
+
+
 def chevalley_set(rs, simple):
     """The Chevalley set from its simple generators alone.  simple maps
     the fund coords of each root ±alpha_i of rs.generators to x_{±alpha_i}
     in some representation, as a pair (integer sparse matrix,
     denominator > 0), and may map ("h", i) to h_i, when the caller
     already has it; returns (action, D): every x_alpha and h_i, keyed
-    in basis order (ChevalleyBasis.basis_order), as integer sparse
+    in basis order (RootSystem.basis_order), as integer sparse
     matrices over D, the least common denominator of all of them.
 
     The positive roots are walked in height order, and a non-simple gamma
@@ -285,8 +316,7 @@ def chevalley_set(rs, simple):
         if ("h", i) not in x:
             x["h", i] = bracket(a, f, 1)
     d = lcm(*(e for _, e in x.values()))
-    keys = [*rs.all_roots, *(("h", i) for i in range(rs.rank))]
-    return {key: _scaled(d // x[key][1], x[key][0]) for key in keys}, d
+    return {key: _scaled(d // x[key][1], x[key][0]) for key in rs.basis_order()}, d
 
 
 class ChevalleyBasis:
@@ -302,7 +332,7 @@ class ChevalleyBasis:
         x_alpha at the fund coords of alpha, then the coroot h_{alpha_i}
         of each simple root at ("h", i), in basis order
       bracket_table: bracket_table[i][j] = {k: c} with
-        [b_i, b_j] = Σ c·b_k over the basis b in basis_order()
+        [b_i, b_j] = Σ c·b_k over the basis b in rs.basis_order()
     """
 
     def __init__(self, rs):
@@ -314,22 +344,21 @@ class ChevalleyBasis:
         # _pair_negative checks [x_{alpha_i}, x_{-alpha_i}] against the
         # coroot, so h_i is passed on rather than bracketed again.
         for i, (a, f) in enumerate(zip(rs.simple, rs.generators[rs.rank :])):
+            h = self._h_sparse(i)
             simple[a] = (gens[a], 1)
-            simple[f] = self._pair_negative(a, simple[a], gens[f])
-            simple["h", i] = (self._h_sparse(a), 1)
+            simple[f] = _pair_negative(simple[a], gens[f], h)
+            simple["h", i] = (h, 1)
         self.action, self.denominator = chevalley_set(rs, simple)
-        self._index = {key: k for k, key in enumerate(self.basis_order())}
+        self._index = {key: k for k, key in enumerate(rs.basis_order())}
         self._verify()
 
     # -- scaffolding ---------------------------------------------------
 
-    def _h_sparse(self, fund):
-        """The coroot h_alpha as a canonical sparse matrix: the diagonal
-        matrix with <w[k], h_alpha> at (k, k) for the weight w[k] of each
-        position (_position_weights), read off the coordinates of h_alpha
-        in the simple coroots (h_alpha_coords)."""
-        h = self.h_alpha_coords(fund)
-        return canonical({(k, k): self.pairing(w, h) for k, w in enumerate(self._weights)})
+    def _h_sparse(self, i):
+        """The coroot h_{alpha_i} as a canonical sparse matrix: the
+        diagonal matrix with <w[k], alpha_i^vee> = w[k][i] at (k, k) for
+        the weight w[k] of each position (_position_weights)."""
+        return canonical({(k, k): w[i] for k, w in enumerate(self._weights)})
 
     def _root_spaces(self, roots):
         """Primitive integer generator of the root space of each root in
@@ -363,38 +392,7 @@ class ChevalleyBasis:
             gens[fund] = primitive(gen)
         return gens
 
-    def _pair_negative(self, fund, x, gen):
-        """The unique y in g_{-alpha} with [x, y] = h_alpha, for x the pair
-        (X, e) of X/e, as such a pair: [X, gen] = b/c·e·h_alpha for the
-        entries b of [X, gen] and c of h_alpha at its first nonzero
-        entry, so y = (e·c/b)·gen."""
-        m, e = x
-        br = sparse_bracket(m, gen)
-        h = self._h_sparse(fund)
-        k, c = min(h.items())
-        b = br.get(k, 0)
-        if not b or _scaled(c, br) != _scaled(b, h):
-            raise AssertionError("[g_a, g_-a] not proportional to coroot")
-        if b < 0:
-            b, c = -b, -c
-        return _lowest(_scaled(e * c, gen), b)
-
     # -- public API ----------------------------------------------------
-
-    def h_alpha_coords(self, fund):
-        """h_alpha in the basis {h_{alpha_i}}, integral for every root: for
-        alpha = Σ m_i·alpha_i, h_alpha = Σ m_i·(alpha_i, alpha_i)/(alpha,
-        alpha)·h_{alpha_i}, the squared lengths read off rs.norm."""
-        rs = self.rs
-        return tuple(ratio(m * rs.norm[a], rs.norm[fund]) for m, a in zip(rs.expansion(fund), rs.simple))
-
-    def pairing(self, weight_fund, h_coords):
-        """<weight, h> where h = sum c_i h_{alpha_i}."""
-        return F(sum(c * w for c, w in zip(h_coords, weight_fund)))
-
-    def basis_order(self):
-        """Keys of the Chevalley basis: all roots, then rank coroots."""
-        return [*self.rs.all_roots, *(("h", i) for i in range(self.rs.rank))]
 
     def _rational(self, m):
         """The sparse matrix m over the denominator, canonical."""
@@ -405,7 +403,7 @@ class ChevalleyBasis:
     def _span(self):
         """The sparse generators in basis order, inserted into one QSpan."""
         span = QSpan()
-        if not all(span.insert(self.action[key]) for key in self.basis_order()):
+        if not all(span.insert(self.action[key]) for key in self.rs.basis_order()):
             raise AssertionError("Chevalley basis is linearly dependent")
         return span
 
@@ -429,7 +427,7 @@ class ChevalleyBasis:
         return canonical(out)
 
     def from_coords(self, coords):
-        return dense(self._rational(self._combination(coords, self.basis_order())), self.N)
+        return dense(self._rational(self._combination(coords, self.rs.basis_order())), self.N)
 
     def bracket_coords(self, u, v):
         """Coordinates of [X, Y] for X = Σ u_i·b_i and Y = Σ v_j·b_j:
@@ -449,7 +447,7 @@ class ChevalleyBasis:
         """Read the bracket table off the root data and check the integer
         generators A = D·b, D the denominator, against it (check_brackets).
         For b_i before b_j in basis order, [x_a, x_-a] = h_a = Σ c_i·h_i
-        with the c_i checked integral, [x_a, h_i] = -a_i·x_a, [x_a, x_b] =
+        for the coroot c of a (rs.coroot), [x_a, h_i] = -a_i·x_a, [x_a, x_b] =
         ±(r + 1)·x_{a+b} when a + b is a root, with the sign of u·t for
         the entries u of [A_a, A_b] and t of A_{a+b} at the first nonzero
         entry of A_{a+b} (check_brackets then checks the whole bracket, so
@@ -467,10 +465,7 @@ class ChevalleyBasis:
             for b, beta in enumerate(rs.all_roots[a + 1 :], a + 1):
                 target = tuple(p + q for p, q in zip(alpha, beta))
                 if not any(target):
-                    coords = self.h_alpha_coords(alpha)
-                    if any(c.denominator != 1 for c in coords):
-                        raise AssertionError("h_alpha not in the coroot lattice")
-                    table[a][b] = {i: c for i, c in zip(hix, coords) if c}
+                    table[a][b] = {i: c for i, c in zip(hix, rs.coroot[alpha]) if c}
                 elif rs.is_root(target):
                     r = rs.root_string_r(alpha, beta)
                     (row, col), t = min(x[target].items())
@@ -488,11 +483,11 @@ class ChevalleyBasis:
 
 
 def check_brackets(cb, action, den):
-    """The first pair (key_i, key_j), i < j in cb.basis_order(), where the
+    """The first pair (key_i, key_j), i < j in cb.rs.basis_order(), where the
     integer sparse action A over den fails [A_i, A_j] = den·Σ c_k·A_k, the
     c_k read off cb.bracket_table[i][j], or None when every pair holds:
     then A / den is a representation of the Lie algebra."""
-    keys = cb.basis_order()
+    keys = cb.rs.basis_order()
     rho = [action[key] for key in keys]
     for i, row in enumerate(cb.bracket_table):
         for j in range(i + 1, len(rho)):
@@ -506,5 +501,10 @@ def check_brackets(cb, action, den):
 
 
 @lru_cache(maxsize=None)
+def root_system(type_label, rank):
+    return RootSystem(type_label, rank)
+
+
+@lru_cache(maxsize=None)
 def build_chevalley(type_label, rank):
-    return ChevalleyBasis(RootSystem(type_label, rank))
+    return ChevalleyBasis(root_system(type_label, rank))

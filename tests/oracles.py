@@ -87,7 +87,10 @@ the pivots of the vector's own support, and the Euclidean root data of
 the classical types, the roots and the weights of the defining
 realization written per type with the form it preserves
 (`EuclideanRootData`, `form_by_type`), as `rootdata.RootSystem` kept
-them before it read the roots off the Cartan matrix.
+them before it read the roots off the Cartan matrix, and the coroots
+solved from them with Fractions (`coroots_by_euclid`), as
+`ChevalleyBasis.h_alpha_coords` read them off squared lengths before
+`RootSystem.coroot` carried them through the reflection closure.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -109,6 +112,7 @@ import itertools
 import math
 from bisect import insort
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from latmod import matrixops, models, reps
@@ -126,6 +130,7 @@ from latmod.latconstruct import (
 from latmod.matrixops import (
     QSpan,
     bracket,
+    canonical,
     clear_denominators,
     dense,
     identity,
@@ -138,7 +143,7 @@ from latmod.matrixops import (
     sparse_bracket,
     sparse_mat_vec,
 )
-from latmod.rootdata import ChevalleyBasis, _form, _lowest, _scaled
+from latmod.rootdata import ChevalleyBasis, _form, _lowest, _pair_negative, _scaled
 
 
 # The oracles compute in Fractions throughout, as the code they check did:
@@ -197,7 +202,7 @@ def vp_by_division(x, p):
     return v
 
 
-def weight_set_by_every_walk(cb, psi):
+def weight_set_by_every_walk(rs, psi):
     """The closure of {psi} under the downward strings mu - j·alpha_i,
     0 < j <= <mu, alpha_i^∨>, each weight walking every one of its
     strings, as reps.weight_set took it before a weight mu skipped its
@@ -205,7 +210,7 @@ def weight_set_by_every_walk(cb, psi):
     seen, todo = {psi}, [psi]
     while todo:
         mu = todo.pop()
-        for i, alpha in enumerate(cb.rs.simple):
+        for i, alpha in enumerate(rs.simple):
             nu = mu
             for _ in range(mu[i]):
                 nu = tuple(x - y for x, y in zip(nu, alpha))
@@ -1178,12 +1183,13 @@ def product_echelon_by_fractions(products):
 
 
 def tracked_membership_by_fractions(echelon, target, p):
-    """Decide membership of target in the Z_(p)-span of the products with
-    a product_echelon_by_fractions, by Fraction forward substitution;
-    returns (status, combination or witness).
+    """Decide membership of target in the R-span of the products with
+    a product_echelon_by_fractions, R = Z_(p), or Z when p is None, by
+    Fraction forward substitution; returns (status, combination or
+    witness).
 
-    status: "member" with an integral combination [(coeff, word)],
-    "excluded" with the last offending p-denominator, or "outside" when
+    status: "member" with a combination [(coeff, word)] over R,
+    "excluded" with the last coefficient outside R, or "outside" when
     the target is not even in the Q-span.
     """
     ix, d, rows, words = echelon
@@ -1197,7 +1203,7 @@ def tracked_membership_by_fractions(echelon, target, p):
     for piv, (w, wc) in rows:
         if resid[piv] != 0:
             q = resid[piv] / w[piv]
-            if p is not None and vp(q, p) < 0:
+            if q.denominator != 1 and (p is None or vp(q, p) < 0):
                 bad_val = q
             resid = [a - q * b for a, b in zip(resid, w)]
             combo = [a + q * b for a, b in zip(combo, wc)]
@@ -1543,6 +1549,22 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+@lru_cache(maxsize=None)
+def coroots_by_euclid(label, rank):
+    """{fund: alpha^∨ in the simple coroots} for every root of the type,
+    from its Euclidean coordinates: alpha^∨ = 2·alpha/(alpha, alpha),
+    solved on the simple coroots with Fractions, as
+    ChevalleyBasis.h_alpha_coords gave them before RootSystem carried
+    each coroot through the reflection closure."""
+    e = EuclideanRootData(label, rank)
+
+    def coroot(v):
+        return [Fraction(2 * x, _dot(v, v)) for x in v]
+
+    cols = mat(tuple(zip(*map(coroot, e.simple))))
+    return {e.fund[b]: tuple(solve(cols, coroot(b))) for b in e.roots}
+
+
 def form_by_type(label, rank):
     """The form S of the defining realization, sparse, written per type as
     rootdata._form wrote it: S[i][n + i] = 1 and S[n + i][i] = −1 for C
@@ -1751,7 +1773,7 @@ def lift(cb, action, dim, coords):
     coords, as a dense sum over the basis (the per-pair homomorphism check
     compared each bracket with this before the bracket table)."""
     out = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, key in zip(coords, cb.basis_order()):
+    for c, key in zip(coords, cb.rs.basis_order()):
         if c:
             for r, row in enumerate(action[key]):
                 for s, y in enumerate(row):
@@ -1786,8 +1808,7 @@ def bracket_table_by_ordered_pairs(cb):
     for alpha in rs.all_roots:
         a = ix[alpha]
         neg = tuple(-c for c in alpha)
-        coords = cb.h_alpha_coords(alpha)
-        assert all(F(c).denominator == 1 for c in coords), "h_alpha not in the coroot lattice"
+        coords = rs.coroot[alpha]
         assert sparse_bracket(x[alpha], x[neg]) == _scaled(d, cb._combination(coords, hkeys)), alpha
         table[a][ix[neg]] = {k: c for k, c in zip(hix, coords) if c}
         for i, hm in enumerate(h):
@@ -1818,8 +1839,9 @@ def chevalley_set_by_pairing(cb):
     them before rootdata.chevalley_set: the closed-form root space of
     every root, the positive root vectors by the recursion on the simple
     ones, every negative root vector paired with its positive one by
-    _pair_negative, and each h_i the realization's coroot; the table is
-    read off this action by ChevalleyBasis._verify."""
+    _pair_negative against h_gamma, the diagonal of the pairings of the
+    position weights with gamma's coroot, and each h_i the realization's
+    coroot; the table is read off this action by ChevalleyBasis._verify."""
     rs = cb.rs
     gens = cb._root_spaces(rs.all_roots)
     x = {a: (gens[a], 1) for a in rs.simple}
@@ -1837,10 +1859,11 @@ def chevalley_set_by_pairing(cb):
             raise AssertionError("no decomposition for %r" % (gamma,))
     for gamma in rs.positive:
         neg = tuple(-c for c in gamma)
-        x[neg] = cb._pair_negative(gamma, x[gamma], gens[neg])
+        h = canonical({(k, k): _dot(w, rs.coroot[gamma]) for k, w in enumerate(cb._weights)})
+        x[neg] = _pair_negative(x[gamma], gens[neg], h)
     d = lcm(*(e for _, e in x.values()))
     action = {key: _scaled(d // e, m) for key, (m, e) in x.items()}
-    action.update((("h", i), _scaled(d, cb._h_sparse(a))) for i, a in enumerate(rs.simple))
+    action.update((("h", i), _scaled(d, cb._h_sparse(i))) for i in range(rs.rank))
     old = copy.copy(cb)
     old.action, old.denominator = action, d
     old._verify()
@@ -2106,7 +2129,7 @@ def trace(a):
 def killing_gram_by_ad(cb):
     """The Killing Gram on the Chevalley basis as tr ad(b_i)·ad(b_j), with
     one dense product per pair."""
-    m = len(cb.basis_order())
+    m = len(cb.rs.basis_order())
     ad = [ad_by_matrices(cb, [int(k == i) for k in range(m)]) for i in range(m)]
     return tuple(tuple(trace(mat_mul(ad[i], ad[j])) for j in range(m)) for i in range(m))
 
@@ -2129,14 +2152,14 @@ def bracket_closed_pairwise(cb, lat):
 
 def basis_matrices(cb):
     """The Chevalley basis as dense rational matrices, in basis order."""
-    m = len(cb.basis_order())
+    m = len(cb.rs.basis_order())
     return [cb.from_coords([int(k == i) for k in range(m)]) for i in range(m)]
 
 
 def structure_constant(cb, alpha, beta):
     """N_{alpha,beta} with [x_a, x_b] = N·x_{a+b}, roots by fund coords,
     off the bracket table; zero when a + b is not a root."""
-    ix = {key: k for k, key in enumerate(cb.basis_order())}
+    ix = {key: k for k, key in enumerate(cb.rs.basis_order())}
     target = tuple(a + b for a, b in zip(alpha, beta))
     return cb.bracket_table[ix[alpha]][ix[beta]].get(ix.get(target), 0)
 

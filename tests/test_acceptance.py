@@ -84,7 +84,7 @@ def test_criterion_2_chevalley_suite():
                 # [x_a, x_-a] = h_a
                 got = cb.coords_of(bracket(mats[a], mats[na]))
                 want = [Fraction(0)] * len(rs.all_roots) + list(
-                    cb.h_alpha_coords(a)
+                    cb.rs.coroot[a]
                 )
                 assert list(got) == [Fraction(x) for x in want]
                 for b in rs.all_roots:
@@ -99,15 +99,21 @@ def test_criterion_2_chevalley_suite():
                         assert not any(x for row in br for x in row)
 
 
+def _pairing(weight, coroot):
+    """<weight, alpha^∨> for a weight in fund coords and the coroot of
+    alpha in the simple coroots."""
+    return Fraction(sum(c * w for c, w in zip(coroot, weight)))
+
+
 def _weyl_dim(cb, hw):
     rs = cb.rs
     rho = tuple(1 for _ in range(rs.rank))
     num = Fraction(1)
     den = Fraction(1)
     for a in rs.positive:
-        h = cb.h_alpha_coords(a)
-        num *= cb.pairing(tuple(x + y for x, y in zip(hw, rho)), h)
-        den *= cb.pairing(rho, h)
+        h = cb.rs.coroot[a]
+        num *= _pairing(tuple(x + y for x, y in zip(hw, rho)), h)
+        den *= _pairing(rho, h)
     return num / den
 
 

@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -16,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latmod
-from latmod import cli, kernels, latconstruct, reps
+from latmod import cli, kernels, latconstruct, reps, rootdata
 from latmod.cli import main
 from latmod.exact import Lattice
 from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus
 from latmod.reps import build_irrep
-from latmod.rootdata import build_chevalley
+from latmod.rootdata import build_chevalley, root_system
 from oracles import has_j_components
 from test_reps import PINNED
 
@@ -57,8 +59,8 @@ def test_entry_cap_admits_every_known_report(capsys):
     # ambients and the builds of the benchmark's workloads, the largest of
     # them B4 (0,0,0,2) with 571,536 entries.
     def entries(t, r, hw):
-        cb = build_chevalley(t, r)
-        return reps.weyl_dimension(cb, hw) ** 2 * len(cb.basis_order())
+        rs = root_system(t, r)
+        return reps.weyl_dimension(rs, hw) ** 2 * len(rs.basis_order())
 
     for t, r, hw in (("A", 2, (1, 1)), ("C", 2, (1, 1)), ("B", 3, (1, 0, 0))):
         code, out, _ = run(["rep", "build", "--type", t, "--rank", str(r), "--hw", ",".join(map(str, hw))], capsys)
@@ -575,6 +577,59 @@ def test_highest_weight_is_refused_by_one_check_before_building(hw, monkeypatch,
         ["model", "lie", "--rep", str(repf), "--lattice", str(lat)],
     ):
         assert run(argv, capsys) == (1, "", "error: highest weight must be a dominant integer vector\n"), argv
+
+
+def _built(argv, monkeypatch, capsys):
+    """The exit code, stdout and stderr of one request, and the number of
+    each of RootSystem and ChevalleyBasis it constructs, counted on empty
+    caches of rootdata.root_system and rootdata.build_chevalley."""
+    built = Counter()
+
+    def counting(init):
+        def wrapper(self, *args):
+            built[type(self).__name__] += 1
+            init(self, *args)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for cls in (rootdata.RootSystem, rootdata.ChevalleyBasis):
+            m.setattr(cls, "__init__", counting(cls.__init__))
+        m.setattr(rootdata, "root_system", lru_cache(maxsize=None)(rootdata.RootSystem))
+        m.setattr(rootdata, "build_chevalley", lru_cache(maxsize=None)(rootdata.build_chevalley.__wrapped__))
+        return run(argv, capsys), built
+
+
+def test_refusals_come_before_the_chevalley_basis(monkeypatch, tmp_path, capsys):
+    # Each refusal of a representation request reads the root system
+    # alone: a weight that is not dominant, a report past the entry cap, a
+    # weight multiplicity and a model lie lattice in the wrong space.  A
+    # refused request builds no Chevalley basis and exits as it did; a
+    # request that succeeds builds one root system and one basis.
+    spec, lat2, lat3 = tmp_path / "spec.json", tmp_path / "lat2.json", tmp_path / "lat3.json"
+    spec.write_text(json.dumps({"type": "A", "rank": 1, "hw": [2]}))
+    lat2.write_text(Lattice([[1, 0], [0, 1]]).to_json())
+    lat3.write_text(Lattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]]).to_json())
+    dominant = "error: highest weight must be a dominant integer vector\n"
+    cap = "error: the report of dimension 1980 with 36 generators has 141134400 action entries, more than the cap of %d\n"
+    refused = [
+        ("rep build --type B --rank 4 --hw 0,0,0,-1", dominant),
+        ("sandwich --type A --rank 2 --hw 1,-1 --p 2", dominant),
+        ("orbits --type C --rank 3 --hw=-1,0,0 --p 2", dominant),
+        ("rep build --type B --rank 4 --hw 0,0,2,0", cap % reps.REPORT_ENTRY_CAP),
+        ("orbits --type B --rank 4 --hw 0,1,1,0 --p 2", MULTIPLICITY_ERROR),
+        ("model lie --rep %s --lattice %s" % (spec, lat2), "error: lattice lives in the wrong space\n"),
+    ]
+    for argv, err in refused:
+        assert _built(argv.split(), monkeypatch, capsys) == ((1, "", err), {"RootSystem": 1}), argv
+    for argv in (
+        "rep build --type A --rank 2 --hw 1,1",
+        "sandwich --type A --rank 1 --hw 2 --p 2",
+        "orbits --type B --rank 2 --hw 1,0 --p 2",
+        "model lie --rep %s --lattice %s" % (spec, lat3),
+    ):
+        (code, _, err), built = _built(argv.split(), monkeypatch, capsys)
+        assert (code, err, built) == (0, "", {"RootSystem": 1, "ChevalleyBasis": 1}), argv
 
 
 def test_ragged_lattice_file_exits_1(tmp_path, capsys):

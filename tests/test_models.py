@@ -141,7 +141,7 @@ def test_bracket_closure_matches_the_pairwise_check(kind, p, data):
     # Random lattices in the Lie algebra, most of them not bracket-closed,
     # and the Lie lattices of random lattices of the defining rep.
     cb = build_chevalley(*kind)
-    m = len(cb.basis_order())
+    m = len(cb.rs.basis_order())
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     cols = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
     try:
@@ -187,7 +187,7 @@ def test_lattice_coordinates_invert_no_fraction_basis(monkeypatch, a1):
     local = Lattice([[Fraction(1, 2), 0, 0], [1, 2, 0], [0, 3, 4]], 2)
     lat.dual()
     local.dual()
-    transporter([sym2.action[key] for key in cb.basis_order()], lat, lat.scale(Fraction(sym2.denominator, 2)))
+    transporter([sym2.action[key] for key in cb.rs.basis_order()], lat, lat.scale(Fraction(sym2.denominator, 2)))
     distance(local, Lattice([[1, 0, 0], [0, 4, 0], [0, 0, 1]], 2))
     c2_lat = Lattice([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 1, 0, 4]])
     for rep, v in ((sym2, lat), (c2, c2_lat)):
@@ -452,7 +452,7 @@ def test_order_equal_reflexive(a1):
 def _assert_certificates(report, g1, g2, p):
     """Re-multiplying the cited generator words of the other order with
     the cited coefficients reproduces each target, and every coefficient
-    is p-adically integral."""
+    is p-adically integral, or integral when p is None."""
     for cert in report["certificates"]:
         src, tgt = (g2, g1) if cert["direction"] == "1in2" else (g1, g2)
         target = poly_reduce_det(tgt[cert["generator"]])
@@ -460,7 +460,7 @@ def _assert_certificates(report, g1, g2, p):
         total = {}
         for term in cert["combination"]:
             coeff = Fraction(term["coeff"])
-            assert coeff.denominator % p != 0
+            assert coeff.denominator == 1 if p is None else coeff.denominator % p != 0
             prod = {(0, 0, 0, 0): Fraction(1)}
             for k in term["word"]:
                 prod = poly_reduce_det(poly_mul(prod, src[k]))
@@ -493,7 +493,8 @@ def test_order_reports_match_the_fraction_echelon(a1, monkeypatch):
     # Certificates are not unique, so against the Euclid echelon with
     # Fraction combinations the Hermite path must give the same statuses
     # and witness positions; its own certificates must be p-integral and
-    # reproduce their targets, and its witnesses must have a p-denominator.
+    # reproduce their targets, and its witnesses must have a p-denominator
+    # (any denominator over Z, p = None).
     g1, g2 = _orders(a1)
     sets = ((g1, g2), (g1, _half_integral(g1)), (g1, [_var(0)]))
     cases = [
@@ -501,7 +502,7 @@ def test_order_reports_match_the_fraction_echelon(a1, monkeypatch):
         for a, b in sets
         for left, right in ((a, b), (b, a))
         for bound in range(2, 7)
-        for p in (2, 3)
+        for p in (2, 3, None)
     ]
     got = [order_equal_bounded(*case) for case in cases]
     echelons = {}  # the oracle echelon is slow; build each one once
@@ -524,12 +525,28 @@ def test_order_reports_match_the_fraction_echelon(a1, monkeypatch):
             keys = ("direction", "generator")
             assert [witness[k] for k in keys] == [expected["witness"][k] for k in keys]
             if report["status"] == "not_shown":
-                assert vp(Fraction(witness["coefficient"]), p) < 0
+                coefficient = Fraction(witness["coefficient"])
+                assert coefficient.denominator != 1 and (p is None or vp(coefficient, p) < 0)
         assert len(report["certificates"]) == len(expected["certificates"])
         _assert_certificates(report, left, right, p)
     statuses = {case[2:]: r["status"] for case, r in zip(cases, got) if case[:2] == (g1, g2)}
     assert [statuses[bound, 2] for bound in range(2, 7)] == ["not_shown"] * 2 + ["equal"] * 3
     assert {r["status"] for r in got} == {"equal", "not_shown", "undecided"}
+
+
+def test_order_over_z_needs_integral_coefficients():
+    # x11 = (1/2)·(2·x11) is in the Z_(3)-span of 2·x11 but not in its
+    # Z-span, so over Z the orders Z[2·x11] and Z[x11] are not shown
+    # equal: the coefficient 1/2 is the witness, not a certificate.
+    two, one = [{(1, 0, 0, 0): 2}], [{(1, 0, 0, 0): 1}]
+    report = order_equal_bounded(two, one, 2, None)
+    assert report == {
+        "status": "not_shown",
+        "certificates": [],
+        "witness": {"direction": "2in1", "generator": 0, "coefficient": "1/2"},
+    }
+    assert order_equal_bounded(two, one, 2, 2)["status"] == "not_shown"
+    assert order_equal_bounded(two, one, 2, 3)["status"] == "equal"
 
 
 def test_order_not_equal_with_witness(a1):

@@ -7,7 +7,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 
@@ -32,6 +32,7 @@ from oracles import (
     build_irrep_by_every_generator,
     build_irrep_by_solve,
     check_transition_surjectivity,
+    coroots_by_euclid,
     defining_raw,
     dense_action,
     distinct_words,
@@ -51,15 +52,16 @@ from oracles import (
 
 
 def weyl_dim(cb, psi):
-    """Independent dimension oracle: product formula over positive roots."""
+    """Independent dimension oracle: product formula over positive roots,
+    each pairing taken with Fractions on the coroot solved from the
+    Euclidean roots (oracles.coroots_by_euclid)."""
     rs = cb.rs
-    rho = (1,) * rs.rank
+    coroots = coroots_by_euclid(rs.type_label, rs.rank)
     num = Fraction(1)
     den = Fraction(1)
     for beta in rs.positive:
-        coords = cb.h_alpha_coords(beta)
-        num *= cb.pairing(tuple(p + r for p, r in zip(psi, rho)), coords)
-        den *= cb.pairing(rho, coords)
+        num *= sum((p + 1) * c for p, c in zip(psi, coroots[beta]))
+        den *= sum(coroots[beta])
     d = num / den
     assert d.denominator == 1 and d > 0
     return int(d)
@@ -98,7 +100,7 @@ def test_dimensions_match_weyl_oracle(sweep_reps):
 def test_weyl_dimension_matches_the_test_oracle(t, r):
     cb = build_chevalley(t, r)
     for hw in itertools.product(range(3), repeat=r):
-        assert reps.weyl_dimension(cb, hw) == weyl_dim(cb, hw), hw
+        assert reps.weyl_dimension(cb.rs, hw) == weyl_dim(cb, hw), hw
 
 
 def test_walked_basis_runs_down_the_weights():
@@ -111,7 +113,7 @@ def test_walked_basis_runs_down_the_weights():
         for r in ranks:
             cb = build_chevalley(t, r)
             for psi in itertools.product(range(3), repeat=r):
-                if not 0 < sum(psi) <= 2 or reps.weyl_dimension(cb, psi) > 130:
+                if not 0 < sum(psi) <= 2 or reps.weyl_dimension(cb.rs, psi) > 130:
                     continue
                 try:
                     rep = build_irrep(cb, psi)
@@ -123,13 +125,41 @@ def test_walked_basis_runs_down_the_weights():
     assert built == 70
 
 
-def test_weyl_dimension_reads_the_basis_it_is_given(monkeypatch):
-    # A basis built outside build_chevalley's cache gives its own h_beta;
-    # no second basis is looked up by (type, rank).
-    cb = ChevalleyBasis(RootSystem("B", 3))
+def test_weyl_dimension_reads_the_root_system_it_is_given(monkeypatch):
+    # A root system built outside root_system's cache gives its own
+    # coroots; no root system or basis is looked up by (type, rank).
+    rs = RootSystem("B", 3)
+    monkeypatch.setattr(rootdata, "root_system", None)
     monkeypatch.setattr(rootdata, "build_chevalley", None)
-    assert reps.weyl_dimension(cb, (1, 0, 0)) == 7
-    assert reps.weyl_dimension(cb, (0, 1, 0)) == 21
+    assert reps.weyl_dimension(rs, (1, 0, 0)) == 7
+    assert reps.weyl_dimension(rs, (0, 1, 0)) == 21
+
+
+def _fundamental_dimension(t, n, k):
+    """dim V(omega_k), 1 <= k <= n, by the closed forms of Bourbaki,
+    plates I-IV: C(n + 1, k) for A_n; C(2n + 1, k) for k < n and 2^n for
+    the spin weight in B_n; C(2n, k) − C(2n, k − 2) in C_n; C(2n, k) for
+    k <= n − 2 and 2^(n − 1) for each half-spin weight in D_n."""
+    if t == "A":
+        return comb(n + 1, k)
+    if t == "B":
+        return 2**n if k == n else comb(2 * n + 1, k)
+    if t == "C":
+        return comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
+    return 2 ** (n - 1) if k >= n - 1 else comb(2 * n, k)
+
+
+def test_fundamental_dimensions_from_the_root_system_alone(monkeypatch):
+    # The Weyl dimension of every fundamental weight of every supported
+    # type, read off the coroots of the RootSystem with no Chevalley
+    # basis built, against the closed forms of the plates.
+    monkeypatch.setattr(ChevalleyBasis, "__init__", lambda *a: pytest.fail("built a Chevalley basis"))
+    for t, ranks in sorted(SUPPORTED.items()):
+        for n in ranks:
+            rs = RootSystem(t, n)
+            for k in range(1, n + 1):
+                omega = tuple(int(i == k - 1) for i in range(n))
+                assert reps.weyl_dimension(rs, omega) == _fundamental_dimension(t, n, k), (t, n, k)
 
 
 def test_weight_set_is_the_weights_of_the_built_irreducible():
@@ -142,13 +172,13 @@ def test_weight_set_is_the_weights_of_the_built_irreducible():
         for r in ranks:
             cb = build_chevalley(t, r)
             for psi in itertools.product(range(3), repeat=r):
-                if reps.weyl_dimension(cb, psi) > 64:
+                if reps.weyl_dimension(cb.rs, psi) > 64:
                     continue
                 try:
                     rep = build_irrep(cb, psi)
                 except RepError:
                     continue
-                weights = reps.weight_set(cb, psi)
+                weights = reps.weight_set(cb.rs, psi)
                 assert weights == set(rep.weights), (t, r, psi)
                 single = all(len(ix) == 1 for ix in rep.blocks.values())
                 assert (len(weights) == rep.dim) == single, (t, r, psi)
@@ -156,7 +186,7 @@ def test_weight_set_is_the_weights_of_the_built_irreducible():
                 free += single
     assert (built, free) == (87, 39)
     # A2 (1,1), the adjoint: 6 roots and one zero weight of multiplicity 2.
-    assert len(reps.weight_set(build_chevalley("A", 2), (1, 1))) == 7
+    assert len(reps.weight_set(RootSystem("A", 2), (1, 1))) == 7
 
 
 def test_weight_set_matches_every_walk():
@@ -167,14 +197,14 @@ def test_weight_set_matches_every_walk():
         for r in ranks:
             cb = build_chevalley(t, r)
             for psi in itertools.product(range(min(4, 6 - r)), repeat=r):
-                assert reps.weight_set(cb, psi) == weight_set_by_every_walk(cb, psi), (t, r, psi)
+                assert reps.weight_set(cb.rs, psi) == weight_set_by_every_walk(cb.rs, psi), (t, r, psi)
 
 
 def test_weight_set_of_a1_1999_within_a_twentieth_of_a_second():
     # Every weight walked the whole string below it: 0.55 s (2-vCPU x86-64).
     cb = build_chevalley("A", 1)
     start = time.perf_counter()
-    weights = reps.weight_set(cb, (1999,))
+    weights = reps.weight_set(cb.rs, (1999,))
     assert time.perf_counter() - start < 0.05
     assert weights == {(m,) for m in range(-1999, 2000, 2)}
 
@@ -290,7 +320,7 @@ def test_build_irrep_matches_every_generator_oracle(t, r):
     cb = build_chevalley(t, r)
     built = 0
     for psi in itertools.product(range(3), repeat=r):
-        if sum(psi) > 2 or reps.weyl_dimension(cb, psi) > 300:
+        if sum(psi) > 2 or reps.weyl_dimension(cb.rs, psi) > 300:
             continue
         try:
             rep = build_irrep(cb, psi)
@@ -684,7 +714,7 @@ def sweep_factor_lists(cb, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(reps, "_ambient", recording)
         for psi in itertools.product(range(3), repeat=cb.rs.rank):
-            if sum(psi) <= 2 and reps.weyl_dimension(cb, psi) <= 300:
+            if sum(psi) <= 2 and reps.weyl_dimension(cb.rs, psi) <= 300:
                 with pytest.raises(Recorded):
                     build_irrep(cb, psi)
     return lists

@@ -39,13 +39,12 @@ from oracles import (
     basis_matrices,
     bracket_table_by_ordered_pairs,
     chevalley_set_by_pairing,
+    coroots_by_euclid,
     dense_action,
     det,
     form_by_type,
-    mat,
     root_data_by_fraction_dot,
     root_space_kernels,
-    solve,
     structure_constant,
 )
 
@@ -171,13 +170,8 @@ def test_root_data_matches_the_euclidean_oracle(label, rank):
     assert rs.simple == tuple(e.fund[a] for a in e.simple)
     assert rs.positive == positive
     assert sorted(rs.all_roots) == sorted(e.fund.values())
-
-    def coroot(v):
-        return [Fraction(2 * x, sum(y * y for y in v)) for x in v]
-
-    cols = mat(tuple(zip(*map(coroot, e.simple))))
-    for b in e.roots:
-        assert cb.h_alpha_coords(e.fund[b]) == solve(cols, coroot(b)), b
+    assert rs.coroot == coroots_by_euclid(label, rank)
+    assert all(type(x) is int for c in rs.coroot.values() for x in c)
     assert cb._weights == [e.fund_coords(w) for w in e.weights]
     assert _form(rs) == form_by_type(label, rank)
     assert rs.to_json_obj() == {
@@ -269,8 +263,8 @@ def test_construction_matches_nullspace_oracle(label, rank):
     assert tuple(action["h", i] for i in range(rs.rank)) == old.h
     zero = [0] * len(rs.all_roots)
     for a in rs.all_roots:
-        assert cb.from_coords(zero + list(cb.h_alpha_coords(a))) == old._h_matrix(a)
-        assert cb.h_alpha_coords(a) == old.h_alpha_coords(a)
+        assert cb.from_coords(zero + list(rs.coroot[a])) == old._h_matrix(a)
+        assert rs.coroot[a] == old.h_alpha_coords(a)
         for b in rs.all_roots:
             assert structure_constant(cb, a, b) == old.structure_constant(a, b)
 
@@ -331,8 +325,9 @@ def test_one_build_computes_each_bracket_once(label, rank, brackets, monkeypatch
     monkeypatch.setattr(rootdata, "sparse_bracket", counted("bracket", rootdata.sparse_bracket))
     monkeypatch.setattr(matrixops, "relations", counted("relations", matrixops.relations))
     build_chevalley.cache_clear()
+    rootdata.root_system.cache_clear()
     cb = build_chevalley(label, rank)
-    n = len(cb.basis_order())
+    n = len(cb.rs.basis_order())
     assert brackets == n * (n - 1) // 2 + 2 * len(cb.rs.positive) - rank
     assert calls == {"bracket": brackets, "relations": 1}
     assert not hasattr(rootdata, "relations")
@@ -345,26 +340,25 @@ def test_chevalley_set_matches_the_pairing_oracle(label, rank):
     # vector with its positive one gave.
     cb = build_chevalley(label, rank)
     assert (cb.action, cb.denominator, cb.bracket_table) == chevalley_set_by_pairing(cb)
-    assert list(cb.action) == cb.basis_order()
+    assert list(cb.action) == cb.rs.basis_order()
 
 
 def test_pair_negative_runs_once_per_simple_root(monkeypatch):
-    # Only x_-alpha_i is paired with its positive root vector; every other
-    # negative root vector comes from the recursion.
-    pair = ChevalleyBasis._pair_negative
+    # Only x_-alpha_i is paired with its positive root vector, against the
+    # coroot h_i; every other negative root vector comes from the recursion.
+    pair = rootdata._pair_negative
     paired = []
 
-    def recording(self, fund, *args):
-        paired.append(fund)
-        return pair(self, fund, *args)
+    def recording(x, gen, h):
+        paired.append(h)
+        return pair(x, gen, h)
 
-    monkeypatch.setattr(ChevalleyBasis, "_pair_negative", recording)
+    monkeypatch.setattr(rootdata, "_pair_negative", recording)
     for label, ranks in sorted(SUPPORTED.items()):
         for rank in ranks:
             paired.clear()
-            rs = RootSystem(label, rank)
-            ChevalleyBasis(rs)
-            assert paired == list(rs.simple), (label, rank)
+            cb = ChevalleyBasis(RootSystem(label, rank))
+            assert paired == [cb._h_sparse(i) for i in range(rank)], (label, rank)
 
 
 def test_chevalley_set_refuses_a_root_with_no_decomposition():
@@ -382,7 +376,7 @@ def coordinate_pairs(draw):
     """A supported basis and two integer coordinate vectors on it."""
     label = draw(st.sampled_from(sorted(SUPPORTED)))
     cb = build_chevalley(label, draw(st.sampled_from(SUPPORTED[label])))
-    m = len(cb.basis_order())
+    m = len(cb.rs.basis_order())
     coords = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
     return cb, draw(coords), draw(coords)
 
@@ -419,7 +413,7 @@ def test_action_over_denominator_matches_nullspace_oracle(label, rank):
     assert cb.denominator == (2 if label == "B" else 1) and gcd(cb.denominator, *entries) == 1
     want = {**old.x, **{("h", i): h for i, h in enumerate(old.h)}}
     assert dense_action(cb) == want
-    assert basis_matrices(cb) == [want[key] for key in cb.basis_order()]
+    assert basis_matrices(cb) == [want[key] for key in cb.rs.basis_order()]
 
 
 def with_entry(m, r, c, value):
@@ -449,17 +443,18 @@ def test_verify_catches_single_entry_change():
 
 
 def test_verify_checks_the_coroot_coordinates():
-    # h_alpha's coordinates enter the bracket table as [x_a, x_-a]; doubled
-    # they stay integral, and _verify refuses the bracket of the first
-    # root and its negative, and half of them are not, and it refuses them.
+    # The coroot of alpha enters the bracket table as [x_a, x_-a]; doubled,
+    # or swapped for the coroot of another root, _verify refuses the
+    # bracket of the first root and its negative.
     for t, r in (("A", 2), ("B", 3), ("C", 2)):
         cb = build_chevalley(t, r)
-        first = cb.rs.all_roots[0]
+        first, other = cb.rs.all_roots[:2]
         pair = "bracket of %r and %r off the bracket table" % (first, tuple(-c for c in first))
-        for scale, message in ((2, re.escape(pair)), (Fraction(1, 2), "coroot lattice")):
+        for coroot in (tuple(2 * c for c in cb.rs.coroot[first]), cb.rs.coroot[other]):
             broken = copy.copy(cb)
-            broken.h_alpha_coords = lambda fund: tuple(scale * c for c in cb.h_alpha_coords(fund))
-            with pytest.raises(AssertionError, match=message):
+            broken.rs = copy.copy(cb.rs)
+            broken.rs.coroot = {**cb.rs.coroot, first: coroot}
+            with pytest.raises(AssertionError, match=re.escape(pair)):
                 broken._verify()
 
 
@@ -467,7 +462,7 @@ def test_coords_of_rejects_one_entry_off_the_algebra():
     # so_7 contains no multiple of a single matrix unit, so every one-entry
     # change of an element leaves the algebra.
     cb = build_chevalley("B", 3)
-    dense = cb.from_coords([1] * len(cb.basis_order()))
+    dense = cb.from_coords([1] * len(cb.rs.basis_order()))
     for m in (dense_action(cb)[cb.rs.simple[0]], dense):
         assert cb.coords_of(m) is not None
         for i in range(cb.N):
@@ -478,38 +473,47 @@ def test_coords_of_rejects_one_entry_off_the_algebra():
 # -- coroots and the Cartan lattice ------------------------------------------
 
 
+def _pair(mu, coroot):
+    """<mu, alpha^∨> for mu in fund coords and alpha^∨ in the simple coroots."""
+    return sum(x * y for x, y in zip(mu, coroot))
+
+
 def test_killing_h_a1():
     rs = RootSystem("A", 1)
     alpha = rs.positive[0]
-    cb = build_chevalley("A", 1)
-    coords = cb.h_alpha_coords(alpha)
-    assert cb.pairing(alpha, coords) == 2
+    assert _pair(alpha, rs.coroot[alpha]) == 2
 
 
 def test_killing_h_a2():
     rs = RootSystem("A", 2)
-    cb = build_chevalley("A", 2)
     a1, a2 = rs.simple
-    assert cb.pairing(a1, cb.h_alpha_coords(a2)) == -1
+    assert _pair(a1, rs.coroot[a2]) == -1
 
 
 def test_killing_h_c2():
     rs = RootSystem("C", 2)
-    cb = build_chevalley("C", 2)
     short, long_ = rs.simple
     assert rs.expansion(long_) in ((0, 1),)
-    assert cb.pairing(short, cb.h_alpha_coords(long_)) == -1
-    assert cb.pairing(long_, cb.h_alpha_coords(short)) == -2
+    assert _pair(short, rs.coroot[long_]) == -1
+    assert _pair(long_, rs.coroot[short]) == -2
 
 
 def test_pairing_integral_over_all_roots():
-    for t, r in (("A", 3), ("B", 3), ("C", 3), ("D", 3)):
-        cb = build_chevalley(t, r)
-        for alpha in cb.rs.all_roots:
-            coords = cb.h_alpha_coords(alpha)
-            assert all(c.denominator == 1 for c in coords)
-            for beta in cb.rs.all_roots:
-                assert cb.pairing(beta, coords).denominator == 1
+    # Every coroot is an int vector, <alpha, alpha^∨> = 2, and
+    # <beta, alpha^∨>·<alpha, beta^∨> is 0, 1, 2 or 3 for beta ≠ ±alpha
+    # (4 for beta = ±alpha), as in any root system; the pairings of the
+    # simple roots are the Cartan matrix.
+    for t, ranks in sorted(SUPPORTED.items()):
+        for r in ranks:
+            rs = RootSystem(t, r)
+            for alpha in rs.all_roots:
+                assert all(type(x) is int for x in rs.coroot[alpha])
+                assert _pair(alpha, rs.coroot[alpha]) == 2
+                for beta in rs.all_roots:
+                    n = _pair(beta, rs.coroot[alpha]) * _pair(alpha, rs.coroot[beta])
+                    assert n == 4 if beta in (alpha, tuple(-c for c in alpha)) else 0 <= n <= 3
+            simple = tuple(tuple(_pair(b, rs.coroot[a]) for b in rs.simple) for a in rs.simple)
+            assert simple == rs.cartan_matrix, (t, r)
 
 
 def test_chevalley_lattice_bracket_closed():
@@ -547,7 +551,6 @@ def test_cartan_acts_integrally_on_cartan_lattice():
     # [t, x_α] ∈ Z·x_α for t in the coroot lattice basis (the identity in
     # coroot coordinates) requires integer α(t): the Cartan pairing.
     cb = build_chevalley("C", 2)
-    for col in identity(cb.rs.rank):
+    for i, col in enumerate(identity(cb.rs.rank)):
         for alpha in cb.rs.all_roots:
-            val = cb.pairing(alpha, col)
-            assert val.denominator == 1
+            assert _pair(alpha, col) == alpha[i]

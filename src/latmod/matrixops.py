@@ -30,11 +30,13 @@ integer echelon rows, each with its integer combination of the vectors
 inserted, so the relation of a vector to the basis is one reduction per
 vector, which steps through the pivots in the vector's own support, the
 least first, and never scans the span's other pivots.  Every kernel,
-inverse and rref is read off it: relations gives the primitive integer
-relations among vectors (the rays of a nullspace), scaled_inverse d·a⁻¹
-from the relations of the unit vectors to a's columns, and rref and
-mat_inv divide only at the end, through ratio; the Chevalley coordinates
-of a matrix are read off a QSpan of the sparse generators (rootdata).
+inverse and rref is read off it: relations yields the primitive integer
+relations among vectors (the rays of a nullspace) in order, each before
+any vector after it is read, so a caller that stops at the first reads
+no vector past it; scaled_inverse d·a⁻¹ from the relations of the unit
+vectors to a's columns, and rref and mat_inv divide only at the end,
+through ratio; the Chevalley coordinates of a matrix are read off a
+QSpan of the sparse generators (rootdata).
 """
 
 from math import gcd, lcm
@@ -196,12 +198,12 @@ def relations(vectors):
     """The integer relations among the sparse vectors, inserted in order
     into one QSpan: for each vector j that does not grow the span, the
     primitive {k: x} with Σ x_k·vectors[k] = 0, positive at j and zero
-    but at j and the earlier vectors that grew the span.  These are the
-    rays of nullspace of the matrix with these columns, and a zero
-    vector's relation is {j: 1}."""
+    but at j and the earlier vectors that grew the span, yielded before
+    any vector after j is read, so vectors may be an iterator that makes
+    each one on demand.  These are the rays of nullspace of the matrix
+    with these columns, and a zero vector's relation is {j: 1}."""
     span = QSpan()
     grew = []
-    out = []
     for j, v in enumerate(vectors):
         if span.insert(v):
             grew.append(j)
@@ -212,8 +214,7 @@ def relations(vectors):
         g = gcd(*r.values())
         if c < 0:
             g = -g
-        out.append({k: r[k] // g for k in sorted(r)})
-    return out
+        yield {k: r[k] // g for k in sorted(r)}
 
 
 def rref(a):
@@ -238,7 +239,7 @@ def scaled_inverse(a):
     of a⁻¹ is x/c in lowest terms.  Raises ZeroDivisionError if a is
     singular."""
     n = len(a)
-    rels = relations([dict(enumerate(col)) for col in zip(*a)] + [{j: 1} for j in range(n)])
+    rels = list(relations([dict(enumerate(col)) for col in zip(*a)] + [{j: 1} for j in range(n)]))
     if any(max(r) < n for r in rels):
         raise ZeroDivisionError("singular matrix")
     d = lcm(*(r[n + j] for j, r in enumerate(rels)))

@@ -11,15 +11,18 @@ powers of the defining realization, kept as the list of factors: locate
 a highest-weight vector as an integer ray of the joint kernel of the
 raising operators in a weight space (the index tuples whose factor
 weights sum to it): an integer relation among the raising images of
-those tuples (matrixops.relations).  A weight table, built once from
-the last factor back, holds for each j the weights the factors from j
-on sum to: its first entry is the weights of the ambient, and a weight
-space is listed factor by factor, a prefix extended only by an index
-that leaves a weight of the factors after it (_weight_space).  Then
-walk its cyclic span into one fraction-free QSpan in one pass: each
-simple generator x_{±alpha_i} acts once on each walked vector, a
-lowering image that grows the span joins the walk, and the span's
-coordinates read every image on the walked basis.  Matrices are sparse
+those tuples (matrixops.relations).  build_irrep keeps one such vector,
+so it stops at the first relation: the raising images are made tuple
+by tuple, and none past that relation's tuple.  A weight table, built
+once from the last factor back, holds for each j the weights the
+factors from j on sum to: its first entry is the weights of the
+ambient, and a weight space is listed factor by factor, a prefix
+extended only by an index that leaves a weight of the factors after it
+(_weight_space).  Then walk its cyclic span into one fraction-free
+QSpan in one pass: each simple generator x_{±alpha_i} acts once on each
+walked vector, the span's coordinates read each image on the walked
+basis with one elimination, and a lowering image they find outside the
+span is inserted and joins the walk.  Matrices are sparse
 {(i, j): entry} on each factor, vectors sparse over index tuples, and
 only the 2·rank simple generators are powered into the factors and act
 on them, through tensor_mat_vec: no matrix of the tensor ambient is
@@ -76,8 +79,8 @@ class RepError(ValueError):
 # built, and the orbit search stops at the first class past it.  Peak
 # memory grows by about 97 bytes an action entry and 83 a basis entry
 # (CPython 3.11, x86-64), so a report stays under about 400 MB; the
-# largest rep build of the tests and the benchmark, B4 (0,0,0,2), has
-# 571,536 entries.
+# largest rep build of the tests and the benchmark, B3 (1,0,2), has
+# 750,141 entries.
 REPORT_ENTRY_CAP = 4_000_000
 
 # The most index tuples of a tensor ambient build_irrep admits (the
@@ -87,9 +90,9 @@ REPORT_ENTRY_CAP = 4_000_000
 # the input, not the work: a build lists only the psi weight space,
 # and D4 (0,0,0,4), of dimension 294, has 24,010,000 tuples,
 # 9,016 of weight psi.  Near the cap, D3 (1,0,4) (960,000 tuples,
-# 1,416 of weight psi, dimension 140) builds as a CLI child in 2.2 s at a
-# peak RSS of 35 MB, and D3 (1,3,1) (405,000 tuples, 885 of weight psi,
-# dimension 256) in 4.9–5.0 s at 60 MB (CPython 3.11, 2-vCPU x86-64).
+# 1,416 of weight psi, dimension 140) builds as a CLI child in 1.6–1.9 s
+# at a peak RSS of 30 MB, and D3 (1,3,1) (405,000 tuples, 885 of weight
+# psi, dimension 256) in 3.8–4.1 s at 56 MB (CPython 3.11, 2-vCPU x86-64).
 # The tests build D3 (1,3,1) and B4 (0,0,0,2) (15,876 tuples).
 AMBIENT_TUPLE_CAP = 1_000_000
 
@@ -167,20 +170,21 @@ def _weight_space(factors, table, w):
 
 
 def _highest_weight_vectors(cb, columns, spaces):
-    """[(w, v), ...]: for each (w, space) of spaces, in order, a basis of
+    """Yields (w, v): for each (w, space) of spaces, in order, a basis of
     the joint kernel of the raising operators inside the weight-w space,
     spanned by the index tuples of space, as sparse integer vectors v
     over index tuples: the relations among the raising images of the
     tuples of the space (matrixops.relations), on the rays of the
-    reduced basis."""
-    out = []
+    reduced basis.  The images are made one tuple at a time, as the
+    relations read them, so a caller that takes only the first vector
+    applies the raising generators to no tuple after its relation's."""
     for w, space in spaces:
-        images = [
+        images = (
             {(k, r): x for k, a in enumerate(cb.rs.simple) for r, x in tensor_mat_vec(columns[a], {t: 1}).items()}
             for t in space
-        ]
-        out.extend((w, {space[n]: x for n, x in rel.items()}) for rel in relations(images))
-    return out
+        )
+        for rel in relations(images):
+            yield w, {space[n]: x for n, x in rel.items()}
 
 
 def _diagonal_weights(cb, action, dim, den):
@@ -196,16 +200,19 @@ def _adapted(cb, columns, den, hw_vectors):
     Only the simple generators x_{±alpha_i} act, each g as D·g, given by
     its integer column indices on each factor over den = D, so the walk
     is on ints: D·g·v has the primitive vector of g·v.  Each walked b is
-    taken in turn, and each simple generator acts on it once: a lowering
-    image that grows the span joins the walk, as its primitive vector,
-    and the span's relation c·(D·g·b) = Σ x_k·b_k then reads every image
-    as the column x over c·D.  The walk is breadth first, so a raising
-    image lies in a weight layer that is already complete, and a
-    lowering image is in the span once it is inserted.  The columns of g
-    over their lcm give g on the walked basis.  Every other root vector
-    and every h_i is read off these by rootdata.chevalley_set, the
-    recursion that builds the Chevalley set, over the least common
-    denominator of the action."""
+    taken in turn, and each simple generator acts on it once: its image
+    is read by one relation to the span, c·(D·g·b) = Σ x_k·b_k, the
+    column x over c·D.  Only a lowering image that this relation finds
+    outside the span is inserted, as its primitive vector u, which joins
+    the walk; the image is a multiple of u, so its column is the one
+    entry img_i // u_i at u, i any index of u's support.  So each image
+    is reduced once, and each walked vector once more, by its insert.
+    The walk is breadth first, so a raising image lies in a weight layer
+    that is already complete, and one outside the span is refused.  The
+    columns of g over their lcm give g on the walked basis.  Every other
+    root vector and every h_i is read off these by
+    rootdata.chevalley_set, the recursion that builds the Chevalley set,
+    over the least common denominator of the action."""
     lowering = set(cb.rs.generators[cb.rs.rank :])
     span = QSpan()
     psi_of, read = [], {key: [] for key in columns}
@@ -216,9 +223,11 @@ def _adapted(cb, columns, den, hw_vectors):
         for b in walk:
             for key, g in columns.items():
                 img = tensor_mat_vec(g, b)
-                if key in lowering and img and span.insert(u := primitive(img)):
+                if (rel := span.relation(img)) is None and key in lowering:
+                    span.insert(u := primitive(img))
                     walk.append(u)
-                read[key].append(span.relation(img))
+                    rel = 1, {span.rank - 1: img[min(u)] // u[min(u)]}
+                read[key].append(rel)
         psi_of.extend([psi] * len(walk))
     simple = {}
     for key, cols in read.items():
@@ -330,11 +339,12 @@ def build_irrep(cb, psi):
     if (tuples := prod(d for d, _, _ in factors)) > AMBIENT_TUPLE_CAP:
         msg = "highest weight (%s) has an ambient of %d index tuples, more than the cap of %d"
         raise RepError(msg % (",".join(map(str, psi)), tuples, AMBIENT_TUPLE_CAP))
-    tops = _highest_weight_vectors(cb, columns, [(psi, _weight_space(factors, table, psi))])
-    if not tops:
+    # The psi weight space may hold more kernel vectors; the first spans
+    # the irreducible, and the raising images stop at its relation.
+    top = next(_highest_weight_vectors(cb, columns, [(psi, _weight_space(factors, table, psi))]), None)
+    if top is None:
         raise RepError(unreachable)
-    # The psi weight space may hold more kernel vectors; the first spans the irreducible.
-    return _adapted(cb, columns, cb.denominator, tops[:1])
+    return _adapted(cb, columns, cb.denominator, [top])
 
 
 def dominant(rs, psi):
@@ -408,7 +418,7 @@ def _adapt(cb, factors):
     factors = [(n, {key: {p: den // d * x for p, x in a[key].items()} for key in cb.rs.generators}, w) for n, a, w, d in factors]
     columns, table = _ambient(factors, cb.rs.rank)
     spaces = ((w, _weight_space(factors, table, w)) for w in sorted(table[0], reverse=True))
-    rep = _adapted(cb, columns, den, _highest_weight_vectors(cb, columns, spaces))
+    rep = _adapted(cb, columns, den, list(_highest_weight_vectors(cb, columns, spaces)))
     if rep.dim != prod(n for n, _, _ in factors):
         raise RepError("cyclic spans do not exhaust the space")
     return rep

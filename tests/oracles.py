@@ -711,7 +711,7 @@ def build_irrep_by_every_generator(cb, psi):
     for i in range(1, cb.rs.rank):
         factors += [reps._power_raw(defining, i + 1, exterior=True)] * psi[i]
     columns, _ = reps._ambient(factors, cb.rs.rank)
-    tops = reps._highest_weight_vectors(cb, columns, [(psi, ambient_spaces(factors).get(psi, []))])
+    tops = list(reps._highest_weight_vectors(cb, columns, [(psi, ambient_spaces(factors).get(psi, []))]))
     return adapted_by_every_generator(cb, columns, cb.denominator, tops[:1])
 
 
@@ -723,7 +723,7 @@ def adapt_by_every_generator(cb, factors):
     den = lcm(*(f[3] for f in factors))
     factors = [(n, {key: {p: den // d * x for p, x in g.items()} for key, g in a.items()}, w) for n, a, w, d in factors]
     columns, _ = reps._ambient(factors, cb.rs.rank)
-    tops = reps._highest_weight_vectors(cb, columns, sorted(ambient_spaces(factors).items(), reverse=True))
+    tops = list(reps._highest_weight_vectors(cb, columns, sorted(ambient_spaces(factors).items(), reverse=True)))
     return adapted_by_every_generator(cb, columns, den, tops)
 
 

@@ -57,7 +57,7 @@ def test_entry_cap_admits_every_known_report(capsys):
     # The count the cap is checked on is the number of entries a report
     # writes, and it admits the golden rep builds, the pinned large
     # ambients and the builds of the benchmark's workloads, the largest of
-    # them B4 (0,0,0,2) with 571,536 entries.
+    # them B3 (1,0,2) with 750,141 entries.
     def entries(t, r, hw):
         rs = root_system(t, r)
         return reps.weyl_dimension(rs, hw) ** 2 * len(rs.basis_order())
@@ -76,8 +76,8 @@ def test_entry_cap_admits_every_known_report(capsys):
         for c in GOLDEN["cases"]
         if c["argv"][:2] == ["rep", "build"]
     ]
-    assert max(entries(*k) for k in known) == entries("B", 4, (0, 0, 0, 2)) == 571536
-    assert entries("B", 4, (0, 0, 0, 2)) <= reps.REPORT_ENTRY_CAP
+    assert max(entries(*k) for k in known) == entries("B", 3, (1, 0, 2)) == 750141
+    assert entries("B", 3, (1, 0, 2)) <= reps.REPORT_ENTRY_CAP
     # A sandwich writes 2·dim² basis entries and an orbits report dim² per
     # class; the golden ones are admitted and written.
     for c in GOLDEN["cases"]:

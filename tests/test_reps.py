@@ -5,6 +5,7 @@ surjectivity."""
 import hashlib
 import itertools
 import json
+import sys
 import time
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -416,6 +417,79 @@ def test_builds_apply_only_the_simple_generators(monkeypatch):
         applies(make)
 
 
+def test_build_irrep_stops_at_the_first_relation(monkeypatch):
+    # build_irrep keeps one highest-weight vector, the first relation among
+    # the raising images of the psi weight space, so it makes the rank
+    # raising images of each tuple only up to that relation's tuple: B2
+    # (1,2) has 12 psi tuples, the 6th the first dependent (12 images, not
+    # 24), and B3 (1,0,2) 44, the 18th the first dependent (54, not 132).
+    search, apply, weight_space = reps._highest_weight_vectors.__code__, reps.tensor_mat_vec, reps._weight_space
+    searched, sizes = [], []
+
+    def recording_apply(cols, v):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not search:
+            frame = frame.f_back
+        searched.append(frame is not None)
+        return apply(cols, v)
+
+    def recording_weight_space(*args):
+        space = weight_space(*args)
+        sizes.append(len(space))
+        return space
+
+    for t, r, hw, space, images in (("B", 2, (1, 2), 12, 12), ("B", 3, (1, 0, 2), 44, 54)):
+        cb = build_chevalley(t, r)
+        searched.clear()
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(reps, "tensor_mat_vec", recording_apply)
+            m.setattr(reps, "_weight_space", recording_weight_space)
+            rep = build_irrep(cb, hw)
+        assert sizes == [space] and sum(searched) == images < r * space, (t, r, hw, sizes, sum(searched))
+        assert rep.to_json_obj() == build_irrep_by_every_generator(cb, hw).to_json_obj()
+
+
+def test_adapted_reduces_each_image_once(monkeypatch):
+    # Inside _adapted each image of a walked vector is read by one
+    # relation to the span, and only a lowering image outside it is
+    # inserted: with the highest-weight vectors, one insert per walked
+    # vector, so QSpan._reduce runs (2·rank + 1)·dim times.
+    adapted, reduce = reps._adapted, matrixops.QSpan._reduce
+    inside, reduced = [], []
+
+    def counting_reduce(self, v):
+        reduced.append(v)
+        return reduce(self, v)
+
+    def counting_adapted(*args):
+        start = len(reduced)
+        rep = adapted(*args)
+        inside.append(len(reduced) - start)
+        return rep
+
+    monkeypatch.setattr(matrixops.QSpan, "_reduce", counting_reduce)
+    monkeypatch.setattr(reps, "_adapted", counting_adapted)
+
+    def reductions(make):
+        inside.clear()
+        rep = make()
+        assert inside == [(2 * rep.cb.rs.rank + 1) * rep.dim], (rep.cb.rs.rank, rep.dim, inside)
+        return rep
+
+    for t, r, hw in (("A", 2, (1, 1)), ("B", 3, (1, 0, 0)), ("B", 2, (1, 2)), ("D", 4, (0, 0, 1, 1))):
+        cb = build_chevalley(t, r)
+        v = reductions(lambda: build_irrep(cb, hw))
+    # Then direct_sum, tensor_product and adapt, on D4 (0,0,1,1) and (1,0,0,0).
+    w = build_irrep(cb, (1, 0, 0, 0))
+    for make in (
+        lambda: direct_sum([v, w]),
+        lambda: tensor_product(v, w),
+        lambda: adapt(cb, sparse_action(dense_action(v)), v.dim),
+    ):
+        reductions(make)
+
+
 def test_adapt_refuses_a_changed_highest_root_entry():
     # The simple generators alone would not see it: adapt checks its input
     # against the bracket table before it reads them.
@@ -511,6 +585,8 @@ def test_sums_and_products_densify_only_to_publish(monkeypatch):
 # the walk on the whole ambient built it; then the two irreducibles of
 # type C whose adapted actions are not integral, C2 (2,1) (entries in
 # thirds) and C3 (1,1,0) (entries ±1/2, ±3/2), as the Fraction action
+# wrote them; then B2 (1,2) and B3 (1,0,2), whose first relation comes
+# before their last psi tuple, as the build that related every tuple
 # wrote them.
 PINNED = [
     ("B", 3, (0, 0, 2), "6316089240c79864d750fabdb160aa1ec72fb86f531a93f0c9fa933e85ebe305"),
@@ -520,6 +596,8 @@ PINNED = [
     ("A", 3, (1, 1, 1), "ad48acb0ad7504f4fb739383c991abc2a4b9c37307fff10bb44efc7dd91b68b9"),
     ("C", 2, (2, 1), "bae9e1e34c53a5b1f10c82fca439c362f01841b6c1efaec7c4720aa0ec495369"),
     ("C", 3, (1, 1, 0), "8d98eeb917a6860dfe8f4353242aa11e3667e79ef093e6352c37e91098c39218"),
+    ("B", 2, (1, 2), "9969e43b5913fbd0bcc3e55cbe5b58b5db68ba2df0119bbce8837caabb30adb4"),
+    ("B", 3, (1, 0, 2), "2af85072c88546ee98d4eb70a23dd903422020b3cca792814b2e70656917035f"),
 ]
 
 

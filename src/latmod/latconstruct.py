@@ -18,10 +18,14 @@ on them; so the orbit report searches that box and counts the lattices
 of the sandwich by Birkhoff's formula, without listing them.
 
 exact.Lattice writes every canonical pair used here: each block lattice
-comes from a Hermite pass on the block's few coordinates, S± are their
-direct sum by Lattice.from_blocks, and the orbit representatives are
-Lattice.diagonal of their valuation vectors, read back by
-Lattice.valuations; the latter three run no Hermite form.
+comes from a Hermite pass on the block's few coordinates, and one walk
+(_sandwich_blocks) yields the blocks of S₋ or of S₊.  s_minus and s_plus,
+which the sandwich command prints, are their direct sum by
+Lattice.from_blocks; the orbit report builds neither, but reads the box
+off the blocks, each one coordinate, by Lattice.valuations.  The orbit
+representatives are Lattice.diagonal of their valuation vectors.
+Lattice.from_blocks, Lattice.diagonal and Lattice.valuations run no
+Hermite form.
 """
 
 from math import lcm
@@ -31,51 +35,56 @@ from latmod.matrixops import column_index, identity
 from latmod.reps import REPORT_ENTRY_CAP, lattice_generators
 
 
-def _block_lattices(rep, psi, sign, p):
-    """Block lattices of the psi-component, walked in basis order: the
-    standard lattice at psi, and at each lower chi the span of the images
-    of the lattices at chi + a under g_a = x_(-a) (sign < 0) or the
-    transpose of x_a (sign > 0), g_a applied to their integer columns
-    over the least common multiple d of their denominators, and the
-    chi-block coordinates kept; g_a is over rep.denominator, which joins
-    d in the denominator of the images.  The breadth-first lowering walk
-    lists the basis by the height of psi - chi, so every block above chi
-    is walked first."""
+def _sandwich_blocks(rep, sign, p):
+    """(coordinates, lattice) of every block of S₋ (sign < 0) or S₊
+    (sign > 0), walked component by component over the psi of
+    rep.distinct_highest_weights(), which key every block, and in basis
+    order within each: the standard lattice at psi, and at each lower chi
+    the span of the images of the lattices at chi + a under g_a = x_(-a)
+    (sign < 0) or the transpose of x_a (sign > 0), g_a applied to their
+    integer columns over the least common multiple d of their
+    denominators, and the chi-block coordinates kept; g_a is over
+    rep.denominator, which joins d in the denominator of the images.  The
+    breadth-first lowering walk lists the basis by the height of
+    psi - chi, so every block above chi is walked first.  The blocks of
+    S₊ are yielded dualised (see s_plus), except J_psi, which is its own
+    dual; the walk goes on from the undualised ones."""
     simple = rep.cb.rs.simple
     if sign < 0:
         steps = [column_index(rep.action[tuple(-x for x in a)]) for a in simple]
     else:
         steps = [column_index({(j, i): x for (i, j), x in rep.action[a].items()}) for a in simple]
-    blocks = {psi: Lattice(identity(len(rep.block(psi, psi))), p)}
-    for (q, chi), lower in rep.blocks.items():
-        if q != psi or chi == psi:
-            continue
-        above = []
-        for a, step in zip(simple, steps):
-            up = tuple(x + y for x, y in zip(chi, a))
-            if up in blocks:
-                above.append((step, rep.blocks[psi, up], blocks[up]))
-            elif (psi, up) in rep.blocks:
-                raise AssertionError("weight %s of %s is walked before the weight %s above it" % (chi, psi, up))
-        d = lcm(*(lat.denominator for _, _, lat in above))
-        gens = []
-        for step, upper, lat in above:
-            for col in lat.columns:
-                img = {}
-                for j, y in zip(upper, col):
-                    for r, x in step.get(j, ()):
-                        img[r] = img.get(r, 0) + x * y
-                gens.append([d // lat.denominator * img.get(r, 0) for r in lower])
-        blocks[chi] = Lattice.from_integers(gens, d * rep.denominator, p, len(lower))
-    return blocks
+    for psi in rep.distinct_highest_weights():
+        blocks = {psi: Lattice(identity(len(rep.block(psi, psi))), p)}
+        yield rep.block(psi, psi), blocks[psi]
+        for (q, chi), lower in rep.blocks.items():
+            if q != psi or chi == psi:
+                continue
+            above = []
+            for a, step in zip(simple, steps):
+                up = tuple(x + y for x, y in zip(chi, a))
+                if up in blocks:
+                    above.append((step, rep.blocks[psi, up], blocks[up]))
+                elif (psi, up) in rep.blocks:
+                    raise AssertionError("weight %s of %s is walked before the weight %s above it" % (chi, psi, up))
+            d = lcm(*(lat.denominator for _, _, lat in above))
+            gens = []
+            for step, upper, lat in above:
+                for col in lat.columns:
+                    img = {}
+                    for j, y in zip(upper, col):
+                        for r, x in step.get(j, ()):
+                            img[r] = img.get(r, 0) + x * y
+                    gens.append([d // lat.denominator * img.get(r, 0) for r in lower])
+            blocks[chi] = Lattice.from_integers(gens, d * rep.denominator, p, len(lower))
+            yield lower, blocks[chi] if sign < 0 else blocks[chi].dual()
 
 
 def s_minus(rep, p=None):
     """U⁻·J block by block, over Z (p None) or Z_(p): J_psi at each highest
     weight psi, and at each lower chi the sum of the images under x_(-a)
     of the blocks at chi + a."""
-    walks = [(psi, _block_lattices(rep, psi, -1, p)) for psi in rep.distinct_highest_weights()]
-    return Lattice.from_blocks([(rep.block(psi, chi), lat) for psi, w in walks for chi, lat in w.items()], rep.dim)
+    return Lattice.from_blocks(list(_sandwich_blocks(rep, -1, p)), rep.dim)
 
 
 def s_plus(rep, p=None):
@@ -89,8 +98,7 @@ def s_plus(rep, p=None):
     the walk of s_minus from J_psi with the transposed x_a, each block
     dualised.
     """
-    walks = [(psi, _block_lattices(rep, psi, +1, p)) for psi in rep.distinct_highest_weights()]
-    return Lattice.from_blocks([(rep.block(psi, chi), lat.dual()) for psi, w in walks for chi, lat in w.items()], rep.dim)
+    return Lattice.from_blocks(list(_sandwich_blocks(rep, +1, p)), rep.dim)
 
 
 def is_split(rep, lat):
@@ -189,7 +197,9 @@ def count_invariant_orbits(rep, p):
     The representation must be multiplicity-free, so every (psi, chi)
     block is one basis vector e_i and a split lattice is ⊕ p^(v_i)·Z_(p)·e_i,
     one valuation per block.  Between S₋ and S₊ (both split) v lies in the
-    box v(S₊) ≤ v ≤ v(S₋), fixed by J at each highest weight; the lattice
+    box v(S₊) ≤ v ≤ v(S₋), fixed by J at each highest weight, whose
+    bounds are read off the 1×1 blocks that _sandwich_blocks walks, so
+    neither S₋ nor S₊ is built on the whole space; the lattice
     is invariant under a generator g exactly when v_r ≤ v_c + v_p(g[r][c])
     for every nonzero off-diagonal entry (the diagonal is integral).  So
     the invariant split lattices with the J components are the integer
@@ -221,7 +231,9 @@ def count_invariant_orbits(rep, p):
     _check_multiplicity_free(rep)
     if p is None:
         raise LatticeError("orbit reports are defined over Z_(p), not over Z")
-    vlo, vhi = s_minus(rep, p).valuations(), s_plus(rep, p).valuations()
+    # Each block is one coordinate e_i and its 1×1 lattice p^(v_i)·Z_(p);
+    # sorting by the (distinct) coordinates puts the valuations in order.
+    vlo, vhi = ([lat.valuations()[0] for _, lat in sorted(_sandwich_blocks(rep, s, p))] for s in (-1, +1))
     lam = [b - a for a, b in zip(vhi, vlo)]  # S₊/S₋ has type lam
     if min(lam) < 0:
         raise AssertionError("S₋ is not inside S₊")

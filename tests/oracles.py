@@ -102,7 +102,7 @@ basis as dense matrices and its structure constants, the J components of a
 lattice, the walk down the weights of a component that the transition
 check takes (`weights_down`, sorted by height, and `down_step`, the block
 of x_(-a) or the transposed block of x_a, as `reps` kept them while
-`latconstruct._block_lattices` walked S± through them), the surjectivity
+`latconstruct._sandwich_blocks` walked S± through them), the surjectivity
 of the transition maps (acceptance criterion 3) and the class number from
 reduced binary forms.
 """
@@ -1873,7 +1873,7 @@ def chevalley_set_by_pairing(cb):
 # -----------------------------------------------------------------------
 # Sandwich lattices and transition spans by enumerating every distinct
 # ordering of each simple-root multiset, as before the walk down the
-# weights (`latconstruct._block_lattices` and the transition check in
+# weights (`latconstruct._sandwich_blocks` and the transition check in
 # `reps`).  The word count grows multinomially with the degree.
 # -----------------------------------------------------------------------
 

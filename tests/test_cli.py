@@ -247,10 +247,14 @@ def test_orbits_past_the_former_enumeration_cap(capsys):
 def test_orbits_exits_2_when_s_minus_is_not_inside_s_plus(monkeypatch, capsys):
     # S₋ ⊆ S₊ is proved in count_invariant_orbits' docstring, so a
     # violation is an internal fault (exit 2), not a validation error.
-    def shrunk(rep, p=None):
-        return Lattice.diagonal([v + 1 for v in s_minus(rep, p).valuations()], p)
+    walk = latconstruct._sandwich_blocks
 
-    monkeypatch.setattr(latconstruct, "s_plus", shrunk)
+    def shrunk(rep, sign, p):
+        # S₊ walks as S₋ with each block scaled by p.
+        for ix, lat in walk(rep, -1, p):
+            yield ix, lat if sign < 0 else lat.scale(p)
+
+    monkeypatch.setattr(latconstruct, "_sandwich_blocks", shrunk)
     code, out, err = run(["orbits", "--type", "A", "--rank", "1", "--hw", "2", "--p", "2"], capsys)
     assert (code, out, err) == (2, "", "internal assertion failure: S₋ is not inside S₊\n")
 

@@ -1,6 +1,7 @@
 """Graded generator words, sandwich lattices, invariance, split hulls,
 orbit reports and the subgroup count."""
 
+import contextlib
 import importlib.util
 import itertools
 import random
@@ -661,6 +662,25 @@ def test_orbit_report_matches_enumeration_on_multiplicity_free_reps(name):
             assert count_invariant_orbits(rep, p) == count_invariant_orbits_by_enumeration(rep, p)
 
 
+@pytest.mark.parametrize("name, p", [(n, p) for n in MULTIPLICITY_FREE for p in (2, 3)] + [("A 1 300", 2)])
+def test_orbit_report_reads_its_box_off_the_blocks(monkeypatch, name, p):
+    # The box comes from the 1×1 block lattices of the walk: no report
+    # assembles S₋ or S₊ as lattices of the whole space.  A1 (300) is
+    # refused by the cap; the count is of the calls made before that.
+    rep = _rep_by_name(name)
+    assembled, from_blocks = [], Lattice.from_blocks
+
+    def counted(parts, ambient):
+        assembled.append(ambient)
+        return from_blocks(parts, ambient)
+
+    monkeypatch.setattr(Lattice, "from_blocks", staticmethod(counted))
+    refused = pytest.raises(LatticeError, match="classes of dimension 301 that the cap")
+    with refused if name == "A 1 300" else contextlib.nullcontext():
+        count_invariant_orbits(rep, p)
+    assert assembled == []
+
+
 def test_orbit_count_refuses_z(a1_reps):
     for count in (count_invariant_orbits, count_invariant_orbits_by_enumeration):
         with pytest.raises(LatticeError, match=r"over Z_\(p\), not over Z"):
@@ -712,12 +732,8 @@ def test_split_lattices_match_the_hermite_assembly(name):
     # same lattices.
     rep = _rep_by_name(name)
     for p in (None, 2, 3):
-        lower, upper = [], []
-        for psi in rep.distinct_highest_weights():
-            for chi, lat in latconstruct._block_lattices(rep, psi, -1, p).items():
-                lower.append((rep.block(psi, chi), lat))
-            for chi, lat in latconstruct._block_lattices(rep, psi, +1, p).items():
-                upper.append((rep.block(psi, chi), lat.dual()))
+        lower = list(latconstruct._sandwich_blocks(rep, -1, p))
+        upper = list(latconstruct._sandwich_blocks(rep, +1, p))
         assert s_minus(rep, p) == direct_sum_by_hermite(lower, rep.dim)
         assert s_plus(rep, p) == direct_sum_by_hermite(upper, rep.dim)
 

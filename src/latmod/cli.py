@@ -5,7 +5,9 @@ _dump, byte for byte what json.dumps(obj, sort_keys=True, separators=(",",
 ": "), indent=1) writes, without importing json for what reports hold.
 So json is imported only to read an input file (model lie, lattice
 dist) with json.load, for a string that needs an escape, or to quote a
-bad value in an error.
+bad value in an error.  Every int a report holds, and the sandwich
+index, is written by matrixops.int_text, so past CPython's limit on the
+digits str() writes too; input is read under that limit.
 
 COMMANDS maps each command to its handler and its required flags with
 their converters; every flag is converted before the handler runs, and
@@ -123,7 +125,8 @@ def _write(obj, newline, out):
     if obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
     elif kind is int:
-        out.append(repr(obj))
+        from latmod.matrixops import int_text
+        out.append(int_text(obj))
     elif kind is str and _plain(obj):
         out.append('"' + obj + '"')
     elif kind is list and obj and all(type(x) is str for x in obj) and _plain("".join(obj)):
@@ -160,6 +163,9 @@ def _pretty(obj, prefix=""):
     if isinstance(obj, (dict, list)):
         items = sorted(obj.items(), key=lambda kv: str(kv[0])) if isinstance(obj, dict) else enumerate(obj)
         return "\n".join(_pretty(v, "%s%s." % (prefix, k)) for k, v in items)
+    if type(obj) is int:
+        from latmod.matrixops import int_text
+        obj = int_text(obj)
     return "%-40s %s" % (prefix.rstrip("."), obj)
 
 
@@ -181,9 +187,10 @@ def _cmd_lattice_dist(args):
 
 def _cmd_sandwich(args):
     from latmod.latconstruct import s_minus, s_plus
+    from latmod.matrixops import int_text
     rep = _build_rep(args, lambda rs: 2, "%d lattices", "basis")
     lo, hi = s_minus(rep, args["p"]), s_plus(rep, args["p"])
-    return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": str(lo.index_in(hi))}
+    return {"s_minus": lo.to_json_obj(), "s_plus": hi.to_json_obj(), "index": int_text(lo.index_in(hi))}
 
 
 def _cmd_orbits(args):

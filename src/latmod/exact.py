@@ -26,9 +26,10 @@ columns, and no Fraction basis is inverted.  An operator is an integer
 sparse matrix {(i, j): entry}, as the library builds every one, over a
 denominator den where one is taken: stable_under, apply and transporter
 apply it to the integer columns by matrixops.sparse_mat_vec.  index_in
-is a quotient of integer pivot products.  ZSpan is the
-integer span of any rank in the same representation: the torus shifts
-of the orbit reports, which reduce modulo its columns.  Every rational
+is a quotient of integer pivot products over Z, and over Z_(p) the
+power of p the pivot valuations give.  ZSpan is the integer span of any
+rank in the same representation: the torus shifts of the orbit reports,
+which reduce modulo its columns.  Every rational
 this module returns is canonical (matrixops.F): an int when it is
 integral, and every quotient is matrixops.ratio, so fractions is
 imported only for a value that is not integral, such as a basis entry
@@ -41,7 +42,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 
 from latmod.kernels import hermite_coords, hnf_columns, snf_diagonal
-from latmod.matrixops import F, clear_denominators, ratio, ratio_text, sparse_mat_vec
+from latmod.matrixops import F, clear_denominators, int_text, ratio, ratio_text, sparse_mat_vec
 
 ENUM_ORDER_CAP = 2**20
 
@@ -341,17 +342,24 @@ class Lattice:
         return self.dual().sum(other.dual()).dual()
 
     def index_in(self, sup):
-        """[sup : self]; p-part only over Z_(p)."""
+        """[sup : self]; p-part only over Z_(p).
+
+        The index is the determinant of self's basis over sup's, each the
+        pivot product over the scale to the n.  Over Z_(p) only its
+        valuation counts, and v_p is additive, so it is p^(e_self - e_sup),
+        e the sum of the pivot valuations less n times the scale's (all
+        p-powers here): no product or quotient is formed but the result."""
         sup._check_compatible(self)
         if not sup.contains(self):
             raise LatticeError("index: sub is not contained in sup")
-        n = self.ambient
+        n, p = self.ambient, self.prime
+        if p is not None:
+            e = [sum(vp(col[i], p) for i, col in enumerate(x.columns)) - n * vp(x.denominator, p) for x in (self, sup)]
+            return p ** (e[0] - e[1])
         q = ratio(self._pivot_product() * sup.denominator**n, sup._pivot_product() * self.denominator**n)
-        if self.prime is None:
-            if q.denominator != 1:
-                raise AssertionError("the index of a sublattice is an integer")
-            return q
-        return self.prime ** vp(q, self.prime)
+        if q.denominator != 1:
+            raise AssertionError("the index of a sublattice is an integer")
+        return q
 
     def apply(self, g, den=1):
         """Image lattice under g/den, g a nonsingular integer sparse matrix
@@ -365,11 +373,12 @@ class Lattice:
 
     def to_json_obj(self):
         """The basis rows as strings of the entries, each written as
-        str(Fraction) would write column / denominator."""
+        str(Fraction) would write column / denominator, of any length
+        (int_text)."""
         ring = "Z" if self.prime is None else {"Zp": self.prime}
         d = self.denominator
         if d == 1:
-            rows = [[str(x) for x in row] for row in zip(*self.columns)]
+            rows = [[int_text(x) for x in row] for row in zip(*self.columns)]
         else:
             rows = [["0" if not x else ratio_text(x, d) for x in row] for row in zip(*self.columns)]
         return {"ambient": self.ambient, "ring": ring, "basis": rows}

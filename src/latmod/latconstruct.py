@@ -308,15 +308,6 @@ def _invariant_valuations(rep, p, box):
             yield tuple(v)
 
 
-def _gaussian_binomial(n, k, p):
-    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 def subgroup_count(lam, p):
     """Number of subgroups of ⊕ Z/p^(lam_i), by Birkhoff's formula.
 
@@ -329,18 +320,22 @@ def subgroup_count(lam, p):
     taken column by column from the last: after column i, f[a] is the sum,
     over the columns mu'_(i+1), mu'_(i+2), ... below a, of the product of
     the factors of columns i and beyond with mu'_i = a.
+
+    The columns lam'_i grow as they are read, so every b of the column
+    before is at most li = lam'_i, and for each b the q-binomials
+    [li - b choose a - b]_p are one row from a = b upward, by
+    [n, k+1] = [n, k]·(p^(n-k) - 1)/(p^(k+1) - 1), an exact division: a
+    column takes O(li²) products.
     """
     lam = [x for x in lam if x]
     conj = [sum(1 for x in lam if x > i) for i in range(max(lam, default=0))]
-    f = {0: 1}
+    f = [1]
     for li in reversed(conj):
-        f = {
-            a: sum(
-                p ** (b * (li - a)) * _gaussian_binomial(li - b, a - b, p) * fb
-                for b, fb in f.items()
-                if b <= a
-            )
-            for a in range(li + 1)
-        }
-    return sum(f.values())
-
+        g = [0] * (li + 1)
+        for b, fb in enumerate(f):
+            binom = 1  # [li - b choose a - b]_p
+            for a in range(b, li + 1):
+                g[a] += p ** (b * (li - a)) * binom * fb
+                binom = binom * (p ** (li - a) - 1) // (p ** (a - b + 1) - 1)
+        f = g
+    return sum(f)

@@ -7,6 +7,9 @@ quotient, and fractions is imported inside it (and inside F, for input
 that is neither an int nor a Fraction) the first time a quotient is not
 integral, so work on integral values never imports it; ratio_text
 writes a quotient of ints as str writes it, and never imports it.
+int_text writes an int of any length, and so writes every computed int
+of a report: ratio_text's, the entries of a lattice of scale 1, and the
+ints of the command-line reports.
 
 Sparse matrices are {(i, j): entry}, sparse vectors {i: entry} over
 ints or index tuples, zeros left out.  Every operator of the library is
@@ -39,6 +42,7 @@ through ratio; the Chevalley coordinates of a matrix are read off a
 QSpan of the sparse generators (rootdata).
 """
 
+import sys
 from math import gcd, lcm
 
 
@@ -80,10 +84,28 @@ def ratio(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def int_text(n):
+    """str(n) for an int n of any length.  CPython refuses str() of an int
+    past sys.get_int_max_str_digits() digits, a guard for parsing input
+    text; a computed int written as report text is converted with the
+    limit lifted for that one conversion and then restored.  Where the
+    limit does not exist, str() never refuses."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def ratio_text(a, b):
-    """str(ratio(a, b)) for ints a and b > 0, written without a Fraction."""
+    """str(ratio(a, b)) for ints a and b > 0, written without a Fraction,
+    each int by int_text, so of any length."""
     g = gcd(a, b)
-    return str(a // g) if g == b else "%d/%d" % (a // g, b // g)
+    return int_text(a // g) if g == b else int_text(a // g) + "/" + int_text(b // g)
 
 
 def primitive(v):

@@ -90,7 +90,13 @@ realization written per type with the form it preserves
 them before it read the roots off the Cartan matrix, and the coroots
 solved from them with Fractions (`coroots_by_euclid`), as
 `ChevalleyBasis.h_alpha_coords` read them off squared lengths before
-`RootSystem.coroot` carried them through the reflection closure.
+`RootSystem.coroot` carried them through the reflection closure, and
+Birkhoff's subgroup count with every Gaussian binomial taken from
+scratch (`subgroup_count_by_gaussian_binomials`), as
+`latconstruct.subgroup_count` took it before it built each row of them
+once, and the index as a quotient of pivot products
+(`index_by_pivot_products`), as `Lattice.index_in` took it over Z_(p)
+before it read the pivot valuations.
 The other oracles eliminate with the dense `echelon`, not with the
 library; the root-space kernels are read with `matrixops.relations`,
 and only the ad matrices read coordinates with `coords_of`, so they are
@@ -99,9 +105,10 @@ independent of the bracket table, not of `QSpan`.
 The last section holds the checks and views that only tests use, so
 no command reaches them in src/ (tests/test_reachability.py): the Chevalley
 basis as dense matrices and its structure constants, the J components of a
-lattice, the walk down the weights of a component that the transition
-check takes (`weights_down`, sorted by height, and `down_step`, the block
-of x_(-a) or the transposed block of x_a, as `reps` kept them while
+lattice, the type of S₊/S₋ read off the blocks (`sandwich_type`), the
+walk down the weights of a component that the transition check takes
+(`weights_down`, sorted by height, and `down_step`, the block of x_(-a)
+or the transposed block of x_a, as `reps` kept them while
 `latconstruct._sandwich_blocks` walked S± through them), the surjectivity
 of the transition maps (acceptance criterion 3) and the class number from
 reduced binary forms.
@@ -122,6 +129,7 @@ from latmod.kernels import hnf_columns
 from latmod.latconstruct import (
     _check_multiplicity_free,
     _profile,
+    _sandwich_blocks,
     _shift_span,
     is_split,
     s_minus,
@@ -913,6 +921,50 @@ def subgroup_count_of_quotient(divisors):
                     nxt.append(new)
         frontier = nxt
     return len(subgroups)
+
+
+def _gaussian_binomial(n, k, p):
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def subgroup_count_by_gaussian_binomials(lam, p):
+    """Birkhoff's count of the subgroups of ⊕ Z/p^(lam_i), summed column by
+    column over the conjugate partitions as latconstruct.subgroup_count
+    sums it, with every Gaussian binomial taken from scratch, as before
+    that function built each row of them once."""
+    lam = [x for x in lam if x]
+    conj = [sum(1 for x in lam if x > i) for i in range(max(lam, default=0))]
+    f = {0: 1}
+    for li in reversed(conj):
+        f = {
+            a: sum(
+                p ** (b * (li - a)) * _gaussian_binomial(li - b, a - b, p) * fb
+                for b, fb in f.items()
+                if b <= a
+            )
+            for a in range(li + 1)
+        }
+    return sum(f.values())
+
+
+def index_by_pivot_products(sub, sup):
+    """[sup : sub], as Lattice.index_in took it before it read the local
+    pivot valuations: the quotient of the pivot products, each over its
+    scale to the n, and over Z_(p) p to the valuation of that quotient."""
+    if not sup.contains(sub):
+        raise LatticeError("index: sub is not contained in sup")
+    n = sub.ambient
+    pivots = [prod(col[i] for i, col in enumerate(x.columns)) for x in (sub, sup)]
+    q = Fraction(pivots[0] * sup.denominator**n, pivots[1] * sub.denominator**n)
+    if sub.prime is None:
+        assert q.denominator == 1
+        return q.numerator
+    return sub.prime ** vp(q, sub.prime)
 
 
 def ideal_lattices_of_norm(field, n):
@@ -2173,6 +2225,14 @@ def has_j_components(rep, lat):
         if Lattice.from_integers(gens, lat.denominator, lat.prime, len(ix)) != Lattice(identity(len(ix)), lat.prime):
             return False
     return True
+
+
+def sandwich_type(rep, p):
+    """The type λ of S₊/S₋ of a multiplicity-free rep over Z_(p), one part
+    per coordinate: v(S₋)_i − v(S₊)_i, read off the 1×1 block lattices of
+    the walk, so [S₊ : S₋] = p^Σλ."""
+    vlo, vhi = ([lat.valuations()[0] for _, lat in sorted(_sandwich_blocks(rep, s, p))] for s in (-1, 1))
+    return [a - b for a, b in zip(vlo, vhi)]
 
 
 def weights_down(rep, psi):

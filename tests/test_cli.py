@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -24,7 +25,7 @@ from latmod.exact import Lattice
 from latmod.latconstruct import is_invariant, is_split, s_minus, s_plus
 from latmod.reps import build_irrep
 from latmod.rootdata import build_chevalley, root_system
-from oracles import has_j_components
+from oracles import has_j_components, sandwich_type, subgroup_count_by_gaussian_binomials
 from test_reps import PINNED
 
 
@@ -257,6 +258,80 @@ def test_orbits_exits_2_when_s_minus_is_not_inside_s_plus(monkeypatch, capsys):
     monkeypatch.setattr(latconstruct, "_sandwich_blocks", shrunk)
     code, out, err = run(["orbits", "--type", "A", "--rank", "1", "--hw", "2", "--p", "2"], capsys)
     assert (code, out, err) == (2, "", "internal assertion failure: S₋ is not inside S₊\n")
+
+
+def int_digit_limit():
+    """CPython's limit on the digits of an int-str conversion, None where
+    there is none (before 3.11)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def int_digits_lifted():
+    """The digit limit lifted, as a reader of a report whose integers pass
+    it must lift it, and then restored."""
+    limit = int_digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_sandwich_index_past_the_int_digit_limit(capsys):
+    # [S₊ : S₋] of A1 (122) at p = 2 has 4,333 digits, past the 4,300 that
+    # CPython's str() writes by default; the report exited 1 once it was
+    # built.  The limit is the same after the command as before.
+    limit = int_digit_limit()
+    code, out, err = run(["sandwich", "--type", "A", "--rank", "1", "--hw", "122", "--p", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert int_digit_limit() == limit
+    lam = sandwich_type(build_irrep(build_chevalley("A", 1), (122,)), 2)
+    with int_digits_lifted():
+        text = json.loads(out)["index"]
+        assert int(text) == 2 ** sum(lam) and len(text) == 4333
+
+
+def test_orbit_counts_past_the_int_digit_limit(capsys):
+    # The sandwich of A1 (80) at p = 17 holds a number of lattices of 4,936
+    # digits, written as JSON and by --pretty: Birkhoff's sum with every
+    # Gaussian binomial taken from scratch.
+    limit = int_digit_limit()
+    argv = ["orbits", "--type", "A", "--rank", "1", "--hw", "80", "--p", "17"]
+    lam = sandwich_type(build_irrep(build_chevalley("A", 1), (80,)), 17)
+    expected = subgroup_count_by_gaussian_binomials(lam, 17)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    with int_digits_lifted():
+        obj = json.loads(out)
+        pretty = "%-40s %s" % ("total_between", expected)
+    assert obj["total_between"] == expected and obj["sandwich_index"] == 17 ** sum(lam)
+    code, out, err = run(argv + ["--pretty"], capsys)
+    assert (code, err) == (0, "")
+    assert pretty in out.split("\n")
+    assert int_digit_limit() == limit
+
+
+def test_model_lie_invariants_past_the_int_digit_limit(tmp_path, capsys):
+    # Z⊕cZ⊕Z in Sym² of A1 has bracket divisors 1, 1, c²/2 and Killing
+    # divisors 2, c², c² (c = 2 gives 1, 1, 2 and 2, 4, 4); at c = 10³⁰⁰⁰
+    # they have 6,000 and 6,001 digits.  The input entry, of 3,001 digits,
+    # is read under the limit.
+    limit = int_digit_limit()
+    repf, latf = tmp_path / "rep.json", tmp_path / "lat.json"
+    repf.write_text(json.dumps({"type": "A", "rank": 1, "hw": [2]}))
+    c = "1" + "0" * 3000
+    latf.write_text(json.dumps({"ambient": 3, "ring": "Z", "basis": [["1", "0", "0"], ["0", c, "0"], ["0", "0", "1"]]}))
+    code, out, err = run(["model", "lie", "--rep", str(repf), "--lattice", str(latf)], capsys)
+    assert (code, err) == (0, "")
+    assert int_digit_limit() == limit
+    c2 = "1" + "0" * 6000
+    assert json.loads(out)["invariants"] == {
+        "bracket_divisors": ["1", "1", "5" + "0" * 5999],
+        "killing_divisors": ["2", c2, c2],
+    }
 
 
 # Sandwiches and orbit reports past the golden set (sandwiches up to

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmod import exact
 from latmod.exact import (
     ElementaryDivisors,
     Lattice,
@@ -44,6 +45,7 @@ from oracles import (
     direct_sum_by_hermite,
     distance_by_inverse,
     dual_by_inverse,
+    index_by_pivot_products,
     intersect_by_fractions,
     is_prime_by_trial_division,
     lattice_coords,
@@ -245,6 +247,37 @@ def test_index_multiplicative():
         b = c.scale(rng.choice([1, 2, 3]))
         a = b.scale(rng.choice([1, 2]))
         assert a.index_in(c) == a.index_in(b) * b.index_in(c)
+
+
+def test_local_index_matches_the_pivot_product_quotient():
+    # sub is spanned by random integer combinations of sup's basis, so it
+    # lies in sup; the combinations sometimes take a factor of p.
+    rng = random.Random(23)
+    for _ in range(150):
+        p, n = rng.choice([2, 3, 5]), rng.randint(1, 4)
+        sup = rnd_lattice(rng, n, p).scale(Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        while True:
+            m = [[rng.randint(-3, 3) * rng.choice([1, 1, p]) for _ in range(n)] for _ in range(n)]
+            if det(m):
+                break
+        sub = Lattice([[sum(c[k] * b[i] for k, b in enumerate(sup.basis)) for i in range(n)] for c in m], p)
+        assert sub.index_in(sup) == index_by_pivot_products(sub, sup)
+
+
+def test_local_index_takes_no_quotient(monkeypatch):
+    # Over Z_(p) the index is p to a difference of pivot valuations; over Z
+    # it is the quotient of the pivot products, one matrixops.ratio.
+    real, calls = exact.ratio, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(exact, "ratio", counted)
+    for p, index, quotients in ((2, 4, 0), (3, 1, 0), (None, 4, 1)):
+        calls.clear()
+        assert standard_lattice(2, p).scale(2).index_in(standard_lattice(2, p)) == index
+        assert len(calls) == quotients
 
 
 def test_modular_identity():

@@ -46,8 +46,11 @@ from oracles import (
     has_j_components,
     mat_scale,
     s_minus_by_words,
+    sandwich_type,
     s_plus_by_words,
+    index_by_pivot_products,
     shift_lattice_columns_by_inverse_cartan,
+    subgroup_count_by_gaussian_binomials,
     subgroup_count_of_quotient,
     weights_down,
     word_matrices,
@@ -779,3 +782,26 @@ def test_subgroup_count_matches_enumeration(p, lam):
     n = len(lam)
     lo = diag_lattice([p**x for x in lam], p)
     assert len(enumerate_between(lo, diag_lattice([1] * n, p))) == subgroup_count(lam, p)
+
+
+def test_subgroup_count_matches_the_gaussian_binomial_sum_on_random_types():
+    rng = random.Random(54)
+    for _ in range(400):
+        lam = [rng.randint(0, 6) for _ in range(rng.randint(0, 6))]
+        p = rng.choice([2, 3, 5, 7])
+        assert subgroup_count(lam, p) == subgroup_count_by_gaussian_binomials(lam, p), (lam, p)
+
+
+@pytest.mark.parametrize("t, rank, hw, p", [("A", 2, (12, 0), 11), ("A", 1, (40,), 7)])
+def test_subgroup_count_matches_the_gaussian_binomial_sum_on_reports(t, rank, hw, p):
+    # The types of two orbit reports, of 91 and 41 parts.
+    lam = sandwich_type(build_irrep(build_chevalley(t, rank), hw), p)
+    assert subgroup_count(lam, p) == subgroup_count_by_gaussian_binomials(lam, p)
+
+
+@pytest.mark.parametrize("name", MULTIPLICITY_FREE)
+def test_sandwich_index_matches_the_pivot_product_quotient(name):
+    rep = _rep_by_name(name)
+    for p in (2, 3):
+        lo, hi = s_minus(rep, p), s_plus(rep, p)
+        assert lo.index_in(hi) == index_by_pivot_products(lo, hi) == p ** sum(sandwich_type(rep, p))

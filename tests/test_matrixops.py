@@ -25,6 +25,7 @@ from latmod.matrixops import (
     QSpan,
     bracket,
     column_index,
+    int_text,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -587,3 +588,24 @@ def test_inverses_match_the_echelon_oracle(a):
 @given(st.integers(-(10**30), 10**30), st.integers(1, 10**20))
 def test_ratio_text_is_str_of_the_fraction(a, b):
     assert ratio_text(a, b) == str(Fraction(a, b))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="CPython limits int-str conversions from 3.11")
+def test_int_text_writes_past_the_digit_limit_and_restores_it():
+    # str() refuses these under a limit of 640 digits; int_text and
+    # ratio_text write them as str() writes them with no limit, and leave
+    # the limit as they found it.
+    limit = sys.get_int_max_str_digits()
+    ints = [-(10**700) - 7, 10**640, 2**4000 + 1]
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(n) for n in ints] + [str(Fraction(ints[2], 3**1500)), str(Fraction(3**1500, 7))]
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError):
+            str(ints[0])
+        got = [int_text(n) for n in ints] + [ratio_text(ints[2], 3**1500), ratio_text(3**1500 * 2, 14)]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected and expected[0] == "-1" + "0" * 699 + "7"
+    assert int_text(12) == "12" and int_text(-5) == "-5"
